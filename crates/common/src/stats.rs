@@ -6,7 +6,6 @@
 //! * [`Histogram`] — log-bucketed values with percentile estimation,
 //! * [`Counter`] — a named monotonic counter.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Streaming scalar statistics (Welford's online algorithm).
@@ -292,11 +291,18 @@ impl Counter {
     }
 }
 
-/// A string-keyed registry of counters, used for ad-hoc experiment metrics
+/// A name-keyed registry of counters, used for ad-hoc experiment metrics
 /// (message type counts, rejection reasons, ...).
+///
+/// Incrementing sits on the engine's per-message path, so it neither
+/// allocates nor walks a tree: names are `'static` (a literal or a message's
+/// label), kept in first-touched order, and matched by address before
+/// content — one literal is one address, so the content compare runs only
+/// for a name spelled at two call sites. Readers go by name and in name
+/// order, and pay for it.
 #[derive(Clone, Debug, Default)]
 pub struct CounterSet {
-    counters: BTreeMap<String, u64>,
+    counters: Vec<(&'static str, u64)>,
 }
 
 impl CounterSet {
@@ -306,29 +312,43 @@ impl CounterSet {
     }
 
     /// Increment `name` by one.
-    pub fn inc(&mut self, name: &str) {
+    #[inline]
+    pub fn inc(&mut self, name: &'static str) {
         self.add(name, 1);
     }
 
     /// Increment `name` by `n`.
-    pub fn add(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += n;
+    #[inline]
+    pub fn add(&mut self, name: &'static str, n: u64) {
+        match self
+            .counters
+            .iter_mut()
+            .find(|(k, _)| std::ptr::eq(*k, name) || *k == name)
+        {
+            Some((_, v)) => *v += n,
+            None => self.counters.push((name, n)),
+        }
     }
 
     /// Current value of `name` (0 if never touched).
     pub fn get(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        self.counters
+            .iter()
+            .find(|(k, _)| *k == name)
+            .map_or(0, |&(_, v)| v)
     }
 
     /// Iterate counters in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
+        let mut sorted = self.counters.clone();
+        sorted.sort_unstable();
+        sorted.into_iter()
     }
 
     /// Merge another set into this one.
     pub fn merge(&mut self, other: &CounterSet) {
-        for (k, &v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+        for &(k, v) in &other.counters {
+            self.add(k, v);
         }
     }
 }

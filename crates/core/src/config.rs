@@ -126,10 +126,12 @@ pub struct SystemConfig {
     /// depend on are fsynced — the group-commit protocol.
     pub durable_wal_dir: Option<std::path::PathBuf>,
     /// Group-commit window: how long a site batches appended records before
-    /// the next flush (inline fsync on the simulator, a sealed batch to the
-    /// background flusher on the threaded substrate). Longer windows
-    /// amortise fsync across more transactions at the cost of commit
-    /// latency. Ignored unless [`SystemConfig::durable_wal_dir`] is set.
+    /// the next flush point seals them (a sealed batch to the flusher pool;
+    /// an inline fsync for fault-armed WALs and for the physical gate on
+    /// the simulator). Longer windows amortise fsync across more
+    /// transactions at the cost of commit latency: under the physical gate
+    /// a parked promise waits at most one window plus its fsync. Ignored
+    /// unless [`SystemConfig::durable_wal_dir`] is set.
     pub wal_flush_interval: Duration,
     /// Gate durability promises on *physical* fsync completion instead of
     /// the deterministic sealed watermark. With the default (`false`), a
@@ -140,7 +142,11 @@ pub struct SystemConfig {
     /// (simulated crash, checkpoint compaction, end of run). With `true`,
     /// parked messages wait for the fsync watermark itself — nondeterministic
     /// timing, but honest against a real `SIGKILL` that can land between a
-    /// released promise and its fsync (`kill_recover` runs this mode).
+    /// released promise and its fsync (`kill_recover` runs this mode). On
+    /// the threaded runtime the flusher pool posts a completion to the
+    /// engine when a burst's fsync lands (or fails, which crashes that
+    /// site) and the engine releases then; on the simulator, which cannot
+    /// be told, every flush point syncs inline instead.
     pub wal_background_flush: bool,
     /// Segment capacity of the durable WAL: the log rotates to a new
     /// preallocated segment file when the next record would not fit.

@@ -32,7 +32,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             last_now = now;
             self.step(now, step);
             if durable {
-                // Any step may have appended to a WAL; a dirty WAL must
+                // Any step may have appended to a WAL; unsealed bytes must
                 // always have a flush timer pending, else parked promises
                 // (and the records themselves) would wait forever.
                 for i in 0..self.cfg.num_sites {
@@ -66,6 +66,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             TimerEvent::Crash { site } => self.on_crash(now, site),
             TimerEvent::Recover { site } => self.on_recover(now, site),
             TimerEvent::WalFlush { site } => self.on_wal_flush(now, site),
+            TimerEvent::WalDurable { site, ok } => self.on_wal_durable(now, site, ok),
         }
     }
 }

@@ -115,12 +115,23 @@ pub enum TimerEvent {
         site: SiteId,
     },
     /// Group-commit flush point for a site's durable WAL: everything
-    /// appended since the last flush becomes durable and the messages parked
-    /// on its tickets are released. Armed only in durable mode, and only
-    /// while the site's WAL is dirty.
+    /// appended since the last flush is sealed into the flush pipeline (or
+    /// synced inline) and the messages parked on tickets the release gate
+    /// now covers are sent. Armed only in durable mode, and only while the
+    /// site's WAL holds unsealed bytes.
     WalFlush {
         /// Site whose WAL flushes.
         site: SiteId,
+    },
+    /// Posted by the flusher pool, never scheduled: a burst holding `site`'s
+    /// sealed batches has finished, so the fsync watermark moved (`ok`) or
+    /// was poisoned by an I/O error. Physical-gate mode on a substrate with
+    /// a [`o2pc_runtime::TimerPoster`] only.
+    WalDurable {
+        /// Site whose batches the burst carried.
+        site: SiteId,
+        /// False when the burst failed.
+        ok: bool,
     },
 }
 
@@ -194,7 +205,9 @@ pub struct Engine<R: Runtime<TimerEvent, Msg> = DefaultSimRuntime> {
     pub(crate) wal_parked: FastHashMap<SiteId, Vec<(u64, SiteId, Msg)>>,
     /// Sites with a live `WalFlush` timer (at most one per site).
     pub(crate) flush_armed: BTreeSet<SiteId>,
-    /// Background flusher (durable mode with `wal_background_flush` only).
+    /// The flush pipeline sealed batches go to. `None` when flush points
+    /// sync inline: in-memory runs, and physical-gate runs on a substrate
+    /// that cannot be told when a background fsync lands.
     pub(crate) flusher: Option<FlushScheduler>,
     /// Configuration footguns detected at assembly (see
     /// [`SystemConfig::liveness_warnings`]).
@@ -240,13 +253,23 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             rt.schedule(from, TimerEvent::Crash { site });
             rt.schedule(to, TimerEvent::Recover { site });
         }
-        // Durable mode always runs the sharded flush pipeline: the engine
-        // seals batches at flush points and the pool coalesces them into few
-        // fsyncs. (Fault-armed WALs opt out per flush and sync inline.)
-        let flusher = cfg
-            .durable_wal_dir
-            .is_some()
-            .then(|| FlushScheduler::new((cfg.num_sites as usize).clamp(1, 4)));
+        // Durable mode runs the sharded flush pipeline: the engine seals
+        // batches at flush points and the pool coalesces them into few
+        // fsyncs. (Fault-armed WALs opt out per flush and sync inline.) The
+        // physical gate needs the pool to report each fsync back; where the
+        // runtime offers no way to (the simulator), there is no pipeline
+        // and every flush point syncs inline.
+        let shards = (cfg.num_sites as usize).clamp(1, 4);
+        let flusher = match (&cfg.durable_wal_dir, cfg.wal_background_flush) {
+            (None, _) => None,
+            (Some(_), false) => Some(FlushScheduler::new(shards)),
+            (Some(_), true) => rt.timer_poster().map(|poster| {
+                FlushScheduler::with_completions(shards, poster, |key, ok| TimerEvent::WalDurable {
+                    site: SiteId(key),
+                    ok,
+                })
+            }),
+        };
         let warnings = cfg.liveness_warnings();
         #[cfg(debug_assertions)]
         for w in &warnings {
@@ -481,10 +504,11 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// has logged — a yes-vote (the local commit / prepare record), a
     /// decision ack (the `Outcome` record), a fate-bearing termination
     /// answer. In durable mode such a message is parked until the sender's
-    /// WAL is durable past its current append ticket; the next group-commit
-    /// flush releases it. On the in-memory backend (and for messages that
-    /// promise nothing — a no-vote, a SPAWN) this is just [`Engine::send`]:
-    /// the WAL reports clean and nothing parks.
+    /// WAL is durable past its current append ticket: the flush point that
+    /// seals those bytes releases it (sealed gate), or the completion of
+    /// their fsync does (physical gate). On the in-memory backend (and for
+    /// messages that promise nothing — a no-vote, a SPAWN) this is just
+    /// [`Engine::send`]: the WAL reports clean and nothing parks.
     ///
     /// The write-before-promise ordering this enforces is the only explicit
     /// barrier the protocol needs. Everything else is covered by prefix
@@ -526,20 +550,18 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         }
     }
 
-    /// Arm the group-commit flush timer for a site with unflushed WAL bytes
+    /// Arm the group-commit flush timer for a site with unsealed WAL bytes
     /// (at most one live timer per site), or flush immediately if the
     /// pending bytes already exceed the adaptive group-commit threshold —
-    /// interval or bytes, whichever trips first.
+    /// interval or bytes, whichever trips first. Sealed bytes need no timer:
+    /// their batch is in the pipeline and, under the physical gate, its
+    /// completion releases what waits on them.
     pub(crate) fn arm_wal_flush(&mut self, now: SimTime, site: SiteId) {
-        if !self.site_up(site) {
+        let Some(s) = self.sites[site.index()].as_ref() else {
             return;
-        }
-        let s = self.sites[site.index()].as_ref().unwrap();
+        };
         let pending = s.wal_pending_bytes();
-        let owed = pending > 0
-            || (self.cfg.wal_background_flush
-                && (s.wal_is_dirty() || self.wal_parked.get(&site).is_some_and(|q| !q.is_empty())));
-        if !owed {
+        if pending == 0 {
             return;
         }
         if pending >= self.cfg.wal_flush_bytes {
@@ -556,75 +578,63 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
 
     /// Group-commit flush point: seal everything the site appended since
     /// the last flush into one batch for the flush pipeline (or fsync
-    /// inline for fault-armed WALs, whose fault point must stay
-    /// deterministic) and release every parked message the release gate now
-    /// covers. One batch — and, after coalescing, one fsync — covers every
-    /// transaction that logged in the window: that batching *is* group
-    /// commit.
+    /// inline — fault-armed WALs, whose fault point must stay deterministic,
+    /// and every WAL when there is no pipeline) and release every parked
+    /// message the release gate now covers. One batch — and, after
+    /// coalescing, one fsync — covers every transaction that logged in the
+    /// window: that batching *is* group commit.
     pub(crate) fn on_wal_flush(&mut self, now: SimTime, site: SiteId) {
         self.flush_armed.remove(&site);
-        if !self.site_up(site) {
+        let Some(s) = self.sites[site.index()].as_mut() else {
             return;
-        }
-        {
-            let s = self.sites[site.index()].as_mut().unwrap();
-            if s.wal_wants_inline_flush() {
-                if s.wal_sync().is_err() {
-                    // The log device failed (an injected fault): the site
-                    // can no longer make durable promises. Treat it exactly
-                    // like a crash — volatile state gone, disk state as the
-                    // fault left it.
-                    self.report.counters.inc("wal.fault_crashes");
-                    self.on_crash(now, site);
-                    return;
-                }
-            } else if let Some(batch) = s.wal_seal_batch() {
-                match &self.flusher {
-                    Some(f) => f.submit(site.0, batch),
-                    // No pipeline (not a durable run — unreachable in
-                    // practice): execute inline.
-                    None => {
-                        if batch.execute().is_err() {
-                            self.report.counters.inc("wal.fault_crashes");
-                            self.on_crash(now, site);
-                            return;
-                        }
-                    }
+        };
+        match &self.flusher {
+            Some(f) if !s.wal_wants_inline_flush() => {
+                if let Some(batch) = s.wal_seal_batch() {
+                    f.submit(site.0, batch);
                 }
             }
-            self.report.counters.inc("wal.flushes");
+            _ => {
+                if s.wal_sync().is_err() {
+                    return self.on_wal_failure(now, site);
+                }
+            }
+        }
+        self.report.counters.inc("wal.flushes");
+        self.release_parked(now, site);
+    }
+
+    /// The flusher finished a burst carrying `site`'s batches: release what
+    /// the fsync watermark now covers, or crash the site if the burst
+    /// failed. The WAL the batches were sealed from may be gone by now (the
+    /// site crashed, or crashed and recovered, while they were in flight),
+    /// so a failure is checked against the live log: syncing one whose
+    /// watermark is poisoned fails, a healthy one merely syncs.
+    pub(crate) fn on_wal_durable(&mut self, now: SimTime, site: SiteId, ok: bool) {
+        let live = self.sites[site.index()].as_mut();
+        if !ok && live.is_some_and(|s| s.wal_sync().is_err()) {
+            return self.on_wal_failure(now, site);
         }
         self.release_parked(now, site);
-        // Physical-gating mode: the watermark advances asynchronously, so
-        // keep a short timer chain alive until every parked message drains.
-        if self.cfg.wal_background_flush
-            && (self.sites[site.index()]
-                .as_ref()
-                .is_some_and(|s| s.wal_is_dirty())
-                || self.wal_parked.get(&site).is_some_and(|q| !q.is_empty()))
-            && self.flush_armed.insert(site)
-        {
-            self.rt.schedule(
-                now + self.cfg.wal_flush_interval,
-                TimerEvent::WalFlush { site },
-            );
-        }
+    }
+
+    /// The site's log device failed (an injected fault, or a real I/O error
+    /// in the flusher): it can no longer make durable promises. Treat it
+    /// exactly like a crash — volatile state gone, disk state as the fault
+    /// left it.
+    fn on_wal_failure(&mut self, now: SimTime, site: SiteId) {
+        self.report.counters.inc("wal.fault_crashes");
+        self.on_crash(now, site);
     }
 
     /// Release parked messages covered by the site's release gate.
     fn release_parked(&mut self, now: SimTime, site: SiteId) {
-        let Some(queue) = self.wal_parked.get_mut(&site) else {
+        let Some(s) = self.sites[site.index()].as_ref() else {
             return;
         };
-        let gate = match self.sites[site.index()].as_ref() {
-            Some(s) => {
-                if self.cfg.wal_background_flush {
-                    s.wal_durable_ticket()
-                } else {
-                    s.wal_sealed_ticket()
-                }
-            }
-            None => 0,
+        let gate = self.release_gate(s);
+        let Some(queue) = self.wal_parked.get_mut(&site) else {
+            return;
         };
         let ready = queue.partition_point(|&(t, _, _)| t <= gate);
         if ready == 0 {
@@ -686,5 +696,57 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         for exec in woken {
             self.rt.schedule(now, TimerEvent::OpDone { site, exec });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use o2pc_common::{Duration, Op};
+    use o2pc_protocol::ProtocolKind;
+    use o2pc_runtime::ThreadedRuntime;
+
+    /// An I/O error in the background flusher crashes the site whose log it
+    /// hit — as an inline flush failure does — instead of leaving its parked
+    /// promises to wait out the run; recovery then brings the site back.
+    #[test]
+    fn failed_background_flush_crashes_that_site_only() {
+        let dir = std::env::temp_dir().join(format!("o2pc-bgfail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = SystemConfig::new(2, ProtocolKind::O2pc);
+        cfg.durable_wal_dir = Some(dir.clone());
+        cfg.wal_background_flush = true;
+        cfg.vote_timeout = Some(Duration::millis(20));
+        let mut e = Engine::with_runtime(cfg, ThreadedRuntime::default());
+        let (s0, s1, k) = (SiteId(0), SiteId(1), Key(7));
+        e.load(s0, k, Value(100));
+        e.load(s1, k, Value(100));
+        let transfer =
+            TxnRequest::global(vec![(s0, vec![Op::Add(k, -5)]), (s1, vec![Op::Add(k, 5)])]);
+        // The base image becomes durable as usual; then site 1's next
+        // sealed batch reaches the pipeline with its file handles severed:
+        // the write fails and the watermark is poisoned.
+        e.run(Duration::ZERO);
+        e.site_mut(s1).checkpoint();
+        let mut batch = e.site_mut(s1).wal_seal_batch().expect("pending bytes");
+        batch.sever().unwrap();
+        e.flusher.as_ref().unwrap().submit(s1.0, batch);
+        e.submit_at(SimTime::ZERO, transfer.clone());
+        e.rt.schedule(
+            SimTime::ZERO + Duration::millis(100),
+            TimerEvent::Recover { site: s1 },
+        );
+        e.submit_at(SimTime::ZERO + Duration::millis(150), transfer);
+        let r = e.run(Duration::secs(30));
+        assert_eq!(r.counters.get("wal.fault_crashes"), 1);
+        assert_eq!(r.global_aborted, 1, "the transfer that met the dead site");
+        assert_eq!(r.global_committed, 1, "the transfer after recovery");
+        assert!(e.down_sites().is_empty());
+        // A failed completion that outlived its log — the site has been
+        // replaced by recovery since — finds a healthy WAL and crashes nothing.
+        e.on_wal_durable(r.end_time, s1, false);
+        assert!(e.down_sites().is_empty());
+        drop(e);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -40,7 +40,7 @@ pub mod transport;
 
 pub use clock::{Clock, WallClock};
 pub use flush::FlushScheduler;
-pub use runtime::{Runtime, SimRuntime, Step, ThreadedRuntime, ThreadedRuntimeConfig};
+pub use runtime::{Runtime, SimRuntime, Step, ThreadedRuntime, ThreadedRuntimeConfig, TimerPoster};
 pub use transport::{
     Batch, Envelope, Inbox, LinkPolicy, SendOutcome, ThreadedTransport, Transport,
 };

@@ -5,7 +5,9 @@ use crate::transport::{Batch, Envelope, Judgement, SendOutcome, ThreadedTranspor
 use o2pc_common::{SimTime, SiteId};
 use o2pc_sim::{EventQueue, Network};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
 /// One unit of work handed to the engine: a timer it scheduled earlier, or a
@@ -50,6 +52,43 @@ pub trait Runtime<T, M>: Clock {
 
     /// Messages lost in transit so far.
     fn messages_dropped(&self) -> u64;
+
+    /// A handle through which other threads post timers that fire "now" and
+    /// wake the loop. `None` on a substrate with no wall-clock loop to wake
+    /// (the simulator, whose step order must stay a pure function of its
+    /// seed).
+    fn timer_poster(&self) -> Option<TimerPoster<T, M>> {
+        None
+    }
+}
+
+/// Cross-thread handle onto a [`ThreadedRuntime`] loop: post a timer that
+/// fires as soon as the loop sees it (a background worker reporting that
+/// its work is done). The runtime does not declare quiescence while a
+/// [`promise`](TimerPoster::promise)d post is outstanding.
+pub struct TimerPoster<T, M> {
+    posted: Sender<T>,
+    /// The loop blocks on its one inbox; an empty batch there is the wake-up.
+    wake: Sender<Batch<M>>,
+    owed: Arc<AtomicUsize>,
+}
+
+impl<T, M> TimerPoster<T, M> {
+    /// Announce work that will end in a [`post`](TimerPoster::post): until
+    /// it is settled the runtime keeps waiting instead of quiescing.
+    pub fn promise(&self) {
+        self.owed.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Post `timer` to fire now, wake the loop, then settle `settles`
+    /// promises — in that order, so a loop that reads "nothing owed" is
+    /// guaranteed to find the timer when it drains its inbox.
+    pub fn post(&self, timer: T, settles: usize) {
+        // A send fails only when the runtime is gone: nobody is left to tell.
+        let _ = self.posted.send(timer);
+        let _ = self.wake.send(Vec::new());
+        self.owed.fetch_sub(settles, Ordering::SeqCst);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -243,13 +282,20 @@ impl<T> Ord for TimerEntry<T> {
 /// therefore pays one channel operation per peer site, not one per message.
 ///
 /// Quiescence: `next` returns `None` once the deadline passes, or when no
-/// timer is pending, the transport reports nothing in flight, and no message
-/// arrives within `idle_grace`.
+/// timer is pending, the transport reports nothing in flight, no
+/// [`TimerPoster`] promise is outstanding, and no message arrives within
+/// `idle_grace`.
 pub struct ThreadedRuntime<T, M> {
     clock: WallClock,
     transport: ThreadedTransport<M>,
     inbox_tx: Sender<Batch<M>>,
     inbox: Receiver<Batch<M>>,
+    /// Timers posted by other threads ([`TimerPoster`]); read only when an
+    /// empty batch on the inbox says there is something to read.
+    posted_tx: Sender<T>,
+    posted: Receiver<T>,
+    /// Promised-but-unsettled posts.
+    owed: Arc<AtomicUsize>,
     /// Delivered batches not yet handed to the engine, in arrival order.
     staged: VecDeque<Envelope<M>>,
     /// Judged-but-unflushed sends, grouped by destination. The insertion
@@ -277,11 +323,15 @@ impl<T, M: Clone + Send + 'static> ThreadedRuntime<T, M> {
     /// Build on a transport; the clock's epoch (time zero) is *now*.
     pub fn new(transport: ThreadedTransport<M>, cfg: ThreadedRuntimeConfig) -> Self {
         let (inbox_tx, inbox) = channel();
+        let (posted_tx, posted) = channel();
         ThreadedRuntime {
             clock: WallClock::new(),
             transport,
             inbox_tx,
             inbox,
+            posted_tx,
+            posted,
+            owed: Arc::new(AtomicUsize::new(0)),
             staged: VecDeque::new(),
             outbox: HashMap::new(),
             outbox_order: Vec::new(),
@@ -314,6 +364,26 @@ impl<T, M: Clone + Send + 'static> ThreadedRuntime<T, M> {
         }
     }
 
+    /// Stage one batch off the inbox. The transport never delivers an empty
+    /// batch, so one is a [`TimerPoster`] wake-up: whatever was posted goes
+    /// on the timer heap, due now.
+    fn stage(&mut self, batch: Batch<M>) {
+        if batch.is_empty() {
+            let now = self.clock.now();
+            while let Ok(timer) = self.posted.try_recv() {
+                self.push_timer(now, timer);
+            }
+        } else {
+            self.staged.extend(batch);
+        }
+    }
+
+    fn push_timer(&mut self, at: SimTime, timer: T) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.timers.push(TimerEntry { at, seq, timer });
+    }
+
     /// Pop the next staged envelope, pulling any already-delivered batches
     /// off the channel first (without blocking).
     fn pop_staged(&mut self) -> Option<Envelope<M>> {
@@ -321,7 +391,7 @@ impl<T, M: Clone + Send + 'static> ThreadedRuntime<T, M> {
             return Some(env);
         }
         while let Ok(batch) = self.inbox.try_recv() {
-            self.staged.extend(batch);
+            self.stage(batch);
             if let Some(env) = self.staged.pop_front() {
                 return Some(env);
             }
@@ -342,9 +412,15 @@ impl<T, M: Clone + Send + 'static> Runtime<T, M> for ThreadedRuntime<T, M> {
     }
 
     fn schedule(&mut self, at: SimTime, timer: T) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.timers.push(TimerEntry { at, seq, timer });
+        self.push_timer(at, timer);
+    }
+
+    fn timer_poster(&self) -> Option<TimerPoster<T, M>> {
+        Some(TimerPoster {
+            posted: self.posted_tx.clone(),
+            wake: self.inbox_tx.clone(),
+            owed: Arc::clone(&self.owed),
+        })
     }
 
     fn send(&mut self, _now: SimTime, from: SiteId, to: SiteId, msg: M) -> SendOutcome {
@@ -410,7 +486,7 @@ impl<T, M: Clone + Send + 'static> Runtime<T, M> for ThreadedRuntime<T, M> {
             };
             match self.inbox.recv_timeout(wait) {
                 Ok(batch) => {
-                    self.staged.extend(batch);
+                    self.stage(batch);
                     if let Some(env) = self.staged.pop_front() {
                         return Some((
                             self.clock.now(),
@@ -426,12 +502,14 @@ impl<T, M: Clone + Send + 'static> Runtime<T, M> for ThreadedRuntime<T, M> {
                     if self.timers.is_empty() {
                         // Quiescence check. The engine (our only sender) is
                         // blocked right here and the outbox was flushed on
-                        // entry, so if the transport has nothing in flight
-                        // and nothing is staged, no step can ever arrive
-                        // again.
-                        if self.transport.in_flight() > 0 {
-                            continue; // a delivery worker still owes us
+                        // entry, so if the transport has nothing in flight,
+                        // no posted timer is owed and nothing is staged, no
+                        // step can ever arrive again.
+                        if self.transport.in_flight() > 0 || self.owed.load(Ordering::SeqCst) > 0 {
+                            continue; // a delivery worker or a poster still owes us
                         }
+                        // Draining the inbox also absorbs posts settled just
+                        // before the load above; those land on the heap.
                         match self.pop_staged() {
                             Some(env) => {
                                 return Some((
@@ -442,7 +520,8 @@ impl<T, M: Clone + Send + 'static> Runtime<T, M> for ThreadedRuntime<T, M> {
                                     },
                                 ))
                             }
-                            None => return None,
+                            None if self.timers.is_empty() => return None,
+                            None => {}
                         }
                     }
                     // A timer is (about to be) due: loop and fire it.
@@ -587,6 +666,47 @@ mod tests {
         }
         assert_eq!(to1, (0..32).collect::<Vec<_>>());
         assert_eq!(to2, (100..132).collect::<Vec<_>>());
+    }
+
+    /// A timer posted from another thread wakes a `next` that is blocked on
+    /// the inbox (the grace period here is far longer than the test).
+    #[test]
+    fn posted_timer_wakes_blocked_next() {
+        let mut rt = threaded(10_000);
+        let poster = rt.timer_poster().expect("threaded runtimes have a poster");
+        poster.promise();
+        let worker = std::thread::spawn(move || {
+            std::thread::sleep(StdDuration::from_millis(20)); // let `next` park first
+            poster.post("done", 1);
+        });
+        let start = std::time::Instant::now();
+        let got = rt.next(SimTime(60_000_000));
+        assert!(matches!(got, Some((_, Step::Timer("done")))), "{got:?}");
+        assert!(
+            start.elapsed() < StdDuration::from_secs(5),
+            "woken, not timed out"
+        );
+        worker.join().unwrap();
+    }
+
+    /// An outstanding promise holds off quiescence: `next` waits out the
+    /// deadline, not `idle_grace`, and once the post lands it is returned
+    /// before the runtime may report `None`.
+    #[test]
+    fn threaded_does_not_quiesce_while_a_post_is_owed() {
+        let mut rt = threaded(2);
+        let poster = rt.timer_poster().unwrap();
+        poster.promise();
+        let deadline = rt.now() + o2pc_common::Duration::millis(60);
+        assert!(rt.next(deadline).is_none());
+        assert!(
+            rt.now() > deadline,
+            "gave up at the deadline, not after 2 ms"
+        );
+        poster.post("late", 1);
+        let far = SimTime(60_000_000);
+        assert!(matches!(rt.next(far), Some((_, Step::Timer("late")))));
+        assert!(rt.next(far).is_none(), "nothing owed any more: quiescent");
     }
 
     #[test]

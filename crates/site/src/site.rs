@@ -847,12 +847,6 @@ impl Site {
         self.wal.is_durable()
     }
 
-    /// True when the site's WAL has appended records not yet durable.
-    #[inline]
-    pub fn wal_is_dirty(&self) -> bool {
-        self.wal.is_dirty()
-    }
-
     /// Ticket covering everything this site has logged so far.
     #[inline]
     pub fn wal_append_ticket(&self) -> u64 {

@@ -152,15 +152,6 @@ impl WalBackend {
         }
     }
 
-    /// True when a flush is owed.
-    #[inline]
-    pub fn is_dirty(&self) -> bool {
-        match self {
-            WalBackend::Mem(_) => false,
-            WalBackend::Durable(w) => w.is_dirty(),
-        }
-    }
-
     /// Sealed watermark: bytes already handed to the flush pipeline (0 on
     /// the in-memory backend — everything is trivially durable).
     #[inline]

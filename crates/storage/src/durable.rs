@@ -253,6 +253,21 @@ impl FlushBatch {
         self.ticket
     }
 
+    /// The watermark cell this batch advances (or poisons).
+    pub fn progress(&self) -> Arc<FlushProgress> {
+        Arc::clone(&self.progress)
+    }
+
+    /// Fault injection: make this batch's writes fail the way a vanished log
+    /// device would, by swapping its file handles for read-only ones.
+    #[doc(hidden)]
+    pub fn sever(&mut self) -> io::Result<()> {
+        for w in &mut self.writes {
+            w.file = File::open("/dev/null")?;
+        }
+        Ok(())
+    }
+
     /// Write, fsync, and publish the new durable watermark.
     pub fn execute(self) -> io::Result<()> {
         Self::execute_all(vec![self])
@@ -263,8 +278,12 @@ impl FlushBatch {
     /// once, then every batch's watermark advances. N batches into one
     /// segment cost 1 fsync — this coalescing is where the flush pipeline's
     /// throughput comes from. On error every involved watermark is poisoned
-    /// so parked waiters fail instead of hanging.
-    pub fn execute_all(batches: Vec<FlushBatch>) -> io::Result<()> {
+    /// so parked waiters fail instead of hanging; a batch whose watermark is
+    /// already poisoned is dropped unwritten — its log lost an earlier
+    /// batch, so landing this one would break prefix durability (and race
+    /// the crash transform that follows a poisoning).
+    pub fn execute_all(mut batches: Vec<FlushBatch>) -> io::Result<()> {
+        batches.retain(|b| !b.progress.is_poisoned());
         if batches.is_empty() {
             return Ok(());
         }
@@ -927,8 +946,10 @@ impl DurableWal {
         if !self.dead {
             // Let in-flight background batches land, then cut at the
             // watermark; without this a late flusher write could resurrect
-            // bytes the truncation already declared lost.
-            self.progress.wait_for(self.sealed)?;
+            // bytes the truncation already declared lost. A poisoned
+            // pipeline fails the wait but has stopped writing to this log
+            // (`execute_all` drops its batches), so the cut is safe too.
+            let _ = self.progress.wait_for(self.sealed);
             let wm = self.progress.durable();
             for seg in &self.segments {
                 if seg.base >= wm {

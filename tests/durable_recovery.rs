@@ -5,6 +5,7 @@
 use o2pc_common::{Duration, SimTime, SiteId};
 use o2pc_core::{Engine, SystemConfig};
 use o2pc_protocol::ProtocolKind;
+use o2pc_runtime::ThreadedRuntime;
 use o2pc_storage::codec::FRAME_HEADER;
 use o2pc_storage::{segment_path, DurableWal, Wal};
 use o2pc_workload::BankingWorkload;
@@ -127,6 +128,61 @@ fn sigkill_mid_run_recovers_cleanly() {
         .status()
         .expect("run kill_recover");
     assert!(status.success(), "kill-recover reported violations");
+}
+
+/// The physical gate on real threads: promises wait for the fsync itself and
+/// the flusher pool tells the engine when it lands. Every transaction is
+/// decided, money is conserved, the logs replay to the live stores — and
+/// with a flush interval that dwarfs fsync, a commit costs its two forced
+/// writes (vote record, outcome record) at one interval each, which polling
+/// the watermark on a second timer (two intervals per write) could not do.
+#[test]
+fn threaded_physical_gate_commits_in_two_flush_waits() {
+    let dir = scratch_dir("durable-threaded");
+    let sites = 3;
+    let wl = BankingWorkload {
+        sites,
+        accounts_per_site: 8,
+        transfers: 12,
+        local_fraction: 0.2,
+        seed: 0xF5,
+        ..Default::default()
+    };
+    let interval = Duration::millis(50);
+    // One transaction at a time, so each pays its own flush waits in full
+    // instead of riding a timer another transaction armed.
+    let mut schedule = wl.generate();
+    for (i, (at, _)) in schedule.arrivals.iter_mut().enumerate() {
+        *at = SimTime::ZERO + Duration::millis(120 * i as u64);
+    }
+    let mut cfg = SystemConfig::new(sites, ProtocolKind::O2pcP2);
+    cfg.durable_wal_dir = Some(dir.clone());
+    cfg.wal_background_flush = true;
+    cfg.wal_flush_interval = interval;
+    cfg.op_service_time = Duration::ZERO;
+    let mut engine = Engine::with_runtime(cfg, ThreadedRuntime::default());
+    schedule.install(&mut engine);
+    let r = engine.run(Duration::secs(30));
+
+    let globals = r.global_committed + r.global_aborted;
+    assert!(globals > 0 && r.local_committed > 0);
+    assert_eq!(
+        globals + r.local_committed + r.local_aborted,
+        wl.transfers as u64,
+        "every transaction decided"
+    );
+    assert!(engine.unfinished_txns().is_empty());
+    assert_eq!(r.compensations_pending, 0);
+    assert_eq!(r.total_value, wl.expected_total(), "money conserved");
+    assert!(engine.wal_divergent_sites().is_empty());
+    assert!(r.counters.get("wal.parked_msgs") > 0, "promises did park");
+    let p50 = r.global_latency.p50();
+    assert!(
+        p50 < 3 * interval.as_micros(),
+        "median global latency {p50} us is not under 3 flush intervals"
+    );
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Satellite: scheduling site crashes while `vote_timeout` is `None` is a
