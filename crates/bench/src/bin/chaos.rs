@@ -91,11 +91,13 @@ fn parse_args() -> Result<Args, String> {
             "--sites" => args.sites = take(&mut i)?.parse().map_err(|e| format!("--sites: {e}"))?,
             "--durable" => args.durable = true,
             "--segment-bytes" => {
-                args.segment_bytes = Some(
-                    take(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--segment-bytes: {e}"))?,
-                )
+                let n: u64 = take(&mut i)?
+                    .parse()
+                    .map_err(|e| format!("--segment-bytes: {e}"))?;
+                if n == 0 {
+                    return Err("--segment-bytes: must be positive".into());
+                }
+                args.segment_bytes = Some(n);
             }
             "--cores" => args.cores = take(&mut i)?.parse().map_err(|e| format!("--cores: {e}"))?,
             "--swarm" => args.swarm = true,

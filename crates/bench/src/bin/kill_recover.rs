@@ -96,22 +96,25 @@ fn parse_args() -> (bool, Option<PathBuf>, u64, u32, Option<u64>) {
             "--seed" => seed = args.next().and_then(|v| v.parse().ok()).expect("--seed N"),
             "--sites" => sites = args.next().and_then(|v| v.parse().ok()).expect("--sites N"),
             "--segment-bytes" => {
-                segment_bytes = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--segment-bytes N"),
-                )
+                let n: u64 = args
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .expect("--segment-bytes N");
+                if n == 0 {
+                    usage_error("--segment-bytes must be positive");
+                }
+                segment_bytes = Some(n);
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: kill_recover [--dir D] [--seed S] [--sites N] [--segment-bytes N]"
-                );
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument: {other}")),
         }
     }
     (child, dir, seed, sites, segment_bytes)
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!("usage: kill_recover [--dir D] [--seed S] [--sites N] [--segment-bytes N]");
+    std::process::exit(2);
 }
 
 fn main() {

@@ -10,7 +10,7 @@
 //!   sites durably logged conflicting decisions for one transaction) and
 //!   **conservation** (after resolution, balances sum to the initial total).
 //! * [`injected_fault_roundtrip`] drives a scripted append workload into a
-//!   [`DurableWal`] armed with a seeded [`WriteFault`] (short write, write
+//!   on-disk [`Wal`] armed with a seeded [`WriteFault`] (short write, write
 //!   error, or handle loss mid-append), then reopens the file and checks that
 //!   what survived is a clean frame-boundary prefix of the script and that it
 //!   recovers exactly like the same prefix in memory.
@@ -31,7 +31,7 @@ use crate::oracle::Violation;
 use o2pc_common::{ExecId, GlobalTxnId, SiteId};
 use o2pc_compensation::{plan_compensation, CompensationModel};
 use o2pc_storage::codec::encode_frame;
-use o2pc_storage::{DurableWal, FaultKind, LogRecord, RecoveredState, Wal, WriteFault};
+use o2pc_storage::{FaultKind, LogRecord, RecoveredState, Wal, WalOptions, WriteFault};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -75,7 +75,7 @@ pub fn recover_killed_run(
     let mut records = 0usize;
     for i in 0..num_sites {
         let path = dir.join(format!("site-{i}.wal"));
-        match DurableWal::open(&path) {
+        match Wal::open(&path) {
             Ok(wal) => {
                 records += wal.len();
                 states.push((SiteId(i), wal.recover()));
@@ -237,8 +237,11 @@ pub fn injected_fault_roundtrip(seed: u64, path: &Path) -> Result<FaultRunStats,
     let group = 1 + (xorshift(&mut rng) % 5) as usize;
 
     let _ = std::fs::remove_file(path);
-    let mut wal = DurableWal::open_with(path, Some(WriteFault { fail_after, kind }))
-        .map_err(|e| format!("open failed: {e}"))?;
+    let opts = WalOptions {
+        fault: Some(WriteFault { fail_after, kind }),
+        ..WalOptions::default()
+    };
+    let mut wal = Wal::open_with_opts(path, opts).map_err(|e| format!("open failed: {e}"))?;
     let mut scripted = 0usize;
     for (i, rec) in script.iter().enumerate() {
         wal.append(rec.clone());
@@ -253,7 +256,7 @@ pub fn injected_fault_roundtrip(seed: u64, path: &Path) -> Result<FaultRunStats,
     let fired = wal.is_dead();
     drop(wal);
 
-    let reopened = DurableWal::open(path).map_err(|e| format!("reopen failed: {e}"))?;
+    let reopened = Wal::open(path).map_err(|e| format!("reopen failed: {e}"))?;
     let survived = reopened.len();
     if survived > scripted || reopened.records() != &script[..survived] {
         return Err(format!(
@@ -279,12 +282,10 @@ pub fn injected_fault_roundtrip(seed: u64, path: &Path) -> Result<FaultRunStats,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use o2pc_common::ScratchDir;
 
-    fn tmpdir(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("o2pc-kchaos-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tmpdir(name: &str) -> ScratchDir {
+        ScratchDir::new(&format!("kchaos-{name}"))
     }
 
     #[test]
@@ -315,7 +316,7 @@ mod tests {
         use o2pc_common::GlobalTxnId;
         let dir = tmpdir("conflict");
         for (i, commit) in [(0u32, true), (1u32, false)] {
-            let mut w = DurableWal::open(dir.join(format!("site-{i}.wal"))).unwrap();
+            let mut w = Wal::open(dir.join(format!("site-{i}.wal"))).unwrap();
             w.append(LogRecord::Outcome {
                 txn: GlobalTxnId(7),
                 commit,
@@ -337,7 +338,7 @@ mod tests {
         let dir = tmpdir("comp");
         let mut store = Store::new();
         store.load(Key(0), Value(50));
-        let mut w = DurableWal::open(dir.join("site-0.wal")).unwrap();
+        let mut w = Wal::open(dir.join("site-0.wal")).unwrap();
         w.checkpoint(&store);
         let e = ExecId::Sub(GlobalTxnId(1));
         w.append(LogRecord::Begin(e));

@@ -29,6 +29,7 @@ pub mod ids;
 pub mod ops;
 pub mod pool;
 pub mod rng;
+mod scratch;
 pub mod stats;
 pub mod time;
 pub mod value;
@@ -39,6 +40,8 @@ pub use history::{CountingSink, HistEvent, HistEventKind, History, HistorySink};
 pub use ids::{ExecId, GlobalTxnId, GlobalTxnIdGen, LocalTxnId, SiteId, TxnId};
 pub use ops::{AccessMode, Op, OpKind};
 pub use rng::DetRng;
+#[doc(hidden)]
+pub use scratch::ScratchDir;
 pub use stats::{Counter, Histogram, Stats};
 pub use time::{Duration, SimTime};
 pub use value::{Key, Value};

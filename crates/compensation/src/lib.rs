@@ -1,6 +1,6 @@
 //! # o2pc-compensation
 //!
-//! Compensating transactions (§3.2 of the paper, following [KLS90a]).
+//! Compensating transactions (§3.2 of the paper, following \[KLS90a\]).
 //!
 //! A compensating transaction `CT_i` undoes `T_i`'s effects *semantically*,
 //! without cascading aborts: transactions that read from `T_i` keep their

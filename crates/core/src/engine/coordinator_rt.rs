@@ -327,11 +327,11 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                 }
             };
             // Only a durable WAL can lose a tail in the crash transform; the
-            // in-memory backend keeps every record, so the voided set is
+            // in-memory log keeps every record, so the voided set is
             // empty by construction and the full-log scan would be pure
             // overhead on the (hot) simulated-crash path.
-            let pre_comps: Vec<Option<GlobalTxnId>> = if s.wal_is_durable() {
-                s.wal_records().iter().map(comp_of).collect()
+            let pre_comps: Vec<Option<GlobalTxnId>> = if s.wal().is_durable() {
+                s.wal().records().iter().map(comp_of).collect()
             } else {
                 Vec::new()
             };

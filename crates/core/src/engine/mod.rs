@@ -15,7 +15,7 @@
 //!
 //! * [`mod@self`] — the `Engine` type, its constructors, and shared helpers
 //!   (messaging, site access);
-//! * `driver` — the run loop pulling [`Step`]s from the runtime;
+//! * `driver` — the run loop pulling [`Step`](o2pc_runtime::Step)s from the runtime;
 //! * `coordinator_rt` — transaction arrival and the coordinator side of
 //!   2PC/O2PC (vote collection, decisions, crash recovery);
 //! * `site_rt` — the participant side: admission (rule R1), operation
@@ -43,7 +43,7 @@ use o2pc_runtime::FlushScheduler;
 use o2pc_runtime::{Runtime, SimRuntime};
 use o2pc_sim::Network;
 use o2pc_site::{LockPolicy, Site, SiteConfig};
-use o2pc_storage::{DurableWal, WalBackend, WalOptions};
+use o2pc_storage::{Wal, WalOptions};
 use recorder::Recorder;
 use std::collections::BTreeSet;
 
@@ -175,7 +175,7 @@ pub struct Engine<R: Runtime<TimerEvent, Msg> = DefaultSimRuntime> {
     pub(crate) sites: Vec<Option<Site>>,
     /// WALs of down sites, with the pre-crash local-id watermark (the
     /// engine's durable id-range reservation — see `Site::reserve_local_seq`).
-    pub(crate) crashed_wals: FastHashMap<SiteId, (WalBackend, u64)>,
+    pub(crate) crashed_wals: FastHashMap<SiteId, (Wal, u64)>,
     pub(crate) rt: R,
     pub(crate) rng: DetRng,
     pub(crate) idgen: GlobalTxnIdGen,
@@ -301,12 +301,12 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         }
     }
 
-    /// Build one site's WAL backend per the configuration: durable when a
-    /// WAL directory is set (reopening an existing file — recovery across
+    /// Build one site's WAL per the configuration: on disk when a WAL
+    /// directory is set (reopening an existing file — recovery across
     /// *process* restarts — is exactly the open path), in-memory otherwise.
-    fn make_wal(cfg: &SystemConfig, id: SiteId) -> WalBackend {
+    fn make_wal(cfg: &SystemConfig, id: SiteId) -> Wal {
         match &cfg.durable_wal_dir {
-            None => WalBackend::default(),
+            None => Wal::new(),
             Some(dir) => {
                 std::fs::create_dir_all(dir).expect("create durable WAL dir");
                 let path = dir.join(format!("site-{}.wal", id.0));
@@ -314,7 +314,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                     segment_bytes: cfg.wal_segment_bytes,
                     fault: None,
                 };
-                WalBackend::from(DurableWal::open_with_opts(&path, opts).expect("open durable WAL"))
+                Wal::open_with_opts(&path, opts).expect("open durable WAL")
             }
         }
     }
@@ -430,7 +430,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// One site's raw WAL records (diagnostics: tracing chaos
     /// counterexamples back to the log).
     pub fn wal_records(&self, site: SiteId) -> Option<&[o2pc_storage::LogRecord]> {
-        self.sites[site.index()].as_ref().map(|s| s.wal_records())
+        self.sites[site.index()].as_ref().map(|s| s.wal().records())
     }
 
     /// The site's durable-WAL I/O counters (`None` if the site is down or
@@ -439,7 +439,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     pub fn wal_stats(&self, site: SiteId) -> Option<std::sync::Arc<o2pc_storage::WalStats>> {
         self.sites[site.index()]
             .as_ref()
-            .and_then(|s| s.wal_stats())
+            .and_then(|s| s.wal().stats())
     }
 
     /// Sum of every live site's item values (conservation checks).
@@ -506,7 +506,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// answer. In durable mode such a message is parked until the sender's
     /// WAL is durable past its current append ticket: the flush point that
     /// seals those bytes releases it (sealed gate), or the completion of
-    /// their fsync does (physical gate). On the in-memory backend (and for
+    /// their fsync does (physical gate). On an in-memory log (and for
     /// messages that promise nothing — a no-vote, a SPAWN) this is just
     /// [`Engine::send`]: the WAL reports clean and nothing parks.
     ///
@@ -518,7 +518,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// record it depends on.
     pub(crate) fn send_gated(&mut self, now: SimTime, from: SiteId, to: SiteId, msg: Msg) {
         let ticket = match self.sites[from.index()].as_ref() {
-            Some(s) if s.wal_append_ticket() > self.release_gate(s) => s.wal_append_ticket(),
+            Some(s) if s.wal().append_ticket() > self.release_gate(s) => s.wal().append_ticket(),
             // WAL already covered by the release gate (always true
             // in-memory) or site down: nothing to hold the message for.
             _ => {
@@ -544,9 +544,9 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     #[inline]
     fn release_gate(&self, s: &Site) -> u64 {
         if self.cfg.wal_background_flush {
-            s.wal_durable_ticket()
+            s.wal().durable_ticket()
         } else {
-            s.wal_sealed_ticket()
+            s.wal().sealed_ticket()
         }
     }
 
@@ -560,7 +560,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         let Some(s) = self.sites[site.index()].as_ref() else {
             return;
         };
-        let pending = s.wal_pending_bytes();
+        let pending = s.wal().pending_bytes();
         if pending == 0 {
             return;
         }
@@ -589,7 +589,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             return;
         };
         match &self.flusher {
-            Some(f) if !s.wal_wants_inline_flush() => {
+            Some(f) if !s.wal().wants_inline_flush() => {
                 if let Some(batch) = s.wal_seal_batch() {
                     f.submit(site.0, batch);
                 }
@@ -702,7 +702,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use o2pc_common::{Duration, Op};
+    use o2pc_common::{Duration, Op, ScratchDir};
     use o2pc_protocol::ProtocolKind;
     use o2pc_runtime::ThreadedRuntime;
 
@@ -711,10 +711,12 @@ mod tests {
     /// promises to wait out the run; recovery then brings the site back.
     #[test]
     fn failed_background_flush_crashes_that_site_only() {
-        let dir = std::env::temp_dir().join(format!("o2pc-bgfail-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        // Declared before the engine, so it is removed after the engine (and
+        // its flusher threads) are gone — also when an assertion below fails,
+        // which a trailing `remove_dir_all` never survived.
+        let dir = ScratchDir::new("bgfail");
         let mut cfg = SystemConfig::new(2, ProtocolKind::O2pc);
-        cfg.durable_wal_dir = Some(dir.clone());
+        cfg.durable_wal_dir = Some(dir.to_path_buf());
         cfg.wal_background_flush = true;
         cfg.vote_timeout = Some(Duration::millis(20));
         let mut e = Engine::with_runtime(cfg, ThreadedRuntime::default());
@@ -746,7 +748,5 @@ mod tests {
         // replaced by recovery since — finds a healthy WAL and crashes nothing.
         e.on_wal_durable(r.end_time, s1, false);
         assert!(e.down_sites().is_empty());
-        drop(e);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

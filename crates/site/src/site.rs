@@ -9,7 +9,7 @@ use o2pc_common::{
 use o2pc_compensation::{plan_compensation, CompensationModel, CompensationPlan};
 use o2pc_locking::{LockManager, RequestOutcome};
 use o2pc_marking::{MarkEvent, MarkState, SiteMarks};
-use o2pc_storage::{CommitRecord, FlushBatch, LogRecord, Store, WalBackend};
+use o2pc_storage::{CommitRecord, FlushBatch, LogRecord, Store, Wal};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -85,7 +85,7 @@ pub struct Site {
     id: SiteId,
     config: SiteConfig,
     store: Store,
-    wal: WalBackend,
+    wal: Wal,
     locks: LockManager,
     marks: SiteMarks,
     last_writer: FastHashMap<Key, TxnId>,
@@ -115,11 +115,11 @@ pub struct Site {
 impl Site {
     /// New empty site with an in-memory WAL.
     pub fn new(id: SiteId, config: SiteConfig) -> Self {
-        Self::with_wal(id, config, WalBackend::default())
+        Self::with_wal(id, config, Wal::new())
     }
 
-    /// New empty site logging to the given WAL backend.
-    pub fn with_wal(id: SiteId, config: SiteConfig, wal: WalBackend) -> Self {
+    /// New empty site logging to the given WAL.
+    pub fn with_wal(id: SiteId, config: SiteConfig, wal: Wal) -> Self {
         Site {
             id,
             config,
@@ -696,12 +696,6 @@ impl Site {
         self.wal_store_diff().is_empty()
     }
 
-    /// The raw WAL records, for diagnostics (e.g. dumping why a replay
-    /// diverged, or tracing a chaos-harness counterexample).
-    pub fn wal_records(&self) -> &[LogRecord] {
-        self.wal.records()
-    }
-
     /// Keys where WAL replay and the live store disagree, as
     /// `(key, recovered, live)` — diagnostic companion to
     /// [`Site::wal_matches_store`].
@@ -831,51 +825,18 @@ impl Site {
     }
 
     /// Simulated crash: the volatile state is lost; the WAL survives —
-    /// entirely on the in-memory backend, and up to its durable watermark on
-    /// the durable backend (the unsynced tail is gone, as on a real disk).
-    pub fn crash(self) -> WalBackend {
+    /// entirely when it is in memory, and up to its durable watermark when
+    /// it is on disk (the unsynced tail is gone, as on a real disk).
+    pub fn crash(self) -> Wal {
         self.wal.crash().expect("wal crash transform")
     }
 
-    // ----- durability surface (delegated; trivial on the in-memory WAL;
-    // #[inline] because the engine queries these per gated send and the
-    // workspace builds without LTO) -----
-
-    /// True when this site logs to the durable (file-backed) backend.
+    /// The site's log, read-only: its records (diagnostics, e.g. tracing a
+    /// chaos counterexample) and its durability surface — tickets, pending
+    /// bytes, I/O counters — which the engine queries per gated send.
     #[inline]
-    pub fn wal_is_durable(&self) -> bool {
-        self.wal.is_durable()
-    }
-
-    /// Ticket covering everything this site has logged so far.
-    #[inline]
-    pub fn wal_append_ticket(&self) -> u64 {
-        self.wal.append_ticket()
-    }
-
-    /// The site's durable watermark.
-    #[inline]
-    pub fn wal_durable_ticket(&self) -> u64 {
-        self.wal.durable_ticket()
-    }
-
-    /// The site's sealed watermark (bytes already in the flush pipeline).
-    #[inline]
-    pub fn wal_sealed_ticket(&self) -> u64 {
-        self.wal.sealed_ticket()
-    }
-
-    /// Bytes appended but not yet sealed or synced.
-    #[inline]
-    pub fn wal_pending_bytes(&self) -> u64 {
-        self.wal.pending_bytes()
-    }
-
-    /// True when this site's WAL must flush inline (fault-armed or dead
-    /// durable WAL; trivially true in-memory).
-    #[inline]
-    pub fn wal_wants_inline_flush(&self) -> bool {
-        self.wal.wants_inline_flush()
+    pub fn wal(&self) -> &Wal {
+        &self.wal
     }
 
     /// Group commit: flush the site's WAL inline (sim substrate).
@@ -889,17 +850,12 @@ impl Site {
         self.wal.seal_batch()
     }
 
-    /// The durable WAL's I/O counters (`None` on the in-memory backend).
-    pub fn wal_stats(&self) -> Option<std::sync::Arc<o2pc_storage::WalStats>> {
-        self.wal.stats()
-    }
-
     /// Restart from a surviving WAL: committed and locally-committed state
     /// is restored; in-flight executions are rolled back; *prepared*
     /// subtransactions keep their updates and re-acquire their write locks;
     /// locally-committed subtransactions with an unknown decision keep
     /// their commit records so they can still compensate.
-    pub fn recover(id: SiteId, config: SiteConfig, wal: WalBackend) -> Site {
+    pub fn recover(id: SiteId, config: SiteConfig, wal: Wal) -> Site {
         let recovered = wal.recover();
         let mut wal = wal;
         // Log the restart rollback (ARIES-style compensation records):

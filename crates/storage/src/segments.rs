@@ -1,12 +1,12 @@
-//! On-disk write-ahead log: segmented, preallocated, with coalesced group
-//! commit and torn-tail-tolerant recovery.
+//! The on-disk sink of a [`Wal`]: segmented, preallocated, with coalesced
+//! group commit and torn-tail-tolerant recovery.
 //!
-//! [`DurableWal`] keeps the same logical surface as the in-memory
-//! [`Wal`] — `append`, `checkpoint`, `truncate_to_checkpoint`, `recover` —
-//! by maintaining a full in-memory *mirror* of the decoded log alongside the
-//! files. Recovery therefore runs the exact same `Wal::recover` code on the
-//! same record sequence the files hold, which is what makes the
-//! durable-vs-in-memory differential tests byte-for-byte meaningful.
+//! `Segments` owns where a durable log's *bytes* go — the segment files, the
+//! pending encode buffer, byte tickets, the shared durable watermark, I/O
+//! counters, fault state, the manifest and the crash transform. It holds no
+//! records: the decoded log lives once, in the [`Wal`] that owns the sink,
+//! and every logical operation (`records`, `recover`, `checkpoint`) runs
+//! there whether or not a sink is attached.
 //!
 //! ## Segmented layout
 //!
@@ -49,27 +49,28 @@
 //! [`FlushBatch::execute_all`] *coalesces* a burst of sealed batches into
 //! one buffered write + one fsync per touched segment file.
 //!
-//! [`sync`]: DurableWal::sync
-//! [`append_ticket`]: DurableWal::append_ticket
-//! [`durable_ticket`]: DurableWal::durable_ticket
-//! [`sealed_ticket`]: DurableWal::sealed_ticket
+//! [`Wal`]: crate::wal::Wal
+//! [`sync`]: crate::wal::Wal::sync
+//! [`append_ticket`]: crate::wal::Wal::append_ticket
+//! [`durable_ticket`]: crate::wal::Wal::durable_ticket
+//! [`sealed_ticket`]: crate::wal::Wal::sealed_ticket
+//! [`Wal::crash`]: crate::wal::Wal::crash
+//! [`Wal::open`]: crate::wal::Wal::open
 //!
 //! ## Crash model
 //!
-//! A simulated crash ([`DurableWal::crash`]) is *adversarial*: unsynced
+//! A simulated crash ([`Wal::crash`]) is *adversarial*: unsynced
 //! bytes are discarded, every segment is cut back to the durable watermark
 //! (the maximum data loss an fsync-honouring disk permits), and later
 //! segments are deleted. An injected [`WriteFault`] is harsher still: it can
 //! tear a frame mid-write (short write), fail the write outright, or drop
 //! the file handles, leaving a tail only checksum validation can reject.
-//! Reopening with [`DurableWal::open`] discards any torn or corrupt tail —
+//! Reopening with [`Wal::open`] discards any torn or corrupt tail —
 //! first tear wins: nothing after the first bad frame, in this or any later
 //! segment, is replayed.
 
 use crate::codec::{decode_all, encode_frame};
-use crate::store::{Store, UndoRecord};
-use crate::wal::{LogRecord, RecoveredState, Wal};
-use o2pc_common::ExecId;
+use crate::wal::LogRecord;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::os::unix::fs::FileExt;
@@ -84,7 +85,7 @@ pub const DEFAULT_SEGMENT_BYTES: u64 = 4 * 1024 * 1024;
 /// tell their segment files apart without comparing inodes.
 static WAL_UID: AtomicU64 = AtomicU64::new(0);
 
-/// Tuning knobs for opening a [`DurableWal`].
+/// Tuning knobs for opening an on-disk [`Wal`](crate::wal::Wal).
 #[derive(Clone, Copy, Debug)]
 pub struct WalOptions {
     /// Capacity of each preallocated segment; rotation point.
@@ -277,52 +278,55 @@ impl FlushBatch {
     /// write lands first, then each distinct segment file is fsynced exactly
     /// once, then every batch's watermark advances. N batches into one
     /// segment cost 1 fsync — this coalescing is where the flush pipeline's
-    /// throughput comes from. On error every involved watermark is poisoned
-    /// so parked waiters fail instead of hanging; a batch whose watermark is
-    /// already poisoned is dropped unwritten — its log lost an earlier
-    /// batch, so landing this one would break prefix durability (and race
-    /// the crash transform that follows a poisoning).
-    pub fn execute_all(mut batches: Vec<FlushBatch>) -> io::Result<()> {
-        batches.retain(|b| !b.progress.is_poisoned());
-        if batches.is_empty() {
-            return Ok(());
-        }
-        let run = || -> io::Result<()> {
-            for b in &batches {
-                for w in &b.writes {
-                    w.file
-                        .write_all_at(&b.bytes[w.start..w.start + w.len], w.off)?;
+    /// throughput comes from. Failure is per log: a write or fsync error
+    /// poisons *that* log's watermark, so its parked waiters fail instead of
+    /// hanging, while every other log in the burst still lands and advances.
+    /// A batch whose watermark is already poisoned — by an earlier burst or
+    /// by an earlier batch of this one — is dropped unwritten: its log lost
+    /// an earlier batch, so landing this one would break prefix durability
+    /// (and race the crash transform that follows a poisoning). Returns the
+    /// first error met.
+    pub fn execute_all(batches: Vec<FlushBatch>) -> io::Result<()> {
+        let mut first_err = None;
+        let mut fail = |b: &FlushBatch, e: io::Error| {
+            b.progress.poison();
+            first_err.get_or_insert(e);
+        };
+        for b in &batches {
+            for w in &b.writes {
+                if b.progress.is_poisoned() {
+                    break;
+                }
+                let bytes = &b.bytes[w.start..w.start + w.len];
+                if let Err(e) = w.file.write_all_at(bytes, w.off) {
+                    fail(b, e);
                 }
             }
-            // One fsync per distinct segment file across the whole burst,
-            // in first-touched order (write order == logical order, so the
-            // prefix-durability fsync ordering is preserved per WAL).
-            let mut synced: Vec<(u64, u64)> = Vec::new();
-            for b in &batches {
-                for w in &b.writes {
-                    if !synced.contains(&w.sync_key) {
-                        w.file.sync_data()?;
-                        synced.push(w.sync_key);
-                        b.stats.add_fsyncs(1);
+        }
+        // One fsync per distinct segment file across the whole burst, in
+        // first-touched order (write order == logical order, so the
+        // prefix-durability fsync ordering is preserved per WAL).
+        let mut synced: Vec<(u64, u64)> = Vec::new();
+        for b in &batches {
+            for w in &b.writes {
+                if b.progress.is_poisoned() {
+                    break;
+                }
+                if !synced.contains(&w.sync_key) {
+                    match w.file.sync_data() {
+                        Ok(()) => {
+                            synced.push(w.sync_key);
+                            b.stats.add_fsyncs(1);
+                        }
+                        Err(e) => fail(b, e),
                     }
                 }
             }
-            Ok(())
-        };
-        match run() {
-            Ok(()) => {
-                for b in &batches {
-                    b.progress.advance(b.ticket);
-                }
-                Ok(())
-            }
-            Err(e) => {
-                for b in &batches {
-                    b.progress.poison();
-                }
-                Err(e)
-            }
         }
+        for b in batches.iter().filter(|b| !b.progress.is_poisoned()) {
+            b.progress.advance(b.ticket);
+        }
+        first_err.map_or(Ok(()), Err)
     }
 }
 
@@ -360,7 +364,7 @@ pub fn segment_path(root: &Path, base: u64) -> PathBuf {
 }
 
 /// Manifest file path for a given root.
-pub fn manifest_path(root: &Path) -> PathBuf {
+fn manifest_path(root: &Path) -> PathBuf {
     let name = root
         .file_name()
         .map(|n| n.to_string_lossy())
@@ -404,22 +408,20 @@ fn fsync_dir(path: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// An append-only, checksummed, segmented, file-backed WAL (see module docs).
+/// The append-only, checksummed, segmented files behind an on-disk
+/// [`Wal`](crate::wal::Wal) (see module docs).
 #[derive(Debug)]
-pub struct DurableWal {
+pub(crate) struct Segments {
     root: PathBuf,
     opts: WalOptions,
     uid: u64,
     /// Segments in base order; the last is the append tail.
     segments: Vec<Segment>,
-    /// In-memory mirror of every appended record, including not-yet-durable
-    /// ones — the live log a running site recovers and audits against.
-    mem: Wal,
     /// Encoded frames appended since the last seal/sync (logical range
     /// `[sealed, appended)`), with `spans` mapping them onto segments.
     buf: Vec<u8>,
     spans: Vec<PendingSpan>,
-    /// Reused per-WAL encode scratch: `append` encodes here first (to learn
+    /// Reused per-WAL encode scratch: `place` encodes here first (to learn
     /// the frame length for the rotation decision) without allocating.
     frame: Vec<u8>,
     /// Logical bytes appended over the WAL's lifetime (ticket space).
@@ -438,34 +440,21 @@ pub struct DurableWal {
     dead: bool,
 }
 
-impl DurableWal {
-    /// Open (or create) the WAL rooted at `path` with default options,
-    /// discarding any torn or checksum-failing tail, and mirror the
-    /// surviving records in memory.
-    pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
-        Self::open_with_opts(path, WalOptions::default())
-    }
-
-    /// [`open`](Self::open) with an injected write fault armed.
-    pub fn open_with(path: impl Into<PathBuf>, fault: Option<WriteFault>) -> io::Result<Self> {
-        Self::open_with_opts(
-            path,
-            WalOptions {
-                fault,
-                ..WalOptions::default()
-            },
-        )
-    }
-
-    /// Open with explicit [`WalOptions`]. Scans the root's segment files in
-    /// base order, replays from the manifest's start offset, and stops at
-    /// the first torn or corrupt frame — **first tear wins**: any later
-    /// segment is deleted (its bytes were never covered by the watermark, so
-    /// no promise depends on them), and the tail segment is re-zeroed past
-    /// the cut so stale bytes can never decode as valid frames later.
-    pub fn open_with_opts(path: impl Into<PathBuf>, opts: WalOptions) -> io::Result<Self> {
-        let root: PathBuf = path.into();
-        assert!(opts.segment_bytes > 0, "segment_bytes must be positive");
+impl Segments {
+    /// Open (or create) the segment files rooted at `root` and decode the
+    /// records they hold. Scans the root's segment files in base order,
+    /// replays from the manifest's start offset, and stops at the first torn
+    /// or corrupt frame — **first tear wins**: any later segment is deleted
+    /// (its bytes were never covered by the watermark, so no promise depends
+    /// on them), and the tail segment is re-zeroed past the cut so stale
+    /// bytes can never decode as valid frames later.
+    pub(crate) fn open(root: PathBuf, opts: WalOptions) -> io::Result<(Self, Vec<LogRecord>)> {
+        if opts.segment_bytes == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "segment_bytes must be positive",
+            ));
+        }
         let stats = Arc::new(WalStats::default());
         let mut found = Self::scan_segments(&root)?;
         found.sort_by_key(|&(base, _)| base);
@@ -525,12 +514,11 @@ impl DurableWal {
             let seg = Self::create_segment(&root, start, opts.segment_bytes, &stats)?;
             segments.push(seg);
         }
-        Ok(DurableWal {
+        let sink = Segments {
             root,
             opts,
             uid: WAL_UID.fetch_add(1, Ordering::Relaxed),
             segments,
-            mem: Wal::from_records(records),
             buf: Vec::new(),
             spans: Vec::new(),
             frame: Vec::new(),
@@ -543,7 +531,8 @@ impl DurableWal {
             stats,
             fault: opts.fault,
             dead: false,
-        })
+        };
+        Ok((sink, records))
     }
 
     fn scan_segments(root: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
@@ -611,24 +600,21 @@ impl DurableWal {
         })
     }
 
-    /// Root path of the WAL (segment files live next to it).
-    pub fn path(&self) -> &Path {
-        &self.root
-    }
-
     /// Observable I/O counters (shared with this WAL's flush batches).
-    pub fn stats(&self) -> Arc<WalStats> {
+    pub(crate) fn stats(&self) -> Arc<WalStats> {
         Arc::clone(&self.stats)
     }
 
     /// Bases of the live segment files, in order (tests / diagnostics).
-    pub fn segment_bases(&self) -> Vec<u64> {
+    pub(crate) fn segment_bases(&self) -> Vec<u64> {
         self.segments.iter().map(|s| s.base).collect()
     }
 
     /// Rotate if the incoming frame would not fit the tail segment. The
     /// frame is placed *entirely* in one segment — by construction it can
-    /// never straddle a boundary.
+    /// never straddle a boundary. (`#[inline]`: the usual outcome is the
+    /// early return, and `place` calls this on every append.)
+    #[inline]
     fn ensure_capacity(&mut self, n: u64) {
         let tail = self.segments.last().expect("wal always has a tail segment");
         let used = self.appended - tail.base;
@@ -667,14 +653,16 @@ impl DurableWal {
         }
     }
 
-    /// Append a record (buffered; durable at the next flush).
-    pub fn append(&mut self, rec: LogRecord) {
+    /// Encode a record's frame and place it at the append tail (buffered;
+    /// durable at the next flush). Inlined into its one caller, the
+    /// out-of-line disk half of `Wal::append`.
+    #[inline]
+    pub(crate) fn place(&mut self, rec: &LogRecord) {
         self.frame.clear();
-        let n = encode_frame(&rec, &mut self.frame) as u64;
+        let n = encode_frame(rec, &mut self.frame) as u64;
         if matches!(rec, LogRecord::Checkpoint { .. }) {
             self.last_checkpoint = Some(self.appended);
         }
-        self.mem.append(rec);
         if !self.dead {
             self.ensure_capacity(n);
         }
@@ -700,23 +688,13 @@ impl DurableWal {
         self.appended += n;
     }
 
-    /// Convenience mirror of [`Wal::append_update`].
-    pub fn append_update(&mut self, exec: ExecId, rec: &UndoRecord) {
-        self.append(LogRecord::Update {
-            exec,
-            key: rec.key,
-            before: rec.before,
-            after: rec.after,
-        });
-    }
-
     /// Ticket covering everything appended so far.
-    pub fn append_ticket(&self) -> u64 {
+    pub(crate) fn append_ticket(&self) -> u64 {
         self.appended
     }
 
     /// Current durable watermark.
-    pub fn durable_ticket(&self) -> u64 {
+    pub(crate) fn durable_ticket(&self) -> u64 {
         self.progress.durable()
     }
 
@@ -725,7 +703,7 @@ impl DurableWal {
     /// release gate — the pipeline *will* make these bytes durable, and
     /// every crash/checkpoint/shutdown path synchronises on it first. A dead
     /// WAL reports its durable watermark: nothing more will ever seal.
-    pub fn sealed_ticket(&self) -> u64 {
+    pub(crate) fn sealed_ticket(&self) -> u64 {
         if self.dead {
             self.progress.durable()
         } else {
@@ -734,28 +712,23 @@ impl DurableWal {
     }
 
     /// Bytes appended but not yet sealed or synced.
-    pub fn pending_bytes(&self) -> u64 {
+    pub(crate) fn pending_bytes(&self) -> u64 {
         self.buf.len() as u64
-    }
-
-    /// True when appended bytes are not yet durable (a flush is owed).
-    pub fn is_dirty(&self) -> bool {
-        self.appended > self.progress.durable()
     }
 
     /// True when this WAL must flush inline (fault armed, so the fault point
     /// stays deterministic; or already dead).
-    pub fn inline_only(&self) -> bool {
+    pub(crate) fn inline_only(&self) -> bool {
         self.fault.is_some() || self.dead
     }
 
     /// True once an injected fault has fired (the log device is gone).
-    pub fn is_dead(&self) -> bool {
+    pub(crate) fn is_dead(&self) -> bool {
         self.dead
     }
 
     /// Shared watermark cell (for flusher wiring and tests).
-    pub fn progress(&self) -> Arc<FlushProgress> {
+    pub(crate) fn progress(&self) -> Arc<FlushProgress> {
         Arc::clone(&self.progress)
     }
 
@@ -812,7 +785,7 @@ impl DurableWal {
     /// the durable watermark past every record appended since the last
     /// flush. Waits for any sealed batches first — the log must become
     /// durable strictly in order.
-    pub fn sync(&mut self) -> io::Result<()> {
+    pub(crate) fn sync(&mut self) -> io::Result<()> {
         if self.dead {
             // A dead WAL never advances its watermark — waiting would hang.
             return Err(io::Error::other("wal is dead"));
@@ -847,7 +820,7 @@ impl DurableWal {
     /// flusher and advance the sealed watermark. Returns `None` when there
     /// is nothing to flush or the WAL must stay inline (fault armed / dead —
     /// asynchronous writes would make the fault point nondeterministic).
-    pub fn seal_batch(&mut self) -> Option<FlushBatch> {
+    pub(crate) fn seal_batch(&mut self) -> Option<FlushBatch> {
         if self.buf.is_empty() || self.inline_only() {
             return None;
         }
@@ -875,29 +848,22 @@ impl DurableWal {
         })
     }
 
-    /// Mirror of [`Wal::checkpoint`].
-    pub fn checkpoint(&mut self, store: &Store) {
-        let mut items: Vec<_> = store.iter().collect();
-        items.sort_unstable_by_key(|&(k, _)| k);
-        self.append(LogRecord::Checkpoint { items });
-    }
-
-    /// Log reclamation: drop records before the last checkpoint and delete
-    /// whole stale segments. The live-log start offset is recorded in the
-    /// manifest (written to a temp file, fsynced, atomically renamed, and
-    /// the directory fsynced — every step's error is surfaced), so a crash
-    /// at any point leaves either the old manifest or the new one, and the
+    /// Log reclamation: delete whole segments before the last checkpoint
+    /// (`Ok(false)`: none was appended since the live-log start, nothing to
+    /// reclaim). The live-log start offset is recorded in the manifest
+    /// (written to a temp file, fsynced, atomically renamed, and the
+    /// directory fsynced — every step's error is surfaced), so a crash at
+    /// any point leaves either the old manifest or the new one, and the
     /// segments both generations need still exist. Byte tickets remain
     /// monotone — nothing is renumbered, only deleted.
-    pub fn truncate_to_checkpoint(&mut self) -> io::Result<()> {
+    pub(crate) fn compact(&mut self) -> io::Result<bool> {
         // Everything must be durable before segments are condemned: a
         // sealed-but-unflushed batch must not target a deleted file.
         self.sync()?;
         self.progress.wait_for(self.appended)?;
         let Some(ckpt) = self.last_checkpoint.filter(|&c| c >= self.start) else {
-            return Ok(()); // no checkpoint since the live-log start
+            return Ok(false);
         };
-        self.mem.truncate_to_checkpoint();
         // Manifest bytes count against the fault budget like any other
         // physical write to the log device.
         let manifest = encode_manifest(ckpt);
@@ -934,7 +900,7 @@ impl DurableWal {
             fsync_dir(&self.root)?;
             self.stats.add_meta(1);
         }
-        Ok(())
+        Ok(true)
     }
 
     /// Simulated crash: lose the unsynced buffer, cut every segment back to
@@ -942,7 +908,7 @@ impl DurableWal {
     /// segments past it, and reopen. A dead WAL (injected fault) skips the
     /// truncation — whatever the fault left on disk, including a torn
     /// frame, is what recovery must cope with.
-    pub fn crash(mut self) -> io::Result<DurableWal> {
+    pub(crate) fn crash(mut self) -> io::Result<(Self, Vec<LogRecord>)> {
         if !self.dead {
             // Let in-flight background batches land, then cut at the
             // watermark; without this a late flusher write could resurrect
@@ -970,51 +936,31 @@ impl DurableWal {
         };
         let root = std::mem::take(&mut self.root);
         drop(self);
-        DurableWal::open_with_opts(root, opts)
-    }
-
-    // ----- logical surface (delegates to the mirror) -----
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.mem.len()
-    }
-
-    /// True when the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.mem.is_empty()
-    }
-
-    /// All records (tests / audits).
-    pub fn records(&self) -> &[LogRecord] {
-        self.mem.records()
-    }
-
-    /// Crash recovery over the mirrored records — same code, same result as
-    /// the in-memory backend on the same history.
-    pub fn recover(&self) -> RecoveredState {
-        self.mem.recover()
+        Segments::open(root, opts)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use o2pc_common::{GlobalTxnId, Key, Op, Value};
+    use crate::store::Store;
+    use crate::wal::Wal;
+    use o2pc_common::{ExecId, GlobalTxnId, Key, Op, ScratchDir, Value};
 
     fn sub(i: u64) -> ExecId {
         ExecId::Sub(GlobalTxnId(i))
     }
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("o2pc-dwal-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("site.wal")
+    /// A scratch directory (removed when the guard drops) and the log root
+    /// inside it.
+    fn tmp(name: &str) -> (ScratchDir, PathBuf) {
+        let dir = ScratchDir::new(&format!("dwal-{name}"));
+        let path = dir.join("site.wal");
+        (dir, path)
     }
 
-    fn small(path: &Path, segment_bytes: u64) -> DurableWal {
-        DurableWal::open_with_opts(
+    fn small(path: &Path, segment_bytes: u64) -> Wal {
+        Wal::open_with_opts(
             path,
             WalOptions {
                 segment_bytes,
@@ -1024,7 +970,23 @@ mod tests {
         .unwrap()
     }
 
-    fn sample_workload(w: &mut DurableWal) {
+    fn armed(path: &Path, fail_after: u64, kind: FaultKind) -> Wal {
+        Wal::open_with_opts(
+            path,
+            WalOptions {
+                fault: Some(WriteFault { fail_after, kind }),
+                ..WalOptions::default()
+            },
+        )
+        .unwrap()
+    }
+
+    /// Appended bytes are not yet durable (a flush is owed).
+    fn dirty(w: &Wal) -> bool {
+        w.append_ticket() > w.durable_ticket()
+    }
+
+    fn sample_workload(w: &mut Wal) {
         let mut store = Store::new();
         store.load(Key(1), Value(10));
         store.load(Key(2), Value(20));
@@ -1038,13 +1000,13 @@ mod tests {
 
     #[test]
     fn reopen_replays_synced_records() {
-        let path = tmp("reopen");
-        let mut w = DurableWal::open(&path).unwrap();
+        let (_dir, path) = tmp("reopen");
+        let mut w = Wal::open(&path).unwrap();
         sample_workload(&mut w);
         w.sync().unwrap();
         let recs = w.records().to_vec();
         drop(w);
-        let w2 = DurableWal::open(&path).unwrap();
+        let w2 = Wal::open(&path).unwrap();
         assert_eq!(w2.records(), &recs[..]);
         assert_eq!(
             w2.recover().items,
@@ -1054,17 +1016,17 @@ mod tests {
 
     #[test]
     fn tickets_and_dirtiness() {
-        let path = tmp("tickets");
-        let mut w = DurableWal::open(&path).unwrap();
-        assert!(!w.is_dirty());
+        let (_dir, path) = tmp("tickets");
+        let mut w = Wal::open(&path).unwrap();
+        assert!(!dirty(&w));
         w.append(LogRecord::Begin(sub(1)));
         let t = w.append_ticket();
-        assert!(w.is_dirty());
+        assert!(dirty(&w));
         assert!(w.durable_ticket() < t);
         assert!(w.sealed_ticket() < t);
         assert_eq!(w.pending_bytes(), t);
         w.sync().unwrap();
-        assert!(!w.is_dirty());
+        assert!(!dirty(&w));
         assert_eq!(w.durable_ticket(), t);
         assert_eq!(w.sealed_ticket(), t);
         assert_eq!(w.pending_bytes(), 0);
@@ -1072,8 +1034,8 @@ mod tests {
 
     #[test]
     fn crash_loses_unsynced_tail_only() {
-        let path = tmp("crash");
-        let mut w = DurableWal::open(&path).unwrap();
+        let (_dir, path) = tmp("crash");
+        let mut w = Wal::open(&path).unwrap();
         sample_workload(&mut w);
         w.sync().unwrap();
         let durable_len = w.len();
@@ -1088,28 +1050,28 @@ mod tests {
 
     #[test]
     fn seal_batch_advances_watermark_on_execute() {
-        let path = tmp("seal");
-        let mut w = DurableWal::open(&path).unwrap();
+        let (_dir, path) = tmp("seal");
+        let mut w = Wal::open(&path).unwrap();
         w.append(LogRecord::Begin(sub(2)));
         let t = w.append_ticket();
         let batch = w.seal_batch().unwrap();
-        assert!(w.is_dirty());
+        assert!(dirty(&w));
         assert_eq!(w.sealed_ticket(), t, "sealing advances the sealed mark");
         assert_eq!(batch.ticket(), t);
         batch.execute().unwrap();
         assert_eq!(w.durable_ticket(), t);
-        assert!(!w.is_dirty());
+        assert!(!dirty(&w));
         // Nothing left to seal.
         assert!(w.seal_batch().is_none());
         drop(w);
-        assert_eq!(DurableWal::open(&path).unwrap().len(), 1);
+        assert_eq!(Wal::open(&path).unwrap().len(), 1);
     }
 
     #[test]
     fn burst_of_batches_costs_one_fsync() {
-        let path = tmp("coalesce");
-        let mut w = DurableWal::open(&path).unwrap();
-        let stats = w.stats();
+        let (_dir, path) = tmp("coalesce");
+        let mut w = Wal::open(&path).unwrap();
+        let stats = w.stats().unwrap();
         let mut batches = Vec::new();
         for i in 0..8 {
             w.append(LogRecord::Begin(sub(i)));
@@ -1125,12 +1087,52 @@ mod tests {
         );
         assert_eq!(w.durable_ticket(), t);
         drop(w);
-        assert_eq!(DurableWal::open(&path).unwrap().len(), 8);
+        assert_eq!(Wal::open(&path).unwrap().len(), 8);
+    }
+
+    /// One burst carrying batches of two logs, one of which fails: only the
+    /// failed log is poisoned (and its later batch dropped unwritten); the
+    /// healthy one reaches its ticket and reopens with all its records.
+    #[test]
+    fn failed_log_in_a_burst_poisons_only_itself() {
+        let (_dir, path) = tmp("burst-two");
+        let mut bad = Wal::open(&path).unwrap();
+        let mut good = Wal::open(path.with_file_name("other.wal")).unwrap();
+        let mut burst = Vec::new();
+        for i in 0..2 {
+            bad.append(LogRecord::Begin(sub(i)));
+            burst.push(bad.seal_batch().unwrap());
+            good.append(LogRecord::Begin(sub(i)));
+            burst.push(good.seal_batch().unwrap());
+        }
+        burst[0].sever().unwrap();
+        assert!(FlushBatch::execute_all(burst).is_err());
+        assert!(bad.progress().unwrap().is_poisoned());
+        assert_eq!(bad.durable_ticket(), 0, "nothing of the failed log landed");
+        assert_eq!(bad.stats().unwrap().fsyncs(), 0);
+        assert!(!good.progress().unwrap().is_poisoned());
+        assert_eq!(good.durable_ticket(), good.append_ticket());
+        let recs = good.records().to_vec();
+        drop(good);
+        let reopened = Wal::open(path.with_file_name("other.wal")).unwrap();
+        assert_eq!(reopened.records(), &recs[..]);
+        assert_eq!(bad.crash().unwrap().len(), 0, "prefix durability held");
+    }
+
+    #[test]
+    fn zero_segment_bytes_is_invalid_input() {
+        let (_dir, path) = tmp("zero-seg");
+        let opts = WalOptions {
+            segment_bytes: 0,
+            fault: None,
+        };
+        let err = Wal::open_with_opts(&path, opts).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]
     fn rotation_names_segments_by_base_and_never_straddles() {
-        let path = tmp("rotate");
+        let (_dir, path) = tmp("rotate");
         let mut w = small(&path, 96);
         for i in 0..16 {
             w.append(LogRecord::Begin(sub(i)));
@@ -1157,7 +1159,7 @@ mod tests {
 
     #[test]
     fn oversized_frame_gets_its_own_segment() {
-        let path = tmp("oversize");
+        let (_dir, path) = tmp("oversize");
         let mut w = small(&path, 64);
         w.append(LogRecord::Begin(sub(0)));
         w.append(LogRecord::Checkpoint {
@@ -1172,7 +1174,7 @@ mod tests {
 
     #[test]
     fn truncate_to_checkpoint_drops_stale_segments_and_keeps_tickets_monotone() {
-        let path = tmp("trunc");
+        let (_dir, path) = tmp("trunc");
         let mut w = small(&path, 128);
         sample_workload(&mut w);
         for i in 10..30 {
@@ -1186,7 +1188,7 @@ mod tests {
         let files_before = w.segment_bases().len();
         w.truncate_to_checkpoint().unwrap();
         assert!(w.append_ticket() >= before, "tickets monotone");
-        assert!(!w.is_dirty());
+        assert!(!dirty(&w));
         assert!(
             w.segment_bases().len() < files_before,
             "stale segments physically deleted ({} -> {})",
@@ -1203,71 +1205,50 @@ mod tests {
 
     #[test]
     fn torn_fault_leaves_recoverable_prefix() {
-        let path = tmp("torn");
-        let mut w = DurableWal::open(&path).unwrap();
+        let (_dir, path) = tmp("torn");
+        let mut w = Wal::open(&path).unwrap();
         sample_workload(&mut w);
         w.sync().unwrap();
         let good = w.records().to_vec();
         let cut = w.append_ticket() + 5; // tear 5 bytes into the next frame
-        let mut w = DurableWal::open_with(
-            &path,
-            Some(WriteFault {
-                fail_after: cut,
-                kind: FaultKind::Torn,
-            }),
-        )
-        .unwrap();
-        assert!(w.inline_only(), "fault-armed wal never seals");
+        let mut w = armed(&path, cut, FaultKind::Torn);
+        assert!(w.wants_inline_flush(), "fault-armed wal never seals");
         assert!(w.seal_batch().is_none());
         w.append(LogRecord::Begin(sub(7)));
         assert!(w.sync().is_err());
         assert!(w.is_dead());
         drop(w);
         // The segment now ends in a torn frame; open discards it.
-        let w2 = DurableWal::open(&path).unwrap();
+        let w2 = Wal::open(&path).unwrap();
         assert_eq!(w2.records(), &good[..]);
     }
 
     #[test]
     fn error_and_drop_handle_faults_kill_the_wal() {
         for kind in [FaultKind::Error, FaultKind::DropHandle] {
-            let path = tmp(match kind {
+            let (_dir, path) = tmp(match kind {
                 FaultKind::Error => "err",
                 _ => "drop",
             });
-            let mut w = DurableWal::open_with(
-                &path,
-                Some(WriteFault {
-                    fail_after: 0,
-                    kind,
-                }),
-            )
-            .unwrap();
+            let mut w = armed(&path, 0, kind);
             w.append(LogRecord::Begin(sub(1)));
             assert!(w.sync().is_err());
             assert!(w.is_dead());
             assert!(w.sync().is_err(), "dead wal stays dead");
             // Nothing reached disk.
-            assert_eq!(DurableWal::open(&path).unwrap().len(), 0);
+            assert_eq!(Wal::open(&path).unwrap().len(), 0);
         }
     }
 
     #[test]
     fn crash_of_dead_wal_recovers_durable_prefix() {
-        let path = tmp("deadcrash");
-        let mut w = DurableWal::open(&path).unwrap();
+        let (_dir, path) = tmp("deadcrash");
+        let mut w = Wal::open(&path).unwrap();
         sample_workload(&mut w);
         w.sync().unwrap();
         let good = w.records().to_vec();
         let cut = w.append_ticket() + 3;
-        let mut w = DurableWal::open_with(
-            &path,
-            Some(WriteFault {
-                fail_after: cut,
-                kind: FaultKind::Torn,
-            }),
-        )
-        .unwrap();
+        let mut w = armed(&path, cut, FaultKind::Torn);
         w.append(LogRecord::Begin(sub(8)));
         let _ = w.sync();
         let w2 = w.crash().unwrap();
@@ -1276,8 +1257,8 @@ mod tests {
 
     #[test]
     fn compaction_write_fault_surfaces_instead_of_being_swallowed() {
-        let path = tmp("compfault");
-        let mut w = DurableWal::open(&path).unwrap();
+        let (_dir, path) = tmp("compfault");
+        let mut w = Wal::open(&path).unwrap();
         sample_workload(&mut w);
         w.sync().unwrap();
         let synced = w.append_ticket();
@@ -1285,14 +1266,7 @@ mod tests {
         // Re-arm so the data sync passes but the manifest write (the
         // rename's durability point) trips the fault: the error must
         // propagate out of truncate_to_checkpoint, not vanish.
-        let mut w = DurableWal::open_with(
-            &path,
-            Some(WriteFault {
-                fail_after: synced + 1,
-                kind: FaultKind::Error,
-            }),
-        )
-        .unwrap();
+        let mut w = armed(&path, synced + 1, FaultKind::Error);
         let store = w.recover().into_store();
         w.checkpoint(&store);
         let err = w.truncate_to_checkpoint();
@@ -1302,7 +1276,7 @@ mod tests {
 
     #[test]
     fn crash_mid_rotation_recovers_cleanly_with_tiny_segments() {
-        let path = tmp("rotcrash");
+        let (_dir, path) = tmp("rotcrash");
         let mut w = small(&path, 80);
         for i in 0..6 {
             w.append(LogRecord::Begin(sub(i)));

@@ -65,3 +65,21 @@ fn replay_corpus_judges_saved_entries() {
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Bad input from outside ends in a usage error, not a panic: a zero
+/// segment size used to trip an assertion inside the log and take the
+/// worker pool down with it.
+#[test]
+fn zero_segment_bytes_is_a_usage_error() {
+    let out = chaos(&["--schedules", "3", "--durable", "--segment-bytes", "0"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--segment-bytes"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let out = Command::new(env!("CARGO_BIN_EXE_kill_recover"))
+        .args(["--segment-bytes", "0"])
+        .output()
+        .expect("spawn kill_recover");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage: kill_recover"));
+}

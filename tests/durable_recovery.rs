@@ -2,21 +2,14 @@
 //! state the in-memory WAL would, a torn tail must cost nothing that was
 //! durable, and a real SIGKILL mid-run must leave logs that resolve cleanly.
 
-use o2pc_common::{Duration, SimTime, SiteId};
+use o2pc_common::{Duration, ScratchDir, SimTime, SiteId};
 use o2pc_core::{Engine, SystemConfig};
 use o2pc_protocol::ProtocolKind;
 use o2pc_runtime::ThreadedRuntime;
 use o2pc_storage::codec::FRAME_HEADER;
-use o2pc_storage::{segment_path, DurableWal, Wal};
+use o2pc_storage::{segment_path, Wal};
 use o2pc_workload::BankingWorkload;
-use std::path::{Path, PathBuf};
-
-fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("o2pc-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use std::path::Path;
 
 /// Run a small banking workload with every site logging to `dir`, returning
 /// the engine (alive, WAL files synced by the end-of-run flush).
@@ -41,22 +34,22 @@ fn run_durable(dir: &Path, seed: u64, sites: u32) -> Engine {
 }
 
 /// Tentpole acceptance (a): reopening the on-disk log recovers byte-for-byte
-/// the same state as replaying the in-memory record mirror — the file-backed
-/// backend adds durability, never semantics.
+/// the same state as replaying the live engine's records — the segment sink
+/// adds durability, never semantics.
 #[test]
 fn durable_recovery_equals_in_memory_recovery() {
-    let dir = scratch_dir("durable-eq");
+    let dir = ScratchDir::new("durable-eq");
     let sites = 3;
     let engine = run_durable(&dir, 0xABCD, sites);
     for i in 0..sites {
         let site = SiteId(i);
         let mem_records = engine.wal_records(site).unwrap().to_vec();
         assert!(!mem_records.is_empty(), "site {i} logged nothing");
-        let reopened = DurableWal::open(dir.join(format!("site-{i}.wal"))).unwrap();
+        let reopened = Wal::open(dir.join(format!("site-{i}.wal"))).unwrap();
         assert_eq!(
             reopened.records(),
             &mem_records[..],
-            "site {i}: disk records differ from the in-memory mirror"
+            "site {i}: disk records differ from the live log"
         );
         assert_eq!(
             reopened.recover(),
@@ -64,8 +57,6 @@ fn durable_recovery_equals_in_memory_recovery() {
             "site {i}: recovery diverges between disk and memory"
         );
     }
-    drop(engine);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Tentpole acceptance (b): truncating the final frame at any point — the
@@ -74,7 +65,7 @@ fn durable_recovery_equals_in_memory_recovery() {
 /// before the tear is lost.
 #[test]
 fn torn_tail_discards_only_the_torn_record() {
-    let dir = scratch_dir("durable-torn");
+    let dir = ScratchDir::new("durable-torn");
     let engine = run_durable(&dir, 0xBEEF, 2);
     drop(engine);
 
@@ -97,7 +88,7 @@ fn torn_tail_discards_only_the_torn_record() {
     let data_end = pos;
     assert!(last_start > 0, "need at least two records");
 
-    let full = DurableWal::open(&path).unwrap();
+    let full = Wal::open(&path).unwrap();
     let expected_len = full.len() - 1;
     let prefix_recovery = Wal::from_records(full.records()[..expected_len].to_vec()).recover();
     drop(full);
@@ -107,7 +98,7 @@ fn torn_tail_discards_only_the_torn_record() {
     for cut in [last_start + 1, last_start + FRAME_HEADER, data_end - 1] {
         let torn_path = dir.join(format!("torn-{cut}.wal"));
         std::fs::write(segment_path(&torn_path, 0), &bytes[..cut]).unwrap();
-        let torn = DurableWal::open(&torn_path).unwrap();
+        let torn = Wal::open(&torn_path).unwrap();
         assert_eq!(torn.len(), expected_len, "cut at byte {cut}");
         assert_eq!(
             torn.recover(),
@@ -115,7 +106,6 @@ fn torn_tail_discards_only_the_torn_record() {
             "cut at byte {cut}: recovery must equal the clean prefix"
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Tentpole acceptance (c): a child process SIGKILLed at an arbitrary point
@@ -138,7 +128,7 @@ fn sigkill_mid_run_recovers_cleanly() {
 /// the watermark on a second timer (two intervals per write) could not do.
 #[test]
 fn threaded_physical_gate_commits_in_two_flush_waits() {
-    let dir = scratch_dir("durable-threaded");
+    let dir = ScratchDir::new("durable-threaded");
     let sites = 3;
     let wl = BankingWorkload {
         sites,
@@ -156,7 +146,7 @@ fn threaded_physical_gate_commits_in_two_flush_waits() {
         *at = SimTime::ZERO + Duration::millis(120 * i as u64);
     }
     let mut cfg = SystemConfig::new(sites, ProtocolKind::O2pcP2);
-    cfg.durable_wal_dir = Some(dir.clone());
+    cfg.durable_wal_dir = Some(dir.to_path_buf());
     cfg.wal_background_flush = true;
     cfg.wal_flush_interval = interval;
     cfg.op_service_time = Duration::ZERO;
@@ -181,8 +171,6 @@ fn threaded_physical_gate_commits_in_two_flush_waits() {
         p50 < 3 * interval.as_micros(),
         "median global latency {p50} us is not under 3 flush intervals"
     );
-    drop(engine);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Satellite: scheduling site crashes while `vote_timeout` is `None` is a
