@@ -58,32 +58,30 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         &mut self,
         now: SimTime,
         scheduled: SimTime,
-        subs: Vec<(SiteId, Vec<o2pc_common::Op>)>,
+        mut subs: Vec<(SiteId, Vec<o2pc_common::Op>)>,
         coordinator: SiteId,
     ) {
         let id = self.idgen.next_id();
-        let participants: Vec<SiteId> = subs.iter().map(|&(s, _)| s).collect();
-        debug_assert_eq!(
-            participants.iter().collect::<BTreeSet<_>>().len(),
-            participants.len(),
-            "duplicate participant sites"
-        );
+        let participants = subs.iter().map(|&(s, _)| s).collect();
         let coord = TwoPhaseCoordinator::new(id, participants);
+        for (site, ops) in &mut subs {
+            // The program travels in the SPAWN message; `try_spawn` puts it
+            // back into `subs` at the participant.
+            let ops = std::mem::take(ops);
+            self.send(now, coordinator, *site, Msg::SpawnSubtxn { txn: id, ops });
+        }
         let gtxn = GTxn {
             coord_site: coordinator,
             coord,
-            subs: subs.iter().cloned().collect(),
+            subs,
             tm: TransMarks::new(),
             start: scheduled,
             spawn_retries: Default::default(),
-            began: BTreeSet::new(),
+            began: 0,
             done: false,
             retx_armed: false,
         };
         self.txns.insert(id, gtxn);
-        for (site, ops) in subs {
-            self.send(now, coordinator, site, Msg::SpawnSubtxn { txn: id, ops });
-        }
         if let Some(t) = self.cfg.vote_timeout {
             // Overall progress timeout: covers a participant that
             // never acks (down site) as well as lost votes.
@@ -128,7 +126,12 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                     // Piggy-backed on the DECISION messages: the aborted
                     // transaction's *actual* execution-site set, enabling
                     // UDUM1 detection at the sites (no extra messages).
-                    let began = self.txns[&txn].began.clone();
+                    let mut began = BTreeSet::new();
+                    for (slot, &(site, _)) in g.subs.iter().enumerate() {
+                        if g.began >> slot & 1 == 1 {
+                            began.insert(site);
+                        }
+                    }
                     if !began.is_empty() {
                         self.udum.register_aborted(txn, began);
                     }
@@ -255,8 +258,8 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         if !g.done {
             return;
         }
-        let participants: Vec<SiteId> = g.coord.participants().to_vec();
-        for &p in &participants {
+        let participants = g.coord.participants();
+        for &p in participants {
             if self.pending_comp.contains_key(&(txn, p))
                 || self.term_rounds.contains_key(&(txn, p))
                 || self.term_armed.contains(&(txn, p))
@@ -273,7 +276,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         if !self.udum.missing_sites(txn).is_empty() {
             return;
         }
-        for &p in &participants {
+        for &p in participants {
             if let Some(site) = self.sites[p.index()].as_mut() {
                 site.forget(txn);
             }

@@ -139,16 +139,20 @@ pub enum TimerEvent {
 pub(crate) struct GTxn {
     pub(crate) coord_site: SiteId,
     pub(crate) coord: TwoPhaseCoordinator,
-    pub(crate) subs: FastHashMap<SiteId, Vec<o2pc_common::Op>>,
+    /// The participants in submission order, each with its program while
+    /// that waits here for admission: between the SPAWN message's delivery
+    /// and the subtransaction's begin (across R1 retries).
+    pub(crate) subs: Vec<(SiteId, Vec<o2pc_common::Op>)>,
     pub(crate) tm: TransMarks,
     pub(crate) start: SimTime,
     pub(crate) spawn_retries: FastHashMap<SiteId, u32>,
-    /// Sites where the subtransaction actually began executing. Only these
-    /// can ever carry an *undone* marking for this transaction, so only
-    /// these count as UDUM1 execution sites — registering all participants
-    /// would leave markings that can never be cleared (an R1-rejected site
-    /// never executes, never marks, never fences).
-    pub(crate) began: BTreeSet<SiteId>,
+    /// Sites where the subtransaction actually began executing, as a
+    /// bitmask over the positions of `subs`. Only these can ever carry an
+    /// *undone* marking for this transaction, so only these count as UDUM1
+    /// execution sites — registering all participants would leave markings
+    /// that can never be cleared (an R1-rejected site never executes, never
+    /// marks, never fences).
+    pub(crate) began: u64,
     pub(crate) done: bool,
     /// A retransmission timer chain is live for this transaction (at most
     /// one chain per transaction; re-armed from the chain itself).

@@ -15,7 +15,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             return; // message to a crashed site is lost
         }
         match msg {
-            Msg::SpawnSubtxn { txn, .. } => self.try_spawn(now, txn, to),
+            Msg::SpawnSubtxn { txn, ops } => self.try_spawn(now, txn, to, Some(ops)),
             Msg::SubtxnAck { txn, from, ok } => {
                 let Some(g) = self.txns.get_mut(&txn) else {
                     return;
@@ -234,7 +234,15 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     }
 
     /// Rule R1: admission check before (re)starting a subtransaction.
-    pub(crate) fn try_spawn(&mut self, now: SimTime, txn: GlobalTxnId, site_id: SiteId) {
+    /// `arrived` is the program a SPAWN message just delivered; a retry finds
+    /// it where the rejected attempt left it.
+    pub(crate) fn try_spawn(
+        &mut self,
+        now: SimTime,
+        txn: GlobalTxnId,
+        site_id: SiteId,
+        arrived: Option<Vec<o2pc_common::Op>>,
+    ) {
         if !self.site_up(site_id) {
             return;
         }
@@ -245,19 +253,24 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         if g.done || g.coord.decision().is_some() {
             return;
         }
-        if g.began.contains(&site_id) {
+        let slot = g.subs.iter().position(|&(s, _)| s == site_id);
+        let slot = slot.expect("spawn at a participant");
+        if g.began >> slot & 1 == 1 {
             // Duplicate SpawnSubtxn: the subtransaction already began here.
             // Its original ack (or the vote-timeout's presumed abort)
             // resolves the coordinator; re-beginning would clobber live
             // execution state.
             return;
         }
+        if let Some(ops) = arrived {
+            g.subs[slot].1 = ops;
+        }
         self.report.counters.inc("r1.checks");
         let site = self.sites[site_id.index()].as_ref().unwrap();
         match g.tm.check_and_absorb(marking, site.marks()) {
             Ok(()) => {
-                let ops = g.subs[&site_id].clone();
-                g.began.insert(site_id);
+                let ops = std::mem::take(&mut g.subs[slot].1);
+                g.began |= 1 << slot;
                 let exec = ExecId::Sub(txn);
                 let empty = ops.is_empty();
                 let hist = &mut self.hist;
@@ -265,11 +278,10 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                 site.begin(exec, ops, now, hist);
                 if empty {
                     let coord_site = g.coord_site;
-                    let _ = coord_site;
                     self.send(
                         now,
                         site_id,
-                        self.txns[&txn].coord_site,
+                        coord_site,
                         Msg::SubtxnAck {
                             txn,
                             from: site_id,

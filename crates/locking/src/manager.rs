@@ -63,6 +63,11 @@ pub struct LockManager {
     held: FastHashMap<ExecId, Vec<Key>>,
     waiting: FastHashMap<ExecId, Key>,
     stats: LockStats,
+    /// Emptied table entries and key lists. The next request takes its
+    /// buffers from here, so an uncontended lock allocates nothing once the
+    /// table has seen its peak number of concurrent holders.
+    spare_entries: Vec<LockEntry>,
+    spare_keys: Vec<Vec<Key>>,
 }
 
 impl LockManager {
@@ -96,6 +101,17 @@ impl LockManager {
         self.table.get(&key).and_then(|e| e.holds(exec))
     }
 
+    /// Record `key` among the keys `exec` holds.
+    fn note_held(
+        held: &mut FastHashMap<ExecId, Vec<Key>>,
+        spare: &mut Vec<Vec<Key>>,
+        exec: ExecId,
+        key: Key,
+    ) {
+        let recycled = || spare.pop().unwrap_or_default();
+        held.entry(exec).or_insert_with(recycled).push(key);
+    }
+
     /// Request `mode` on `key` for `exec` at virtual time `now`.
     pub fn request(
         &mut self,
@@ -108,7 +124,8 @@ impl LockManager {
             !self.waiting.contains_key(&exec),
             "{exec} requested a lock while already waiting"
         );
-        let entry = self.table.entry(key).or_default();
+        let recycled = || self.spare_entries.pop().unwrap_or_default();
+        let entry = self.table.entry(key).or_insert_with(recycled);
 
         // Re-entrant cases.
         match entry.holds(exec) {
@@ -152,7 +169,7 @@ impl LockManager {
                 mode,
                 acquired: now,
             });
-            self.held.entry(exec).or_default().push(key);
+            Self::note_held(&mut self.held, &mut self.spare_keys, exec, key);
             self.stats.immediate_grants.inc();
             RequestOutcome::Granted
         } else {
@@ -189,7 +206,7 @@ impl LockManager {
                         mode: AccessMode::Write,
                         acquired: now,
                     });
-                    self.held.entry(head.exec).or_default().push(key);
+                    Self::note_held(&mut self.held, &mut self.spare_keys, head.exec, key);
                 } else if entry.granted.iter().any(|g| g.exec != head.exec) {
                     break;
                 }
@@ -202,7 +219,7 @@ impl LockManager {
                     mode: head.mode,
                     acquired: now,
                 });
-                self.held.entry(head.exec).or_default().push(key);
+                Self::note_held(&mut self.held, &mut self.spare_keys, head.exec, key);
             }
             entry.queue.pop_front();
             self.waiting.remove(&head.exec);
@@ -210,7 +227,7 @@ impl LockManager {
             woken.push(head.exec);
         }
         if entry.granted.is_empty() && entry.queue.is_empty() {
-            self.table.remove(&key);
+            self.spare_entries.extend(self.table.remove(&key));
         }
         woken
     }
@@ -226,7 +243,7 @@ impl LockManager {
         if let Some(keys) = self.held.get_mut(&exec) {
             keys.retain(|&k| k != key);
             if keys.is_empty() {
-                self.held.remove(&exec);
+                self.spare_keys.extend(self.held.remove(&exec));
             }
         }
     }
@@ -235,13 +252,15 @@ impl LockManager {
     /// early release at the commit vote). Returns executions whose queued
     /// requests became granted.
     pub fn release_all(&mut self, exec: ExecId, now: SimTime) -> Vec<ExecId> {
-        let keys = self.held.get(&exec).cloned().unwrap_or_default();
         // Also cancel a pending wait if the exec is aborting while queued;
         // removing a queued writer can itself unblock compatible waiters.
-        let mut woken = self.cancel_wait(exec);
-        for key in keys {
-            self.release_grant(exec, key, now);
-            woken.extend(self.process_queue(key, now));
+        let mut woken = self.cancel_wait(exec, now);
+        if let Some(mut keys) = self.held.remove(&exec) {
+            for key in keys.drain(..) {
+                self.release_grant(exec, key, now);
+                woken.extend(self.process_queue(key, now));
+            }
+            self.spare_keys.push(keys);
         }
         woken
     }
@@ -268,9 +287,9 @@ impl LockManager {
     }
 
     /// Remove `exec`'s queued request, if any (the exec aborted while
-    /// waiting, e.g. as a deadlock victim). Other waiters may become
-    /// grantable; returns them.
-    pub fn cancel_wait(&mut self, exec: ExecId) -> Vec<ExecId> {
+    /// waiting, e.g. as a deadlock victim) at virtual time `now`. Other
+    /// waiters may become grantable; returns them.
+    pub fn cancel_wait(&mut self, exec: ExecId, now: SimTime) -> Vec<ExecId> {
         let Some(key) = self.waiting.remove(&exec) else {
             return Vec::new();
         };
@@ -279,7 +298,7 @@ impl LockManager {
         }
         self.stats.cancelled_waits.inc();
         // Removing a queued X may unblock compatible followers.
-        self.process_queue(key, SimTime::ZERO).into_iter().collect()
+        self.process_queue(key, now)
     }
 
     /// Edges of the waits-for graph: `(waiter, blocker)` pairs. A waiter is
@@ -560,10 +579,27 @@ mod tests {
         lm.request(e(1), Key(1), AccessMode::Read, T0);
         lm.request(e(2), Key(1), AccessMode::Write, T0); // waits
         lm.request(e(3), Key(1), AccessMode::Read, T0); // waits behind writer
-        let woken = lm.cancel_wait(e(2));
+        let woken = lm.cancel_wait(e(2), T0);
         assert_eq!(woken, vec![e(3)], "reader compatible once writer cancelled");
         assert_eq!(lm.stats().cancelled_waits.get(), 1);
         lm.check_invariants();
+    }
+
+    /// A follower granted because the writer queued ahead of it was
+    /// cancelled waited until the cancellation and holds from it — not from
+    /// time zero, which would record no wait and a hold of the whole clock.
+    #[test]
+    fn grant_after_cancelled_wait_is_timed_from_the_cancellation() {
+        let mut lm = LockManager::new();
+        lm.request(e(1), Key(1), AccessMode::Read, T0);
+        lm.request(e(2), Key(1), AccessMode::Write, SimTime(10)); // waits
+        lm.request(e(3), Key(1), AccessMode::Read, SimTime(20)); // waits behind writer
+        assert_eq!(lm.cancel_wait(e(2), SimTime(50)), vec![e(3)]);
+        lm.release_all(e(3), SimTime(60));
+        assert_eq!(lm.stats().wait_time.count(), 1);
+        assert_eq!(lm.stats().wait_time.max(), 30, "50 - enqueued at 20");
+        assert_eq!(lm.stats().shared_hold.count(), 1);
+        assert_eq!(lm.stats().shared_hold.max(), 10, "60 - granted at 50");
     }
 
     #[test]

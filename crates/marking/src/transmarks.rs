@@ -80,7 +80,13 @@ impl TransMarks {
         site: &SiteMarks,
     ) -> Result<(), Incompatibility> {
         self.check(protocol, site)?;
-        self.absorb(site);
+        if protocol == MarkingProtocol::None {
+            // No check will ever read the observations: count the visit and
+            // leave the per-transaction maps (and their heap nodes) alone.
+            self.visits += 1;
+        } else {
+            self.absorb(site);
+        }
         Ok(())
     }
 

@@ -10,7 +10,6 @@
 
 use o2pc_common::{GlobalTxnId, SiteId};
 use o2pc_site::Vote;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Coordinator phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,17 +37,22 @@ pub enum CoordAction {
 }
 
 /// The coordinator of one global transaction.
+///
+/// Who has answered in each phase is a bitmask over the positions of the
+/// fixed `participants` list: bit `i` stands for `participants[i]`.
 #[derive(Clone, Debug)]
 pub struct TwoPhaseCoordinator {
     txn: GlobalTxnId,
     participants: Vec<SiteId>,
     state: CoordState,
-    op_acks: BTreeSet<SiteId>,
+    op_acks: u64,
     /// A subtransaction that failed during execution forces an abort
     /// decision without waiting for votes from everyone.
     failed_ack: bool,
-    votes: BTreeMap<SiteId, Vote>,
-    decision_acks: BTreeSet<SiteId>,
+    /// Participants that voted. Only yes-votes accumulate: the first no
+    /// decides abort and ends the voting phase.
+    votes: u64,
+    decision_acks: u64,
 }
 
 impl TwoPhaseCoordinator {
@@ -58,15 +62,42 @@ impl TwoPhaseCoordinator {
             !participants.is_empty(),
             "a global transaction needs participants"
         );
+        assert!(
+            participants.len() <= u64::BITS as usize,
+            "at most 64 participants per global transaction"
+        );
+        debug_assert!(
+            (1..participants.len()).all(|i| !participants[..i].contains(&participants[i])),
+            "duplicate participant sites"
+        );
         TwoPhaseCoordinator {
             txn,
             participants,
             state: CoordState::CollectingAcks,
-            op_acks: BTreeSet::new(),
+            op_acks: 0,
             failed_ack: false,
-            votes: BTreeMap::new(),
-            decision_acks: BTreeSet::new(),
+            votes: 0,
+            decision_acks: 0,
         }
+    }
+
+    /// The mask bit of a participant (0 for a site that is not one).
+    fn bit(&self, site: SiteId) -> u64 {
+        let pos = self.participants.iter().position(|&p| p == site);
+        debug_assert!(pos.is_some(), "{site} does not participate in {}", self.txn);
+        pos.map_or(0, |i| 1 << i)
+    }
+
+    /// The mask with every participant's bit set.
+    fn everyone(&self) -> u64 {
+        u64::MAX >> (u64::BITS as usize - self.participants.len())
+    }
+
+    /// The participants whose bit is clear in `mask`.
+    fn missing(&self, mask: u64) -> Vec<SiteId> {
+        let sites = self.participants.iter().enumerate();
+        let absent = sites.filter(|(i, _)| mask >> i & 1 == 0);
+        absent.map(|(_, &s)| s).collect()
     }
 
     /// The transaction being coordinated.
@@ -99,21 +130,16 @@ impl TwoPhaseCoordinator {
         if self.state != CoordState::CollectingAcks {
             return None; // late ack (e.g. a timeout already presumed abort)
         }
-        debug_assert!(self.participants.contains(&site));
-        self.op_acks.insert(site);
+        self.op_acks |= self.bit(site);
         if !ok {
             self.failed_ack = true;
         }
-        if self.op_acks.len() == self.participants.len() {
-            if self.failed_ack {
-                // No point soliciting votes: decide abort now. VOTE-REQ is
-                // still sent so participants learn the transaction is
-                // terminating — exactly the standard message pattern (the
-                // votes will be ignored).
-                self.state = CoordState::Voting;
-            } else {
-                self.state = CoordState::Voting;
-            }
+        if self.op_acks == self.everyone() {
+            // After a failed ack there is no point soliciting votes, but
+            // VOTE-REQ is still sent so participants learn the transaction
+            // is terminating — exactly the standard message pattern; the
+            // first vote, whatever it says, then decides abort.
+            self.state = CoordState::Voting;
             return Some(CoordAction::SendVoteReq(self.participants.clone()));
         }
         None
@@ -125,14 +151,12 @@ impl TwoPhaseCoordinator {
             // Late vote after an early abort decision: ignore.
             return None;
         }
-        debug_assert!(self.participants.contains(&site));
-        self.votes.insert(site, vote);
+        self.votes |= self.bit(site);
         if vote == Vote::No || self.failed_ack {
             return Some(self.decide(false));
         }
-        if self.votes.len() == self.participants.len() {
-            let commit = self.votes.values().all(|&v| v == Vote::Yes);
-            return Some(self.decide(commit));
+        if self.votes == self.everyone() {
+            return Some(self.decide(true));
         }
         None
     }
@@ -166,9 +190,8 @@ impl TwoPhaseCoordinator {
         let CoordState::Decided(commit) = self.state else {
             return None;
         };
-        debug_assert!(self.participants.contains(&site));
-        self.decision_acks.insert(site);
-        if self.decision_acks.len() == self.participants.len() {
+        self.decision_acks |= self.bit(site);
+        if self.decision_acks == self.everyone() {
             self.state = CoordState::Done(commit);
             return Some(CoordAction::Complete(commit));
         }
@@ -184,12 +207,7 @@ impl TwoPhaseCoordinator {
     pub fn retransmit(&self) -> Option<CoordAction> {
         match self.state {
             CoordState::Voting => {
-                let missing: Vec<SiteId> = self
-                    .participants
-                    .iter()
-                    .copied()
-                    .filter(|s| !self.votes.contains_key(s))
-                    .collect();
+                let missing = self.missing(self.votes);
                 if missing.is_empty() {
                     None
                 } else {
@@ -197,12 +215,7 @@ impl TwoPhaseCoordinator {
                 }
             }
             CoordState::Decided(commit) => {
-                let missing: Vec<SiteId> = self
-                    .participants
-                    .iter()
-                    .copied()
-                    .filter(|s| !self.decision_acks.contains(s))
-                    .collect();
+                let missing = self.missing(self.decision_acks);
                 if missing.is_empty() {
                     None
                 } else {
@@ -219,12 +232,7 @@ impl TwoPhaseCoordinator {
     pub fn recover(&mut self) -> Option<CoordAction> {
         match self.state {
             CoordState::Decided(commit) => {
-                let missing: Vec<SiteId> = self
-                    .participants
-                    .iter()
-                    .copied()
-                    .filter(|s| !self.decision_acks.contains(s))
-                    .collect();
+                let missing = self.missing(self.decision_acks);
                 if missing.is_empty() {
                     self.state = CoordState::Done(commit);
                     Some(CoordAction::Complete(commit))

@@ -4,7 +4,7 @@ use crate::clock::{Clock, WallClock};
 use crate::transport::{Batch, Envelope, Judgement, SendOutcome, ThreadedTransport, Transport};
 use o2pc_common::{SimTime, SiteId};
 use o2pc_sim::{EventQueue, Network};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -239,31 +239,8 @@ impl Default for ThreadedRuntimeConfig {
     }
 }
 
-/// Timer heap entry: due time + insertion sequence (FIFO among equal times,
-/// mirroring the simulator's queue discipline).
-struct TimerEntry<T> {
-    at: SimTime,
-    seq: u64,
-    timer: T,
-}
-
-impl<T> PartialEq for TimerEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for TimerEntry<T> {}
-impl<T> PartialOrd for TimerEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for TimerEntry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed for a min-heap on (at, seq).
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
+/// Judged envelopes bound for one destination, each with its link latency.
+type Burst<M> = Vec<(StdDuration, Envelope<M>)>;
 
 /// Wall-clock execution over a [`ThreadedTransport`].
 ///
@@ -298,15 +275,18 @@ pub struct ThreadedRuntime<T, M> {
     owed: Arc<AtomicUsize>,
     /// Delivered batches not yet handed to the engine, in arrival order.
     staged: VecDeque<Envelope<M>>,
-    /// Judged-but-unflushed sends, grouped by destination. The insertion
-    /// order within one destination is send order (per-link FIFO); flush
-    /// order across destinations is round-ordered by first use.
-    outbox: HashMap<SiteId, Vec<(StdDuration, Envelope<M>)>>,
-    /// Destinations in first-send order so flushing is deterministic per
-    /// round and every occupied outbox slot is visited.
-    outbox_order: Vec<SiteId>,
-    timers: BinaryHeap<TimerEntry<T>>,
-    seq: u64,
+    /// Judged-but-unflushed sends, one slot per destination ever sent to
+    /// (a handful: found by scanning, and a slot's bucket keeps its
+    /// capacity across flushes). The insertion order within one
+    /// destination is send order (per-link FIFO); flush order across
+    /// destinations is round-ordered by first use.
+    outbox: Vec<(SiteId, Burst<M>)>,
+    /// Occupied outbox slots in first-send order so flushing is
+    /// deterministic per round and every occupied slot is visited.
+    outbox_order: Vec<usize>,
+    /// Pending timers, in the simulator's queue discipline: `(due, seq)`
+    /// order, FIFO among equal due times.
+    timers: EventQueue<T>,
     cfg: ThreadedRuntimeConfig,
 }
 
@@ -333,10 +313,9 @@ impl<T, M: Clone + Send + 'static> ThreadedRuntime<T, M> {
             posted,
             owed: Arc::new(AtomicUsize::new(0)),
             staged: VecDeque::new(),
-            outbox: HashMap::new(),
+            outbox: Vec::new(),
             outbox_order: Vec::new(),
-            timers: BinaryHeap::new(),
-            seq: 0,
+            timers: EventQueue::new(),
             cfg,
         }
     }
@@ -346,21 +325,12 @@ impl<T, M: Clone + Send + 'static> ThreadedRuntime<T, M> {
         &self.transport
     }
 
-    /// Due time of the earliest pending timer.
-    fn next_timer_due(&self) -> Option<SimTime> {
-        self.timers.peek().map(|e| e.at)
-    }
-
     /// Hand every buffered burst to the transport — one `deliver_many` per
     /// destination with traffic.
     fn flush_outbox(&mut self) {
-        if self.outbox_order.is_empty() {
-            return;
-        }
-        for to in self.outbox_order.drain(..) {
-            if let Some(envs) = self.outbox.remove(&to) {
-                self.transport.deliver_many(to, envs);
-            }
+        for slot in self.outbox_order.drain(..) {
+            let (to, bucket) = &mut self.outbox[slot];
+            self.transport.deliver_many(*to, bucket.drain(..));
         }
     }
 
@@ -379,9 +349,9 @@ impl<T, M: Clone + Send + 'static> ThreadedRuntime<T, M> {
     }
 
     fn push_timer(&mut self, at: SimTime, timer: T) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.timers.push(TimerEntry { at, seq, timer });
+        // On a wall clock a caller may name an instant the queue has already
+        // moved past; such a timer is simply due now.
+        self.timers.schedule(at.max(self.timers.now()), timer);
     }
 
     /// Pop the next staged envelope, pulling any already-delivered batches
@@ -433,10 +403,17 @@ impl<T, M: Clone + Send + 'static> Runtime<T, M> for ThreadedRuntime<T, M> {
             Judgement::NoRoute => SendOutcome::NoRoute,
             Judgement::DropPolicy => SendOutcome::DroppedByPolicy,
             Judgement::Deliver { latency, duplicate } => {
-                let bucket = self.outbox.entry(to).or_insert_with(|| {
-                    self.outbox_order.push(to);
-                    Vec::new()
-                });
+                let slot = match self.outbox.iter().position(|(id, _)| *id == to) {
+                    Some(slot) => slot,
+                    None => {
+                        self.outbox.push((to, Vec::new()));
+                        self.outbox.len() - 1
+                    }
+                };
+                let bucket = &mut self.outbox[slot].1;
+                if bucket.is_empty() {
+                    self.outbox_order.push(slot);
+                }
                 if duplicate {
                     bucket.push((
                         latency,
@@ -463,9 +440,9 @@ impl<T, M: Clone + Send + 'static> Runtime<T, M> for ThreadedRuntime<T, M> {
                 return None;
             }
             // Fire a due timer before waiting on the inbox.
-            if self.next_timer_due().is_some_and(|due| due <= now) {
-                let e = self.timers.pop().expect("peeked");
-                return Some((now, Step::Timer(e.timer)));
+            if self.timers.peek_time().is_some_and(|due| due <= now) {
+                let (_, timer) = self.timers.pop().expect("peeked");
+                return Some((now, Step::Timer(timer)));
             }
             // Drain already-arrived traffic before parking: under load the
             // staging queue is usually non-empty, so the engine loop spins
@@ -480,7 +457,7 @@ impl<T, M: Clone + Send + 'static> Runtime<T, M> for ThreadedRuntime<T, M> {
                 ));
             }
             let until_deadline = self.clock.until(deadline);
-            let wait = match self.next_timer_due() {
+            let wait = match self.timers.peek_time() {
                 Some(due) => self.clock.until(due).min(until_deadline),
                 None => self.cfg.idle_grace.min(until_deadline),
             };
@@ -637,6 +614,34 @@ mod tests {
             "deadline precedes the timer"
         );
         assert!(start.elapsed() < StdDuration::from_secs(1));
+    }
+
+    /// Timers fire in `(due, seq)` order whichever part of the queue holds
+    /// them: an ascending backlog, as an installed arrival schedule is, with
+    /// "due now" timers scheduled in between.
+    #[test]
+    fn threaded_fires_backlog_and_due_now_timers_in_due_then_fifo_order() {
+        let mut rt: ThreadedRuntime<usize, u32> = ThreadedRuntime::default();
+        let mut scheduled = Vec::new();
+        for i in 0..10_000u64 {
+            scheduled.push(SimTime(i));
+            if i % 100 == 99 {
+                scheduled.push(rt.now());
+            }
+        }
+        for (payload, &at) in scheduled.iter().enumerate() {
+            rt.schedule(at, payload);
+        }
+        // Payloads are scheduling sequence numbers, so the expected order is
+        // a stable sort by due time.
+        let mut expected: Vec<usize> = (0..scheduled.len()).collect();
+        expected.sort_by_key(|&payload| scheduled[payload]);
+        let mut fired = Vec::new();
+        while let Some((now, Step::Timer(payload))) = rt.next(SimTime(60_000_000)) {
+            assert!(now >= scheduled[payload], "timer {payload} fired early");
+            fired.push(payload);
+        }
+        assert_eq!(fired, expected);
     }
 
     /// A burst of sends between two `next` calls is coalesced into one

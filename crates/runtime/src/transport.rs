@@ -387,7 +387,11 @@ impl<M: Send + 'static> ThreadedTransport<M> {
     /// destination, preserving their order per link. Immediate envelopes
     /// are one mailbox handoff; delayed ones are one command handoff to the
     /// destination's delivery worker (spawned on first use).
-    pub fn deliver_many(&self, to: SiteId, envs: Vec<(StdDuration, Envelope<M>)>) {
+    pub fn deliver_many(
+        &self,
+        to: SiteId,
+        envs: impl IntoIterator<Item = (StdDuration, Envelope<M>)>,
+    ) {
         let mut immediate: Batch<M> = Vec::new();
         let mut delayed: Vec<(Instant, Envelope<M>)> = Vec::new();
         let now = Instant::now();

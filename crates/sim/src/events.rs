@@ -2,13 +2,23 @@
 
 use o2pc_common::SimTime;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A time-ordered event queue. Events scheduled for the same instant pop in
 /// FIFO order (a strictly increasing sequence number breaks ties), which
 /// keeps runs deterministic regardless of heap internals.
+///
+/// Entries live in one of two places. An entry whose time is not before the
+/// *lane*'s back is appended to the lane, a FIFO; any other entry goes on
+/// the heap. The lane is sorted by `(time, seq)` by construction — appends
+/// are monotone in time and `seq` only grows — so the next event is the
+/// smaller of the lane's front and the heap's top. Where an entry is stored
+/// never decides the pop order; `(time, seq)` alone does. A workload's
+/// arrival schedule, installed up front in time order, therefore costs O(1)
+/// per arrival, and the heap holds only the timers and messages in flight.
 #[derive(Debug)]
 pub struct EventQueue<E> {
+    lane: VecDeque<Entry<E>>,
     heap: BinaryHeap<Reverse<Entry<E>>>,
     seq: u64,
     now: SimTime,
@@ -58,6 +68,7 @@ impl<E> EventQueue<E> {
     /// New empty queue with an explicit initial heap capacity.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
+            lane: VecDeque::new(),
             heap: BinaryHeap::with_capacity(cap),
             seq: 0,
             now: SimTime::ZERO,
@@ -79,34 +90,54 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse(Entry {
+        let entry = Entry {
             time: at.max(self.now),
             seq,
             event,
-        }));
+        };
+        if self.lane.back().is_none_or(|back| back.time <= entry.time) {
+            self.lane.push_back(entry);
+        } else {
+            self.heap.push(Reverse(entry));
+        }
+    }
+
+    /// Is the next event the lane's front (rather than the heap's top)?
+    fn lane_is_next(&self) -> bool {
+        match (self.lane.front(), self.heap.peek()) {
+            (Some(lane), Some(Reverse(heap))) => lane < heap,
+            (lane, _) => lane.is_some(),
+        }
     }
 
     /// Pop the next event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|Reverse(e)| {
-            self.now = e.time;
-            (e.time, e.event)
-        })
+        let e = if self.lane_is_next() {
+            self.lane.pop_front()
+        } else {
+            self.heap.pop().map(|Reverse(e)| e)
+        }?;
+        self.now = e.time;
+        Some((e.time, e.event))
     }
 
     /// Time of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
+        if self.lane_is_next() {
+            self.lane.front().map(|e| e.time)
+        } else {
+            self.heap.peek().map(|Reverse(e)| e.time)
+        }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.lane.len() + self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.lane.is_empty() && self.heap.is_empty()
     }
 }
 
