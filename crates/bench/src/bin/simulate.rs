@@ -7,8 +7,11 @@
 //!     --protocol o2pc-p1 --workload banking --sites 4 --txns 500 \
 //!     --abort-prob 0.2 --latency-ms 5 --seed 42 --audit
 //! ```
+//!
+//! `--durable` puts every site's log on disk (a scratch directory removed
+//! on exit) and adds where a durable promise's time went.
 
-use o2pc_common::Duration;
+use o2pc_common::{Duration, ScratchDir};
 use o2pc_core::{Engine, SystemConfig};
 use o2pc_protocol::ProtocolKind;
 use o2pc_sgraph::audit;
@@ -25,6 +28,7 @@ struct Args {
     latency_ms: u64,
     seed: u64,
     audit: bool,
+    durable: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -37,6 +41,7 @@ fn parse_args() -> Result<Args, String> {
         latency_ms: 2,
         seed: 42,
         audit: false,
+        durable: false,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -73,11 +78,12 @@ fn parse_args() -> Result<Args, String> {
             }
             "--seed" => args.seed = take(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--audit" => args.audit = true,
+            "--durable" => args.durable = true,
             "--help" | "-h" => {
                 println!(
                     "usage: simulate [--protocol 2pc|o2pc|o2pc-p1|o2pc-p2|simple] \
                      [--workload banking|travel|generic|multidb] [--sites N] [--txns N] \
-                     [--abort-prob P] [--latency-ms MS] [--seed S] [--audit]"
+                     [--abort-prob P] [--latency-ms MS] [--seed S] [--audit] [--durable]"
                 );
                 std::process::exit(0);
             }
@@ -102,6 +108,8 @@ fn main() {
     cfg.vote_abort_probability = args.abort_prob;
     cfg.seed = args.seed;
     cfg.record_history = args.audit;
+    let wal_dir = args.durable.then(|| ScratchDir::new("simulate-wal"));
+    cfg.durable_wal_dir = wal_dir.as_ref().map(|d| d.to_path_buf());
     let mut engine = Engine::new(cfg);
 
     let expected_total = match args.workload.as_str() {
@@ -196,6 +204,28 @@ fn main() {
         r.compensations_completed, r.compensations_pending
     );
     println!("2PC msgs per txn:      {:.1}", r.msgs_2pc_per_txn());
+    if args.durable {
+        // A durable commit is two forced writes deep (vote record, outcome
+        // record), so its latency is about twice the two waits below plus
+        // its message hops.
+        println!(
+            "durable promises:      {} parked, {} flush points ({} early)",
+            r.counters.get("wal.parked_msgs"),
+            r.counters.get("wal.flushes"),
+            r.counters.get("wal.early_seals")
+        );
+        for (what, h) in [
+            ("park -> sealed:", &r.wal_seal_wait),
+            ("sealed -> released:", &r.wal_fsync_wait),
+        ] {
+            println!(
+                "  {what:<21}mean {:.2} ms, p50 {:.2} ms, p99 {:.2} ms",
+                h.mean() / 1000.0,
+                h.p50() as f64 / 1000.0,
+                h.p99() as f64 / 1000.0
+            );
+        }
+    }
     println!();
     println!("counters:");
     for (k, v) in r.counters.iter() {

@@ -304,7 +304,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             // Promises parked on unflushed records die with the site — the
             // records backing them never became durable, and the crash
             // transform below discards them from the log too.
-            self.wal_parked.remove(&site);
+            self.wal_parked[site.index()].clear();
             self.flush_armed.remove(&site);
             let seq_floor = s.local_seq_watermark();
             // Remember which records each compensation owns: the crash

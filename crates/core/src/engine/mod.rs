@@ -45,7 +45,8 @@ use o2pc_sim::Network;
 use o2pc_site::{LockPolicy, Site, SiteConfig};
 use o2pc_storage::{Wal, WalOptions};
 use recorder::Recorder;
-use std::collections::BTreeSet;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Engine timers: everything the engine schedules against its own clock.
 /// Message deliveries are *not* timers — they arrive through the runtime's
@@ -122,6 +123,11 @@ pub enum TimerEvent {
     WalFlush {
         /// Site whose WAL flushes.
         site: SiteId,
+        /// The site's append ticket when the timer was armed, which names
+        /// the timer. Once a flush point got there first — the byte trigger
+        /// or an early seal — the timer is stale and fires as a no-op: what
+        /// is pending then is younger and has a timer of its own.
+        ticket: u64,
     },
     /// Posted by the flusher pool, never scheduled: a burst holding `site`'s
     /// sealed batches has finished, so the fsync watermark moved (`ok`) or
@@ -167,6 +173,16 @@ pub(crate) struct PendingAdmission {
     pub(crate) subs: Vec<(SiteId, Vec<o2pc_common::Op>)>,
 }
 
+/// A promise held back until its sender's WAL is durable past `ticket`.
+pub(crate) struct Parked {
+    ticket: u64,
+    /// When it parked; from the flush point that sealed its bytes on, when
+    /// that was. The two waits of a durable promise are told apart here.
+    since: SimTime,
+    to: SiteId,
+    msg: Msg,
+}
+
 /// The runtime `Engine::new` builds: the deterministic simulator.
 pub type DefaultSimRuntime = SimRuntime<TimerEvent, Msg>;
 
@@ -204,11 +220,13 @@ pub struct Engine<R: Runtime<TimerEvent, Msg> = DefaultSimRuntime> {
     pub(crate) report: RunReport,
     pub(crate) checkpointed: bool,
     /// Durable mode only: messages held back until their site's WAL is
-    /// durable past the recorded byte ticket, as `(ticket, to, msg)` in
-    /// append order per sender.
-    pub(crate) wal_parked: FastHashMap<SiteId, Vec<(u64, SiteId, Msg)>>,
-    /// Sites with a live `WalFlush` timer (at most one per site).
-    pub(crate) flush_armed: BTreeSet<SiteId>,
+    /// durable past the recorded byte ticket, per sender (indexed like
+    /// `sites`) in append order.
+    pub(crate) wal_parked: Vec<Vec<Parked>>,
+    /// Each site's live `WalFlush` timer, by the ticket it carries (at most
+    /// one per site; any other timer of the site's is stale — see
+    /// [`TimerEvent::WalFlush`]).
+    pub(crate) flush_armed: BTreeMap<SiteId, u64>,
     /// The flush pipeline sealed batches go to. `None` when flush points
     /// sync inline: in-memory runs, and physical-gate runs on a substrate
     /// that cannot be told when a background fsync lands.
@@ -274,6 +292,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                 })
             }),
         };
+        let wal_parked = cfg.sites().map(|_| Vec::new()).collect();
         let warnings = cfg.liveness_warnings();
         #[cfg(debug_assertions)]
         for w in &warnings {
@@ -298,8 +317,8 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             hist,
             report: RunReport::default(),
             checkpointed: false,
-            wal_parked: FastHashMap::default(),
-            flush_armed: BTreeSet::new(),
+            wal_parked,
+            flush_armed: BTreeMap::new(),
             flusher,
             warnings,
         }
@@ -530,10 +549,12 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                 return;
             }
         };
-        self.wal_parked
-            .entry(from)
-            .or_default()
-            .push((ticket, to, msg));
+        self.wal_parked[from.index()].push(Parked {
+            ticket,
+            since: now,
+            to,
+            msg,
+        });
         self.report.counters.inc("wal.parked_msgs");
         self.arm_wal_flush(now, from);
     }
@@ -572,11 +593,57 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             self.on_wal_flush(now, site);
             return;
         }
-        if self.flush_armed.insert(site) {
+        if let Entry::Vacant(slot) = self.flush_armed.entry(site) {
+            let ticket = *slot.insert(s.wal().append_ticket());
             self.rt.schedule(
                 now + self.cfg.wal_flush_interval,
-                TimerEvent::WalFlush { site },
+                TimerEvent::WalFlush { site, ticket },
             );
+        }
+    }
+
+    /// A `WalFlush` timer fired: a flush point if it is the site's live
+    /// timer. Staleness is read off `flush_armed`, not off the sealed
+    /// watermark: a seal that leaves the site armed (the sync that ends a
+    /// `run`, or follows a failed burst) leaves this timer to serve whatever
+    /// is appended next, and dropping it would strand those bytes.
+    pub(crate) fn on_flush_timer(&mut self, now: SimTime, site: SiteId, ticket: u64) {
+        if self.flush_armed.get(&site) == Some(&ticket) {
+            self.on_wal_flush(now, site);
+        }
+    }
+
+    /// Work-conserving group commit. The flush interval buys a parked
+    /// promise *company*: later appends that share its fsync. While arrivals
+    /// queue at an admission gate and the loop is about to park, none can
+    /// come — everything that could join the batch waits behind the very
+    /// promises the batch holds — so the interval is dead time and every
+    /// site with promises parked over unsealed bytes seals now. Only where a
+    /// completion will report the fsync (`can_seal_early`): release still
+    /// waits for the watermark, and a log that must flush inline or is gone
+    /// takes `on_wal_flush`'s usual branches. A backlog behind a crashed
+    /// coordinator cannot drain and does not count.
+    pub(crate) fn seal_behind_backlog(&mut self) {
+        if self.flush_armed.is_empty() {
+            return; // no unsealed bytes anywhere
+        }
+        let backlog = self
+            .admit_q
+            .iter()
+            .any(|(&coord, q)| !q.is_empty() && self.site_up(coord));
+        if !backlog || !self.rt.is_idle() {
+            return;
+        }
+        let now = self.rt.now();
+        for i in 0..self.sites.len() {
+            let Some(s) = self.sites[i].as_ref() else {
+                continue;
+            };
+            let sealed = s.wal().sealed_ticket();
+            if self.wal_parked[i].last().is_some_and(|p| p.ticket > sealed) {
+                self.report.counters.inc("wal.early_seals");
+                self.on_wal_flush(now, SiteId(i as u32));
+            }
         }
     }
 
@@ -592,19 +659,33 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         let Some(s) = self.sites[site.index()].as_mut() else {
             return;
         };
-        match &self.flusher {
-            Some(f) if !s.wal().wants_inline_flush() => {
-                if let Some(batch) = s.wal_seal_batch() {
-                    f.submit(site.0, batch);
-                }
-            }
+        let unsealed_from = s.wal().sealed_ticket();
+        let flushed = match &self.flusher {
+            Some(f) if !s.wal().wants_inline_flush() => s
+                .wal_seal_batch()
+                .map(|batch| f.submit(site.0, batch))
+                .is_some(),
             _ => {
+                let dirty = s.wal().pending_bytes() > 0;
                 if s.wal_sync().is_err() {
                     return self.on_wal_failure(now, site);
                 }
+                dirty
+            }
+        };
+        if flushed {
+            self.report.counters.inc("wal.flushes");
+            let newly_sealed = self.wal_parked[site.index()]
+                .iter_mut()
+                .rev()
+                .take_while(|p| p.ticket > unsealed_from);
+            for p in newly_sealed {
+                self.report
+                    .wal_seal_wait
+                    .record(now.since(p.since).as_micros());
+                p.since = now;
             }
         }
-        self.report.counters.inc("wal.flushes");
         self.release_parked(now, site);
     }
 
@@ -637,17 +718,20 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             return;
         };
         let gate = self.release_gate(s);
-        let Some(queue) = self.wal_parked.get_mut(&site) else {
-            return;
-        };
-        let ready = queue.partition_point(|&(t, _, _)| t <= gate);
+        let ready = self.wal_parked[site.index()].partition_point(|p| p.ticket <= gate);
         if ready == 0 {
             return;
         }
-        let release: Vec<(u64, SiteId, Msg)> = queue.drain(..ready).collect();
-        for (_, to, msg) in release {
-            self.send(now, site, to, msg);
+        // `send` needs the whole engine: take the queue out while its ready
+        // prefix goes, then put the rest (and its capacity) back.
+        let mut queue = std::mem::take(&mut self.wal_parked[site.index()]);
+        for p in queue.drain(..ready) {
+            self.report
+                .wal_fsync_wait
+                .record(now.since(p.since).as_micros());
+            self.send(now, site, p.to, p.msg);
         }
+        self.wal_parked[site.index()] = queue;
     }
 
     /// Make every live site's WAL fully durable (end of run / shutdown) and
@@ -709,6 +793,58 @@ mod tests {
     use o2pc_common::{Duration, Op, ScratchDir};
     use o2pc_protocol::ProtocolKind;
     use o2pc_runtime::ThreadedRuntime;
+
+    /// A flush timer whose bytes the byte trigger already sealed is a no-op:
+    /// the younger bytes pending when it fires wait for their own timer, which
+    /// stays the site's one live timer, and only real flush points are counted.
+    #[test]
+    fn stale_flush_timer_leaves_younger_bytes_to_their_own_timer() {
+        let dir = ScratchDir::new("stale-flush");
+        let mut cfg = SystemConfig::new(1, ProtocolKind::O2pc);
+        cfg.durable_wal_dir = Some(dir.to_path_buf());
+        let mut e = Engine::new(cfg);
+        let s0 = SiteId(0);
+        let at = |us| SimTime::ZERO + Duration::micros(us);
+        let append = |e: &mut Engine| {
+            e.site_mut(s0).checkpoint();
+            e.site_mut(s0).wal().append_ticket()
+        };
+        let pending = |e: &Engine| e.sites[0].as_ref().unwrap().wal().pending_bytes();
+        let flushes = |e: &Engine| e.report.counters.get("wal.flushes");
+
+        let older = append(&mut e);
+        e.arm_wal_flush(at(0), s0);
+        // The byte trigger gets to the older bytes before their timer does.
+        let threshold = std::mem::replace(&mut e.cfg.wal_flush_bytes, 1);
+        e.arm_wal_flush(at(100), s0);
+        e.cfg.wal_flush_bytes = threshold;
+        assert_eq!((pending(&e), flushes(&e)), (0, 1));
+        let younger = append(&mut e);
+        e.arm_wal_flush(at(500), s0);
+
+        e.on_flush_timer(at(1_000), s0, older);
+        assert!(pending(&e) > 0, "the stale timer sealed younger bytes");
+        assert!(
+            e.flush_armed.contains_key(&s0),
+            "the younger timer is still live"
+        );
+        assert_eq!(flushes(&e), 1);
+        e.on_flush_timer(at(1_500), s0, younger);
+        assert_eq!((pending(&e), flushes(&e)), (0, 2));
+        assert!(e.flush_armed.is_empty());
+
+        // The sync that ends a `run` seals under a timer and leaves the site
+        // armed: that timer is still the live one for what comes next.
+        let resumed = append(&mut e);
+        e.arm_wal_flush(at(2_000), s0);
+        e.sync_all_wals(at(2_100));
+        assert_eq!(pending(&e), 0);
+        append(&mut e);
+        e.arm_wal_flush(at(2_200), s0);
+        e.on_flush_timer(at(3_000), s0, resumed);
+        assert_eq!((pending(&e), flushes(&e)), (0, 3));
+        assert!(e.flush_armed.is_empty());
+    }
 
     /// An I/O error in the background flusher crashes the site whose log it
     /// hit — as an inline flush failure does — instead of leaving its parked

@@ -60,6 +60,16 @@ pub trait Runtime<T, M>: Clock {
     fn timer_poster(&self) -> Option<TimerPoster<T, M>> {
         None
     }
+
+    /// Would [`next`](Runtime::next) park right now — nothing sent and not
+    /// yet delivered, nothing delivered and not yet handed over, no timer
+    /// due? Only a [`TimerPoster`] completion or the passing of time can
+    /// then produce the next step. Never true on a substrate that does not
+    /// wait (the simulator jumps to its next event), so asking cannot move a
+    /// seeded run.
+    fn is_idle(&mut self) -> bool {
+        false
+    }
 }
 
 /// Cross-thread handle onto a [`ThreadedRuntime`] loop: post a timer that
@@ -393,6 +403,21 @@ impl<T, M: Clone + Send + 'static> Runtime<T, M> for ThreadedRuntime<T, M> {
         })
     }
 
+    fn is_idle(&mut self) -> bool {
+        // An accepted send is in flight from the moment it is judged, so the
+        // count covers the unflushed outbox as well as the links. It is read
+        // before the inbox is drained: a delivery leaves the count only
+        // after its batch is on the inbox.
+        if !self.staged.is_empty() || self.transport.in_flight() > 0 {
+            return false;
+        }
+        while let Ok(batch) = self.inbox.try_recv() {
+            self.stage(batch);
+        }
+        let now = self.clock.now();
+        self.staged.is_empty() && self.timers.peek_time().is_none_or(|due| due > now)
+    }
+
     fn send(&mut self, _now: SimTime, from: SiteId, to: SiteId, msg: M) -> SendOutcome {
         // Unlike the simulator, same-site messages take the transport path
         // too: a zero-latency link gives the same effect. The message is
@@ -515,6 +540,7 @@ impl<T, M: Clone + Send + 'static> Runtime<T, M> for ThreadedRuntime<T, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::LinkPolicy;
     use o2pc_common::{DetRng, Duration};
     use o2pc_sim::NetworkConfig;
 
@@ -712,6 +738,66 @@ mod tests {
         let far = SimTime(60_000_000);
         assert!(matches!(rt.next(far), Some((_, Step::Timer("late")))));
         assert!(rt.next(far).is_none(), "nothing owed any more: quiescent");
+    }
+
+    /// Idle means "`next` would park": any work the loop can still reach
+    /// without waiting — an unflushed outbox, an envelope on a link, a
+    /// staged delivery, a due timer — denies it; an owed completion, which
+    /// only another thread can turn into a step, does not.
+    #[test]
+    fn idle_only_when_next_would_park() {
+        let mut rt: ThreadedRuntime<&'static str, u32> = ThreadedRuntime::default();
+        for id in 0..2 {
+            rt.register_endpoint(SiteId(id));
+        }
+        rt.transport().set_link(
+            SiteId(0),
+            SiteId(1),
+            LinkPolicy::fixed(StdDuration::from_millis(30)),
+        );
+        let far = SimTime(60_000_000);
+        assert!(rt.is_idle(), "fresh runtime");
+        assert!(!SimRuntime::<&str, u32>::is_idle(&mut sim()), "never");
+
+        // Unflushed outbox, then staged: two zero-latency envelopes reach the
+        // inbox as one batch, `next` hands over the first.
+        assert!(rt.send(SimTime::ZERO, SiteId(1), SiteId(0), 1).is_sent());
+        assert!(rt.send(SimTime::ZERO, SiteId(1), SiteId(0), 2).is_sent());
+        assert!(!rt.is_idle(), "outbox not flushed");
+        assert!(matches!(
+            rt.next(far),
+            Some((_, Step::Deliver { msg: 1, .. }))
+        ));
+        assert!(!rt.is_idle(), "an envelope is staged");
+        assert!(matches!(
+            rt.next(far),
+            Some((_, Step::Deliver { msg: 2, .. }))
+        ));
+        assert!(rt.is_idle());
+
+        // On a delayed link: in flight until its delivery is taken.
+        assert!(rt.send(SimTime::ZERO, SiteId(0), SiteId(1), 3).is_sent());
+        rt.flush_outbox();
+        assert!(rt.transport().in_flight() > 0 && !rt.is_idle(), "on a link");
+        assert!(matches!(
+            rt.next(far),
+            Some((_, Step::Deliver { msg: 3, .. }))
+        ));
+        assert!(rt.is_idle());
+
+        // A due timer, and one that is not.
+        rt.schedule(rt.now(), "due");
+        assert!(!rt.is_idle(), "a timer is due");
+        assert!(matches!(rt.next(far), Some((_, Step::Timer("due")))));
+        rt.schedule(far, "later");
+        assert!(rt.is_idle(), "the only timer is a minute away");
+
+        // An owed completion leaves the loop idle; the posted one is a due timer.
+        let poster = rt.timer_poster().unwrap();
+        poster.promise();
+        assert!(rt.is_idle(), "only a completion is owed");
+        poster.post("landed", 1);
+        assert!(!rt.is_idle(), "the completion is a step now");
     }
 
     #[test]

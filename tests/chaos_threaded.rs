@@ -10,8 +10,8 @@
 //! invariants (every transaction decided, value conserved, no compensation
 //! left pending, loss accounting reconciled).
 
-use o2pc_common::{Duration, Key, Op, SimTime, SiteId, Value};
-use o2pc_core::{Engine, Msg, SystemConfig, TimerEvent, TxnRequest};
+use o2pc_common::{Duration, Key, Op, ScratchDir, SimTime, SiteId, Value};
+use o2pc_core::{Engine, Msg, RunReport, SystemConfig, TimerEvent, TxnRequest};
 use o2pc_protocol::ProtocolKind;
 use o2pc_runtime::{LinkPolicy, ThreadedRuntime, ThreadedRuntimeConfig, ThreadedTransport};
 use o2pc_sim::FailurePlan;
@@ -48,7 +48,28 @@ fn lossy_engine(mut cfg: SystemConfig) -> Engine<ThreadedRuntime<TimerEvent, Msg
 /// and that the loss ledger reconciles is not.
 #[test]
 fn crash_drop_duplicate_smoke_on_threaded_transport() {
+    crash_drop_duplicate_smoke(SystemConfig::new(3, ProtocolKind::O2pcP1));
+}
+
+/// The same run on on-disk logs with promises gated on the physical fsync
+/// and two admission slots per coordinator: transactions stuck on the dark
+/// site hold their slots until the vote timeout, arrivals queue behind them,
+/// and the work-conserving seal fires across the crash — the crashed site's
+/// parked promises die with it, its peers time out, and recovery reopens the
+/// log at its durable watermark.
+#[test]
+fn crash_drop_duplicate_smoke_on_durable_physical_gate() {
+    let dir = ScratchDir::new("chaos-threaded-durable");
     let mut cfg = SystemConfig::new(3, ProtocolKind::O2pcP1);
+    cfg.durable_wal_dir = Some(dir.to_path_buf());
+    cfg.wal_background_flush = true;
+    cfg.admission_window = Some(2);
+    let report = crash_drop_duplicate_smoke(cfg);
+    assert!(report.counters.get("wal.parked_msgs") > 0);
+    assert!(report.counters.get("wal.early_seals") > 0);
+}
+
+fn crash_drop_duplicate_smoke(mut cfg: SystemConfig) -> RunReport {
     cfg.seed = 0xC4A0;
     cfg.op_service_time = Duration::micros(100);
     // Site 2 is dark from 5 ms to 120 ms: decisions sent into the outage
@@ -130,4 +151,8 @@ fn crash_drop_duplicate_smoke_on_threaded_transport() {
         0,
         "run ended with messages in flight"
     );
+    assert!(engine.down_sites().is_empty());
+    assert_eq!(engine.queued_admissions(), 0);
+    assert!(engine.wal_divergent_sites().is_empty());
+    report
 }

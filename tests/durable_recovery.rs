@@ -2,8 +2,8 @@
 //! state the in-memory WAL would, a torn tail must cost nothing that was
 //! durable, and a real SIGKILL mid-run must leave logs that resolve cleanly.
 
-use o2pc_common::{Duration, ScratchDir, SimTime, SiteId};
-use o2pc_core::{Engine, SystemConfig};
+use o2pc_common::{Duration, Key, Op, ScratchDir, SimTime, SiteId, Value};
+use o2pc_core::{Engine, RunReport, SystemConfig, TxnRequest};
 use o2pc_protocol::ProtocolKind;
 use o2pc_runtime::ThreadedRuntime;
 use o2pc_storage::codec::FRAME_HEADER;
@@ -14,6 +14,13 @@ use std::path::Path;
 /// Run a small banking workload with every site logging to `dir`, returning
 /// the engine (alive, WAL files synced by the end-of-run flush).
 fn run_durable(dir: &Path, seed: u64, sites: u32) -> Engine {
+    let mut engine = durable_engine(dir, seed, sites);
+    engine.run(Duration::secs(10));
+    engine
+}
+
+/// [`run_durable`]'s engine with its workload installed, not yet run.
+fn durable_engine(dir: &Path, seed: u64, sites: u32) -> Engine {
     let wl = BankingWorkload {
         sites,
         accounts_per_site: 8,
@@ -29,8 +36,39 @@ fn run_durable(dir: &Path, seed: u64, sites: u32) -> Engine {
     cfg.durable_wal_dir = Some(dir.to_path_buf());
     let mut engine = Engine::new(cfg);
     schedule.install(&mut engine);
-    engine.run(Duration::secs(10));
     engine
+}
+
+/// `Engine::run` "may be called again to continue", and the end-of-run sync
+/// seals every log under whatever flush timers are still queued. Those
+/// timers must stay the sites' live ones: were they dropped as stale while
+/// the sites still counted as armed, bytes appended in the second run would
+/// never get a timer and their promises would stay parked for good.
+#[test]
+fn resumed_run_keeps_its_flush_timers() {
+    let dir = ScratchDir::new("durable-resume");
+    let mut engine = durable_engine(&dir, 7, 3);
+    // Stops between a site's append and the flush timer armed for it.
+    let first = engine.run(Duration::micros(10_700));
+    assert!(!engine.unfinished_txns().is_empty(), "stopped mid-workload");
+    let parked_before = first.counters.get("wal.parked_msgs");
+    let r = engine.run(Duration::secs(10));
+    assert!(r.counters.get("wal.parked_msgs") > parked_before);
+    assert!(engine.unfinished_txns().is_empty(), "promises stranded");
+    assert_eq!(r.compensations_pending, 0);
+    assert!(engine.wal_divergent_sites().is_empty());
+
+    let whole_dir = ScratchDir::new("durable-whole");
+    let whole = durable_engine(&whole_dir, 7, 3).run(Duration::secs(10));
+    assert_eq!(
+        (r.global_committed, r.global_aborted, r.total_value),
+        (
+            whole.global_committed,
+            whole.global_aborted,
+            whole.total_value
+        ),
+        "the split run decided differently from the unsplit one"
+    );
 }
 
 /// Tentpole acceptance (a): reopening the on-disk log recovers byte-for-byte
@@ -120,6 +158,21 @@ fn sigkill_mid_run_recovers_cleanly() {
     assert!(status.success(), "kill-recover reported violations");
 }
 
+/// A flush interval that dwarfs fsync, so a wall-clock assertion can tell a
+/// wait for the flush timer from everything else.
+const FLUSH_INTERVAL: Duration = Duration(50_000);
+
+/// Logs under `dir`, promises gated on the physical fsync (for a
+/// `ThreadedRuntime`), operation service on the engine's own time.
+fn physical_gate(dir: &Path, sites: u32, protocol: ProtocolKind) -> SystemConfig {
+    let mut cfg = SystemConfig::new(sites, protocol);
+    cfg.durable_wal_dir = Some(dir.to_path_buf());
+    cfg.wal_background_flush = true;
+    cfg.wal_flush_interval = FLUSH_INTERVAL;
+    cfg.op_service_time = Duration::ZERO;
+    cfg
+}
+
 /// The physical gate on real threads: promises wait for the fsync itself and
 /// the flusher pool tells the engine when it lands. Every transaction is
 /// decided, money is conserved, the logs replay to the live stores — and
@@ -138,18 +191,14 @@ fn threaded_physical_gate_commits_in_two_flush_waits() {
         seed: 0xF5,
         ..Default::default()
     };
-    let interval = Duration::millis(50);
+    let interval = FLUSH_INTERVAL;
     // One transaction at a time, so each pays its own flush waits in full
     // instead of riding a timer another transaction armed.
     let mut schedule = wl.generate();
     for (i, (at, _)) in schedule.arrivals.iter_mut().enumerate() {
         *at = SimTime::ZERO + Duration::millis(120 * i as u64);
     }
-    let mut cfg = SystemConfig::new(sites, ProtocolKind::O2pcP2);
-    cfg.durable_wal_dir = Some(dir.to_path_buf());
-    cfg.wal_background_flush = true;
-    cfg.wal_flush_interval = interval;
-    cfg.op_service_time = Duration::ZERO;
+    let cfg = physical_gate(&dir, sites, ProtocolKind::O2pcP2);
     let mut engine = Engine::with_runtime(cfg, ThreadedRuntime::default());
     schedule.install(&mut engine);
     let r = engine.run(Duration::secs(30));
@@ -169,6 +218,78 @@ fn threaded_physical_gate_commits_in_two_flush_waits() {
     let p50 = r.global_latency.p50();
     assert!(
         p50 < 3 * interval.as_micros(),
+        "median global latency {p50} us is not under 3 flush intervals"
+    );
+}
+
+/// Twelve transfers, four per coordinator site, all due at t = 0 on the
+/// threaded physical gate with a 50 ms flush interval. Returns the report
+/// after checking what holds whatever the admission window is.
+fn backlog_on_physical_gate(window: Option<usize>) -> RunReport {
+    let dir = ScratchDir::new("durable-backlog");
+    let (sites, globals, initial) = (3u32, 12u32, 1_000i64);
+    let mut cfg = physical_gate(&dir, sites, ProtocolKind::O2pc);
+    cfg.admission_window = window;
+    let mut engine = Engine::with_runtime(cfg, ThreadedRuntime::default());
+    for i in 0..globals {
+        // A key of its own per transfer: no lock waits, only flush waits.
+        let (a, b, k) = (SiteId(i % sites), SiteId((i + 1) % sites), Key(i as u64));
+        engine.load(a, k, Value(initial));
+        engine.load(b, k, Value(initial));
+        engine.submit_at(
+            SimTime::ZERO,
+            TxnRequest::global(vec![(a, vec![Op::Add(k, -3)]), (b, vec![Op::Add(k, 3)])]),
+        );
+    }
+    let r = engine.run(Duration::secs(30));
+    assert_eq!(r.global_committed, globals as u64, "every transfer decided");
+    assert!(engine.unfinished_txns().is_empty());
+    assert_eq!(engine.queued_admissions(), 0);
+    assert_eq!(
+        r.total_value,
+        2 * initial * globals as i64,
+        "money conserved"
+    );
+    assert!(engine.wal_divergent_sites().is_empty());
+    // A promise is parked twice per participant and each wait is accounted.
+    assert_eq!(r.wal_fsync_wait.count(), r.counters.get("wal.parked_msgs"));
+    assert!(r.wal_seal_wait.count() <= r.wal_fsync_wait.count());
+    r
+}
+
+/// Work-conserving group commit: with one admission slot per coordinator the
+/// twelve transfers run as four rounds of three, and each round's votes and
+/// acks park with the later rounds queued *behind* them — no company can
+/// come, so the engine seals at once instead of waiting out the timer. Only
+/// the last round has nothing queued behind it and pays its two intervals.
+/// The timers alone would take 4 rounds x 2 forced writes x 50 ms.
+#[test]
+fn threaded_backlog_drains_without_timer_waits() {
+    let r = backlog_on_physical_gate(Some(1));
+    assert!(r.counters.get("wal.early_seals") > 0);
+    // Latency runs from t = 0, so these are completion times.
+    let ninth = r.global_latency.quantile(0.75);
+    assert!(
+        ninth < FLUSH_INTERVAL.as_micros(),
+        "three rounds took {ninth} us: one of them waited for a flush timer"
+    );
+    let last = r.global_latency.max();
+    assert!(
+        last < 4 * 2 * FLUSH_INTERVAL.as_micros() / 2,
+        "backlog took {last} us: sealing waited for the flush timer"
+    );
+}
+
+/// The twin without a backlog: every transfer is admitted at once, nothing
+/// queues behind the parked promises, and the rule must not fire — the
+/// interval is spent waiting for company that can still come.
+#[test]
+fn threaded_no_backlog_no_early_seal() {
+    let r = backlog_on_physical_gate(None);
+    assert_eq!(r.counters.get("wal.early_seals"), 0);
+    let p50 = r.global_latency.p50();
+    assert!(
+        p50 < 3 * FLUSH_INTERVAL.as_micros(),
         "median global latency {p50} us is not under 3 flush intervals"
     );
 }
