@@ -1,13 +1,18 @@
-//! Run the full experiment suite (F1, F2, E1–E9) in order.
+//! Run the experiment suite (F1, F2, E1–E9) in order, or the named part of it.
 //!
 //! ```sh
-//! all_experiments [--backend {sim,threaded}] [--cores N]
+//! all_experiments [--backend {sim,threaded}] [--cores N] [ID…]
 //! ```
+//!
+//! With no `ID` the whole suite runs under its banner (what
+//! `bench_tables.txt` records). With ids — `fig1 fig2 e1 e2 e3 e4 e5 e5b e6
+//! e7 e8 e9` — only those experiments run, in argument order, and nothing
+//! but their tables is printed.
 //!
 //! `--backend sim` (the default) runs every experiment on the deterministic
 //! simulator. `--backend threaded` runs the experiments ported to the
-//! wall-clock runtime (currently E1); the others only exist on the
-//! simulator and are skipped with a note.
+//! wall-clock runtime (E1 and the open-loop E10); the others only exist on
+//! the simulator and are skipped with a note. It takes no ids.
 //!
 //! `--cores N` fans each simulator sweep's points out over N worker
 //! threads (default: all available; `--cores 1` is fully sequential). Rows
@@ -16,11 +21,46 @@
 //! its experiments measure wall-clock latency and must own the machine.
 use o2pc_bench::experiments as ex;
 use o2pc_bench::experiments::Backend;
+use std::io;
 use std::process::exit;
+
+type Experiment = fn() -> io::Result<()>;
+
+/// The simulator suite in run order, keyed by command-line id.
+const SUITE: [(&str, Experiment); 12] = [
+    ("fig1", ex::fig1),
+    ("fig2", ex::fig2),
+    ("e1", ex::e1),
+    ("e2", ex::e2),
+    ("e3", ex::e3),
+    ("e4", ex::e4),
+    ("e5", ex::e5),
+    ("e5b", ex::e5b),
+    ("e6", ex::e6),
+    ("e7", ex::e7),
+    ("e8", ex::e8),
+    ("e9", ex::e9),
+];
+
+fn usage() -> String {
+    let ids: Vec<&str> = SUITE.iter().map(|(id, _)| *id).collect();
+    format!(
+        "usage: all_experiments [--backend {{sim,threaded}}] [--cores N] [ID...]\n  \
+         ids (simulator only; none = the whole suite): {}",
+        ids.join(" ")
+    )
+}
 
 struct Args {
     backend: Backend,
     cores: usize,
+    selected: Vec<Experiment>,
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!("{}", usage());
+    exit(2);
 }
 
 fn parse_args() -> Args {
@@ -28,69 +68,52 @@ fn parse_args() -> Args {
     let mut parsed = Args {
         backend: Backend::Sim,
         cores: 0, // all available
+        selected: Vec::new(),
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--backend" => {
                 let Some(value) = args.next() else {
-                    eprintln!("error: --backend requires a value (`sim` or `threaded`)");
-                    exit(2);
+                    usage_error("--backend requires a value (`sim` or `threaded`)");
                 };
-                parsed.backend = match value.parse() {
-                    Ok(b) => b,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        exit(2);
-                    }
-                };
+                parsed.backend = value.parse().unwrap_or_else(|e: String| usage_error(&e));
             }
             "--cores" => {
                 let Some(value) = args.next() else {
-                    eprintln!("error: --cores requires a value");
-                    exit(2);
+                    usage_error("--cores requires a value");
                 };
-                parsed.cores = match value.parse() {
-                    Ok(n) => n,
-                    Err(e) => {
-                        eprintln!("error: --cores: {e}");
-                        exit(2);
-                    }
-                };
+                parsed.cores = value
+                    .parse()
+                    .unwrap_or_else(|e| usage_error(&format!("--cores: {e}")));
             }
             "--help" | "-h" => {
-                println!("usage: all_experiments [--backend {{sim,threaded}}] [--cores N]");
+                println!("{}", usage());
                 exit(0);
             }
-            other => {
-                eprintln!("error: unexpected argument `{other}`");
-                eprintln!("usage: all_experiments [--backend {{sim,threaded}}] [--cores N]");
-                exit(2);
-            }
+            other => match SUITE.iter().find(|(id, _)| *id == other) {
+                Some(&(_, run)) => parsed.selected.push(run),
+                None => usage_error(&format!("unexpected argument `{other}`")),
+            },
         }
+    }
+    if parsed.backend == Backend::Threaded && !parsed.selected.is_empty() {
+        usage_error("experiment ids name simulator experiments; `--backend threaded` takes none");
     }
     parsed
 }
 
-fn main() {
-    let args = parse_args();
+fn run(args: Args) -> io::Result<()> {
     match args.backend {
         Backend::Sim => {
             ex::set_cores(args.cores);
+            if !args.selected.is_empty() {
+                return args.selected.iter().try_for_each(|run| run());
+            }
             println!("# O2PC reproduction — full experiment suite (deterministic sim)");
             println!("# mode: closed-loop trace replay (pre-generated arrival schedule)\n");
-            ex::fig1();
-            ex::fig2();
-            ex::e1();
-            ex::e2();
-            ex::e3();
-            ex::e4();
-            ex::e5();
-            ex::e5b();
-            ex::e6();
-            ex::e7();
-            ex::e8();
-            ex::e9();
+            SUITE.iter().try_for_each(|(_, run)| run())?;
             println!("\nAll experiments completed.");
+            Ok(())
         }
         Backend::Threaded => {
             println!("# O2PC reproduction — threaded wall-clock backend");
@@ -98,9 +121,17 @@ fn main() {
             println!("# E10 mode: open-loop (2 000 Poisson client sessions, bounded admission)\n");
             println!("(F1–F2, E2–E9 are defined on the deterministic simulator only;");
             println!(" run them with `--backend sim`.)\n");
-            ex::e1_threaded();
-            ex::e10_open_loop_threaded();
+            ex::e1_threaded()?;
+            ex::e10_open_loop_threaded()?;
             println!("\nThreaded experiments completed.");
+            Ok(())
         }
+    }
+}
+
+fn main() {
+    if let Err(e) = run(parse_args()) {
+        eprintln!("error: {e}");
+        exit(1);
     }
 }

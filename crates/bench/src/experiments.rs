@@ -14,6 +14,7 @@ use o2pc_sgraph::regular::{classify_all_cycles, CycleClass};
 use o2pc_sgraph::{audit, holds_s1, holds_s2};
 use o2pc_sim::{FailurePlan, NetworkConfig};
 use o2pc_workload::{BankingWorkload, GenericWorkload, MultidbWorkload, Schedule, TravelWorkload};
+use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Which substrate an experiment runs on.
@@ -103,7 +104,7 @@ fn run_schedule_threaded(
 
 /// Reproduce Figure 1 (regular cycles) and Example 1 (a cycle whose minimal
 /// representation skips the regular transaction) as detector runs.
-pub fn fig1() {
+pub fn fig1() -> io::Result<()> {
     fn t(i: u64) -> TxnId {
         TxnId::Global(GlobalTxnId(i))
     }
@@ -210,7 +211,7 @@ pub fn fig1() {
     table.emit(
         "F1 — Figure 1 / Example 1: regular-cycle classification",
         "f1_regular_cycles",
-    );
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -218,7 +219,7 @@ pub fn fig1() {
 // ---------------------------------------------------------------------------
 
 /// Print the full marking transition table (legal transitions = Figure 2).
-pub fn fig2() {
+pub fn fig2() -> io::Result<()> {
     let mut table = Table::new(&["state", "event", "next state"]);
     for (s, e, r) in transition_table() {
         let next = match r {
@@ -230,7 +231,7 @@ pub fn fig2() {
     table.emit(
         "F2 — Figure 2: marking state machine (6 legal transitions)",
         "f2_marking_transitions",
-    );
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -240,7 +241,7 @@ pub fn fig2() {
 /// Sweep the network latency and compare exclusive-lock hold times under
 /// 2PL-2PC vs O2PC. The paper's core promise: holds stop scaling with the
 /// decision round-trip once locks are released at the vote.
-pub fn e1() {
+pub fn e1() -> io::Result<()> {
     let mut table = Table::new(&[
         "latency(ms)",
         "protocol",
@@ -279,16 +280,16 @@ pub fn e1() {
     table.emit(
         "E1 — exclusive-lock hold time vs network latency",
         "e1_lock_hold_time",
-    );
+    )
 }
 
 /// E1 on the threaded wall-clock runtime: the same engine, the same
-/// `RunReport` metrics pipeline, but real link latency through the router
-/// thread instead of simulated latency. The workload is scaled down because
+/// `RunReport` metrics pipeline, but real link latency through the delivery
+/// workers instead of simulated latency. The workload is scaled down because
 /// every simulated microsecond is now a real one; the qualitative claim —
 /// O2PC's exclusive-lock holds stop scaling with the decision round-trip —
 /// must still be visible in the measured hold times.
-pub fn e1_threaded() {
+pub fn e1_threaded() -> io::Result<()> {
     let mut table = Table::new(&[
         "latency(ms)",
         "protocol",
@@ -329,7 +330,7 @@ pub fn e1_threaded() {
     table.emit(
         "E1(threaded) — lock hold time vs real link latency (wall clock)",
         "e1_lock_hold_time_threaded",
-    );
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -345,7 +346,7 @@ pub fn e1_threaded() {
 /// the single-core saturation rate, one above it — the sub-saturation row
 /// should achieve ≈ its offered rate with a flat tail, the saturated row
 /// should cap at the server's capacity with the queue absorbed as latency.
-pub fn e10_open_loop_threaded() {
+pub fn e10_open_loop_threaded() -> io::Result<()> {
     let mut table = Table::new(&[
         "offered(txn/s)",
         "achieved(txn/s)",
@@ -394,7 +395,7 @@ pub fn e10_open_loop_threaded() {
     table.emit(
         "E10(threaded) — open-loop offered load vs achieved rate and latency tail",
         "e10_open_loop_threaded",
-    );
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -403,7 +404,7 @@ pub fn e10_open_loop_threaded() {
 
 /// Sweep offered load and key skew; compare throughput, transaction latency
 /// and lock waiting between 2PL-2PC and O2PC.
-pub fn e2() {
+pub fn e2() -> io::Result<()> {
     let mut table = Table::new(&[
         "interarrival(µs)",
         "zipf θ",
@@ -455,7 +456,7 @@ pub fn e2() {
     table.emit(
         "E2 — throughput and waiting under contention",
         "e2_contention_throughput",
-    );
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -466,7 +467,7 @@ pub fn e2() {
 /// every abort; the paper predicts its advantage inverts once aborts
 /// dominate ("if the assumption is unfounded, the overhead incurred by the
 /// protocol is likely to outweigh its benefits").
-pub fn e3() {
+pub fn e3() -> io::Result<()> {
     let mut table = Table::new(&[
         "p(site votes no)",
         "protocol",
@@ -511,7 +512,7 @@ pub fn e3() {
     table.emit(
         "E3 — abort-probability sweep (optimism crossover)",
         "e3_abort_crossover",
-    );
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -521,7 +522,7 @@ pub fn e3() {
 /// Crash the coordinator between VOTE-REQ and DECISION; sweep its downtime.
 /// Under 2PC the participants' write locks stay held for the entire outage;
 /// under O2PC they were released at the vote.
-pub fn e4() {
+pub fn e4() -> io::Result<()> {
     let mut table = Table::new(&[
         "coordinator downtime(ms)",
         "protocol",
@@ -596,7 +597,7 @@ pub fn e4() {
     table.emit(
         "E4 — blocking window while the coordinator is down",
         "e4_blocking_window",
-    );
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -606,7 +607,7 @@ pub fn e4() {
 /// Compare bare O2PC against O2PC+P1 (and the simple variant) while sweeping
 /// the abort probability. The paper: the marking sets "induce extra
 /// conflicts ... only if one of the transactions aborts".
-pub fn e5() {
+pub fn e5() -> io::Result<()> {
     let mut table = Table::new(&[
         "p(abort)",
         "protocol",
@@ -666,14 +667,14 @@ pub fn e5() {
     table.emit(
         "E5 — admission (P1) overhead vs abort probability",
         "e5_p1_overhead",
-    );
+    )
 }
 
 /// E5b (ablation): the UDUM1 "safe forgetting" transition on vs off. With
 /// R3 disabled, undone markings accumulate forever and P1's admission check
 /// rejects ever more transactions — quantifying the concurrency bought by
 /// the paper's most intricate mechanism (Lemma 4).
-pub fn e5b() {
+pub fn e5b() -> io::Result<()> {
     let mut table = Table::new(&[
         "UDUM (R3)",
         "p(abort)",
@@ -721,7 +722,7 @@ pub fn e5b() {
     table.emit(
         "E5b — ablation: UDUM1 safe forgetting on/off (O2PC+P1)",
         "e5b_udum_ablation",
-    );
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -730,7 +731,7 @@ pub fn e5b() {
 
 /// Count messages per terminated transaction for every protocol variant:
 /// the 2PC pattern must be identical (the paper's "no extra messages").
-pub fn e6() {
+pub fn e6() -> io::Result<()> {
     let mut table = Table::new(&[
         "protocol",
         "txns",
@@ -773,7 +774,7 @@ pub fn e6() {
     table.emit(
         "E6 — message counts (O2PC/P1 add no message types or rounds)",
         "e6_message_counts",
-    );
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -785,7 +786,7 @@ pub fn e6() {
 /// (ii) bare O2PC with aborts ⇒ regular cycles appear; (iii) O2PC+P1 ⇒ no
 /// regular cycles; (iv) no transaction ever reads from both `T_i` and
 /// `CT_i` in correct runs (Theorem 2).
-pub fn e7() {
+pub fn e7() -> io::Result<()> {
     let mut table = Table::new(&[
         "workload",
         "protocol",
@@ -868,7 +869,7 @@ pub fn e7() {
     table.emit(
         "E7 — serialization-graph audit of recorded histories",
         "e7_correctness_audit",
-    );
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -879,7 +880,7 @@ pub fn e7() {
 /// (ticket printing): those sites hold to the decision, the rest release at
 /// the vote. The hold-time split shows blocking confined to real-action
 /// sites.
-pub fn e8() {
+pub fn e8() -> io::Result<()> {
     let mut table = Table::new(&[
         "real-action sites",
         "mean X-hold all(ms)",
@@ -919,7 +920,7 @@ pub fn e8() {
     table.emit(
         "E8 — real actions: blocking confined to non-compensatable sites",
         "e8_real_actions",
-    );
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -930,7 +931,7 @@ pub fn e8() {
 /// organization's coordinator can block local resources is unacceptable.
 /// Measure the latency of purely local transactions while global traffic
 /// (with aborts) runs under each protocol, and with a coordinator outage.
-pub fn e9() {
+pub fn e9() -> io::Result<()> {
     let mut table = Table::new(&[
         "scenario",
         "protocol",
@@ -985,5 +986,5 @@ pub fn e9() {
     table.emit(
         "E9 — multidatabase autonomy: local latency under global traffic",
         "e9_autonomy",
-    );
+    )
 }

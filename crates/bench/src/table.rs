@@ -1,5 +1,7 @@
 //! Minimal markdown table printer for experiment output.
 
+use std::io;
+
 /// A markdown table under construction.
 #[derive(Clone, Debug, Default)]
 pub struct Table {
@@ -84,12 +86,15 @@ impl Table {
     }
 
     /// Print the markdown table and also write `results/<slug>.csv` so the
-    /// data is machine-readable (plot scripts, regression diffs).
-    pub fn emit(&self, title: &str, slug: &str) {
+    /// data is machine-readable (plot scripts, regression diffs). A CSV that
+    /// cannot be written is an error naming its path: a run on a read-only
+    /// tree must not pass for a regeneration.
+    pub fn emit(&self, title: &str, slug: &str) -> io::Result<()> {
         self.print(title);
-        if std::fs::create_dir_all("results").is_ok() {
-            let _ = std::fs::write(format!("results/{slug}.csv"), self.to_csv());
-        }
+        let path = format!("results/{slug}.csv");
+        std::fs::create_dir_all("results")
+            .and_then(|()| std::fs::write(&path, self.to_csv()))
+            .map_err(|e| io::Error::new(e.kind(), format!("{path}: {e}")))
     }
 }
 

@@ -4,53 +4,8 @@ use super::{Engine, TimerEvent};
 use crate::msg::Msg;
 use o2pc_common::FastHashMap;
 use o2pc_common::{ExecId, GlobalTxnId, SimTime, SiteId};
+use o2pc_locking::find_cycle;
 use o2pc_runtime::Runtime;
-
-/// Find one cycle in a directed graph given as an adjacency map.
-fn find_cycle<N: Copy + Eq + std::hash::Hash + Ord>(
-    adj: &FastHashMap<N, Vec<N>>,
-) -> Option<Vec<N>> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Colour {
-        Grey,
-        Black,
-    }
-    let mut colour: FastHashMap<N, Colour> = FastHashMap::default();
-    let mut roots: Vec<N> = adj.keys().copied().collect();
-    roots.sort();
-    for root in roots {
-        if colour.contains_key(&root) {
-            continue;
-        }
-        let mut stack: Vec<(N, usize)> = vec![(root, 0)];
-        let mut path: Vec<N> = vec![root];
-        colour.insert(root, Colour::Grey);
-        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            let succs = adj.get(&node).map(Vec::as_slice).unwrap_or(&[]);
-            if *next < succs.len() {
-                let s = succs[*next];
-                *next += 1;
-                match colour.get(&s) {
-                    Some(Colour::Grey) => {
-                        let pos = path.iter().position(|&n| n == s).unwrap();
-                        return Some(path[pos..].to_vec());
-                    }
-                    Some(Colour::Black) => {}
-                    None => {
-                        colour.insert(s, Colour::Grey);
-                        stack.push((s, 0));
-                        path.push(s);
-                    }
-                }
-            } else {
-                colour.insert(node, Colour::Black);
-                stack.pop();
-                path.pop();
-            }
-        }
-    }
-    None
-}
 
 impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     pub(crate) fn resolve_deadlocks(&mut self, now: SimTime, site_id: SiteId) {

@@ -20,8 +20,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cycle;
 pub mod manager;
 pub mod stats;
 
+pub use cycle::find_cycle;
 pub use manager::{LockManager, RequestOutcome};
 pub use stats::LockStats;

@@ -1,5 +1,6 @@
 //! The lock table.
 
+use crate::cycle::find_cycle;
 use crate::stats::LockStats;
 use o2pc_common::FastHashMap;
 use o2pc_common::{AccessMode, ExecId, Key, SimTime};
@@ -338,50 +339,9 @@ impl LockManager {
         for (a, b) in &edges {
             adj.entry(*a).or_default().push(*b);
         }
-        // Iterative DFS with colouring.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Colour {
-            White,
-            Grey,
-            Black,
-        }
-        let mut colour: FastHashMap<ExecId, Colour> = FastHashMap::default();
-        let mut nodes: Vec<ExecId> = adj.keys().copied().collect();
-        nodes.sort_unstable();
-        for &start in &nodes {
-            if colour.get(&start).copied().unwrap_or(Colour::White) != Colour::White {
-                continue;
-            }
-            let mut stack: Vec<(ExecId, usize)> = vec![(start, 0)];
-            let mut path: Vec<ExecId> = vec![start];
-            colour.insert(start, Colour::Grey);
-            while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-                let succs = adj.get(&node).map(Vec::as_slice).unwrap_or(&[]);
-                if *next < succs.len() {
-                    let succ = succs[*next];
-                    *next += 1;
-                    match colour.get(&succ).copied().unwrap_or(Colour::White) {
-                        Colour::Grey => {
-                            // Found a cycle: the path suffix from succ.
-                            let pos = path.iter().position(|&e| e == succ).unwrap();
-                            self.stats.deadlocks_detected.inc();
-                            return Some(path[pos..].to_vec());
-                        }
-                        Colour::White => {
-                            colour.insert(succ, Colour::Grey);
-                            stack.push((succ, 0));
-                            path.push(succ);
-                        }
-                        Colour::Black => {}
-                    }
-                } else {
-                    colour.insert(node, Colour::Black);
-                    stack.pop();
-                    path.pop();
-                }
-            }
-        }
-        None
+        let cycle = find_cycle(&adj)?;
+        self.stats.deadlocks_detected.inc();
+        Some(cycle)
     }
 
     /// All executions currently holding at least one lock.

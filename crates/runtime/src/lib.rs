@@ -24,8 +24,9 @@
 //!   entries), so a seed reproduces a run bit-for-bit. This is the substrate
 //!   every experiment in `o2pc-bench` is measured on.
 //! * [`ThreadedRuntime`] — wall-clock execution over a [`Transport`].
-//!   Messages travel through router threads with real latency; timers fire
-//!   on real elapsed time. Outcomes are schedule-dependent (and therefore
+//!   Messages on a link with latency travel through the destination site's
+//!   delivery worker (zero-latency links deliver from the sender's thread,
+//!   with no worker at all); timers fire on real elapsed time. Outcomes are schedule-dependent (and therefore
 //!   only invariant-checkable, not replayable), which is exactly the point:
 //!   the same engine code must uphold the protocol's guarantees without a
 //!   global event order.

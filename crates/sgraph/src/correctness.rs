@@ -84,7 +84,7 @@ pub fn audit(history: &History, max_cycles: usize, max_len: usize) -> AuditRepor
 ///    O(component size): none of its cycles can be regular;
 /// 3. only *mixed* components are searched, each against a
 ///    [`SegmentOracle`] restricted to that component (sound — see
-///    [`SegmentOracle::restricted`]), stopping at the first regular cycle.
+///    `SegmentOracle::restricted`), stopping at the first regular cycle.
 pub fn audit_graph(
     gsg: &GlobalSg,
     history: &History,

@@ -36,7 +36,6 @@ pub mod cycles;
 pub mod graph;
 pub mod incremental;
 pub mod regular;
-pub mod repr;
 pub mod strat;
 
 pub use build::{build_exposed_sgs, build_sgs};

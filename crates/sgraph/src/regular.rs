@@ -34,7 +34,7 @@ pub struct SegmentOracle {
 
 impl SegmentOracle {
     /// Build the oracle for a global SG.
-    pub fn new(gsg: &GlobalSg) -> Self {
+    pub(crate) fn new(gsg: &GlobalSg) -> Self {
         let mut reach = HashSet::new();
         for (_, sg) in gsg.sites() {
             for start in sg.nodes() {
@@ -66,7 +66,7 @@ impl SegmentOracle {
     /// through `x`). So confining the BFS to the component loses no
     /// admissible segment — while shrinking the quadratic reachability
     /// closure from the whole graph to one component.
-    pub fn restricted(gsg: &GlobalSg, allowed: &BTreeSet<TxnId>) -> Self {
+    pub(crate) fn restricted(gsg: &GlobalSg, allowed: &BTreeSet<TxnId>) -> Self {
         let mut reach = HashSet::new();
         for (_, sg) in gsg.sites() {
             for start in sg.nodes() {

@@ -1,8 +1,8 @@
 //! The engine is substrate-agnostic: this example runs the *real*
 //! `o2pc_core::Engine` — the same coordinator/site/marking/compensation
 //! logic every simulated experiment uses — on the threaded wall-clock
-//! runtime. Messages travel through a router thread with genuine 2 ms link
-//! latency; timers fire on real elapsed time; the run ends when the
+//! runtime. Messages travel through per-site delivery workers with genuine
+//! 2 ms link latency; timers fire on real elapsed time; the run ends when the
 //! transport quiesces. No protocol code is duplicated here: only the
 //! runtime differs from `quickstart`.
 //!
@@ -17,8 +17,9 @@ use o2pc_repro::runtime::{LinkPolicy, ThreadedRuntime, ThreadedRuntimeConfig, Th
 use std::time::Duration as StdDuration;
 
 fn main() {
-    // A transport with real per-link latency: every message crosses a
-    // router thread and arrives ~2 ms later on the wall clock.
+    // A transport with real per-link latency: every message crosses its
+    // destination site's delivery worker and arrives ~2 ms later on the
+    // wall clock.
     let transport: ThreadedTransport<Msg> =
         ThreadedTransport::with_policy(LinkPolicy::fixed(StdDuration::from_millis(2)));
     let rt: ThreadedRuntime<TimerEvent, Msg> =
@@ -62,6 +63,6 @@ fn main() {
         "conflict-free transfers all commit"
     );
     assert_eq!(total, 300);
-    // The engine drops the runtime (and its transport) here; the router
-    // thread is joined by `Drop` — no detached threads survive the run.
+    // The engine drops the runtime (and its transport) here; the delivery
+    // workers are joined by `Drop` — no detached threads survive the run.
 }
