@@ -245,25 +245,18 @@ fn main() {
         let report = audit(&r.history, 20_000, 8);
         println!();
         println!("serialization-graph audit:");
-        println!("  cyclic SCCs:         {}", report.cyclic_sccs);
-        println!("  SCCs dismissed:      {}", report.sccs_dismissed);
-        println!("  cycles enumerated:   {}", report.cycles_enumerated);
+        println!("  cyclic SCCs:         {}", report.search.cyclic_sccs);
+        println!("  SCCs dismissed:      {}", report.search.sccs_dismissed);
+        println!("  cycles enumerated:   {}", report.search.cycles_enumerated);
         println!(
             "  regular cycle:       {:?}",
-            report.regular_cycle.as_ref().map(|rc| &rc.nodes)
+            report.regular_cycle().map(|rc| &rc.nodes)
         );
         println!(
             "  AoC violations:      {}",
             report.compensation_atomicity_violations.len()
         );
-        println!(
-            "  criterion:           {}",
-            if report.is_correct() {
-                "SATISFIED"
-            } else {
-                "VIOLATED"
-            }
-        );
+        println!("  criterion:           {}", report.verdict());
         println!("  plain serializable:  {}", report.serializable);
     }
 }

@@ -11,7 +11,7 @@ use o2pc_runtime::{
 };
 use o2pc_sgraph::graph::GlobalSg;
 use o2pc_sgraph::regular::{classify_all_cycles, CycleClass};
-use o2pc_sgraph::{audit, holds_s1, holds_s2};
+use o2pc_sgraph::{audit, holds_s1, holds_s2, Verdict};
 use o2pc_sim::{FailurePlan, NetworkConfig};
 use o2pc_workload::{BankingWorkload, GenericWorkload, MultidbWorkload, Schedule, TravelWorkload};
 use std::io;
@@ -830,11 +830,11 @@ pub fn e7() -> io::Result<()> {
             let report = audit(&r.history, 10_000, 8);
             (
                 r.global_aborted,
-                report.cyclic_sccs,
-                report.sccs_dismissed,
-                report.regular_cycle.is_some(),
+                report.search.cyclic_sccs,
+                report.search.sccs_dismissed,
+                report.regular_cycle().is_some(),
                 report.compensation_atomicity_violations.len(),
-                report.is_correct(),
+                report.verdict(),
             )
         });
         let mut total_sccs = 0usize;
@@ -842,14 +842,14 @@ pub fn e7() -> io::Result<()> {
         let mut dismissed = 0usize;
         let mut aoc = 0usize;
         let mut aborted = 0u64;
-        let mut all_correct = true;
-        for (ab, sccs, dis, reg, a, correct) in partials {
+        let mut criterion = Verdict::Correct;
+        for (ab, sccs, dis, reg, a, verdict) in partials {
             aborted += ab;
             total_sccs += sccs;
             dismissed += dis;
             regular += reg as usize;
             aoc += a;
-            all_correct &= correct;
+            criterion = criterion.max(verdict);
         }
         table.row(&[
             name.into(),
@@ -859,11 +859,7 @@ pub fn e7() -> io::Result<()> {
             format!("{regular}/8 runs"),
             dismissed.to_string(),
             aoc.to_string(),
-            if all_correct {
-                "SATISFIED".into()
-            } else {
-                "VIOLATED".to_string()
-            },
+            criterion.to_string(),
         ]);
     }
     table.emit(

@@ -10,6 +10,7 @@
 use o2pc_common::{GlobalTxnId, SiteId};
 use o2pc_core::{Engine, Msg, RunReport, TimerEvent};
 use o2pc_runtime::Runtime;
+use o2pc_sgraph::SearchOutcome;
 use std::fmt;
 
 /// The engine's message kinds, as used in `msg.<kind>` /
@@ -54,6 +55,9 @@ pub enum Violation {
     /// The audit found a regular global cycle — the paper's correctness
     /// criterion is violated.
     RegularCycle,
+    /// The regular-cycle search ran out of budget without a witness: the
+    /// criterion was not checked, so the run does not count as a pass.
+    AuditInconclusive,
     /// Committed global transactions with partially-undone siblings
     /// (atomicity-of-compensation violations).
     CompensationAtomicity(usize),
@@ -123,6 +127,7 @@ impl fmt::Display for Violation {
             }
             Violation::LocalCycles(n) => write!(f, "local serialization cycles at {n} site(s)"),
             Violation::RegularCycle => write!(f, "regular global serialization cycle"),
+            Violation::AuditInconclusive => write!(f, "regular-cycle search ran out of budget"),
             Violation::CompensationAtomicity(n) => {
                 write!(f, "{n} atomicity-of-compensation violation(s)")
             }
@@ -194,9 +199,8 @@ pub fn check_state<R: Runtime<TimerEvent, Msg>>(
     }
     // Prefer the serialization graphs the engine maintained incrementally
     // while the run executed (`live_audit_graph`); replaying the recorded
-    // history through the batch builder is the fallback for engines that
-    // did not keep one. The two are equivalent — `incremental_sg_equivalence`
-    // proves it on exactly these chaos histories.
+    // history through the same builder is the fallback for engines that did
+    // not keep one.
     let audit = match engine.live_audit_graph() {
         Some(gsg) => o2pc_sgraph::audit_graph(&gsg, &report.history, 10_000, 10),
         None => o2pc_sgraph::audit(&report.history, 10_000, 10),
@@ -204,8 +208,10 @@ pub fn check_state<R: Runtime<TimerEvent, Msg>>(
     if !audit.local_cycles.is_empty() {
         out.push(Violation::LocalCycles(audit.local_cycles.len()));
     }
-    if audit.regular_cycle.is_some() {
-        out.push(Violation::RegularCycle);
+    match audit.search.outcome {
+        SearchOutcome::Found(_) => out.push(Violation::RegularCycle),
+        SearchOutcome::Inconclusive => out.push(Violation::AuditInconclusive),
+        SearchOutcome::NoneExist => {}
     }
     if !audit.compensation_atomicity_violations.is_empty() {
         out.push(Violation::CompensationAtomicity(

@@ -477,8 +477,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
 
     /// Snapshot of the incrementally-maintained exposed serialization
     /// graphs, when `SystemConfig::live_audit_graph` is on. The chaos
-    /// oracle audits this instead of replaying the recorded history through
-    /// the batch builder.
+    /// oracle audits this instead of replaying the recorded history.
     pub fn live_audit_graph(&self) -> Option<o2pc_sgraph::GlobalSg> {
         self.hist.live_sg.as_ref().map(|sg| sg.snapshot())
     }

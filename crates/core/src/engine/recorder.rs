@@ -12,7 +12,7 @@
 //! * the [`IncrementalSg`] is maintained only when
 //!   `SystemConfig::live_audit_graph` is set: it folds each event straight
 //!   into the exposed serialization graphs, so an oracle can audit the run
-//!   without replaying the whole history through the batch builder.
+//!   without replaying the whole history afterwards.
 
 use o2pc_common::{CountingSink, HistEvent, History, HistorySink};
 use o2pc_sgraph::IncrementalSg;
@@ -37,7 +37,7 @@ impl Recorder {
         Recorder {
             history: record_history.then(History::new),
             counting: CountingSink::new(),
-            live_sg: live_audit_graph.then(IncrementalSg::new_exposed),
+            live_sg: live_audit_graph.then(IncrementalSg::default),
         }
     }
 }

@@ -233,7 +233,7 @@ fn p1_keeps_histories_correct_under_aborts() {
     assert!(
         report.is_correct(),
         "P1 must prevent regular cycles: {:?}",
-        report.regular_cycle
+        report.search.outcome
     );
     assert!(
         report.compensation_atomicity_violations.is_empty(),

@@ -11,55 +11,82 @@
 //! that reads from both `T_i` and `CT_i`. The reads-from relation comes
 //! straight from the recorded history.
 
-use crate::build::build_exposed_sgs;
-use crate::cycles::{cycles_in_comp, sccs, Indexed};
 use crate::graph::GlobalSg;
-use crate::regular::{classify_cycle_with, CycleClass, RegularCycle, SegmentOracle};
+use crate::incremental::build_exposed_sgs;
+use crate::regular::{find_regular_cycle, RegularCycle, RegularSearch, SearchOutcome};
 use o2pc_common::{FastHashMap, FastHashSet, GlobalTxnId, HistEventKind, History, SiteId, TxnId};
-use std::collections::BTreeSet;
-use std::ops::ControlFlow;
+use std::fmt;
+
+/// What an audit concluded, ordered by severity (the worst of several
+/// audits is their `max`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Verdict {
+    /// Checked: no local cycle, and an exhaustive search found no regular
+    /// cycle.
+    Correct,
+    /// No violation was found, but the search ran out of budget before it
+    /// could rule one out.
+    Unknown,
+    /// A local cycle, or a regular cycle with its witness.
+    Violated,
+}
+
+impl fmt::Display for Verdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Verdict::Correct => "SATISFIED",
+            Verdict::Unknown => "UNKNOWN",
+            Verdict::Violated => "VIOLATED",
+        })
+    }
+}
 
 /// Outcome of auditing a history.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct AuditReport {
     /// Sites whose *local* SG contains a cycle (must be empty: local strict
     /// 2PL guarantees local serializability).
     pub local_cycles: Vec<SiteId>,
-    /// The first regular cycle found, if any (criterion violation).
-    pub regular_cycle: Option<RegularCycle>,
-    /// Cyclic strongly connected components of the union SG (each may hold
-    /// many simple cycles).
-    pub cyclic_sccs: usize,
-    /// Components decided *without enumerating a single cycle*: every
-    /// simple cycle lies inside one SCC, and a regular cycle must contain a
-    /// regular global transaction, so a component holding none (only CTs
-    /// and committed locals) cannot host a regular cycle.
-    pub sccs_dismissed: usize,
-    /// Simple cycles actually enumerated inside mixed components (witness
-    /// search; stops at the first regular cycle).
-    pub cycles_enumerated: usize,
-    /// True when enumeration hit the `max_cycles` budget before exhausting
-    /// a component — the no-regular-cycle verdict is then only as strong as
-    /// the bounded search (exactly as in the pre-condensation audit).
-    pub truncated: bool,
+    /// The regular-cycle search over the union SG.
+    pub search: RegularSearch,
     /// Pairs `(reader, i)` such that the reader read from both `T_i` and
     /// `CT_i` (atomicity-of-compensation violations; must be empty).
     pub compensation_atomicity_violations: Vec<(TxnId, GlobalTxnId)>,
-    /// Whether the union SG is fully acyclic (plain serializability). Since
-    /// the condensation rewrite this is exact — acyclicity is an SCC fact,
-    /// not a bounded-enumeration one.
+    /// Whether the union SG is fully acyclic (plain serializability). This
+    /// is exact — acyclicity is an SCC fact, not a bounded-search one.
     pub serializable: bool,
 }
 
 impl AuditReport {
-    /// Does the history satisfy the paper's correctness criterion?
+    /// The paper's correctness criterion, as far as the search could tell.
+    pub fn verdict(&self) -> Verdict {
+        if !self.local_cycles.is_empty() {
+            return Verdict::Violated;
+        }
+        match self.search.outcome {
+            SearchOutcome::Found(_) => Verdict::Violated,
+            SearchOutcome::Inconclusive => Verdict::Unknown,
+            SearchOutcome::NoneExist => Verdict::Correct,
+        }
+    }
+
+    /// Is the history *checked* correct? (`false` on [`Verdict::Unknown`].)
     pub fn is_correct(&self) -> bool {
-        self.local_cycles.is_empty() && self.regular_cycle.is_none()
+        self.verdict() == Verdict::Correct
+    }
+
+    /// The regular cycle found, if any (criterion violation).
+    pub fn regular_cycle(&self) -> Option<&RegularCycle> {
+        match &self.search.outcome {
+            SearchOutcome::Found(rc) => Some(rc),
+            _ => None,
+        }
     }
 }
 
-/// Audit a recorded history. `max_cycles` / `max_len` bound cycle
-/// enumeration (pass generous values; the audit is offline).
+/// Audit a recorded history. `max_cycles` (per mixed component) and
+/// `max_len` bound the regular-cycle search; running into either makes
+/// the verdict [`Verdict::Unknown`] rather than a pass.
 ///
 /// Uses [`build_exposed_sgs`]: the verdict concerns effects that were
 /// actually visible — a cleanly rolled-back subtransaction whose updates
@@ -71,72 +98,26 @@ pub fn audit(history: &History, max_cycles: usize, max_len: usize) -> AuditRepor
 }
 
 /// Audit with a pre-built SG (lets callers reuse the graph — e.g. the
-/// engine's incrementally-maintained one).
-///
-/// The regular-cycle decision works on the SCC condensation instead of
-/// enumerating all simple cycles up front:
-///
-/// 1. every simple cycle lies inside one cyclic SCC, so an acyclic
-///    condensation settles serializability (and hence correctness when no
-///    transaction aborted) with zero enumeration;
-/// 2. an SCC containing no regular global transaction (CT-and-local-only
-///    traffic, the common case under heavy aborts) is dismissed in
-///    O(component size): none of its cycles can be regular;
-/// 3. only *mixed* components are searched, each against a
-///    [`SegmentOracle`] restricted to that component (sound — see
-///    `SegmentOracle::restricted`), stopping at the first regular cycle.
+/// engine's incrementally-maintained one). The regular-cycle decision is
+/// [`find_regular_cycle`].
 pub fn audit_graph(
     gsg: &GlobalSg,
     history: &History,
     max_cycles: usize,
     max_len: usize,
 ) -> AuditReport {
-    let mut report = AuditReport::default();
-
-    for (site, sg) in gsg.sites() {
-        if sg.has_cycle() {
-            report.local_cycles.push(site);
-        }
+    let local_cycles: Vec<SiteId> = gsg
+        .sites()
+        .filter(|(_, sg)| sg.has_cycle())
+        .map(|(site, _)| site)
+        .collect();
+    let search = find_regular_cycle(gsg, max_cycles, max_len);
+    AuditReport {
+        serializable: search.cyclic_sccs == 0 && local_cycles.is_empty(),
+        local_cycles,
+        search,
+        compensation_atomicity_violations: compensation_atomicity_violations(history),
     }
-
-    let g = Indexed::new(gsg);
-    let comps = sccs(&g);
-    report.cyclic_sccs = comps.len();
-    report.serializable = comps.is_empty() && report.local_cycles.is_empty();
-
-    for comp in &comps {
-        if !comp
-            .iter()
-            .any(|&v| g.nodes[v as usize].is_regular_global())
-        {
-            report.sccs_dismissed += 1;
-            continue;
-        }
-        let allowed: BTreeSet<TxnId> = comp.iter().map(|&v| g.nodes[v as usize]).collect();
-        let oracle = SegmentOracle::restricted(gsg, &allowed);
-        let _ = cycles_in_comp(&g, comp, max_len, &mut |cycle: &[TxnId]| {
-            report.cycles_enumerated += 1;
-            // Cheap filter first: a regular cycle needs a regular global
-            // node; only then pay for the minimal-representation DP.
-            if cycle.iter().any(|n| n.is_regular_global()) {
-                if let CycleClass::Regular(rc) = classify_cycle_with(&oracle, cycle) {
-                    report.regular_cycle = Some(rc);
-                    return ControlFlow::Break(());
-                }
-            }
-            if report.cycles_enumerated >= max_cycles {
-                report.truncated = true;
-                return ControlFlow::Break(());
-            }
-            ControlFlow::Continue(())
-        });
-        if report.regular_cycle.is_some() || report.truncated {
-            break;
-        }
-    }
-
-    report.compensation_atomicity_violations = compensation_atomicity_violations(history);
-    report
 }
 
 /// Find every `(reader, i)` where the reader read from both `T_i` and
@@ -207,10 +188,10 @@ mod tests {
             SimTime(3),
         );
         let report = audit(&h, 1000, 16);
-        assert!(report.is_correct());
+        assert_eq!(report.verdict(), Verdict::Correct);
         assert!(report.serializable);
-        assert_eq!(report.cyclic_sccs, 0);
-        assert_eq!(report.cycles_enumerated, 0);
+        assert_eq!(report.search.cyclic_sccs, 0);
+        assert_eq!(report.search.cycles_enumerated, 0);
         assert!(report.compensation_atomicity_violations.is_empty());
     }
 
@@ -232,8 +213,8 @@ mod tests {
         h.access(SiteId(1), t(2), OpKind::Write, Key(2), None, SimTime(1));
         h.access(SiteId(1), t(1), OpKind::Write, Key(2), None, SimTime(4));
         let report = audit(&h, 1000, 16);
-        assert!(!report.is_correct());
-        let rc = report.regular_cycle.expect("regular cycle");
+        assert_eq!(report.verdict(), Verdict::Violated);
+        let rc = report.regular_cycle().expect("regular cycle");
         assert!(rc.nodes.contains(&t(2)));
         assert!(!report.serializable);
     }
@@ -250,9 +231,12 @@ mod tests {
         let report = audit(&h, 1000, 16);
         assert!(report.is_correct(), "CT-only cycles are allowed");
         assert!(!report.serializable);
-        assert_eq!(report.cyclic_sccs, 1);
+        assert_eq!(report.search.cyclic_sccs, 1);
         assert_eq!(
-            (report.sccs_dismissed, report.cycles_enumerated),
+            (
+                report.search.sccs_dismissed,
+                report.search.cycles_enumerated
+            ),
             (1, 0),
             "a CT-only component is dismissed without enumerating"
         );
@@ -269,12 +253,11 @@ mod tests {
         g.site_mut(SiteId(2)).add_edge(t(2), ct(3));
         g.site_mut(SiteId(3)).add_edge(ct(3), ct(1));
         let report = audit_graph(&g, &History::new(), 1000, 16);
-        assert!(report.is_correct());
+        assert_eq!(report.verdict(), Verdict::Correct);
         assert!(!report.serializable);
-        assert_eq!(report.cyclic_sccs, 1);
-        assert_eq!(report.sccs_dismissed, 0);
-        assert!(report.cycles_enumerated > 0);
-        assert!(!report.truncated);
+        assert_eq!(report.search.cyclic_sccs, 1);
+        assert_eq!(report.search.sccs_dismissed, 0);
+        assert!(report.search.cycles_enumerated > 0);
     }
 
     #[test]
@@ -330,5 +313,87 @@ mod tests {
         let report = audit(&History::new(), 10, 10);
         assert!(report.is_correct());
         assert!(report.serializable);
+    }
+
+    fn verdict(g: &GlobalSg, max_cycles: usize, max_len: usize) -> Verdict {
+        audit_graph(g, &History::new(), max_cycles, max_len).verdict()
+    }
+
+    /// Adds `T1` inside a mesh of compensations: `CT100 → T1 → CT101` at
+    /// site 0, then `layers` layers of `width` CTs leading from `CT101`
+    /// back to `CT100`, each hop at its own site. Every cycle runs through
+    /// T1 — `width^layers` of them, each `layers + 3` long — and none is
+    /// regular: site 0 covers `CT100 → CT101` in one segment, so a minimal
+    /// representation never needs T1 as an endpoint.
+    fn decoys(g: &mut GlobalSg, width: u64, layers: u64) {
+        g.site_mut(SiteId(0)).add_edge(ct(100), t(1));
+        g.site_mut(SiteId(0)).add_edge(t(1), ct(101));
+        let mut prev = vec![ct(101)];
+        for layer in 0..=layers {
+            let next: Vec<TxnId> = if layer == layers {
+                vec![ct(100)]
+            } else {
+                (0..width).map(|j| ct(1000 + 10 * layer + j)).collect()
+            };
+            let sg = g.site_mut(SiteId(1 + layer as u32));
+            for &a in &prev {
+                for &b in &next {
+                    sg.add_edge(a, b);
+                }
+            }
+            prev = next;
+        }
+    }
+
+    /// `T_a ⇄ T_b` across two sites: a 2-node regular cycle.
+    fn regular_pair(g: &mut GlobalSg, a: TxnId, b: TxnId) {
+        g.site_mut(SiteId(50)).add_edge(a, b);
+        g.site_mut(SiteId(51)).add_edge(b, a);
+    }
+
+    #[test]
+    fn regular_cycle_longer_than_max_len_is_unknown_not_correct() {
+        // T1 → T2 → … → T11 → T1, every hop at its own site: the only
+        // cycle, and it is regular.
+        let mut g = GlobalSg::new();
+        for i in 1..=11u64 {
+            g.site_mut(SiteId(i as u32)).add_edge(t(i), t(i % 11 + 1));
+        }
+        assert_eq!(verdict(&g, 10_000, 10), Verdict::Unknown);
+        assert_eq!(verdict(&g, 10_000, 12), Verdict::Violated);
+    }
+
+    #[test]
+    fn regular_cycle_behind_more_decoys_than_the_budget_is_unknown() {
+        // 4^7 = 16 384 non-regular cycles anchored at T1 come first; the
+        // regular T2 ⇄ CT100 is anchored at T2, after all of them.
+        let mut g = GlobalSg::new();
+        decoys(&mut g, 4, 7);
+        regular_pair(&mut g, t(2), ct(100));
+        let report = audit_graph(&g, &History::new(), 10_000, 12);
+        assert_eq!(report.verdict(), Verdict::Unknown);
+        assert_eq!(report.search.cycles_enumerated, 10_000);
+        assert_eq!(verdict(&g, 20_000, 12), Verdict::Violated);
+    }
+
+    #[test]
+    fn an_exhausted_component_does_not_hide_a_witness_in_the_next() {
+        // Component {T1, CTs} comes first (it holds the smallest node) and
+        // runs out of budget; {T3, T4} holds a regular 2-cycle.
+        let mut g = GlobalSg::new();
+        decoys(&mut g, 2, 4);
+        regular_pair(&mut g, t(3), t(4));
+        let report = audit_graph(&g, &History::new(), 10, 16);
+        assert_eq!(report.search.cyclic_sccs, 2);
+        assert_eq!(report.verdict(), Verdict::Violated);
+        assert_eq!(report.regular_cycle().unwrap().nodes, vec![t(3), t(4)]);
+    }
+
+    #[test]
+    fn budget_of_exactly_the_cycle_count_is_exhaustive() {
+        let mut g = GlobalSg::new();
+        decoys(&mut g, 2, 3); // 8 cycles, none regular
+        assert_eq!(verdict(&g, 8, 16), Verdict::Correct);
+        assert_eq!(verdict(&g, 7, 16), Verdict::Unknown);
     }
 }

@@ -7,7 +7,8 @@
 //! "can-reach" set per anchor) — without that pruning, dense SGs from
 //! contended workloads make the search explore astronomically many dead
 //! paths. Enumeration is callback-based so callers (the regular-cycle
-//! detector) can stop at the first hit.
+//! search) can stop at the first hit, and it reports whether it saw every
+//! cycle, so a budget that cut it short is never mistaken for a proof.
 
 use crate::graph::GlobalSg;
 use o2pc_common::{FastHashMap, TxnId};
@@ -131,31 +132,16 @@ pub(crate) fn sccs(g: &Indexed) -> Vec<Vec<u32>> {
     out
 }
 
-/// Strongly connected components of the union graph that can contain a
-/// cycle (size ≥ 2), as transaction lists.
-pub fn cyclic_sccs(gsg: &GlobalSg) -> Vec<Vec<TxnId>> {
-    let g = Indexed::new(gsg);
-    sccs(&g)
-        .into_iter()
-        .map(|comp| {
-            let mut txns: Vec<TxnId> = comp.into_iter().map(|i| g.nodes[i as usize]).collect();
-            txns.sort_unstable();
-            txns
-        })
-        .collect()
-}
-
 /// Visit the simple cycles lying inside one SCC (`comp` must be one
 /// component returned by [`sccs`] over the same [`Indexed`] graph). Cycles
 /// are reported as node sequences (`[n0, n1, ..., nk]` meaning
 /// `n0 → n1 → ... → nk → n0`), each exactly once, length ≤ `max_len` only.
-/// Propagates the callback's `ControlFlow::Break(())`.
-pub(crate) fn cycles_in_comp<F>(
-    g: &Indexed,
-    comp: &[u32],
-    max_len: usize,
-    cb: &mut F,
-) -> ControlFlow<()>
+///
+/// Returns whether the walk was complete: `false` when the callback broke
+/// it off, or when `max_len` cut a live branch — a node that is in the
+/// anchor's sub-universe, can return to the anchor and is not yet on the
+/// path. A cut at a dead node loses no cycle and does not count.
+pub(crate) fn cycles_in_comp<F>(g: &Indexed, comp: &[u32], max_len: usize, cb: &mut F) -> bool
 where
     F: FnMut(&[TxnId]) -> ControlFlow<()>,
 {
@@ -168,6 +154,7 @@ where
     let mut on_path = vec![false; n];
     let mut bfs: Vec<u32> = Vec::new();
     let mut txn_path: Vec<TxnId> = Vec::new();
+    let mut complete = true;
 
     for &anchor in comp {
         // Sub-universe for this anchor: same SCC, index ≥ anchor.
@@ -193,8 +180,8 @@ where
         }
 
         // DFS from the anchor over nodes that can return to it. `on_path`
-        // is restored to all-false by the unwinding pops (an early Break
-        // abandons the scratch entirely).
+        // is restored to all-false by the unwinding pops (a break abandons
+        // the scratch entirely).
         let mut stack: Vec<(u32, usize)> = vec![(anchor, 0)];
         txn_path.clear();
         txn_path.push(g.nodes[anchor as usize]);
@@ -206,11 +193,17 @@ where
                 let w = succs[*child];
                 *child += 1;
                 if w == anchor {
-                    cb(&txn_path)?;
+                    if cb(&txn_path).is_break() {
+                        return false;
+                    }
                     continue;
                 }
                 let wi = w as usize;
-                if !allowed[wi] || !can_reach[wi] || on_path[wi] || txn_path.len() >= max_len {
+                if !allowed[wi] || !can_reach[wi] || on_path[wi] {
+                    continue;
+                }
+                if txn_path.len() >= max_len {
+                    complete = false;
                     continue;
                 }
                 on_path[wi] = true;
@@ -228,38 +221,7 @@ where
             txn_path.pop();
         }
     }
-    ControlFlow::Continue(())
-}
-
-/// Visit simple cycles of the union graph as node sequences
-/// (`[n0, n1, ..., nk]` meaning `n0 → n1 → ... → nk → n0`), each reported
-/// once, cycles of length ≤ `max_len` only. The callback returns
-/// `ControlFlow::Break(())` to stop early.
-pub fn for_each_cycle<F>(gsg: &GlobalSg, max_len: usize, mut cb: F)
-where
-    F: FnMut(&[TxnId]) -> ControlFlow<()>,
-{
-    let g = Indexed::new(gsg);
-    for comp in sccs(&g) {
-        if cycles_in_comp(&g, &comp, max_len, &mut cb).is_break() {
-            return;
-        }
-    }
-}
-
-/// Enumerate simple cycles into a vector, up to `max_cycles` cycles of
-/// length ≤ `max_len`.
-pub fn enumerate_cycles(gsg: &GlobalSg, max_cycles: usize, max_len: usize) -> Vec<Vec<TxnId>> {
-    let mut cycles = Vec::new();
-    for_each_cycle(gsg, max_len, |c| {
-        cycles.push(c.to_vec());
-        if cycles.len() >= max_cycles {
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::Continue(())
-        }
-    });
-    cycles
+    complete
 }
 
 #[cfg(test)]
@@ -280,93 +242,100 @@ mod tests {
         g
     }
 
-    #[test]
-    fn acyclic_graph_has_no_sccs_or_cycles() {
-        let g = graph(&[(1, 2, 0), (2, 3, 1), (1, 3, 0)]);
-        assert!(cyclic_sccs(&g).is_empty());
-        assert!(enumerate_cycles(&g, 100, 10).is_empty());
+    fn complete_digraph(n: u64) -> GlobalSg {
+        let mut edges = Vec::new();
+        for a in 1..=n {
+            for b in 1..=n {
+                if a != b {
+                    edges.push((a, b, 0u32));
+                }
+            }
+        }
+        graph(&edges)
+    }
+
+    /// Every cycle of length ≤ `max_len`, component by component, and
+    /// whether every walk was complete.
+    fn cycles(gsg: &GlobalSg, max_len: usize) -> (Vec<Vec<TxnId>>, bool) {
+        let g = Indexed::new(gsg);
+        let mut out = Vec::new();
+        let mut complete = true;
+        for comp in sccs(&g) {
+            complete &= cycles_in_comp(&g, &comp, max_len, &mut |c: &[TxnId]| {
+                out.push(c.to_vec());
+                ControlFlow::Continue(())
+            });
+        }
+        (out, complete)
     }
 
     #[test]
-    fn two_cycle() {
+    fn acyclic_graph_has_no_sccs_or_cycles() {
+        let g = graph(&[(1, 2, 0), (2, 3, 1), (1, 3, 0)]);
+        assert!(sccs(&Indexed::new(&g)).is_empty());
+        assert_eq!(cycles(&g, 10), (vec![], true));
+    }
+
+    #[test]
+    fn cross_site_two_cycle() {
         let g = graph(&[(1, 2, 0), (2, 1, 1)]);
-        let sccs = cyclic_sccs(&g);
-        assert_eq!(sccs, vec![vec![t(1), t(2)]]);
-        let cycles = enumerate_cycles(&g, 100, 10);
-        assert_eq!(cycles.len(), 1);
-        assert_eq!(cycles[0], vec![t(1), t(2)]);
+        let ix = Indexed::new(&g);
+        assert_eq!(sccs(&ix), vec![vec![0, 1]]);
+        assert_eq!(cycles(&g, 10), (vec![vec![t(1), t(2)]], true));
     }
 
     #[test]
     fn two_separate_cycles() {
         let g = graph(&[(1, 2, 0), (2, 1, 0), (3, 4, 1), (4, 3, 1)]);
-        assert_eq!(cyclic_sccs(&g).len(), 2);
-        assert_eq!(enumerate_cycles(&g, 100, 10).len(), 2);
+        assert_eq!(sccs(&Indexed::new(&g)).len(), 2);
+        assert_eq!(cycles(&g, 10).0.len(), 2);
     }
 
     #[test]
     fn figure_eight_enumerates_all_simple_cycles() {
         // 1→2→1 and 2→3→2 share node 2; simple cycles: (1 2), (2 3).
         let g = graph(&[(1, 2, 0), (2, 1, 0), (2, 3, 0), (3, 2, 0)]);
-        let mut cycles = enumerate_cycles(&g, 100, 10);
-        for c in &mut cycles {
+        let mut found = cycles(&g, 10).0;
+        for c in &mut found {
             c.sort_unstable();
         }
-        cycles.sort();
-        assert_eq!(cycles, vec![vec![t(1), t(2)], vec![t(2), t(3)]]);
+        found.sort();
+        assert_eq!(found, vec![vec![t(1), t(2)], vec![t(2), t(3)]]);
     }
 
     #[test]
     fn triangle_with_chord() {
         // 1→2→3→1 plus chord 1→3: cycles (1 2 3) and (1 3).
         let g = graph(&[(1, 2, 0), (2, 3, 0), (3, 1, 0), (1, 3, 0)]);
-        let cycles = enumerate_cycles(&g, 100, 10);
-        assert_eq!(cycles.len(), 2);
-        let lens: BTreeSet<usize> = cycles.iter().map(Vec::len).collect();
+        let found = cycles(&g, 10).0;
+        assert_eq!(found.len(), 2);
+        let lens: BTreeSet<usize> = found.iter().map(Vec::len).collect();
         assert_eq!(lens, BTreeSet::from([2, 3]));
     }
 
     #[test]
-    fn max_cycles_cap_respected() {
-        let mut edges = Vec::new();
-        for a in 1..=5u64 {
-            for b in 1..=5u64 {
-                if a != b {
-                    edges.push((a, b, 0u32));
-                }
-            }
-        }
-        let g = graph(&edges);
-        let cycles = enumerate_cycles(&g, 7, 10);
-        assert_eq!(cycles.len(), 7);
-    }
-
-    #[test]
-    fn max_len_cap_respected() {
+    fn max_len_cut_of_a_live_branch_makes_the_walk_incomplete() {
         let g = graph(&[(1, 2, 0), (2, 3, 0), (3, 4, 0), (4, 1, 0)]);
-        assert!(enumerate_cycles(&g, 100, 3).is_empty());
-        assert_eq!(enumerate_cycles(&g, 100, 4).len(), 1);
+        assert_eq!(cycles(&g, 3), (vec![], false));
+        assert_eq!(cycles(&g, 4).0.len(), 1);
+        assert!(cycles(&g, 4).1);
     }
 
     #[test]
-    fn cross_site_cycle_found() {
-        let g = graph(&[(1, 2, 0), (2, 1, 1)]);
-        assert_eq!(enumerate_cycles(&g, 10, 10).len(), 1);
+    fn max_len_cut_of_a_dead_branch_keeps_the_walk_complete() {
+        // 1⇄2 is the only cycle; 2→3→4 leads nowhere back, so stopping at
+        // length 2 loses nothing.
+        let g = graph(&[(1, 2, 0), (2, 1, 0), (2, 3, 0), (3, 4, 0)]);
+        assert_eq!(cycles(&g, 2), (vec![vec![t(1), t(2)]], true));
     }
 
     #[test]
-    fn callback_early_break() {
-        let mut edges = Vec::new();
-        for a in 1..=6u64 {
-            for b in 1..=6u64 {
-                if a != b {
-                    edges.push((a, b, 0u32));
-                }
-            }
-        }
-        let g = graph(&edges);
+    fn callback_break_stops_the_walk() {
+        let g = complete_digraph(6);
+        let ix = Indexed::new(&g);
+        let comp = &sccs(&ix)[0];
         let mut seen = 0;
-        for_each_cycle(&g, 6, |_| {
+        let complete = cycles_in_comp(&ix, comp, 6, &mut |_: &[TxnId]| {
             seen += 1;
             if seen == 3 {
                 ControlFlow::Break(())
@@ -374,7 +343,7 @@ mod tests {
                 ControlFlow::Continue(())
             }
         });
-        assert_eq!(seen, 3);
+        assert_eq!((seen, complete), (3, false));
     }
 
     #[test]
@@ -391,9 +360,19 @@ mod tests {
             }
         }
         let g = graph(&edges);
+        let ix = Indexed::new(&g);
         let start = std::time::Instant::now();
-        let cycles = enumerate_cycles(&g, 1000, 8);
-        assert_eq!(cycles.len(), 1000);
+        let mut seen = 0;
+        for comp in sccs(&ix) {
+            cycles_in_comp(&ix, &comp, 8, &mut |_: &[TxnId]| {
+                if seen == 1000 {
+                    return ControlFlow::Break(());
+                }
+                seen += 1;
+                ControlFlow::Continue(())
+            });
+        }
+        assert_eq!(seen, 1000);
         assert!(
             start.elapsed().as_secs() < 5,
             "enumeration too slow: {:?}",

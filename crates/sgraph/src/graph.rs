@@ -60,11 +60,6 @@ impl LocalSg {
         self.nodes.iter().copied()
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Successors of a node.
     pub fn successors(&self, n: TxnId) -> &[TxnId] {
         self.adj.get(&n).map(Vec::as_slice).unwrap_or(&[])
@@ -179,15 +174,6 @@ impl GlobalSg {
         set.into_iter().collect()
     }
 
-    /// The sites where a node appears.
-    pub fn sites_of(&self, n: TxnId) -> Vec<SiteId> {
-        self.sites
-            .iter()
-            .filter(|(_, g)| g.contains(n))
-            .map(|(&s, _)| s)
-            .collect()
-    }
-
     /// Union adjacency: successors of `n` across all sites, deduplicated.
     pub fn successors(&self, n: TxnId) -> Vec<TxnId> {
         let mut out = Vec::new();
@@ -210,30 +196,6 @@ impl GlobalSg {
             }
         }
         set.into_iter().collect()
-    }
-
-    /// Is `b` reachable from `a` in the union graph (path length ≥ 1)?
-    pub fn has_global_path(&self, a: TxnId, b: TxnId) -> bool {
-        let mut seen = BTreeSet::new();
-        let mut queue = VecDeque::new();
-        queue.push_back(a);
-        while let Some(n) = queue.pop_front() {
-            for s in self.successors(n) {
-                if s == b {
-                    return true;
-                }
-                if seen.insert(s) {
-                    queue.push_back(s);
-                }
-            }
-        }
-        false
-    }
-
-    /// Does *some single site* have a local path `a →+ b`? This is the
-    /// admissibility test for one segment of a path representation.
-    pub fn segment_exists(&self, a: TxnId, b: TxnId) -> bool {
-        self.sites.values().any(|g| g.has_path(a, b))
     }
 }
 
@@ -302,40 +264,21 @@ mod tests {
     }
 
     #[test]
-    fn global_union_and_reachability() {
+    fn global_union() {
         let mut gsg = GlobalSg::new();
         gsg.site_mut(SiteId(0)).add_edge(t(1), t(2));
         gsg.site_mut(SiteId(1)).add_edge(t(2), ct(3));
-        assert!(gsg.has_global_path(t(1), ct(3)), "path crosses sites");
-        assert!(!gsg.has_global_path(ct(3), t(1)));
+        gsg.site_mut(SiteId(1)).add_edge(t(1), t(2));
         assert_eq!(gsg.nodes(), vec![t(1), t(2), ct(3)]);
-        assert_eq!(gsg.sites_of(t(2)), vec![SiteId(0), SiteId(1)]);
-        assert_eq!(gsg.edges().len(), 2);
-    }
-
-    #[test]
-    fn segment_exists_requires_single_site() {
-        let mut gsg = GlobalSg::new();
-        gsg.site_mut(SiteId(0)).add_edge(t(1), t(2));
-        gsg.site_mut(SiteId(1)).add_edge(t(2), t(3));
-        assert!(gsg.segment_exists(t(1), t(2)));
-        assert!(gsg.segment_exists(t(2), t(3)));
-        assert!(
-            !gsg.segment_exists(t(1), t(3)),
-            "t1→t3 needs two sites, so it is not one segment"
-        );
-        // Give one site the whole path: now it is a segment.
-        gsg.site_mut(SiteId(2)).add_edge(t(1), t(5));
-        gsg.site_mut(SiteId(2)).add_edge(t(5), t(3));
-        assert!(gsg.segment_exists(t(1), t(3)));
+        assert_eq!(gsg.edges(), vec![(t(1), t(2)), (t(2), ct(3))]);
+        assert_eq!(gsg.successors(t(2)), vec![ct(3)], "union crosses sites");
     }
 
     #[test]
     fn isolated_nodes_are_tracked() {
         let mut g = LocalSg::new();
         g.add_node(t(9));
-        assert!(g.contains(t(9)));
-        assert_eq!(g.node_count(), 1);
+        assert_eq!(g.nodes().collect::<Vec<_>>(), vec![t(9)]);
         assert!(!g.has_cycle());
     }
 }

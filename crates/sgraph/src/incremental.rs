@@ -1,16 +1,15 @@
-//! Incremental serialization-graph maintenance.
+//! The serialization-graph builder.
 //!
-//! [`crate::build`] derives the SGs by replaying a complete recorded
-//! [`History`]: a first pass settles which accesses are *included*
-//! (committed locals; globals where exposed; compensations always), a second
-//! pass collects per-(site, key) access lists, and a third adds an edge for
-//! every conflicting pair — quadratic in the per-key access count and only
-//! possible once the history is complete.
-//!
-//! [`IncrementalSg`] maintains the same graph *as events are recorded*: it
-//! is a [`HistorySink`], so the engine can feed it the live event stream and
-//! an audit at quiescence starts from an already-built graph. Two ideas make
-//! the incremental form cheaper than the batch replay:
+//! The paper's SGs (§5) are defined over a complete history: an edge
+//! `A → B` at a site iff some operation of `A` precedes and conflicts with
+//! some operation of `B` there (same item, at least one write), counting
+//! only *included* accesses — committed locals, globals where exposed,
+//! compensations always (see [`build_exposed_sgs`] for why exposure).
+//! [`IncrementalSg`] builds that graph *as events are recorded*: it is a
+//! [`HistorySink`], so the engine can feed it the live event stream and an
+//! audit at quiescence starts from an already-built graph; replaying a
+//! finished history through it ([`build_exposed_sgs`]) gives the same graph
+//! offline. Two ideas keep it cheap:
 //!
 //! * **per-(site, key) last-accessor index** — instead of an ordered access
 //!   list paired quadratically, each key lane keeps one compact entry per
@@ -18,19 +17,18 @@
 //!   and writes. A new access conflicts with a prior transaction iff that
 //!   transaction's conflicting-mode position range extends before (edge
 //!   `them → me`) or after (edge `me → them`) the access's own position —
-//!   which reproduces exactly the batch edge set, because an edge `A → B`
-//!   exists iff *some* conflicting access of `A` precedes *some* access of
-//!   `B`, and position ranges capture precisely that;
+//!   which is exactly the definition, because an edge `A → B` exists iff
+//!   *some* conflicting access of `A` precedes *some* access of `B`, and
+//!   position ranges capture precisely that;
 //! * **deferred inclusion** — an access whose transaction's fate is not yet
 //!   settled (a local before its commit, a global before local commit /
-//!   roll-back under exposure semantics) is buffered in its lane with its
-//!   position and linked only when the inclusion decision arrives, so late
-//!   decisions need no replay. [`IncrementalSg::finish`] applies the batch
-//!   builder's defaults to whatever is still undecided.
+//!   roll-back) is buffered in its lane with its position and linked only
+//!   when the inclusion decision arrives, so late decisions need no replay.
+//!   [`IncrementalSg::finish`] applies the end-of-history defaults to
+//!   whatever is still undecided.
 //!
-//! Equivalence with the batch builder (same nodes, same edges, per site) is
-//! pinned by unit tests here and by an integration test over recorded chaos
-//! histories (`crates/sgraph/tests/incremental_equivalence.rs`).
+//! `tests/incremental_sg_equivalence.rs` pins this builder against a
+//! test-only quadratic batch replay of the same definition.
 
 use crate::graph::GlobalSg;
 use o2pc_common::FastHashMap;
@@ -44,8 +42,8 @@ enum Inclusion {
     /// Forward accesses at the site count (committed / exposed).
     Included,
     /// Rolled back unexposed at the site; a later local-commit event may
-    /// still upgrade to [`Inclusion::Included`] (matching the batch
-    /// builder, where exposure overrides roll-back regardless of order).
+    /// still upgrade to [`Inclusion::Included`] (exposure overrides
+    /// roll-back regardless of the order the two events arrive in).
     Excluded,
 }
 
@@ -118,9 +116,8 @@ struct Lane {
 /// accesses at any time via [`IncrementalSg::graph`], or settle the
 /// end-of-history defaults with [`IncrementalSg::finish`] /
 /// [`IncrementalSg::snapshot`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct IncrementalSg {
-    exposure_filter: bool,
     gsg: GlobalSg,
     lanes: FastHashMap<(SiteId, Key), Lane>,
     status: FastHashMap<(TxnId, SiteId), Inclusion>,
@@ -133,29 +130,6 @@ pub struct IncrementalSg {
 }
 
 impl IncrementalSg {
-    /// Exposure-semantics graph (the audit's graph; see
-    /// [`crate::build::build_exposed_sgs`]).
-    pub fn new_exposed() -> Self {
-        Self::with_filter(true)
-    }
-
-    /// Paper-faithful complete-history graph (see
-    /// [`crate::build::build_sgs`]).
-    pub fn new_complete() -> Self {
-        Self::with_filter(false)
-    }
-
-    fn with_filter(exposure_filter: bool) -> Self {
-        IncrementalSg {
-            exposure_filter,
-            gsg: GlobalSg::new(),
-            lanes: FastHashMap::default(),
-            status: FastHashMap::default(),
-            pending_keys: FastHashMap::default(),
-            comp_keys: FastHashMap::default(),
-        }
-    }
-
     /// The graph over accesses whose inclusion is already settled.
     /// Undecided accesses (in-flight transactions) are not yet in it; use
     /// [`IncrementalSg::snapshot`] for end-of-history semantics.
@@ -193,9 +167,8 @@ impl IncrementalSg {
                     // recovery: its earlier accesses at the site were wiped
                     // with the un-durable log tail and cleanly undone, and
                     // the compensation will re-execute under the same id.
-                    // Void what was linked (matching the batch builder,
-                    // which skips compensation accesses that precede the
-                    // last roll-back).
+                    // Void what was linked: only accesses after the last
+                    // roll-back belong to the execution that counts.
                     TxnId::Compensation(_) => self.void_compensation(ev.txn, ev.site),
                 }
             }
@@ -209,7 +182,6 @@ impl IncrementalSg {
         lane.next_pos += 1;
         let included = match txn {
             TxnId::Compensation(_) => true,
-            TxnId::Global(_) if !self.exposure_filter => true,
             TxnId::Global(_) | TxnId::Local(_) => {
                 matches!(self.status.get(&(txn, site)), Some(Inclusion::Included))
             }
@@ -274,7 +246,7 @@ impl IncrementalSg {
     /// Settle end-of-history defaults and return the final graph: globals
     /// with no deciding event at a site count as included (they were in
     /// flight when recording stopped); undecided locals and unexposed
-    /// roll-backs are dropped. Matches the batch builder exactly.
+    /// roll-backs are dropped.
     pub fn finish(mut self) -> GlobalSg {
         // Collect lanes into a deterministic order only insofar as edge
         // *sets* are concerned: positions make pair directions independent
@@ -284,8 +256,7 @@ impl IncrementalSg {
         for ((site, _), lane) in &mut lanes {
             let pending = std::mem::take(&mut lane.pending);
             for (txn, kind, pos) in pending {
-                let include_by_default = self.exposure_filter
-                    && matches!(txn, TxnId::Global(_))
+                let include_by_default = matches!(txn, TxnId::Global(_))
                     && !matches!(self.status.get(&(txn, *site)), Some(Inclusion::Excluded));
                 if include_by_default {
                     link(&mut self.gsg, lane, *site, txn, kind, pos);
@@ -339,10 +310,26 @@ fn link(gsg: &mut GlobalSg, lane: &mut Lane, site: SiteId, txn: TxnId, kind: OpK
     }
 }
 
-/// Replay a complete history through the incremental builder (convenience
-/// for tests and equivalence checks).
-pub fn replay(history: &History, exposure_filter: bool) -> GlobalSg {
-    let mut inc = IncrementalSg::with_filter(exposure_filter);
+/// Build the global SG of a recorded history, with **exposure semantics**
+/// for failed global transactions.
+///
+/// The paper extends serializability theory to failed transactions because
+/// under O2PC their updates may have been **seen** (local commit released
+/// the locks). At a site that simply rolled the subtransaction back from
+/// the log (voted abort, was a deadlock victim, or was undone by an R1
+/// invalidation), strict 2PL guarantees nobody interleaved between its
+/// operations and the undo — its forward operations are invisible there,
+/// and including them would flag spurious "regular cycles" even for the
+/// plain 2PL-2PC baseline, where nothing is ever exposed (DESIGN.md §2). So
+/// a failed transaction's forward accesses at a site count iff the site
+/// locally committed (or committed) it; its roll-back's undo writes count
+/// everywhere, attributed to `CT_i` — which is exactly what Lemma 5 needs
+/// (`CT_i → T_j` at sites that undid `T_i` before `T_j` arrived).
+///
+/// This replays the history through [`IncrementalSg`], the same builder
+/// the engine runs live.
+pub fn build_exposed_sgs(history: &History) -> GlobalSg {
+    let mut inc = IncrementalSg::default();
     for &ev in history.events() {
         inc.observe(ev);
     }
@@ -352,8 +339,8 @@ pub fn replay(history: &History, exposure_filter: bool) -> GlobalSg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::{build_exposed_sgs, build_sgs};
     use o2pc_common::{GlobalTxnId, LocalTxnId, SimTime};
+    use HistEventKind::{Committed, LocallyCommitted, RolledBack};
 
     fn t(i: u64) -> TxnId {
         TxnId::Global(GlobalTxnId(i))
@@ -370,171 +357,227 @@ mod tests {
         })
     }
 
-    fn assert_equivalent(h: &History) {
-        for filter in [false, true] {
-            let batch = if filter {
-                build_exposed_sgs(h)
-            } else {
-                build_sgs(h)
-            };
-            let inc = replay(h, filter);
-            assert_eq!(inc.nodes(), batch.nodes(), "nodes (filter={filter})");
-            assert_eq!(inc.edges(), batch.edges(), "edges (filter={filter})");
-            let inc_sites: Vec<SiteId> = inc.sites().map(|(s, _)| s).collect();
-            let batch_sites: Vec<SiteId> = batch.sites().map(|(s, _)| s).collect();
-            assert_eq!(inc_sites, batch_sites, "sites (filter={filter})");
-        }
+    fn write(h: &mut History, site: u32, txn: TxnId, key: u64, time: u64) {
+        h.access(
+            SiteId(site),
+            txn,
+            OpKind::Write,
+            Key(key),
+            None,
+            SimTime(time),
+        );
+    }
+
+    fn read(h: &mut History, site: u32, txn: TxnId, key: u64, from: TxnId, time: u64) {
+        let (s, k) = (SiteId(site), Key(key));
+        h.access(s, txn, OpKind::Read, k, Some(from), SimTime(time));
+    }
+
+    fn event(h: &mut History, site: u32, txn: TxnId, kind: HistEventKind, time: u64) {
+        h.push(HistEvent {
+            site: SiteId(site),
+            txn,
+            kind,
+            time: SimTime(time),
+        });
     }
 
     #[test]
     fn empty_history() {
-        assert_equivalent(&History::new());
+        let g = build_exposed_sgs(&History::new());
+        assert!(g.nodes().is_empty() && g.sites().next().is_none());
     }
 
     #[test]
-    fn conflict_edges_match_batch() {
+    fn write_read_conflict_creates_edge() {
         let mut h = History::new();
-        h.access(SiteId(0), t(1), OpKind::Write, Key(1), None, SimTime(1));
-        h.access(
-            SiteId(0),
-            t(2),
-            OpKind::Read,
-            Key(1),
-            Some(t(1)),
-            SimTime(2),
-        );
-        h.access(SiteId(0), t(3), OpKind::Write, Key(1), None, SimTime(3));
-        h.access(SiteId(1), t(3), OpKind::Write, Key(1), None, SimTime(1));
-        h.access(SiteId(1), t(1), OpKind::Write, Key(1), None, SimTime(2));
-        assert_equivalent(&h);
+        write(&mut h, 0, t(1), 1, 1);
+        read(&mut h, 0, t(2), 1, t(1), 2);
+        let gsg = build_exposed_sgs(&h);
+        let sg = gsg.site(SiteId(0)).unwrap();
+        assert_eq!(sg.successors(t(1)), &[t(2)]);
+        assert!(sg.successors(t(2)).is_empty());
     }
 
     #[test]
-    fn read_read_is_no_conflict() {
+    fn conflict_edges_follow_access_order_per_site() {
+        let mut h = History::new();
+        write(&mut h, 0, t(1), 1, 1);
+        read(&mut h, 0, t(2), 1, t(1), 2);
+        write(&mut h, 0, t(3), 1, 3);
+        write(&mut h, 1, t(3), 1, 1);
+        write(&mut h, 1, t(1), 1, 2);
+        let g = build_exposed_sgs(&h);
+        assert_eq!(
+            g.edges(),
+            vec![(t(1), t(2)), (t(1), t(3)), (t(2), t(3)), (t(3), t(1))]
+        );
+        assert!(!g.site(SiteId(1)).unwrap().contains(t(2)));
+    }
+
+    #[test]
+    fn read_read_is_not_a_conflict() {
         let mut h = History::new();
         h.access(SiteId(0), t(1), OpKind::Read, Key(1), None, SimTime(1));
         h.access(SiteId(0), t(2), OpKind::Read, Key(1), None, SimTime(2));
-        assert_equivalent(&h);
-        let g = replay(&h, true);
+        let g = build_exposed_sgs(&h);
         assert!(g.edges().is_empty());
-        assert_eq!(g.nodes().len(), 2);
+        assert_eq!(g.nodes().len(), 2, "nodes still present");
+    }
+
+    #[test]
+    fn different_keys_do_not_conflict() {
+        let mut h = History::new();
+        write(&mut h, 0, t(1), 1, 1);
+        write(&mut h, 0, t(2), 2, 2);
+        assert!(build_exposed_sgs(&h).edges().is_empty());
+    }
+
+    #[test]
+    fn cross_site_accesses_stay_in_their_local_sgs() {
+        let mut h = History::new();
+        write(&mut h, 0, t(1), 1, 1);
+        write(&mut h, 1, t(2), 1, 2);
+        assert!(
+            build_exposed_sgs(&h).edges().is_empty(),
+            "same key id at different sites is a different item"
+        );
     }
 
     #[test]
     fn local_txns_gated_on_commit() {
         let mut h = History::new();
-        let lx = l(0, 1);
-        let ly = l(0, 2);
-        h.access(SiteId(0), lx, OpKind::Write, Key(1), None, SimTime(1));
-        h.access(SiteId(0), ly, OpKind::Write, Key(1), None, SimTime(2));
-        h.push(HistEvent {
-            site: SiteId(0),
-            txn: lx,
-            kind: HistEventKind::Committed,
-            time: SimTime(3),
-        });
-        h.push(HistEvent {
-            site: SiteId(0),
-            txn: ly,
-            kind: HistEventKind::RolledBack,
-            time: SimTime(4),
-        });
-        assert_equivalent(&h);
-        let g = replay(&h, true);
-        assert!(g.nodes().contains(&lx));
-        assert!(!g.nodes().contains(&ly), "uncommitted local dropped");
+        let (lx, ly) = (l(0, 1), l(0, 2));
+        write(&mut h, 0, lx, 1, 1);
+        write(&mut h, 0, ly, 1, 2);
+        event(&mut h, 0, lx, Committed, 3);
+        event(&mut h, 0, ly, RolledBack, 4);
+        read(&mut h, 0, t(1), 1, lx, 5);
+        let g = build_exposed_sgs(&h);
+        assert_eq!(g.nodes(), vec![t(1), lx], "rolled-back local dropped");
+        assert_eq!(g.edges(), vec![(lx, t(1))]);
+    }
+
+    #[test]
+    fn compensation_serializes_after_its_forward_transaction() {
+        // T1 has no terminal event (in flight when recording stopped), so
+        // its forward access counts; the compensation's always does.
+        let mut h = History::new();
+        write(&mut h, 0, t(1), 1, 1);
+        write(&mut h, 0, ct(1), 1, 2);
+        let gsg = build_exposed_sgs(&h);
+        assert_eq!(gsg.site(SiteId(0)).unwrap().successors(t(1)), &[ct(1)]);
+    }
+
+    #[test]
+    fn ww_chain_orders_by_time() {
+        let mut h = History::new();
+        for i in 1..=3u64 {
+            write(&mut h, 0, t(i), 7, i);
+        }
+        let gsg = build_exposed_sgs(&h);
+        let sg = gsg.site(SiteId(0)).unwrap();
+        assert!(sg.has_path(t(1), t(3)));
+        assert!(!sg.has_path(t(3), t(1)));
+        assert_eq!(sg.successors(t(1)).len(), 2, "edges to both later writers");
     }
 
     #[test]
     fn unexposed_rollback_drops_forward_accesses() {
-        let ct1 = ct(1);
+        // T1 wrote at site 0 and was rolled back there without ever being
+        // locally committed: its forward write is invisible and must not
+        // create edges; the CT undo-write still does.
         let mut h = History::new();
-        h.access(SiteId(0), t(1), OpKind::Write, Key(1), None, SimTime(1));
-        h.access(SiteId(0), ct1, OpKind::Write, Key(1), None, SimTime(2));
-        h.push(HistEvent {
-            site: SiteId(0),
-            txn: t(1),
-            kind: HistEventKind::RolledBack,
-            time: SimTime(2),
-        });
-        h.access(SiteId(0), t(2), OpKind::Write, Key(1), None, SimTime(3));
-        assert_equivalent(&h);
+        write(&mut h, 0, t(1), 1, 1);
+        write(&mut h, 0, ct(1), 1, 2);
+        event(&mut h, 0, t(1), RolledBack, 2);
+        write(&mut h, 0, t(2), 1, 3);
+        let gsg = build_exposed_sgs(&h);
+        let sg = gsg.site(SiteId(0)).unwrap();
+        assert!(!sg.contains(t(1)), "unexposed forward accesses dropped");
+        assert_eq!(sg.successors(ct(1)), &[t(2)], "Lemma 5 edge CT1 → T2 kept");
+    }
+
+    #[test]
+    fn locally_committed_rollback_keeps_forward_accesses() {
+        // Same shape, but the site locally committed T1 first (O2PC
+        // exposure): the forward write was visible and stays in the SG.
+        let mut h = History::new();
+        write(&mut h, 0, t(1), 1, 1);
+        event(&mut h, 0, t(1), LocallyCommitted, 2);
+        read(&mut h, 0, t(2), 1, t(1), 3);
+        write(&mut h, 0, ct(1), 1, 4);
+        let gsg = build_exposed_sgs(&h);
+        let sg = gsg.site(SiteId(0)).unwrap();
+        assert!(sg.has_path(t(1), t(2)));
+        assert!(
+            sg.has_path(t(2), ct(1)),
+            "the exposed-window reader precedes the compensation"
+        );
+    }
+
+    #[test]
+    fn exposure_is_per_site() {
+        // T1 locally committed at site 0 but was rolled back unexposed at
+        // site 1: included there only via CT.
+        let mut h = History::new();
+        write(&mut h, 0, t(1), 1, 1);
+        event(&mut h, 0, t(1), LocallyCommitted, 2);
+        write(&mut h, 1, t(1), 1, 1);
+        event(&mut h, 1, t(1), RolledBack, 3);
+        let gsg = build_exposed_sgs(&h);
+        assert!(gsg.site(SiteId(0)).unwrap().contains(t(1)));
+        assert!(
+            gsg.site(SiteId(1)).is_none_or(|sg| !sg.contains(t(1))),
+            "unexposed forward access must not materialize the node"
+        );
     }
 
     #[test]
     fn exposure_overrides_rollback_regardless_of_order() {
         // Roll-back recorded before the (late-arriving) local-commit event:
-        // the batch builder still includes the forward access, because
-        // exposure insertion is unconditional. The incremental builder must
-        // upgrade Excluded → Included.
+        // the forward access still counts — Excluded upgrades to Included.
         let mut h = History::new();
-        h.access(SiteId(0), t(1), OpKind::Write, Key(1), None, SimTime(1));
-        h.push(HistEvent {
-            site: SiteId(0),
-            txn: t(1),
-            kind: HistEventKind::RolledBack,
-            time: SimTime(2),
-        });
-        h.push(HistEvent {
-            site: SiteId(0),
-            txn: t(1),
-            kind: HistEventKind::LocallyCommitted,
-            time: SimTime(3),
-        });
-        h.access(SiteId(0), t(2), OpKind::Write, Key(1), None, SimTime(4));
-        assert_equivalent(&h);
-        let g = replay(&h, true);
-        assert!(g.nodes().contains(&t(1)));
+        write(&mut h, 0, t(1), 1, 1);
+        event(&mut h, 0, t(1), RolledBack, 2);
+        event(&mut h, 0, t(1), LocallyCommitted, 3);
+        write(&mut h, 0, t(2), 1, 4);
+        assert_eq!(build_exposed_sgs(&h).edges(), vec![(t(1), t(2))]);
     }
 
     #[test]
     fn undecided_global_included_by_default_at_finish() {
         let mut h = History::new();
-        h.access(SiteId(0), t(1), OpKind::Write, Key(1), None, SimTime(1));
-        h.access(SiteId(0), t(2), OpKind::Write, Key(1), None, SimTime(2));
-        assert_equivalent(&h);
-        let g = replay(&h, true);
+        write(&mut h, 0, t(1), 1, 1);
+        write(&mut h, 0, t(2), 1, 2);
+        let g = build_exposed_sgs(&h);
         assert_eq!(g.edges().len(), 1, "in-flight globals default-included");
     }
 
     #[test]
     fn graph_grows_as_events_arrive() {
-        let mut inc = IncrementalSg::new_exposed();
-        inc.observe(HistEvent {
-            site: SiteId(0),
-            txn: ct(1),
-            kind: HistEventKind::Access {
-                kind: OpKind::Write,
-                key: Key(1),
-                read_from: None,
-            },
-            time: SimTime(1),
-        });
-        inc.observe(HistEvent {
-            site: SiteId(0),
-            txn: ct(2),
-            kind: HistEventKind::Access {
-                kind: OpKind::Write,
-                key: Key(1),
-                read_from: None,
-            },
-            time: SimTime(2),
-        });
+        let mut h = History::new();
+        write(&mut h, 0, ct(1), 1, 1);
+        write(&mut h, 0, ct(2), 1, 2);
+        let mut inc = IncrementalSg::default();
+        for &ev in h.events() {
+            inc.observe(ev);
+        }
         // Compensations settle immediately: the edge is live already.
         assert_eq!(inc.graph().edges().len(), 1);
         assert_eq!(inc.snapshot().edges().len(), 1);
     }
 
     #[test]
-    fn repeated_access_positions_produce_local_cycles_like_batch() {
-        // a@1, b@2, a@3 on one key: batch yields both a→b and b→a.
+    fn repeated_access_positions_produce_local_cycles() {
+        // a@1, b@2, a@3 on one key: both a→b and b→a.
         let mut h = History::new();
-        h.access(SiteId(0), t(1), OpKind::Write, Key(1), None, SimTime(1));
-        h.access(SiteId(0), t(2), OpKind::Write, Key(1), None, SimTime(2));
-        h.access(SiteId(0), t(1), OpKind::Write, Key(1), None, SimTime(3));
-        assert_equivalent(&h);
-        let g = replay(&h, true);
+        write(&mut h, 0, t(1), 1, 1);
+        write(&mut h, 0, t(2), 1, 2);
+        write(&mut h, 0, t(1), 1, 3);
+        let g = build_exposed_sgs(&h);
         assert_eq!(g.edges().len(), 2);
+        assert!(g.site(SiteId(0)).unwrap().has_cycle());
     }
 
     #[test]
@@ -542,17 +585,11 @@ mod tests {
         // Local L accesses between two global accesses; L commits last.
         let mut h = History::new();
         let lx = l(0, 1);
-        h.access(SiteId(0), t(1), OpKind::Write, Key(1), None, SimTime(1));
-        h.access(SiteId(0), lx, OpKind::Write, Key(1), None, SimTime(2));
-        h.access(SiteId(0), t(2), OpKind::Write, Key(1), None, SimTime(3));
-        h.push(HistEvent {
-            site: SiteId(0),
-            txn: lx,
-            kind: HistEventKind::Committed,
-            time: SimTime(4),
-        });
-        assert_equivalent(&h);
-        let g = replay(&h, true);
+        write(&mut h, 0, t(1), 1, 1);
+        write(&mut h, 0, lx, 1, 2);
+        write(&mut h, 0, t(2), 1, 3);
+        event(&mut h, 0, lx, Committed, 4);
+        let g = build_exposed_sgs(&h);
         let sg = g.site(SiteId(0)).unwrap();
         assert!(sg.successors(t(1)).contains(&lx));
         assert!(sg.successors(lx).contains(&t(2)));
@@ -564,21 +601,14 @@ mod tests {
         // crashes: the engine emits RolledBack for CT1 and the physical
         // execution is undone. CT1 later re-executes under the same id.
         // Only the post-voiding accesses may conflict.
-        let ct1 = ct(1);
         let mut h = History::new();
-        h.access(SiteId(0), t(1), OpKind::Write, Key(1), None, SimTime(1));
-        h.access(SiteId(0), ct1, OpKind::Write, Key(1), None, SimTime(2));
-        h.push(HistEvent {
-            site: SiteId(0),
-            txn: ct1,
-            kind: HistEventKind::RolledBack,
-            time: SimTime(3),
-        });
-        h.access(SiteId(0), t(2), OpKind::Write, Key(2), None, SimTime(4));
-        assert_equivalent(&h);
-        let g = replay(&h, true);
+        write(&mut h, 0, t(1), 1, 1);
+        write(&mut h, 0, ct(1), 1, 2);
+        event(&mut h, 0, ct(1), RolledBack, 3);
+        write(&mut h, 0, t(2), 2, 4);
+        let g = build_exposed_sgs(&h);
         let sg = g.site(SiteId(0)).unwrap();
-        assert!(!sg.contains(ct1), "voided compensation leaves the graph");
+        assert!(!sg.contains(ct(1)), "voided compensation leaves the graph");
         assert!(
             sg.successors(t(1)).is_empty(),
             "edge to the wiped execution must not survive"
@@ -589,27 +619,20 @@ mod tests {
     fn crash_voiding_keeps_reexecution_accesses() {
         // Same shape, but CT1 re-executes after the voiding event: the
         // second physical execution's conflicts are real and must stay.
-        let ct1 = ct(1);
         let mut h = History::new();
-        h.access(SiteId(0), t(1), OpKind::Write, Key(1), None, SimTime(1));
-        h.access(SiteId(0), ct1, OpKind::Write, Key(1), None, SimTime(2));
-        h.push(HistEvent {
-            site: SiteId(0),
-            txn: ct1,
-            kind: HistEventKind::RolledBack,
-            time: SimTime(3),
-        });
-        h.access(SiteId(0), ct1, OpKind::Write, Key(1), None, SimTime(4));
-        assert_equivalent(&h);
-        let g = replay(&h, true);
+        write(&mut h, 0, t(1), 1, 1);
+        write(&mut h, 0, ct(1), 1, 2);
+        event(&mut h, 0, ct(1), RolledBack, 3);
+        write(&mut h, 0, ct(1), 1, 4);
+        let g = build_exposed_sgs(&h);
         let sg = g.site(SiteId(0)).unwrap();
-        assert!(sg.contains(ct1));
+        assert!(sg.contains(ct(1)));
         assert!(
-            sg.successors(t(1)).contains(&ct1),
+            sg.successors(t(1)).contains(&ct(1)),
             "re-executed compensation conflicts normally"
         );
         assert!(
-            !sg.successors(ct1).contains(&t(1)),
+            !sg.successors(ct(1)).contains(&t(1)),
             "no phantom back-edge from the wiped first execution"
         );
     }
@@ -620,22 +643,11 @@ mod tests {
         // not positional voiding: an exposed (locally committed) global's
         // accesses survive its later rollback event.
         let mut h = History::new();
-        h.access(SiteId(0), t(1), OpKind::Write, Key(1), None, SimTime(1));
-        h.push(HistEvent {
-            site: SiteId(0),
-            txn: t(1),
-            kind: HistEventKind::LocallyCommitted,
-            time: SimTime(2),
-        });
-        h.push(HistEvent {
-            site: SiteId(0),
-            txn: t(1),
-            kind: HistEventKind::RolledBack,
-            time: SimTime(3),
-        });
-        h.access(SiteId(0), t(2), OpKind::Write, Key(1), None, SimTime(4));
-        assert_equivalent(&h);
-        let g = replay(&h, true);
+        write(&mut h, 0, t(1), 1, 1);
+        event(&mut h, 0, t(1), LocallyCommitted, 2);
+        event(&mut h, 0, t(1), RolledBack, 3);
+        write(&mut h, 0, t(2), 1, 4);
+        let g = build_exposed_sgs(&h);
         let sg = g.site(SiteId(0)).unwrap();
         assert!(
             sg.successors(t(1)).contains(&t(2)),

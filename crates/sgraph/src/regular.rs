@@ -19,71 +19,47 @@
 //! (then a minimal representation with that transaction as an endpoint
 //! exists).
 
-use crate::cycles::{enumerate_cycles, for_each_cycle};
+use crate::cycles::{cycles_in_comp, sccs, Indexed};
 use crate::graph::GlobalSg;
 use o2pc_common::TxnId;
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashSet};
+use std::ops::ControlFlow;
 
-/// Precomputed single-site reachability: `exists(a, b)` answers "does some
-/// single site's local SG contain a path `a →+ b`" in O(1). Building it once
-/// per audit turns the minimal-representation DP from BFS-per-query into
+/// Precomputed single-site reachability inside one strongly connected
+/// component of the union SG: `exists(a, b)` answers "does some single
+/// site's local SG contain a path `a →+ b`" in O(1). Building it once per
+/// component turns the minimal-representation DP from BFS-per-query into
 /// hash lookups.
-pub struct SegmentOracle {
+pub(crate) struct SegmentOracle {
     reach: HashSet<(TxnId, TxnId)>,
 }
 
 impl SegmentOracle {
-    /// Build the oracle for a global SG.
-    pub(crate) fn new(gsg: &GlobalSg) -> Self {
-        let mut reach = HashSet::new();
-        for (_, sg) in gsg.sites() {
-            for start in sg.nodes() {
-                let mut seen: BTreeSet<TxnId> = BTreeSet::new();
-                let mut queue: VecDeque<TxnId> = VecDeque::new();
-                queue.push_back(start);
-                while let Some(n) = queue.pop_front() {
-                    for &s in sg.successors(n) {
-                        reach.insert((start, s));
-                        if seen.insert(s) {
-                            queue.push_back(s);
-                        }
-                    }
-                }
-            }
-        }
-        SegmentOracle { reach }
-    }
-
-    /// Build the oracle restricted to `allowed` nodes: only paths that
-    /// start, end, *and stay* inside the set are recorded.
+    /// Build the oracle for component `comp` of `g` (the indexed `gsg`):
+    /// only paths that start, end, *and stay* inside it are recorded.
     ///
-    /// This is exact (not an approximation) when `allowed` is one strongly
-    /// connected component of the union SG and the queries concern cycles
-    /// inside it: if a single site has a local path `a →+ b` with `a`, `b`
-    /// in the SCC, every intermediate node `x` of that path also lies in
-    /// the SCC (`a` reaches `x` and `x` reaches `b` along the path, and `b`
-    /// reaches `a` through the component's return path, closing a cycle
-    /// through `x`). So confining the BFS to the component loses no
-    /// admissible segment — while shrinking the quadratic reachability
-    /// closure from the whole graph to one component.
-    pub(crate) fn restricted(gsg: &GlobalSg, allowed: &BTreeSet<TxnId>) -> Self {
-        let mut reach = HashSet::new();
+    /// This is exact (not an approximation) for the queries the search
+    /// makes, which all concern cycles inside the component: if a single
+    /// site has a local path `a →+ b` with `a`, `b` in the SCC, every
+    /// intermediate node `x` of that path also lies in the SCC (`a` reaches
+    /// `x` and `x` reaches `b` along the path, and `b` reaches `a` through
+    /// the component's return path, closing a cycle through `x`). So
+    /// confining the walk to the component loses no admissible segment —
+    /// while shrinking the quadratic reachability closure from the whole
+    /// graph to one component.
+    pub(crate) fn restricted(gsg: &GlobalSg, g: &Indexed, comp: &[u32]) -> Self {
+        let allowed: BTreeSet<TxnId> = comp.iter().map(|&v| g.nodes[v as usize]).collect();
+        let (mut reach, mut seen, mut stack) = (HashSet::new(), BTreeSet::new(), Vec::new());
         for (_, sg) in gsg.sites() {
-            for start in sg.nodes() {
-                if !allowed.contains(&start) {
-                    continue;
-                }
-                let mut seen: BTreeSet<TxnId> = BTreeSet::new();
-                let mut queue: VecDeque<TxnId> = VecDeque::new();
-                queue.push_back(start);
-                while let Some(n) = queue.pop_front() {
+            // A node absent from this site (or a sink there) starts no path.
+            for &start in allowed.iter().filter(|&&n| !sg.successors(n).is_empty()) {
+                seen.clear();
+                stack.push(start);
+                while let Some(n) = stack.pop() {
                     for &s in sg.successors(n) {
-                        if !allowed.contains(&s) {
-                            continue;
-                        }
-                        reach.insert((start, s));
-                        if seen.insert(s) {
-                            queue.push_back(s);
+                        if allowed.contains(&s) && seen.insert(s) {
+                            reach.insert((start, s));
+                            stack.push(s);
                         }
                     }
                 }
@@ -94,7 +70,7 @@ impl SegmentOracle {
 
     /// Does a single-site local path `a →+ b` exist?
     #[inline]
-    pub fn exists(&self, a: TxnId, b: TxnId) -> bool {
+    pub(crate) fn exists(&self, a: TxnId, b: TxnId) -> bool {
         self.reach.contains(&(a, b))
     }
 }
@@ -146,8 +122,7 @@ fn anchored_cover(
             }
             let from = nodes[(f + p) % k];
             let to = nodes[(f + j) % k];
-            let admissible = oracle.exists(from, to);
-            if admissible && d[p] + 1 < d[j] {
+            if oracle.exists(from, to) && d[p] + 1 < d[j] {
                 d[j] = d[p] + 1;
                 parent[j] = p;
             }
@@ -167,91 +142,150 @@ fn anchored_cover(
     Some((d[k], endpoints))
 }
 
-/// Classify one simple cycle of the union SG (builds a fresh reachability
-/// oracle; batch callers should use [`classify_cycle_with`]).
-pub fn classify_cycle(gsg: &GlobalSg, nodes: &[TxnId]) -> CycleClass {
-    classify_cycle_with(&SegmentOracle::new(gsg), nodes)
+/// Classify one simple cycle against its component's oracle.
+fn classify(oracle: &SegmentOracle, nodes: &[TxnId]) -> CycleClass {
+    debug_assert!(nodes.len() >= 2);
+    let covers: Vec<_> = (0..nodes.len())
+        .map(|f| anchored_cover(oracle, nodes, f))
+        .collect();
+    let overall = covers.iter().flatten().map(|&(m, _)| m).min();
+    debug_assert!(overall.is_some(), "a cycle always has a cover");
+    let min_segments = overall.unwrap_or(usize::MAX);
+    let regular = covers
+        .iter()
+        .enumerate()
+        .find_map(|(f, cover)| match cover {
+            Some((m, endpoints)) if *m == min_segments && nodes[f].is_regular_global() => {
+                Some(endpoints)
+            }
+            _ => None,
+        });
+    match regular {
+        Some(endpoints) => CycleClass::Regular(RegularCycle {
+            nodes: nodes.to_vec(),
+            min_segments,
+            witness_endpoints: endpoints.iter().map(|&p| nodes[p]).collect(),
+        }),
+        None => CycleClass::NonRegular { min_segments },
+    }
 }
 
-/// Classify one simple cycle using a prebuilt [`SegmentOracle`].
-pub fn classify_cycle_with(oracle: &SegmentOracle, nodes: &[TxnId]) -> CycleClass {
-    let k = nodes.len();
-    debug_assert!(k >= 2);
-    let mut overall = usize::MAX;
-    let mut per_anchor: Vec<Option<(usize, Vec<usize>)>> = Vec::with_capacity(k);
-    for f in 0..k {
-        let r = anchored_cover(oracle, nodes, f);
-        if let Some((m, _)) = &r {
-            overall = overall.min(*m);
-        }
-        per_anchor.push(r);
-    }
-    debug_assert_ne!(overall, usize::MAX, "a cycle always has a cover");
+/// How a search for a regular cycle ended.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SearchOutcome {
+    /// A regular cycle, with a minimal representation that witnesses it.
+    Found(RegularCycle),
+    /// The search was exhaustive: the graph holds no regular cycle.
+    NoneExist,
+    /// No witness turned up, but a budget — `max_cycles`, or `max_len`
+    /// cutting a branch that could still close a cycle — left some mixed
+    /// component only partly searched.
+    Inconclusive,
+}
 
-    for (f, r) in per_anchor.iter().enumerate() {
-        if !nodes[f].is_regular_global() {
+/// A finished [`find_regular_cycle`]: how it ended and what it examined.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RegularSearch {
+    /// How the search ended.
+    pub outcome: SearchOutcome,
+    /// Cyclic strongly connected components of the union SG (each may hold
+    /// many simple cycles).
+    pub cyclic_sccs: usize,
+    /// Components decided *without enumerating a single cycle*: a regular
+    /// cycle must contain a regular global transaction, so a component
+    /// holding none (only CTs and committed locals) cannot host one.
+    pub sccs_dismissed: usize,
+    /// Simple cycles enumerated inside mixed components.
+    pub cycles_enumerated: usize,
+}
+
+/// Search the union SG for a regular cycle — the one search behind
+/// [`crate::audit_graph`] and every other verdict:
+///
+/// 1. every simple cycle lies inside one cyclic SCC, so an acyclic
+///    condensation is [`SearchOutcome::NoneExist`] with zero enumeration;
+/// 2. an SCC containing no regular global transaction (CT-and-local-only
+///    traffic, the common case under heavy aborts) is dismissed in
+///    O(component size);
+/// 3. each *mixed* component is searched on its own: its simple cycles of
+///    length ≤ `max_len`, at most `max_cycles` of them, each classified
+///    against a `SegmentOracle` restricted to the component.
+///
+/// The first regular cycle ends the search. Without one, the answer is
+/// `NoneExist` only if every mixed component was walked completely; a
+/// component a budget cut short makes it [`SearchOutcome::Inconclusive`],
+/// and the search still moves on — a later component may hold a witness.
+pub fn find_regular_cycle(gsg: &GlobalSg, max_cycles: usize, max_len: usize) -> RegularSearch {
+    let g = Indexed::new(gsg);
+    let comps = sccs(&g);
+    let mut search = RegularSearch {
+        outcome: SearchOutcome::NoneExist,
+        cyclic_sccs: comps.len(),
+        sccs_dismissed: 0,
+        cycles_enumerated: 0,
+    };
+    let regular = |&v: &u32| g.nodes[v as usize].is_regular_global();
+    for comp in &comps {
+        if !comp.iter().any(regular) {
+            search.sccs_dismissed += 1;
             continue;
         }
-        if let Some((m, endpoints)) = r {
-            if *m == overall {
-                let witness_endpoints = endpoints.iter().map(|&p| nodes[p]).collect();
-                return CycleClass::Regular(RegularCycle {
-                    nodes: nodes.to_vec(),
-                    min_segments: overall,
-                    witness_endpoints,
-                });
+        let oracle = SegmentOracle::restricted(gsg, &g, comp);
+        let mut budget = max_cycles;
+        let mut found = None;
+        let complete = cycles_in_comp(&g, comp, max_len, &mut |cycle: &[TxnId]| {
+            // The budget is checked before a cycle is counted, so a
+            // component with exactly `max_cycles` cycles is exhausted.
+            if budget == 0 {
+                return ControlFlow::Break(());
             }
+            budget -= 1;
+            search.cycles_enumerated += 1;
+            // Cheap filter first: a regular cycle needs a regular global
+            // node; only then pay for the minimal-representation DP.
+            if cycle.iter().any(|n| n.is_regular_global()) {
+                if let CycleClass::Regular(rc) = classify(&oracle, cycle) {
+                    found = Some(rc);
+                    return ControlFlow::Break(());
+                }
+            }
+            ControlFlow::Continue(())
+        });
+        if let Some(rc) = found {
+            search.outcome = SearchOutcome::Found(rc);
+            return search;
+        }
+        if !complete {
+            search.outcome = SearchOutcome::Inconclusive;
         }
     }
-    CycleClass::NonRegular {
-        min_segments: overall,
-    }
+    search
 }
 
-/// Search the union SG for a regular cycle. `max_cycles` / `max_len` bound
-/// the enumeration (a history audit passes generous caps; see
-/// [`crate::correctness::audit`]).
-pub fn find_regular_cycle(
-    gsg: &GlobalSg,
-    max_cycles: usize,
-    max_len: usize,
-) -> Option<RegularCycle> {
-    let mut oracle: Option<SegmentOracle> = None;
-    let mut found: Option<RegularCycle> = None;
-    let mut examined = 0usize;
-    for_each_cycle(gsg, max_len, |cycle| {
-        examined += 1;
-        // Cheap filter: a regular cycle needs a regular global node at all.
-        if cycle.iter().any(|n| n.is_regular_global()) {
-            let oracle = oracle.get_or_insert_with(|| SegmentOracle::new(gsg));
-            if let CycleClass::Regular(rc) = classify_cycle_with(oracle, cycle) {
-                found = Some(rc);
-                return std::ops::ControlFlow::Break(());
-            }
-        }
-        if examined >= max_cycles {
-            std::ops::ControlFlow::Break(())
-        } else {
-            std::ops::ControlFlow::Continue(())
-        }
-    });
-    found
-}
-
-/// Classify every enumerated cycle (used by the F1 figure binary).
+/// Classify every simple cycle of length ≤ `max_len`, up to `max_cycles`
+/// of them (F1's table and the property tests): the components, order and
+/// oracle of [`find_regular_cycle`], with no component dismissed.
 pub fn classify_all_cycles(
     gsg: &GlobalSg,
     max_cycles: usize,
     max_len: usize,
 ) -> Vec<(Vec<TxnId>, CycleClass)> {
-    let oracle = SegmentOracle::new(gsg);
-    enumerate_cycles(gsg, max_cycles, max_len)
-        .into_iter()
-        .map(|c| {
-            let class = classify_cycle_with(&oracle, &c);
-            (c, class)
-        })
-        .collect()
+    let g = Indexed::new(gsg);
+    let mut out = Vec::new();
+    for comp in &sccs(&g) {
+        if out.len() == max_cycles {
+            break;
+        }
+        let oracle = SegmentOracle::restricted(gsg, &g, comp);
+        cycles_in_comp(&g, comp, max_len, &mut |cycle: &[TxnId]| {
+            if out.len() == max_cycles {
+                return ControlFlow::Break(());
+            }
+            out.push((cycle.to_vec(), classify(&oracle, cycle)));
+            ControlFlow::Continue(())
+        });
+    }
+    out
 }
 
 #[cfg(test)]
@@ -265,6 +299,17 @@ mod tests {
 
     fn ct(i: u64) -> TxnId {
         TxnId::Compensation(GlobalTxnId(i))
+    }
+
+    fn outcome(g: &GlobalSg) -> SearchOutcome {
+        find_regular_cycle(g, 100, 10).outcome
+    }
+
+    fn witness(g: &GlobalSg) -> RegularCycle {
+        match outcome(g) {
+            SearchOutcome::Found(rc) => rc,
+            other => panic!("expected a regular cycle, got {other:?}"),
+        }
     }
 
     /// Example 1 of the paper, extended with the closing edge so that the
@@ -282,7 +327,7 @@ mod tests {
         g.site_mut(SiteId(2)).add_edge(t(2), ct(3));
         g.site_mut(SiteId(3)).add_edge(ct(3), ct(1));
 
-        assert!(find_regular_cycle(&g, 100, 10).is_none());
+        assert_eq!(outcome(&g), SearchOutcome::NoneExist);
         // There IS a cycle; it is just non-regular.
         let classes = classify_all_cycles(&g, 100, 10);
         assert!(!classes.is_empty());
@@ -303,7 +348,7 @@ mod tests {
         g.site_mut(SiteId(2)).add_edge(t(2), ct(3));
         g.site_mut(SiteId(3)).add_edge(ct(3), ct(1));
 
-        let rc = find_regular_cycle(&g, 100, 10).expect("regular cycle expected");
+        let rc = witness(&g);
         assert_eq!(rc.min_segments, 3);
         assert!(rc.witness_endpoints.contains(&t(2)));
         assert_eq!(
@@ -325,7 +370,7 @@ mod tests {
         // SG_b: T2 → T1         (T2 preceded T1's subtransaction elsewhere)
         g.site_mut(SiteId(1)).add_edge(t(2), t(1));
 
-        let rc = find_regular_cycle(&g, 100, 10).expect("Figure 1(a) must be regular");
+        let rc = witness(&g);
         assert!(rc.nodes.contains(&t(2)));
         assert!(rc.nodes.contains(&t(1)));
     }
@@ -337,9 +382,11 @@ mod tests {
         let mut g = GlobalSg::new();
         g.site_mut(SiteId(0)).add_edge(ct(1), ct(2));
         g.site_mut(SiteId(1)).add_edge(ct(2), ct(1));
-        assert!(find_regular_cycle(&g, 100, 10).is_none());
+        let search = find_regular_cycle(&g, 100, 10);
+        assert_eq!(search.outcome, SearchOutcome::NoneExist);
+        assert_eq!((search.sccs_dismissed, search.cycles_enumerated), (1, 0));
         let classes = classify_all_cycles(&g, 100, 10);
-        assert_eq!(classes.len(), 1);
+        assert_eq!(classes.len(), 1, "classification dismisses nothing");
     }
 
     /// A serializable (acyclic) graph has no cycles of any kind.
@@ -348,7 +395,7 @@ mod tests {
         let mut g = GlobalSg::new();
         g.site_mut(SiteId(0)).add_edge(t(1), t(2));
         g.site_mut(SiteId(1)).add_edge(t(2), t(3));
-        assert!(find_regular_cycle(&g, 100, 10).is_none());
+        assert_eq!(outcome(&g), SearchOutcome::NoneExist);
         assert!(classify_all_cycles(&g, 100, 10).is_empty());
     }
 
@@ -361,8 +408,7 @@ mod tests {
         let mut g = GlobalSg::new();
         g.site_mut(SiteId(0)).add_edge(t(1), t(2));
         g.site_mut(SiteId(1)).add_edge(t(2), t(1));
-        let rc = find_regular_cycle(&g, 100, 10).expect("regular");
-        assert_eq!(rc.min_segments, 2);
+        assert_eq!(witness(&g).min_segments, 2);
     }
 
     /// Minimal-representation subtlety: a long cycle through a regular node
@@ -375,16 +421,38 @@ mod tests {
         g.site_mut(SiteId(0)).add_edge(t(5), ct(2));
         // Site 1 closes the loop CT2 → CT1.
         g.site_mut(SiteId(1)).add_edge(ct(2), ct(1));
-        assert!(
-            find_regular_cycle(&g, 100, 10).is_none(),
+        assert_eq!(
+            outcome(&g),
+            SearchOutcome::NoneExist,
             "T5 must be skipped by the CT1→CT2 local segment"
         );
     }
 
-    /// The SCC-restricted oracle agrees with the full oracle on queries
-    /// inside the component, even when the graph has nodes outside it.
     #[test]
-    fn restricted_oracle_matches_full_oracle_inside_scc() {
+    fn classification_stops_at_max_cycles() {
+        let mut g = GlobalSg::new();
+        for a in 1..=5u64 {
+            for b in 1..=5u64 {
+                if a != b {
+                    g.site_mut(SiteId(0)).add_edge(t(a), t(b));
+                }
+            }
+        }
+        assert_eq!(classify_all_cycles(&g, 7, 10).len(), 7);
+        // A cap reached at the end of one component skips the next.
+        g.site_mut(SiteId(1)).add_edge(t(8), t(9));
+        g.site_mut(SiteId(1)).add_edge(t(9), t(8));
+        let all = classify_all_cycles(&g, 1000, 10);
+        let first = all.iter().filter(|(c, _)| !c.contains(&t(8))).count();
+        assert_eq!(all.len(), first + 1);
+        assert_eq!(classify_all_cycles(&g, first, 10), all[..first]);
+    }
+
+    /// The component-restricted oracle answers exactly the single-site
+    /// reachability question inside the component, even when the graph has
+    /// nodes outside it — and records nothing about those.
+    #[test]
+    fn restricted_oracle_is_single_site_reachability_inside_the_scc() {
         let mut g = GlobalSg::new();
         // SCC {ct1, t2, ct3} via site-local chains, plus an outside tail.
         g.site_mut(SiteId(1)).add_edge(ct(1), t(2));
@@ -392,17 +460,19 @@ mod tests {
         g.site_mut(SiteId(2)).add_edge(t(2), ct(3));
         g.site_mut(SiteId(3)).add_edge(ct(3), ct(1));
         g.site_mut(SiteId(2)).add_edge(ct(3), t(9)); // t9 outside the SCC
-        let scc: std::collections::BTreeSet<TxnId> = [ct(1), t(2), ct(3)].into_iter().collect();
-        let full = SegmentOracle::new(&g);
-        let restricted = SegmentOracle::restricted(&g, &scc);
-        for &a in &scc {
-            for &b in &scc {
-                assert_eq!(full.exists(a, b), restricted.exists(a, b), "{a:?} -> {b:?}");
+        let ix = Indexed::new(&g);
+        let comps = sccs(&ix);
+        assert_eq!(comps.len(), 1);
+        let oracle = SegmentOracle::restricted(&g, &ix, &comps[0]);
+        for a in [ct(1), t(2), ct(3)] {
+            for b in [ct(1), t(2), ct(3)] {
+                let one_site = g.sites().any(|(_, sg)| sg.has_path(a, b));
+                assert_eq!(oracle.exists(a, b), one_site, "{a:?} -> {b:?}");
             }
         }
-        // Outside queries are (deliberately) absent from the restricted one.
-        assert!(full.exists(ct(3), t(9)));
-        assert!(!restricted.exists(ct(3), t(9)));
+        assert!(oracle.exists(ct(1), ct(3)), "SG2 covers CT1 → CT3 alone");
+        assert!(!oracle.exists(ct(3), t(2)), "CT3 → T2 needs two sites");
+        assert!(!oracle.exists(ct(3), t(9)), "outside the component");
     }
 
     /// The anchored DP returns a cover that actually covers the cycle.
@@ -412,8 +482,10 @@ mod tests {
         g.site_mut(SiteId(0)).add_edge(t(1), t(2));
         g.site_mut(SiteId(0)).add_edge(t(2), t(3));
         g.site_mut(SiteId(1)).add_edge(t(3), t(1));
+        let ix = Indexed::new(&g);
+        let oracle = SegmentOracle::restricted(&g, &ix, &sccs(&ix)[0]);
         let nodes = vec![t(1), t(2), t(3)];
-        let (m, endpoints) = anchored_cover(&SegmentOracle::new(&g), &nodes, 0).unwrap();
+        let (m, endpoints) = anchored_cover(&oracle, &nodes, 0).unwrap();
         // Site 0 covers t1→t3 in one segment, site 1 closes: 2 segments.
         assert_eq!(m, 2);
         assert_eq!(endpoints.len(), 2);

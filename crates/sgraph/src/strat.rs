@@ -142,7 +142,7 @@ pub fn holds_c2(gsg: &GlobalSg) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::regular::find_regular_cycle;
+    use crate::regular::{find_regular_cycle, SearchOutcome};
     use o2pc_common::SiteId;
 
     fn g(i: u64) -> GlobalTxnId {
@@ -160,7 +160,10 @@ mod tests {
 
         assert!(active_wrt(&sg, g(1), g(2)), "T1 active wrt T2 via site 0");
         assert!(!holds_s1(&sg), "S1 must fail on a regular-cycle graph");
-        assert!(find_regular_cycle(&sg, 100, 10).is_some());
+        assert!(matches!(
+            find_regular_cycle(&sg, 100, 10).outcome,
+            SearchOutcome::Found(_)
+        ));
     }
 
     /// C1 literally: CT1 → T2 at one site; at another site where T2 appears
@@ -189,7 +192,8 @@ mod tests {
         }
         assert!(a1(&sg, g(1), g(2)));
         assert!(holds_s1(&sg));
-        assert!(find_regular_cycle(&sg, 100, 10).is_none());
+        let search = find_regular_cycle(&sg, 100, 10);
+        assert_eq!(search.outcome, SearchOutcome::NoneExist);
     }
 
     /// A4 scenario: T2 precedes CT1 wherever they meet, never through T1.
@@ -202,7 +206,8 @@ mod tests {
         sg.site_mut(SiteId(1)).add_node(t(g(1)));
         assert!(a4(&sg, g(1), g(2)));
         assert!(holds_s1(&sg));
-        assert!(find_regular_cycle(&sg, 100, 10).is_none());
+        let search = find_regular_cycle(&sg, 100, 10);
+        assert_eq!(search.outcome, SearchOutcome::NoneExist);
     }
 
     #[test]

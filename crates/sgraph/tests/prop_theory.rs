@@ -1,7 +1,8 @@
 //! Property tests for the §5 theory over randomly generated, history-like
 //! global SGs:
 //!
-//! * The bounded cycle enumerator agrees with a brute-force enumerator.
+//! * The per-component cycle enumeration behind every regular-cycle verdict
+//!   agrees with a brute-force enumerator.
 //! * Criterion reduction: with no compensating transactions, every cycle
 //!   through a regular global transaction classifies as regular ("correct"
 //!   collapses to "serializable").
@@ -16,9 +17,8 @@
 //! workspace root.
 
 use o2pc_common::{GlobalTxnId, LocalTxnId, SiteId, TxnId};
-use o2pc_sgraph::cycles::enumerate_cycles;
 use o2pc_sgraph::graph::GlobalSg;
-use o2pc_sgraph::regular::{classify_cycle, CycleClass};
+use o2pc_sgraph::regular::{classify_all_cycles, CycleClass};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -236,8 +236,10 @@ proptest! {
         let gsg = build(&spec);
         // The enumerator anchors at the smallest node already, so the
         // returned sequences are canonical as-is.
-        let fast: BTreeSet<Vec<TxnId>> =
-            enumerate_cycles(&gsg, 100_000, LEN_CAP).into_iter().collect();
+        let fast: BTreeSet<Vec<TxnId>> = classify_all_cycles(&gsg, 100_000, LEN_CAP)
+            .into_iter()
+            .map(|(cycle, _)| cycle)
+            .collect();
         let brute = brute_force_cycles(&gsg);
         prop_assert_eq!(fast, brute);
     }
@@ -249,13 +251,12 @@ proptest! {
         let mut spec = spec;
         spec.aborted = vec![false; spec.aborted.len()];
         let gsg = build(&spec);
-        for cycle in enumerate_cycles(&gsg, 10_000, 12) {
+        for (cycle, class) in classify_all_cycles(&gsg, 10_000, 12) {
             // Cycles among locals+globals: if it has a regular global it
             // must classify regular; locals-only cycles cannot exist in a
             // DAG-per-site union? They can across sites — but locals live at
             // one site each, so a cross-site cycle must involve a global.
             if cycle.iter().any(|n| n.is_regular_global()) {
-                let class = classify_cycle(&gsg, &cycle);
                 prop_assert!(
                     matches!(class, CycleClass::Regular(_)),
                     "cycle {cycle:?} through a regular global with no CTs must be regular"

@@ -1,16 +1,18 @@
-//! Equivalence of the incremental serialization-graph builder with the
-//! batch (whole-history replay) builder, on *real* engine output: recorded
-//! chaos histories with crashes, message loss, duplication, retransmission,
-//! aborts and compensations — the richest event streams the system
-//! produces. For every history, feeding the events one at a time into
-//! [`o2pc_sgraph::IncrementalSg`] must yield exactly the node and edge sets
-//! of `build_sgs` / `build_exposed_sgs`.
+//! Equivalence of the serialization-graph builder with the batch
+//! (whole-history replay) reference in `batch_sg`, on *real* engine output:
+//! recorded chaos histories with crashes, message loss, duplication,
+//! retransmission, aborts and compensations — the richest event streams
+//! the system produces. For every history, feeding the events one at a
+//! time into [`o2pc_sgraph::IncrementalSg`] must yield exactly the node and
+//! edge sets of the batch builder under exposure semantics.
+
+mod batch_sg;
 
 use o2pc_chaos::{run_plan, ChaosConfig, ChaosPlan, Hardening};
 use o2pc_common::{Duration, SiteId};
 use o2pc_core::{Engine, SystemConfig};
 use o2pc_protocol::ProtocolKind;
-use o2pc_sgraph::{audit, build_exposed_sgs, build_sgs, incremental, GlobalSg};
+use o2pc_sgraph::{audit_graph, build_exposed_sgs, GlobalSg};
 use o2pc_workload::GenericWorkload;
 
 fn assert_graphs_equal(inc: &GlobalSg, batch: &GlobalSg, what: &str) {
@@ -40,21 +42,16 @@ fn incremental_matches_batch_on_chaos_histories() {
         assert!(outcome.survived(), "chaos seed {seed} violated invariants");
         let h = &outcome.report.history;
         assert_graphs_equal(
-            &incremental::replay(h, true),
             &build_exposed_sgs(h),
-            &format!("chaos seed {seed}, exposed"),
-        );
-        assert_graphs_equal(
-            &incremental::replay(h, false),
-            &build_sgs(h),
-            &format!("chaos seed {seed}, complete"),
+            &batch_sg::build_with(h, true),
+            &format!("chaos seed {seed}"),
         );
     }
 }
 
 /// High-abort contended workload (the E7 regime where regular cycles form):
-/// the audit verdict over the incrementally-built graph must match the
-/// history-level audit.
+/// the audit verdict over the graph the engine maintained live must match
+/// the verdict over the batch reference graph.
 #[test]
 fn incremental_graph_audits_identically() {
     for seed in 0..6u64 {
@@ -71,21 +68,21 @@ fn incremental_graph_audits_identically() {
         };
         let mut cfg = SystemConfig::new(wl.sites, ProtocolKind::O2pc);
         cfg.vote_abort_probability = 0.4;
+        cfg.live_audit_graph = true;
         cfg.seed = seed;
         let mut e = Engine::new(cfg);
         wl.generate().install(&mut e);
         let r = e.run(Duration::secs(600));
 
-        let gsg = incremental::replay(&r.history, true);
-        let from_inc = o2pc_sgraph::audit_graph(&gsg, &r.history, 10_000, 8);
-        let from_hist = audit(&r.history, 10_000, 8);
-        assert_eq!(from_inc.is_correct(), from_hist.is_correct(), "seed {seed}");
-        assert_eq!(from_inc.serializable, from_hist.serializable, "seed {seed}");
-        assert_eq!(from_inc.cyclic_sccs, from_hist.cyclic_sccs, "seed {seed}");
+        let live = e.live_audit_graph().expect("live graph kept");
+        let from_live = audit_graph(&live, &r.history, 10_000, 8);
+        let batch = batch_sg::build_with(&r.history, true);
+        let from_batch = audit_graph(&batch, &r.history, 10_000, 8);
+        assert_eq!(from_live.verdict(), from_batch.verdict(), "seed {seed}");
         assert_eq!(
-            from_inc.regular_cycle.is_some(),
-            from_hist.regular_cycle.is_some(),
+            from_live.serializable, from_batch.serializable,
             "seed {seed}"
         );
+        assert_eq!(from_live.search, from_batch.search, "seed {seed}");
     }
 }

@@ -81,7 +81,7 @@ proptest! {
         // P1 histories satisfy the criterion.
         if protocol == ProtocolKind::O2pcP1 {
             let report = audit(&r.history, 8_000, 8);
-            prop_assert!(report.is_correct(), "P1 violated the criterion: {:?}", report.regular_cycle);
+            prop_assert!(report.is_correct(), "P1 violated the criterion: {:?}", report.search.outcome);
             prop_assert!(report.compensation_atomicity_violations.is_empty());
         }
     }

@@ -8,7 +8,11 @@
 //! subtransaction's forward operations are *replaced* by the CT's undo
 //! operations in the serialization graph — keeping both would flag regular
 //! cycles in histories where nothing was ever exposed (we verified this
-//! breaks Lemma 1 on real runs; see DESIGN.md).
+//! breaks Lemma 1 on real runs; see DESIGN.md, and the 2PL-2PC test below,
+//! which keeps the literal reading demonstrable).
+//!
+//! "No regular cycle" is asserted as [`Verdict::Correct`] — an exhaustive
+//! search — never as "the bounded search found none".
 //!
 //! * **Theorem 1** (S1 ∨ S2 ⇒ no regular cycles) over bare-O2PC runs with
 //!   aborts: whenever a stratification property happens to hold on the run's
@@ -20,12 +24,14 @@
 //! * **P1 ⇒ S1** (the §6.2 claim): histories produced under O2PC+P1 satisfy
 //!   stratification property S1.
 
-use o2pc_common::{Duration, SimTime, SiteId};
+mod batch_sg;
+
+use o2pc_common::{Duration, History, SimTime, SiteId};
 use o2pc_core::{Engine, SystemConfig};
 use o2pc_protocol::ProtocolKind;
-use o2pc_sgraph::build_exposed_sgs;
 use o2pc_sgraph::strat::{holds_c1, holds_c2};
-use o2pc_sgraph::{find_regular_cycle, holds_s1, holds_s2};
+use o2pc_sgraph::{audit_graph, build_exposed_sgs, find_regular_cycle, GlobalSg};
+use o2pc_sgraph::{holds_s1, holds_s2, SearchOutcome, Verdict};
 use o2pc_workload::BankingWorkload;
 
 fn adversarial_run(protocol: ProtocolKind, seed: u64) -> o2pc_core::RunReport {
@@ -44,6 +50,10 @@ fn adversarial_run(protocol: ProtocolKind, seed: u64) -> o2pc_core::RunReport {
     let mut e = Engine::new(cfg);
     wl.generate().install(&mut e);
     e.run(Duration::secs(600))
+}
+
+fn verdict(gsg: &GlobalSg, history: &History) -> Verdict {
+    audit_graph(gsg, history, 8_000, 8).verdict()
 }
 
 /// Theorem 1 in its actual domain.
@@ -66,9 +76,10 @@ fn theorem1_on_governed_runs() {
         let r = adversarial_run(ProtocolKind::O2pcSimple, seed);
         let gsg = build_exposed_sgs(&r.history);
         assert!(holds_s1(&gsg), "seed {seed}: Simple run violated S1");
-        assert!(
-            find_regular_cycle(&gsg, 8_000, 8).is_none(),
-            "seed {seed}: Simple run produced a regular cycle"
+        assert_eq!(
+            verdict(&gsg, &r.history),
+            Verdict::Correct,
+            "seed {seed}: Simple run"
         );
     }
     // Abort-free boundary: no CTs, S1 vacuous, and no cycles at all.
@@ -89,44 +100,56 @@ fn theorem1_on_governed_runs() {
         assert_eq!(r.global_aborted, 0);
         let gsg = build_exposed_sgs(&r.history);
         assert!(holds_s1(&gsg) && holds_s2(&gsg));
-        assert!(find_regular_cycle(&gsg, 8_000, 8).is_none());
+        assert_eq!(verdict(&gsg, &r.history), Verdict::Correct);
     }
 }
 
 #[test]
 fn lemma1_regular_cycles_include_a_ct() {
-    let mut found = 0;
+    let (mut found, mut unknown) = (0, 0);
     for seed in 0..16u64 {
         let r = adversarial_run(ProtocolKind::O2pc, seed);
         let gsg = build_exposed_sgs(&r.history);
-        if let Some(rc) = find_regular_cycle(&gsg, 8_000, 8) {
-            found += 1;
-            assert!(
-                rc.nodes.iter().any(|n| n.is_compensation()),
-                "seed {seed}: regular cycle without a CT node: {:?}",
-                rc.nodes
-            );
+        match find_regular_cycle(&gsg, 8_000, 8).outcome {
+            SearchOutcome::Found(rc) => {
+                found += 1;
+                assert!(
+                    rc.nodes.iter().any(|n| n.is_compensation()),
+                    "seed {seed}: regular cycle without a CT node: {:?}",
+                    rc.nodes
+                );
+            }
+            SearchOutcome::Inconclusive => unknown += 1,
+            SearchOutcome::NoneExist => {}
         }
     }
     assert!(
         found > 0,
-        "the adversarial workload must produce some regular cycles"
+        "the adversarial workload must produce some regular cycles \
+         (none found; {unknown} of 16 searches inconclusive)"
     );
 }
 
 #[test]
 fn lemma2_regular_cycle_implies_cycle_conditions() {
-    let mut found = 0;
+    let (mut found, mut unknown) = (0, 0);
     for seed in 0..16u64 {
         let r = adversarial_run(ProtocolKind::O2pc, seed);
         let gsg = build_exposed_sgs(&r.history);
-        if find_regular_cycle(&gsg, 8_000, 8).is_some() {
-            found += 1;
-            assert!(holds_c1(&gsg), "seed {seed}: regular cycle without C1");
-            assert!(holds_c2(&gsg), "seed {seed}: regular cycle without C2");
+        match find_regular_cycle(&gsg, 8_000, 8).outcome {
+            SearchOutcome::Found(_) => {
+                found += 1;
+                assert!(holds_c1(&gsg), "seed {seed}: regular cycle without C1");
+                assert!(holds_c2(&gsg), "seed {seed}: regular cycle without C2");
+            }
+            SearchOutcome::Inconclusive => unknown += 1,
+            SearchOutcome::NoneExist => {}
         }
     }
-    assert!(found > 0);
+    assert!(
+        found > 0,
+        "no regular cycle found ({unknown} of 16 inconclusive)"
+    );
 }
 
 #[test]
@@ -135,26 +158,43 @@ fn p1_runs_satisfy_s1_and_have_no_regular_cycles() {
         let r = adversarial_run(ProtocolKind::O2pcP1, seed);
         let gsg = build_exposed_sgs(&r.history);
         assert!(holds_s1(&gsg), "seed {seed}: P1 run violated S1");
-        assert!(
-            find_regular_cycle(&gsg, 8_000, 8).is_none(),
-            "seed {seed}: P1 run produced a regular cycle"
+        assert_eq!(
+            verdict(&gsg, &r.history),
+            Verdict::Correct,
+            "seed {seed}: P1 run"
         );
     }
 }
 
+/// The baseline never exposes uncommitted data, so under exposure
+/// semantics (the audit's view — see `build_exposed_sgs`) its histories can
+/// have no regular cycles, whatever aborts occurred. The same runs are also
+/// the reproduction finding the literal complete-history reading is kept
+/// for (DESIGN.md §2): read literally, with rolled-back forward operations
+/// left in, even 2PL-2PC shows "regular cycles".
 #[test]
 fn d2pl_runs_are_always_serializable_over_committed_globals() {
-    // The baseline never exposes uncommitted data, so under exposure
-    // semantics (the audit's view — see `build_exposed_sgs`) its histories
-    // can have no regular cycles, whatever aborts occurred.
+    let mut literal_flags = 0;
     for seed in 0..8u64 {
         let r = adversarial_run(ProtocolKind::D2pl2pc, seed);
         let gsg = build_exposed_sgs(&r.history);
-        assert!(
-            find_regular_cycle(&gsg, 8_000, 8).is_none(),
-            "seed {seed}: 2PL-2PC produced an exposed regular cycle"
+        assert_eq!(
+            verdict(&gsg, &r.history),
+            Verdict::Correct,
+            "seed {seed}: 2PL-2PC under exposure semantics"
         );
+        let literal = batch_sg::build_with(&r.history, false);
+        if matches!(
+            find_regular_cycle(&literal, 8_000, 8).outcome,
+            SearchOutcome::Found(_)
+        ) {
+            literal_flags += 1;
+        }
     }
+    assert!(
+        literal_flags > 0,
+        "the literal reading should flag some 2PL-2PC run"
+    );
 }
 
 #[test]
