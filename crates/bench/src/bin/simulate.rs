@@ -9,10 +9,12 @@
 //! ```
 //!
 //! `--durable` puts every site's log on disk (a scratch directory removed
-//! on exit) and adds where a durable promise's time went.
+//! on exit) and adds where a durable promise's time went: waiting for the
+//! flush point that sealed its record, then for the simulator's modelled
+//! fsync to complete.
 
 use o2pc_common::{Duration, ScratchDir};
-use o2pc_core::{Engine, SystemConfig};
+use o2pc_core::{DefaultSimRuntime, Engine, SystemConfig};
 use o2pc_protocol::ProtocolKind;
 use o2pc_sgraph::audit;
 use o2pc_sim::NetworkConfig;
@@ -209,10 +211,11 @@ fn main() {
         // record), so its latency is about twice the two waits below plus
         // its message hops.
         println!(
-            "durable promises:      {} parked, {} flush points ({} early)",
+            "durable promises:      {} parked, {} flush points ({} early), fsync modelled at {} us",
             r.counters.get("wal.parked_msgs"),
             r.counters.get("wal.flushes"),
-            r.counters.get("wal.early_seals")
+            r.counters.get("wal.early_seals"),
+            DefaultSimRuntime::FSYNC_LATENCY.as_micros()
         );
         for (what, h) in [
             ("park -> sealed:", &r.wal_seal_wait),

@@ -102,7 +102,7 @@ pub struct SystemConfig {
     /// Maintain the exposed serialization graphs *incrementally* while the
     /// run executes (an `o2pc-sgraph` builder fed event by event). Off by
     /// default; the chaos harness turns it on so its oracle audits the live
-    /// graph instead of replaying the whole history through the batch
+    /// graph instead of replaying the whole recorded history into a fresh
     /// builder after every run.
     pub live_audit_graph: bool,
     /// RNG seed; identical seeds give identical runs.
@@ -122,31 +122,19 @@ pub struct SystemConfig {
     /// (the default) keeps the historical in-memory WAL with simulated
     /// durability. When set, every site logs through the file-backed
     /// backend: externally visible promises (yes-votes, decision acks,
-    /// fate-bearing termination answers) are held until the records they
-    /// depend on are fsynced — the group-commit protocol.
+    /// fate-bearing termination answers) are held until the runtime reports
+    /// the records they depend on fsynced — the group-commit protocol.
     pub durable_wal_dir: Option<std::path::PathBuf>,
     /// Group-commit window: how long a site batches appended records before
-    /// the next flush point seals them (a sealed batch to the flusher pool;
-    /// an inline fsync for fault-armed WALs and for the physical gate on
-    /// the simulator). Longer windows amortise fsync across more
-    /// transactions at the cost of commit latency: under the physical gate
-    /// a parked promise waits at most one window plus its fsync. Ignored
-    /// unless [`SystemConfig::durable_wal_dir`] is set.
+    /// the next flush point seals them into one batch for the runtime's
+    /// disk. Longer windows amortise fsync across more transactions at the
+    /// cost of commit latency: a parked promise waits at most one window
+    /// plus its fsync. Ignored unless [`SystemConfig::durable_wal_dir`] is
+    /// set.
     pub wal_flush_interval: Duration,
-    /// Gate durability promises on *physical* fsync completion instead of
-    /// the deterministic sealed watermark. With the default (`false`), a
-    /// flush point seals the window's bytes into the background pipeline and
-    /// releases parked messages immediately — release timing is a pure
-    /// function of virtual time (deterministic: chaos replay and shrinking
-    /// depend on it), and physical durability is enforced at barriers
-    /// (simulated crash, checkpoint compaction, end of run). With `true`,
-    /// parked messages wait for the fsync watermark itself — nondeterministic
-    /// timing, but honest against a real `SIGKILL` that can land between a
-    /// released promise and its fsync (`kill_recover` runs this mode). On
-    /// the threaded runtime the flusher pool posts a completion to the
-    /// engine when a burst's fsync lands (or fails, which crashes that
-    /// site) and the engine releases then; on the simulator, which cannot
-    /// be told, every flush point syncs inline instead.
+    /// Ignored. Every durable promise waits for the runtime to report its
+    /// fsync; the field remains only for code that still assigns it.
+    #[doc(hidden)]
     pub wal_background_flush: bool,
     /// Segment capacity of the durable WAL: the log rotates to a new
     /// preallocated segment file when the next record would not fit.

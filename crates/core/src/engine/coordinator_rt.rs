@@ -301,9 +301,9 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
 
     pub(crate) fn on_crash(&mut self, now: SimTime, site: SiteId) {
         if let Some(s) = self.sites[site.index()].take() {
-            // Promises parked on unflushed records die with the site — the
-            // records backing them never became durable, and the crash
-            // transform below discards them from the log too.
+            // Promises still parked die with the site. Their records are
+            // lost with the unflushed tail, or were written but their
+            // completion never reported: the disk keeps them, unannounced.
             self.wal_parked[site.index()].clear();
             self.flush_armed.remove(&site);
             let seq_floor = s.local_seq_watermark();
@@ -314,11 +314,15 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             // record implies no durable commit) and will re-execute under
             // the same id. The history must void its pre-crash accesses,
             // or the audit would merge two physical executions into one
-            // node and see cycles that never existed on any disk.
+            // node and see cycles that never existed on any disk. The
+            // roll-back of a subtransaction is recorded as compensation
+            // activity too (`Site::abort_exec`), so a lost `Abort` of one
+            // voids it the same way: the roll-back will run again.
             let comp_of = |rec: &o2pc_storage::LogRecord| -> Option<GlobalTxnId> {
                 use o2pc_common::ExecId;
                 use o2pc_storage::LogRecord as LR;
                 let exec = match rec {
+                    LR::Abort(ExecId::Sub(g)) => return Some(*g),
                     LR::Begin(e) | LR::Commit(e) | LR::Abort(e) | LR::Prepared(e) => e,
                     LR::Update { exec, .. } => exec,
                     LR::LocalCommit { exec, .. } => exec,
@@ -369,6 +373,10 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         // Durable crashes can truncate the log below ids already issued;
         // the engine's id-range reservation keeps the counter monotone.
         recovered_site.reserve_local_seq(seq_floor);
+        // Everything the reopened log holds is on disk, and no completion
+        // will ever report it: bytes the crash kept were sealed by the
+        // previous incarnation, whose completions die with it.
+        self.wal_covered[site.index()] = recovered_site.wal().durable_ticket();
         // The WAL resurrects every logged decision (peers in doubt may
         // still ask), but decisions for transactions GC already retired
         // can never be queried again — drop them so recovery does not

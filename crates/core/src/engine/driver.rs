@@ -22,15 +22,10 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         }
         let deadline = SimTime::ZERO + horizon;
         let durable = self.cfg.durable_wal_dir.is_some();
-        // The physical gate with a pipeline that reports each fsync back:
-        // the one mode in which sealing early cannot release early.
-        let can_seal_early = self.cfg.wal_background_flush && self.flusher.is_some();
         let mut events = 0u64;
         let mut last_now = SimTime::ZERO;
         while events < self.cfg.max_events {
-            if can_seal_early {
-                self.seal_behind_backlog();
-            }
+            self.seal_behind_backlog();
             let Some((now, step)) = self.rt.next(deadline) else {
                 break;
             };
@@ -57,6 +52,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         match step {
             Step::Timer(ev) => self.handle_timer(now, ev),
             Step::Deliver { to, msg } => self.on_deliver(now, to, msg),
+            Step::Durable { site, ticket, ok } => self.on_wal_durable(now, site, ticket, ok),
         }
     }
 
@@ -72,7 +68,6 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             TimerEvent::Crash { site } => self.on_crash(now, site),
             TimerEvent::Recover { site } => self.on_recover(now, site),
             TimerEvent::WalFlush { site, ticket } => self.on_flush_timer(now, site, ticket),
-            TimerEvent::WalDurable { site, ok } => self.on_wal_durable(now, site, ok),
         }
     }
 }

@@ -39,7 +39,6 @@ use o2pc_common::{
 use o2pc_compensation::{CompensationPlan, PersistenceGuard};
 use o2pc_marking::{MarkingProtocol, TransMarks, UdumTracker};
 use o2pc_protocol::{TerminationRound, TwoPhaseCoordinator};
-use o2pc_runtime::FlushScheduler;
 use o2pc_runtime::{Runtime, SimRuntime};
 use o2pc_sim::Network;
 use o2pc_site::{LockPolicy, Site, SiteConfig};
@@ -116,10 +115,10 @@ pub enum TimerEvent {
         site: SiteId,
     },
     /// Group-commit flush point for a site's durable WAL: everything
-    /// appended since the last flush is sealed into the flush pipeline (or
-    /// synced inline) and the messages parked on tickets the release gate
-    /// now covers are sent. Armed only in durable mode, and only while the
-    /// site's WAL holds unsealed bytes.
+    /// appended since the last flush is sealed into one batch for the
+    /// runtime's disk, whose completion releases the messages parked on it.
+    /// Armed only in durable mode, and only while the site's WAL holds
+    /// unsealed bytes.
     WalFlush {
         /// Site whose WAL flushes.
         site: SiteId,
@@ -128,16 +127,6 @@ pub enum TimerEvent {
         /// or an early seal — the timer is stale and fires as a no-op: what
         /// is pending then is younger and has a timer of its own.
         ticket: u64,
-    },
-    /// Posted by the flusher pool, never scheduled: a burst holding `site`'s
-    /// sealed batches has finished, so the fsync watermark moved (`ok`) or
-    /// was poisoned by an I/O error. Physical-gate mode on a substrate with
-    /// a [`o2pc_runtime::TimerPoster`] only.
-    WalDurable {
-        /// Site whose batches the burst carried.
-        site: SiteId,
-        /// False when the burst failed.
-        ok: bool,
     },
 }
 
@@ -173,7 +162,7 @@ pub(crate) struct PendingAdmission {
     pub(crate) subs: Vec<(SiteId, Vec<o2pc_common::Op>)>,
 }
 
-/// A promise held back until its sender's WAL is durable past `ticket`.
+/// A promise held back until a flush completion covers `ticket`.
 pub(crate) struct Parked {
     ticket: u64,
     /// When it parked; from the flush point that sealed its bytes on, when
@@ -219,18 +208,17 @@ pub struct Engine<R: Runtime<TimerEvent, Msg> = DefaultSimRuntime> {
     pub(crate) hist: Recorder,
     pub(crate) report: RunReport,
     pub(crate) checkpointed: bool,
-    /// Durable mode only: messages held back until their site's WAL is
-    /// durable past the recorded byte ticket, per sender (indexed like
-    /// `sites`) in append order.
+    /// Durable mode only: messages held back until a flush completion
+    /// covers the recorded byte ticket, per sender (indexed like `sites`) in
+    /// append order.
     pub(crate) wal_parked: Vec<Vec<Parked>>,
+    /// Per site, the highest ticket a flush completion (or the run's
+    /// closing sync) has reported durable: promises at or below it go out.
+    pub(crate) wal_covered: Vec<u64>,
     /// Each site's live `WalFlush` timer, by the ticket it carries (at most
     /// one per site; any other timer of the site's is stale — see
     /// [`TimerEvent::WalFlush`]).
     pub(crate) flush_armed: BTreeMap<SiteId, u64>,
-    /// The flush pipeline sealed batches go to. `None` when flush points
-    /// sync inline: in-memory runs, and physical-gate runs on a substrate
-    /// that cannot be told when a background fsync lands.
-    pub(crate) flusher: Option<FlushScheduler>,
     /// Configuration footguns detected at assembly (see
     /// [`SystemConfig::liveness_warnings`]).
     pub(crate) warnings: Vec<String>,
@@ -275,24 +263,8 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             rt.schedule(from, TimerEvent::Crash { site });
             rt.schedule(to, TimerEvent::Recover { site });
         }
-        // Durable mode runs the sharded flush pipeline: the engine seals
-        // batches at flush points and the pool coalesces them into few
-        // fsyncs. (Fault-armed WALs opt out per flush and sync inline.) The
-        // physical gate needs the pool to report each fsync back; where the
-        // runtime offers no way to (the simulator), there is no pipeline
-        // and every flush point syncs inline.
-        let shards = (cfg.num_sites as usize).clamp(1, 4);
-        let flusher = match (&cfg.durable_wal_dir, cfg.wal_background_flush) {
-            (None, _) => None,
-            (Some(_), false) => Some(FlushScheduler::new(shards)),
-            (Some(_), true) => rt.timer_poster().map(|poster| {
-                FlushScheduler::with_completions(shards, poster, |key, ok| TimerEvent::WalDurable {
-                    site: SiteId(key),
-                    ok,
-                })
-            }),
-        };
         let wal_parked = cfg.sites().map(|_| Vec::new()).collect();
+        let wal_covered = vec![0; cfg.num_sites as usize];
         let warnings = cfg.liveness_warnings();
         #[cfg(debug_assertions)]
         for w in &warnings {
@@ -318,8 +290,8 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             report: RunReport::default(),
             checkpointed: false,
             wal_parked,
+            wal_covered,
             flush_armed: BTreeMap::new(),
-            flusher,
             warnings,
         }
     }
@@ -470,11 +442,6 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         self.sites.iter().flatten().map(|s| s.total()).sum()
     }
 
-    /// Total retained per-site decision records (bounded-memory checks).
-    pub fn decided_records(&self) -> usize {
-        self.sites.iter().flatten().map(|s| s.decided_count()).sum()
-    }
-
     /// Snapshot of the incrementally-maintained exposed serialization
     /// graphs, when `SystemConfig::live_audit_graph` is on. The chaos
     /// oracle audits this instead of replaying the recorded history.
@@ -525,12 +492,11 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// Send a message whose content *promises* durability of records `from`
     /// has logged — a yes-vote (the local commit / prepare record), a
     /// decision ack (the `Outcome` record), a fate-bearing termination
-    /// answer. In durable mode such a message is parked until the sender's
-    /// WAL is durable past its current append ticket: the flush point that
-    /// seals those bytes releases it (sealed gate), or the completion of
-    /// their fsync does (physical gate). On an in-memory log (and for
-    /// messages that promise nothing — a no-vote, a SPAWN) this is just
-    /// [`Engine::send`]: the WAL reports clean and nothing parks.
+    /// answer. In durable mode such a message is parked until a flush
+    /// completion reports the sender's WAL fsynced through its current
+    /// append ticket. On an in-memory log (and for messages that promise
+    /// nothing — a no-vote, a SPAWN) this is just [`Engine::send`]: the WAL
+    /// reports clean and nothing parks.
     ///
     /// The write-before-promise ordering this enforces is the only explicit
     /// barrier the protocol needs. Everything else is covered by prefix
@@ -540,9 +506,11 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// record it depends on.
     pub(crate) fn send_gated(&mut self, now: SimTime, from: SiteId, to: SiteId, msg: Msg) {
         let ticket = match self.sites[from.index()].as_ref() {
-            Some(s) if s.wal().append_ticket() > self.release_gate(s) => s.wal().append_ticket(),
-            // WAL already covered by the release gate (always true
-            // in-memory) or site down: nothing to hold the message for.
+            Some(s) if s.wal().append_ticket() > self.wal_covered[from.index()] => {
+                s.wal().append_ticket()
+            }
+            // WAL already covered by a completion (always true in memory)
+            // or site down: nothing to hold the message for.
             _ => {
                 self.send(now, from, to, msg);
                 return;
@@ -558,28 +526,12 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         self.arm_wal_flush(now, from);
     }
 
-    /// The watermark parked messages release against. Deterministic mode:
-    /// the *sealed* ticket — a sealed byte is committed to the flush
-    /// pipeline, and every path that consults the physical log (simulated
-    /// crash, compaction, shutdown) synchronises on the pipeline first, so a
-    /// released promise can never outlive its record. Physical mode
-    /// (`wal_background_flush`): the fsync watermark itself, for honesty
-    /// against real kills that bypass those barriers.
-    #[inline]
-    fn release_gate(&self, s: &Site) -> u64 {
-        if self.cfg.wal_background_flush {
-            s.wal().durable_ticket()
-        } else {
-            s.wal().sealed_ticket()
-        }
-    }
-
     /// Arm the group-commit flush timer for a site with unsealed WAL bytes
     /// (at most one live timer per site), or flush immediately if the
     /// pending bytes already exceed the adaptive group-commit threshold —
     /// interval or bytes, whichever trips first. Sealed bytes need no timer:
-    /// their batch is in the pipeline and, under the physical gate, its
-    /// completion releases what waits on them.
+    /// their batch is on the runtime's disk, and its completion releases
+    /// what waits on them.
     pub(crate) fn arm_wal_flush(&mut self, now: SimTime, site: SiteId) {
         let Some(s) = self.sites[site.index()].as_ref() else {
             return;
@@ -617,11 +569,10 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// queue at an admission gate and the loop is about to park, none can
     /// come — everything that could join the batch waits behind the very
     /// promises the batch holds — so the interval is dead time and every
-    /// site with promises parked over unsealed bytes seals now. Only where a
-    /// completion will report the fsync (`can_seal_early`): release still
-    /// waits for the watermark, and a log that must flush inline or is gone
-    /// takes `on_wal_flush`'s usual branches. A backlog behind a crashed
-    /// coordinator cannot drain and does not count.
+    /// site with promises parked over unsealed bytes seals now; release
+    /// still waits for the completion. A backlog behind a crashed
+    /// coordinator cannot drain and does not count. The simulator never
+    /// parks, so this fires on wall-clock runtimes only.
     pub(crate) fn seal_behind_backlog(&mut self) {
         if self.flush_armed.is_empty() {
             return; // no unsealed bytes anywhere
@@ -647,59 +598,55 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     }
 
     /// Group-commit flush point: seal everything the site appended since
-    /// the last flush into one batch for the flush pipeline (or fsync
-    /// inline — fault-armed WALs, whose fault point must stay deterministic,
-    /// and every WAL when there is no pipeline) and release every parked
-    /// message the release gate now covers. One batch — and, after
-    /// coalescing, one fsync — covers every transaction that logged in the
-    /// window: that batching *is* group commit.
+    /// the last flush into one batch and hand it to the runtime's disk. One
+    /// batch — and, after coalescing, one fsync — covers every transaction
+    /// that logged in the window: that batching *is* group commit. A log
+    /// that seals nothing while bytes are pending is dead.
     pub(crate) fn on_wal_flush(&mut self, now: SimTime, site: SiteId) {
         self.flush_armed.remove(&site);
         let Some(s) = self.sites[site.index()].as_mut() else {
             return;
         };
-        let unsealed_from = s.wal().sealed_ticket();
-        let flushed = match &self.flusher {
-            Some(f) if !s.wal().wants_inline_flush() => s
-                .wal_seal_batch()
-                .map(|batch| f.submit(site.0, batch))
-                .is_some(),
-            _ => {
-                let dirty = s.wal().pending_bytes() > 0;
-                if s.wal_sync().is_err() {
-                    return self.on_wal_failure(now, site);
-                }
-                dirty
-            }
-        };
-        if flushed {
-            self.report.counters.inc("wal.flushes");
-            let newly_sealed = self.wal_parked[site.index()]
-                .iter_mut()
-                .rev()
-                .take_while(|p| p.ticket > unsealed_from);
-            for p in newly_sealed {
-                self.report
-                    .wal_seal_wait
-                    .record(now.since(p.since).as_micros());
-                p.since = now;
-            }
+        if s.wal().pending_bytes() == 0 {
+            return;
         }
-        self.release_parked(now, site);
+        let unsealed_from = s.wal().sealed_ticket();
+        let Some(batch) = s.wal_seal_batch() else {
+            return self.on_wal_failure(now, site);
+        };
+        self.rt.flush(site, batch);
+        self.report.counters.inc("wal.flushes");
+        let newly_sealed = self.wal_parked[site.index()]
+            .iter_mut()
+            .rev()
+            .take_while(|p| p.ticket > unsealed_from);
+        for p in newly_sealed {
+            self.report
+                .wal_seal_wait
+                .record(now.since(p.since).as_micros());
+            p.since = now;
+        }
     }
 
-    /// The flusher finished a burst carrying `site`'s batches: release what
-    /// the fsync watermark now covers, or crash the site if the burst
-    /// failed. The WAL the batches were sealed from may be gone by now (the
-    /// site crashed, or crashed and recovered, while they were in flight),
-    /// so a failure is checked against the live log: syncing one whose
-    /// watermark is poisoned fails, a healthy one merely syncs.
-    pub(crate) fn on_wal_durable(&mut self, now: SimTime, site: SiteId, ok: bool) {
-        let live = self.sites[site.index()].as_mut();
-        if !ok && live.is_some_and(|s| s.wal_sync().is_err()) {
-            return self.on_wal_failure(now, site);
+    /// A flush completion: `site`'s log is fsynced through `ticket`, so the
+    /// promises parked at or below it go out — or the flush failed, and the
+    /// site crashes. A completion can outlive the log it was sealed from
+    /// (the site crashed, and perhaps recovered, while it was in flight). It
+    /// then releases nothing: the crash dropped that log's promises, and a
+    /// reopened log parks only bytes appended past its reopened end, which
+    /// lies at or past every ticket the old log sealed. Nor does it crash
+    /// anything: the reopened log's watermark is not the poisoned one.
+    pub(crate) fn on_wal_durable(&mut self, now: SimTime, site: SiteId, ticket: u64, ok: bool) {
+        let Some(s) = self.sites[site.index()].as_ref() else {
+            return;
+        };
+        if ok {
+            let covered = &mut self.wal_covered[site.index()];
+            *covered = (*covered).max(ticket);
+            self.release_parked(now, site);
+        } else if s.wal().progress().is_some_and(|p| p.is_poisoned()) {
+            self.on_wal_failure(now, site);
         }
-        self.release_parked(now, site);
     }
 
     /// The site's log device failed (an injected fault, or a real I/O error
@@ -711,13 +658,10 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         self.on_crash(now, site);
     }
 
-    /// Release parked messages covered by the site's release gate.
+    /// Send the parked messages a completion now covers.
     fn release_parked(&mut self, now: SimTime, site: SiteId) {
-        let Some(s) = self.sites[site.index()].as_ref() else {
-            return;
-        };
-        let gate = self.release_gate(s);
-        let ready = self.wal_parked[site.index()].partition_point(|p| p.ticket <= gate);
+        let covered = self.wal_covered[site.index()];
+        let ready = self.wal_parked[site.index()].partition_point(|p| p.ticket <= covered);
         if ready == 0 {
             return;
         }
@@ -733,17 +677,20 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         self.wal_parked[site.index()] = queue;
     }
 
-    /// Make every live site's WAL fully durable (end of run / shutdown) and
-    /// release whatever that unparks. Inline even in background mode: the
-    /// run is over, latency no longer matters, completeness does.
+    /// Make every live site's WAL fully durable (start and end of a run)
+    /// and release whatever that unparks. Inline, and reported by the
+    /// sync's own result: the run is over, latency no longer matters,
+    /// completeness does. Completions still owed cover nothing new.
     pub(crate) fn sync_all_wals(&mut self, now: SimTime) {
         if self.cfg.durable_wal_dir.is_none() {
             return;
         }
-        for id in self.cfg.sites().collect::<Vec<_>>() {
-            if let Some(s) = self.sites[id.index()].as_mut() {
-                let _ = s.wal_sync();
-                self.release_parked(now, id);
+        for i in 0..self.sites.len() {
+            if let Some(s) = self.sites[i].as_mut() {
+                if s.wal_sync().is_ok() {
+                    self.wal_covered[i] = s.wal().append_ticket();
+                    self.release_parked(now, SiteId(i as u32));
+                }
             }
         }
     }
@@ -791,7 +738,16 @@ mod tests {
     use super::*;
     use o2pc_common::{Duration, Op, ScratchDir};
     use o2pc_protocol::ProtocolKind;
-    use o2pc_runtime::ThreadedRuntime;
+    use o2pc_runtime::{Clock, Step, ThreadedRuntime};
+
+    /// A simulated engine on on-disk logs under `dir`, its base image durable.
+    fn durable_sim(dir: &ScratchDir, sites: u32) -> Engine {
+        let mut cfg = SystemConfig::new(sites, ProtocolKind::O2pc);
+        cfg.durable_wal_dir = Some(dir.to_path_buf());
+        let mut e = Engine::new(cfg);
+        e.run(Duration::ZERO);
+        e
+    }
 
     /// A flush timer whose bytes the byte trigger already sealed is a no-op:
     /// the younger bytes pending when it fires wait for their own timer, which
@@ -845,9 +801,76 @@ mod tests {
         assert!(e.flush_armed.is_empty());
     }
 
-    /// An I/O error in the background flusher crashes the site whose log it
-    /// hit — as an inline flush failure does — instead of leaving its parked
-    /// promises to wait out the run; recovery then brings the site back.
+    /// On the simulator a severed batch fails when it is sealed, but the
+    /// failure is reported with its completion: its site crashes at that
+    /// instant, and no other site does.
+    #[test]
+    fn severed_batch_crashes_its_site_at_the_completion_instant() {
+        let dir = ScratchDir::new("sim-sever");
+        let mut e = durable_sim(&dir, 2);
+        let s1 = SiteId(1);
+        e.site_mut(s1).checkpoint();
+        let mut batch = e.site_mut(s1).wal_seal_batch().expect("pending bytes");
+        batch.sever().unwrap();
+        e.rt.flush(s1, batch);
+        let done = DefaultSimRuntime::FSYNC_LATENCY;
+        e.run(Duration(done.0 - 1));
+        assert!(e.down_sites().is_empty(), "crashed before the completion");
+        let r = e.run(done);
+        assert_eq!(e.runtime().now(), SimTime::ZERO + done);
+        assert_eq!(e.down_sites(), vec![s1]);
+        assert_eq!(r.counters.get("wal.fault_crashes"), 1);
+    }
+
+    /// A completion that outlives its log releases nothing: the crash that
+    /// ended the log dropped its promise, and the reopened log's promise
+    /// waits for a completion of its own. The batch itself was written at
+    /// seal time, so the crash kept it, and a promise over the reopened
+    /// bytes alone needs no completion at all.
+    #[test]
+    fn completion_outliving_its_log_releases_nothing() {
+        let dir = ScratchDir::new("stale-completion");
+        let mut e = durable_sim(&dir, 2);
+        let (s0, s1) = (SiteId(0), SiteId(1));
+        let ack = Msg::DecisionAck {
+            txn: GlobalTxnId(1),
+            from: s0,
+        };
+        let now = e.rt.now();
+        e.site_mut(s0).checkpoint();
+        let written = e.site_mut(s0).wal().append_ticket();
+        e.send_gated(now, s0, s1, ack.clone());
+        e.on_wal_flush(now, s0);
+        e.on_crash(now, s0);
+        e.on_recover(now, s0);
+        assert_eq!(e.site_mut(s0).wal().append_ticket(), written, "batch kept");
+        let acks = |e: &Engine| e.report.counters.get("msg.decision_ack");
+        e.send_gated(now, s0, s1, ack.clone());
+        assert_eq!(acks(&e), 1, "the reopened log is on disk already");
+        e.site_mut(s0).checkpoint();
+        e.send_gated(now, s0, s1, ack);
+
+        let (at, step) = e.rt.next(SimTime(u64::MAX)).unwrap();
+        let Step::Durable { site, ticket, ok } = step else {
+            panic!("expected the old log's completion, got {step:?}");
+        };
+        assert_eq!((site, ticket, ok), (s0, written, true));
+        e.on_wal_durable(at, site, ticket, ok);
+        assert_eq!(acks(&e), 1);
+        assert_eq!(e.wal_parked[0].len(), 1, "the new promise still waits");
+
+        e.on_wal_flush(at, s0);
+        let (at, step) = e.rt.next(SimTime(u64::MAX)).unwrap();
+        let Step::Durable { site, ticket, ok } = step else {
+            panic!("expected the new log's completion, got {step:?}");
+        };
+        e.on_wal_durable(at, site, ticket, ok);
+        assert_eq!(acks(&e), 2);
+    }
+
+    /// An I/O error in the threaded runtime's flusher crashes the site whose
+    /// log it hit instead of leaving its parked promises to wait out the
+    /// run; recovery then brings the site back.
     #[test]
     fn failed_background_flush_crashes_that_site_only() {
         // Declared before the engine, so it is removed after the engine (and
@@ -856,7 +879,6 @@ mod tests {
         let dir = ScratchDir::new("bgfail");
         let mut cfg = SystemConfig::new(2, ProtocolKind::O2pc);
         cfg.durable_wal_dir = Some(dir.to_path_buf());
-        cfg.wal_background_flush = true;
         cfg.vote_timeout = Some(Duration::millis(20));
         let mut e = Engine::with_runtime(cfg, ThreadedRuntime::default());
         let (s0, s1, k) = (SiteId(0), SiteId(1), Key(7));
@@ -870,8 +892,9 @@ mod tests {
         e.run(Duration::ZERO);
         e.site_mut(s1).checkpoint();
         let mut batch = e.site_mut(s1).wal_seal_batch().expect("pending bytes");
+        let ticket = batch.ticket();
         batch.sever().unwrap();
-        e.flusher.as_ref().unwrap().submit(s1.0, batch);
+        e.rt.flush(s1, batch);
         e.submit_at(SimTime::ZERO, transfer.clone());
         e.rt.schedule(
             SimTime::ZERO + Duration::millis(100),
@@ -885,7 +908,7 @@ mod tests {
         assert!(e.down_sites().is_empty());
         // A failed completion that outlived its log — the site has been
         // replaced by recovery since — finds a healthy WAL and crashes nothing.
-        e.on_wal_durable(r.end_time, s1, false);
+        e.on_wal_durable(r.end_time, s1, ticket, false);
         assert!(e.down_sites().is_empty());
     }
 }

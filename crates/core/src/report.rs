@@ -28,11 +28,11 @@ pub struct RunReport {
     /// point that sealed its bytes (µs, park → sealed) — the price of group
     /// commit's "wait for company".
     pub wal_seal_wait: Histogram,
-    /// Durable runs: how long each parked promise then waited for the
-    /// release gate to cover it (µs, sealed → released): the fsync and the
-    /// way back to the engine under the physical gate, zero under the
-    /// sealed gate. A durable commit pays both waits twice — vote record,
-    /// then outcome record — plus its message hops.
+    /// Durable runs: how long each parked promise then waited for a flush
+    /// completion to cover it (µs, sealed → released): the fsync and the
+    /// way back to the engine — on the simulator, its modelled fsync
+    /// latency. A durable commit pays both waits twice — vote record, then
+    /// outcome record — plus its message hops.
     pub wal_fsync_wait: Histogram,
     /// Merged lock-manager statistics of all sites (exclusive/shared hold
     /// times, wait times, deadlocks).

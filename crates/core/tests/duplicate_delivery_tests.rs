@@ -46,6 +46,9 @@ impl Runtime<TimerEvent, Msg> for DuplicatingRuntime {
     fn messages_dropped(&self) -> u64 {
         self.inner.messages_dropped()
     }
+    fn flush(&mut self, site: SiteId, batch: o2pc_storage::FlushBatch) {
+        self.inner.flush(site, batch);
+    }
 }
 
 /// Run the same configured scenario twice — once on the plain simulator,

@@ -214,6 +214,9 @@ impl o2pc_runtime::Runtime<o2pc_core::TimerEvent, o2pc_core::Msg> for DropFirstT
     fn messages_dropped(&self) -> u64 {
         self.inner.messages_dropped()
     }
+    fn flush(&mut self, site: SiteId, batch: o2pc_storage::FlushBatch) {
+        self.inner.flush(site, batch);
+    }
 }
 
 /// Losing a `TermAnswer` must only delay resolution by one timeout: each

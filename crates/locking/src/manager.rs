@@ -82,16 +82,6 @@ impl LockManager {
         &self.stats
     }
 
-    /// Mutable access for the protocol layer (deadlock counters).
-    pub fn stats_mut(&mut self) -> &mut LockStats {
-        &mut self.stats
-    }
-
-    /// Keys currently held by an execution.
-    pub fn held_keys(&self, exec: ExecId) -> &[Key] {
-        self.held.get(&exec).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// The key an execution is currently waiting on, if any.
     pub fn waiting_on(&self, exec: ExecId) -> Option<Key> {
         self.waiting.get(&exec).copied()

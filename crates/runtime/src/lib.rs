@@ -14,19 +14,22 @@
 //!   [`transport::Envelope`]s between site endpoints, with per-link latency
 //!   and loss hooks; implemented by [`transport::ThreadedTransport`]
 //!   (per-destination delivery workers over batch channels).
-//! * [`Runtime`] — the engine-facing fusion of the two: schedule timers,
-//!   send messages, and pull the next [`Step`] in time order.
+//! * [`Runtime`] — the engine-facing fusion of the two plus a disk:
+//!   schedule timers, send messages, flush sealed log batches, and pull the
+//!   next [`Step`] in time order.
 //!
 //! Two implementations ship here:
 //!
 //! * [`SimRuntime`] — the deterministic event-queue simulator. Timers and
 //!   deliveries share **one** totally-ordered queue (FIFO among simultaneous
 //!   entries), so a seed reproduces a run bit-for-bit. This is the substrate
-//!   every experiment in `o2pc-bench` is measured on.
+//!   every experiment in `o2pc-bench` is measured on. Its disk is modelled:
+//!   a flush lands at once and completes a constant fsync latency later.
 //! * [`ThreadedRuntime`] — wall-clock execution over a [`Transport`].
 //!   Messages on a link with latency travel through the destination site's
 //!   delivery worker (zero-latency links deliver from the sender's thread,
-//!   with no worker at all); timers fire on real elapsed time. Outcomes are schedule-dependent (and therefore
+//!   with no worker at all); timers fire on real elapsed time; flushes run on
+//!   a pool of flusher threads. Outcomes are schedule-dependent (and therefore
 //!   only invariant-checkable, not replayable), which is exactly the point:
 //!   the same engine code must uphold the protocol's guarantees without a
 //!   global event order.
@@ -35,13 +38,12 @@
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod flush;
+mod flush;
 pub mod runtime;
 pub mod transport;
 
 pub use clock::{Clock, WallClock};
-pub use flush::FlushScheduler;
-pub use runtime::{Runtime, SimRuntime, Step, ThreadedRuntime, ThreadedRuntimeConfig, TimerPoster};
+pub use runtime::{Runtime, SimRuntime, Step, ThreadedRuntime, ThreadedRuntimeConfig};
 pub use transport::{
     Batch, Envelope, Inbox, LinkPolicy, SendOutcome, ThreadedTransport, Transport,
 };

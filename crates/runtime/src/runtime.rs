@@ -1,17 +1,17 @@
 //! The engine-facing runtime: timers + messages in one time-ordered stream.
 
 use crate::clock::{Clock, WallClock};
+use crate::flush::FlushScheduler;
 use crate::transport::{Batch, Envelope, Judgement, SendOutcome, ThreadedTransport, Transport};
-use o2pc_common::{SimTime, SiteId};
+use o2pc_common::{Duration, SimTime, SiteId};
 use o2pc_sim::{EventQueue, Network};
+use o2pc_storage::FlushBatch;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
-/// One unit of work handed to the engine: a timer it scheduled earlier, or a
-/// message the substrate delivered.
+/// One unit of work handed to the engine: a timer it scheduled earlier, a
+/// message the substrate delivered, or a flush its disk completed.
 #[derive(Clone, Debug)]
 pub enum Step<T, M> {
     /// A timer scheduled via [`Runtime::schedule`] has fired.
@@ -23,10 +23,23 @@ pub enum Step<T, M> {
         /// The message.
         msg: M,
     },
+    /// Batches handed to [`Runtime::flush`] for `site` have completed: its
+    /// log is fsynced through `ticket` (`ok`), or its device failed.
+    Durable {
+        /// Site whose batches completed.
+        site: SiteId,
+        /// The last byte ticket the completion covers.
+        ticket: u64,
+        /// False when the write or fsync failed (the log is poisoned).
+        ok: bool,
+    },
 }
 
+/// A reported flush completion: site, ticket, ok.
+type Completion = (SiteId, u64, bool);
+
 /// What the engine needs from a substrate: a clock, timers, a message
-/// transport, and a single stream of [`Step`]s in time order.
+/// transport, a disk, and a single stream of [`Step`]s in time order.
 ///
 /// `T` is the engine's timer payload, `M` its message type. The engine never
 /// sees queues, channels, or threads — it schedules, sends, and pulls the
@@ -53,51 +66,19 @@ pub trait Runtime<T, M>: Clock {
     /// Messages lost in transit so far.
     fn messages_dropped(&self) -> u64;
 
-    /// A handle through which other threads post timers that fire "now" and
-    /// wake the loop. `None` on a substrate with no wall-clock loop to wake
-    /// (the simulator, whose step order must stay a pure function of its
-    /// seed).
-    fn timer_poster(&self) -> Option<TimerPoster<T, M>> {
-        None
-    }
+    /// Write and fsync `site`'s sealed batch, then report it as a
+    /// [`Step::Durable`]. Batches of one site complete in the order they
+    /// were handed over; the runtime does not quiesce while one is owed.
+    fn flush(&mut self, site: SiteId, batch: FlushBatch);
 
     /// Would [`next`](Runtime::next) park right now — nothing sent and not
-    /// yet delivered, nothing delivered and not yet handed over, no timer
-    /// due? Only a [`TimerPoster`] completion or the passing of time can
-    /// then produce the next step. Never true on a substrate that does not
-    /// wait (the simulator jumps to its next event), so asking cannot move a
-    /// seeded run.
+    /// yet delivered, nothing delivered or completed and not yet handed
+    /// over, no timer due? Only an owed flush completion or the passing of
+    /// time can then produce the next step. Never true on a substrate that
+    /// does not wait (the simulator jumps to its next event), so asking
+    /// cannot move a seeded run.
     fn is_idle(&mut self) -> bool {
         false
-    }
-}
-
-/// Cross-thread handle onto a [`ThreadedRuntime`] loop: post a timer that
-/// fires as soon as the loop sees it (a background worker reporting that
-/// its work is done). The runtime does not declare quiescence while a
-/// [`promise`](TimerPoster::promise)d post is outstanding.
-pub struct TimerPoster<T, M> {
-    posted: Sender<T>,
-    /// The loop blocks on its one inbox; an empty batch there is the wake-up.
-    wake: Sender<Batch<M>>,
-    owed: Arc<AtomicUsize>,
-}
-
-impl<T, M> TimerPoster<T, M> {
-    /// Announce work that will end in a [`post`](TimerPoster::post): until
-    /// it is settled the runtime keeps waiting instead of quiescing.
-    pub fn promise(&self) {
-        self.owed.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Post `timer` to fire now, wake the loop, then settle `settles`
-    /// promises — in that order, so a loop that reads "nothing owed" is
-    /// guaranteed to find the timer when it drains its inbox.
-    pub fn post(&self, timer: T, settles: usize) {
-        // A send fails only when the runtime is gone: nobody is left to tell.
-        let _ = self.posted.send(timer);
-        let _ = self.wake.send(Vec::new());
-        self.owed.fetch_sub(settles, Ordering::SeqCst);
     }
 }
 
@@ -107,12 +88,18 @@ impl<T, M> TimerPoster<T, M> {
 
 /// The deterministic discrete-event backend.
 ///
-/// Timers and deliveries share **one** [`EventQueue`] — one sequence counter
-/// totally orders simultaneous entries, so a seeded run replays bit-for-bit.
-/// Splitting them into separate queues (one per trait) would look cleaner
-/// and silently break that guarantee, which is why the sim implements
-/// [`Runtime`] as a fused whole rather than composing a sim-`Clock` with a
-/// sim-`Transport`.
+/// Timers, deliveries and flush completions share **one** [`EventQueue`] —
+/// one sequence counter totally orders simultaneous entries, so a seeded run
+/// replays bit-for-bit. Splitting them into separate queues (one per trait)
+/// would look cleaner and silently break that guarantee, which is why the
+/// sim implements [`Runtime`] as a fused whole rather than composing a
+/// sim-`Clock` with a sim-`Transport`.
+///
+/// Its disk is modelled: [`flush`](Runtime::flush) writes and fsyncs the
+/// batch at once, so every barrier that consults the physical log (the crash
+/// transform, compaction, end of run) finds it landed, and reports the
+/// completion [`FSYNC_LATENCY`](SimRuntime::FSYNC_LATENCY) later in virtual
+/// time.
 #[derive(Debug)]
 pub struct SimRuntime<T, M> {
     queue: EventQueue<Step<T, M>>,
@@ -126,6 +113,10 @@ pub struct SimRuntime<T, M> {
 }
 
 impl<T, M> SimRuntime<T, M> {
+    /// Virtual time from a flush to its completion: the median 4 KiB write +
+    /// fdatasync (`storage.fsync_probe_us`) on the two-core reference box.
+    pub const FSYNC_LATENCY: Duration = Duration::micros(145);
+
     /// Build on a configured [`Network`] (latency models, loss, failures).
     pub fn new(network: Network) -> Self {
         SimRuntime {
@@ -225,6 +216,20 @@ impl<T, M: Clone> Runtime<T, M> for SimRuntime<T, M> {
     fn messages_dropped(&self) -> u64 {
         self.network.dropped_count()
     }
+
+    fn flush(&mut self, site: SiteId, batch: FlushBatch) {
+        let (ticket, progress) = (batch.ticket(), batch.progress());
+        // A failed write or fsync has poisoned the log's watermark; the
+        // completion carries that to the engine.
+        let _ = batch.execute();
+        let done = Step::Durable {
+            site,
+            ticket,
+            ok: !progress.is_poisoned(),
+        };
+        self.queue
+            .schedule(self.queue.now() + Self::FSYNC_LATENCY, done);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -268,21 +273,27 @@ type Burst<M> = Vec<(StdDuration, Envelope<M>)>;
 /// single transport handoff. A coordinator answering a VOTE-REQ fan-in
 /// therefore pays one channel operation per peer site, not one per message.
 ///
+/// The disk is a sharded pool of flusher threads with fsync coalescing,
+/// spawned by the first [`flush`](Runtime::flush) with one shard per
+/// registered endpoint, 1–4. A shard reports each burst it completes, and
+/// the report wakes the loop like a delivery.
+///
 /// Quiescence: `next` returns `None` once the deadline passes, or when no
-/// timer is pending, the transport reports nothing in flight, no
-/// [`TimerPoster`] promise is outstanding, and no message arrives within
-/// `idle_grace`.
+/// timer is pending, the transport reports nothing in flight, no flush
+/// completion is owed, and no message arrives within `idle_grace`.
 pub struct ThreadedRuntime<T, M> {
     clock: WallClock,
     transport: ThreadedTransport<M>,
     inbox_tx: Sender<Batch<M>>,
     inbox: Receiver<Batch<M>>,
-    /// Timers posted by other threads ([`TimerPoster`]); read only when an
-    /// empty batch on the inbox says there is something to read.
-    posted_tx: Sender<T>,
-    posted: Receiver<T>,
-    /// Promised-but-unsettled posts.
-    owed: Arc<AtomicUsize>,
+    endpoints: usize,
+    flusher: Option<FlushScheduler>,
+    /// Completions reported by the flusher; read only when an empty batch
+    /// on the inbox says there is something to read.
+    done_tx: Sender<Completion>,
+    done: Receiver<Completion>,
+    /// Reported completions not yet handed to the engine.
+    completed: VecDeque<Completion>,
     /// Delivered batches not yet handed to the engine, in arrival order.
     staged: VecDeque<Envelope<M>>,
     /// Judged-but-unflushed sends, one slot per destination ever sent to
@@ -313,15 +324,17 @@ impl<T, M: Clone + Send + 'static> ThreadedRuntime<T, M> {
     /// Build on a transport; the clock's epoch (time zero) is *now*.
     pub fn new(transport: ThreadedTransport<M>, cfg: ThreadedRuntimeConfig) -> Self {
         let (inbox_tx, inbox) = channel();
-        let (posted_tx, posted) = channel();
+        let (done_tx, done) = channel();
         ThreadedRuntime {
             clock: WallClock::new(),
             transport,
             inbox_tx,
             inbox,
-            posted_tx,
-            posted,
-            owed: Arc::new(AtomicUsize::new(0)),
+            endpoints: 0,
+            flusher: None,
+            done_tx,
+            done,
+            completed: VecDeque::new(),
             staged: VecDeque::new(),
             outbox: Vec::new(),
             outbox_order: Vec::new(),
@@ -345,38 +358,43 @@ impl<T, M: Clone + Send + 'static> ThreadedRuntime<T, M> {
     }
 
     /// Stage one batch off the inbox. The transport never delivers an empty
-    /// batch, so one is a [`TimerPoster`] wake-up: whatever was posted goes
-    /// on the timer heap, due now.
+    /// batch, so one is the flusher's wake-up: whatever it reported is
+    /// staged as completed.
     fn stage(&mut self, batch: Batch<M>) {
         if batch.is_empty() {
-            let now = self.clock.now();
-            while let Ok(timer) = self.posted.try_recv() {
-                self.push_timer(now, timer);
-            }
+            self.completed.extend(self.done.try_iter());
         } else {
             self.staged.extend(batch);
         }
+    }
+
+    /// Stage every batch already on the inbox, without blocking.
+    fn drain_inbox(&mut self) {
+        while let Ok(batch) = self.inbox.try_recv() {
+            self.stage(batch);
+        }
+    }
+
+    /// How the flusher reports a completion: on its channel, then an empty
+    /// batch to wake the loop — before the flusher settles what it owed, so
+    /// a loop that reads "nothing owed" finds the report on its inbox.
+    fn reporter(&self) -> impl Fn(SiteId, u64, bool) + Clone + Send + 'static {
+        let (done, wake) = (self.done_tx.clone(), self.inbox_tx.clone());
+        move |site, ticket, ok| {
+            // A send fails only when the runtime is gone: nobody is left to tell.
+            let _ = done.send((site, ticket, ok));
+            let _ = wake.send(Vec::new());
+        }
+    }
+
+    fn flush_owed(&self) -> usize {
+        self.flusher.as_ref().map_or(0, FlushScheduler::owed)
     }
 
     fn push_timer(&mut self, at: SimTime, timer: T) {
         // On a wall clock a caller may name an instant the queue has already
         // moved past; such a timer is simply due now.
         self.timers.schedule(at.max(self.timers.now()), timer);
-    }
-
-    /// Pop the next staged envelope, pulling any already-delivered batches
-    /// off the channel first (without blocking).
-    fn pop_staged(&mut self) -> Option<Envelope<M>> {
-        if let Some(env) = self.staged.pop_front() {
-            return Some(env);
-        }
-        while let Ok(batch) = self.inbox.try_recv() {
-            self.stage(batch);
-            if let Some(env) = self.staged.pop_front() {
-                return Some(env);
-            }
-        }
-        None
     }
 }
 
@@ -389,18 +407,21 @@ impl<T, M: Clone + Send + 'static> Clock for ThreadedRuntime<T, M> {
 impl<T, M: Clone + Send + 'static> Runtime<T, M> for ThreadedRuntime<T, M> {
     fn register_endpoint(&mut self, id: SiteId) {
         self.transport.attach(id, self.inbox_tx.clone());
+        self.endpoints += 1;
     }
 
     fn schedule(&mut self, at: SimTime, timer: T) {
         self.push_timer(at, timer);
     }
 
-    fn timer_poster(&self) -> Option<TimerPoster<T, M>> {
-        Some(TimerPoster {
-            posted: self.posted_tx.clone(),
-            wake: self.inbox_tx.clone(),
-            owed: Arc::clone(&self.owed),
-        })
+    fn flush(&mut self, site: SiteId, batch: FlushBatch) {
+        if self.flusher.is_none() {
+            let shards = self.endpoints.clamp(1, 4);
+            self.flusher = Some(FlushScheduler::spawn(shards, self.reporter()));
+        }
+        if let Some(f) = &self.flusher {
+            f.submit(site, batch);
+        }
     }
 
     fn is_idle(&mut self) -> bool {
@@ -408,14 +429,14 @@ impl<T, M: Clone + Send + 'static> Runtime<T, M> for ThreadedRuntime<T, M> {
         // count covers the unflushed outbox as well as the links. It is read
         // before the inbox is drained: a delivery leaves the count only
         // after its batch is on the inbox.
-        if !self.staged.is_empty() || self.transport.in_flight() > 0 {
+        if !self.staged.is_empty() || !self.completed.is_empty() || self.transport.in_flight() > 0 {
             return false;
         }
-        while let Ok(batch) = self.inbox.try_recv() {
-            self.stage(batch);
-        }
+        self.drain_inbox();
         let now = self.clock.now();
-        self.staged.is_empty() && self.timers.peek_time().is_none_or(|due| due > now)
+        self.staged.is_empty()
+            && self.completed.is_empty()
+            && self.timers.peek_time().is_none_or(|due| due > now)
     }
 
     fn send(&mut self, _now: SimTime, from: SiteId, to: SiteId, msg: M) -> SendOutcome {
@@ -471,15 +492,17 @@ impl<T, M: Clone + Send + 'static> Runtime<T, M> for ThreadedRuntime<T, M> {
             }
             // Drain already-arrived traffic before parking: under load the
             // staging queue is usually non-empty, so the engine loop spins
-            // without a single syscall.
-            if let Some(env) = self.pop_staged() {
-                return Some((
-                    now,
-                    Step::Deliver {
-                        to: env.to,
-                        msg: env.msg,
-                    },
-                ));
+            // without a single syscall. Completions go first: each releases
+            // promises the delivered messages may be waiting on.
+            if self.staged.is_empty() {
+                self.drain_inbox();
+            }
+            if let Some((site, ticket, ok)) = self.completed.pop_front() {
+                return Some((now, Step::Durable { site, ticket, ok }));
+            }
+            if let Some(env) = self.staged.pop_front() {
+                let (to, msg) = (env.to, env.msg);
+                return Some((now, Step::Deliver { to, msg }));
             }
             let until_deadline = self.clock.until(deadline);
             let wait = match self.timers.peek_time() {
@@ -487,46 +510,25 @@ impl<T, M: Clone + Send + 'static> Runtime<T, M> for ThreadedRuntime<T, M> {
                 None => self.cfg.idle_grace.min(until_deadline),
             };
             match self.inbox.recv_timeout(wait) {
-                Ok(batch) => {
-                    self.stage(batch);
-                    if let Some(env) = self.staged.pop_front() {
-                        return Some((
-                            self.clock.now(),
-                            Step::Deliver {
-                                to: env.to,
-                                msg: env.msg,
-                            },
-                        ));
-                    }
-                }
+                Ok(batch) => self.stage(batch),
                 Err(RecvTimeoutError::Disconnected) => return None,
+                // Quiescence check, unless a timer is (about to be) due. The
+                // engine (our only sender) is blocked right here and the
+                // outbox was flushed on entry, so if the transport has
+                // nothing in flight, no flush completion is owed and nothing
+                // is staged, no step can ever arrive again. Draining the
+                // inbox also absorbs completions settled just before the
+                // owed count was read.
                 Err(RecvTimeoutError::Timeout) => {
-                    if self.timers.is_empty() {
-                        // Quiescence check. The engine (our only sender) is
-                        // blocked right here and the outbox was flushed on
-                        // entry, so if the transport has nothing in flight,
-                        // no posted timer is owed and nothing is staged, no
-                        // step can ever arrive again.
-                        if self.transport.in_flight() > 0 || self.owed.load(Ordering::SeqCst) > 0 {
-                            continue; // a delivery worker or a poster still owes us
-                        }
-                        // Draining the inbox also absorbs posts settled just
-                        // before the load above; those land on the heap.
-                        match self.pop_staged() {
-                            Some(env) => {
-                                return Some((
-                                    self.clock.now(),
-                                    Step::Deliver {
-                                        to: env.to,
-                                        msg: env.msg,
-                                    },
-                                ))
-                            }
-                            None if self.timers.is_empty() => return None,
-                            None => {}
+                    if self.timers.is_empty()
+                        && self.transport.in_flight() == 0
+                        && self.flush_owed() == 0
+                    {
+                        self.drain_inbox();
+                        if self.staged.is_empty() && self.completed.is_empty() {
+                            return None;
                         }
                     }
-                    // A timer is (about to be) due: loop and fire it.
                 }
             }
         }
@@ -541,8 +543,18 @@ impl<T, M: Clone + Send + 'static> Runtime<T, M> for ThreadedRuntime<T, M> {
 mod tests {
     use super::*;
     use crate::transport::LinkPolicy;
-    use o2pc_common::{DetRng, Duration};
+    use o2pc_common::{DetRng, ExecId, GlobalTxnId, ScratchDir};
     use o2pc_sim::NetworkConfig;
+    use o2pc_storage::{LogRecord, Wal};
+
+    /// A log in a scratch directory with one appended, sealed batch.
+    fn sealed_batch(name: &str) -> (ScratchDir, Wal, FlushBatch) {
+        let dir = ScratchDir::new(&format!("rt-{name}"));
+        let mut wal = Wal::open(dir.join("s.wal")).unwrap();
+        wal.append(LogRecord::Begin(ExecId::Sub(GlobalTxnId(1))));
+        let batch = wal.seal_batch().unwrap();
+        (dir, wal, batch)
+    }
 
     fn sim() -> SimRuntime<&'static str, u32> {
         SimRuntime::new(Network::new(
@@ -593,6 +605,28 @@ mod tests {
             0,
             "self-send never hit the network"
         );
+    }
+
+    /// The simulator's disk writes at seal time and reports after the
+    /// modelled fsync latency, in order with the rest of the queue.
+    #[test]
+    fn sim_disk_lands_at_seal_and_reports_after_the_modelled_fsync() {
+        let mut rt = sim();
+        rt.schedule(SimTime(300), "armed");
+        assert!(matches!(
+            rt.next(SimTime(10_000)),
+            Some((_, Step::Timer(_)))
+        ));
+        let (_dir, wal, batch) = sealed_batch("sim-disk");
+        rt.flush(SiteId(1), batch);
+        assert_eq!(wal.durable_ticket(), wal.append_ticket(), "written at seal");
+        let (t, step) = rt.next(SimTime(10_000)).unwrap();
+        assert_eq!(t, SimTime(300) + SimRuntime::<(), u32>::FSYNC_LATENCY);
+        let ticket = wal.append_ticket();
+        assert!(matches!(
+            step,
+            Step::Durable { site: SiteId(1), ticket: t, ok: true } if t == ticket
+        ));
     }
 
     fn threaded(grace_ms: u64) -> ThreadedRuntime<&'static str, u32> {
@@ -699,44 +733,56 @@ mod tests {
         assert_eq!(to2, (100..132).collect::<Vec<_>>());
     }
 
-    /// A timer posted from another thread wakes a `next` that is blocked on
-    /// the inbox (the grace period here is far longer than the test).
+    /// A flusher whose reports take `delay` to leave it: long enough for
+    /// the loop to park (or to time out) while the completion is owed.
+    fn slow_flusher(rt: &mut ThreadedRuntime<&'static str, u32>, delay: u64) {
+        let report = rt.reporter();
+        rt.flusher = Some(FlushScheduler::spawn(1, move |site, ticket, ok| {
+            std::thread::sleep(StdDuration::from_millis(delay));
+            report(site, ticket, ok);
+        }));
+    }
+
+    /// A flush completion wakes a `next` that is blocked on the inbox (the
+    /// grace period here is far longer than the test), and reports the
+    /// ticket the batch made durable.
     #[test]
-    fn posted_timer_wakes_blocked_next() {
+    fn flush_completion_wakes_blocked_next() {
         let mut rt = threaded(10_000);
-        let poster = rt.timer_poster().expect("threaded runtimes have a poster");
-        poster.promise();
-        let worker = std::thread::spawn(move || {
-            std::thread::sleep(StdDuration::from_millis(20)); // let `next` park first
-            poster.post("done", 1);
-        });
+        slow_flusher(&mut rt, 20); // let `next` park first
+        let (_dir, wal, batch) = sealed_batch("wake");
+        rt.flush(SiteId(2), batch);
         let start = std::time::Instant::now();
         let got = rt.next(SimTime(60_000_000));
-        assert!(matches!(got, Some((_, Step::Timer("done")))), "{got:?}");
+        let ticket = wal.append_ticket();
+        assert!(
+            matches!(got, Some((_, Step::Durable { site: SiteId(2), ticket: t, ok: true })) if t == ticket),
+            "{got:?}"
+        );
+        assert_eq!(wal.durable_ticket(), ticket, "reported after the fsync");
         assert!(
             start.elapsed() < StdDuration::from_secs(5),
             "woken, not timed out"
         );
-        worker.join().unwrap();
     }
 
-    /// An outstanding promise holds off quiescence: `next` waits out the
-    /// deadline, not `idle_grace`, and once the post lands it is returned
-    /// before the runtime may report `None`.
+    /// An owed completion holds off quiescence: `next` waits out the
+    /// deadline, not `idle_grace`, and once the completion is reported it is
+    /// returned before the runtime may report `None`.
     #[test]
-    fn threaded_does_not_quiesce_while_a_post_is_owed() {
+    fn threaded_does_not_quiesce_while_a_flush_is_owed() {
         let mut rt = threaded(2);
-        let poster = rt.timer_poster().unwrap();
-        poster.promise();
-        let deadline = rt.now() + o2pc_common::Duration::millis(60);
+        slow_flusher(&mut rt, 150);
+        let (_dir, _wal, batch) = sealed_batch("owed");
+        rt.flush(SiteId(0), batch);
+        let deadline = rt.now() + Duration::millis(60);
         assert!(rt.next(deadline).is_none());
         assert!(
             rt.now() > deadline,
             "gave up at the deadline, not after 2 ms"
         );
-        poster.post("late", 1);
         let far = SimTime(60_000_000);
-        assert!(matches!(rt.next(far), Some((_, Step::Timer("late")))));
+        assert!(matches!(rt.next(far), Some((_, Step::Durable { .. }))));
         assert!(rt.next(far).is_none(), "nothing owed any more: quiescent");
     }
 
@@ -792,11 +838,14 @@ mod tests {
         rt.schedule(far, "later");
         assert!(rt.is_idle(), "the only timer is a minute away");
 
-        // An owed completion leaves the loop idle; the posted one is a due timer.
-        let poster = rt.timer_poster().unwrap();
-        poster.promise();
+        // An owed completion leaves the loop idle; a reported one is a step.
+        slow_flusher(&mut rt, 30);
+        let (_dir, _wal, batch) = sealed_batch("idle");
+        rt.flush(SiteId(0), batch);
         assert!(rt.is_idle(), "only a completion is owed");
-        poster.post("landed", 1);
+        while rt.flush_owed() > 0 {
+            std::thread::sleep(StdDuration::from_millis(1));
+        }
         assert!(!rt.is_idle(), "the completion is a step now");
     }
 

@@ -678,11 +678,6 @@ impl Site {
         self.decided.retain(|&g, _| keep(g));
     }
 
-    /// Number of retained decision records (bounded-memory assertions).
-    pub fn decided_count(&self) -> usize {
-        self.decided.len()
-    }
-
     /// Replay the WAL and compare the reconstructed item state against the
     /// live store — the durability check used by the chaos oracle. `true`
     /// means a crash right now would recover to exactly the current data.
@@ -839,13 +834,14 @@ impl Site {
         &self.wal
     }
 
-    /// Group commit: flush the site's WAL inline (sim substrate).
+    /// Write and fsync the site's pending WAL bytes inline (the engine's
+    /// start- and end-of-run barriers).
     pub fn wal_sync(&mut self) -> std::io::Result<()> {
         self.wal.sync()
     }
 
-    /// Seal buffered WAL frames for a background flusher (threaded
-    /// substrate). `None` when nothing is pending.
+    /// Seal buffered WAL frames into a batch for the runtime's disk. `None`
+    /// when nothing is pending, or when the log can no longer flush.
     pub fn wal_seal_batch(&mut self) -> Option<FlushBatch> {
         self.wal.seal_batch()
     }

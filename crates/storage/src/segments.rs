@@ -235,7 +235,7 @@ struct SegWrite {
     len: usize,
 }
 
-/// A sealed batch of appended bytes for a background flusher: write + fsync,
+/// A sealed batch of appended bytes for a flusher: write + fsync,
 /// then advance the shared watermark. Batches sealed from one WAL must be
 /// executed in seal order, preserving prefix durability; a batch may span a
 /// rotation point, in which case it carries one write per touched segment.
@@ -699,10 +699,9 @@ impl Segments {
     }
 
     /// Sealed watermark: bytes handed to the flush pipeline (inline or as a
-    /// sealed batch), in order. On the deterministic simulator this is the
-    /// release gate — the pipeline *will* make these bytes durable, and
-    /// every crash/checkpoint/shutdown path synchronises on it first. A dead
-    /// WAL reports its durable watermark: nothing more will ever seal.
+    /// sealed batch), in order. Every crash/checkpoint/shutdown path waits
+    /// for the pipeline to reach it first. A dead WAL reports its durable
+    /// watermark: nothing more will ever seal.
     pub(crate) fn sealed_ticket(&self) -> u64 {
         if self.dead {
             self.progress.durable()
@@ -714,12 +713,6 @@ impl Segments {
     /// Bytes appended but not yet sealed or synced.
     pub(crate) fn pending_bytes(&self) -> u64 {
         self.buf.len() as u64
-    }
-
-    /// True when this WAL must flush inline (fault armed, so the fault point
-    /// stays deterministic; or already dead).
-    pub(crate) fn inline_only(&self) -> bool {
-        self.fault.is_some() || self.dead
     }
 
     /// True once an injected fault has fired (the log device is gone).
@@ -816,12 +809,14 @@ impl Segments {
         Ok(())
     }
 
-    /// Seal the buffered frames into a [`FlushBatch`] for a background
-    /// flusher and advance the sealed watermark. Returns `None` when there
-    /// is nothing to flush or the WAL must stay inline (fault armed / dead —
-    /// asynchronous writes would make the fault point nondeterministic).
+    /// Seal the buffered frames into a [`FlushBatch`] for a flusher and
+    /// advance the sealed watermark. Returns `None` when there is nothing to
+    /// flush, or when the WAL is fault-armed (its writes stay in [`sync`],
+    /// so the fault fires at a deterministic point) or dead.
+    ///
+    /// [`sync`]: crate::wal::Wal::sync
     pub(crate) fn seal_batch(&mut self) -> Option<FlushBatch> {
-        if self.buf.is_empty() || self.inline_only() {
+        if self.buf.is_empty() || self.fault.is_some() || self.dead {
             return None;
         }
         let mut writes = Vec::with_capacity(self.spans.len());
@@ -1212,9 +1207,8 @@ mod tests {
         let good = w.records().to_vec();
         let cut = w.append_ticket() + 5; // tear 5 bytes into the next frame
         let mut w = armed(&path, cut, FaultKind::Torn);
-        assert!(w.wants_inline_flush(), "fault-armed wal never seals");
-        assert!(w.seal_batch().is_none());
         w.append(LogRecord::Begin(sub(7)));
+        assert!(w.seal_batch().is_none(), "fault-armed wal never seals");
         assert!(w.sync().is_err());
         assert!(w.is_dead());
         drop(w);

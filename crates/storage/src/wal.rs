@@ -311,14 +311,6 @@ impl Wal {
         self.disk.as_ref().map_or(0, |d| d.pending_bytes())
     }
 
-    /// True when flushes must run inline: a fault-armed or dead on-disk log
-    /// (its fault point must stay deterministic), and trivially a log
-    /// without a sink, whose sync is a no-op.
-    #[inline]
-    pub fn wants_inline_flush(&self) -> bool {
-        self.disk.as_ref().is_none_or(|d| d.inline_only())
-    }
-
     /// True once an injected fault has fired (the log device is gone).
     pub fn is_dead(&self) -> bool {
         self.disk.as_ref().is_some_and(|d| d.is_dead())
@@ -347,8 +339,9 @@ impl Wal {
         self.disk.as_mut().map_or(Ok(()), |d| d.sync())
     }
 
-    /// Seal buffered frames for a background flusher (`None` without a
-    /// sink, when nothing is pending, or when flushes must stay inline).
+    /// Seal buffered frames for a flusher (`None` without a sink, when
+    /// nothing is pending, or when the log is fault-armed or dead: with
+    /// bytes pending, `None` means the log cannot flush them).
     pub fn seal_batch(&mut self) -> Option<FlushBatch> {
         self.disk.as_mut()?.seal_batch()
     }
@@ -750,7 +743,7 @@ mod tests {
         let mut w = Wal::new();
         w.append(LogRecord::Begin(sub(0)));
         w.append(LogRecord::Commit(sub(0)));
-        assert!(!w.is_durable() && w.wants_inline_flush() && !w.is_dead());
+        assert!(!w.is_durable() && !w.is_dead());
         assert_eq!((w.append_ticket(), w.sealed_ticket()), (0, 0));
         assert_eq!((w.durable_ticket(), w.pending_bytes()), (0, 0));
         assert!(w.sync().is_ok());

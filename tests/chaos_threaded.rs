@@ -51,8 +51,8 @@ fn crash_drop_duplicate_smoke_on_threaded_transport() {
     crash_drop_duplicate_smoke(SystemConfig::new(3, ProtocolKind::O2pcP1));
 }
 
-/// The same run on on-disk logs with promises gated on the physical fsync
-/// and two admission slots per coordinator: transactions stuck on the dark
+/// The same run on on-disk logs, promises waiting for their fsync, with
+/// two admission slots per coordinator: transactions stuck on the dark
 /// site hold their slots until the vote timeout, arrivals queue behind them,
 /// and the work-conserving seal fires across the crash — the crashed site's
 /// parked promises die with it, its peers time out, and recovery reopens the
@@ -62,7 +62,6 @@ fn crash_drop_duplicate_smoke_on_durable_physical_gate() {
     let dir = ScratchDir::new("chaos-threaded-durable");
     let mut cfg = SystemConfig::new(3, ProtocolKind::O2pcP1);
     cfg.durable_wal_dir = Some(dir.to_path_buf());
-    cfg.wal_background_flush = true;
     cfg.admission_window = Some(2);
     let report = crash_drop_duplicate_smoke(cfg);
     assert!(report.counters.get("wal.parked_msgs") > 0);

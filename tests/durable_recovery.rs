@@ -2,8 +2,8 @@
 //! state the in-memory WAL would, a torn tail must cost nothing that was
 //! durable, and a real SIGKILL mid-run must leave logs that resolve cleanly.
 
-use o2pc_common::{Duration, Key, Op, ScratchDir, SimTime, SiteId, Value};
-use o2pc_core::{Engine, RunReport, SystemConfig, TxnRequest};
+use o2pc_common::{Duration, Histogram, Key, Op, ScratchDir, SimTime, SiteId, Value};
+use o2pc_core::{DefaultSimRuntime, Engine, RunReport, SystemConfig, TxnRequest};
 use o2pc_protocol::ProtocolKind;
 use o2pc_runtime::ThreadedRuntime;
 use o2pc_storage::codec::FRAME_HEADER;
@@ -69,6 +69,37 @@ fn resumed_run_keeps_its_flush_timers() {
         ),
         "the split run decided differently from the unsplit one"
     );
+}
+
+/// The simulator's disk charges every durable promise its fsync: a promise
+/// sealed at a flush point leaves exactly the modelled latency later, so
+/// the median sealed → released wait is that latency (as the histogram
+/// buckets it), where a gate that released at the seal would read 0.
+#[test]
+fn simulated_promises_wait_for_the_modelled_fsync() {
+    let dir = ScratchDir::new("durable-sim-fsync");
+    let r = durable_engine(&dir, 0x51D, 3).run(Duration::secs(10));
+    assert!(r.counters.get("wal.parked_msgs") > 0, "promises did park");
+    assert_eq!(r.wal_fsync_wait.count(), r.counters.get("wal.parked_msgs"));
+    let mut modelled = Histogram::new();
+    modelled.record(DefaultSimRuntime::FSYNC_LATENCY.as_micros());
+    assert_eq!(r.wal_fsync_wait.p50(), modelled.p50());
+    assert!(r.wal_fsync_wait.max() <= DefaultSimRuntime::FSYNC_LATENCY.as_micros());
+}
+
+/// The modelled disk keeps durable runs a pure function of their seed: two
+/// runs of one seed, each on logs of its own, report alike to the digest.
+#[test]
+fn simulated_durable_runs_replay_from_their_seed() {
+    let runs: Vec<RunReport> = (0..2)
+        .map(|i| {
+            let dir = ScratchDir::new(&format!("durable-sim-replay-{i}"));
+            durable_engine(&dir, 0xD16E, 3).run(Duration::secs(10))
+        })
+        .collect();
+    assert!(runs[0].counters.get("wal.flushes") > 0);
+    assert_eq!(runs[0].history.digest(), runs[1].history.digest());
+    assert_eq!(format!("{:?}", runs[0]), format!("{:?}", runs[1]));
 }
 
 /// Tentpole acceptance (a): reopening the on-disk log recovers byte-for-byte
@@ -162,12 +193,11 @@ fn sigkill_mid_run_recovers_cleanly() {
 /// wait for the flush timer from everything else.
 const FLUSH_INTERVAL: Duration = Duration(50_000);
 
-/// Logs under `dir`, promises gated on the physical fsync (for a
-/// `ThreadedRuntime`), operation service on the engine's own time.
+/// Logs under `dir` (for a `ThreadedRuntime`, whose flusher threads report
+/// each fsync), operation service on the engine's own time.
 fn physical_gate(dir: &Path, sites: u32, protocol: ProtocolKind) -> SystemConfig {
     let mut cfg = SystemConfig::new(sites, protocol);
     cfg.durable_wal_dir = Some(dir.to_path_buf());
-    cfg.wal_background_flush = true;
     cfg.wal_flush_interval = FLUSH_INTERVAL;
     cfg.op_service_time = Duration::ZERO;
     cfg
