@@ -1,22 +1,88 @@
-//! Local and lifted (cross-site) deadlock detection and victim resolution.
+//! Local and lifted (cross-site) deadlock detection and victim resolution,
+//! started from the execution that just blocked (DESIGN.md §8).
 
 use super::{Engine, TimerEvent};
 use crate::msg::Msg;
 use o2pc_common::FastHashMap;
 use o2pc_common::{ExecId, GlobalTxnId, SimTime, SiteId};
-use o2pc_locking::find_cycle;
+use o2pc_locking::{find_cycle, CycleWalk};
 use o2pc_runtime::Runtime;
 
+/// A node of the lifted waits-for graph: a subtransaction stands for its
+/// whole global transaction, locals and compensations stay at their site.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+enum Node {
+    G(GlobalTxnId),
+    L(SiteId, ExecId),
+    C(SiteId, GlobalTxnId),
+}
+
+impl Node {
+    fn lift(site: SiteId, e: ExecId) -> Node {
+        match e {
+            ExecId::Sub(g) => Node::G(g),
+            ExecId::Local(_) => Node::L(site, e),
+            ExecId::CompSub(g) => Node::C(site, g),
+        }
+    }
+}
+
+/// The blocked path's reusable buffers.
+#[derive(Default)]
+pub(crate) struct BlockedWalks {
+    local: CycleWalk<ExecId>,
+    lifted: CycleWalk<Node>,
+    blockers: Vec<ExecId>,
+}
+
 impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
-    pub(crate) fn resolve_deadlocks(&mut self, now: SimTime, site_id: SiteId) {
+    /// `exec` just queued behind a lock at `site_id`. Every cycle that exists
+    /// now passes through it, so each detector runs only when a walk from
+    /// `exec` returns to it: first over the site's waits-for edges, then over
+    /// the lifted ones. Debug builds run both detectors anyway and check that
+    /// they agree with the walks.
+    #[inline(never)]
+    pub(crate) fn on_blocked(&mut self, now: SimTime, site_id: SiteId, exec: ExecId) {
+        let (walk, site) = (&mut self.walks.local, &self.sites[site_id.index()]);
+        let local = walk.returns_to(exec, |e, out| site.as_ref().unwrap().blockers_of(e, out));
+        if local || cfg!(debug_assertions) {
+            let resolved = self.resolve_deadlocks(now, site_id);
+            debug_assert_eq!(local, resolved, "walk from {exec} at {site_id}");
+        }
+        let (walk, blockers) = (&mut self.walks.lifted, &mut self.walks.blockers);
+        let live = self.sites.iter().enumerate();
+        let live = live.filter_map(|(i, s)| Some((SiteId(i as u32), s.as_ref()?)));
+        let lifted = walk.returns_to(Node::lift(site_id, exec), |node, out| {
+            let (only, e) = match node {
+                Node::G(g) => (None, ExecId::Sub(g)),
+                Node::L(s, e) => (Some(s), e),
+                Node::C(s, g) => (Some(s), ExecId::CompSub(g)),
+            };
+            for (sid, site) in live.clone().filter(|&(s, _)| only.is_none_or(|o| o == s)) {
+                site.blockers_of(e, blockers);
+                let next = blockers.drain(..).map(|b| Node::lift(sid, b));
+                out.extend(next.filter(|&n| n != node));
+            }
+        });
+        if lifted || cfg!(debug_assertions) {
+            let resolved = self.resolve_global_deadlocks(now);
+            debug_assert_eq!(lifted, resolved, "lifted walk from {exec} at {site_id}");
+        }
+    }
+
+    /// Abort victims until the site's waits-for graph is acyclic; true if
+    /// there was a cycle.
+    fn resolve_deadlocks(&mut self, now: SimTime, site_id: SiteId) -> bool {
+        let mut resolved = false;
         loop {
             let Some(cycle) = self.sites[site_id.index()]
                 .as_mut()
                 .unwrap()
                 .find_deadlock()
             else {
-                return;
+                return resolved;
             };
+            resolved = true;
             // Victim preference: local < subtransaction < compensation
             // (compensations are the most expensive to redo, and must
             // eventually succeed anyway).
@@ -76,7 +142,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         }
     }
 
-    /// Distributed deadlock detection.
+    /// Distributed deadlock detection; true if there was a cycle.
     ///
     /// A subtransaction that finished executing holds its locks until its
     /// global transaction votes, and the vote waits for *every* sibling
@@ -88,13 +154,8 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// to timeouts or a global deadlock detector; the victim's *blocked*
     /// subtransaction is aborted unilaterally at its site (autonomy), and
     /// the 2PC abort cleans up the siblings.
-    pub(crate) fn resolve_global_deadlocks(&mut self, now: SimTime) {
-        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-        enum Node {
-            G(GlobalTxnId),
-            L(SiteId, ExecId),
-            C(SiteId, GlobalTxnId),
-        }
+    fn resolve_global_deadlocks(&mut self, now: SimTime) -> bool {
+        let mut resolved = false;
         loop {
             let mut edges: FastHashMap<Node, Vec<Node>> = FastHashMap::default();
             // Where each node has a blocked execution (for victim handling).
@@ -102,26 +163,19 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             for (idx, site) in self.sites.iter().enumerate() {
                 let Some(site) = site else { continue };
                 let sid = SiteId(idx as u32);
-                let lift = |e: ExecId| match e {
-                    ExecId::Sub(g) => Node::G(g),
-                    ExecId::Local(_) => Node::L(sid, e),
-                    ExecId::CompSub(g) => Node::C(sid, g),
-                };
                 for (w, h) in site.waits_for_edges() {
-                    let wn = lift(w);
-                    let hn = lift(h);
+                    let wn = Node::lift(sid, w);
+                    let hn = Node::lift(sid, h);
                     if wn != hn {
                         edges.entry(wn).or_default().push(hn);
                         blocked_at.entry(wn).or_insert((sid, w));
                     }
                 }
             }
-            if edges.is_empty() {
-                return;
-            }
             let Some(cycle) = find_cycle(&edges) else {
-                return;
+                return resolved;
             };
+            resolved = true;
             // Victim: prefer a local, else the youngest global on the cycle.
             let victim = cycle
                 .iter()
@@ -132,9 +186,12 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                     Node::G(g) => (1, u64::MAX - g.0),
                 })
                 .expect("cycle non-empty");
-            let Some(&(sid, exec)) = blocked_at.get(&victim) else {
-                return;
-            };
+            // Every node on a cycle has an out-edge, so it is blocked at some
+            // site. Returning without a victim would leave the cycle standing,
+            // and `on_blocked` relies on no cycle outliving this loop.
+            let (sid, exec) = *blocked_at
+                .get(&victim)
+                .expect("a node on a cycle is blocked somewhere");
             self.report.counters.inc("deadlock.global");
             match exec {
                 ExecId::Local(_) => {

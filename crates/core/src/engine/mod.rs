@@ -222,6 +222,8 @@ pub struct Engine<R: Runtime<TimerEvent, Msg> = DefaultSimRuntime> {
     /// Configuration footguns detected at assembly (see
     /// [`SystemConfig::liveness_warnings`]).
     pub(crate) warnings: Vec<String>,
+    /// Buffers of the deadlock walks a blocked lock request runs.
+    pub(crate) walks: Box<deadlock::BlockedWalks>,
 }
 
 impl Engine {
@@ -293,6 +295,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             wal_covered,
             flush_armed: BTreeMap::new(),
             warnings,
+            walks: Box::default(),
         }
     }
 

@@ -439,10 +439,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                     }
                 }
             }
-            OpResult::Blocked => {
-                self.resolve_deadlocks(now, site_id);
-                self.resolve_global_deadlocks(now);
-            }
+            OpResult::Blocked => self.on_blocked(now, site_id, exec),
             OpResult::Failed(_) => match exec {
                 ExecId::Local(_) => {
                     let hist = &mut self.hist;

@@ -1,9 +1,50 @@
-//! The cycle finder behind deadlock detection, generic over the node type so
-//! the engine's lifted (cross-site) waits-for graph uses the same search as a
-//! site's local one.
+//! The cycle searches behind deadlock detection, generic over the node type
+//! so the engine's lifted (cross-site) waits-for graph uses the same searches
+//! as a site's local one: [`find_cycle`] over a whole graph, and
+//! [`CycleWalk`] from one node over successors computed on demand.
 
-use o2pc_common::FastHashMap;
+use o2pc_common::{FastHashMap, FastHashSet};
 use std::hash::Hash;
+
+/// A reachability walk that asks whether a cycle passes through one node,
+/// visiting only the part of the graph that node reaches. Its buffers are
+/// kept between walks, so a walk allocates only while it meets a larger
+/// graph than any before.
+#[derive(Clone, Debug)]
+pub struct CycleWalk<N> {
+    stack: Vec<N>,
+    seen: FastHashSet<N>,
+}
+
+impl<N> Default for CycleWalk<N> {
+    fn default() -> Self {
+        Self {
+            stack: Vec::new(),
+            seen: FastHashSet::default(),
+        }
+    }
+}
+
+impl<N: Copy + Eq + Hash> CycleWalk<N> {
+    /// Does a walk from `start` return to it? `succ(n, out)` appends the
+    /// successors of `n` to `out`, repeats allowed; each node's are asked
+    /// for at most once.
+    pub fn returns_to(&mut self, start: N, mut succ: impl FnMut(N, &mut Vec<N>)) -> bool {
+        let Self { stack, seen } = self;
+        stack.clear();
+        seen.clear();
+        succ(start, stack);
+        while let Some(node) = stack.pop() {
+            if node == start {
+                return true;
+            }
+            if seen.insert(node) {
+                succ(node, stack);
+            }
+        }
+        false
+    }
+}
 
 /// Find one cycle in a directed graph given as an adjacency map.
 ///
@@ -90,5 +131,35 @@ mod tests {
         assert_eq!(find_cycle(&graph(&[(1, 2), (2, 3), (5, 2), (5, 3)])), None);
         // Same within one search: 3 is finished via 2 before 1 tries it.
         assert_eq!(find_cycle(&graph(&[(1, 2), (2, 3), (1, 3)])), None);
+    }
+
+    #[test]
+    fn walk_sees_only_cycles_through_its_start() {
+        // 1 reaches the cycle 2 → 3 → 2 but is not on it; 4 → 5 → 4 is not
+        // reached from 1 at all.
+        let adj = graph(&[(1, 2), (2, 3), (3, 2), (4, 5), (5, 4)]);
+        let mut walk = CycleWalk::default();
+        let mut asked = Vec::new();
+        let from_1 = walk.returns_to(1, |n, out| {
+            asked.push(n);
+            out.extend(adj.get(&n).into_iter().flatten());
+        });
+        assert!(!from_1);
+        asked.sort_unstable();
+        assert_eq!(asked, vec![1, 2, 3], "each reached node asked once");
+        let succ = |n: u32, out: &mut Vec<u32>| out.extend(adj.get(&n).into_iter().flatten());
+        assert!(walk.returns_to(2, succ));
+        assert!(walk.returns_to(5, succ));
+    }
+
+    #[test]
+    fn walk_through_a_diamond_is_not_a_cycle() {
+        let adj = graph(&[(1, 2), (1, 3), (2, 4), (3, 4), (4, 1)]);
+        let mut walk = CycleWalk::default();
+        let succ = |n: u32, out: &mut Vec<u32>| out.extend(adj.get(&n).into_iter().flatten());
+        assert!(walk.returns_to(2, succ));
+        let acyclic = graph(&[(1, 2), (1, 3), (2, 4), (3, 4), (2, 4)]);
+        let succ = |n: u32, out: &mut Vec<u32>| out.extend(acyclic.get(&n).into_iter().flatten());
+        assert!(!walk.returns_to(1, succ));
     }
 }

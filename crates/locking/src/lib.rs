@@ -24,6 +24,6 @@ pub mod cycle;
 pub mod manager;
 pub mod stats;
 
-pub use cycle::find_cycle;
+pub use cycle::{find_cycle, CycleWalk};
 pub use manager::{LockManager, RequestOutcome};
 pub use stats::LockStats;

@@ -292,26 +292,40 @@ impl LockManager {
         self.process_queue(key, now)
     }
 
-    /// Edges of the waits-for graph: `(waiter, blocker)` pairs. A waiter is
-    /// blocked by every conflicting current holder and by every conflicting
-    /// request queued ahead of it.
-    pub fn waits_for_edges(&self) -> Vec<(ExecId, ExecId)> {
-        let mut edges = Vec::new();
-        for (_, entry) in self.table.iter() {
-            for (i, w) in entry.queue.iter().enumerate() {
-                for g in &entry.granted {
-                    if g.exec != w.exec && (g.mode.conflicts_with(w.mode) || w.upgrade) {
-                        edges.push((w.exec, g.exec));
-                    }
+    /// Append to `out` what `exec`'s queued request waits for — its
+    /// out-edges in the waits-for graph: every conflicting current holder
+    /// (every other holder, for an S→X upgrade) and every conflicting request
+    /// queued ahead of it. Repeats are possible; nothing is appended when
+    /// `exec` is not waiting.
+    pub fn blockers_of(&self, exec: ExecId, out: &mut Vec<ExecId>) {
+        let Some(entry) = self.waiting.get(&exec).and_then(|k| self.table.get(k)) else {
+            return;
+        };
+        let queue = &entry.queue;
+        for (i, w) in queue.iter().enumerate().filter(|(_, w)| w.exec == exec) {
+            for g in &entry.granted {
+                if g.exec != exec && (g.mode.conflicts_with(w.mode) || w.upgrade) {
+                    out.push(g.exec);
                 }
-                for ahead in entry.queue.iter().take(i) {
-                    if ahead.exec != w.exec && ahead.mode.conflicts_with(w.mode) {
-                        edges.push((w.exec, ahead.exec));
-                    }
+            }
+            for ahead in queue.iter().take(i) {
+                if ahead.exec != exec && ahead.mode.conflicts_with(w.mode) {
+                    out.push(ahead.exec);
                 }
             }
         }
-        // The lock table is a HashMap: sort so that callers (deadlock
+    }
+
+    /// Edges of the waits-for graph: `(waiter, blocker)` pairs, one row of
+    /// [`LockManager::blockers_of`] per waiting execution.
+    pub fn waits_for_edges(&self) -> Vec<(ExecId, ExecId)> {
+        let mut edges = Vec::new();
+        let mut blockers = Vec::new();
+        for &w in self.waiting.keys() {
+            self.blockers_of(w, &mut blockers);
+            edges.extend(blockers.drain(..).map(|b| (w, b)));
+        }
+        // The waiting map is a HashMap: sort so that callers (deadlock
         // detection, victim selection) behave identically across runs.
         edges.sort_unstable();
         edges.dedup();

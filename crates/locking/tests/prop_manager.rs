@@ -1,7 +1,7 @@
 //! Property tests: the lock manager under arbitrary schedules.
 
 use o2pc_common::{AccessMode, ExecId, GlobalTxnId, Key, SimTime};
-use o2pc_locking::{LockManager, RequestOutcome};
+use o2pc_locking::{CycleWalk, LockManager, RequestOutcome};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -103,6 +103,56 @@ proptest! {
             lm.check_invariants();
         }
         prop_assert_eq!(lm.grant_count(), 0, "grants leaked");
+    }
+
+    /// Deadlock detection from the waiter is exact. Cycles are broken after
+    /// every request that queues, as the engine does; then (a) the waits-for
+    /// graph is exactly `blockers_of` of every waiting execution, and (b) a
+    /// walk from each queued requester returns to it exactly when the
+    /// whole-graph detector finds a cycle.
+    #[test]
+    fn walk_from_the_waiter_is_exact(actions in prop::collection::vec(action_strategy(6, 3), 1..120)) {
+        let mut lm = LockManager::new();
+        let mut walk = CycleWalk::default();
+        let mut waiting: HashSet<ExecId> = HashSet::new();
+        let mut blockers = Vec::new();
+        for (clock, a) in actions.iter().enumerate() {
+            let now = SimTime(clock as u64);
+            let mut woken = Vec::new();
+            match *a {
+                Action::Request { e, key, write } => {
+                    let ex = exec(e);
+                    if waiting.contains(&ex) {
+                        continue;
+                    }
+                    let mode = if write { AccessMode::Write } else { AccessMode::Read };
+                    if lm.request(ex, Key(key as u64), mode, now) == RequestOutcome::Waiting {
+                        waiting.insert(ex);
+                        let through = walk.returns_to(ex, |e, out| lm.blockers_of(e, out));
+                        prop_assert_eq!(through, lm.find_deadlock().is_some());
+                        while let Some(cycle) = lm.find_deadlock() {
+                            woken.extend(lm.release_all(cycle[0], now));
+                            waiting.remove(&cycle[0]);
+                        }
+                    }
+                }
+                Action::Release { e } => {
+                    woken = lm.release_all(exec(e), now);
+                    waiting.remove(&exec(e));
+                }
+            }
+            for w in woken {
+                waiting.remove(&w);
+            }
+            let mut rows = Vec::new();
+            for &w in &waiting {
+                lm.blockers_of(w, &mut blockers);
+                rows.extend(blockers.drain(..).map(|b| (w, b)));
+            }
+            rows.sort_unstable();
+            rows.dedup();
+            prop_assert_eq!(rows, lm.waits_for_edges());
+        }
     }
 
     /// Two conflicting grants never coexist (direct check on random traces).

@@ -296,6 +296,12 @@ impl Site {
         self.locks.waits_for_edges()
     }
 
+    /// Append the executions `exec` waits for here to `out` (its out-edges
+    /// in [`Site::waits_for_edges`]).
+    pub fn blockers_of(&self, exec: ExecId, out: &mut Vec<ExecId>) {
+        self.locks.blockers_of(exec, out)
+    }
+
     /// Begin an execution with the given operation program.
     pub fn begin(&mut self, exec: ExecId, ops: Vec<Op>, now: SimTime, hist: &mut dyn HistorySink) {
         debug_assert!(!self.execs.contains_key(&exec), "{exec} already active");

@@ -256,7 +256,12 @@ fn threaded_physical_gate_commits_in_two_flush_waits() {
 /// threaded physical gate with a 50 ms flush interval. Returns the report
 /// after checking what holds whatever the admission window is.
 fn backlog_on_physical_gate(window: Option<usize>) -> RunReport {
-    let dir = ScratchDir::new("durable-backlog");
+    // One directory per caller: the two tests run in parallel in one process,
+    // and a shared name let one wipe the other's logs mid-run.
+    let dir = ScratchDir::new(match window {
+        Some(_) => "durable-backlog",
+        None => "durable-no-backlog",
+    });
     let (sites, globals, initial) = (3u32, 12u32, 1_000i64);
     let mut cfg = physical_gate(&dir, sites, ProtocolKind::O2pc);
     cfg.admission_window = window;
