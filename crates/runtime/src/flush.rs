@@ -12,15 +12,17 @@
 //!
 //! After a burst the shard reports one completion per site in it — the
 //! site, the last ticket the burst carried for it, and whether its log's
-//! watermark advanced or was poisoned — and settles the batches it owed.
-//! The runtime turns each completion into a
-//! [`Step::Durable`](crate::Step::Durable) and does not quiesce while one
-//! is owed. The simulator's disk is the same `execute_all`, run at seal time
-//! and reported after a modelled fsync latency
-//! ([`SimRuntime::FSYNC_LATENCY`](crate::SimRuntime::FSYNC_LATENCY)).
+//! watermark advanced or was poisoned — and then settles the batches it
+//! owed. The report goes onto the one channel the runtime's loop blocks on,
+//! which wakes it; the runtime hands each completion to the engine as a
+//! [`Step::Durable`](crate::Step::Durable) ahead of any ready delivery, and
+//! does not quiesce while one is owed. The simulator's disk is the same
+//! `execute_all`, run at seal time and reported after a modelled fsync
+//! latency ([`SimRuntime::FSYNC_LATENCY`](crate::SimRuntime::FSYNC_LATENCY)).
 
 use o2pc_common::SiteId;
 use o2pc_storage::{FlushBatch, FlushProgress};
+use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -75,32 +77,35 @@ fn drain_loop(
 
 impl FlushScheduler {
     /// Spawn `shards` flusher threads (at least one), each reporting its
-    /// completions through a clone of `report`.
+    /// completions through a clone of `report`. Fails if the OS refuses a
+    /// thread; dropping the partial pool then joins the shards already
+    /// spawned.
     pub(crate) fn spawn(
         shards: usize,
         report: impl Fn(SiteId, u64, bool) + Clone + Send + 'static,
-    ) -> Self {
-        let owed = Arc::new(AtomicUsize::new(0));
-        let shards = (0..shards.max(1))
-            .map(|i| {
-                let (tx, rx) = channel();
-                let (report, owed) = (report.clone(), Arc::clone(&owed));
-                let worker = std::thread::Builder::new()
-                    .name(format!("wal-flush-{i}"))
-                    .spawn(move || drain_loop(rx, report, &owed))
-                    .expect("spawn wal-flush thread");
-                Shard {
-                    tx: Some(tx),
-                    worker: Some(worker),
-                }
-            })
-            .collect();
-        FlushScheduler { shards, owed }
+    ) -> io::Result<Self> {
+        let mut pool = FlushScheduler {
+            shards: Vec::new(),
+            owed: Arc::new(AtomicUsize::new(0)),
+        };
+        for i in 0..shards.max(1) {
+            let (tx, rx) = channel();
+            let (report, owed) = (report.clone(), Arc::clone(&pool.owed));
+            let worker = std::thread::Builder::new()
+                .name(format!("wal-flush-{i}"))
+                .spawn(move || drain_loop(rx, report, &owed))?;
+            pool.shards.push(Shard {
+                tx: Some(tx),
+                worker: Some(worker),
+            });
+        }
+        Ok(pool)
     }
 
     /// Queue a sealed batch for write + fsync on `site`'s shard; a
     /// completion covering it is owed from now on.
     pub(crate) fn submit(&self, site: SiteId, batch: FlushBatch) {
+        // `spawn` made at least one shard.
         let shard = &self.shards[site.index() % self.shards.len()];
         if let Some(tx) = &shard.tx {
             self.owed.fetch_add(1, Ordering::SeqCst);
@@ -143,7 +148,7 @@ mod tests {
     fn background_flush_advances_watermark_in_order() {
         let dir = tmpdir("order");
         let mut wal = Wal::open(dir.join("s.wal")).unwrap();
-        let sched = FlushScheduler::spawn(2, |_, _, _| {});
+        let sched = FlushScheduler::spawn(2, |_, _, _| {}).unwrap();
         let mut last = 0;
         for i in 0..10 {
             wal.append(LogRecord::Begin(ExecId::Sub(GlobalTxnId(i))));
@@ -201,7 +206,8 @@ mod tests {
         let (done, got) = channel();
         let sched = FlushScheduler::spawn(2, move |site, _, ok| {
             let _ = done.send((site, ok, progress.is_poisoned()));
-        });
+        })
+        .unwrap();
         for i in 0..2 {
             wal.append(LogRecord::Begin(ExecId::Sub(GlobalTxnId(i))));
             let mut batch = wal.seal_batch().unwrap();
@@ -224,7 +230,7 @@ mod tests {
     #[test]
     fn shards_flush_independent_wals_and_coalesce_fsyncs() {
         let dir = tmpdir("shards");
-        let sched = FlushScheduler::spawn(4, |_, _, _| {});
+        let sched = FlushScheduler::spawn(4, |_, _, _| {}).unwrap();
         let mut wals: Vec<Wal> = (0..4)
             .map(|i| Wal::open(dir.join(format!("s{i}.wal"))).unwrap())
             .collect();

@@ -10,13 +10,9 @@
 //! * [`Clock`] — a source of monotonic [`o2pc_common::SimTime`]; implemented
 //!   by the virtual clock of the discrete-event simulator and by
 //!   [`clock::WallClock`] (microseconds of real elapsed time).
-//! * [`Transport`] — an asynchronous message substrate carrying
-//!   [`transport::Envelope`]s between site endpoints, with per-link latency
-//!   and loss hooks; implemented by [`transport::ThreadedTransport`]
-//!   (per-destination delivery workers over batch channels).
-//! * [`Runtime`] — the engine-facing fusion of the two plus a disk:
-//!   schedule timers, send messages, flush sealed log batches, and pull the
-//!   next [`Step`] in time order.
+//! * [`Runtime`] — the engine-facing fusion of a clock, timers, a message
+//!   network and a disk: schedule timers, send messages, flush sealed log
+//!   batches, and pull the next [`Step`] in time order.
 //!
 //! Two implementations ship here:
 //!
@@ -25,14 +21,15 @@
 //!   entries), so a seed reproduces a run bit-for-bit. This is the substrate
 //!   every experiment in `o2pc-bench` is measured on. Its disk is modelled:
 //!   a flush lands at once and completes a constant fsync latency later.
-//! * [`ThreadedRuntime`] — wall-clock execution over a [`Transport`].
-//!   Messages on a link with latency travel through the destination site's
-//!   delivery worker (zero-latency links deliver from the sender's thread,
-//!   with no worker at all); timers fire on real elapsed time; flushes run on
-//!   a pool of flusher threads. Outcomes are schedule-dependent (and therefore
-//!   only invariant-checkable, not replayable), which is exactly the point:
-//!   the same engine code must uphold the protocol's guarantees without a
-//!   global event order.
+//! * [`ThreadedRuntime`] — wall-clock execution on the thread that calls
+//!   `next`. It delivers its own messages: a zero-latency send is a push
+//!   onto a ready FIFO, a delayed one an entry in its wall-clock event queue
+//!   beside its timers. A [`ThreadedTransport`] holds the per-link
+//!   latency/loss/duplication policies, judges each send, and keeps the loss
+//!   ledger. Flushes run on a pool of flusher threads. Outcomes are
+//!   schedule-dependent (and therefore only invariant-checkable, not
+//!   replayable), which is exactly the point: the same engine code must
+//!   uphold the protocol's guarantees without a global event order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,6 +41,4 @@ pub mod transport;
 
 pub use clock::{Clock, WallClock};
 pub use runtime::{Runtime, SimRuntime, Step, ThreadedRuntime, ThreadedRuntimeConfig};
-pub use transport::{
-    Batch, Envelope, Inbox, LinkPolicy, SendOutcome, ThreadedTransport, Transport,
-};
+pub use transport::{LinkPolicy, SendOutcome, ThreadedTransport};

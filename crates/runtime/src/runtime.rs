@@ -2,12 +2,14 @@
 
 use crate::clock::{Clock, WallClock};
 use crate::flush::FlushScheduler;
-use crate::transport::{Batch, Envelope, Judgement, SendOutcome, ThreadedTransport, Transport};
+use crate::transport::{Judgement, SendOutcome, ThreadedTransport};
 use o2pc_common::{Duration, SimTime, SiteId};
 use o2pc_sim::{EventQueue, Network};
 use o2pc_storage::FlushBatch;
 use std::collections::VecDeque;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
 /// One unit of work handed to the engine: a timer it scheduled earlier, a
@@ -45,8 +47,8 @@ type Completion = (SiteId, u64, bool);
 /// sees queues, channels, or threads — it schedules, sends, and pulls the
 /// next step until `next` returns `None` (past `deadline`, or quiescent).
 pub trait Runtime<T, M>: Clock {
-    /// Called once per site while the engine is constructed; transports that
-    /// need explicit endpoints register a mailbox here.
+    /// Called once per site while the engine is constructed; substrates
+    /// that route by endpoint make the site reachable here.
     fn register_endpoint(&mut self, _id: SiteId) {}
 
     /// Arrange for `timer` to fire at absolute time `at`.
@@ -93,7 +95,7 @@ pub trait Runtime<T, M>: Clock {
 /// replays bit-for-bit. Splitting them into separate queues (one per trait)
 /// would look cleaner and silently break that guarantee, which is why the
 /// sim implements [`Runtime`] as a fused whole rather than composing a
-/// sim-`Clock` with a sim-`Transport`.
+/// sim clock with a sim network.
 ///
 /// Its disk is modelled: [`flush`](Runtime::flush) writes and fsyncs the
 /// batch at once, so every barrier that consults the physical log (the crash
@@ -239,10 +241,10 @@ impl<T, M: Clone> Runtime<T, M> for SimRuntime<T, M> {
 /// Tuning knobs for [`ThreadedRuntime`].
 #[derive(Clone, Copy, Debug)]
 pub struct ThreadedRuntimeConfig {
-    /// How long `next` waits with no due timer and nothing in flight before
-    /// declaring the run quiescent. Pure slack for OS scheduling jitter —
-    /// in-flight messages are tracked exactly, so this does not need to
-    /// cover transport latency.
+    /// How long `next` waits with nothing queued, ready or owed before
+    /// declaring the run quiescent; every run ends this long after its last
+    /// step. Every in-flight message lives in the runtime, so this does not
+    /// need to cover transport latency.
     pub idle_grace: StdDuration,
 }
 
@@ -254,64 +256,48 @@ impl Default for ThreadedRuntimeConfig {
     }
 }
 
-/// Judged envelopes bound for one destination, each with its link latency.
-type Burst<M> = Vec<(StdDuration, Envelope<M>)>;
-
 /// Wall-clock execution over a [`ThreadedTransport`].
 ///
-/// Timers fire on real elapsed time (via [`WallClock`]); messages travel
-/// through the transport's per-site delivery workers with real latency. All
-/// registered endpoints funnel into one batch inbox, so a single engine
-/// loop drives every site while delivery timing stays genuinely concurrent.
-/// Outcomes are schedule-dependent — the wall-clock twin of a simulated run
-/// checks invariants, not byte equality.
-///
-/// Sends are **coalesced**: `send` judges the message immediately (route
-/// lookup, loss/duplication sampling — so the caller gets an honest
-/// [`SendOutcome`]) but buffers accepted envelopes in a per-destination
-/// outbox; the next call into `next` flushes each destination's burst as a
-/// single transport handoff. A coordinator answering a VOTE-REQ fan-in
-/// therefore pays one channel operation per peer site, not one per message.
+/// One thread — the caller of [`next`](Runtime::next) — runs every site,
+/// and the runtime delivers its own messages. `send` asks the transport for
+/// its judgement (route, loss and duplication sampled at once, so the caller
+/// gets an honest [`SendOutcome`]); an accepted zero-latency message goes
+/// onto the ready FIFO, and a delayed one into the wall-clock event queue as
+/// a [`Step::Deliver`] due at send time + latency, beside the timers. A
+/// message delay inside one process therefore costs a queue push. Timers
+/// fire on real elapsed time (via [`WallClock`]); outcomes are
+/// schedule-dependent, so the wall-clock twin of a simulated run checks
+/// invariants, not byte equality.
 ///
 /// The disk is a sharded pool of flusher threads with fsync coalescing,
 /// spawned by the first [`flush`](Runtime::flush) with one shard per
-/// registered endpoint, 1–4. A shard reports each burst it completes, and
-/// the report wakes the loop like a delivery.
+/// registered endpoint, 1–4. A shard reports each burst it completes on the
+/// one channel `next` blocks on.
 ///
-/// Quiescence: `next` returns `None` once the deadline passes, or when no
-/// timer is pending, the transport reports nothing in flight, no flush
-/// completion is owed, and no message arrives within `idle_grace`.
+/// Quiescence: `next` returns `None` once the deadline passes, or after
+/// `idle_grace` with no timer or delayed message queued, nothing ready, and
+/// no flush completion owed.
 pub struct ThreadedRuntime<T, M> {
     clock: WallClock,
     transport: ThreadedTransport<M>,
-    inbox_tx: Sender<Batch<M>>,
-    inbox: Receiver<Batch<M>>,
+    /// Accepted zero-latency messages, in send order.
+    staged: VecDeque<(SiteId, M)>,
+    /// Timers and delayed deliveries, in the simulator's queue discipline:
+    /// `(due, seq)` order, FIFO among equal due times — so equal-latency
+    /// sends on one link arrive in send order.
+    events: EventQueue<Step<T, M>>,
     endpoints: usize,
     flusher: Option<FlushScheduler>,
-    /// Completions reported by the flusher; read only when an empty batch
-    /// on the inbox says there is something to read.
+    /// The channel the flusher reports completions on.
     done_tx: Sender<Completion>,
     done: Receiver<Completion>,
-    /// Reported completions not yet handed to the engine.
-    completed: VecDeque<Completion>,
-    /// Delivered batches not yet handed to the engine, in arrival order.
-    staged: VecDeque<Envelope<M>>,
-    /// Judged-but-unflushed sends, one slot per destination ever sent to
-    /// (a handful: found by scanning, and a slot's bucket keeps its
-    /// capacity across flushes). The insertion order within one
-    /// destination is send order (per-link FIFO); flush order across
-    /// destinations is round-ordered by first use.
-    outbox: Vec<(SiteId, Burst<M>)>,
-    /// Occupied outbox slots in first-send order so flushing is
-    /// deterministic per round and every occupied slot is visited.
-    outbox_order: Vec<usize>,
-    /// Pending timers, in the simulator's queue discipline: `(due, seq)`
-    /// order, FIFO among equal due times.
-    timers: EventQueue<T>,
+    /// Completions reported and not yet received: `next` reads the channel
+    /// only when this is non-zero, so looking costs one atomic load.
+    unread: Arc<AtomicUsize>,
     cfg: ThreadedRuntimeConfig,
 }
 
-impl<T, M: Clone + Send + 'static> Default for ThreadedRuntime<T, M> {
+impl<T, M: Clone> Default for ThreadedRuntime<T, M> {
     fn default() -> Self {
         Self::new(
             ThreadedTransport::default(),
@@ -320,25 +306,20 @@ impl<T, M: Clone + Send + 'static> Default for ThreadedRuntime<T, M> {
     }
 }
 
-impl<T, M: Clone + Send + 'static> ThreadedRuntime<T, M> {
+impl<T, M: Clone> ThreadedRuntime<T, M> {
     /// Build on a transport; the clock's epoch (time zero) is *now*.
     pub fn new(transport: ThreadedTransport<M>, cfg: ThreadedRuntimeConfig) -> Self {
-        let (inbox_tx, inbox) = channel();
         let (done_tx, done) = channel();
         ThreadedRuntime {
             clock: WallClock::new(),
             transport,
-            inbox_tx,
-            inbox,
+            staged: VecDeque::new(),
+            events: EventQueue::new(),
             endpoints: 0,
             flusher: None,
             done_tx,
             done,
-            completed: VecDeque::new(),
-            staged: VecDeque::new(),
-            outbox: Vec::new(),
-            outbox_order: Vec::new(),
-            timers: EventQueue::new(),
+            unread: Arc::new(AtomicUsize::new(0)),
             cfg,
         }
     }
@@ -348,188 +329,159 @@ impl<T, M: Clone + Send + 'static> ThreadedRuntime<T, M> {
         &self.transport
     }
 
-    /// Hand every buffered burst to the transport — one `deliver_many` per
-    /// destination with traffic.
-    fn flush_outbox(&mut self) {
-        for slot in self.outbox_order.drain(..) {
-            let (to, bucket) = &mut self.outbox[slot];
-            self.transport.deliver_many(*to, bucket.drain(..));
-        }
-    }
-
-    /// Stage one batch off the inbox. The transport never delivers an empty
-    /// batch, so one is the flusher's wake-up: whatever it reported is
-    /// staged as completed.
-    fn stage(&mut self, batch: Batch<M>) {
-        if batch.is_empty() {
-            self.completed.extend(self.done.try_iter());
-        } else {
-            self.staged.extend(batch);
-        }
-    }
-
-    /// Stage every batch already on the inbox, without blocking.
-    fn drain_inbox(&mut self) {
-        while let Ok(batch) = self.inbox.try_recv() {
-            self.stage(batch);
-        }
-    }
-
-    /// How the flusher reports a completion: on its channel, then an empty
-    /// batch to wake the loop — before the flusher settles what it owed, so
-    /// a loop that reads "nothing owed" finds the report on its inbox.
+    /// How the flusher reports a completion: counted as unread, then sent —
+    /// both before the flusher settles what it owed, so a loop that reads
+    /// "nothing owed" finds every report on the channel.
     fn reporter(&self) -> impl Fn(SiteId, u64, bool) + Clone + Send + 'static {
-        let (done, wake) = (self.done_tx.clone(), self.inbox_tx.clone());
+        let (done, unread) = (self.done_tx.clone(), Arc::clone(&self.unread));
         move |site, ticket, ok| {
+            unread.fetch_add(1, Ordering::SeqCst);
             // A send fails only when the runtime is gone: nobody is left to tell.
             let _ = done.send((site, ticket, ok));
-            let _ = wake.send(Vec::new());
         }
+    }
+
+    /// A reported completion, if one is waiting.
+    fn take_completion(&mut self) -> Option<Step<T, M>> {
+        if self.unread.load(Ordering::SeqCst) == 0 {
+            return None;
+        }
+        // Empty while the reporter is between its count and its send; the
+        // next call finds it.
+        let done = self.done.try_recv().ok()?;
+        Some(self.completion(done))
+    }
+
+    fn completion(&mut self, (site, ticket, ok): Completion) -> Step<T, M> {
+        self.unread.fetch_sub(1, Ordering::SeqCst);
+        Step::Durable { site, ticket, ok }
     }
 
     fn flush_owed(&self) -> usize {
         self.flusher.as_ref().map_or(0, FlushScheduler::owed)
     }
 
-    fn push_timer(&mut self, at: SimTime, timer: T) {
+    fn push_event(&mut self, at: SimTime, step: Step<T, M>) {
         // On a wall clock a caller may name an instant the queue has already
-        // moved past; such a timer is simply due now.
-        self.timers.schedule(at.max(self.timers.now()), timer);
+        // moved past; such an entry is simply due now.
+        self.events.schedule(at.max(self.events.now()), step);
+    }
+
+    /// Put an accepted message on its way: ready now, or due after `latency`.
+    fn carry(&mut self, latency: StdDuration, to: SiteId, msg: M) {
+        if latency.is_zero() {
+            self.staged.push_back((to, msg));
+        } else {
+            let due = self.clock.now() + Duration::micros(latency.as_micros() as u64);
+            self.push_event(due, Step::Deliver { to, msg });
+        }
     }
 }
 
-impl<T, M: Clone + Send + 'static> Clock for ThreadedRuntime<T, M> {
+impl<T, M: Clone> Clock for ThreadedRuntime<T, M> {
     fn now(&self) -> SimTime {
         self.clock.now()
     }
 }
 
-impl<T, M: Clone + Send + 'static> Runtime<T, M> for ThreadedRuntime<T, M> {
+impl<T, M: Clone> Runtime<T, M> for ThreadedRuntime<T, M> {
     fn register_endpoint(&mut self, id: SiteId) {
-        self.transport.attach(id, self.inbox_tx.clone());
+        self.transport.open_route(id);
         self.endpoints += 1;
     }
 
     fn schedule(&mut self, at: SimTime, timer: T) {
-        self.push_timer(at, timer);
+        self.push_event(at, Step::Timer(timer));
     }
 
     fn flush(&mut self, site: SiteId, batch: FlushBatch) {
         if self.flusher.is_none() {
             let shards = self.endpoints.clamp(1, 4);
-            self.flusher = Some(FlushScheduler::spawn(shards, self.reporter()));
+            self.flusher = FlushScheduler::spawn(shards, self.reporter()).ok();
         }
-        if let Some(f) = &self.flusher {
-            f.submit(site, batch);
+        match &self.flusher {
+            Some(f) => f.submit(site, batch),
+            // No flusher thread could be spawned: write and fsync here, as
+            // the simulator's disk does, and report at once. A failed write
+            // has poisoned the log's watermark; the completion says so.
+            None => {
+                let (ticket, progress) = (batch.ticket(), batch.progress());
+                let _ = batch.execute();
+                (self.reporter())(site, ticket, !progress.is_poisoned());
+            }
         }
     }
 
     fn is_idle(&mut self) -> bool {
-        // An accepted send is in flight from the moment it is judged, so the
-        // count covers the unflushed outbox as well as the links. It is read
-        // before the inbox is drained: a delivery leaves the count only
-        // after its batch is on the inbox.
-        if !self.staged.is_empty() || !self.completed.is_empty() || self.transport.in_flight() > 0 {
-            return false;
-        }
-        self.drain_inbox();
-        let now = self.clock.now();
-        self.staged.is_empty()
-            && self.completed.is_empty()
-            && self.timers.peek_time().is_none_or(|due| due > now)
+        // Every accepted message, ready or delayed, is in flight until
+        // `next` hands it over.
+        self.transport.in_flight() == 0
+            && self.unread.load(Ordering::SeqCst) == 0
+            && self
+                .events
+                .peek_time()
+                .is_none_or(|due| due > self.clock.now())
     }
 
     fn send(&mut self, _now: SimTime, from: SiteId, to: SiteId, msg: M) -> SendOutcome {
         // Unlike the simulator, same-site messages take the transport path
-        // too: a zero-latency link gives the same effect. The message is
-        // judged now (honest outcome, counters updated) but the accepted
-        // envelope rides the outbox until the next `next()` call, so a
-        // burst to one destination is one transport handoff.
+        // too: a zero-latency link gives the same effect.
         match self.transport.judge(from, to) {
             Judgement::NoRoute => SendOutcome::NoRoute,
             Judgement::DropPolicy => SendOutcome::DroppedByPolicy,
             Judgement::Deliver { latency, duplicate } => {
-                let slot = match self.outbox.iter().position(|(id, _)| *id == to) {
-                    Some(slot) => slot,
-                    None => {
-                        self.outbox.push((to, Vec::new()));
-                        self.outbox.len() - 1
-                    }
-                };
-                let bucket = &mut self.outbox[slot].1;
-                if bucket.is_empty() {
-                    self.outbox_order.push(slot);
-                }
                 if duplicate {
-                    bucket.push((
-                        latency,
-                        Envelope {
-                            from,
-                            to,
-                            msg: msg.clone(),
-                        },
-                    ));
+                    self.carry(latency, to, msg.clone());
                 }
-                bucket.push((latency, Envelope { from, to, msg }));
+                self.carry(latency, to, msg);
                 SendOutcome::Sent
             }
         }
     }
 
     fn next(&mut self, deadline: SimTime) -> Option<(SimTime, Step<T, M>)> {
-        // Everything the engine sent while handling the previous step goes
-        // out now, one batched handoff per destination.
-        self.flush_outbox();
         loop {
             let now = self.clock.now();
             if now > deadline {
                 return None;
             }
-            // Fire a due timer before waiting on the inbox.
-            if self.timers.peek_time().is_some_and(|due| due <= now) {
-                let (_, timer) = self.timers.pop().expect("peeked");
-                return Some((now, Step::Timer(timer)));
+            // A due timer or delayed delivery first, then a reported
+            // completion — before any ready delivery, since each releases
+            // promises those messages may be waiting on — then the ready
+            // FIFO. Under load the loop spins here without a syscall.
+            if self.events.peek_time().is_some_and(|due| due <= now) {
+                if let Some((_, step)) = self.events.pop() {
+                    if matches!(step, Step::Deliver { .. }) {
+                        self.transport.note_delivered();
+                    }
+                    return Some((now, step));
+                }
             }
-            // Drain already-arrived traffic before parking: under load the
-            // staging queue is usually non-empty, so the engine loop spins
-            // without a single syscall. Completions go first: each releases
-            // promises the delivered messages may be waiting on.
-            if self.staged.is_empty() {
-                self.drain_inbox();
+            if let Some(done) = self.take_completion() {
+                return Some((now, done));
             }
-            if let Some((site, ticket, ok)) = self.completed.pop_front() {
-                return Some((now, Step::Durable { site, ticket, ok }));
-            }
-            if let Some(env) = self.staged.pop_front() {
-                let (to, msg) = (env.to, env.msg);
+            if let Some((to, msg)) = self.staged.pop_front() {
+                self.transport.note_delivered();
                 return Some((now, Step::Deliver { to, msg }));
             }
             let until_deadline = self.clock.until(deadline);
-            let wait = match self.timers.peek_time() {
+            let wait = match self.events.peek_time() {
                 Some(due) => self.clock.until(due).min(until_deadline),
                 None => self.cfg.idle_grace.min(until_deadline),
             };
-            match self.inbox.recv_timeout(wait) {
-                Ok(batch) => self.stage(batch),
-                Err(RecvTimeoutError::Disconnected) => return None,
-                // Quiescence check, unless a timer is (about to be) due. The
-                // engine (our only sender) is blocked right here and the
-                // outbox was flushed on entry, so if the transport has
-                // nothing in flight, no flush completion is owed and nothing
-                // is staged, no step can ever arrive again. Draining the
-                // inbox also absorbs completions settled just before the
-                // owed count was read.
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.timers.is_empty()
-                        && self.transport.in_flight() == 0
-                        && self.flush_owed() == 0
-                    {
-                        self.drain_inbox();
-                        if self.staged.is_empty() && self.completed.is_empty() {
-                            return None;
-                        }
-                    }
-                }
+            // The runtime holds a sender, so the channel never disconnects:
+            // an error is a timeout.
+            if let Ok(done) = self.done.recv_timeout(wait) {
+                let step = self.completion(done);
+                return Some((self.clock.now(), step));
+            }
+            // Quiescence: the engine, the only sender, is blocked right here,
+            // so with nothing queued and no completion owed no step can ever
+            // arrive again. Every completion settled before the owed count
+            // read zero is already on the channel.
+            if self.events.is_empty() && self.flush_owed() == 0 {
+                let done = self.take_completion();
+                return done.map(|step| (self.clock.now(), step));
             }
         }
     }
@@ -704,10 +656,10 @@ mod tests {
         assert_eq!(fired, expected);
     }
 
-    /// A burst of sends between two `next` calls is coalesced into one
-    /// transport handoff per destination — and still arrives in send order.
+    /// A burst of zero-latency sends between two `next` calls waits on the
+    /// ready FIFO, in flight, and arrives in send order.
     #[test]
-    fn threaded_send_coalesces_bursts_and_keeps_order() {
+    fn threaded_ready_sends_arrive_in_send_order() {
         let mut rt = threaded(20);
         let far = SimTime(60_000_000);
         for i in 0..32 {
@@ -716,7 +668,6 @@ mod tests {
                 .send(SimTime::ZERO, SiteId(0), SiteId(2), 100 + i)
                 .is_sent());
         }
-        // Nothing has touched the transport yet: sends ride the outbox.
         assert_eq!(rt.transport().in_flight(), 64);
         let mut to1 = Vec::new();
         let mut to2 = Vec::new();
@@ -737,14 +688,15 @@ mod tests {
     /// the loop to park (or to time out) while the completion is owed.
     fn slow_flusher(rt: &mut ThreadedRuntime<&'static str, u32>, delay: u64) {
         let report = rt.reporter();
-        rt.flusher = Some(FlushScheduler::spawn(1, move |site, ticket, ok| {
+        let flusher = FlushScheduler::spawn(1, move |site, ticket, ok| {
             std::thread::sleep(StdDuration::from_millis(delay));
             report(site, ticket, ok);
-        }));
+        });
+        rt.flusher = Some(flusher.unwrap());
     }
 
-    /// A flush completion wakes a `next` that is blocked on the inbox (the
-    /// grace period here is far longer than the test), and reports the
+    /// A flush completion wakes a `next` that is blocked on the channel
+    /// (the grace period here is far longer than the test), and reports the
     /// ticket the batch made durable.
     #[test]
     fn flush_completion_wakes_blocked_next() {
@@ -786,35 +738,79 @@ mod tests {
         assert!(rt.next(far).is_none(), "nothing owed any more: quiescent");
     }
 
+    /// A ready FIFO that never empties cannot starve a completion: while
+    /// every `next` delivers one message and its handler sends the next, a
+    /// slow flush completes, and `Step::Durable` comes out within a step of
+    /// being reported.
+    #[test]
+    fn ready_fifo_cannot_starve_a_completion() {
+        let mut rt = threaded(10_000);
+        slow_flusher(&mut rt, 20);
+        let (_dir, _wal, batch) = sealed_batch("starve");
+        rt.flush(SiteId(0), batch);
+        assert!(rt.send(SimTime::ZERO, SiteId(0), SiteId(1), 0).is_sent());
+        let start = std::time::Instant::now();
+        let mut since_reported = 0;
+        loop {
+            match rt.next(SimTime(60_000_000)) {
+                Some((_, Step::Deliver { msg, .. })) => {
+                    assert!(rt
+                        .send(SimTime::ZERO, SiteId(0), SiteId(1), msg + 1)
+                        .is_sent());
+                }
+                Some((
+                    _,
+                    Step::Durable {
+                        site: SiteId(0),
+                        ok: true,
+                        ..
+                    },
+                )) => break,
+                other => panic!("unexpected step {other:?}"),
+            }
+            // The reporter has sent its completion once nothing is owed.
+            if rt.flush_owed() == 0 {
+                since_reported += 1;
+            }
+            assert!(
+                since_reported <= 2 && start.elapsed() < StdDuration::from_secs(5),
+                "completion starved behind the ready FIFO"
+            );
+        }
+        assert_eq!(rt.transport().in_flight(), 1, "the chain's next message");
+    }
+
     /// Idle means "`next` would park": any work the loop can still reach
-    /// without waiting — an unflushed outbox, an envelope on a link, a
-    /// staged delivery, a due timer — denies it; an owed completion, which
-    /// only another thread can turn into a step, does not.
+    /// without waiting — a ready message, a delayed one, a due timer, a
+    /// reported completion — denies it; an owed completion, which only
+    /// another thread can turn into a step, does not.
     #[test]
     fn idle_only_when_next_would_park() {
-        let mut rt: ThreadedRuntime<&'static str, u32> = ThreadedRuntime::default();
-        for id in 0..2 {
-            rt.register_endpoint(SiteId(id));
-        }
-        rt.transport().set_link(
+        let mut transport = ThreadedTransport::default();
+        transport.set_link(
             SiteId(0),
             SiteId(1),
             LinkPolicy::fixed(StdDuration::from_millis(30)),
         );
+        let mut rt: ThreadedRuntime<&'static str, u32> =
+            ThreadedRuntime::new(transport, ThreadedRuntimeConfig::default());
+        for id in 0..2 {
+            rt.register_endpoint(SiteId(id));
+        }
         let far = SimTime(60_000_000);
         assert!(rt.is_idle(), "fresh runtime");
         assert!(!SimRuntime::<&str, u32>::is_idle(&mut sim()), "never");
 
-        // Unflushed outbox, then staged: two zero-latency envelopes reach the
-        // inbox as one batch, `next` hands over the first.
+        // Two zero-latency messages wait on the ready FIFO; `next` hands
+        // over the first.
         assert!(rt.send(SimTime::ZERO, SiteId(1), SiteId(0), 1).is_sent());
         assert!(rt.send(SimTime::ZERO, SiteId(1), SiteId(0), 2).is_sent());
-        assert!(!rt.is_idle(), "outbox not flushed");
+        assert!(!rt.is_idle(), "two messages are ready");
         assert!(matches!(
             rt.next(far),
             Some((_, Step::Deliver { msg: 1, .. }))
         ));
-        assert!(!rt.is_idle(), "an envelope is staged");
+        assert!(!rt.is_idle(), "one message is ready");
         assert!(matches!(
             rt.next(far),
             Some((_, Step::Deliver { msg: 2, .. }))
@@ -823,7 +819,6 @@ mod tests {
 
         // On a delayed link: in flight until its delivery is taken.
         assert!(rt.send(SimTime::ZERO, SiteId(0), SiteId(1), 3).is_sent());
-        rt.flush_outbox();
         assert!(rt.transport().in_flight() > 0 && !rt.is_idle(), "on a link");
         assert!(matches!(
             rt.next(far),
@@ -874,5 +869,149 @@ mod tests {
                 }
             ))
         ));
+    }
+
+    /// A runtime whose every link has `policy`, with sites 0–2 registered.
+    fn on_links(policy: LinkPolicy) -> ThreadedRuntime<&'static str, u32> {
+        let mut rt = ThreadedRuntime::new(
+            ThreadedTransport::with_policy(policy),
+            ThreadedRuntimeConfig {
+                idle_grace: StdDuration::from_millis(20),
+            },
+        );
+        for id in 0..3 {
+            rt.register_endpoint(SiteId(id));
+        }
+        rt
+    }
+
+    /// Every message delivered until the runtime quiesces, in order.
+    fn drain(rt: &mut ThreadedRuntime<&'static str, u32>) -> Vec<u32> {
+        let mut got = Vec::new();
+        while let Some((_, step)) = rt.next(SimTime(60_000_000)) {
+            match step {
+                Step::Deliver { msg, .. } => got.push(msg),
+                other => panic!("unexpected step {other:?}"),
+            }
+        }
+        got
+    }
+
+    #[test]
+    fn latency_preserves_send_order_on_a_link() {
+        let mut rt = on_links(LinkPolicy::fixed(StdDuration::from_millis(5)));
+        let start = std::time::Instant::now();
+        for i in 0..50 {
+            assert!(rt.send(SimTime::ZERO, SiteId(1), SiteId(0), i).is_sent());
+        }
+        assert!(matches!(
+            rt.next(SimTime(60_000_000)),
+            Some((_, Step::Deliver { msg: 0, .. }))
+        ));
+        assert!(start.elapsed() >= StdDuration::from_millis(4), "delayed");
+        assert_eq!(drain(&mut rt), (1..50).collect::<Vec<_>>());
+    }
+
+    /// A slow link delays only itself: the default link's message is ready
+    /// at once, the slow one arrives after its latency.
+    #[test]
+    fn per_link_policy_delays_only_its_link() {
+        let mut transport = ThreadedTransport::default();
+        let slow = LinkPolicy::fixed(StdDuration::from_millis(25));
+        transport.set_link(SiteId(0), SiteId(1), slow);
+        let mut rt: ThreadedRuntime<&'static str, u32> =
+            ThreadedRuntime::new(transport, ThreadedRuntimeConfig::default());
+        for id in 0..3 {
+            rt.register_endpoint(SiteId(id));
+        }
+        let start = std::time::Instant::now();
+        assert!(rt.send(SimTime::ZERO, SiteId(0), SiteId(1), 1).is_sent());
+        assert!(rt.send(SimTime::ZERO, SiteId(0), SiteId(2), 2).is_sent());
+        let far = SimTime(60_000_000);
+        assert!(matches!(
+            rt.next(far),
+            Some((_, Step::Deliver { msg: 2, .. }))
+        ));
+        assert!(start.elapsed() < StdDuration::from_millis(20), "not held");
+        assert!(matches!(
+            rt.next(far),
+            Some((_, Step::Deliver { msg: 1, .. }))
+        ));
+        assert!(start.elapsed() >= StdDuration::from_millis(20), "delayed");
+    }
+
+    #[test]
+    fn duplication_delivers_twice_and_counts() {
+        let mut rt = on_links(LinkPolicy {
+            latency: StdDuration::from_millis(2),
+            duplicate_probability: 1.0,
+            ..LinkPolicy::default()
+        });
+        for i in 0..10 {
+            assert!(rt.send(SimTime::ZERO, SiteId(1), SiteId(0), i).is_sent());
+        }
+        let t = rt.transport();
+        assert_eq!(t.duplicated_count(), 10);
+        // A duplicate is a second sent message, so the ledger still balances.
+        assert_eq!((t.sent_count(), t.in_flight()), (20, 20));
+        let twice: Vec<u32> = (0..10).flat_map(|i| [i, i]).collect();
+        assert_eq!(drain(&mut rt), twice);
+        assert_eq!(rt.transport().in_flight(), 0);
+    }
+
+    #[test]
+    fn send_to_unregistered_is_unroutable() {
+        let mut rt = threaded(20);
+        assert_eq!(
+            rt.send(SimTime::ZERO, SiteId(0), SiteId(9), 1),
+            SendOutcome::NoRoute
+        );
+        let t = rt.transport();
+        assert_eq!(rt.messages_dropped(), 1);
+        assert_eq!((t.unroutable_count(), t.policy_dropped_count()), (1, 0));
+        assert_eq!(t.in_flight(), 0, "nothing owed");
+        assert!(rt.next(SimTime(60_000_000)).is_none());
+    }
+
+    /// `sent = delivered + unroutable + in_flight` mid-run and at the end,
+    /// on lossy, duplicating, delayed links with unroutable sends mixed in;
+    /// the in-flight count agrees with the messages the caller is owed.
+    #[test]
+    fn ledger_balances_mid_run_and_at_the_end() {
+        let mut rt = on_links(LinkPolicy {
+            latency: StdDuration::from_micros(300),
+            drop_probability: 0.2,
+            duplicate_probability: 0.2,
+        });
+        let far = SimTime(60_000_000);
+        let (mut accepted, mut received) = (0u64, 0u64);
+        let check = |rt: &ThreadedRuntime<&'static str, u32>, accepted: u64, received: u64| {
+            let t = rt.transport();
+            assert_eq!(
+                t.sent_count(),
+                t.delivered_count() + t.unroutable_count() + t.in_flight()
+            );
+            assert_eq!(t.in_flight(), accepted + t.duplicated_count() - received);
+            assert_eq!(t.delivered_count(), received);
+            assert_eq!(
+                rt.messages_dropped(),
+                t.policy_dropped_count() + t.unroutable_count()
+            );
+        };
+        for i in 0..400u32 {
+            let to = SiteId(if i % 50 == 0 { 7 } else { i % 3 });
+            accepted += rt.send(SimTime::ZERO, SiteId(1), to, i).is_sent() as u64;
+            if i % 4 == 3 && rt.transport().in_flight() > 0 {
+                assert!(matches!(rt.next(far), Some((_, Step::Deliver { .. }))));
+                received += 1;
+            }
+            check(&rt, accepted, received);
+        }
+        received += drain(&mut rt).len() as u64;
+        check(&rt, accepted, received);
+        let t = rt.transport();
+        assert_eq!(t.in_flight(), 0);
+        assert_eq!(t.unroutable_count(), 8);
+        assert!(t.policy_dropped_count() > 0 && t.duplicated_count() > 0);
     }
 }

@@ -1,9 +1,9 @@
 //! The engine is substrate-agnostic: this example runs the *real*
 //! `o2pc_core::Engine` — the same coordinator/site/marking/compensation
 //! logic every simulated experiment uses — on the threaded wall-clock
-//! runtime. Messages travel through per-site delivery workers with genuine
-//! 2 ms link latency; timers fire on real elapsed time; the run ends when the
-//! transport quiesces. No protocol code is duplicated here: only the
+//! runtime. Every message waits out a genuine 2 ms link latency on the wall
+//! clock; timers fire on real elapsed time; the run ends once nothing is
+//! left in flight or queued. No protocol code is duplicated here: only the
 //! runtime differs from `quickstart`.
 //!
 //! ```sh
@@ -17,9 +17,8 @@ use o2pc_repro::runtime::{LinkPolicy, ThreadedRuntime, ThreadedRuntimeConfig, Th
 use std::time::Duration as StdDuration;
 
 fn main() {
-    // A transport with real per-link latency: every message crosses its
-    // destination site's delivery worker and arrives ~2 ms later on the
-    // wall clock.
+    // Links with real latency: the runtime holds every message in its
+    // event queue and delivers it ~2 ms after the send, on the wall clock.
     let transport: ThreadedTransport<Msg> =
         ThreadedTransport::with_policy(LinkPolicy::fixed(StdDuration::from_millis(2)));
     let rt: ThreadedRuntime<TimerEvent, Msg> =
@@ -63,6 +62,5 @@ fn main() {
         "conflict-free transfers all commit"
     );
     assert_eq!(total, 300);
-    // The engine drops the runtime (and its transport) here; the delivery
-    // workers are joined by `Drop` — no detached threads survive the run.
+    assert_eq!(engine.runtime().transport().in_flight(), 0, "all delivered");
 }

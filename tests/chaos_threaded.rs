@@ -4,8 +4,8 @@
 //! The chaos harness proper (`cargo run --bin chaos`) fuzzes the sim
 //! substrate, where every fault is replayable. This test confirms the same
 //! hardening (retransmission, cooperative termination, duplicate-delivery
-//! idempotence) holds on the sharded wall-clock transport, whose faults are
-//! injected by the link policies themselves: lossy duplicating links plus a
+//! idempotence) holds on the wall-clock runtime, whose faults are injected
+//! by the link policies themselves: lossy duplicating delayed links plus a
 //! mid-run site crash, checked against the protocol's schedule-independent
 //! invariants (every transaction decided, value conserved, no compensation
 //! left pending, loss accounting reconciled).
@@ -116,8 +116,8 @@ fn crash_drop_duplicate_smoke(mut cfg: SystemConfig) -> RunReport {
 
     // Loss accounting stays honest off the sim substrate: every policy
     // drop the transport performed is attributed to a labelled message
-    // counter at the engine layer, and nothing was unroutable (all sites
-    // stay registered; a crash parks the site, it does not deregister it).
+    // counter at the engine layer, and nothing was unroutable (every site
+    // is registered; a crash parks the site, it does not unregister it).
     let transport = engine.runtime().transport();
     let engine_drops: u64 = report
         .counters
@@ -136,7 +136,7 @@ fn crash_drop_duplicate_smoke(mut cfg: SystemConfig) -> RunReport {
         .filter(|(k, _)| k.starts_with("msg.unroutable."))
         .map(|(_, v)| v)
         .sum();
-    assert_eq!(engine_unroutable, 0, "no destination ever deregistered");
+    assert_eq!(engine_unroutable, 0, "every destination is registered");
     assert!(
         transport.policy_dropped_count() > 0,
         "a 5% loss rate over a full run must actually drop something"
