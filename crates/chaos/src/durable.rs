@@ -31,7 +31,9 @@ use crate::oracle::Violation;
 use o2pc_common::{ExecId, GlobalTxnId, SiteId};
 use o2pc_compensation::{plan_compensation, CompensationModel};
 use o2pc_storage::codec::encode_frame;
-use o2pc_storage::{FaultKind, LogRecord, RecoveredState, Wal, WalOptions, WriteFault};
+use o2pc_storage::{
+    CheckpointImage, FaultKind, LogRecord, RecoveredState, Wal, WalOptions, WriteFault,
+};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -182,9 +184,10 @@ fn xorshift(state: &mut u64) -> u64 {
 fn fault_script(seed: u64) -> Vec<LogRecord> {
     use o2pc_common::{Key, Value};
     let mut rng = seed | 1;
-    let mut script = vec![LogRecord::Checkpoint {
+    let mut script = vec![LogRecord::Checkpoint(Box::new(CheckpointImage {
         items: (0..4).map(|k| (Key(k), Value(100))).collect(),
-    }];
+        ..CheckpointImage::default()
+    }))];
     let txns = 24 + (xorshift(&mut rng) % 16);
     for t in 0..txns {
         let e = ExecId::Sub(GlobalTxnId(t));
@@ -339,7 +342,7 @@ mod tests {
         let mut store = Store::new();
         store.load(Key(0), Value(50));
         let mut w = Wal::open(dir.join("site-0.wal")).unwrap();
-        w.checkpoint(&store);
+        w.checkpoint(CheckpointImage::of_store(&store));
         let e = ExecId::Sub(GlobalTxnId(1));
         w.append(LogRecord::Begin(e));
         store.apply(e, Op::Add(Key(0), 25)).unwrap();

@@ -138,9 +138,9 @@ pub struct SystemConfig {
     pub wal_background_flush: bool,
     /// Segment capacity of the durable WAL: the log rotates to a new
     /// preallocated segment file when the next record would not fit.
-    /// Checkpoint compaction deletes whole stale segments. Small values
-    /// exercise rotation and compaction aggressively (CI smoke); the default
-    /// keeps rotation off the hot path.
+    /// Small values exercise rotation aggressively (CI smoke); the default
+    /// keeps rotation off the hot path. (The engine never deletes segments
+    /// while it runs: checkpoints truncate the in-memory log only.)
     pub wal_segment_bytes: u64,
     /// Adaptive group-commit trigger: a site whose pending (unsealed) WAL
     /// bytes reach this threshold flushes immediately instead of waiting out

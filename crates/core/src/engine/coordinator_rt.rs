@@ -326,7 +326,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                     LR::Begin(e) | LR::Commit(e) | LR::Abort(e) | LR::Prepared(e) => e,
                     LR::Update { exec, .. } => exec,
                     LR::LocalCommit { exec, .. } => exec,
-                    LR::Outcome { .. } | LR::Checkpoint { .. } => return None,
+                    LR::Outcome { .. } | LR::Checkpoint(_) => return None,
                 };
                 match exec {
                     ExecId::CompSub(g) => Some(*g),
@@ -335,20 +335,26 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             };
             // Only a durable WAL can lose a tail in the crash transform; the
             // in-memory log keeps every record, so the voided set is
-            // empty by construction and the full-log scan would be pure
-            // overhead on the (hot) simulated-crash path.
-            let pre_comps: Vec<Option<GlobalTxnId>> = if s.wal().is_durable() {
-                s.wal().records().iter().map(comp_of).collect()
+            // empty by construction and the scan would be pure overhead on
+            // the (hot) simulated-crash path. A record is lost when its LSN
+            // is at or past the surviving log's end: positions cannot say
+            // this, because the live log and the surviving one start at
+            // different checkpoints. The live log still holds every record
+            // past its newest durable checkpoint, so it holds the lost ones.
+            let pre_comps: Vec<(u64, GlobalTxnId)> = if s.wal().is_durable() {
+                s.wal()
+                    .retained()
+                    .filter_map(|(lsn, rec)| comp_of(rec).map(|g| (lsn, g)))
+                    .collect()
             } else {
                 Vec::new()
             };
             let wal = s.crash();
+            let lost_from = wal.end_lsn();
             let voided: std::collections::BTreeSet<GlobalTxnId> = pre_comps
-                .get(wal.len()..)
-                .unwrap_or(&[])
-                .iter()
-                .flatten()
-                .copied()
+                .into_iter()
+                .filter(|&(lsn, _)| lsn >= lost_from)
+                .map(|(_, g)| g)
                 .collect();
             for g in voided {
                 self.hist.record(o2pc_common::HistEvent {

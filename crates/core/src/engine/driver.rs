@@ -32,6 +32,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             events += 1;
             last_now = now;
             self.step(now, step);
+            self.checkpoint_due_sites();
             if durable {
                 // Any step may have appended to a WAL; unsealed bytes must
                 // always have a flush timer pending, else parked promises
@@ -46,6 +47,19 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         self.sync_all_wals(last_now);
         self.report.events_processed += events;
         self.finalize()
+    }
+
+    /// The log's one choke point: after every step, each site whose log
+    /// has outgrown its last checkpoint writes a new one and drops the
+    /// records behind it. Running here, between steps, keeps seeded runs a
+    /// function of their seed, and keeps each site's log as large as the
+    /// work since its last checkpoint, not the run.
+    fn checkpoint_due_sites(&mut self) {
+        for s in self.sites.iter_mut().flatten() {
+            if s.checkpoint_due() {
+                s.checkpoint();
+            }
+        }
     }
 
     fn step(&mut self, now: SimTime, step: Step<TimerEvent, Msg>) {

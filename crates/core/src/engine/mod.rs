@@ -871,6 +871,68 @@ mod tests {
         assert_eq!(acks(&e), 2);
     }
 
+    /// A durable crash whose lost tail crosses the newest checkpoint voids
+    /// the compensations with records in that tail, and only those — what
+    /// comparing positions voided when the log was never truncated. The live
+    /// log's newest checkpoint is lost with the tail, so the surviving log
+    /// starts at an older one and positions in the two logs name different
+    /// records; LSNs do not.
+    #[test]
+    fn crash_voids_what_the_lost_tail_held_across_a_lost_checkpoint() {
+        let dir = ScratchDir::new("lsn-void");
+        let mut cfg = SystemConfig::new(1, ProtocolKind::O2pc);
+        cfg.durable_wal_dir = Some(dir.to_path_buf());
+        let mut e = Engine::new(cfg);
+        let (s0, k) = (SiteId(0), Key(1));
+        e.load(s0, k, Value(100));
+        e.run(Duration::ZERO);
+        let mut now = SimTime::ZERO;
+        let mut compensate = |e: &mut Engine, t: GlobalTxnId| {
+            let site = e.sites[0].as_mut().unwrap();
+            let mut at = || {
+                now += Duration::micros(1);
+                now
+            };
+            site.begin(ExecId::Sub(t), vec![Op::Add(k, 5)], at(), &mut e.hist);
+            site.execute_next_op(ExecId::Sub(t), at(), &mut e.hist);
+            site.vote(t, LockPolicy::ReleaseAll, false, at(), &mut e.hist);
+            let plan = site
+                .decide(t, false, at(), &mut e.hist)
+                .compensation
+                .unwrap();
+            site.begin_compensation(t, &plan, at(), &mut e.hist);
+            site.execute_next_op(ExecId::CompSub(t), at(), &mut e.hist);
+            site.finish_compensation(t, at(), &mut e.hist);
+        };
+        let (kept, lost) = (GlobalTxnId(1), GlobalTxnId(2));
+        compensate(&mut e, kept);
+        e.sync_all_wals(SimTime::ZERO);
+        compensate(&mut e, lost);
+        e.site_mut(s0).checkpoint();
+        assert_eq!(e.site_mut(s0).wal().len(), 1, "the live log starts at it");
+
+        e.on_crash(SimTime(1_000), s0);
+        let survived = &e.crashed_wals[&s0].0;
+        assert!(
+            matches!(&survived.records()[0], o2pc_storage::LogRecord::Checkpoint(cp) if cp.lsn == 0),
+            "the crash fell back to the first checkpoint"
+        );
+        let voided: Vec<GlobalTxnId> = e
+            .hist
+            .history
+            .as_ref()
+            .unwrap()
+            .events()
+            .iter()
+            .filter(|ev| ev.kind == o2pc_common::HistEventKind::RolledBack)
+            .filter_map(|ev| match ev.txn {
+                o2pc_common::TxnId::Compensation(t) => Some(t),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(voided, vec![lost]);
+    }
+
     /// An I/O error in the threaded runtime's flusher crashes the site whose
     /// log it hit instead of leaving its parked promises to wait out the
     /// run; recovery then brings the site back.

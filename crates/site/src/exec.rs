@@ -51,6 +51,11 @@ pub struct ExecState {
     pub phase: ExecPhase,
     /// The semantic error that moved the execution to `Failed`, if any.
     pub error: Option<CommonError>,
+    /// When the execution entered the log's in-flight set, as the site's
+    /// running count: at its `Begin`, or — for a compensation re-run after
+    /// a roll-back, whose `Begin` recovery ignores — at its first write.
+    /// `None` until then. Orders the executions a checkpoint carries.
+    pub entered: Option<u64>,
 }
 
 impl ExecState {
@@ -67,6 +72,7 @@ impl ExecState {
             pc: 0,
             phase,
             error: None,
+            entered: None,
         }
     }
 

@@ -30,6 +30,10 @@
 //!   survives; in-flight executions are rolled back on restart, while
 //!   prepared and locally-committed (in-doubt) subtransactions are fully
 //!   reconstructed — updates, write locks, and compensation obligations.
+//! * **Checkpoints** ([`Site::checkpoint`]): the site writes its live state
+//!   (store image, in-flight executions, unsettled local commits, retained
+//!   decisions) into the log and drops the records behind it, once
+//!   [`Site::checkpoint_due`] says the log has outgrown the last image.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,4 +42,4 @@ pub mod exec;
 pub mod site;
 
 pub use exec::{ExecPhase, ExecState, OpResult};
-pub use site::{LockPolicy, PeerState, Site, SiteConfig, Vote};
+pub use site::{LockPolicy, PeerState, Site, SiteConfig, Vote, CHECKPOINT_FLOOR, CHECKPOINT_RATIO};

@@ -9,9 +9,21 @@ use o2pc_common::{
 use o2pc_compensation::{plan_compensation, CompensationModel, CompensationPlan};
 use o2pc_locking::{LockManager, RequestOutcome};
 use o2pc_marking::{MarkEvent, MarkState, SiteMarks};
-use o2pc_storage::{CommitRecord, FlushBatch, LogRecord, Store, Wal};
+use o2pc_storage::{ActiveExec, CheckpointImage, CommitRecord, FlushBatch, LogRecord, Store, Wal};
 use std::collections::BTreeSet;
 use std::sync::Arc;
+
+/// A site checkpoints once the records appended since its last checkpoint
+/// outnumber this many times that checkpoint's entries: the log then holds
+/// about one image's worth of records, and building an image costs a
+/// bounded share of each record appended. One, not more: the records a
+/// truncation frees cost more to free the colder they are, and larger
+/// ratios cost `sim-optimistic` throughput (DESIGN.md §9 has the numbers).
+pub const CHECKPOINT_RATIO: usize = 1;
+
+/// The fewest records a site's log holds before it checkpoints, so a
+/// near-empty image does not mean a checkpoint on every step.
+pub const CHECKPOINT_FLOOR: usize = 1024;
 
 /// What a *yes* vote does with the subtransaction's locks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -92,6 +104,14 @@ pub struct Site {
     execs: FastHashMap<ExecId, ExecState>,
     /// Locally-committed subtransactions awaiting the coordinator decision.
     commit_records: FastHashMap<GlobalTxnId, Arc<CommitRecord>>,
+    /// Locally-committed subtransactions whose abort decision arrived, until
+    /// their compensation commits: the log still owes recovery their commit
+    /// records (persistence of compensation), so a checkpoint carries them.
+    compensating: FastHashMap<GlobalTxnId, Arc<CommitRecord>>,
+    /// Compensations rolled back and not yet committed. Recovery ignores
+    /// the `Begin` of a re-run (its `Abort` already ended that execution),
+    /// so a re-run enters the in-flight set only with its first write.
+    comps_rolled_back: BTreeSet<GlobalTxnId>,
     /// Decisions this site has learned (answers termination-protocol
     /// queries from blocked peers).
     decided: FastHashMap<GlobalTxnId, bool>,
@@ -102,6 +122,11 @@ pub struct Site {
     /// Live index of *Prepared* (in-doubt under 2PC) subtransactions.
     prepared: BTreeSet<GlobalTxnId>,
     local_seq: u64,
+    /// Running count behind [`ExecState::entered`].
+    entries: u64,
+    /// Records the log may hold (counting its last checkpoint) before
+    /// [`Site::checkpoint_due`] says it is time for the next one.
+    checkpoint_after: usize,
     /// Compensation operations skipped because the state they would restore
     /// no longer admits them (e.g. re-deleting an already-deleted item).
     pub skipped_comp_ops: u64,
@@ -130,10 +155,14 @@ impl Site {
             last_writer: FastHashMap::default(),
             execs: FastHashMap::default(),
             commit_records: FastHashMap::default(),
+            compensating: FastHashMap::default(),
+            comps_rolled_back: BTreeSet::new(),
             decided: FastHashMap::default(),
             running: BTreeSet::new(),
             prepared: BTreeSet::new(),
             local_seq: 0,
+            entries: 0,
+            checkpoint_after: CHECKPOINT_FLOOR,
             skipped_comp_ops: 0,
             recovery_rollbacks: Vec::new(),
         }
@@ -155,9 +184,68 @@ impl Site {
         self.store.load(key, value);
     }
 
-    /// Take a WAL checkpoint (call after loading).
+    /// Take a WAL checkpoint of the site's live state and drop the records
+    /// behind it (the engine checkpoints once after loading, then whenever
+    /// [`Site::checkpoint_due`]).
     pub fn checkpoint(&mut self) {
-        self.wal.checkpoint(&self.store);
+        let image = self.checkpoint_image();
+        self.checkpoint_after = (CHECKPOINT_RATIO * image.entries()).max(CHECKPOINT_FLOOR);
+        self.wal.checkpoint(image);
+        self.wal.truncate_to_checkpoint();
+    }
+
+    /// Has the log outgrown its last checkpoint (see [`CHECKPOINT_RATIO`])?
+    #[inline]
+    pub fn checkpoint_due(&self) -> bool {
+        self.wal.len() > self.checkpoint_after
+    }
+
+    /// Everything recovery would read from the log so far, built from the
+    /// live state: the store, the in-flight executions in the order they
+    /// entered the log, the local commits not yet settled, the retained
+    /// decisions and the local-id watermark.
+    pub fn checkpoint_image(&self) -> CheckpointImage {
+        let mut items: Vec<(Key, Value)> = self.store.iter().collect();
+        items.sort_unstable_by_key(|&(k, _)| k);
+        let mut active: Vec<(u64, ActiveExec)> = self
+            .execs
+            .values()
+            .filter_map(|st| {
+                let entered = st.entered?;
+                let exec = ActiveExec {
+                    exec: st.exec,
+                    undo: self.store.pending_undo(st.exec).to_vec(),
+                    prepared: st.phase == ExecPhase::Prepared,
+                };
+                Some((entered, exec))
+            })
+            .collect();
+        active.sort_unstable_by_key(|&(entered, _)| entered);
+        let mut local_commits: Vec<(GlobalTxnId, Arc<CommitRecord>)> = self
+            .commit_records
+            .iter()
+            .chain(&self.compensating)
+            .map(|(&g, rec)| (g, Arc::clone(rec)))
+            .collect();
+        local_commits.sort_unstable_by_key(|&(g, _)| g);
+        let mut decided: Vec<(GlobalTxnId, bool)> =
+            self.decided.iter().map(|(&g, &c)| (g, c)).collect();
+        decided.sort_unstable();
+        CheckpointImage {
+            lsn: 0,
+            items,
+            active: active.into_iter().map(|(_, a)| a).collect(),
+            local_commits,
+            rolled_back_comps: self.comps_rolled_back.iter().copied().collect(),
+            decided,
+            next_local_seq: self.local_seq,
+        }
+    }
+
+    /// The next [`ExecState::entered`] stamp.
+    fn next_entry(&mut self) -> u64 {
+        self.entries += 1;
+        self.entries
     }
 
     /// Current value of an item.
@@ -312,7 +400,11 @@ impl Site {
             kind: HistEventKind::Begin,
             time: now,
         });
-        self.execs.insert(exec, ExecState::new(exec, ops));
+        let mut state = ExecState::new(exec, ops);
+        if !matches!(exec, ExecId::CompSub(g) if self.comps_rolled_back.contains(&g)) {
+            state.entered = Some(self.next_entry());
+        }
+        self.execs.insert(exec, state);
         if let ExecId::Sub(g) = exec {
             self.running.insert(g);
         }
@@ -363,6 +455,10 @@ impl Site {
                     self.last_writer.insert(op.key(), txn);
                 }
                 let state = self.execs.get_mut(&exec).unwrap();
+                if state.entered.is_none() && op.kind() == OpKind::Write {
+                    self.entries += 1;
+                    state.entered = Some(self.entries);
+                }
                 state.pc += 1;
                 let finished = state.pc == state.ops.len();
                 if finished {
@@ -641,6 +737,7 @@ impl Site {
                 return DecideOutcome::default();
             }
             let plan = plan_compensation(self.config.compensation_model, &rec);
+            self.compensating.insert(g, rec);
             // The marking transition to Undone happens when CT_ij completes
             // (rule R2); until then the site remains locally-committed.
             return DecideOutcome {
@@ -789,6 +886,12 @@ impl Site {
         debug_assert_eq!(state.phase, ExecPhase::Completed);
         self.store.commit(exec);
         self.wal.append(LogRecord::Commit(exec));
+        // The committed CT settles the local commit in the log. A record a
+        // recovery restored among the undecided goes too: its compensation
+        // ran without a fresh decision.
+        self.compensating.remove(&g);
+        self.commit_records.remove(&g);
+        self.comps_rolled_back.remove(&g);
         hist.record(HistEvent {
             site: self.id,
             txn: TxnId::Compensation(g),
@@ -822,6 +925,7 @@ impl Site {
         }
         self.wal.append(LogRecord::Abort(exec));
         self.execs.remove(&exec);
+        self.comps_rolled_back.insert(g);
         self.locks.release_all(exec, now)
     }
 
@@ -881,6 +985,7 @@ impl Site {
             site.store.restore_pending(exec, undo);
             let mut st = ExecState::new(exec, Vec::new());
             st.phase = ExecPhase::Prepared;
+            st.entered = Some(site.next_entry());
             site.execs.insert(exec, st);
             if let ExecId::Sub(g) = exec {
                 site.prepared.insert(g);
@@ -902,6 +1007,7 @@ impl Site {
         for (g, commit) in recovered.outcomes {
             site.decided.insert(g, commit);
         }
+        site.comps_rolled_back = recovered.rolled_back_comps.into_iter().collect();
         site.recovery_rollbacks = recovered.rolled_back;
         site.local_seq = recovered.next_local_seq;
         site.wal = wal;

@@ -18,7 +18,7 @@
 //! contract: a crash can only tear the tail.
 
 use crate::store::{CommitRecord, UndoRecord};
-use crate::wal::LogRecord;
+use crate::wal::{ActiveExec, CheckpointImage, LogRecord};
 use o2pc_common::{ExecId, GlobalTxnId, Key, LocalTxnId, Op, SiteId, Value};
 use std::sync::Arc;
 
@@ -147,6 +147,23 @@ fn put_op(out: &mut Vec<u8>, op: &Op) {
     }
 }
 
+fn put_undo(out: &mut Vec<u8>, undo: &[UndoRecord]) {
+    put_u32(out, undo.len() as u32);
+    for u in undo {
+        put_u64(out, u.key.0);
+        put_opt_value(out, u.before);
+        put_opt_value(out, u.after);
+    }
+}
+
+fn put_commit_record(out: &mut Vec<u8>, record: &CommitRecord) {
+    put_undo(out, &record.undo);
+    put_u32(out, record.ops.len() as u32);
+    for op in &record.ops {
+        put_op(out, op);
+    }
+}
+
 fn encode_payload(rec: &LogRecord, out: &mut Vec<u8>) {
     match rec {
         LogRecord::Begin(e) => {
@@ -176,16 +193,7 @@ fn encode_payload(rec: &LogRecord, out: &mut Vec<u8>) {
         LogRecord::LocalCommit { exec, record } => {
             out.push(4);
             put_exec(out, *exec);
-            put_u32(out, record.undo.len() as u32);
-            for u in &record.undo {
-                put_u64(out, u.key.0);
-                put_opt_value(out, u.before);
-                put_opt_value(out, u.after);
-            }
-            put_u32(out, record.ops.len() as u32);
-            for op in &record.ops {
-                put_op(out, op);
-            }
+            put_commit_record(out, record);
         }
         LogRecord::Outcome { txn, commit } => {
             out.push(5);
@@ -196,12 +204,34 @@ fn encode_payload(rec: &LogRecord, out: &mut Vec<u8>) {
             out.push(6);
             put_exec(out, *e);
         }
-        LogRecord::Checkpoint { items } => {
+        LogRecord::Checkpoint(cp) => {
             out.push(7);
-            put_u32(out, items.len() as u32);
-            for &(k, v) in items {
+            put_u64(out, cp.lsn);
+            put_u64(out, cp.next_local_seq);
+            put_u32(out, cp.items.len() as u32);
+            for &(k, v) in &cp.items {
                 put_u64(out, k.0);
                 put_i64(out, v.0);
+            }
+            put_u32(out, cp.active.len() as u32);
+            for a in &cp.active {
+                put_exec(out, a.exec);
+                out.push(a.prepared as u8);
+                put_undo(out, &a.undo);
+            }
+            put_u32(out, cp.local_commits.len() as u32);
+            for (g, record) in &cp.local_commits {
+                put_u64(out, g.0);
+                put_commit_record(out, record);
+            }
+            put_u32(out, cp.rolled_back_comps.len() as u32);
+            for g in &cp.rolled_back_comps {
+                put_u64(out, g.0);
+            }
+            put_u32(out, cp.decided.len() as u32);
+            for &(g, commit) in &cp.decided {
+                put_u64(out, g.0);
+                out.push(commit as u8);
             }
         }
     }
@@ -224,6 +254,16 @@ pub fn encode_frame(rec: &LogRecord, out: &mut Vec<u8>) -> usize {
 // Decoding
 // ---------------------------------------------------------------------------
 
+/// The little-endian `u32` at the front of `b` (`None` when `b` is short).
+pub(crate) fn le_u32(b: &[u8]) -> Option<u32> {
+    Some(u32::from_le_bytes(b.get(..4)?.try_into().ok()?))
+}
+
+/// The little-endian `u64` at the front of `b` (`None` when `b` is short).
+pub(crate) fn le_u64(b: &[u8]) -> Option<u64> {
+    Some(u64::from_le_bytes(b.get(..8)?.try_into().ok()?))
+}
+
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -237,15 +277,53 @@ impl<'a> Cursor<'a> {
     }
 
     fn u32(&mut self) -> Option<u32> {
-        let b = self.buf.get(self.pos..self.pos + 4)?;
+        let v = le_u32(self.buf.get(self.pos..)?)?;
         self.pos += 4;
-        Some(u32::from_le_bytes(b.try_into().unwrap()))
+        Some(v)
     }
 
     fn u64(&mut self) -> Option<u64> {
-        let b = self.buf.get(self.pos..self.pos + 8)?;
+        let v = le_u64(self.buf.get(self.pos..)?)?;
         self.pos += 8;
-        Some(u64::from_le_bytes(b.try_into().unwrap()))
+        Some(v)
+    }
+
+    fn flag(&mut self) -> Option<bool> {
+        match self.u8()? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
+    }
+
+    /// A count, refused when even one byte per element would run past the
+    /// payload: a corrupt count is a torn frame, not an allocation request.
+    fn count(&mut self) -> Option<usize> {
+        let n = self.u32()? as usize;
+        (n <= self.buf.len() - self.pos).then_some(n)
+    }
+
+    fn undo(&mut self) -> Option<Vec<UndoRecord>> {
+        let n = self.count()?;
+        let mut undo = Vec::with_capacity(n);
+        for _ in 0..n {
+            undo.push(UndoRecord {
+                key: Key(self.u64()?),
+                before: self.opt_value()?,
+                after: self.opt_value()?,
+            });
+        }
+        Some(undo)
+    }
+
+    fn commit_record(&mut self) -> Option<CommitRecord> {
+        let undo = self.undo()?;
+        let n = self.count()?;
+        let mut ops = Vec::with_capacity(n);
+        for _ in 0..n {
+            ops.push(self.op()?);
+        }
+        Some(CommitRecord { undo, ops })
     }
 
     fn i64(&mut self) -> Option<i64> {
@@ -289,6 +367,49 @@ impl<'a> Cursor<'a> {
     }
 }
 
+fn decode_checkpoint(c: &mut Cursor) -> Option<CheckpointImage> {
+    let lsn = c.u64()?;
+    let next_local_seq = c.u64()?;
+    let n = c.count()?;
+    let mut items = Vec::with_capacity(n);
+    for _ in 0..n {
+        items.push((Key(c.u64()?), Value(c.i64()?)));
+    }
+    let n = c.count()?;
+    let mut active = Vec::with_capacity(n);
+    for _ in 0..n {
+        active.push(ActiveExec {
+            exec: c.exec()?,
+            prepared: c.flag()?,
+            undo: c.undo()?,
+        });
+    }
+    let n = c.count()?;
+    let mut local_commits = Vec::with_capacity(n);
+    for _ in 0..n {
+        local_commits.push((GlobalTxnId(c.u64()?), Arc::new(c.commit_record()?)));
+    }
+    let n = c.count()?;
+    let mut rolled_back_comps = Vec::with_capacity(n);
+    for _ in 0..n {
+        rolled_back_comps.push(GlobalTxnId(c.u64()?));
+    }
+    let n = c.count()?;
+    let mut decided = Vec::with_capacity(n);
+    for _ in 0..n {
+        decided.push((GlobalTxnId(c.u64()?), c.flag()?));
+    }
+    Some(CheckpointImage {
+        lsn,
+        items,
+        active,
+        local_commits,
+        rolled_back_comps,
+        decided,
+        next_local_seq,
+    })
+}
+
 fn decode_payload(payload: &[u8]) -> Option<LogRecord> {
     let mut c = Cursor {
         buf: payload,
@@ -304,45 +425,16 @@ fn decode_payload(payload: &[u8]) -> Option<LogRecord> {
         },
         2 => LogRecord::Commit(c.exec()?),
         3 => LogRecord::Prepared(c.exec()?),
-        4 => {
-            let exec = c.exec()?;
-            let n_undo = c.u32()? as usize;
-            let mut undo = Vec::with_capacity(n_undo.min(1 << 16));
-            for _ in 0..n_undo {
-                undo.push(UndoRecord {
-                    key: Key(c.u64()?),
-                    before: c.opt_value()?,
-                    after: c.opt_value()?,
-                });
-            }
-            let n_ops = c.u32()? as usize;
-            let mut ops = Vec::with_capacity(n_ops.min(1 << 16));
-            for _ in 0..n_ops {
-                ops.push(c.op()?);
-            }
-            LogRecord::LocalCommit {
-                exec,
-                record: Arc::new(CommitRecord { undo, ops }),
-            }
-        }
-        5 => {
-            let txn = GlobalTxnId(c.u64()?);
-            let commit = match c.u8()? {
-                0 => false,
-                1 => true,
-                _ => return None,
-            };
-            LogRecord::Outcome { txn, commit }
-        }
+        4 => LogRecord::LocalCommit {
+            exec: c.exec()?,
+            record: Arc::new(c.commit_record()?),
+        },
+        5 => LogRecord::Outcome {
+            txn: GlobalTxnId(c.u64()?),
+            commit: c.flag()?,
+        },
         6 => LogRecord::Abort(c.exec()?),
-        7 => {
-            let n = c.u32()? as usize;
-            let mut items = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                items.push((Key(c.u64()?), Value(c.i64()?)));
-            }
-            LogRecord::Checkpoint { items }
-        }
+        7 => LogRecord::Checkpoint(Box::new(decode_checkpoint(&mut c)?)),
         _ => return None,
     };
     // Trailing garbage inside a checksummed frame means the encoder and
@@ -362,8 +454,9 @@ pub fn decode_all(bytes: &[u8]) -> (Vec<LogRecord>, usize) {
     let mut records = Vec::new();
     let mut pos = 0usize;
     while let Some(header) = bytes.get(pos..pos + FRAME_HEADER) {
-        let len = u32::from_le_bytes(header[..4].try_into().unwrap());
-        let crc = u32::from_le_bytes(header[4..].try_into().unwrap());
+        let (Some(len), Some(crc)) = (le_u32(header), le_u32(&header[4..])) else {
+            break; // unreachable: the header is FRAME_HEADER bytes
+        };
         if len > MAX_PAYLOAD {
             break;
         }
@@ -410,16 +503,40 @@ mod tests {
             LogRecord::Prepared(ExecId::Sub(GlobalTxnId(2))),
             LogRecord::LocalCommit {
                 exec: ExecId::Sub(GlobalTxnId(9)),
-                record: lc,
+                record: lc.clone(),
             },
             LogRecord::Outcome {
                 txn: GlobalTxnId(9),
                 commit: true,
             },
             LogRecord::Abort(ExecId::Sub(GlobalTxnId(2))),
-            LogRecord::Checkpoint {
+            LogRecord::Checkpoint(Box::new(CheckpointImage {
+                lsn: 8,
                 items: vec![(Key(0), Value(10)), (Key(1), Value(-2))],
-            },
+                active: vec![
+                    ActiveExec {
+                        exec: ExecId::Local(LocalTxnId {
+                            site: SiteId(2),
+                            seq: 18,
+                        }),
+                        undo: vec![],
+                        prepared: false,
+                    },
+                    ActiveExec {
+                        exec: ExecId::Sub(GlobalTxnId(11)),
+                        undo: vec![UndoRecord {
+                            key: Key(1),
+                            before: None,
+                            after: Some(Value(-2)),
+                        }],
+                        prepared: true,
+                    },
+                ],
+                local_commits: vec![(GlobalTxnId(9), lc)],
+                rolled_back_comps: vec![GlobalTxnId(9)],
+                decided: vec![(GlobalTxnId(4), true), (GlobalTxnId(9), false)],
+                next_local_seq: 19,
+            })),
         ]
     }
 

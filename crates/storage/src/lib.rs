@@ -29,7 +29,7 @@ pub use segments::{
     DEFAULT_SEGMENT_BYTES,
 };
 pub use store::{CommitRecord, Store, UndoRecord};
-pub use wal::{LogRecord, RecoveredState, Wal};
+pub use wal::{ActiveExec, CheckpointImage, LogRecord, RecoveredState, Wal};
 
 /// Exists only because the frozen `benchmark/` crate names the old on-disk
 /// log type by path; nothing else may use it, and it goes in the next

@@ -27,11 +27,13 @@
 //! segment's base records exactly where valid data ended, which is how
 //! recovery tells waste from a genuine tear.
 //!
-//! Checkpoint compaction no longer rewrites the log: a small manifest file
-//! (`<root>.manifest`, written via tmp + fsync + atomic rename + directory
-//! fsync) records the logical offset of the last checkpoint, and whole
-//! segments that end at or before that offset are deleted. Byte tickets stay
-//! monotone forever — nothing is ever renumbered.
+//! Compaction ([`Wal::compact`]) never rewrites the log: a small manifest
+//! file (`<root>.manifest`, written via tmp + fsync + atomic rename +
+//! directory fsync) records the logical offset of the last checkpoint, and
+//! whole segments that end at or before that offset are deleted. Byte
+//! tickets stay monotone forever — nothing is ever renumbered. Compaction
+//! fsyncs inline, so the engine never runs it: a running site truncates
+//! only its in-memory records, and its segment files keep growing.
 //!
 //! ## Durability model
 //!
@@ -56,6 +58,7 @@
 //! [`sealed_ticket`]: crate::wal::Wal::sealed_ticket
 //! [`Wal::crash`]: crate::wal::Wal::crash
 //! [`Wal::open`]: crate::wal::Wal::open
+//! [`Wal::compact`]: crate::wal::Wal::compact
 //!
 //! ## Crash model
 //!
@@ -69,14 +72,14 @@
 //! first tear wins: nothing after the first bad frame, in this or any later
 //! segment, is replayed.
 
-use crate::codec::{decode_all, encode_frame};
+use crate::codec::{decode_all, encode_frame, le_u32, le_u64};
 use crate::wal::LogRecord;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Default segment capacity (4 MiB) when none is configured.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 4 * 1024 * 1024;
@@ -156,6 +159,13 @@ impl FlushProgress {
         })
     }
 
+    /// The waiters' lock. It guards no data (the watermark and the poison
+    /// flag are atomics), so a panic while it was held left nothing half
+    /// written: a poisoned lock is taken as it is.
+    fn guard(&self) -> MutexGuard<'_, ()> {
+        self.lock.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Current durable byte watermark.
     pub fn durable(&self) -> u64 {
         self.durable.load(Ordering::Acquire)
@@ -163,14 +173,14 @@ impl FlushProgress {
 
     /// Advance the watermark (monotone) and wake waiters.
     pub fn advance(&self, to: u64) {
-        let _g = self.lock.lock().unwrap();
+        let _g = self.guard();
         self.durable.fetch_max(to, Ordering::AcqRel);
         self.cond.notify_all();
     }
 
     /// Mark the log device failed: the watermark will never advance again.
     pub fn poison(&self) {
-        let _g = self.lock.lock().unwrap();
+        let _g = self.guard();
         self.poisoned.store(true, Ordering::Release);
         self.cond.notify_all();
     }
@@ -186,12 +196,12 @@ impl FlushProgress {
         if self.durable() >= ticket {
             return Ok(());
         }
-        let mut g = self.lock.lock().unwrap();
+        let mut g = self.guard();
         while self.durable() < ticket {
             if self.is_poisoned() {
                 return Err(io::Error::other("wal flush pipeline failed"));
             }
-            g = self.cond.wait(g).unwrap();
+            g = self.cond.wait(g).unwrap_or_else(PoisonError::into_inner);
         }
         Ok(())
     }
@@ -389,12 +399,12 @@ fn read_manifest(path: &Path) -> Option<u64> {
     if bytes.len() != 20 {
         return None;
     }
-    let magic = u32::from_le_bytes(bytes[..4].try_into().unwrap());
-    let crc = u32::from_le_bytes(bytes[16..20].try_into().unwrap());
+    let magic = le_u32(&bytes)?;
+    let crc = le_u32(&bytes[16..])?;
     if magic != MANIFEST_MAGIC || crc != crate::codec::crc32(&bytes[..16]) {
         return None;
     }
-    Some(u64::from_le_bytes(bytes[8..16].try_into().unwrap()))
+    le_u64(&bytes[8..])
 }
 
 /// fsync the parent directory of `path` — the durability point of a rename
@@ -616,7 +626,13 @@ impl Segments {
     /// early return, and `place` calls this on every append.)
     #[inline]
     fn ensure_capacity(&mut self, n: u64) {
-        let tail = self.segments.last().expect("wal always has a tail segment");
+        // A live log always has a tail segment: only a dropped handle
+        // clears them, and that kills the log first. Without one the
+        // device is gone, which is what `dead` says.
+        let Some(tail) = self.segments.last_mut() else {
+            self.dead = true;
+            return;
+        };
         let used = self.appended - tail.base;
         if used + n <= tail.capacity {
             return;
@@ -624,18 +640,16 @@ impl Segments {
         if used == 0 {
             // Oversized frame into an empty segment: grow the preallocation
             // in place rather than leaving a zero-byte segment behind.
-            let cap = n;
-            let tail = self.segments.last_mut().unwrap();
             if tail
                 .file
-                .set_len(cap)
+                .set_len(n)
                 .and_then(|_| tail.file.sync_all())
                 .is_err()
             {
                 self.dead = true;
                 return;
             }
-            tail.capacity = cap;
+            tail.capacity = n;
             self.stats.add_meta(1);
             return;
         }
@@ -844,20 +858,20 @@ impl Segments {
     }
 
     /// Log reclamation: delete whole segments before the last checkpoint
-    /// (`Ok(false)`: none was appended since the live-log start, nothing to
-    /// reclaim). The live-log start offset is recorded in the manifest
+    /// (nothing to do when none was appended since the live-log start).
+    /// The live-log start offset is recorded in the manifest
     /// (written to a temp file, fsynced, atomically renamed, and the
     /// directory fsynced — every step's error is surfaced), so a crash at
     /// any point leaves either the old manifest or the new one, and the
     /// segments both generations need still exist. Byte tickets remain
     /// monotone — nothing is renumbered, only deleted.
-    pub(crate) fn compact(&mut self) -> io::Result<bool> {
+    pub(crate) fn compact(&mut self) -> io::Result<()> {
         // Everything must be durable before segments are condemned: a
         // sealed-but-unflushed batch must not target a deleted file.
         self.sync()?;
         self.progress.wait_for(self.appended)?;
         let Some(ckpt) = self.last_checkpoint.filter(|&c| c >= self.start) else {
-            return Ok(false);
+            return Ok(());
         };
         // Manifest bytes count against the fault budget like any other
         // physical write to the log device.
@@ -895,7 +909,7 @@ impl Segments {
             fsync_dir(&self.root)?;
             self.stats.add_meta(1);
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Simulated crash: lose the unsynced buffer, cut every segment back to
@@ -939,7 +953,7 @@ impl Segments {
 mod tests {
     use super::*;
     use crate::store::Store;
-    use crate::wal::Wal;
+    use crate::wal::{CheckpointImage, Wal};
     use o2pc_common::{ExecId, GlobalTxnId, Key, Op, ScratchDir, Value};
 
     fn sub(i: u64) -> ExecId {
@@ -985,7 +999,7 @@ mod tests {
         let mut store = Store::new();
         store.load(Key(1), Value(10));
         store.load(Key(2), Value(20));
-        w.checkpoint(&store);
+        w.checkpoint(CheckpointImage::of_store(&store));
         w.append(LogRecord::Begin(sub(0)));
         store.apply(sub(0), Op::Add(Key(1), 5)).unwrap();
         let u = *store.last_undo(sub(0)).unwrap();
@@ -1157,18 +1171,25 @@ mod tests {
         let (_dir, path) = tmp("oversize");
         let mut w = small(&path, 64);
         w.append(LogRecord::Begin(sub(0)));
-        w.append(LogRecord::Checkpoint {
+        w.checkpoint(CheckpointImage {
             items: (0..64).map(|k| (Key(k), Value(k as i64))).collect(),
+            ..CheckpointImage::default()
         });
         w.append(LogRecord::Begin(sub(1)));
         w.sync().unwrap();
+        let recs = w.records().to_vec();
         drop(w);
         let w2 = small(&path, 64);
-        assert_eq!(w2.len(), 3, "oversized frame survives in its own segment");
+        assert_eq!(
+            w2.records(),
+            &recs[..],
+            "oversized frame survives in its own segment"
+        );
+        assert_eq!(w2.end_lsn(), 3);
     }
 
     #[test]
-    fn truncate_to_checkpoint_drops_stale_segments_and_keeps_tickets_monotone() {
+    fn compact_drops_stale_segments_and_keeps_tickets_monotone() {
         let (_dir, path) = tmp("trunc");
         let mut w = small(&path, 128);
         sample_workload(&mut w);
@@ -1177,11 +1198,11 @@ mod tests {
         }
         let mut store = w.recover().into_store();
         store.load(Key(1), Value(15));
-        w.checkpoint(&store);
+        w.checkpoint(CheckpointImage::of_store(&store));
         w.append(LogRecord::Begin(sub(5)));
         let before = w.append_ticket();
         let files_before = w.segment_bases().len();
-        w.truncate_to_checkpoint().unwrap();
+        w.compact().unwrap();
         assert!(w.append_ticket() >= before, "tickets monotone");
         assert!(!dirty(&w));
         assert!(
@@ -1259,11 +1280,11 @@ mod tests {
         drop(w);
         // Re-arm so the data sync passes but the manifest write (the
         // rename's durability point) trips the fault: the error must
-        // propagate out of truncate_to_checkpoint, not vanish.
+        // propagate out of compact, not vanish.
         let mut w = armed(&path, synced + 1, FaultKind::Error);
         let store = w.recover().into_store();
-        w.checkpoint(&store);
-        let err = w.truncate_to_checkpoint();
+        w.checkpoint(CheckpointImage::of_store(&store));
+        let err = w.compact();
         assert!(err.is_err(), "compaction durability failure must surface");
         assert!(w.is_dead());
     }

@@ -278,6 +278,12 @@ impl Store {
         self.undo.get(&exec).and_then(|v| v.last())
     }
 
+    /// An active execution's undo list, oldest first (empty when it has
+    /// written nothing) — what a checkpoint carries for it.
+    pub fn pending_undo(&self, exec: ExecId) -> &[UndoRecord] {
+        self.undo.get(&exec).map_or(&[], Vec::as_slice)
+    }
+
     /// Keys currently written (dirty) by an active execution.
     pub fn dirty_keys(&self, exec: ExecId) -> Vec<Key> {
         self.undo

@@ -6,11 +6,19 @@
 //! updates durable at that site even though the global fate is unknown — and
 //! (b) roll back every execution that was still in flight.
 //!
-//! Recovery is redo/undo from the last checkpoint: replay all `Update`
-//! records in order, then undo (reverse order) the updates of executions
-//! with neither a `Commit` nor an `Abort` record. Roll-backs performed before
-//! the crash wrote their own reversing `Update` records followed by `Abort`
-//! (compensation-log-record style), so replay is idempotent.
+//! Recovery is redo/undo from the last checkpoint: the checkpoint seeds the
+//! state every earlier record would have produced, then all later `Update`
+//! records are replayed in order, and the updates of executions with neither
+//! a `Commit` nor an `Abort` record are undone (reverse order). Roll-backs
+//! performed before the crash wrote their own reversing `Update` records
+//! followed by `Abort` (compensation-log-record style), so replay is
+//! idempotent.
+//!
+//! Every record has a log sequence number (LSN): its position in the log
+//! since the log began. Records are not numbered one by one — a checkpoint
+//! carries its own LSN and the records after it count up from there — so a
+//! log truncated at a checkpoint, or reloaded from disk after a crash, still
+//! names each record the way the live log did.
 
 use crate::segments::{FlushBatch, FlushProgress, Segments, WalOptions, WalStats};
 use crate::store::{CommitRecord, Store, UndoRecord};
@@ -65,13 +73,71 @@ pub enum LogRecord {
     },
     /// Execution rolled back; its reversing updates precede this record.
     Abort(ExecId),
-    /// Checkpoint: a full fuzzy-free snapshot of the store (the store is
-    /// small in this reproduction; a production system would checkpoint
-    /// incrementally, which changes nothing observable here).
-    Checkpoint {
-        /// Snapshot of all items.
-        items: Vec<(Key, Value)>,
-    },
+    /// Checkpoint: everything recovery would otherwise read from the
+    /// records before it (see [`CheckpointImage`]), so those records can go.
+    Checkpoint(Box<CheckpointImage>),
+}
+
+/// What a checkpoint holds: the state [`Wal::recover`]'s redo pass would
+/// have built from every record before it. Recovery seeds its fold from
+/// here, so a log truncated at the checkpoint recovers exactly like the
+/// whole log.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct CheckpointImage {
+    /// The checkpoint record's own LSN ([`Wal::append`] stamps it).
+    pub lsn: u64,
+    /// The store image, sorted by key, dirty values of in-flight executions
+    /// included (the redo pass applies every update, committed or not).
+    pub items: Vec<(Key, Value)>,
+    /// The executions in flight, in the order they entered the log.
+    pub active: Vec<ActiveExec>,
+    /// Locally-committed subtransactions not yet settled, sorted: the
+    /// decision is unknown, or it was abort and the compensating
+    /// subtransaction has not committed.
+    pub local_commits: Vec<(GlobalTxnId, Arc<CommitRecord>)>,
+    /// Compensating subtransactions rolled back and not yet committed,
+    /// sorted. Their `Abort` ended an incarnation, so the `Begin` of a
+    /// re-run does not count as one: the re-run enters the in-flight set
+    /// only with its first write.
+    pub rolled_back_comps: Vec<GlobalTxnId>,
+    /// The decisions the site retains, sorted.
+    pub decided: Vec<(GlobalTxnId, bool)>,
+    /// One past the highest local-transaction sequence number issued.
+    pub next_local_seq: u64,
+}
+
+/// One in-flight execution in a [`CheckpointImage`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ActiveExec {
+    /// The execution.
+    pub exec: ExecId,
+    /// Its undo list, oldest first.
+    pub undo: Vec<UndoRecord>,
+    /// Voted yes under hold-writes: its updates survive recovery.
+    pub prepared: bool,
+}
+
+impl CheckpointImage {
+    /// The image of a store with nothing in flight and no protocol state
+    /// (a freshly loaded site).
+    pub fn of_store(store: &Store) -> Self {
+        let mut items: Vec<(Key, Value)> = store.iter().collect();
+        items.sort_unstable_by_key(|&(k, _)| k);
+        CheckpointImage {
+            items,
+            ..Self::default()
+        }
+    }
+
+    /// How many entries the image carries: the size the checkpoint policy
+    /// weighs the records appended after it against.
+    pub fn entries(&self) -> usize {
+        self.items.len()
+            + self.active.len()
+            + self.local_commits.len()
+            + self.rolled_back_comps.len()
+            + self.decided.len()
+    }
 }
 
 /// The state reconstructed by [`Wal::recover`].
@@ -103,13 +169,18 @@ pub struct RecoveredState {
     /// transactions and corrupt the recorded history (two distinct
     /// transactions merged into one serialization-graph node).
     pub next_local_seq: u64,
-    /// Every logged global decision (`Outcome` record), latest wins. The
-    /// recovering site must reinstall these as retained decisions: a peer
-    /// running cooperative termination treats "no record of the
+    /// Every logged global decision (`Outcome` record) since the
+    /// checkpoint, plus the decisions the checkpoint retained; latest wins.
+    /// The recovering site must reinstall these as retained decisions: a
+    /// peer running cooperative termination treats "no record of the
     /// transaction" as license to presume abort, so a site that forgets a
     /// COMMIT across a crash can make an in-doubt peer compensate a
     /// committed transaction.
     pub outcomes: Vec<(GlobalTxnId, bool)>,
+    /// Compensating subtransactions rolled back (before the crash or by
+    /// this recovery) and not yet committed, sorted: a re-run's `Begin`
+    /// starts no new incarnation (see [`CheckpointImage::rolled_back_comps`]).
+    pub rolled_back_comps: Vec<GlobalTxnId>,
 }
 
 impl RecoveredState {
@@ -137,10 +208,19 @@ impl RecoveredState {
 /// tickets are byte offsets, and `sync` / a sealed [`FlushBatch`] make them
 /// durable. Tickets stay *byte* offsets on purpose — giving the memory path
 /// real ones would mean encoding frames nobody writes.
+///
+/// In memory the log keeps the records from a checkpoint on:
+/// [`truncate_to_checkpoint`](Self::truncate_to_checkpoint) drops the ones
+/// before the newest checkpoint that is durable, so the log is as large as
+/// the work since that checkpoint, not the run.
 #[derive(Debug, Default)]
 pub struct Wal {
     records: Vec<LogRecord>,
-    last_checkpoint: Option<usize>,
+    /// LSN of `records[0]`.
+    base_lsn: u64,
+    /// The checkpoints among `records`, oldest first: the index, and the
+    /// byte ticket that makes it durable (0 without a sink).
+    checkpoints: Vec<(usize, u64)>,
     disk: Option<Box<Segments>>,
 }
 
@@ -153,16 +233,23 @@ impl Wal {
         Self::default()
     }
 
-    /// An in-memory log over an already-decoded record sequence.
-    pub fn from_records(records: Vec<LogRecord>) -> Self {
-        let last_checkpoint = records
+    /// An in-memory log over an already-decoded record sequence. It keeps
+    /// the records from the last checkpoint on, which count up from that
+    /// checkpoint's LSN (from 0 when there is none).
+    pub fn from_records(mut records: Vec<LogRecord>) -> Self {
+        let last = records
             .iter()
-            .rposition(|r| matches!(r, LogRecord::Checkpoint { .. }));
-        Wal {
-            records,
-            last_checkpoint,
-            disk: None,
+            .rposition(|r| matches!(r, LogRecord::Checkpoint(_)));
+        let mut wal = Wal::default();
+        if let Some(i) = last {
+            records.drain(..i);
+            if let Some(LogRecord::Checkpoint(cp)) = records.first() {
+                wal.base_lsn = cp.lsn;
+            }
+            wal.checkpoints.push((0, 0));
         }
+        wal.records = records;
+        wal
     }
 
     /// Open (or create) the on-disk log rooted at `path` with default
@@ -177,6 +264,8 @@ impl Wal {
         Segments::open(path.into(), opts).map(Self::on_disk)
     }
 
+    /// Everything a reopened log holds is durable, so its last checkpoint
+    /// is where the in-memory records start.
     fn on_disk((disk, records): (Segments, Vec<LogRecord>)) -> Self {
         Wal {
             disk: Some(Box::new(disk)),
@@ -187,10 +276,12 @@ impl Wal {
     /// Append a record (with a sink: buffered, durable at the next flush).
     #[inline]
     pub fn append(&mut self, rec: LogRecord) {
-        if self.disk.is_some() {
+        if let LogRecord::Checkpoint(_) = rec {
+            self.append_checkpoint(rec)
+        } else if self.disk.is_some() {
             self.append_framed(rec)
         } else {
-            self.push(rec)
+            self.records.push(rec)
         }
     }
 
@@ -204,14 +295,21 @@ impl Wal {
         if let Some(disk) = &mut self.disk {
             disk.place(&rec);
         }
-        self.push(rec);
+        self.records.push(rec);
     }
 
-    #[inline]
-    fn push(&mut self, rec: LogRecord) {
-        if matches!(rec, LogRecord::Checkpoint { .. }) {
-            self.last_checkpoint = Some(self.records.len());
+    /// Stamp a checkpoint with its LSN, place it, and remember where it is
+    /// and which ticket makes it durable.
+    #[inline(never)]
+    fn append_checkpoint(&mut self, mut rec: LogRecord) {
+        if let LogRecord::Checkpoint(cp) = &mut rec {
+            cp.lsn = self.end_lsn();
         }
+        if let Some(disk) = &mut self.disk {
+            disk.place(&rec);
+        }
+        self.checkpoints
+            .push((self.records.len(), self.append_ticket()));
         self.records.push(rec);
     }
 
@@ -226,46 +324,80 @@ impl Wal {
         });
     }
 
-    /// Number of records.
+    /// Number of records from the last checkpoint on.
     #[inline]
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.records.len() - self.start()
     }
 
-    /// True when the log is empty.
+    /// True when the log holds no record.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
 
-    /// All records (tests / audits).
+    /// Index of the last checkpoint in `records` (0 without one).
+    #[inline]
+    fn start(&self) -> usize {
+        self.checkpoints.last().map_or(0, |&(i, _)| i)
+    }
+
+    /// The records from the last checkpoint on: all that recovery reads.
     #[inline]
     pub fn records(&self) -> &[LogRecord] {
-        &self.records
+        &self.records[self.start()..]
     }
 
-    /// Take a checkpoint of the given store.
-    pub fn checkpoint(&mut self, store: &Store) {
-        let mut items: Vec<(Key, Value)> = store.iter().collect();
-        items.sort_unstable_by_key(|&(k, _)| k);
-        self.append(LogRecord::Checkpoint { items });
+    /// The LSN the next appended record gets.
+    #[inline]
+    pub fn end_lsn(&self) -> u64 {
+        self.base_lsn + self.records.len() as u64
     }
 
-    /// Truncate the log to the last checkpoint (log reclamation). Records
-    /// before the checkpoint can never be needed again. With a sink this
-    /// first makes the log durable and deletes the stale segment files (see
-    /// [`segments`](crate::segments)); nothing is dropped unless that
+    /// Every record still held in memory, with its LSN — from the newest
+    /// durable checkpoint at the last truncation, so it reaches back past
+    /// anything a crash can lose (the crash path compares these with what
+    /// survived).
+    pub fn retained(&self) -> impl Iterator<Item = (u64, &LogRecord)> {
+        (self.base_lsn..).zip(&self.records)
+    }
+
+    /// Append a checkpoint carrying `image`.
+    pub fn checkpoint(&mut self, image: CheckpointImage) {
+        self.append(LogRecord::Checkpoint(Box::new(image)));
+    }
+
+    /// Drop the in-memory records before the newest checkpoint that is
+    /// durable (without a sink: the newest checkpoint). No I/O: this runs
+    /// on the engine's step path, and the on-disk segments are left as they
+    /// are (see [`compact`](Self::compact)). Records after a checkpoint
+    /// that is not yet durable stay, because a crash can still fall back to
+    /// the older one and the crash path must see what it lost.
+    pub fn truncate_to_checkpoint(&mut self) {
+        let durable = self.durable_ticket();
+        let Some(k) = self.checkpoints.iter().rposition(|&(_, t)| t <= durable) else {
+            return;
+        };
+        let (cut, _) = self.checkpoints[k];
+        self.records.drain(..cut);
+        self.base_lsn += cut as u64;
+        self.checkpoints.drain(..k);
+        for (i, _) in &mut self.checkpoints {
+            *i -= cut;
+        }
+    }
+
+    /// Disk reclamation: make the log durable, record the last checkpoint
+    /// as the live start in the manifest, and delete the segment files
+    /// wholly before it (see [`segments`](crate::segments)), then truncate
+    /// the in-memory records to it. It fsyncs inline, so nothing on the
+    /// step path calls it. Nothing is dropped unless the disk part
     /// succeeded.
-    pub fn truncate_to_checkpoint(&mut self) -> io::Result<()> {
+    pub fn compact(&mut self) -> io::Result<()> {
         if let Some(disk) = &mut self.disk {
-            if !disk.compact()? {
-                return Ok(());
-            }
+            disk.compact()?;
         }
-        if let Some(cp) = self.last_checkpoint {
-            self.records.drain(..cp);
-            self.last_checkpoint = Some(0);
-        }
+        self.truncate_to_checkpoint();
         Ok(())
     }
 
@@ -346,35 +478,14 @@ impl Wal {
         self.disk.as_mut()?.seal_batch()
     }
 
-    /// Crash recovery: rebuild store state from the last checkpoint.
+    /// Crash recovery: rebuild store state from the last checkpoint. The
+    /// checkpoint seeds the fold with the state the records before it left
+    /// (store image, in-flight executions and their undo, unsettled local
+    /// commits, retained decisions, the local-id watermark); the records
+    /// after it are folded on top.
     pub fn recover(&self) -> RecoveredState {
-        let start = self.last_checkpoint.unwrap_or(0);
+        let records = self.records();
         let mut items: HashMap<Key, Option<Value>> = HashMap::new();
-        if let Some(LogRecord::Checkpoint { items: snap }) = self.records.get(start) {
-            for &(k, v) in snap {
-                items.insert(k, Some(v));
-            }
-        }
-
-        // Local-id watermark: scan the whole log (not just past the
-        // checkpoint) so a recovered site never reuses a local `TxnId`.
-        let mut next_local_seq = 0u64;
-        for rec in &self.records {
-            let exec = match rec {
-                LogRecord::Begin(e)
-                | LogRecord::Commit(e)
-                | LogRecord::Abort(e)
-                | LogRecord::Prepared(e) => Some(e),
-                LogRecord::Update { exec, .. } => Some(exec),
-                LogRecord::LocalCommit { exec, .. } => Some(exec),
-                _ => None,
-            };
-            if let Some(ExecId::Local(l)) = exec {
-                next_local_seq = next_local_seq.max(l.seq + 1);
-            }
-        }
-
-        // Redo pass.
         let mut terminated: HashSet<ExecId> = HashSet::new();
         let mut committed: Vec<ExecId> = Vec::new();
         let mut prepared_set: HashSet<ExecId> = HashSet::new();
@@ -383,7 +494,36 @@ impl Wal {
         let mut comp_done: HashSet<GlobalTxnId> = HashSet::new();
         let mut pending: HashMap<ExecId, Vec<(Key, Option<Value>)>> = HashMap::new();
         let mut order: Vec<ExecId> = Vec::new();
-        for rec in &self.records[start..] {
+        let mut next_local_seq = 0u64;
+        if let Some(LogRecord::Checkpoint(cp)) = records.first() {
+            items.extend(cp.items.iter().map(|&(k, v)| (k, Some(v))));
+            for a in &cp.active {
+                pending.insert(a.exec, a.undo.iter().map(|u| (u.key, u.before)).collect());
+                order.push(a.exec);
+                if a.prepared {
+                    prepared_set.insert(a.exec);
+                }
+            }
+            local_commits.extend(cp.local_commits.iter().cloned());
+            terminated.extend(cp.rolled_back_comps.iter().map(|&g| ExecId::CompSub(g)));
+            outcomes.extend(cp.decided.iter().copied());
+            next_local_seq = cp.next_local_seq;
+        }
+
+        // Redo pass.
+        for rec in records {
+            let exec = match rec {
+                LogRecord::Begin(e)
+                | LogRecord::Commit(e)
+                | LogRecord::Abort(e)
+                | LogRecord::Prepared(e) => Some(e),
+                LogRecord::Update { exec, .. } | LogRecord::LocalCommit { exec, .. } => Some(exec),
+                LogRecord::Outcome { .. } | LogRecord::Checkpoint(_) => None,
+            };
+            // Local-id watermark, so a recovered site never reuses a `TxnId`.
+            if let Some(ExecId::Local(l)) = exec {
+                next_local_seq = next_local_seq.max(l.seq + 1);
+            }
             match rec {
                 LogRecord::Begin(e) => {
                     if !pending.contains_key(e) && !terminated.contains(e) {
@@ -435,7 +575,7 @@ impl Wal {
                     prepared_set.remove(e);
                     pending.remove(e);
                 }
-                LogRecord::Checkpoint { .. } => {}
+                LogRecord::Checkpoint(_) => {}
             }
         }
 
@@ -498,6 +638,17 @@ impl Wal {
         out.sort_unstable_by_key(|&(k, _)| k);
         let mut decided: Vec<(GlobalTxnId, bool)> = outcomes.into_iter().collect();
         decided.sort_unstable_by_key(|&(g, _)| g);
+        // The recovery rollback's `Abort`s terminate too.
+        let mut rolled_back_comps: Vec<GlobalTxnId> = terminated
+            .iter()
+            .chain(&rolled_back)
+            .filter_map(|e| match e {
+                ExecId::CompSub(g) if !comp_done.contains(g) => Some(*g),
+                _ => None,
+            })
+            .collect();
+        rolled_back_comps.sort_unstable();
+        rolled_back_comps.dedup();
 
         RecoveredState {
             items: out,
@@ -508,6 +659,7 @@ impl Wal {
             rollback_records,
             next_local_seq,
             outcomes: decided,
+            rolled_back_comps,
         }
     }
 }
@@ -562,6 +714,10 @@ mod tests {
             self.store.load(k, v);
         }
 
+        fn checkpoint(&mut self) {
+            self.wal.checkpoint(CheckpointImage::of_store(&self.store));
+        }
+
         fn begin(&mut self, e: ExecId) {
             self.wal.append(LogRecord::Begin(e));
         }
@@ -607,7 +763,7 @@ mod tests {
     fn recover_committed_updates() {
         on_both_sinks("recover-committed-updates", |h| {
             h.load(Key(1), Value(10));
-            h.wal.checkpoint(&h.store);
+            h.checkpoint();
             h.begin(sub(0));
             h.apply(sub(0), Op::Write(Key(1), Value(20)));
             h.commit(sub(0));
@@ -623,7 +779,7 @@ mod tests {
         on_both_sinks("recover-rolls-back-in-flight", |h| {
             h.load(Key(1), Value(10));
             h.load(Key(2), Value(5));
-            h.wal.checkpoint(&h.store);
+            h.checkpoint();
             h.begin(sub(0));
             h.apply(sub(0), Op::Write(Key(1), Value(99)));
             h.apply(sub(0), Op::Write(Key(2), Value(98)));
@@ -638,7 +794,7 @@ mod tests {
     fn recover_after_explicit_abort_is_clean() {
         on_both_sinks("recover-after-explicit-abort-is-clean", |h| {
             h.load(Key(1), Value(10));
-            h.wal.checkpoint(&h.store);
+            h.checkpoint();
             h.begin(local(0));
             h.apply(local(0), Op::Write(Key(1), Value(50)));
             h.abort(local(0));
@@ -656,7 +812,7 @@ mod tests {
         on_both_sinks("recover-mixed-committed-and-inflight", |h| {
             h.load(Key(1), Value(1));
             h.load(Key(2), Value(2));
-            h.wal.checkpoint(&h.store);
+            h.checkpoint();
             h.begin(sub(0));
             h.apply(sub(0), Op::Add(Key(1), 10));
             h.commit(sub(0)); // locally committed under O2PC: durable
@@ -673,7 +829,7 @@ mod tests {
     #[test]
     fn recover_inserted_key_in_flight_is_removed() {
         on_both_sinks("recover-inserted-key-in-flight-is-removed", |h| {
-            h.wal.checkpoint(&h.store);
+            h.checkpoint();
             h.begin(sub(0));
             h.apply(sub(0), Op::Insert(Key(7), Value(3)));
             let st = h.wal.recover();
@@ -685,18 +841,18 @@ mod tests {
     fn recovery_uses_last_checkpoint_only() {
         on_both_sinks("recovery-uses-last-checkpoint-only", |h| {
             h.load(Key(1), Value(1));
-            h.wal.checkpoint(&h.store);
+            h.checkpoint();
             h.begin(sub(0));
             h.apply(sub(0), Op::Write(Key(1), Value(2)));
             h.commit(sub(0));
-            h.wal.checkpoint(&h.store); // second checkpoint captures Value(2)
+            h.checkpoint(); // second checkpoint captures Value(2)
             h.begin(sub(1));
             h.apply(sub(1), Op::Write(Key(1), Value(3)));
             let st = h.wal.recover();
             assert_eq!(st.items, vec![(Key(1), Value(2))]);
             assert_eq!(st.rolled_back, vec![sub(1)]);
             // Truncation preserves recoverability.
-            h.wal.truncate_to_checkpoint().unwrap();
+            h.wal.truncate_to_checkpoint();
             let st2 = h.wal.recover();
             assert_eq!(st2.items, vec![(Key(1), Value(2))]);
         });
@@ -706,7 +862,7 @@ mod tests {
     fn recovery_is_idempotent() {
         on_both_sinks("recovery-is-idempotent", |h| {
             h.load(Key(1), Value(1));
-            h.wal.checkpoint(&h.store);
+            h.checkpoint();
             h.begin(sub(0));
             h.apply(sub(0), Op::Add(Key(1), 5));
             let a = h.wal.recover();
@@ -720,7 +876,7 @@ mod tests {
     fn into_store_roundtrip() {
         on_both_sinks("into-store-roundtrip", |h| {
             h.load(Key(4), Value(44));
-            h.wal.checkpoint(&h.store);
+            h.checkpoint();
             let store = h.wal.recover().into_store();
             assert_eq!(store.get(Key(4)), Some(Value(44)));
             assert_eq!(store.len(), 1);
@@ -759,9 +915,10 @@ mod tests {
         // Two in-flight execs touching the same key: undo must restore the
         // oldest before-image.
         let mut w = Wal::new();
-        w.append(LogRecord::Checkpoint {
+        w.append(LogRecord::Checkpoint(Box::new(CheckpointImage {
             items: vec![(Key(1), Value(0))],
-        });
+            ..CheckpointImage::default()
+        })));
         w.append(LogRecord::Update {
             exec: sub(0),
             key: Key(1),
@@ -787,7 +944,7 @@ mod tests {
     fn prepared_updates_survive_recovery() {
         on_both_sinks("prepared-updates-survive-recovery", |h| {
             h.load(Key(1), Value(10));
-            h.wal.checkpoint(&h.store);
+            h.checkpoint();
             h.begin(sub(0));
             h.apply(sub(0), Op::Write(Key(1), Value(77)));
             h.wal.append(LogRecord::Prepared(sub(0)));
@@ -811,7 +968,7 @@ mod tests {
     fn prepared_then_committed_is_final() {
         on_both_sinks("prepared-then-committed-is-final", |h| {
             h.load(Key(1), Value(10));
-            h.wal.checkpoint(&h.store);
+            h.checkpoint();
             h.begin(sub(0));
             h.apply(sub(0), Op::Write(Key(1), Value(77)));
             h.wal.append(LogRecord::Prepared(sub(0)));
@@ -827,7 +984,7 @@ mod tests {
         on_both_sinks("local-commit-record-is-recoverable-until-resolved", |h| {
             let _ = CommitRecord::default();
             h.load(Key(1), Value(10));
-            h.wal.checkpoint(&h.store);
+            h.checkpoint();
             h.begin(sub(3));
             h.apply(sub(3), Op::Add(Key(1), 5));
             let record = Arc::new(h.store.commit(sub(3)));
@@ -855,7 +1012,7 @@ mod tests {
     fn completed_compensation_resolves_local_commit() {
         on_both_sinks("completed-compensation-resolves-local-commit", |h| {
             h.load(Key(1), Value(10));
-            h.wal.checkpoint(&h.store);
+            h.checkpoint();
             h.begin(sub(3));
             h.apply(sub(3), Op::Add(Key(1), 5));
             let record = Arc::new(h.store.commit(sub(3)));
@@ -887,7 +1044,7 @@ mod tests {
             // A freshly-checkpointed idle site: recovery is exactly the image.
             h.load(Key(1), Value(10));
             h.load(Key(2), Value(-3));
-            h.wal.checkpoint(&h.store);
+            h.checkpoint();
             let st = h.wal.recover();
             assert_eq!(st.items, vec![(Key(1), Value(10)), (Key(2), Value(-3))]);
             assert!(st.rolled_back.is_empty());
@@ -907,19 +1064,67 @@ mod tests {
             h.commit(sub(0));
             // No checkpoint yet: truncation must be a no-op.
             let before = h.wal.len();
-            h.wal.truncate_to_checkpoint().unwrap();
+            h.wal.truncate_to_checkpoint();
             assert_eq!(h.wal.len(), before, "no checkpoint → nothing to drop");
-            h.wal.checkpoint(&h.store);
+            h.checkpoint();
             h.begin(sub(1));
             h.apply(sub(1), Op::Add(Key(1), 2));
-            h.wal.truncate_to_checkpoint().unwrap();
+            h.wal.truncate_to_checkpoint();
             let once = h.wal.records().to_vec();
             let st_once = h.wal.recover();
-            h.wal.truncate_to_checkpoint().unwrap();
+            h.wal.truncate_to_checkpoint();
             assert_eq!(h.wal.records(), &once[..], "second truncation is a no-op");
             assert_eq!(h.wal.recover(), st_once);
             assert!(matches!(h.wal.records()[0], LogRecord::Checkpoint { .. }));
         });
+    }
+
+    /// Truncation drops records, not numbers: the LSN the next record gets
+    /// is its position since the log began, on the live log, after a
+    /// truncation, and on the log a reopen rebuilds from the last durable
+    /// checkpoint.
+    #[test]
+    fn lsns_survive_truncation_and_reload() {
+        on_both_sinks("lsns-survive-truncation-and-reload", |h| {
+            h.load(Key(1), Value(1));
+            h.checkpoint();
+            h.begin(sub(0));
+            h.apply(sub(0), Op::Add(Key(1), 1));
+            h.commit(sub(0));
+            assert_eq!(h.wal.end_lsn(), 4);
+            h.checkpoint();
+            h.begin(sub(1));
+            h.wal.truncate_to_checkpoint();
+            assert_eq!(h.wal.end_lsn(), 6);
+            assert!(matches!(&h.wal.records()[0], LogRecord::Checkpoint(cp) if cp.lsn == 4));
+            assert_eq!(h.wal.len(), 2);
+        });
+    }
+
+    /// On disk a checkpoint is a truncation point only once it is durable:
+    /// until then a crash can fall back to the older one, so the records
+    /// between the two stay in memory for the crash path to compare, while
+    /// `records()` already starts at the newer one.
+    #[test]
+    fn disk_truncation_waits_for_a_durable_checkpoint() {
+        let dir = ScratchDir::new("wal-durable-truncation");
+        let mut h = Logged::new(Wal::open(dir.join("site.wal")).unwrap());
+        h.load(Key(1), Value(1));
+        h.checkpoint();
+        h.begin(sub(0));
+        h.wal.sync().unwrap();
+        h.checkpoint();
+        h.wal.truncate_to_checkpoint();
+        assert_eq!(h.wal.len(), 1, "records() starts at the newest checkpoint");
+        assert_eq!(h.wal.retained().next().map(|(lsn, _)| lsn), Some(0));
+        let crashed = h.wal.crash().unwrap();
+        assert_eq!(crashed.end_lsn(), 2, "the undurable checkpoint was lost");
+        assert!(matches!(&crashed.records()[0], LogRecord::Checkpoint(cp) if cp.lsn == 0));
+        let mut h = Logged::new(crashed);
+        h.checkpoint();
+        h.wal.sync().unwrap();
+        h.wal.truncate_to_checkpoint();
+        assert_eq!(h.wal.retained().next().map(|(lsn, _)| lsn), Some(2));
     }
 
     #[test]
@@ -928,7 +1133,7 @@ mod tests {
             // A crash between logging Abort and acking it can make the engine
             // re-log it after recovery; replaying both must not double-undo.
             h.load(Key(1), Value(10));
-            h.wal.checkpoint(&h.store);
+            h.checkpoint();
             h.begin(local(0));
             h.apply(local(0), Op::Write(Key(1), Value(50)));
             h.abort(local(0));
@@ -953,7 +1158,7 @@ mod tests {
             // Decision retransmission across a crash duplicates Outcome records;
             // recovery must collapse them (latest wins) rather than report two.
             h.load(Key(1), Value(10));
-            h.wal.checkpoint(&h.store);
+            h.checkpoint();
             h.begin(sub(3));
             h.apply(sub(3), Op::Add(Key(1), 5));
             let record = Arc::new(h.store.commit(sub(3)));

@@ -16,9 +16,12 @@
 
 use o2pc_common::{ExecId, GlobalTxnId, Key, Op, ScratchDir, Value};
 use o2pc_storage::codec::{decode_all, encode_frame};
-use o2pc_storage::{segment_path, LogRecord, Store, Wal, WalOptions};
+use o2pc_storage::{
+    segment_path, ActiveExec, CheckpointImage, CommitRecord, LogRecord, Store, Wal, WalOptions,
+};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 #[derive(Clone, Debug)]
 enum Step {
@@ -46,22 +49,51 @@ fn exec(i: u8) -> ExecId {
     ExecId::Sub(GlobalTxnId(i as u64))
 }
 
-/// Drive a store + WAL through the steps, producing a realistic record mix
+/// A checkpoint of `store` carrying its in-flight executions (in exec
+/// order) and some protocol state, so every section of the record is on disk.
+fn checkpoint_of(store: &Store, lsn: usize) -> LogRecord {
+    let active = (0..4)
+        .map(exec)
+        .filter(|&e| store.has_pending(e))
+        .map(|e| ActiveExec {
+            exec: e,
+            undo: store.pending_undo(e).to_vec(),
+            prepared: false,
+        })
+        .collect();
+    let record = Arc::new(CommitRecord {
+        undo: Vec::new(),
+        ops: vec![Op::Add(Key(1), 2)],
+    });
+    LogRecord::Checkpoint(Box::new(CheckpointImage {
+        lsn: lsn as u64,
+        active,
+        local_commits: vec![(GlobalTxnId(7), record)],
+        rolled_back_comps: vec![GlobalTxnId(7)],
+        decided: vec![(GlobalTxnId(7), false)],
+        next_local_seq: 3,
+        ..CheckpointImage::of_store(store)
+    }))
+}
+
+/// Drive a store through the steps, producing a realistic record mix
 /// (checkpoints, updates with real before-images, commits, aborts, CLRs,
-/// decisions).
+/// decisions): every record appended, not only the ones after the last
+/// checkpoint.
 fn records_from(steps: &[Step]) -> Vec<LogRecord> {
     let mut store = Store::new();
-    let mut wal = Wal::new();
+    let mut log = Vec::new();
+    let wal = &mut log;
     for k in 0..4u64 {
         store.load(Key(k), Value(10));
     }
-    wal.checkpoint(&store);
+    wal.push(checkpoint_of(&store, 0));
     // Guarantee ≥ 2 records even when every step is a failed apply, so the
     // tests always have a final frame to tear.
-    wal.append(LogRecord::Begin(exec(0)));
+    wal.push(LogRecord::Begin(exec(0)));
     for s in steps {
         match *s {
-            Step::Begin(e) => wal.append(LogRecord::Begin(exec(e))),
+            Step::Begin(e) => wal.push(LogRecord::Begin(exec(e))),
             Step::Add {
                 exec: e,
                 key,
@@ -72,33 +104,51 @@ fn records_from(steps: &[Step]) -> Vec<LogRecord> {
                     .is_ok()
                 {
                     let rec = *store.last_undo(exec(e)).unwrap();
-                    wal.append_update(exec(e), &rec);
+                    wal.push(LogRecord::Update {
+                        exec: exec(e),
+                        key: rec.key,
+                        before: rec.before,
+                        after: rec.after,
+                    });
                 }
             }
             Step::Commit(e) => {
                 store.commit(exec(e));
-                wal.append(LogRecord::Commit(exec(e)));
+                wal.push(LogRecord::Commit(exec(e)));
             }
             Step::Abort(e) => {
                 let undo = store.rollback(exec(e));
                 for rec in undo.iter().rev() {
-                    wal.append(LogRecord::Update {
+                    wal.push(LogRecord::Update {
                         exec: exec(e),
                         key: rec.key,
                         before: rec.after,
                         after: rec.before,
                     });
                 }
-                wal.append(LogRecord::Abort(exec(e)));
+                wal.push(LogRecord::Abort(exec(e)));
             }
-            Step::Outcome { txn, commit } => wal.append(LogRecord::Outcome {
+            Step::Outcome { txn, commit } => wal.push(LogRecord::Outcome {
                 txn: GlobalTxnId(txn as u64),
                 commit,
             }),
-            Step::Checkpoint => wal.checkpoint(&store),
+            Step::Checkpoint => {
+                let lsn = wal.len();
+                wal.push(checkpoint_of(&store, lsn));
+            }
         }
     }
-    wal.records().to_vec()
+    log
+}
+
+/// What a log holding `records` keeps in memory and recovers from: the
+/// records from the last checkpoint on.
+fn from_last_checkpoint(records: &[LogRecord]) -> &[LogRecord] {
+    let start = records
+        .iter()
+        .rposition(|r| matches!(r, LogRecord::Checkpoint(_)))
+        .unwrap_or(0);
+    &records[start..]
 }
 
 static CASE: AtomicU64 = AtomicU64::new(0);
@@ -141,7 +191,12 @@ proptest! {
         for cut in boundary..bytes.len() {
             std::fs::write(&seg0, &bytes[..cut]).unwrap();
             let torn = Wal::open(&root).unwrap();
-            prop_assert_eq!(torn.records(), &records[..records.len() - 1], "cut {}", cut);
+            prop_assert_eq!(
+                torn.records(),
+                from_last_checkpoint(&records[..records.len() - 1]),
+                "cut {}",
+                cut
+            );
             prop_assert_eq!(torn.recover(), expected.clone(), "cut {}", cut);
         }
         // The untruncated file recovers everything (control).
@@ -177,7 +232,12 @@ proptest! {
             mutated[target] ^= flip;
             std::fs::write(&seg0, &mutated).unwrap();
             let torn = Wal::open(&root).unwrap();
-            prop_assert_eq!(torn.records(), &records[..records.len() - 1], "byte {}", target);
+            prop_assert_eq!(
+                torn.records(),
+                from_last_checkpoint(&records[..records.len() - 1]),
+                "byte {}",
+                target
+            );
             prop_assert_eq!(torn.recover(), expected.clone(), "byte {}", target);
         }
     }
@@ -202,7 +262,7 @@ proptest! {
             wal.sync().unwrap();
         }
         let written = Wal::open_with_opts(&root, opts).unwrap();
-        prop_assert_eq!(written.records(), &records[..]);
+        prop_assert_eq!(written.records(), from_last_checkpoint(&records));
         let bases = written.segment_bases();
         prop_assert!(bases.len() >= 2, "history must span segments: {:?}", bases);
         let last_base = *bases.last().unwrap();
@@ -222,7 +282,7 @@ proptest! {
             let (tail, good) = decode_all(&last_bytes[..cut]);
             prop_assert_eq!(
                 torn.records(),
-                &records[..keep + tail.len()],
+                from_last_checkpoint(&records[..keep + tail.len()]),
                 "cut {} good {}",
                 cut,
                 good
@@ -294,6 +354,45 @@ proptest! {
             wal.sync().unwrap();
         }
         let reopened = Wal::open_with_opts(&root, opts).unwrap();
-        prop_assert_eq!(reopened.records(), &records[..]);
+        prop_assert_eq!(reopened.records(), from_last_checkpoint(&records));
+        prop_assert_eq!(reopened.end_lsn(), records.len() as u64);
+    }
+
+    /// The checkpoint record itself, torn or bit-flipped at every byte of
+    /// its frame: the log falls back to the checkpoint before it, and
+    /// recovers exactly what the records up to the tear recover.
+    #[test]
+    fn torn_final_checkpoint_falls_back_to_the_one_before(
+        steps in prop::collection::vec(step(), 1..24),
+        flip in 1u8..=255,
+    ) {
+        let mut steps = steps;
+        steps.push(Step::Checkpoint);
+        let records = records_from(&steps);
+        let mut bytes = Vec::new();
+        let mut boundary = 0usize;
+        for (i, r) in records.iter().enumerate() {
+            if i + 1 == records.len() {
+                boundary = bytes.len();
+            }
+            encode_frame(r, &mut bytes);
+        }
+        let prefix = &records[..records.len() - 1];
+        let expected = Wal::from_records(prefix.to_vec()).recover();
+        let (_dir, root) = case_root("ckpt");
+        let seg0 = segment_path(&root, 0);
+        for at in boundary..bytes.len() {
+            for damaged in [bytes[..at].to_vec(), {
+                let mut b = bytes.clone();
+                b[at] ^= flip;
+                b
+            }] {
+                std::fs::write(&seg0, &damaged).unwrap();
+                let torn = Wal::open(&root).unwrap();
+                prop_assert_eq!(torn.records(), from_last_checkpoint(prefix), "byte {}", at);
+                prop_assert_eq!(torn.end_lsn(), prefix.len() as u64, "byte {}", at);
+                prop_assert_eq!(torn.recover(), expected.clone(), "byte {}", at);
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! against the live store state.
 
 use o2pc_common::{ExecId, GlobalTxnId, Key, Op, Value};
-use o2pc_storage::{LogRecord, Store, Wal};
+use o2pc_storage::{CheckpointImage, LogRecord, Store, Wal};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -180,7 +180,7 @@ proptest! {
         for k in 0..3u64 {
             store.load(Key(k), Value(5));
         }
-        wal.checkpoint(&store);
+        wal.checkpoint(CheckpointImage::of_store(&store));
         let mut active: Vec<u8> = Vec::new();
         for s in &steps {
             match s {
