@@ -6,9 +6,7 @@ use o2pc_common::{Duration, GlobalTxnId, Key, Op, SimTime, SiteId, TxnId, Value}
 use o2pc_core::{Engine, Msg, RunReport, SystemConfig, TimerEvent, TxnRequest};
 use o2pc_marking::state::transition_table;
 use o2pc_protocol::ProtocolKind;
-use o2pc_runtime::{
-    LinkPolicy, Runtime, ThreadedRuntime, ThreadedRuntimeConfig, ThreadedTransport,
-};
+use o2pc_runtime::{Runtime, ThreadedRuntime, ThreadedRuntimeConfig, ThreadedTransport};
 use o2pc_sgraph::graph::GlobalSg;
 use o2pc_sgraph::regular::{classify_all_cycles, CycleClass};
 use o2pc_sgraph::{audit, holds_s1, holds_s2, Verdict};
@@ -87,12 +85,11 @@ fn run_schedule(cfg: SystemConfig, schedule: &Schedule, horizon: Duration) -> Ru
 /// microseconds of real time; the horizon bounds *wall* time.
 fn run_schedule_threaded(
     cfg: SystemConfig,
-    latency: std::time::Duration,
+    latency: Duration,
     schedule: &Schedule,
     horizon: Duration,
 ) -> RunReport {
-    let transport: ThreadedTransport<Msg> =
-        ThreadedTransport::with_policy(LinkPolicy::fixed(latency));
+    let transport: ThreadedTransport<Msg> = ThreadedTransport::new(NetworkConfig::fixed(latency));
     let rt: ThreadedRuntime<TimerEvent, Msg> =
         ThreadedRuntime::new(transport, ThreadedRuntimeConfig::default());
     run_schedule_with(Engine::with_runtime(cfg, rt), schedule, horizon)
@@ -314,7 +311,7 @@ pub fn e1_threaded() -> io::Result<()> {
             cfg.record_history = false;
             let r = run_schedule_threaded(
                 cfg,
-                std::time::Duration::from_millis(lat_ms),
+                Duration::millis(lat_ms),
                 &wl.generate(),
                 Duration::secs(30),
             );
@@ -377,12 +374,8 @@ pub fn e10_open_loop_threaded() -> io::Result<()> {
         cfg.record_history = false;
         cfg.op_service_time = Duration::ZERO;
         cfg.admission_window = Some(8);
-        let out = crate::open_loop::run_open_loop(
-            cfg,
-            std::time::Duration::ZERO,
-            &clients,
-            Duration::secs(120),
-        );
+        let out =
+            crate::open_loop::run_open_loop(cfg, Duration::ZERO, &clients, Duration::secs(120));
         let lat = out.latency();
         let r = &out.report;
         table.row(&[

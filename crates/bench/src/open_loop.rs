@@ -17,7 +17,8 @@
 
 use o2pc_common::{DetRng, Duration, Histogram, SimTime};
 use o2pc_core::{Engine, Msg, RunReport, SystemConfig, TimerEvent};
-use o2pc_runtime::{LinkPolicy, ThreadedRuntime, ThreadedRuntimeConfig, ThreadedTransport};
+use o2pc_runtime::{ThreadedRuntime, ThreadedRuntimeConfig, ThreadedTransport};
+use o2pc_sim::NetworkConfig;
 use o2pc_workload::{BankingWorkload, Schedule};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -110,13 +111,13 @@ impl OpenLoopOutcome {
 /// result into an [`OpenLoopOutcome`].
 pub fn run_open_loop(
     cfg: SystemConfig,
-    link_latency: std::time::Duration,
+    link_latency: Duration,
     clients: &OpenLoopClients,
     horizon: Duration,
 ) -> OpenLoopOutcome {
     let schedule = clients.schedule();
     let transport: ThreadedTransport<Msg> =
-        ThreadedTransport::with_policy(LinkPolicy::fixed(link_latency));
+        ThreadedTransport::new(NetworkConfig::fixed(link_latency));
     let rt_cfg = ThreadedRuntimeConfig::default();
     let rt: ThreadedRuntime<TimerEvent, Msg> = ThreadedRuntime::new(transport, rt_cfg);
     let mut engine = Engine::with_runtime(cfg, rt);
@@ -201,7 +202,7 @@ mod tests {
         cfg.record_history = false;
         cfg.op_service_time = o2pc_common::Duration::ZERO;
         cfg.admission_window = Some(window);
-        let out = run_open_loop(cfg, std::time::Duration::ZERO, &c, Duration::secs(600));
+        let out = run_open_loop(cfg, Duration::ZERO, &c, Duration::secs(600));
         eprintln!(
             "achieved {:.0}/s wall {:.3}s gc {} ga {} lc {} la {}",
             out.achieved_txn_per_sec,

@@ -14,9 +14,10 @@
 //!   audit finds no local or regular cycle and no atomicity-of-compensation
 //!   violation;
 //! * **durability** — every site's WAL still replays to its live store;
-//! * **message accounting** — `sent + local + duplicated = delivered +
-//!   dropped + in-flight`, and the engine's per-type counters reconcile
-//!   exactly with the substrate's totals.
+//! * **message accounting** — the network ledger balances with nothing in
+//!   flight (`sent + duplicated = delivered + dropped + unroutable`), and
+//!   the engine's per-kind counters reconcile exactly with it, on either
+//!   runtime ([`oracle::check_accounting`]).
 //!
 //! Every plan is reproducible from `(seed, ChaosConfig)` alone, so a failing
 //! schedule shrinks (drop one fault at a time, keep the failure) and replays

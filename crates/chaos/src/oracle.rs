@@ -3,14 +3,15 @@
 //! Runs after a chaos schedule has healed and the engine has been given
 //! generous quiet time to drain. Every check is an *end-state* property —
 //! the oracle never peeks at protocol internals mid-run, so it is equally
-//! valid on the deterministic simulator and the threaded runtime (the
-//! message-accounting checks are simulator-only, where exact counters
-//! exist on one clock).
+//! valid on the deterministic simulator and the threaded runtime. Message
+//! accounting reads the network ledger both runtimes keep; only the
+//! event-queue emptiness check is simulator-only.
 
 use o2pc_common::{GlobalTxnId, SiteId};
 use o2pc_core::{Engine, Msg, RunReport, TimerEvent};
 use o2pc_runtime::Runtime;
 use o2pc_sgraph::SearchOutcome;
+use o2pc_sim::Ledger;
 use std::fmt;
 
 /// The engine's message kinds, as used in `msg.<kind>` /
@@ -79,36 +80,20 @@ pub enum Violation {
         /// The site whose log exposed the disagreement.
         site: SiteId,
     },
-    /// `sent + local + duplicated ≠ delivered + dropped + in-flight`.
-    MessageConservation {
-        /// Network sends (including duplicates).
-        sent: u64,
-        /// Same-site sends bypassing the network.
-        local: u64,
-        /// Duplicated deliveries (already included in `sent`).
-        duplicated: u64,
-        /// Messages handed to the engine.
-        delivered: u64,
-        /// Messages lost at send time.
-        dropped: u64,
-        /// Messages still queued.
-        in_flight: u64,
-    },
-    /// The engine's per-type `msg.*` counters disagree with the substrate's
-    /// send total.
-    SendCounterMismatch {
-        /// Sum of the engine's `msg.<kind>` counters.
+    /// The quiescent network ledger does not balance:
+    /// `sent + duplicated ≠ delivered + dropped + unroutable`, so a copy is
+    /// still in flight (or was delivered without being accepted).
+    MessageConservation(Ledger),
+    /// The engine's per-kind counters under one prefix (`msg`,
+    /// `msg.dropped` or `msg.unroutable`) disagree with the ledger entry
+    /// they mirror (`sent`, `dropped` or `unroutable`).
+    CounterMismatch {
+        /// The counter prefix.
+        counters: &'static str,
+        /// Sum of the engine's `<counters>.<kind>` counters.
         counted: u64,
-        /// Substrate sends (network + local, duplicates excluded).
-        substrate: u64,
-    },
-    /// The engine's per-type `msg.dropped.*` counters disagree with the
-    /// substrate's drop total.
-    DropCounterMismatch {
-        /// Sum of the engine's `msg.dropped.<kind>` counters.
-        counted: u64,
-        /// Substrate drops.
-        substrate: u64,
+        /// The ledger's count.
+        ledger: u64,
     },
 }
 
@@ -138,25 +123,19 @@ impl fmt::Display for Violation {
             Violation::ConflictingOutcomes { txn, site } => {
                 write!(f, "conflicting durable outcomes for {txn} (seen at {site})")
             }
-            Violation::MessageConservation {
-                sent,
-                local,
-                duplicated,
-                delivered,
-                dropped,
-                in_flight,
+            Violation::MessageConservation(l) => write!(
+                f,
+                "message conservation: sent {} + dup {} ≠ delivered {} + dropped {} \
+                 + unroutable {}",
+                l.sent, l.duplicated, l.delivered, l.dropped, l.unroutable
+            ),
+            Violation::CounterMismatch {
+                counters,
+                counted,
+                ledger,
             } => write!(
                 f,
-                "message conservation: sent {sent} + local {local} + dup {duplicated} \
-                 ≠ delivered {delivered} + dropped {dropped} + in-flight {in_flight}"
-            ),
-            Violation::SendCounterMismatch { counted, substrate } => write!(
-                f,
-                "send counters: engine counted {counted}, substrate sent {substrate}"
-            ),
-            Violation::DropCounterMismatch { counted, substrate } => write!(
-                f,
-                "drop counters: engine counted {counted}, substrate dropped {substrate}"
+                "{counters}.* counters: engine counted {counted}, network ledger {ledger}"
             ),
         }
     }
@@ -221,58 +200,48 @@ pub fn check_state<R: Runtime<TimerEvent, Msg>>(
     out
 }
 
-/// Simulator-only accounting: the message-conservation equation and the
-/// cross-check between engine counters and substrate totals, plus full
-/// event-queue quiescence.
-pub fn check_accounting(engine: &Engine, report: &RunReport) -> Vec<Violation> {
+/// Message accounting, on either runtime: the network ledger balances with
+/// nothing in flight, and the engine's per-kind send, drop and unroutable
+/// counters equal the ledger's `sent`, `dropped` and `unroutable`.
+pub fn check_accounting<R: Runtime<TimerEvent, Msg>>(
+    engine: &Engine<R>,
+    report: &RunReport,
+) -> Vec<Violation> {
     let mut out = Vec::new();
-    let rt = engine.runtime();
-    let net = rt.network();
-    let lhs = net.sent_count() + rt.local_send_count() + net.duplicated_count();
-    let rhs = rt.delivered_count() + net.dropped_count() + rt.in_flight_messages();
-    if lhs != rhs {
-        out.push(Violation::MessageConservation {
-            sent: net.sent_count(),
-            local: rt.local_send_count(),
-            duplicated: net.duplicated_count(),
-            delivered: rt.delivered_count(),
-            dropped: net.dropped_count(),
-            in_flight: rt.in_flight_messages(),
-        });
+    let ledger = engine.runtime().network().ledger();
+    if ledger.sent + ledger.duplicated != ledger.delivered + ledger.dropped + ledger.unroutable {
+        out.push(Violation::MessageConservation(ledger));
     }
-    let counted_sends: u64 = MSG_KINDS
-        .iter()
-        .map(|k| report.counters.get(&format!("msg.{k}")))
-        .sum();
-    // The network counts one send per engine `send` call (duplicates are
-    // tracked separately), so the per-type counters must match exactly.
-    let substrate_sends = net.sent_count() + rt.local_send_count();
-    if counted_sends != substrate_sends {
-        out.push(Violation::SendCounterMismatch {
-            counted: counted_sends,
-            substrate: substrate_sends,
-        });
-    }
-    let counted_drops: u64 = MSG_KINDS
-        .iter()
-        .map(|k| report.counters.get(&format!("msg.dropped.{k}")))
-        .sum();
-    if counted_drops != net.dropped_count() {
-        out.push(Violation::DropCounterMismatch {
-            counted: counted_drops,
-            substrate: net.dropped_count(),
-        });
-    }
-    if rt.pending() != 0 {
-        out.push(Violation::PendingEvents(rt.pending()));
+    // The engine counts one `msg.<kind>` per send; duplicates are the
+    // network's own and appear in no engine counter.
+    for (counters, owed) in [
+        ("msg", ledger.sent),
+        ("msg.dropped", ledger.dropped),
+        ("msg.unroutable", ledger.unroutable),
+    ] {
+        let counted: u64 = MSG_KINDS
+            .iter()
+            .map(|k| report.counters.get(&format!("{counters}.{k}")))
+            .sum();
+        if counted != owed {
+            out.push(Violation::CounterMismatch {
+                counters,
+                counted,
+                ledger: owed,
+            });
+        }
     }
     out
 }
 
-/// The full oracle for a simulator run: state invariants plus exact message
-/// accounting.
+/// The full oracle for a simulator run: state invariants, message
+/// accounting, and full event-queue quiescence.
 pub fn check(engine: &Engine, report: &RunReport, expected_total: i64) -> Vec<Violation> {
     let mut out = check_state(engine, report, expected_total);
     out.extend(check_accounting(engine, report));
+    let pending = engine.runtime().pending();
+    if pending != 0 {
+        out.push(Violation::PendingEvents(pending));
+    }
     out
 }

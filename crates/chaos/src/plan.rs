@@ -7,7 +7,7 @@
 //! hardened engine given unbounded quiet time has no excuse left.
 
 use o2pc_common::{DetRng, Duration, SimTime, SiteId};
-use o2pc_sim::{FailurePlan, LatencyModel, MessageChaos};
+use o2pc_sim::{FailurePlan, LatencyModel, NetworkConfig};
 
 /// One injected fault.
 #[derive(Clone, Debug)]
@@ -166,35 +166,17 @@ impl ChaosPlan {
         plan
     }
 
-    /// The message-layer fault window of this plan (loss, duplication,
-    /// jitter), healing at [`ChaosPlan::heal_at`]. `None` if the plan has no
-    /// message-layer faults (possible after shrinking).
-    pub fn message_chaos(&self) -> Option<MessageChaos> {
-        let mut chaos = MessageChaos {
-            drop_probability: 0.0,
-            duplicate_probability: 0.0,
-            extra_delay: None,
-            until: Some(self.heal_at),
-        };
-        let mut any = false;
-        for f in &self.faults {
-            match *f {
-                Fault::Drop { probability } => {
-                    chaos.drop_probability = probability;
-                    any = true;
-                }
-                Fault::Duplicate { probability } => {
-                    chaos.duplicate_probability = probability;
-                    any = true;
-                }
-                Fault::ExtraDelay { mean } => {
-                    chaos.extra_delay = Some(LatencyModel::Exponential(mean));
-                    any = true;
-                }
-                _ => {}
-            }
-        }
-        any.then_some(chaos)
+    /// Lay this plan's message-layer faults (loss, duplication, jitter) over
+    /// `net`, healing at [`ChaosPlan::heal_at`]. A fault shrunk away leaves
+    /// its knob off.
+    pub fn message_faults(&self, net: &mut NetworkConfig) {
+        net.drop_probability = self.drop_probability();
+        net.duplicate_probability = self.duplicate_probability();
+        net.extra_delay = self.faults.iter().find_map(|f| match *f {
+            Fault::ExtraDelay { mean } => Some(LatencyModel::Exponential(mean)),
+            _ => None,
+        });
+        net.heal_at = Some(self.heal_at);
     }
 
     /// Sites with a scheduled crash window (coverage accounting).
@@ -318,7 +300,9 @@ mod tests {
                     _ => {}
                 }
             }
-            assert_eq!(p.message_chaos().unwrap().until, Some(p.heal_at));
+            let mut net = NetworkConfig::default();
+            p.message_faults(&mut net);
+            assert_eq!(net.heal_at, Some(p.heal_at));
         }
     }
 

@@ -160,7 +160,7 @@ pub fn run_plan_with(
     let mut cfg = SystemConfig::new(plan.num_sites, protocol);
     cfg.seed = plan.seed;
     cfg.live_audit_graph = true; // the oracle audits the live graph
-    cfg.network.chaos = plan.message_chaos();
+    plan.message_faults(&mut cfg.network);
     cfg.failures = plan.failure_plan();
     cfg.vote_timeout = Some(Duration::millis(40));
     cfg.termination_timeout = harden.termination.then(|| Duration::millis(50));

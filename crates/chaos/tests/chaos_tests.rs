@@ -116,9 +116,9 @@ fn gc_keeps_memory_bounded_under_chaos() {
     );
 }
 
-/// The message-accounting oracle reconciles exactly on a chaotic run (this
-/// is the `delivered + dropped + in-flight = sent` sanity gate from the
-/// issue, strengthened with duplication).
+/// The message-accounting oracle reconciles exactly on a chaotic run:
+/// `sent + duplicated = delivered + dropped + unroutable` at quiescence,
+/// with non-trivial drop and duplication terms.
 #[test]
 fn message_accounting_reconciles_under_chaos() {
     let cfg = ChaosConfig::default();
@@ -128,9 +128,7 @@ fn message_accounting_reconciles_under_chaos() {
         assert!(
             !outcome.violations.iter().any(|v| matches!(
                 v,
-                Violation::MessageConservation { .. }
-                    | Violation::SendCounterMismatch { .. }
-                    | Violation::DropCounterMismatch { .. }
+                Violation::MessageConservation(_) | Violation::CounterMismatch { .. }
             )),
             "seed {seed}: {:?}",
             outcome.violations

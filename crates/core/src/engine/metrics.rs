@@ -28,9 +28,10 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             report.total_value += s.total();
             report.counters.add("comp.skipped_ops", s.skipped_comp_ops);
         }
+        let ledger = self.rt.network().ledger();
         report
             .counters
-            .add("net.dropped", self.rt.messages_dropped());
+            .add("net.dropped", ledger.dropped + ledger.unroutable);
         report
             .counters
             .add("txn.live_at_end", self.txns.len() as u64);

@@ -43,8 +43,8 @@ impl Runtime<TimerEvent, Msg> for DuplicatingRuntime {
     fn next(&mut self, deadline: SimTime) -> Option<(SimTime, Step<TimerEvent, Msg>)> {
         self.inner.next(deadline)
     }
-    fn messages_dropped(&self) -> u64 {
-        self.inner.messages_dropped()
+    fn network(&self) -> &Network {
+        self.inner.network()
     }
     fn flush(&mut self, site: SiteId, batch: o2pc_storage::FlushBatch) {
         self.inner.flush(site, batch);

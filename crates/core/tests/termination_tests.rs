@@ -211,8 +211,8 @@ impl o2pc_runtime::Runtime<o2pc_core::TimerEvent, o2pc_core::Msg> for DropFirstT
     )> {
         self.inner.next(deadline)
     }
-    fn messages_dropped(&self) -> u64 {
-        self.inner.messages_dropped()
+    fn network(&self) -> &o2pc_sim::Network {
+        self.inner.network()
     }
     fn flush(&mut self, site: SiteId, batch: o2pc_storage::FlushBatch) {
         self.inner.flush(site, batch);

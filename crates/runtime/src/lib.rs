@@ -22,14 +22,19 @@
 //!   every experiment in `o2pc-bench` is measured on. Its disk is modelled:
 //!   a flush lands at once and completes a constant fsync latency later.
 //! * [`ThreadedRuntime`] — wall-clock execution on the thread that calls
-//!   `next`. It delivers its own messages: a zero-latency send is a push
-//!   onto a ready FIFO, a delayed one an entry in its wall-clock event queue
-//!   beside its timers. A [`ThreadedTransport`] holds the per-link
-//!   latency/loss/duplication policies, judges each send, and keeps the loss
-//!   ledger. Flushes run on a pool of flusher threads. Outcomes are
-//!   schedule-dependent (and therefore only invariant-checkable, not
-//!   replayable), which is exactly the point: the same engine code must
-//!   uphold the protocol's guarantees without a global event order.
+//!   `next`. It delivers its own messages: a same-site or zero-latency send
+//!   is a push onto a ready FIFO, a delayed one an entry in its wall-clock
+//!   event queue beside its timers. Flushes run on a pool of flusher
+//!   threads. Outcomes are schedule-dependent (and therefore only
+//!   invariant-checkable, not replayable), which is exactly the point: the
+//!   same engine code must uphold the protocol's guarantees without a
+//!   global event order.
+//!
+//! Both send through one [`o2pc_sim::Network`]: one link model, one
+//! send-time judgement ([`o2pc_sim::Network::judge`]) and one
+//! [`o2pc_sim::Ledger`], which the engine and the chaos oracle read through
+//! [`Runtime::network`]. A [`ThreadedTransport`] carries the threaded
+//! runtime's network into its constructor.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,5 +45,6 @@ pub mod runtime;
 pub mod transport;
 
 pub use clock::{Clock, WallClock};
+pub use o2pc_sim::SendOutcome;
 pub use runtime::{Runtime, SimRuntime, Step, ThreadedRuntime, ThreadedRuntimeConfig};
-pub use transport::{LinkPolicy, SendOutcome, ThreadedTransport};
+pub use transport::{LinkPolicy, ThreadedTransport};

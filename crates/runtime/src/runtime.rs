@@ -2,9 +2,9 @@
 
 use crate::clock::{Clock, WallClock};
 use crate::flush::FlushScheduler;
-use crate::transport::{Judgement, SendOutcome, ThreadedTransport};
+use crate::transport::ThreadedTransport;
 use o2pc_common::{Duration, SimTime, SiteId};
-use o2pc_sim::{EventQueue, Network};
+use o2pc_sim::{EventQueue, Network, SendOutcome};
 use o2pc_storage::FlushBatch;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -47,17 +47,17 @@ type Completion = (SiteId, u64, bool);
 /// sees queues, channels, or threads — it schedules, sends, and pulls the
 /// next step until `next` returns `None` (past `deadline`, or quiescent).
 pub trait Runtime<T, M>: Clock {
-    /// Called once per site while the engine is constructed; substrates
-    /// that route by endpoint make the site reachable here.
-    fn register_endpoint(&mut self, _id: SiteId) {}
+    /// Called once per site while the engine is constructed: the site
+    /// becomes a routable destination of the network.
+    fn register_endpoint(&mut self, id: SiteId);
 
     /// Arrange for `timer` to fire at absolute time `at`.
     fn schedule(&mut self, at: SimTime, timer: T);
 
     /// Send `msg` from `from` to `to`; `now` is the sender's current time.
-    /// The [`SendOutcome`] says how the substrate treated the message at
-    /// send time: accepted, dropped by the link's loss policy, or refused
-    /// because the destination is unreachable.
+    /// The [`SendOutcome`] is the network's judgement at send time:
+    /// accepted, lost on its link, or refused because the destination is
+    /// unreachable.
     fn send(&mut self, now: SimTime, from: SiteId, to: SiteId, msg: M) -> SendOutcome;
 
     /// Pull the next step at or before `deadline`. `None` means the run is
@@ -65,8 +65,8 @@ pub trait Runtime<T, M>: Clock {
     /// substrate has quiesced with nothing in flight.
     fn next(&mut self, deadline: SimTime) -> Option<(SimTime, Step<T, M>)>;
 
-    /// Messages lost in transit so far.
-    fn messages_dropped(&self) -> u64;
+    /// The network this runtime sends through: its links and its ledger.
+    fn network(&self) -> &Network;
 
     /// Write and fsync `site`'s sealed batch, then report it as a
     /// [`Step::Durable`]. Batches of one site complete in the order they
@@ -106,12 +106,6 @@ pub trait Runtime<T, M>: Clock {
 pub struct SimRuntime<T, M> {
     queue: EventQueue<Step<T, M>>,
     network: Network,
-    /// Deliveries popped so far (network + same-site + duplicates).
-    delivered: u64,
-    /// Deliveries scheduled but not yet popped.
-    in_flight_msgs: u64,
-    /// Same-site sends (bypass the network, so its counters miss them).
-    local_sends: u64,
 }
 
 impl<T, M> SimRuntime<T, M> {
@@ -124,37 +118,12 @@ impl<T, M> SimRuntime<T, M> {
         SimRuntime {
             queue: EventQueue::new(),
             network,
-            delivered: 0,
-            in_flight_msgs: 0,
-            local_sends: 0,
         }
-    }
-
-    /// The simulated network (link state, send/drop counts).
-    pub fn network(&self) -> &Network {
-        &self.network
     }
 
     /// Pending steps (timers + in-flight messages).
     pub fn pending(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Deliveries handed to the engine so far.
-    pub fn delivered_count(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Messages scheduled for delivery but not yet delivered. Together with
-    /// the network counters this closes the conservation equation:
-    /// `sent + local_sends + duplicated = delivered + dropped + in_flight`.
-    pub fn in_flight_messages(&self) -> u64 {
-        self.in_flight_msgs
-    }
-
-    /// Same-site sends (never counted by the network).
-    pub fn local_send_count(&self) -> u64 {
-        self.local_sends
     }
 }
 
@@ -165,40 +134,25 @@ impl<T, M> Clock for SimRuntime<T, M> {
 }
 
 impl<T, M: Clone> Runtime<T, M> for SimRuntime<T, M> {
+    fn register_endpoint(&mut self, id: SiteId) {
+        self.network.open_route(id);
+    }
+
     fn schedule(&mut self, at: SimTime, timer: T) {
         self.queue.schedule(at, Step::Timer(timer));
     }
 
     fn send(&mut self, now: SimTime, from: SiteId, to: SiteId, msg: M) -> SendOutcome {
-        if from == to {
-            // Same-site messages skip the network (no latency, no loss).
-            self.local_sends += 1;
-            self.in_flight_msgs += 1;
-            self.queue.schedule(now, Step::Deliver { to, msg });
-            return SendOutcome::Sent;
-        }
-        match self.network.transmit(from, to, now) {
-            Some(delay) => {
-                // Chaos duplication: the same message may arrive twice, with
-                // independently sampled latencies (so it can also reorder).
-                if let Some(dup_delay) = self.network.maybe_duplicate(from, to, now) {
-                    self.in_flight_msgs += 1;
-                    self.queue.schedule(
-                        now + dup_delay,
-                        Step::Deliver {
-                            to,
-                            msg: msg.clone(),
-                        },
-                    );
+        match self.network.judge(from, to, now) {
+            Ok((delay, duplicate)) => {
+                if let Some(delay) = duplicate {
+                    let msg = msg.clone();
+                    self.queue.schedule(now + delay, Step::Deliver { to, msg });
                 }
-                self.in_flight_msgs += 1;
                 self.queue.schedule(now + delay, Step::Deliver { to, msg });
                 SendOutcome::Sent
             }
-            // Link down or random drop — the simulated network has no
-            // notion of an unknown destination, so every loss is policy
-            // (and the network's own dropped counter records it).
-            None => SendOutcome::DroppedByPolicy,
+            Err(lost) => lost,
         }
     }
 
@@ -209,14 +163,13 @@ impl<T, M: Clone> Runtime<T, M> for SimRuntime<T, M> {
         }
         let popped = self.queue.pop();
         if let Some((_, Step::Deliver { .. })) = &popped {
-            self.in_flight_msgs -= 1;
-            self.delivered += 1;
+            self.network.note_delivered();
         }
         popped
     }
 
-    fn messages_dropped(&self) -> u64 {
-        self.network.dropped_count()
+    fn network(&self) -> &Network {
+        &self.network
     }
 
     fn flush(&mut self, site: SiteId, batch: FlushBatch) {
@@ -256,14 +209,16 @@ impl Default for ThreadedRuntimeConfig {
     }
 }
 
-/// Wall-clock execution over a [`ThreadedTransport`].
+/// Wall-clock execution over the simulator's [`Network`], which a
+/// [`ThreadedTransport`] carries in.
 ///
 /// One thread — the caller of [`next`](Runtime::next) — runs every site,
-/// and the runtime delivers its own messages. `send` asks the transport for
-/// its judgement (route, loss and duplication sampled at once, so the caller
-/// gets an honest [`SendOutcome`]); an accepted zero-latency message goes
-/// onto the ready FIFO, and a delayed one into the wall-clock event queue as
-/// a [`Step::Deliver`] due at send time + latency, beside the timers. A
+/// and the runtime delivers its own messages. `send` asks the network for
+/// its judgement (route, loss, duplication and latency decided at once, so
+/// the caller gets an honest [`SendOutcome`]); an accepted copy with no
+/// delay — a same-site send, or one on a zero-latency link — goes onto the
+/// ready FIFO, and a delayed one into the wall-clock event queue as a
+/// [`Step::Deliver`] due at send time + delay, beside the timers. A
 /// message delay inside one process therefore costs a queue push. Timers
 /// fire on real elapsed time (via [`WallClock`]); outcomes are
 /// schedule-dependent, so the wall-clock twin of a simulated run checks
@@ -279,8 +234,8 @@ impl Default for ThreadedRuntimeConfig {
 /// no flush completion owed.
 pub struct ThreadedRuntime<T, M> {
     clock: WallClock,
-    transport: ThreadedTransport<M>,
-    /// Accepted zero-latency messages, in send order.
+    network: Network,
+    /// Accepted copies with no delay, in send order.
     staged: VecDeque<(SiteId, M)>,
     /// Timers and delayed deliveries, in the simulator's queue discipline:
     /// `(due, seq)` order, FIFO among equal due times — so equal-latency
@@ -307,12 +262,13 @@ impl<T, M: Clone> Default for ThreadedRuntime<T, M> {
 }
 
 impl<T, M: Clone> ThreadedRuntime<T, M> {
-    /// Build on a transport; the clock's epoch (time zero) is *now*.
+    /// Build on a transport's network; the clock's epoch (time zero) is
+    /// *now*.
     pub fn new(transport: ThreadedTransport<M>, cfg: ThreadedRuntimeConfig) -> Self {
         let (done_tx, done) = channel();
         ThreadedRuntime {
             clock: WallClock::new(),
-            transport,
+            network: transport.network,
             staged: VecDeque::new(),
             events: EventQueue::new(),
             endpoints: 0,
@@ -322,11 +278,6 @@ impl<T, M: Clone> ThreadedRuntime<T, M> {
             unread: Arc::new(AtomicUsize::new(0)),
             cfg,
         }
-    }
-
-    /// The underlying transport (link policies, traffic counters).
-    pub fn transport(&self) -> &ThreadedTransport<M> {
-        &self.transport
     }
 
     /// How the flusher reports a completion: counted as unread, then sent —
@@ -367,12 +318,12 @@ impl<T, M: Clone> ThreadedRuntime<T, M> {
         self.events.schedule(at.max(self.events.now()), step);
     }
 
-    /// Put an accepted message on its way: ready now, or due after `latency`.
-    fn carry(&mut self, latency: StdDuration, to: SiteId, msg: M) {
-        if latency.is_zero() {
+    /// Put an accepted copy on its way: ready now, or due after `delay`.
+    fn carry(&mut self, delay: Duration, to: SiteId, msg: M) {
+        if delay == Duration::ZERO {
             self.staged.push_back((to, msg));
         } else {
-            let due = self.clock.now() + Duration::micros(latency.as_micros() as u64);
+            let due = self.clock.now() + delay;
             self.push_event(due, Step::Deliver { to, msg });
         }
     }
@@ -386,7 +337,7 @@ impl<T, M: Clone> Clock for ThreadedRuntime<T, M> {
 
 impl<T, M: Clone> Runtime<T, M> for ThreadedRuntime<T, M> {
     fn register_endpoint(&mut self, id: SiteId) {
-        self.transport.open_route(id);
+        self.network.open_route(id);
         self.endpoints += 1;
     }
 
@@ -415,7 +366,7 @@ impl<T, M: Clone> Runtime<T, M> for ThreadedRuntime<T, M> {
     fn is_idle(&mut self) -> bool {
         // Every accepted message, ready or delayed, is in flight until
         // `next` hands it over.
-        self.transport.in_flight() == 0
+        self.network.ledger().in_flight() == 0
             && self.unread.load(Ordering::SeqCst) == 0
             && self
                 .events
@@ -423,19 +374,16 @@ impl<T, M: Clone> Runtime<T, M> for ThreadedRuntime<T, M> {
                 .is_none_or(|due| due > self.clock.now())
     }
 
-    fn send(&mut self, _now: SimTime, from: SiteId, to: SiteId, msg: M) -> SendOutcome {
-        // Unlike the simulator, same-site messages take the transport path
-        // too: a zero-latency link gives the same effect.
-        match self.transport.judge(from, to) {
-            Judgement::NoRoute => SendOutcome::NoRoute,
-            Judgement::DropPolicy => SendOutcome::DroppedByPolicy,
-            Judgement::Deliver { latency, duplicate } => {
-                if duplicate {
-                    self.carry(latency, to, msg.clone());
+    fn send(&mut self, now: SimTime, from: SiteId, to: SiteId, msg: M) -> SendOutcome {
+        match self.network.judge(from, to, now) {
+            Ok((delay, duplicate)) => {
+                if let Some(delay) = duplicate {
+                    self.carry(delay, to, msg.clone());
                 }
-                self.carry(latency, to, msg);
+                self.carry(delay, to, msg);
                 SendOutcome::Sent
             }
+            Err(lost) => lost,
         }
     }
 
@@ -452,7 +400,7 @@ impl<T, M: Clone> Runtime<T, M> for ThreadedRuntime<T, M> {
             if self.events.peek_time().is_some_and(|due| due <= now) {
                 if let Some((_, step)) = self.events.pop() {
                     if matches!(step, Step::Deliver { .. }) {
-                        self.transport.note_delivered();
+                        self.network.note_delivered();
                     }
                     return Some((now, step));
                 }
@@ -461,7 +409,7 @@ impl<T, M: Clone> Runtime<T, M> for ThreadedRuntime<T, M> {
                 return Some((now, done));
             }
             if let Some((to, msg)) = self.staged.pop_front() {
-                self.transport.note_delivered();
+                self.network.note_delivered();
                 return Some((now, Step::Deliver { to, msg }));
             }
             let until_deadline = self.clock.until(deadline);
@@ -486,17 +434,16 @@ impl<T, M: Clone> Runtime<T, M> for ThreadedRuntime<T, M> {
         }
     }
 
-    fn messages_dropped(&self) -> u64 {
-        self.transport.dropped()
+    fn network(&self) -> &Network {
+        &self.network
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::LinkPolicy;
     use o2pc_common::{DetRng, ExecId, GlobalTxnId, ScratchDir};
-    use o2pc_sim::NetworkConfig;
+    use o2pc_sim::{LatencyModel, Ledger, NetworkConfig};
     use o2pc_storage::{LogRecord, Wal};
 
     /// A log in a scratch directory with one appended, sealed batch.
@@ -508,11 +455,17 @@ mod tests {
         (dir, wal, batch)
     }
 
+    /// A simulator on `config`, with sites 0–2 registered.
+    fn sim_on(config: NetworkConfig) -> SimRuntime<&'static str, u32> {
+        let mut rt = SimRuntime::new(Network::new(config, DetRng::new(1)));
+        for id in 0..3 {
+            rt.register_endpoint(SiteId(id));
+        }
+        rt
+    }
+
     fn sim() -> SimRuntime<&'static str, u32> {
-        SimRuntime::new(Network::new(
-            NetworkConfig::fixed(Duration::millis(1)),
-            DetRng::new(1),
-        ))
+        sim_on(NetworkConfig::fixed(Duration::millis(1)))
     }
 
     #[test]
@@ -539,24 +492,44 @@ mod tests {
         assert!(rt.next(SimTime(10_000)).is_some());
     }
 
-    #[test]
-    fn sim_same_site_send_bypasses_network() {
-        let mut rt = sim();
-        assert!(rt.send(SimTime(100), SiteId(2), SiteId(2), 9).is_sent());
-        let (t, s) = rt.next(SimTime(10_000)).unwrap();
-        assert_eq!(t, SimTime(100), "no latency on self-sends");
-        assert!(matches!(
-            s,
+    /// Send one self-addressed message on `rt`: it must arrive once, at
+    /// once, and count as sent.
+    fn self_send_arrives_once_at_once<R: Runtime<&'static str, u32>>(mut rt: R) {
+        let far = SimTime(60_000_000);
+        let sent_at = rt.now();
+        assert!(rt.send(sent_at, SiteId(2), SiteId(2), 9).is_sent());
+        let Some((
+            at,
             Step::Deliver {
                 to: SiteId(2),
-                msg: 9
-            }
-        ));
-        assert_eq!(
-            rt.network().sent_count(),
-            0,
-            "self-send never hit the network"
-        );
+                msg: 9,
+            },
+        )) = rt.next(far)
+        else {
+            panic!("the self-send was not delivered");
+        };
+        let waited = at.since(sent_at);
+        assert!(waited < Duration::millis(500), "held for {waited:?}");
+        assert!(rt.next(far).is_none(), "delivered twice");
+        let once = Ledger {
+            sent: 1,
+            delivered: 1,
+            ..Ledger::default()
+        };
+        assert_eq!(rt.network().ledger(), once);
+    }
+
+    /// A same-site send never touches a link, on either runtime: not even
+    /// one that always drops, always duplicates and takes a second.
+    #[test]
+    fn same_site_send_skips_the_link_on_both_runtimes() {
+        let hostile = NetworkConfig {
+            drop_probability: 1.0,
+            duplicate_probability: 1.0,
+            ..NetworkConfig::fixed(Duration::secs(1))
+        };
+        self_send_arrives_once_at_once(sim_on(hostile.clone()));
+        self_send_arrives_once_at_once(on_links(hostile));
     }
 
     /// The simulator's disk writes at seal time and reports after the
@@ -668,7 +641,7 @@ mod tests {
                 .send(SimTime::ZERO, SiteId(0), SiteId(2), 100 + i)
                 .is_sent());
         }
-        assert_eq!(rt.transport().in_flight(), 64);
+        assert_eq!(rt.network().ledger().in_flight(), 64);
         let mut to1 = Vec::new();
         let mut to2 = Vec::new();
         while let Some((_, step)) = rt.next(far) {
@@ -777,7 +750,11 @@ mod tests {
                 "completion starved behind the ready FIFO"
             );
         }
-        assert_eq!(rt.transport().in_flight(), 1, "the chain's next message");
+        assert_eq!(
+            rt.network().ledger().in_flight(),
+            1,
+            "the chain's next message"
+        );
     }
 
     /// Idle means "`next` would park": any work the loop can still reach
@@ -786,14 +763,10 @@ mod tests {
     /// another thread can turn into a step, does not.
     #[test]
     fn idle_only_when_next_would_park() {
-        let mut transport = ThreadedTransport::default();
-        transport.set_link(
-            SiteId(0),
-            SiteId(1),
-            LinkPolicy::fixed(StdDuration::from_millis(30)),
+        let mut rt: ThreadedRuntime<&'static str, u32> = ThreadedRuntime::new(
+            ThreadedTransport::new(slow_link(30)),
+            ThreadedRuntimeConfig::default(),
         );
-        let mut rt: ThreadedRuntime<&'static str, u32> =
-            ThreadedRuntime::new(transport, ThreadedRuntimeConfig::default());
         for id in 0..2 {
             rt.register_endpoint(SiteId(id));
         }
@@ -819,7 +792,10 @@ mod tests {
 
         // On a delayed link: in flight until its delivery is taken.
         assert!(rt.send(SimTime::ZERO, SiteId(0), SiteId(1), 3).is_sent());
-        assert!(rt.transport().in_flight() > 0 && !rt.is_idle(), "on a link");
+        assert!(
+            rt.network().ledger().in_flight() > 0 && !rt.is_idle(),
+            "on a link"
+        );
         assert!(matches!(
             rt.next(far),
             Some((_, Step::Deliver { msg: 3, .. }))
@@ -846,7 +822,7 @@ mod tests {
 
     #[test]
     fn threaded_does_not_quiesce_with_message_in_flight() {
-        let transport = ThreadedTransport::new(StdDuration::from_millis(40));
+        let transport = ThreadedTransport::new(NetworkConfig::fixed(Duration::millis(40)));
         let mut rt: ThreadedRuntime<&'static str, u32> = ThreadedRuntime::new(
             transport,
             ThreadedRuntimeConfig {
@@ -871,10 +847,18 @@ mod tests {
         ));
     }
 
-    /// A runtime whose every link has `policy`, with sites 0–2 registered.
-    fn on_links(policy: LinkPolicy) -> ThreadedRuntime<&'static str, u32> {
+    /// Reliable zero-latency links, but 0 → 1 takes `ms` milliseconds.
+    fn slow_link(ms: u64) -> NetworkConfig {
+        let mut config = NetworkConfig::fixed(Duration::ZERO);
+        let slow = LatencyModel::Fixed(Duration::millis(ms));
+        config.link_latency.insert((SiteId(0), SiteId(1)), slow);
+        config
+    }
+
+    /// A runtime on `config`'s links, with sites 0–2 registered.
+    fn on_links(config: NetworkConfig) -> ThreadedRuntime<&'static str, u32> {
         let mut rt = ThreadedRuntime::new(
-            ThreadedTransport::with_policy(policy),
+            ThreadedTransport::new(config),
             ThreadedRuntimeConfig {
                 idle_grace: StdDuration::from_millis(20),
             },
@@ -899,7 +883,7 @@ mod tests {
 
     #[test]
     fn latency_preserves_send_order_on_a_link() {
-        let mut rt = on_links(LinkPolicy::fixed(StdDuration::from_millis(5)));
+        let mut rt = on_links(NetworkConfig::fixed(Duration::millis(5)));
         let start = std::time::Instant::now();
         for i in 0..50 {
             assert!(rt.send(SimTime::ZERO, SiteId(1), SiteId(0), i).is_sent());
@@ -916,14 +900,7 @@ mod tests {
     /// at once, the slow one arrives after its latency.
     #[test]
     fn per_link_policy_delays_only_its_link() {
-        let mut transport = ThreadedTransport::default();
-        let slow = LinkPolicy::fixed(StdDuration::from_millis(25));
-        transport.set_link(SiteId(0), SiteId(1), slow);
-        let mut rt: ThreadedRuntime<&'static str, u32> =
-            ThreadedRuntime::new(transport, ThreadedRuntimeConfig::default());
-        for id in 0..3 {
-            rt.register_endpoint(SiteId(id));
-        }
+        let mut rt = on_links(slow_link(25));
         let start = std::time::Instant::now();
         assert!(rt.send(SimTime::ZERO, SiteId(0), SiteId(1), 1).is_sent());
         assert!(rt.send(SimTime::ZERO, SiteId(0), SiteId(2), 2).is_sent());
@@ -942,66 +919,47 @@ mod tests {
 
     #[test]
     fn duplication_delivers_twice_and_counts() {
-        let mut rt = on_links(LinkPolicy {
-            latency: StdDuration::from_millis(2),
+        let mut rt = on_links(NetworkConfig {
             duplicate_probability: 1.0,
-            ..LinkPolicy::default()
+            ..NetworkConfig::fixed(Duration::millis(2))
         });
         for i in 0..10 {
             assert!(rt.send(SimTime::ZERO, SiteId(1), SiteId(0), i).is_sent());
         }
-        let t = rt.transport();
-        assert_eq!(t.duplicated_count(), 10);
-        // A duplicate is a second sent message, so the ledger still balances.
-        assert_eq!((t.sent_count(), t.in_flight()), (20, 20));
+        // A duplicate is counted apart from the send it copies.
+        let ledger = rt.network().ledger();
+        assert_eq!(
+            (ledger.sent, ledger.duplicated, ledger.in_flight()),
+            (10, 10, 20)
+        );
         let twice: Vec<u32> = (0..10).flat_map(|i| [i, i]).collect();
         assert_eq!(drain(&mut rt), twice);
-        assert_eq!(rt.transport().in_flight(), 0);
+        assert_eq!(rt.network().ledger().in_flight(), 0);
     }
 
-    #[test]
-    fn send_to_unregistered_is_unroutable() {
-        let mut rt = threaded(20);
-        assert_eq!(
-            rt.send(SimTime::ZERO, SiteId(0), SiteId(9), 1),
-            SendOutcome::NoRoute
-        );
-        let t = rt.transport();
-        assert_eq!(rt.messages_dropped(), 1);
-        assert_eq!((t.unroutable_count(), t.policy_dropped_count()), (1, 0));
-        assert_eq!(t.in_flight(), 0, "nothing owed");
-        assert!(rt.next(SimTime(60_000_000)).is_none());
-    }
-
-    /// `sent = delivered + unroutable + in_flight` mid-run and at the end,
-    /// on lossy, duplicating, delayed links with unroutable sends mixed in;
-    /// the in-flight count agrees with the messages the caller is owed.
+    /// `sent + duplicated = dropped + unroutable + delivered + in_flight`
+    /// mid-run and at the end, on lossy, duplicating, delayed links with
+    /// same-site and unroutable sends mixed in; the in-flight count agrees
+    /// with the messages the caller is owed.
     #[test]
     fn ledger_balances_mid_run_and_at_the_end() {
-        let mut rt = on_links(LinkPolicy {
-            latency: StdDuration::from_micros(300),
+        let mut rt = on_links(NetworkConfig {
             drop_probability: 0.2,
             duplicate_probability: 0.2,
+            ..NetworkConfig::fixed(Duration::micros(300))
         });
         let far = SimTime(60_000_000);
         let (mut accepted, mut received) = (0u64, 0u64);
         let check = |rt: &ThreadedRuntime<&'static str, u32>, accepted: u64, received: u64| {
-            let t = rt.transport();
-            assert_eq!(
-                t.sent_count(),
-                t.delivered_count() + t.unroutable_count() + t.in_flight()
-            );
-            assert_eq!(t.in_flight(), accepted + t.duplicated_count() - received);
-            assert_eq!(t.delivered_count(), received);
-            assert_eq!(
-                rt.messages_dropped(),
-                t.policy_dropped_count() + t.unroutable_count()
-            );
+            let ledger = rt.network().ledger();
+            assert_eq!(ledger.sent, accepted + ledger.dropped + ledger.unroutable);
+            assert_eq!(ledger.in_flight(), accepted + ledger.duplicated - received);
+            assert_eq!(ledger.delivered, received);
         };
         for i in 0..400u32 {
             let to = SiteId(if i % 50 == 0 { 7 } else { i % 3 });
             accepted += rt.send(SimTime::ZERO, SiteId(1), to, i).is_sent() as u64;
-            if i % 4 == 3 && rt.transport().in_flight() > 0 {
+            if i % 4 == 3 && rt.network().ledger().in_flight() > 0 {
                 assert!(matches!(rt.next(far), Some((_, Step::Deliver { .. }))));
                 received += 1;
             }
@@ -1009,9 +967,9 @@ mod tests {
         }
         received += drain(&mut rt).len() as u64;
         check(&rt, accepted, received);
-        let t = rt.transport();
-        assert_eq!(t.in_flight(), 0);
-        assert_eq!(t.unroutable_count(), 8);
-        assert!(t.policy_dropped_count() > 0 && t.duplicated_count() > 0);
+        let ledger = rt.network().ledger();
+        assert_eq!(ledger.in_flight(), 0);
+        assert_eq!(ledger.unroutable, 8);
+        assert!(ledger.dropped > 0 && ledger.duplicated > 0);
     }
 }

@@ -69,15 +69,6 @@ impl FailurePlan {
             .any(|&(k, w)| k == key && w.contains(t))
     }
 
-    /// The time `site` next recovers at or after `t`, if it is down at `t`.
-    pub fn recovery_time(&self, site: SiteId, t: SimTime) -> Option<SimTime> {
-        self.site_down
-            .iter()
-            .filter(|&&(s, w)| s == site && w.contains(t))
-            .map(|&(_, w)| w.to)
-            .max()
-    }
-
     /// All scripted crash windows (engine schedules crash/recover events).
     pub fn crashes(&self) -> impl Iterator<Item = (SiteId, SimTime, SimTime)> + '_ {
         self.site_down.iter().map(|&(s, w)| (s, w.from, w.to))
@@ -100,8 +91,6 @@ mod tests {
             "recovered at window end"
         );
         assert!(p.site_up(SiteId(0), SimTime(150)), "other sites unaffected");
-        assert_eq!(p.recovery_time(SiteId(1), SimTime(150)), Some(SimTime(200)));
-        assert_eq!(p.recovery_time(SiteId(1), SimTime(250)), None);
     }
 
     #[test]
@@ -121,7 +110,8 @@ mod tests {
         let mut p = FailurePlan::new();
         p.site_crash(SiteId(1), SimTime(10), SimTime(50));
         p.site_crash(SiteId(1), SimTime(30), SimTime(80));
-        assert_eq!(p.recovery_time(SiteId(1), SimTime(35)), Some(SimTime(80)));
+        assert!(!p.site_up(SiteId(1), SimTime(60)));
+        assert!(p.site_up(SiteId(1), SimTime(80)));
         assert_eq!(p.crashes().count(), 2);
     }
 

@@ -11,13 +11,16 @@
 //!
 //! * [`events`] — the time-ordered event queue (stable FIFO among
 //!   simultaneous events).
-//! * [`network`] — per-link latency models (fixed / uniform / exponential),
-//!   message loss, and partitions.
+//! * [`network`] — the one network both runtimes send through: per-link
+//!   latency models (fixed / uniform / exponential), loss, duplication,
+//!   extra delay, routes, the send-time judgement ([`Network::judge`]) and
+//!   the message [`Ledger`].
 //! * [`failure`] — scripted site-crash and link-outage plans.
 //!
 //! The wall-clock (threaded) substrate lives in `o2pc-runtime`, which wraps
 //! this crate's event queue and network behind the same `Runtime` trait the
-//! engine is generic over.
+//! engine is generic over. Both runtimes judge every send with this crate's
+//! [`Network`]; only the clock they deliver on differs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,4 +31,4 @@ pub mod network;
 
 pub use events::EventQueue;
 pub use failure::FailurePlan;
-pub use network::{LatencyModel, MessageChaos, Network, NetworkConfig};
+pub use network::{LatencyModel, Ledger, Network, NetworkConfig, SendOutcome};

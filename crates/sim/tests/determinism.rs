@@ -12,15 +12,16 @@ fn network_streams_are_seed_deterministic() {
     };
     let mut a = Network::new(cfg.clone(), DetRng::new(99));
     let mut b = Network::new(cfg, DetRng::new(99));
+    for id in 0..4 {
+        a.open_route(SiteId(id));
+        b.open_route(SiteId(id));
+    }
     for i in 0..5_000u64 {
         let from = SiteId((i % 4) as u32);
         let to = SiteId(((i + 1) % 4) as u32);
-        assert_eq!(
-            a.transmit(from, to, SimTime(i)),
-            b.transmit(from, to, SimTime(i))
-        );
+        assert_eq!(a.judge(from, to, SimTime(i)), b.judge(from, to, SimTime(i)));
     }
-    assert_eq!(a.dropped_count(), b.dropped_count());
+    assert_eq!(a.ledger(), b.ledger());
 }
 
 #[test]
@@ -72,6 +73,5 @@ fn latency_models_differ_but_reproduce() {
         for _ in 0..1000 {
             assert_eq!(model.sample(&mut r1), model.sample(&mut r2));
         }
-        assert_eq!(model.mean(), Duration::micros(500));
     }
 }

@@ -13,14 +13,14 @@
 use o2pc_repro::common::{Duration, Key, Op, SimTime, SiteId, Value};
 use o2pc_repro::core::{Engine, Msg, SystemConfig, TimerEvent, TxnRequest};
 use o2pc_repro::protocol::ProtocolKind;
-use o2pc_repro::runtime::{LinkPolicy, ThreadedRuntime, ThreadedRuntimeConfig, ThreadedTransport};
-use std::time::Duration as StdDuration;
+use o2pc_repro::runtime::{Runtime, ThreadedRuntime, ThreadedRuntimeConfig, ThreadedTransport};
+use o2pc_repro::sim::NetworkConfig;
 
 fn main() {
     // Links with real latency: the runtime holds every message in its
     // event queue and delivers it ~2 ms after the send, on the wall clock.
     let transport: ThreadedTransport<Msg> =
-        ThreadedTransport::with_policy(LinkPolicy::fixed(StdDuration::from_millis(2)));
+        ThreadedTransport::new(NetworkConfig::fixed(Duration::millis(2)));
     let rt: ThreadedRuntime<TimerEvent, Msg> =
         ThreadedRuntime::new(transport, ThreadedRuntimeConfig::default());
 
@@ -62,5 +62,6 @@ fn main() {
         "conflict-free transfers all commit"
     );
     assert_eq!(total, 300);
-    assert_eq!(engine.runtime().transport().in_flight(), 0, "all delivered");
+    let ledger = engine.runtime().network().ledger();
+    assert_eq!(ledger.in_flight(), 0, "all delivered");
 }

@@ -16,10 +16,11 @@ use o2pc_common::{Duration, Key, Op, SimTime, SiteId, Value};
 use o2pc_core::{Engine, Msg, RunReport, SystemConfig, TimerEvent, TxnRequest};
 use o2pc_protocol::ProtocolKind;
 use o2pc_runtime::{Runtime, ThreadedRuntime, ThreadedRuntimeConfig, ThreadedTransport};
+use o2pc_sim::NetworkConfig;
 use std::time::Duration as StdDuration;
 
 fn threaded_engine(cfg: SystemConfig) -> Engine<ThreadedRuntime<TimerEvent, Msg>> {
-    let transport = ThreadedTransport::new(StdDuration::from_millis(1));
+    let transport = ThreadedTransport::new(NetworkConfig::fixed(Duration::millis(1)));
     let rt = ThreadedRuntime::new(
         transport,
         ThreadedRuntimeConfig {

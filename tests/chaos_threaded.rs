@@ -5,16 +5,17 @@
 //! substrate, where every fault is replayable. This test confirms the same
 //! hardening (retransmission, cooperative termination, duplicate-delivery
 //! idempotence) holds on the wall-clock runtime, whose faults are injected
-//! by the link policies themselves: lossy duplicating delayed links plus a
-//! mid-run site crash, checked against the protocol's schedule-independent
+//! by the network itself: lossy duplicating delayed links plus a mid-run
+//! site crash, checked against the protocol's schedule-independent
 //! invariants (every transaction decided, value conserved, no compensation
-//! left pending, loss accounting reconciled).
+//! left pending) and the chaos harness's accounting oracle.
 
+use o2pc_chaos::oracle;
 use o2pc_common::{Duration, Key, Op, ScratchDir, SimTime, SiteId, Value};
 use o2pc_core::{Engine, Msg, RunReport, SystemConfig, TimerEvent, TxnRequest};
 use o2pc_protocol::ProtocolKind;
-use o2pc_runtime::{LinkPolicy, ThreadedRuntime, ThreadedRuntimeConfig, ThreadedTransport};
-use o2pc_sim::FailurePlan;
+use o2pc_runtime::{Runtime, ThreadedRuntime, ThreadedRuntimeConfig, ThreadedTransport};
+use o2pc_sim::{FailurePlan, NetworkConfig};
 use std::time::Duration as StdDuration;
 
 fn lossy_engine(mut cfg: SystemConfig) -> Engine<ThreadedRuntime<TimerEvent, Msg>> {
@@ -28,10 +29,10 @@ fn lossy_engine(mut cfg: SystemConfig) -> Engine<ThreadedRuntime<TimerEvent, Msg
     cfg.retransmit_base = Some(Duration::millis(10));
     cfg.retransmit_cap = Duration::millis(160);
     cfg.termination_timeout = Some(Duration::millis(50));
-    let transport: ThreadedTransport<Msg> = ThreadedTransport::with_policy(LinkPolicy {
-        latency: StdDuration::from_micros(500),
+    let transport: ThreadedTransport<Msg> = ThreadedTransport::new(NetworkConfig {
         drop_probability: 0.05,
         duplicate_probability: 0.05,
+        ..NetworkConfig::fixed(Duration::micros(500))
     });
     let rt = ThreadedRuntime::new(
         transport,
@@ -45,7 +46,7 @@ fn lossy_engine(mut cfg: SystemConfig) -> Engine<ThreadedRuntime<TimerEvent, Msg
 /// Contended transfers over lossy, duplicating links while one participant
 /// crashes and recovers mid-run. Which transactions commit is
 /// schedule-dependent; that all of them decide, that money is conserved,
-/// and that the loss ledger reconciles is not.
+/// and that the message ledger reconciles is not.
 #[test]
 fn crash_drop_duplicate_smoke_on_threaded_transport() {
     crash_drop_duplicate_smoke(SystemConfig::new(3, ProtocolKind::O2pcP1));
@@ -114,41 +115,22 @@ fn crash_drop_duplicate_smoke(mut cfg: SystemConfig) -> RunReport {
     assert_eq!(report.total_value, initial * 9, "value not conserved");
     assert_eq!(report.compensations_pending, 0, "compensation left pending");
 
-    // Loss accounting stays honest off the sim substrate: every policy
-    // drop the transport performed is attributed to a labelled message
-    // counter at the engine layer, and nothing was unroutable (every site
-    // is registered; a crash parks the site, it does not unregister it).
-    let transport = engine.runtime().transport();
-    let engine_drops: u64 = report
-        .counters
-        .iter()
-        .filter(|(k, _)| k.starts_with("msg.dropped."))
-        .map(|(_, v)| v)
-        .sum();
-    assert_eq!(
-        engine_drops,
-        transport.policy_dropped_count(),
-        "engine drop counters must reconcile with the transport's ledger"
-    );
-    let engine_unroutable: u64 = report
-        .counters
-        .iter()
-        .filter(|(k, _)| k.starts_with("msg.unroutable."))
-        .map(|(_, v)| v)
-        .sum();
-    assert_eq!(engine_unroutable, 0, "every destination is registered");
+    // Loss accounting stays honest off the sim substrate: the accounting
+    // oracle finds the engine's per-kind send, drop and unroutable counters
+    // equal to the network's ledger, and nothing in flight.
+    let violations = oracle::check_accounting(&engine, &report);
+    assert!(violations.is_empty(), "{violations:?}");
+    let ledger = engine.runtime().network().ledger();
+    // Every site is registered; a crash parks the site, it does not
+    // unregister it.
+    assert_eq!(ledger.unroutable, 0, "every destination is registered");
     assert!(
-        transport.policy_dropped_count() > 0,
+        ledger.dropped > 0,
         "a 5% loss rate over a full run must actually drop something"
     );
     assert!(
-        transport.duplicated_count() > 0,
+        ledger.duplicated > 0,
         "a 5% duplication rate over a full run must actually duplicate"
-    );
-    assert_eq!(
-        transport.in_flight(),
-        0,
-        "run ended with messages in flight"
     );
     assert!(engine.down_sites().is_empty());
     assert_eq!(engine.queued_admissions(), 0);
