@@ -22,15 +22,13 @@
 //!
 //! **Persistence of compensation**: once initiated, a compensating
 //! transaction must complete — it can only commit (so no commit protocol is
-//! ever run for a `CT`). [`PersistenceGuard`] encodes the retry obligation
-//! the execution engine honours when a `CT` subtransaction loses a local
-//! deadlock: it is re-submitted until it commits.
+//! ever run for a `CT`). The execution engine keeps that obligation: it holds
+//! each initiated `CT` subtransaction until it commits, and one that loses a
+//! local deadlock is rolled back and re-submitted.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod persistence;
 pub mod plan;
 
-pub use persistence::PersistenceGuard;
 pub use plan::{plan_compensation, CompensationModel, CompensationPlan};

@@ -72,9 +72,6 @@ pub struct SystemConfig {
     pub r1_max_retries: u32,
     /// Delay before re-running a rejected R1 check.
     pub r1_retry_delay: Duration,
-    /// Delay before re-submitting a deadlock-victim compensating
-    /// subtransaction (persistence of compensation).
-    pub comp_retry_delay: Duration,
     /// Coordinator vote-collection timeout (None = wait forever, the pure
     /// blocking behaviour).
     pub vote_timeout: Option<Duration>,
@@ -164,7 +161,6 @@ impl SystemConfig {
             real_action_sites: BTreeSet::new(),
             r1_max_retries: 3,
             r1_retry_delay: Duration::millis(2),
-            comp_retry_delay: Duration::millis(1),
             vote_timeout: None,
             termination_timeout: None,
             retransmit_base: None,

@@ -106,7 +106,17 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         self.admit_global(now, next.scheduled, next.subs, site);
     }
 
-    pub(crate) fn coord_action(&mut self, now: SimTime, txn: GlobalTxnId, action: CoordAction) {
+    /// Carry out what the coordinator asks. `resend` marks a retransmission:
+    /// the messages go out again, but the phase's once-only effects (the
+    /// progress timeout, UDUM registration) do not, and `arm_retransmit`
+    /// finds the resending chain already live.
+    pub(crate) fn coord_action(
+        &mut self,
+        now: SimTime,
+        txn: GlobalTxnId,
+        action: CoordAction,
+        resend: bool,
+    ) {
         let Some(g) = self.txns.get(&txn) else {
             return; // retired (garbage collected): nothing left to drive
         };
@@ -116,13 +126,13 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                 for s in sites {
                     self.send(now, coord_site, s, Msg::VoteReq { txn });
                 }
-                if let Some(t) = self.cfg.vote_timeout {
+                if let Some(t) = self.cfg.vote_timeout.filter(|_| !resend) {
                     self.rt.schedule(now + t, TimerEvent::VoteTimeout { txn });
                 }
                 self.arm_retransmit(now, txn);
             }
             CoordAction::SendDecision(commit, sites) => {
-                if !commit {
+                if !commit && !resend {
                     // Piggy-backed on the DECISION messages: the aborted
                     // transaction's *actual* execution-site set, enabling
                     // UDUM1 detection at the sites (no extra messages).
@@ -170,7 +180,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         }
         let action = self.txns.get_mut(&txn).unwrap().coord.on_timeout();
         if let Some(action) = action {
-            self.coord_action(now, txn, action);
+            self.coord_action(now, txn, action, false);
         }
     }
 
@@ -201,7 +211,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         match self.txns[&txn].coord.retransmit() {
             Some(action) => {
                 self.report.counters.inc("msg.retransmit");
-                self.coord_action_resend(now, txn, action);
+                self.coord_action(now, txn, action, true);
                 let exp = base.saturating_mul(1u64 << (attempt + 1).min(16));
                 let delay = if exp > cap { cap } else { exp };
                 self.rt.schedule(
@@ -219,28 +229,6 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                     g.retx_armed = false;
                 }
             }
-        }
-    }
-
-    /// Resend a `retransmit()` action without re-running decision side
-    /// effects (UDUM registration, timers) or re-arming the chain.
-    fn coord_action_resend(&mut self, now: SimTime, txn: GlobalTxnId, action: CoordAction) {
-        let Some(g) = self.txns.get(&txn) else {
-            return;
-        };
-        let coord_site = g.coord_site;
-        match action {
-            CoordAction::SendVoteReq(sites) => {
-                for s in sites {
-                    self.send(now, coord_site, s, Msg::VoteReq { txn });
-                }
-            }
-            CoordAction::SendDecision(commit, sites) => {
-                for s in sites {
-                    self.send(now, coord_site, s, Msg::Decision { txn, commit });
-                }
-            }
-            CoordAction::Complete(_) => unreachable!("retransmit never completes"),
         }
     }
 
@@ -412,7 +400,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         to_recover.sort_unstable(); // canonical resend order, independent of map iteration
         for txn in to_recover {
             if let Some(action) = self.txns.get_mut(&txn).unwrap().coord.recover() {
-                self.coord_action(now, txn, action);
+                self.coord_action(now, txn, action, false);
             }
         }
         // Recovered in-doubt participants (prepared, or locally committed

@@ -95,49 +95,14 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                     ExecId::CompSub(_) => 2,
                 })
                 .expect("cycle non-empty");
-            match victim {
-                ExecId::Local(_) => {
-                    self.report.counters.inc("deadlock.victims.local");
-                    let hist = &mut self.hist;
-                    let site = self.sites[site_id.index()].as_mut().unwrap();
-                    let woken = site.abort_exec(victim, now, hist);
-                    self.report.local_aborted += 1;
-                    self.wake(now, site_id, woken);
-                }
-                ExecId::Sub(g) => {
-                    self.report.counters.inc("deadlock.victims.sub");
-                    let hist = &mut self.hist;
-                    let site = self.sites[site_id.index()].as_mut().unwrap();
-                    let woken = site.unilateral_abort(g, now, hist);
-                    self.wake(now, site_id, woken);
-                    let coord_site = self.txns[&g].coord_site;
-                    self.send(
-                        now,
-                        site_id,
-                        coord_site,
-                        Msg::SubtxnAck {
-                            txn: g,
-                            from: site_id,
-                            ok: false,
-                        },
-                    );
-                    self.invalidate_incompatible_subs(now, site_id);
-                }
-                ExecId::CompSub(g) => {
-                    self.report.counters.inc("deadlock.victims.comp");
-                    let site = self.sites[site_id.index()].as_mut().unwrap();
-                    let woken = site.rollback_compensation(g, now);
-                    self.persistence.retried(g, site_id);
-                    self.wake(now, site_id, woken);
-                    let delay = self.cfg.comp_retry_delay;
-                    self.rt.schedule(
-                        now + delay,
-                        TimerEvent::CompRetry {
-                            txn: g,
-                            site: site_id,
-                        },
-                    );
-                }
+            self.report.counters.inc(match victim {
+                ExecId::Local(_) => "deadlock.victims.local",
+                ExecId::Sub(_) => "deadlock.victims.sub",
+                ExecId::CompSub(_) => "deadlock.victims.comp",
+            });
+            self.abort_execution(now, site_id, victim);
+            if let ExecId::Sub(_) = victim {
+                self.invalidate_incompatible_subs(now, site_id);
             }
         }
     }
@@ -193,41 +158,8 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                 .get(&victim)
                 .expect("a node on a cycle is blocked somewhere");
             self.report.counters.inc("deadlock.global");
-            match exec {
-                ExecId::Local(_) => {
-                    let hist = &mut self.hist;
-                    let site = self.sites[sid.index()].as_mut().unwrap();
-                    let woken = site.abort_exec(exec, now, hist);
-                    self.report.local_aborted += 1;
-                    self.wake(now, sid, woken);
-                }
-                ExecId::Sub(g) => {
-                    let hist = &mut self.hist;
-                    let site = self.sites[sid.index()].as_mut().unwrap();
-                    let woken = site.unilateral_abort(g, now, hist);
-                    self.wake(now, sid, woken);
-                    let coord_site = self.txns[&g].coord_site;
-                    self.send(
-                        now,
-                        sid,
-                        coord_site,
-                        Msg::SubtxnAck {
-                            txn: g,
-                            from: sid,
-                            ok: false,
-                        },
-                    );
-                }
-                ExecId::CompSub(g) => {
-                    let site = self.sites[sid.index()].as_mut().unwrap();
-                    let woken = site.rollback_compensation(g, now);
-                    self.persistence.retried(g, sid);
-                    self.wake(now, sid, woken);
-                    let delay = self.cfg.comp_retry_delay;
-                    self.rt
-                        .schedule(now + delay, TimerEvent::CompRetry { txn: g, site: sid });
-                }
-            }
+            // A subtransaction victim marks undone with no mark re-check, unlike the local arm.
+            self.abort_execution(now, sid, exec);
         }
     }
 }

@@ -35,11 +35,9 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         report
             .counters
             .add("txn.live_at_end", self.txns.len() as u64);
-        report.compensations_pending = self.persistence.pending_count();
-        report.compensations_completed = self.persistence.completed_count();
-        report
-            .counters
-            .add("comp.retries", self.persistence.total_retries());
+        report.compensations_pending = self.pending_comp.len();
+        // Named even when nothing was retried: reports list every counter.
+        report.counters.add("comp.retries", 0);
         match &self.hist.history {
             Some(h) => {
                 report.history_events = h.len() as u64;

@@ -36,7 +36,7 @@ use crate::report::RunReport;
 use o2pc_common::{
     DetRng, ExecId, FastHashMap, GlobalTxnId, GlobalTxnIdGen, Key, SimTime, SiteId, Value,
 };
-use o2pc_compensation::{CompensationPlan, PersistenceGuard};
+use o2pc_compensation::CompensationPlan;
 use o2pc_marking::{MarkingProtocol, TransMarks, UdumTracker};
 use o2pc_protocol::{TerminationRound, TwoPhaseCoordinator};
 use o2pc_runtime::{Runtime, SimRuntime};
@@ -189,6 +189,9 @@ pub struct Engine<R: Runtime<TimerEvent, Msg> = DefaultSimRuntime> {
     pub(crate) rng: DetRng,
     pub(crate) idgen: GlobalTxnIdGen,
     pub(crate) txns: FastHashMap<GlobalTxnId, GTxn>,
+    /// Compensations owed: each `CT_ij` from the abort decision that
+    /// started it until it commits, across deadlock roll-backs (persistence
+    /// of compensation, §3.2).
     pub(crate) pending_comp: FastHashMap<(GlobalTxnId, SiteId), CompensationPlan>,
     pub(crate) term_rounds: FastHashMap<(GlobalTxnId, SiteId), TerminationRound>,
     /// In-doubt participants with a live termination-timer chain. Exactly
@@ -203,7 +206,6 @@ pub struct Engine<R: Runtime<TimerEvent, Msg> = DefaultSimRuntime> {
     /// Currently admitted (not yet completed) global transactions per
     /// coordinator site, against which the window is enforced.
     pub(crate) admitted: FastHashMap<SiteId, usize>,
-    pub(crate) persistence: PersistenceGuard,
     pub(crate) udum: UdumTracker,
     pub(crate) hist: Recorder,
     pub(crate) report: RunReport,
@@ -286,7 +288,6 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             local_starts: FastHashMap::default(),
             admit_q: FastHashMap::default(),
             admitted: FastHashMap::default(),
-            persistence: PersistenceGuard::new(),
             udum: UdumTracker::new(),
             hist,
             report: RunReport::default(),

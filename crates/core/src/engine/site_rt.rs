@@ -3,11 +3,16 @@
 
 use super::{Engine, TimerEvent};
 use crate::msg::Msg;
-use o2pc_common::{ExecId, GlobalTxnId, SimTime, SiteId};
+use o2pc_common::{Duration, ExecId, GlobalTxnId, SimTime, SiteId};
 use o2pc_marking::MarkingProtocol;
 use o2pc_protocol::TerminationOutcome;
 use o2pc_runtime::Runtime;
 use o2pc_site::{LockPolicy, OpResult};
+
+/// How long a compensating subtransaction that lost a deadlock waits before
+/// it runs again: persistence of compensation (§3.2) may delay a `CT`, never
+/// drop it.
+const COMP_RETRY_DELAY: Duration = Duration::millis(1);
 
 impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     pub(crate) fn on_deliver(&mut self, now: SimTime, to: SiteId, msg: Msg) {
@@ -24,7 +29,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                     return;
                 }
                 if let Some(action) = g.coord.on_subtxn_ack(from, ok) {
-                    self.coord_action(now, txn, action);
+                    self.coord_action(now, txn, action, false);
                 }
             }
             Msg::VoteReq { txn } => {
@@ -71,23 +76,14 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                     return;
                 }
                 if let Some(action) = g.coord.on_vote(from, vote) {
-                    self.coord_action(now, txn, action);
+                    self.coord_action(now, txn, action, false);
                 }
             }
             Msg::Decision { txn, commit } => {
                 if !self.txns.contains_key(&txn) {
                     return; // stale duplicate for a retired transaction
                 }
-                let hist = &mut self.hist;
-                let site = self.sites[to.index()].as_mut().unwrap();
-                let out = site.decide(txn, commit, now, hist);
-                self.wake(now, to, out.woken);
-                if let Some(plan) = out.compensation {
-                    self.report.counters.inc("comp.plans");
-                    self.persistence.initiated(txn, to);
-                    self.pending_comp.insert((txn, to), plan);
-                    self.start_compensation(now, txn, to);
-                }
+                self.apply_decision(now, txn, to, commit);
                 if !commit {
                     self.invalidate_incompatible_subs(now, to);
                 }
@@ -106,12 +102,13 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                     return;
                 }
                 if let Some(action) = g.coord.on_decision_ack(from) {
-                    self.coord_action(now, txn, action);
+                    self.coord_action(now, txn, action, false);
                 }
             }
             Msg::TermReq { txn, from } => {
                 let hist = &mut self.hist;
                 let site = self.sites[to.index()].as_mut().unwrap();
+                // An unvoted subtransaction aborted here marks undone with no mark re-check.
                 let (state, woken) = site.answer_termination_query(txn, now, hist);
                 self.wake(now, to, woken);
                 let reply = Msg::TermAnswer {
@@ -136,15 +133,17 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                     return;
                 };
                 match round.on_answer(from, state) {
-                    Some(TerminationOutcome::Commit) => {
+                    Some(outcome @ (TerminationOutcome::Commit | TerminationOutcome::Abort)) => {
                         self.term_rounds.remove(&(txn, to));
-                        self.report.counters.inc("term.resolved_commit");
-                        self.apply_peer_decision(now, txn, to, true);
-                    }
-                    Some(TerminationOutcome::Abort) => {
-                        self.term_rounds.remove(&(txn, to));
-                        self.report.counters.inc("term.resolved_abort");
-                        self.apply_peer_decision(now, txn, to, false);
+                        let commit = outcome == TerminationOutcome::Commit;
+                        self.report.counters.inc(if commit {
+                            "term.resolved_commit"
+                        } else {
+                            "term.resolved_abort"
+                        });
+                        // A peer's abort marks this site undone with no mark re-check.
+                        self.apply_decision(now, txn, to, commit);
+                        self.try_gc(txn);
                     }
                     Some(TerminationOutcome::StillBlocked) => {
                         self.term_rounds.remove(&(txn, to));
@@ -158,27 +157,20 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         }
     }
 
-    /// Apply a decision learned via the termination protocol (not from the
-    /// coordinator). The coordinator, once recovered, will resend its own
-    /// DECISION; `Site::decide` is idempotent for repeats.
-    fn apply_peer_decision(
-        &mut self,
-        now: SimTime,
-        txn: GlobalTxnId,
-        site_id: SiteId,
-        commit: bool,
-    ) {
-        let hist = &mut self.hist;
+    /// Apply a decision at a participant, whether the coordinator sent it or
+    /// a termination round learned it from a peer (the coordinator's own
+    /// DECISION may still follow; `Site::decide` is idempotent for repeats).
+    /// An abort of a locally committed subtransaction starts its
+    /// compensation, owed in `pending_comp` until it commits.
+    fn apply_decision(&mut self, now: SimTime, txn: GlobalTxnId, site_id: SiteId, commit: bool) {
         let site = self.sites[site_id.index()].as_mut().unwrap();
-        let out = site.decide(txn, commit, now, hist);
+        let out = site.decide(txn, commit, now, &mut self.hist);
         self.wake(now, site_id, out.woken);
         if let Some(plan) = out.compensation {
             self.report.counters.inc("comp.plans");
-            self.persistence.initiated(txn, site_id);
             self.pending_comp.insert((txn, site_id), plan);
             self.start_compensation(now, txn, site_id);
         }
-        self.try_gc(txn);
     }
 
     /// A prepared participant has waited too long for the decision: run a
@@ -424,50 +416,58 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                             },
                         );
                     }
-                    ExecId::CompSub(g) => {
-                        let hist = &mut self.hist;
-                        let site = self.sites[site_id.index()].as_mut().unwrap();
-                        let woken = site.finish_compensation(g, now, hist);
-                        self.wake(now, site_id, woken);
-                        self.pending_comp.remove(&(g, site_id));
-                        self.persistence.completed(g, site_id);
-                        // R2 set the undone marking: future accesses count
-                        // toward UDUM1, and running subtransactions admitted
-                        // under the old marks must be re-checked.
-                        self.invalidate_incompatible_subs(now, site_id);
-                        self.try_gc(g);
-                    }
+                    ExecId::CompSub(g) => self.complete_compensation(now, g, site_id),
                 }
             }
             OpResult::Blocked => self.on_blocked(now, site_id, exec),
-            OpResult::Failed(_) => match exec {
-                ExecId::Local(_) => {
-                    let hist = &mut self.hist;
-                    let site = self.sites[site_id.index()].as_mut().unwrap();
-                    let woken = site.abort_exec(exec, now, hist);
-                    self.report.local_aborted += 1;
-                    self.wake(now, site_id, woken);
-                }
-                ExecId::Sub(g) => {
-                    let hist = &mut self.hist;
-                    let site = self.sites[site_id.index()].as_mut().unwrap();
-                    let woken = site.unilateral_abort(g, now, hist);
-                    self.wake(now, site_id, woken);
-                    let coord_site = self.txns[&g].coord_site;
-                    self.send(
-                        now,
-                        site_id,
-                        coord_site,
-                        Msg::SubtxnAck {
-                            txn: g,
-                            from: site_id,
-                            ok: false,
-                        },
-                    );
+            // A compensation's operations skip rather than fail, so `exec` is
+            // a local or a subtransaction here.
+            OpResult::Failed(_) => {
+                self.abort_execution(now, site_id, exec);
+                if let ExecId::Sub(_) = exec {
                     self.invalidate_incompatible_subs(now, site_id);
                 }
-                ExecId::CompSub(_) => unreachable!("compensation ops never fail (they skip)"),
-            },
+            }
+        }
+    }
+
+    /// Abort `exec` at `site_id`: the one way the engine kills an execution,
+    /// whatever chose it — a deadlock resolver, a failed operation, a mark
+    /// re-check. A local dies; a subtransaction rolls back, marks the site
+    /// undone and tells its coordinator it failed; a compensation rolls back
+    /// and runs again after `COMP_RETRY_DELAY`, since once initiated it must
+    /// complete. A caller whose abort can change the marks follows up with
+    /// `invalidate_incompatible_subs` itself.
+    pub(crate) fn abort_execution(&mut self, now: SimTime, site_id: SiteId, exec: ExecId) {
+        let hist = &mut self.hist;
+        let site = self.sites[site_id.index()].as_mut().unwrap();
+        match exec {
+            ExecId::Local(_) => {
+                let woken = site.abort_exec(exec, now, hist);
+                self.report.local_aborted += 1;
+                self.wake(now, site_id, woken);
+            }
+            ExecId::Sub(g) => {
+                let woken = site.unilateral_abort(g, now, hist);
+                self.wake(now, site_id, woken);
+                let coord_site = self.txns[&g].coord_site;
+                let nack = Msg::SubtxnAck {
+                    txn: g,
+                    from: site_id,
+                    ok: false,
+                };
+                self.send(now, site_id, coord_site, nack);
+            }
+            ExecId::CompSub(g) => {
+                let woken = site.rollback_compensation(g, now);
+                self.report.counters.inc("comp.retries");
+                self.wake(now, site_id, woken);
+                let retry = TimerEvent::CompRetry {
+                    txn: g,
+                    site: site_id,
+                };
+                self.rt.schedule(now + COMP_RETRY_DELAY, retry);
+            }
         }
     }
 
@@ -510,37 +510,17 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             };
             if !ok {
                 self.report.counters.inc("r1.mark_invalidations");
-                let hist = &mut self.hist;
-                let site = self.sites[site_id.index()].as_mut().unwrap();
-                let woken = site.unilateral_abort(g, now, hist);
-                self.wake(now, site_id, woken);
-                let coord_site = self.txns[&g].coord_site;
-                self.send(
-                    now,
-                    site_id,
-                    coord_site,
-                    Msg::SubtxnAck {
-                        txn: g,
-                        from: site_id,
-                        ok: false,
-                    },
-                );
+                self.abort_execution(now, site_id, ExecId::Sub(g));
             }
         }
     }
 
-    pub(crate) fn start_compensation(&mut self, now: SimTime, txn: GlobalTxnId, site_id: SiteId) {
-        let plan = self.pending_comp[&(txn, site_id)].clone();
-        let hist = &mut self.hist;
+    fn start_compensation(&mut self, now: SimTime, txn: GlobalTxnId, site_id: SiteId) {
+        let plan = &self.pending_comp[&(txn, site_id)];
         let site = self.sites[site_id.index()].as_mut().unwrap();
-        site.begin_compensation(txn, &plan, now, hist);
+        site.begin_compensation(txn, plan, now, &mut self.hist);
         if plan.is_empty() {
-            let woken = site.finish_compensation(txn, now, hist);
-            self.wake(now, site_id, woken);
-            self.pending_comp.remove(&(txn, site_id));
-            self.persistence.completed(txn, site_id);
-            self.invalidate_incompatible_subs(now, site_id);
-            self.try_gc(txn);
+            self.complete_compensation(now, txn, site_id);
         } else {
             let service = self.cfg.op_service_time;
             self.rt.schedule(
@@ -551,6 +531,21 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                 },
             );
         }
+    }
+
+    /// `CT_ij` has run its last operation: commit it, which sets the undone
+    /// mark (rule R2), and strike it from `pending_comp`.
+    fn complete_compensation(&mut self, now: SimTime, txn: GlobalTxnId, site_id: SiteId) {
+        let site = self.sites[site_id.index()].as_mut().unwrap();
+        let woken = site.finish_compensation(txn, now, &mut self.hist);
+        self.wake(now, site_id, woken);
+        self.pending_comp.remove(&(txn, site_id));
+        self.report.compensations_completed += 1;
+        // R2 set the undone marking: future accesses count toward UDUM1, and
+        // running subtransactions admitted under the old marks must be
+        // re-checked.
+        self.invalidate_incompatible_subs(now, site_id);
+        self.try_gc(txn);
     }
 
     pub(crate) fn resume_compensation(&mut self, now: SimTime, txn: GlobalTxnId, site_id: SiteId) {

@@ -360,11 +360,66 @@ fn local_transactions_run_and_deadlocks_resolve() {
         TxnRequest::local(SiteId(0), vec![Op::Add(Key(1), 1), Op::Add(Key(0), 1)]),
     );
     let r = e.run(Duration::secs(5));
-    assert_eq!(r.local_committed + r.local_aborted, 2);
+    // Each holds its first key when it asks for its second: one is the
+    // victim, the other commits, and nothing hangs.
+    assert_eq!(r.counters.get("deadlock.victims.local"), 1);
+    assert_eq!((r.local_committed, r.local_aborted), (1, 1));
     assert!(r.compensations_pending == 0);
-    // Either they interleaved cleanly or a victim died; both are fine, but
-    // nothing may hang.
     assert!(r.end_time < SimTime::ZERO + Duration::secs(5));
+}
+
+#[test]
+fn compensation_victim_reruns_and_both_compensations_complete() {
+    // Site 0 holds the data; T1 is coordinated from site 1 and T2 from
+    // site 2. Each locally commits at site 0 (T2 after T1 released its
+    // locks), then its coordinator crashes before the yes-vote arrives. Both
+    // recover at 20 ms and presume abort, so both compensations start at
+    // site 0 in the same instant and take k0 and k1 in opposite orders.
+    let (s0, s1, s2) = (SiteId(0), SiteId(1), SiteId(2));
+    let ms = |m| SimTime::ZERO + Duration::millis(m);
+    let mut cfg = SystemConfig::new(3, ProtocolKind::O2pc);
+    cfg.seed = 13;
+    let mut failures = o2pc_sim::FailurePlan::new();
+    failures.site_crash(s1, ms(3) + Duration::micros(500), ms(20));
+    failures.site_crash(s2, ms(7), ms(20));
+    cfg.failures = failures;
+    let mut e = Engine::new(cfg);
+    e.load(s0, Key(0), Value(100));
+    e.load(s0, Key(1), Value(100));
+    let on_s0 =
+        |coordinator, ops| TxnRequest::global_with_coordinator(coordinator, vec![(s0, ops)]);
+    let t1 = vec![Op::Add(Key(0), 5), Op::Add(Key(1), 5)];
+    let t2 = vec![Op::Add(Key(1), 7), Op::Add(Key(0), 7)];
+    e.submit_at(SimTime::ZERO, on_s0(s1, t1));
+    e.submit_at(ms(3) + Duration::micros(500), on_s0(s2, t2));
+    let r = e.run(Duration::secs(5));
+    assert_eq!(r.global_aborted, 2);
+    assert_eq!(r.counters.get("deadlock.victims.comp"), 1);
+    assert!(r.counters.get("comp.retries") >= 1);
+    assert_eq!(r.compensations_completed, 2);
+    assert_eq!(r.compensations_pending, 0);
+    assert_eq!(e.value(s0, Key(0)), Some(Value(100)));
+    assert_eq!(e.value(s0, Key(1)), Some(Value(100)));
+}
+
+#[test]
+fn crossing_globals_resolve_through_the_lifted_graph() {
+    // T1 is coordinated from site 0 and T2 from site 1, so each one's
+    // home spawn lands at once and its other spawn a link later: T1 holds
+    // k0 at site 0, T2 holds it at site 1, and each then queues behind the
+    // other. No site sees a cycle; the lifted graph does, and the younger T2
+    // is the victim. Its roll-back at site 1 is its compensation there.
+    let (s0, s1, k) = (SiteId(0), SiteId(1), Key(0));
+    let mut cfg = SystemConfig::new(2, ProtocolKind::O2pc);
+    cfg.seed = 14;
+    let mut e = loaded_engine(cfg, 1, 100);
+    e.submit_at(SimTime::ZERO, transfer(s0, s1, k, 5));
+    e.submit_at(SimTime::ZERO, transfer(s1, s0, k, 7));
+    let r = e.run(Duration::secs(5));
+    assert_eq!(r.counters.get("deadlock.global"), 1);
+    assert_eq!((r.global_committed, r.global_aborted), (1, 1));
+    assert_eq!(e.value(s0, k), Some(Value(95)), "only T1's transfer shows");
+    assert_eq!(e.value(s1, k), Some(Value(105)));
 }
 
 #[test]
