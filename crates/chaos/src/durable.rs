@@ -9,11 +9,14 @@
 //!   invariants a hard kill must not break — **outcome agreement** (no two
 //!   sites durably logged conflicting decisions for one transaction) and
 //!   **conservation** (after resolution, balances sum to the initial total).
-//! * [`injected_fault_roundtrip`] drives a scripted append workload into a
-//!   on-disk [`Wal`] armed with a seeded [`WriteFault`] (short write, write
-//!   error, or handle loss mid-append), then reopens the file and checks that
-//!   what survived is a clean frame-boundary prefix of the script and that it
-//!   recovers exactly like the same prefix in memory.
+//! * [`injected_fault_roundtrip`] drives a scripted append workload into an
+//!   on-disk [`Wal`], sealing it in small batches and severing the batch
+//!   that spans a seeded byte offset ([`FlushBatch::sever`]: a torn write,
+//!   or nothing written at a batch boundary), then reopens the file and
+//!   checks that what survived is a clean frame-boundary prefix of the
+//!   script and that it recovers exactly like the same prefix in memory.
+//!
+//! [`FlushBatch::sever`]: o2pc_storage::FlushBatch::sever
 //!
 //! ## Why presume-abort is safe here
 //!
@@ -31,9 +34,7 @@ use crate::oracle::Violation;
 use o2pc_common::{ExecId, GlobalTxnId, SiteId};
 use o2pc_compensation::{plan_compensation, CompensationModel};
 use o2pc_storage::codec::encode_frame;
-use o2pc_storage::{
-    CheckpointImage, FaultKind, LogRecord, RecoveredState, Wal, WalOptions, WriteFault,
-};
+use o2pc_storage::{CheckpointImage, LogRecord, RecoveredState, Wal};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -164,9 +165,8 @@ pub struct FaultRunStats {
     pub scripted: usize,
     /// Records that survived on disk after reopen.
     pub survived: usize,
-    /// The fault flavour this seed selected.
-    pub kind: FaultKind,
-    /// Whether the fault actually fired (a late offset may never be reached).
+    /// Whether the fault actually fired (an offset at the script's end is
+    /// never reached).
     pub fired: bool,
 }
 
@@ -213,9 +213,10 @@ fn fault_script(seed: u64) -> Vec<LogRecord> {
 }
 
 /// Run one seeded fault-injection round-trip against a WAL file at `path`
-/// (created fresh). Appends the seed's script, syncing in small groups, with
-/// a [`WriteFault`] armed at a seed-derived byte offset; after the fault
-/// fires (or the script ends) the file is reopened and checked:
+/// (created fresh). Appends the seed's script, sealing and executing it in
+/// small groups, and severs the batch that spans a seed-derived byte
+/// offset at that offset; after the fault fires (or the script ends) the
+/// file is reopened and checked:
 ///
 /// 1. the surviving records are a **prefix** of the script — no record is
 ///    reordered, altered, or resurrected past a torn frame;
@@ -231,32 +232,38 @@ pub fn injected_fault_roundtrip(seed: u64, path: &Path) -> Result<FaultRunStats,
         encode_frame(rec, &mut total_bytes);
     }
     let mut rng = seed.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1;
-    let fail_after = xorshift(&mut rng) % (total_bytes.len() as u64 + 1);
-    let kind = match xorshift(&mut rng) % 3 {
-        0 => FaultKind::Torn,
-        1 => FaultKind::Error,
-        _ => FaultKind::DropHandle,
-    };
+    let fail_at = xorshift(&mut rng) % (total_bytes.len() as u64 + 1);
     let group = 1 + (xorshift(&mut rng) % 5) as usize;
 
     let _ = std::fs::remove_file(path);
-    let opts = WalOptions {
-        fault: Some(WriteFault { fail_after, kind }),
-        ..WalOptions::default()
-    };
-    let mut wal = Wal::open_with_opts(path, opts).map_err(|e| format!("open failed: {e}"))?;
+    let mut wal = Wal::open(path).map_err(|e| format!("open failed: {e}"))?;
     let mut scripted = 0usize;
+    let mut fired = false;
     for (i, rec) in script.iter().enumerate() {
         wal.append(rec.clone());
         scripted = i + 1;
-        if scripted.is_multiple_of(group) && wal.sync().is_err() {
+        if !scripted.is_multiple_of(group) && scripted < script.len() {
+            continue;
+        }
+        let from = wal.sealed_ticket();
+        let Some(mut batch) = wal.seal_batch() else {
+            return Err(format!("seed {seed}: appended bytes did not seal"));
+        };
+        fired = (from..batch.ticket()).contains(&fail_at);
+        if fired {
+            batch
+                .sever(fail_at)
+                .map_err(|e| format!("sever failed: {e}"))?;
+        }
+        if batch.execute().is_err() != fired || wal.is_dead() != fired {
+            return Err(format!(
+                "seed {seed}: a batch failed without being severed, or landed severed"
+            ));
+        }
+        if fired {
             break;
         }
     }
-    if !wal.is_dead() {
-        let _ = wal.sync();
-    }
-    let fired = wal.is_dead();
     drop(wal);
 
     let reopened = Wal::open(path).map_err(|e| format!("reopen failed: {e}"))?;
@@ -277,7 +284,6 @@ pub fn injected_fault_roundtrip(seed: u64, path: &Path) -> Result<FaultRunStats,
     Ok(FaultRunStats {
         scripted,
         survived,
-        kind,
         fired,
     })
 }

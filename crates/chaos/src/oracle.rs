@@ -143,6 +143,8 @@ impl fmt::Display for Violation {
 
 /// End-state invariants that hold on any runtime substrate: liveness under
 /// quiescence, conservation, serialization-graph correctness, durability.
+/// The engine must have kept its live audit graph
+/// (`SystemConfig::live_audit_graph`); without one this panics.
 pub fn check_state<R: Runtime<TimerEvent, Msg>>(
     engine: &Engine<R>,
     report: &RunReport,
@@ -176,14 +178,12 @@ pub fn check_state<R: Runtime<TimerEvent, Msg>>(
     if !divergent.is_empty() {
         out.push(Violation::WalDivergence(divergent.len()));
     }
-    // Prefer the serialization graphs the engine maintained incrementally
-    // while the run executed (`live_audit_graph`); replaying the recorded
-    // history through the same builder is the fallback for engines that did
-    // not keep one.
-    let audit = match engine.live_audit_graph() {
-        Some(gsg) => o2pc_sgraph::audit_graph(&gsg, &report.history, 10_000, 10),
-        None => o2pc_sgraph::audit(&report.history, 10_000, 10),
-    };
+    // The serialization graphs the engine maintained incrementally while the
+    // run executed: the harness always asks for them.
+    let gsg = engine
+        .live_audit_graph()
+        .expect("chaos oracle: the engine must run with SystemConfig::live_audit_graph set");
+    let audit = o2pc_sgraph::audit_graph(&gsg, &report.history, 10_000, 10);
     if !audit.local_cycles.is_empty() {
         out.push(Violation::LocalCycles(audit.local_cycles.len()));
     }

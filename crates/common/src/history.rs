@@ -15,7 +15,6 @@ use crate::ids::{SiteId, TxnId};
 use crate::ops::OpKind;
 use crate::time::SimTime;
 use crate::value::Key;
-use std::collections::BTreeMap;
 
 /// A consumer of history events.
 ///
@@ -258,11 +257,6 @@ impl History {
         self.events.is_empty()
     }
 
-    /// Events of one site, in order.
-    pub fn site_events(&self, site: SiteId) -> impl Iterator<Item = &HistEvent> {
-        self.events.iter().filter(move |e| e.site == site)
-    }
-
     /// The set of sites appearing in the history, ordered.
     pub fn sites(&self) -> Vec<SiteId> {
         let mut s: Vec<SiteId> = self.events.iter().map(|e| e.site).collect();
@@ -277,20 +271,6 @@ impl History {
         t.sort_unstable();
         t.dedup();
         t
-    }
-
-    /// For every transaction, the set of sites where it has access events.
-    pub fn execution_sites(&self) -> BTreeMap<TxnId, Vec<SiteId>> {
-        let mut map: BTreeMap<TxnId, Vec<SiteId>> = BTreeMap::new();
-        for e in &self.events {
-            if matches!(e.kind, HistEventKind::Access { .. }) {
-                let sites = map.entry(e.txn).or_default();
-                if !sites.contains(&e.site) {
-                    sites.push(e.site);
-                }
-            }
-        }
-        map
     }
 
     /// Merge another history into this one (used when sites record locally
@@ -335,7 +315,6 @@ mod tests {
         h.push(ev(0, t2, 15));
         assert_eq!(h.len(), 3);
         assert_eq!(h.sites(), vec![SiteId(0), SiteId(1)]);
-        assert_eq!(h.site_events(SiteId(0)).count(), 2);
         assert_eq!(h.txns().len(), 2);
     }
 
@@ -365,18 +344,6 @@ mod tests {
             }
             _ => panic!("expected access"),
         }
-    }
-
-    #[test]
-    fn execution_sites_only_counts_accesses() {
-        let mut h = History::new();
-        let t = TxnId::Global(GlobalTxnId(3));
-        h.push(ev(0, t, 1)); // Begin: does not count as execution
-        h.access(SiteId(1), t, OpKind::Read, Key(0), None, SimTime(2));
-        h.access(SiteId(2), t, OpKind::Write, Key(1), None, SimTime(3));
-        h.access(SiteId(1), t, OpKind::Write, Key(2), None, SimTime(4));
-        let m = h.execution_sites();
-        assert_eq!(m[&t], vec![SiteId(1), SiteId(2)]);
     }
 
     #[test]

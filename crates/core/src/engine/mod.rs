@@ -42,7 +42,7 @@ use o2pc_protocol::{TerminationRound, TwoPhaseCoordinator};
 use o2pc_runtime::{Runtime, SimRuntime};
 use o2pc_sim::Network;
 use o2pc_site::{LockPolicy, Site, SiteConfig};
-use o2pc_storage::{Wal, WalOptions};
+use o2pc_storage::Wal;
 use recorder::Recorder;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -309,11 +309,8 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             Some(dir) => {
                 std::fs::create_dir_all(dir).expect("create durable WAL dir");
                 let path = dir.join(format!("site-{}.wal", id.0));
-                let opts = WalOptions {
-                    segment_bytes: cfg.wal_segment_bytes,
-                    fault: None,
-                };
-                Wal::open_with_opts(&path, opts).expect("open durable WAL")
+                Wal::open_with_segment_bytes(&path, cfg.wal_segment_bytes)
+                    .expect("open durable WAL")
             }
         }
     }
@@ -408,21 +405,6 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             .flatten()
             .filter(|s| !s.wal_matches_store())
             .map(|s| s.id())
-            .collect()
-    }
-
-    /// Per-site WAL/store discrepancies as `(site, key, recovered, live)` —
-    /// the diagnostic detail behind [`Engine::wal_divergent_sites`].
-    pub fn wal_store_diffs(&self) -> Vec<(SiteId, Key, Option<Value>, Option<Value>)> {
-        self.sites
-            .iter()
-            .flatten()
-            .flat_map(|s| {
-                let id = s.id();
-                s.wal_store_diff()
-                    .into_iter()
-                    .map(move |(k, r, l)| (id, k, r, l))
-            })
             .collect()
     }
 
@@ -604,19 +586,16 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// Group-commit flush point: seal everything the site appended since
     /// the last flush into one batch and hand it to the runtime's disk. One
     /// batch — and, after coalescing, one fsync — covers every transaction
-    /// that logged in the window: that batching *is* group commit. A log
-    /// that seals nothing while bytes are pending is dead.
+    /// that logged in the window: that batching *is* group commit. A dead
+    /// log seals too, and its batch's failed completion reports it.
     pub(crate) fn on_wal_flush(&mut self, now: SimTime, site: SiteId) {
         self.flush_armed.remove(&site);
         let Some(s) = self.sites[site.index()].as_mut() else {
             return;
         };
-        if s.wal().pending_bytes() == 0 {
-            return;
-        }
         let unsealed_from = s.wal().sealed_ticket();
         let Some(batch) = s.wal_seal_batch() else {
-            return self.on_wal_failure(now, site);
+            return;
         };
         self.rt.flush(site, batch);
         self.report.counters.inc("wal.flushes");
@@ -648,15 +627,15 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             let covered = &mut self.wal_covered[site.index()];
             *covered = (*covered).max(ticket);
             self.release_parked(now, site);
-        } else if s.wal().progress().is_some_and(|p| p.is_poisoned()) {
+        } else if s.wal().is_dead() {
             self.on_wal_failure(now, site);
         }
     }
 
-    /// The site's log device failed (an injected fault, or a real I/O error
-    /// in the flusher): it can no longer make durable promises. Treat it
-    /// exactly like a crash — volatile state gone, disk state as the fault
-    /// left it.
+    /// The site's log device failed (a write, fsync, rotation or handle
+    /// failure, reported by a flush completion): it can no longer make
+    /// durable promises. Treat it exactly like a crash — volatile state
+    /// gone, disk state cut at the durable watermark.
     fn on_wal_failure(&mut self, now: SimTime, site: SiteId) {
         self.report.counters.inc("wal.fault_crashes");
         self.on_crash(now, site);
@@ -805,17 +784,20 @@ mod tests {
         assert!(e.flush_armed.is_empty());
     }
 
-    /// On the simulator a severed batch fails when it is sealed, but the
-    /// failure is reported with its completion: its site crashes at that
-    /// instant, and no other site does.
+    /// On the simulator a batch severed mid-frame fails when it is sealed,
+    /// but the failure is reported with its completion: its site crashes at
+    /// that instant, and no other site does. Recovered, the site's log holds
+    /// exactly the durable prefix: the torn frame is gone.
     #[test]
     fn severed_batch_crashes_its_site_at_the_completion_instant() {
         let dir = ScratchDir::new("sim-sever");
         let mut e = durable_sim(&dir, 2);
         let s1 = SiteId(1);
+        let durable = e.site_mut(s1).wal().records().to_vec();
         e.site_mut(s1).checkpoint();
+        let torn_at = e.site_mut(s1).wal().sealed_ticket() + 7;
         let mut batch = e.site_mut(s1).wal_seal_batch().expect("pending bytes");
-        batch.sever().unwrap();
+        batch.sever(torn_at).unwrap();
         e.rt.flush(s1, batch);
         let done = DefaultSimRuntime::FSYNC_LATENCY;
         e.run(Duration(done.0 - 1));
@@ -824,6 +806,41 @@ mod tests {
         assert_eq!(e.runtime().now(), SimTime::ZERO + done);
         assert_eq!(e.down_sites(), vec![s1]);
         assert_eq!(r.counters.get("wal.fault_crashes"), 1);
+        e.on_recover(e.rt.now(), s1);
+        assert_eq!(e.site_mut(s1).wal().records(), &durable[..]);
+    }
+
+    /// A log whose next segment cannot be created while nothing is buffered
+    /// is dead with bytes still owed: its flush point seals them, the
+    /// batch's failed completion crashes the site, and the promise parked
+    /// on them dies with it instead of waiting out the run.
+    #[test]
+    fn dead_log_with_nothing_pending_crashes_its_site() {
+        let dir = ScratchDir::new("dead-rotation");
+        let mut cfg = SystemConfig::new(2, ProtocolKind::O2pc);
+        cfg.durable_wal_dir = Some(dir.to_path_buf());
+        cfg.wal_segment_bytes = 512;
+        let mut e = Engine::new(cfg);
+        let (s0, s1) = (SiteId(0), SiteId(1));
+        for k in 0..40 {
+            e.load(s0, Key(k), Value(100));
+        }
+        // The base checkpoint fills its segment: the next append rotates.
+        e.run(Duration::ZERO);
+        let next = e.site_mut(s0).wal().append_ticket();
+        let squatter = o2pc_storage::segment_path(&dir.join("site-0.wal"), next);
+        std::fs::create_dir(&squatter).unwrap();
+        e.site_mut(s0).checkpoint();
+        std::fs::remove_dir(&squatter).unwrap();
+        assert!(e.site_mut(s0).wal().is_dead());
+        let ack = Msg::DecisionAck {
+            txn: GlobalTxnId(1),
+            from: s0,
+        };
+        e.send_gated(e.rt.now(), s0, s1, ack);
+        let r = e.run(Duration::secs(10));
+        assert_eq!(r.counters.get("wal.fault_crashes"), 1);
+        assert_eq!(e.down_sites(), vec![s0]);
     }
 
     /// A completion that outlives its log releases nothing: the crash that
@@ -959,7 +976,7 @@ mod tests {
         e.site_mut(s1).checkpoint();
         let mut batch = e.site_mut(s1).wal_seal_batch().expect("pending bytes");
         let ticket = batch.ticket();
-        batch.sever().unwrap();
+        batch.sever(0).unwrap();
         e.rt.flush(s1, batch);
         e.submit_at(SimTime::ZERO, transfer.clone());
         e.rt.schedule(

@@ -82,15 +82,6 @@ impl TerminationRound {
         // prepared-and-uncertain (or unreachable). Blocked.
         TerminationOutcome::StillBlocked
     }
-
-    /// Peers that have not answered yet.
-    pub fn outstanding(&self) -> Vec<SiteId> {
-        self.peers
-            .iter()
-            .copied()
-            .filter(|p| !self.answers.contains_key(p))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -156,6 +147,5 @@ mod tests {
         let mut r = round(3);
         r.on_answer(SiteId(0), PeerState::PreparedUncertain);
         assert_eq!(r.conclude(), TerminationOutcome::StillBlocked);
-        assert_eq!(r.outstanding(), vec![SiteId(1), SiteId(2)]);
     }
 }

@@ -212,7 +212,7 @@ mod tests {
             wal.append(LogRecord::Begin(ExecId::Sub(GlobalTxnId(i))));
             let mut batch = wal.seal_batch().unwrap();
             if i == 0 {
-                batch.sever().unwrap();
+                batch.sever(0).unwrap();
             }
             sched.submit(SiteId(1), batch);
             assert_eq!(got.recv().unwrap(), (SiteId(1), false, true));

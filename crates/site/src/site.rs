@@ -788,8 +788,8 @@ impl Site {
     /// **Oracle-time only.** This replays the full log and materializes the
     /// whole store (see [`Site::wal_store_diff`]); it must never run on the
     /// per-decision hot path. The engine exposes it solely through its
-    /// end-of-run probes (`wal_divergent_sites` / `wal_store_diffs`), which
-    /// the chaos oracle calls once per run at quiescence.
+    /// end-of-run probe (`wal_divergent_sites`), which the chaos oracle
+    /// calls once per run at quiescence.
     pub fn wal_matches_store(&self) -> bool {
         self.wal_store_diff().is_empty()
     }
@@ -950,8 +950,8 @@ impl Site {
         self.wal.sync()
     }
 
-    /// Seal buffered WAL frames into a batch for the runtime's disk. `None`
-    /// when nothing is pending, or when the log can no longer flush.
+    /// Seal pending WAL frames into a batch for the runtime's disk. `None`
+    /// only when nothing is pending; a dead log's batch fails.
     pub fn wal_seal_batch(&mut self) -> Option<FlushBatch> {
         self.wal.seal_batch()
     }

@@ -24,10 +24,7 @@ pub mod segments;
 pub mod store;
 pub mod wal;
 
-pub use segments::{
-    segment_path, FaultKind, FlushBatch, FlushProgress, WalOptions, WalStats, WriteFault,
-    DEFAULT_SEGMENT_BYTES,
-};
+pub use segments::{segment_path, FlushBatch, FlushProgress, WalStats, DEFAULT_SEGMENT_BYTES};
 pub use store::{CommitRecord, Store, UndoRecord};
 pub use wal::{ActiveExec, CheckpointImage, LogRecord, RecoveredState, Wal};
 

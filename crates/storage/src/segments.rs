@@ -3,7 +3,7 @@
 //!
 //! `Segments` owns where a durable log's *bytes* go — the segment files, the
 //! pending encode buffer, byte tickets, the shared durable watermark, I/O
-//! counters, fault state, the manifest and the crash transform. It holds no
+//! counters, the manifest and the crash transform. It holds no
 //! records: the decoded log lives once, in the [`Wal`] that owns the sink,
 //! and every logical operation (`records`, `recover`, `checkpoint`) runs
 //! there whether or not a sink is attached.
@@ -37,9 +37,10 @@
 //!
 //! ## Durability model
 //!
-//! Appends are buffered in memory and become durable at [`sync`] (inline
-//! write + fsync) or when a sealed [`FlushBatch`] completes on a background
-//! flusher. Progress is tracked in *byte tickets*: [`append_ticket`] after an
+//! Appends are buffered in memory and reach the disk one way: sealed into a
+//! [`FlushBatch`] and executed, on a runtime's disk or inline by [`sync`]
+//! (wait for the batches sealed before, seal, execute). Progress is tracked
+//! in *byte tickets*: [`append_ticket`] after an
 //! append names the byte offset that must become durable before any promise
 //! depending on that record (a yes-vote, a decision ack) may leave the site;
 //! [`durable_ticket`] is the current durable watermark and
@@ -50,6 +51,12 @@
 //! advances the watermark past every record flushed in the window — and
 //! [`FlushBatch::execute_all`] *coalesces* a burst of sealed batches into
 //! one buffered write + one fsync per touched segment file.
+//!
+//! A log is *dead* exactly when its [`FlushProgress`] is poisoned: a write
+//! or fsync failed, a rotation could not create or grow a segment, or a
+//! sealed batch could not get a file handle. A dead log still seals; its
+//! batch is dropped unwritten and its completion fails, so every log failure
+//! reaches the engine the same way.
 //!
 //! [`Wal`]: crate::wal::Wal
 //! [`sync`]: crate::wal::Wal::sync
@@ -65,9 +72,9 @@
 //! A simulated crash ([`Wal::crash`]) is *adversarial*: unsynced
 //! bytes are discarded, every segment is cut back to the durable watermark
 //! (the maximum data loss an fsync-honouring disk permits), and later
-//! segments are deleted. An injected [`WriteFault`] is harsher still: it can
-//! tear a frame mid-write (short write), fail the write outright, or drop
-//! the file handles, leaving a tail only checksum validation can reject.
+//! segments are deleted — for a dead log too. A failed write is harsher
+//! when no crash follows: a severed batch ([`FlushBatch::sever`]) tears a
+//! frame mid-write, leaving a tail only checksum validation can reject.
 //! Reopening with [`Wal::open`] discards any torn or corrupt tail —
 //! first tear wins: nothing after the first bad frame, in this or any later
 //! segment, is replayed.
@@ -88,51 +95,24 @@ pub const DEFAULT_SEGMENT_BYTES: u64 = 4 * 1024 * 1024;
 /// tell their segment files apart without comparing inodes.
 static WAL_UID: AtomicU64 = AtomicU64::new(0);
 
-/// Tuning knobs for opening an on-disk [`Wal`](crate::wal::Wal).
-#[derive(Clone, Copy, Debug)]
-pub struct WalOptions {
-    /// Capacity of each preallocated segment; rotation point.
-    pub segment_bytes: u64,
-    /// Injected write fault (tests / chaos).
-    pub fault: Option<WriteFault>,
-}
-
-impl Default for WalOptions {
-    fn default() -> Self {
-        WalOptions {
-            segment_bytes: DEFAULT_SEGMENT_BYTES,
-            fault: None,
-        }
-    }
-}
-
 /// Observable I/O counters for one WAL (shared with its flush batches).
 /// `fsyncs` counts *data-path* syncs only — the ones group commit pays per
 /// transaction batch; preallocation, manifest, and truncation syncs are
-/// metadata and tracked separately.
+/// metadata and not counted.
 #[derive(Debug, Default)]
 pub struct WalStats {
     fsyncs: AtomicU64,
-    meta_syncs: AtomicU64,
 }
 
 impl WalStats {
-    /// Data fsyncs performed so far (inline syncs + flush-batch executions).
+    /// Data fsyncs performed so far (every flush-batch execution, inline
+    /// syncs included).
     pub fn fsyncs(&self) -> u64 {
         self.fsyncs.load(Ordering::Acquire)
     }
 
-    /// Metadata syncs (segment preallocation, manifest, truncation).
-    pub fn meta_syncs(&self) -> u64 {
-        self.meta_syncs.load(Ordering::Acquire)
-    }
-
     fn add_fsyncs(&self, n: u64) {
         self.fsyncs.fetch_add(n, Ordering::AcqRel);
-    }
-
-    fn add_meta(&self, n: u64) {
-        self.meta_syncs.fetch_add(n, Ordering::AcqRel);
     }
 }
 
@@ -207,30 +187,6 @@ impl FlushProgress {
     }
 }
 
-/// How an injected I/O fault manifests mid-append.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Short write: the frame is cut at the fault offset (torn tail on disk).
-    Torn,
-    /// The write fails outright; nothing past the fault offset reaches disk.
-    Error,
-    /// The file handle vanishes (e.g. the device disappeared).
-    DropHandle,
-}
-
-/// A seeded write fault: the first physical write that would carry the byte
-/// stream past `fail_after` bytes triggers `kind`. After a fault fires the
-/// WAL is dead — every further durability operation fails — modelling a site
-/// whose log device failed mid-run. A fault-armed WAL never seals batches:
-/// its writes stay inline so the fault fires at a deterministic point.
-#[derive(Clone, Copy, Debug)]
-pub struct WriteFault {
-    /// Physical byte offset at which the fault fires.
-    pub fail_after: u64,
-    /// Fault flavour.
-    pub kind: FaultKind,
-}
-
 /// One physical write of a flush batch: a slice of the batch's bytes into a
 /// segment file at a fixed offset (pwrite — no shared cursor to race on).
 #[derive(Debug)]
@@ -269,13 +225,33 @@ impl FlushBatch {
         Arc::clone(&self.progress)
     }
 
-    /// Fault injection: make this batch's writes fail the way a vanished log
-    /// device would, by swapping its file handles for read-only ones.
+    /// Fault injection, the log's one fault hook: make this batch's writes
+    /// fail from logical byte `at` on, the way a vanished log device would.
+    /// Bytes below `at` go through the real handles and the rest through
+    /// read-only ones, so the write fails with the OS's own `EBADF` after a
+    /// torn prefix. At the batch's start nothing is written.
     #[doc(hidden)]
-    pub fn sever(&mut self) -> io::Result<()> {
-        for w in &mut self.writes {
-            w.file = File::open("/dev/null")?;
+    pub fn sever(&mut self, at: u64) -> io::Result<()> {
+        let mut writes = Vec::with_capacity(self.writes.len() + 1);
+        for mut w in self.writes.drain(..) {
+            // A write's first logical byte: its segment's base + file offset.
+            let keep = at.saturating_sub(w.sync_key.1 + w.off).min(w.len as u64) as usize;
+            if keep < w.len {
+                let cut = SegWrite {
+                    file: File::open("/dev/null")?,
+                    sync_key: w.sync_key,
+                    off: w.off + keep as u64,
+                    start: w.start + keep,
+                    len: w.len - keep,
+                };
+                w.len = keep;
+                writes.extend((keep > 0).then_some(w));
+                writes.push(cut);
+            } else {
+                writes.push(w);
+            }
         }
+        self.writes = writes;
         Ok(())
     }
 
@@ -423,12 +399,14 @@ fn fsync_dir(path: &Path) -> io::Result<()> {
 #[derive(Debug)]
 pub(crate) struct Segments {
     root: PathBuf,
-    opts: WalOptions,
+    /// Capacity of each preallocated segment; rotation point.
+    segment_bytes: u64,
     uid: u64,
     /// Segments in base order; the last is the append tail.
     segments: Vec<Segment>,
-    /// Encoded frames appended since the last seal/sync (logical range
-    /// `[sealed, appended)`), with `spans` mapping them onto segments.
+    /// Encoded frames appended since the last seal (logical range
+    /// `[sealed, appended)` on a live log), with `spans` mapping them onto
+    /// segments.
     buf: Vec<u8>,
     spans: Vec<PendingSpan>,
     /// Reused per-WAL encode scratch: `place` encodes here first (to learn
@@ -436,18 +414,15 @@ pub(crate) struct Segments {
     frame: Vec<u8>,
     /// Logical bytes appended over the WAL's lifetime (ticket space).
     appended: u64,
-    /// Bytes handed to the flush pipeline (inline or sealed), in order.
+    /// Bytes sealed into flush batches, in order.
     sealed: u64,
     /// Logical offset recovery starts at (the manifest's checkpoint record).
     start: u64,
     /// Logical offset of the most recently appended checkpoint record.
     last_checkpoint: Option<u64>,
-    /// Physical bytes pushed toward the OS (fault accounting).
-    written: u64,
+    /// The durable watermark; poisoned exactly when the log is dead.
     progress: Arc<FlushProgress>,
     stats: Arc<WalStats>,
-    fault: Option<WriteFault>,
-    dead: bool,
 }
 
 impl Segments {
@@ -458,14 +433,13 @@ impl Segments {
     /// (its bytes were never covered by the watermark, so no promise depends
     /// on them), and the tail segment is re-zeroed past the cut so stale
     /// bytes can never decode as valid frames later.
-    pub(crate) fn open(root: PathBuf, opts: WalOptions) -> io::Result<(Self, Vec<LogRecord>)> {
-        if opts.segment_bytes == 0 {
+    pub(crate) fn open(root: PathBuf, segment_bytes: u64) -> io::Result<(Self, Vec<LogRecord>)> {
+        if segment_bytes == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "segment_bytes must be positive",
             ));
         }
-        let stats = Arc::new(WalStats::default());
         let mut found = Self::scan_segments(&root)?;
         found.sort_by_key(|&(base, _)| base);
         let start = read_manifest(&manifest_path(&root))
@@ -511,7 +485,6 @@ impl Segments {
                 file.set_len(end - base)?;
                 file.set_len(capacity)?;
                 file.sync_data()?;
-                stats.add_meta(1);
             }
             segments.push(Segment {
                 base: *base,
@@ -521,12 +494,11 @@ impl Segments {
             });
         }
         if segments.is_empty() {
-            let seg = Self::create_segment(&root, start, opts.segment_bytes, &stats)?;
-            segments.push(seg);
+            segments.push(Self::create_segment(&root, start, segment_bytes)?);
         }
         let sink = Segments {
             root,
-            opts,
+            segment_bytes,
             uid: WAL_UID.fetch_add(1, Ordering::Relaxed),
             segments,
             buf: Vec::new(),
@@ -536,11 +508,8 @@ impl Segments {
             sealed: end,
             start,
             last_checkpoint: None,
-            written: end,
             progress: FlushProgress::new(end),
-            stats,
-            fault: opts.fault,
-            dead: false,
+            stats: Arc::default(),
         };
         Ok((sink, records))
     }
@@ -585,12 +554,7 @@ impl Segments {
     /// front (sparse — no blocks until data lands) and the creation is made
     /// durable (file sync + directory sync) before any data write targets
     /// it, so a crash can never lose a segment whose bytes were fsynced.
-    fn create_segment(
-        root: &Path,
-        base: u64,
-        capacity: u64,
-        stats: &WalStats,
-    ) -> io::Result<Segment> {
+    fn create_segment(root: &Path, base: u64, capacity: u64) -> io::Result<Segment> {
         let path = segment_path(root, base);
         let file = OpenOptions::new()
             .read(true)
@@ -601,7 +565,6 @@ impl Segments {
         file.set_len(capacity)?;
         file.sync_all()?;
         fsync_dir(&path)?;
-        stats.add_meta(2);
         Ok(Segment {
             base,
             capacity,
@@ -625,51 +588,32 @@ impl Segments {
     /// never straddle a boundary. (`#[inline]`: the usual outcome is the
     /// early return, and `place` calls this on every append.)
     #[inline]
-    fn ensure_capacity(&mut self, n: u64) {
-        // A live log always has a tail segment: only a dropped handle
-        // clears them, and that kills the log first. Without one the
-        // device is gone, which is what `dead` says.
+    fn ensure_capacity(&mut self, n: u64) -> io::Result<()> {
+        // Nothing removes the tail segment (compaction keeps the last one).
         let Some(tail) = self.segments.last_mut() else {
-            self.dead = true;
-            return;
+            return Err(io::Error::other("wal has no tail segment"));
         };
         let used = self.appended - tail.base;
         if used + n <= tail.capacity {
-            return;
+            return Ok(());
         }
         if used == 0 {
             // Oversized frame into an empty segment: grow the preallocation
             // in place rather than leaving a zero-byte segment behind.
-            if tail
-                .file
-                .set_len(n)
-                .and_then(|_| tail.file.sync_all())
-                .is_err()
-            {
-                self.dead = true;
-                return;
-            }
+            tail.file.set_len(n)?;
+            tail.file.sync_all()?;
             tail.capacity = n;
-            self.stats.add_meta(1);
-            return;
+            return Ok(());
         }
-        let base = self.appended;
-        match Self::create_segment(
-            &self.root,
-            base,
-            self.opts.segment_bytes.max(n),
-            &self.stats,
-        ) {
-            Ok(seg) => self.segments.push(seg),
-            // Can't create the next segment (disk full, dir gone): the log
-            // device is effectively dead; the next sync surfaces it.
-            Err(_) => self.dead = true,
-        }
+        let seg = Self::create_segment(&self.root, self.appended, self.segment_bytes.max(n))?;
+        self.segments.push(seg);
+        Ok(())
     }
 
     /// Encode a record's frame and place it at the append tail (buffered;
     /// durable at the next flush). Inlined into its one caller, the
-    /// out-of-line disk half of `Wal::append`.
+    /// out-of-line disk half of `Wal::append`. A dead log buffers nothing:
+    /// the batch its next flush point seals fails, and reports it.
     #[inline]
     pub(crate) fn place(&mut self, rec: &LogRecord) {
         self.frame.clear();
@@ -677,10 +621,12 @@ impl Segments {
         if matches!(rec, LogRecord::Checkpoint { .. }) {
             self.last_checkpoint = Some(self.appended);
         }
-        if !self.dead {
-            self.ensure_capacity(n);
+        if !self.progress.is_poisoned() && self.ensure_capacity(n).is_err() {
+            // No segment can hold the frame (disk full, dir gone): the log
+            // device is gone.
+            self.progress.poison();
         }
-        if !self.dead {
+        if !self.progress.is_poisoned() {
             let seg = self.segments.len() - 1;
             let s = &self.segments[seg];
             let off = self.appended - s.base;
@@ -712,26 +658,22 @@ impl Segments {
         self.progress.durable()
     }
 
-    /// Sealed watermark: bytes handed to the flush pipeline (inline or as a
-    /// sealed batch), in order. Every crash/checkpoint/shutdown path waits
-    /// for the pipeline to reach it first. A dead WAL reports its durable
-    /// watermark: nothing more will ever seal.
+    /// Sealed watermark: bytes sealed into flush batches, in order. Every
+    /// crash/checkpoint/shutdown path waits for the pipeline to reach it
+    /// first.
     pub(crate) fn sealed_ticket(&self) -> u64 {
-        if self.dead {
-            self.progress.durable()
-        } else {
-            self.sealed
-        }
+        self.sealed
     }
 
-    /// Bytes appended but not yet sealed or synced.
+    /// Bytes appended but not yet sealed. On a live log that is the
+    /// buffer; a dead log buffers nothing, yet still owes a flush point.
     pub(crate) fn pending_bytes(&self) -> u64 {
-        self.buf.len() as u64
+        self.appended - self.sealed
     }
 
-    /// True once an injected fault has fired (the log device is gone).
+    /// True once the log device failed: the watermark is poisoned.
     pub(crate) fn is_dead(&self) -> bool {
-        self.dead
+        self.progress.is_poisoned()
     }
 
     /// Shared watermark cell (for flusher wiring and tests).
@@ -739,117 +681,48 @@ impl Segments {
         Arc::clone(&self.progress)
     }
 
-    fn fault_check(&mut self, len: usize) -> io::Result<usize> {
-        if self.dead {
-            return Err(io::Error::other("wal is dead"));
-        }
-        let Some(f) = self.fault else {
-            return Ok(len);
-        };
-        if self.written + len as u64 <= f.fail_after {
-            return Ok(len);
-        }
-        self.dead = true;
-        match f.kind {
-            FaultKind::Torn => Ok(f.fail_after.saturating_sub(self.written) as usize),
-            FaultKind::Error => Err(io::Error::other("injected write error")),
-            FaultKind::DropHandle => {
-                self.segments.clear();
-                Err(io::Error::other("injected handle loss"))
-            }
-        }
-    }
-
-    /// Write `self.buf[..upto]` to its segments (pwrite per span) and fsync
-    /// each distinct touched segment once, in order.
-    fn write_pending(&mut self, upto: usize) -> io::Result<()> {
-        let mut remaining = upto;
-        let mut touched: Vec<usize> = Vec::new();
-        for sp in &self.spans {
-            if remaining == 0 {
-                break;
-            }
-            let take = remaining.min(sp.len);
-            let seg = self
-                .segments
-                .get(sp.seg)
-                .ok_or_else(|| io::Error::other("wal handle lost"))?;
-            seg.file
-                .write_all_at(&self.buf[sp.start..sp.start + take], sp.off)?;
-            if touched.last() != Some(&sp.seg) {
-                touched.push(sp.seg);
-            }
-            remaining -= take;
-        }
-        for seg in touched {
-            self.segments[seg].file.sync_data()?;
-            self.stats.add_fsyncs(1);
-        }
-        Ok(())
-    }
-
-    /// Write buffered frames and fsync: one group commit, inline. Advances
-    /// the durable watermark past every record appended since the last
-    /// flush. Waits for any sealed batches first — the log must become
-    /// durable strictly in order.
+    /// One group commit, inline: wait for the batches sealed before (the
+    /// log becomes durable strictly in order), seal, and execute. Fails
+    /// when the watermark does not reach the sealed mark. A dead log fails
+    /// before sealing: the bytes it owes stay pending for a flush point,
+    /// whose failed completion reports the failure.
     pub(crate) fn sync(&mut self) -> io::Result<()> {
-        if self.dead {
-            // A dead WAL never advances its watermark — waiting would hang.
+        self.progress.wait_for(self.sealed)?;
+        if self.progress.is_poisoned() {
             return Err(io::Error::other("wal is dead"));
         }
-        // Sealed batches must land before these bytes: prefix durability.
-        self.progress.wait_for(self.sealed)?;
-        if self.buf.is_empty() {
-            return Ok(());
+        if let Some(batch) = self.seal_batch() {
+            batch.execute()?;
         }
-        let allowed = self.fault_check(self.buf.len())?;
-        let torn = allowed < self.buf.len();
-        self.write_pending(allowed)?;
-        self.written += allowed as u64;
-        if torn {
-            // The torn prefix reached disk but no complete frame boundary
-            // did: the watermark does not move, and the WAL is dead.
-            self.buf.clear();
-            self.spans.clear();
-            return Err(io::Error::new(
-                io::ErrorKind::WriteZero,
-                "injected torn write",
-            ));
-        }
-        self.buf.clear();
-        self.spans.clear();
-        self.sealed = self.appended;
-        self.progress.advance(self.appended);
-        Ok(())
+        self.progress.wait_for(self.sealed)
     }
 
-    /// Seal the buffered frames into a [`FlushBatch`] for a flusher and
-    /// advance the sealed watermark. Returns `None` when there is nothing to
-    /// flush, or when the WAL is fault-armed (its writes stay in [`sync`],
-    /// so the fault fires at a deterministic point) or dead.
-    ///
-    /// [`sync`]: crate::wal::Wal::sync
+    /// Seal everything appended since the last seal into a [`FlushBatch`]
+    /// and advance the sealed watermark. Returns `None` only when nothing is
+    /// pending. A dead log still seals: its batch carries its ticket and
+    /// fails when executed. A handle that cannot be duplicated for the
+    /// batch kills the log.
     pub(crate) fn seal_batch(&mut self) -> Option<FlushBatch> {
-        if self.buf.is_empty() || self.fault.is_some() || self.dead {
+        if self.appended == self.sealed {
             return None;
         }
         let mut writes = Vec::with_capacity(self.spans.len());
-        for sp in &self.spans {
+        for sp in self.spans.drain(..) {
             let seg = &self.segments[sp.seg];
-            writes.push(SegWrite {
-                file: seg.file.try_clone().ok()?,
-                sync_key: (self.uid, seg.base),
-                off: sp.off,
-                start: sp.start,
-                len: sp.len,
-            });
+            match seg.file.try_clone() {
+                Ok(file) => writes.push(SegWrite {
+                    file,
+                    sync_key: (self.uid, seg.base),
+                    off: sp.off,
+                    start: sp.start,
+                    len: sp.len,
+                }),
+                Err(_) => self.progress.poison(),
+            }
         }
-        let bytes = std::mem::take(&mut self.buf);
-        self.spans.clear();
-        self.written += bytes.len() as u64;
         self.sealed = self.appended;
         Some(FlushBatch {
-            bytes,
+            bytes: std::mem::take(&mut self.buf),
             writes,
             ticket: self.appended,
             progress: Arc::clone(&self.progress),
@@ -869,26 +742,13 @@ impl Segments {
         // Everything must be durable before segments are condemned: a
         // sealed-but-unflushed batch must not target a deleted file.
         self.sync()?;
-        self.progress.wait_for(self.appended)?;
         let Some(ckpt) = self.last_checkpoint.filter(|&c| c >= self.start) else {
             return Ok(());
         };
-        // Manifest bytes count against the fault budget like any other
-        // physical write to the log device.
-        let manifest = encode_manifest(ckpt);
-        self.fault_check(manifest.len())
-            .and_then(|ok| {
-                if ok < manifest.len() {
-                    Err(io::Error::other("injected torn manifest write"))
-                } else {
-                    Ok(())
-                }
-            })
-            .inspect(|_| self.written += manifest.len() as u64)?;
         let mpath = manifest_path(&self.root);
         let tmp = mpath.with_extension("manifest.tmp");
         let mut tf = File::create(&tmp)?;
-        tf.write_all(&manifest)?;
+        tf.write_all(&encode_manifest(ckpt))?;
         tf.sync_all()?;
         drop(tf);
         std::fs::rename(&tmp, &mpath)?;
@@ -896,7 +756,6 @@ impl Segments {
         // let a crash resurrect the pre-checkpoint start offset while the
         // segments it needs are already gone.
         fsync_dir(&mpath)?;
-        self.stats.add_meta(2);
         self.start = ckpt;
         // Drop every segment that ends at or before the new start.
         let mut dropped = false;
@@ -907,45 +766,38 @@ impl Segments {
         }
         if dropped {
             fsync_dir(&self.root)?;
-            self.stats.add_meta(1);
         }
         Ok(())
     }
 
-    /// Simulated crash: lose the unsynced buffer, cut every segment back to
+    /// Simulated crash: lose the unsealed buffer, cut every segment back to
     /// the durable watermark (adversarial: maximum permitted loss), delete
-    /// segments past it, and reopen. A dead WAL (injected fault) skips the
-    /// truncation — whatever the fault left on disk, including a torn
-    /// frame, is what recovery must cope with.
+    /// segments past it, and reopen — live log or dead, torn frames
+    /// included.
     pub(crate) fn crash(mut self) -> io::Result<(Self, Vec<LogRecord>)> {
-        if !self.dead {
-            // Let in-flight background batches land, then cut at the
-            // watermark; without this a late flusher write could resurrect
-            // bytes the truncation already declared lost. A poisoned
-            // pipeline fails the wait but has stopped writing to this log
-            // (`execute_all` drops its batches), so the cut is safe too.
-            let _ = self.progress.wait_for(self.sealed);
-            let wm = self.progress.durable();
-            for seg in &self.segments {
-                if seg.base >= wm {
-                    std::fs::remove_file(&seg.path)?;
-                } else {
-                    // set_len down then back up re-zeroes the cut tail, so
-                    // stale frames past the watermark can never decode.
-                    let keep = (wm - seg.base).min(seg.capacity);
-                    seg.file.set_len(keep)?;
-                    seg.file.set_len(seg.capacity)?;
-                    seg.file.sync_data()?;
-                }
+        // Let in-flight background batches land, then cut at the
+        // watermark; without this a late flusher write could resurrect
+        // bytes the truncation already declared lost. A poisoned pipeline
+        // fails the wait, and `execute_all` drops the batches it still
+        // holds for this log unwritten.
+        let _ = self.progress.wait_for(self.sealed);
+        let wm = self.progress.durable();
+        for seg in &self.segments {
+            if seg.base >= wm {
+                std::fs::remove_file(&seg.path)?;
+            } else {
+                // set_len down then back up re-zeroes the cut tail, so
+                // stale frames past the watermark can never decode.
+                let keep = (wm - seg.base).min(seg.capacity);
+                seg.file.set_len(keep)?;
+                seg.file.set_len(seg.capacity)?;
+                seg.file.sync_data()?;
             }
         }
-        let opts = WalOptions {
-            segment_bytes: self.opts.segment_bytes,
-            fault: None,
-        };
         let root = std::mem::take(&mut self.root);
+        let segment_bytes = self.segment_bytes;
         drop(self);
-        Segments::open(root, opts)
+        Segments::open(root, segment_bytes)
     }
 }
 
@@ -969,25 +821,18 @@ mod tests {
     }
 
     fn small(path: &Path, segment_bytes: u64) -> Wal {
-        Wal::open_with_opts(
-            path,
-            WalOptions {
-                segment_bytes,
-                fault: None,
-            },
-        )
-        .unwrap()
+        Wal::open_with_segment_bytes(path, segment_bytes).unwrap()
     }
 
-    fn armed(path: &Path, fail_after: u64, kind: FaultKind) -> Wal {
-        Wal::open_with_opts(
-            path,
-            WalOptions {
-                fault: Some(WriteFault { fail_after, kind }),
-                ..WalOptions::default()
-            },
-        )
-        .unwrap()
+    /// Seal what `w` has pending into a batch severed `into` bytes past its
+    /// start, and execute it: the write must fail with the OS's `EBADF`.
+    fn fail_next_batch(w: &mut Wal, into: u64) {
+        let at = w.sealed_ticket() + into;
+        let mut batch = w.seal_batch().expect("pending bytes");
+        batch.sever(at).unwrap();
+        let err = batch.execute().unwrap_err();
+        assert_eq!(err.raw_os_error(), Some(9), "EBADF: {err}");
+        assert!(w.is_dead());
     }
 
     /// Appended bytes are not yet durable (a flush is owed).
@@ -1114,7 +959,7 @@ mod tests {
             good.append(LogRecord::Begin(sub(i)));
             burst.push(good.seal_batch().unwrap());
         }
-        burst[0].sever().unwrap();
+        burst[0].sever(0).unwrap();
         assert!(FlushBatch::execute_all(burst).is_err());
         assert!(bad.progress().unwrap().is_poisoned());
         assert_eq!(bad.durable_ticket(), 0, "nothing of the failed log landed");
@@ -1131,11 +976,7 @@ mod tests {
     #[test]
     fn zero_segment_bytes_is_invalid_input() {
         let (_dir, path) = tmp("zero-seg");
-        let opts = WalOptions {
-            segment_bytes: 0,
-            fault: None,
-        };
-        let err = Wal::open_with_opts(&path, opts).unwrap_err();
+        let err = Wal::open_with_segment_bytes(&path, 0).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
@@ -1220,54 +1061,83 @@ mod tests {
     }
 
     #[test]
-    fn torn_fault_leaves_recoverable_prefix() {
+    fn severed_mid_frame_leaves_the_durable_prefix() {
         let (_dir, path) = tmp("torn");
         let mut w = Wal::open(&path).unwrap();
         sample_workload(&mut w);
         w.sync().unwrap();
         let good = w.records().to_vec();
-        let cut = w.append_ticket() + 5; // tear 5 bytes into the next frame
-        let mut w = armed(&path, cut, FaultKind::Torn);
+        let from = w.append_ticket();
         w.append(LogRecord::Begin(sub(7)));
-        assert!(w.seal_batch().is_none(), "fault-armed wal never seals");
-        assert!(w.sync().is_err());
-        assert!(w.is_dead());
+        fail_next_batch(&mut w, 5); // tear 5 bytes into the frame
+        assert_eq!(w.durable_ticket(), from);
         drop(w);
+        let bytes = std::fs::read(segment_path(&path, 0)).unwrap();
+        let torn = &bytes[from as usize..][..5];
+        assert!(torn.iter().any(|&b| b != 0), "the torn prefix reached disk");
         // The segment now ends in a torn frame; open discards it.
         let w2 = Wal::open(&path).unwrap();
         assert_eq!(w2.records(), &good[..]);
     }
 
+    /// Severed at its start, a batch writes nothing; the log is dead from
+    /// then on: a sync fails, and a later batch is still sealed but dropped
+    /// unwritten.
     #[test]
-    fn error_and_drop_handle_faults_kill_the_wal() {
-        for kind in [FaultKind::Error, FaultKind::DropHandle] {
-            let (_dir, path) = tmp(match kind {
-                FaultKind::Error => "err",
-                _ => "drop",
-            });
-            let mut w = armed(&path, 0, kind);
-            w.append(LogRecord::Begin(sub(1)));
-            assert!(w.sync().is_err());
-            assert!(w.is_dead());
-            assert!(w.sync().is_err(), "dead wal stays dead");
-            // Nothing reached disk.
-            assert_eq!(Wal::open(&path).unwrap().len(), 0);
-        }
+    fn boundary_failure_writes_nothing_and_the_log_stays_dead() {
+        let (_dir, path) = tmp("dead");
+        let mut w = Wal::open(&path).unwrap();
+        w.append(LogRecord::Begin(sub(1)));
+        fail_next_batch(&mut w, 0);
+        assert!(w.sync().is_err(), "dead wal stays dead");
+        w.append(LogRecord::Begin(sub(2)));
+        let batch = w.seal_batch().expect("a dead log still seals");
+        let _ = batch.execute();
+        assert!(w.is_dead());
+        assert_eq!((w.durable_ticket(), w.pending_bytes()), (0, 0));
+        assert!(w.sync().is_err());
+        assert_eq!(w.stats().unwrap().fsyncs(), 0);
+        assert_eq!(Wal::open(&path).unwrap().len(), 0, "nothing reached disk");
     }
 
     #[test]
-    fn crash_of_dead_wal_recovers_durable_prefix() {
+    fn crash_of_failed_wal_recovers_durable_prefix() {
         let (_dir, path) = tmp("deadcrash");
         let mut w = Wal::open(&path).unwrap();
         sample_workload(&mut w);
         w.sync().unwrap();
         let good = w.records().to_vec();
-        let cut = w.append_ticket() + 3;
-        let mut w = armed(&path, cut, FaultKind::Torn);
         w.append(LogRecord::Begin(sub(8)));
-        let _ = w.sync();
+        fail_next_batch(&mut w, 3);
         let w2 = w.crash().unwrap();
         assert_eq!(w2.records(), &good[..]);
+        assert!(!w2.is_dead(), "the reopened log is a new device");
+    }
+
+    /// A rotation that cannot create the next segment kills the log with
+    /// nothing buffered: the bytes are still owed, and the batch that seals
+    /// them fails.
+    #[test]
+    fn failed_rotation_kills_the_log_and_its_next_batch_reports_it() {
+        let (_dir, path) = tmp("norotate");
+        let mut w = small(&path, 64);
+        // An oversized checkpoint fills its segment exactly.
+        w.checkpoint(CheckpointImage {
+            items: (0..16).map(|k| (Key(k), Value(0))).collect(),
+            ..CheckpointImage::default()
+        });
+        w.sync().unwrap();
+        let durable = w.append_ticket();
+        std::fs::create_dir(segment_path(&path, durable)).unwrap();
+        w.append(LogRecord::Begin(sub(1)));
+        assert!(w.is_dead());
+        assert!(w.sync().is_err());
+        assert!(w.pending_bytes() > 0, "a dead log still owes a flush point");
+        let batch = w.seal_batch().expect("a dead log still seals");
+        assert_eq!(batch.ticket(), w.append_ticket());
+        let _ = batch.execute();
+        assert_eq!(w.durable_ticket(), durable);
+        assert!(w.sync().is_err());
     }
 
     #[test]
@@ -1276,17 +1146,15 @@ mod tests {
         let mut w = Wal::open(&path).unwrap();
         sample_workload(&mut w);
         w.sync().unwrap();
-        let synced = w.append_ticket();
-        drop(w);
-        // Re-arm so the data sync passes but the manifest write (the
-        // rename's durability point) trips the fault: the error must
-        // propagate out of compact, not vanish.
-        let mut w = armed(&path, synced + 1, FaultKind::Error);
+        // A directory squatting on the manifest's temp file: the data sync
+        // passes, the manifest write fails, and the error must propagate
+        // out of compact, not vanish.
+        let tmp = manifest_path(&path).with_extension("manifest.tmp");
+        std::fs::create_dir(&tmp).unwrap();
         let store = w.recover().into_store();
         w.checkpoint(CheckpointImage::of_store(&store));
         let err = w.compact();
         assert!(err.is_err(), "compaction durability failure must surface");
-        assert!(w.is_dead());
     }
 
     #[test]

@@ -283,14 +283,6 @@ impl Store {
     pub fn pending_undo(&self, exec: ExecId) -> &[UndoRecord] {
         self.undo.get(&exec).map_or(&[], Vec::as_slice)
     }
-
-    /// Keys currently written (dirty) by an active execution.
-    pub fn dirty_keys(&self, exec: ExecId) -> Vec<Key> {
-        self.undo
-            .get(&exec)
-            .map(|undo| dedup_keys(undo.iter()))
-            .unwrap_or_default()
-    }
 }
 
 #[cfg(test)]
@@ -435,7 +427,7 @@ mod tests {
     }
 
     #[test]
-    fn dirty_keys_and_total() {
+    fn total_counts_dirty_values() {
         let mut s = Store::new();
         s.load(Key(1), Value(5));
         s.load(Key(2), Value(7));
@@ -443,7 +435,6 @@ mod tests {
         s.apply(exec(0), Op::Add(Key(1), 1)).unwrap();
         s.apply(exec(0), Op::Add(Key(1), 1)).unwrap();
         s.apply(exec(0), Op::Add(Key(2), 1)).unwrap();
-        assert_eq!(s.dirty_keys(exec(0)), vec![Key(1), Key(2)]);
         assert_eq!(s.total(), 15);
         assert_eq!(s.len(), 2);
         assert!(!s.is_empty());

@@ -20,7 +20,7 @@
 //! log truncated at a checkpoint, or reloaded from disk after a crash, still
 //! names each record the way the live log did.
 
-use crate::segments::{FlushBatch, FlushProgress, Segments, WalOptions, WalStats};
+use crate::segments::{FlushBatch, FlushProgress, Segments, WalStats, DEFAULT_SEGMENT_BYTES};
 use crate::store::{CommitRecord, Store, UndoRecord};
 use o2pc_common::{ExecId, GlobalTxnId, Key, Value};
 use std::collections::{HashMap, HashSet};
@@ -252,16 +252,19 @@ impl Wal {
         wal
     }
 
-    /// Open (or create) the on-disk log rooted at `path` with default
-    /// options, discarding any torn or checksum-failing tail.
+    /// Open (or create) the on-disk log rooted at `path` with the default
+    /// segment capacity, discarding any torn or checksum-failing tail.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
-        Self::open_with_opts(path, WalOptions::default())
+        Self::open_with_segment_bytes(path, DEFAULT_SEGMENT_BYTES)
     }
 
-    /// [`open`](Self::open) with explicit [`WalOptions`]. A zero
-    /// `segment_bytes` is rejected as [`io::ErrorKind::InvalidInput`].
-    pub fn open_with_opts(path: impl Into<PathBuf>, opts: WalOptions) -> io::Result<Self> {
-        Segments::open(path.into(), opts).map(Self::on_disk)
+    /// [`open`](Self::open) with segments of `segment_bytes` (the rotation
+    /// point). Zero is rejected as [`io::ErrorKind::InvalidInput`].
+    pub fn open_with_segment_bytes(
+        path: impl Into<PathBuf>,
+        segment_bytes: u64,
+    ) -> io::Result<Self> {
+        Segments::open(path.into(), segment_bytes).map(Self::on_disk)
     }
 
     /// Everything a reopened log holds is durable, so its last checkpoint
@@ -437,13 +440,14 @@ impl Wal {
         self.disk.as_ref().map_or(0, |d| d.sealed_ticket())
     }
 
-    /// Bytes appended but not yet sealed or synced.
+    /// Bytes appended but not yet sealed.
     #[inline]
     pub fn pending_bytes(&self) -> u64 {
         self.disk.as_ref().map_or(0, |d| d.pending_bytes())
     }
 
-    /// True once an injected fault has fired (the log device is gone).
+    /// True once the log device failed: its durable watermark is poisoned
+    /// and will never advance again.
     pub fn is_dead(&self) -> bool {
         self.disk.as_ref().is_some_and(|d| d.is_dead())
     }
@@ -466,14 +470,14 @@ impl Wal {
             .map_or_else(Vec::new, |d| d.segment_bases())
     }
 
-    /// Group commit, inline: write buffered frames and fsync.
+    /// Group commit, inline: seal what is pending and execute the batch
+    /// here. Fails on a dead log.
     pub fn sync(&mut self) -> io::Result<()> {
         self.disk.as_mut().map_or(Ok(()), |d| d.sync())
     }
 
-    /// Seal buffered frames for a flusher (`None` without a sink, when
-    /// nothing is pending, or when the log is fault-armed or dead: with
-    /// bytes pending, `None` means the log cannot flush them).
+    /// Seal pending frames for a flusher (`None` without a sink or when
+    /// nothing is pending). A dead log still seals; its batch fails.
     pub fn seal_batch(&mut self) -> Option<FlushBatch> {
         self.disk.as_mut()?.seal_batch()
     }

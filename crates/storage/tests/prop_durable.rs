@@ -17,7 +17,7 @@
 use o2pc_common::{ExecId, GlobalTxnId, Key, Op, ScratchDir, Value};
 use o2pc_storage::codec::{decode_all, encode_frame};
 use o2pc_storage::{
-    segment_path, ActiveExec, CheckpointImage, CommitRecord, LogRecord, Store, Wal, WalOptions,
+    segment_path, ActiveExec, CheckpointImage, CommitRecord, LogRecord, Store, Wal,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -253,15 +253,15 @@ proptest! {
     ) {
         let records = records_from(&steps);
         let (_dir, root) = case_root("multiseg");
-        let opts = WalOptions { segment_bytes: 96, ..Default::default() };
+        let segment_bytes = 96;
         {
-            let mut wal = Wal::open_with_opts(&root, opts).unwrap();
+            let mut wal = Wal::open_with_segment_bytes(&root, segment_bytes).unwrap();
             for r in &records {
                 wal.append(r.clone());
             }
             wal.sync().unwrap();
         }
-        let written = Wal::open_with_opts(&root, opts).unwrap();
+        let written = Wal::open_with_segment_bytes(&root, segment_bytes).unwrap();
         prop_assert_eq!(written.records(), from_last_checkpoint(&records));
         let bases = written.segment_bases();
         prop_assert!(bases.len() >= 2, "history must span segments: {:?}", bases);
@@ -278,7 +278,7 @@ proptest! {
 
         for cut in 0..last_bytes.len() {
             std::fs::write(&last_path, &last_bytes[..cut]).unwrap();
-            let torn = Wal::open_with_opts(&root, opts).unwrap();
+            let torn = Wal::open_with_segment_bytes(&root, segment_bytes).unwrap();
             let (tail, good) = decode_all(&last_bytes[..cut]);
             prop_assert_eq!(
                 torn.records(),
@@ -302,15 +302,15 @@ proptest! {
     ) {
         let records = records_from(&steps);
         let (_dir, root) = case_root("straddle");
-        let opts = WalOptions { segment_bytes: 80, ..Default::default() };
+        let segment_bytes = 80;
         {
-            let mut wal = Wal::open_with_opts(&root, opts).unwrap();
+            let mut wal = Wal::open_with_segment_bytes(&root, segment_bytes).unwrap();
             for r in &records {
                 wal.append(r.clone());
             }
             wal.sync().unwrap();
         }
-        let wal = Wal::open_with_opts(&root, opts).unwrap();
+        let wal = Wal::open_with_segment_bytes(&root, segment_bytes).unwrap();
         let bases = wal.segment_bases();
         prop_assert!(bases.len() >= 2, "history must span segments: {:?}", bases);
         let mut rebuilt = Vec::new();
@@ -345,15 +345,14 @@ proptest! {
         let records = records_from(&steps);
 
         let (_dir, root) = case_root("equiv");
-        let opts = WalOptions { segment_bytes, ..Default::default() };
         {
-            let mut wal = Wal::open_with_opts(&root, opts).unwrap();
+            let mut wal = Wal::open_with_segment_bytes(&root, segment_bytes).unwrap();
             for r in &records {
                 wal.append(r.clone());
             }
             wal.sync().unwrap();
         }
-        let reopened = Wal::open_with_opts(&root, opts).unwrap();
+        let reopened = Wal::open_with_segment_bytes(&root, segment_bytes).unwrap();
         prop_assert_eq!(reopened.records(), from_last_checkpoint(&records));
         prop_assert_eq!(reopened.end_lsn(), records.len() as u64);
     }
