@@ -28,6 +28,11 @@
 //! high-event-count outliers — as flat JSON entries under `--corpus DIR`
 //! (default `corpus/`). `--replay-corpus DIR` re-judges every saved entry
 //! as a regression gate: the current engine must survive them all.
+//!
+//! `--durable` logs every site to disk under `--wal-dir DIR` (default: the
+//! system temp directory). The simulator never observes fsync latency, so
+//! a tmpfs directory such as `/dev/shm` runs the same schedules, with the
+//! same stdout, several times faster.
 
 use o2pc_chaos::{
     classify, corpus, run_plan_with, shrink_with_cores, ChaosConfig, ChaosPlan, CorpusEntry,
@@ -44,6 +49,7 @@ struct Args {
     sites: u32,
     durable: bool,
     segment_bytes: Option<u64>,
+    wal_dir: Option<PathBuf>,
     cores: usize,
     swarm: bool,
     minutes: f64,
@@ -59,6 +65,7 @@ fn parse_args() -> Result<Args, String> {
         sites: 4,
         durable: false,
         segment_bytes: None,
+        wal_dir: None,
         cores: 0, // all available
         swarm: false,
         minutes: 1.0,
@@ -99,6 +106,7 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.segment_bytes = Some(n);
             }
+            "--wal-dir" => args.wal_dir = Some(PathBuf::from(take(&mut i)?)),
             "--cores" => args.cores = take(&mut i)?.parse().map_err(|e| format!("--cores: {e}"))?,
             "--swarm" => args.swarm = true,
             "--minutes" => {
@@ -111,7 +119,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: chaos [--schedules N] [--seed S] [--sites N] [--cores N] \
-                     [--replay SEED] [--durable] [--segment-bytes N]\n       \
+                     [--replay SEED] [--durable] [--segment-bytes N] [--wal-dir DIR]\n       \
                      chaos --swarm [--minutes M] \
                      [--corpus DIR]\n       chaos --replay-corpus DIR"
                 );
@@ -131,10 +139,12 @@ fn config_for(sites: u32) -> ChaosConfig {
     }
 }
 
-/// Scratch directory for durable-mode WAL files (per process, wiped on use).
-fn durable_scratch(enabled: bool) -> Option<PathBuf> {
+/// Scratch directory for durable-mode WAL files (per process, wiped on
+/// use), under `root` or else the system temp directory.
+fn durable_scratch(enabled: bool, root: Option<&Path>) -> Option<PathBuf> {
     enabled.then(|| {
-        let dir = std::env::temp_dir().join(format!("o2pc-chaos-wal-{}", std::process::id()));
+        let root = root.map_or_else(std::env::temp_dir, Path::to_path_buf);
+        let dir = root.join(format!("o2pc-chaos-wal-{}", std::process::id()));
         let _ = std::fs::create_dir_all(&dir);
         dir
     })
@@ -214,10 +224,11 @@ fn run_seed(seed: u64, cfg: &ChaosConfig, durable: Option<DurableMode<'_>>) -> S
 }
 
 /// Replay one seed with the full plan and outcome printed.
-fn replay(seed: u64, sites: u32, durable: bool, segment_bytes: Option<u64>, cores: usize) -> ! {
-    let plan = ChaosPlan::generate(seed, &config_for(sites));
+fn replay(seed: u64, args: &Args, cores: usize) -> ! {
+    let segment_bytes = args.segment_bytes;
+    let plan = ChaosPlan::generate(seed, &config_for(args.sites));
     println!("{}", plan.describe());
-    let dir = durable_scratch(durable);
+    let dir = durable_scratch(args.durable, args.wal_dir.as_deref());
     let outcome = run_plan_with(
         &plan,
         Hardening::default(),
@@ -260,7 +271,8 @@ fn replay(seed: u64, sites: u32, durable: bool, segment_bytes: Option<u64>, core
 /// Re-judge every corpus entry against the current engine. The corpus is a
 /// set of historically hard schedules; the regression gate is that the
 /// current engine survives all of them.
-fn replay_corpus(dir: &Path, segment_bytes: Option<u64>, cores: usize) -> ! {
+fn replay_corpus(dir: &Path, args: &Args, cores: usize) -> ! {
+    let segment_bytes = args.segment_bytes;
     let entries = match corpus::load_dir(dir) {
         Ok(e) => e,
         Err(e) => {
@@ -272,7 +284,7 @@ fn replay_corpus(dir: &Path, segment_bytes: Option<u64>, cores: usize) -> ! {
         println!("corpus {} is empty — nothing to replay", dir.display());
         std::process::exit(0);
     }
-    let durable_dir = durable_scratch(entries.iter().any(|e| e.durable));
+    let durable_dir = durable_scratch(entries.iter().any(|e| e.durable), args.wal_dir.as_deref());
     let summaries = pool::map_ordered(entries.len(), cores, |i| {
         let e = &entries[i];
         run_seed(
@@ -358,7 +370,7 @@ impl Aggregate {
 /// interesting schedule to the corpus directory.
 fn swarm(args: &Args, cores: usize) -> ! {
     let cfg = config_for(args.sites);
-    let durable_dir = durable_scratch(args.durable);
+    let durable_dir = durable_scratch(args.durable, args.wal_dir.as_deref());
     let corpus_dir = args
         .corpus
         .clone()
@@ -438,17 +450,17 @@ fn main() {
     };
     let cores = pool::resolve_cores(args.cores);
     if let Some(dir) = &args.replay_corpus {
-        replay_corpus(dir, args.segment_bytes, cores);
+        replay_corpus(dir, &args, cores);
     }
     if let Some(seed) = args.replay {
-        replay(seed, args.sites, args.durable, args.segment_bytes, cores);
+        replay(seed, &args, cores);
     }
     if args.swarm {
         swarm(&args, cores);
     }
 
     let cfg = config_for(args.sites);
-    let durable_dir = durable_scratch(args.durable);
+    let durable_dir = durable_scratch(args.durable, args.wal_dir.as_deref());
     let started = std::time::Instant::now();
     let mut agg = Aggregate::new();
     let mut failing: Option<SeedSummary> = None;

@@ -131,7 +131,7 @@ pub fn recover_killed_run(
             // Persistence of compensation: apply what applies, skip what the
             // recovered state no longer supports (a CT must never fail).
             let ct = ExecId::CompSub(g);
-            for op in plan_compensation(model, &rec).ops {
+            for &op in plan_compensation(model, &rec).ops.iter() {
                 let _ = store.apply(ct, op);
             }
             store.commit(ct);

@@ -5,7 +5,8 @@
 //! * [`ids`] — identifiers for sites, global transactions, local transactions,
 //!   and the unified [`ids::TxnId`] used as a serialization-graph node.
 //! * [`ops`] — the operation repertoire (generic reads/writes plus the
-//!   *restricted model* semantic operations of the paper's §3.1).
+//!   *restricted model* semantic operations of the paper's §3.1), and the
+//!   shared [`ops::Program`] a (sub)transaction runs.
 //! * [`value`] — the value domain stored at each site.
 //! * [`time`] — virtual time ([`time::SimTime`]) for the deterministic
 //!   simulator; all latencies and lock-hold windows are measured in it.
@@ -38,7 +39,7 @@ pub use error::{CommonError, Result};
 pub use hash::{FastHashMap, FastHashSet, FxHasher};
 pub use history::{CountingSink, HistEvent, HistEventKind, History, HistorySink};
 pub use ids::{ExecId, GlobalTxnId, GlobalTxnIdGen, LocalTxnId, SiteId, TxnId};
-pub use ops::{AccessMode, Op, OpKind};
+pub use ops::{AccessMode, Op, OpKind, Program};
 pub use rng::DetRng;
 #[doc(hidden)]
 pub use scratch::ScratchDir;

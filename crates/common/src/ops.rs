@@ -13,6 +13,13 @@
 
 use crate::value::{Key, Value};
 use std::fmt;
+use std::sync::Arc;
+
+/// A transaction program: the operations one (sub)transaction runs, in
+/// order. Nothing rewrites a program once it is built, so it is shared by
+/// reference count: a request's clone, the SPAWN message that ships it and
+/// the site's execution that runs it all hold the one allocation.
+pub type Program = Arc<[Op]>;
 
 /// Lock mode an operation requires on its item.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]

@@ -320,12 +320,12 @@ impl CounterSet {
     /// Increment `name` by `n`.
     #[inline]
     pub fn add(&mut self, name: &'static str, n: u64) {
-        match self
+        let slot = self
             .counters
-            .iter_mut()
-            .find(|(k, _)| std::ptr::eq(*k, name) || *k == name)
-        {
-            Some((_, v)) => *v += n,
+            .iter()
+            .position(|&(k, _)| std::ptr::eq(k, name));
+        match slot.or_else(|| self.counters.iter().position(|&(k, _)| k == name)) {
+            Some(i) => self.counters[i].1 += n,
             None => self.counters.push((name, n)),
         }
     }
@@ -480,5 +480,19 @@ mod tests {
         assert_eq!(set.get("msg.decision"), 6);
         let names: Vec<_> = set.iter().map(|(k, _)| k.to_owned()).collect();
         assert_eq!(names, vec!["msg.decision", "msg.vote_req"]);
+    }
+
+    #[test]
+    fn counter_names_match_by_content_when_addresses_differ() {
+        let mut set = CounterSet::new();
+        set.inc("msg.decision");
+        set.inc("msg.vote_req");
+        // The same name at another address: no address matches, the
+        // content compare finds the counter.
+        let elsewhere: &'static str = Box::leak(String::from("msg.vote_req").into_boxed_str());
+        assert!(!std::ptr::eq(elsewhere, "msg.vote_req"));
+        set.add(elsewhere, 2);
+        assert_eq!(set.get("msg.vote_req"), 3);
+        assert_eq!(set.iter().count(), 2);
     }
 }

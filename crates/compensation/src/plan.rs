@@ -1,6 +1,6 @@
 //! Building compensating operation sequences from commit records.
 
-use o2pc_common::{Key, Op};
+use o2pc_common::{AccessMode, Key, Op, Program};
 use o2pc_storage::{CommitRecord, UndoRecord};
 
 /// Which §3.1 decomposition model governs compensation at a site.
@@ -15,11 +15,12 @@ pub enum CompensationModel {
 }
 
 /// The operations of one compensating subtransaction `CT_ij`, executed at
-/// the site as an ordinary local transaction under strict 2PL.
+/// the site as an ordinary local transaction under strict 2PL. The plan is
+/// its program: the execution that runs it shares the slice.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CompensationPlan {
     /// Operations in execution order.
-    pub ops: Vec<Op>,
+    pub ops: Program,
 }
 
 impl CompensationPlan {
@@ -27,7 +28,7 @@ impl CompensationPlan {
     pub fn write_set(&self) -> Vec<Key> {
         let mut seen = std::collections::HashSet::new();
         let mut keys = Vec::new();
-        for op in &self.ops {
+        for op in self.ops.iter() {
             let k = op.key();
             if seen.insert(k) {
                 keys.push(k);
@@ -79,23 +80,20 @@ fn invert(op: &Op, undo: Option<&UndoRecord>) -> Option<Op> {
 pub fn plan_compensation(model: CompensationModel, record: &CommitRecord) -> CompensationPlan {
     match model {
         CompensationModel::Restricted => {
-            // Pair each mutating op with its undo record (same order).
-            let mut undo_iter = record.undo.iter();
-            let paired: Vec<(Op, Option<&UndoRecord>)> = record
+            // Inverses of the mutating ops, last first; the `j`-th mutation
+            // logged the `j`-th undo record. Counting the mutations first
+            // lets the plan fill its slice in one allocation.
+            let is_write = |op: &&Op| op.access_mode() == AccessMode::Write;
+            let writes = record.ops.iter().filter(is_write).count();
+            let mut inverses = record
                 .ops
                 .iter()
-                .map(|op| {
-                    if op.access_mode() == o2pc_common::AccessMode::Write {
-                        (*op, undo_iter.next())
-                    } else {
-                        (*op, None)
-                    }
-                })
-                .collect();
-            let ops = paired
-                .iter()
                 .rev()
-                .filter_map(|(op, undo)| invert(op, *undo))
+                .filter(is_write)
+                .zip((0..writes).rev())
+                .filter_map(|(op, j)| invert(op, record.undo.get(j)));
+            let ops = (0..writes)
+                .map(|_| inverses.next().expect("every mutation has an inverse"))
                 .collect();
             CompensationPlan { ops }
         }
@@ -134,7 +132,7 @@ mod tests {
 
     fn run_plan(store: &mut Store, plan: &CompensationPlan) {
         let e = ExecId::CompSub(GlobalTxnId(0));
-        for op in &plan.ops {
+        for op in plan.ops.iter() {
             store.apply(e, *op).unwrap();
         }
         store.commit(e);
@@ -146,7 +144,7 @@ mod tests {
         s.load(Key(1), Value(100));
         let rec = run_forward(&mut s, &[Op::Add(Key(1), 30), Op::Add(Key(1), -10)]);
         let plan = plan_compensation(CompensationModel::Restricted, &rec);
-        assert_eq!(plan.ops, vec![Op::Add(Key(1), 10), Op::Add(Key(1), -30)]);
+        assert_eq!(*plan.ops, [Op::Add(Key(1), 10), Op::Add(Key(1), -30)]);
         run_plan(&mut s, &plan);
         assert_eq!(s.get(Key(1)), Some(Value(100)));
     }
@@ -189,7 +187,7 @@ mod tests {
         let mut s = Store::new();
         let rec = run_forward(&mut s, &[Op::Insert(Key(2), Value(5))]);
         let plan = plan_compensation(CompensationModel::Restricted, &rec);
-        assert_eq!(plan.ops, vec![Op::Delete(Key(2))]);
+        assert_eq!(*plan.ops, [Op::Delete(Key(2))]);
         run_plan(&mut s, &plan);
         assert_eq!(s.get(Key(2)), None);
     }
@@ -200,7 +198,7 @@ mod tests {
         s.load(Key(3), Value(42));
         let rec = run_forward(&mut s, &[Op::Delete(Key(3))]);
         let plan = plan_compensation(CompensationModel::Restricted, &rec);
-        assert_eq!(plan.ops, vec![Op::Insert(Key(3), Value(42))]);
+        assert_eq!(*plan.ops, [Op::Insert(Key(3), Value(42))]);
         run_plan(&mut s, &plan);
         assert_eq!(s.get(Key(3)), Some(Value(42)));
     }
@@ -211,7 +209,7 @@ mod tests {
         s.load(Key(4), Value(10));
         let rec = run_forward(&mut s, &[Op::Reserve(Key(4), 3)]);
         let plan = plan_compensation(CompensationModel::Restricted, &rec);
-        assert_eq!(plan.ops, vec![Op::Release(Key(4), 3)]);
+        assert_eq!(*plan.ops, [Op::Release(Key(4), 3)]);
         run_plan(&mut s, &plan);
         assert_eq!(s.get(Key(4)), Some(Value(10)));
     }
@@ -223,8 +221,8 @@ mod tests {
         let rec = run_forward(&mut s, &[Op::Release(Key(4), 5)]);
         let plan = plan_compensation(CompensationModel::Restricted, &rec);
         assert_eq!(
-            plan.ops,
-            vec![Op::Add(Key(4), -5)],
+            *plan.ops,
+            [Op::Add(Key(4), -5)],
             "Add, not Reserve: CTs may not fail"
         );
         run_plan(&mut s, &plan);
@@ -242,8 +240,8 @@ mod tests {
         let plan = plan_compensation(CompensationModel::Restricted, &rec);
         // Reverse order: undo 3→2, then 2→1.
         assert_eq!(
-            plan.ops,
-            vec![Op::Write(Key(5), Value(2)), Op::Write(Key(5), Value(1))]
+            *plan.ops,
+            [Op::Write(Key(5), Value(2)), Op::Write(Key(5), Value(1))]
         );
         run_plan(&mut s, &plan);
         assert_eq!(s.get(Key(5)), Some(Value(1)));
@@ -276,8 +274,8 @@ mod tests {
         );
         let plan = plan_compensation(CompensationModel::Restricted, &rec);
         assert_eq!(
-            plan.ops,
-            vec![
+            *plan.ops,
+            [
                 Op::Insert(Key(2), Value(1)),
                 Op::Delete(Key(2)),
                 Op::Add(Key(1), -5)

@@ -73,7 +73,7 @@ fn run_forward(store: &mut Store, ops: &[SemOp]) -> o2pc_storage::CommitRecord {
 fn run_compensation(store: &mut Store, model: CompensationModel, rec: &o2pc_storage::CommitRecord) {
     let plan = plan_compensation(model, rec);
     let e = ExecId::CompSub(GlobalTxnId(1));
-    for op in &plan.ops {
+    for op in plan.ops.iter() {
         // Persistence of compensation: inapplicable ops are skipped, exactly
         // as the site kernel does.
         let _ = store.apply(e, *op);

@@ -1,19 +1,23 @@
 //! Engine configuration and workload requests.
 
-use o2pc_common::{Duration, Op, SiteId};
+use o2pc_common::{Duration, Program, SiteId};
 use o2pc_compensation::CompensationModel;
 use o2pc_protocol::ProtocolKind;
 use o2pc_sim::{FailurePlan, NetworkConfig};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-/// One transaction submitted to the engine.
+/// One transaction submitted to the engine. Its programs and site list are
+/// shared slices, so a clone (a schedule installing its arrivals, the engine
+/// parking one at an admission gate) bumps reference counts and copies no
+/// operation.
 #[derive(Clone, Debug)]
 pub enum TxnRequest {
     /// A global transaction: one subtransaction per site (≥ 2 sites, or 1
     /// for degenerate tests). The coordinator defaults to the first site.
     Global {
         /// Per-site operation programs.
-        subs: Vec<(SiteId, Vec<Op>)>,
+        subs: Arc<[(SiteId, Program)]>,
         /// Site hosting the coordinator (need not hold a subtransaction).
         coordinator: SiteId,
     },
@@ -22,28 +26,44 @@ pub enum TxnRequest {
         /// Site it runs at.
         site: SiteId,
         /// Its operations.
-        ops: Vec<Op>,
+        ops: Program,
     },
 }
 
 impl TxnRequest {
     /// Global transaction coordinated from its first participant.
-    pub fn global(subs: Vec<(SiteId, Vec<Op>)>) -> Self {
-        assert!(!subs.is_empty());
+    pub fn global<P: Into<Program>>(subs: impl IntoIterator<Item = (SiteId, P)>) -> Self {
+        let subs = site_list(subs);
         let coordinator = subs[0].0;
         TxnRequest::Global { subs, coordinator }
     }
 
     /// Global transaction with an explicit coordinator site.
-    pub fn global_with_coordinator(coordinator: SiteId, subs: Vec<(SiteId, Vec<Op>)>) -> Self {
-        assert!(!subs.is_empty());
+    pub fn global_with_coordinator<P: Into<Program>>(
+        coordinator: SiteId,
+        subs: impl IntoIterator<Item = (SiteId, P)>,
+    ) -> Self {
+        let subs = site_list(subs);
         TxnRequest::Global { subs, coordinator }
     }
 
     /// Local transaction.
-    pub fn local(site: SiteId, ops: Vec<Op>) -> Self {
-        TxnRequest::Local { site, ops }
+    pub fn local(site: SiteId, ops: impl Into<Program>) -> Self {
+        TxnRequest::Local {
+            site,
+            ops: ops.into(),
+        }
     }
+}
+
+/// Collect a non-empty site list. An exact-size iterator (a `Vec`'s or an
+/// array's, mapped) fills the shared slice in one allocation.
+fn site_list<P: Into<Program>>(
+    subs: impl IntoIterator<Item = (SiteId, P)>,
+) -> Arc<[(SiteId, Program)]> {
+    let subs: Arc<[_]> = subs.into_iter().map(|(s, p)| (s, p.into())).collect();
+    assert!(!subs.is_empty());
+    subs
 }
 
 /// Full system configuration for one run.
@@ -211,7 +231,7 @@ impl SystemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use o2pc_common::Key;
+    use o2pc_common::{Key, Op};
 
     #[test]
     fn request_constructors() {
@@ -223,7 +243,8 @@ mod tests {
             }
             _ => panic!(),
         }
-        let g = TxnRequest::global_with_coordinator(SiteId(9), vec![(SiteId(1), vec![])]);
+        let g =
+            TxnRequest::global_with_coordinator(SiteId(9), vec![(SiteId(1), Program::from([]))]);
         match g {
             TxnRequest::Global { coordinator, .. } => assert_eq!(coordinator, SiteId(9)),
             _ => panic!(),

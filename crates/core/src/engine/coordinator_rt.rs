@@ -4,12 +4,13 @@
 use super::{Engine, GTxn, TimerEvent};
 use crate::config::TxnRequest;
 use crate::msg::Msg;
-use o2pc_common::{ExecId, GlobalTxnId, HistorySink, SimTime, SiteId};
+use o2pc_common::{ExecId, GlobalTxnId, HistorySink, Program, SimTime, SiteId};
 use o2pc_marking::TransMarks;
 use o2pc_protocol::{CoordAction, TwoPhaseCoordinator};
 use o2pc_runtime::Runtime;
 use o2pc_site::{Site, SiteConfig};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     pub(crate) fn on_arrive(&mut self, now: SimTime, scheduled: SimTime, req: TxnRequest) {
@@ -58,16 +59,14 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         &mut self,
         now: SimTime,
         scheduled: SimTime,
-        mut subs: Vec<(SiteId, Vec<o2pc_common::Op>)>,
+        subs: Arc<[(SiteId, Program)]>,
         coordinator: SiteId,
     ) {
         let id = self.idgen.next_id();
         let participants = subs.iter().map(|&(s, _)| s).collect();
         let coord = TwoPhaseCoordinator::new(id, participants);
-        for (site, ops) in &mut subs {
-            // The program travels in the SPAWN message; `try_spawn` puts it
-            // back into `subs` at the participant.
-            let ops = std::mem::take(ops);
+        for (site, ops) in subs.iter() {
+            let ops = ops.clone();
             self.send(now, coordinator, *site, Msg::SpawnSubtxn { txn: id, ops });
         }
         let gtxn = GTxn {
@@ -337,7 +336,13 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             } else {
                 Vec::new()
             };
-            let wal = s.crash();
+            let Ok(wal) = s.crash() else {
+                // The log could not be cut or reopened (its directory is
+                // gone, say): nothing survives to recover from, so the
+                // site stays down.
+                self.report.counters.inc("wal.reopen_failures");
+                return;
+            };
             let lost_from = wal.end_lsn();
             let voided: std::collections::BTreeSet<GlobalTxnId> = pre_comps
                 .into_iter()

@@ -74,7 +74,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         match ev {
             TimerEvent::Arrive { req, scheduled } => self.on_arrive(now, scheduled, req),
             TimerEvent::OpDone { site, exec } => self.on_op_done(now, site, exec),
-            TimerEvent::R1Retry { txn, site } => self.try_spawn(now, txn, site, None),
+            TimerEvent::R1Retry { txn, site } => self.try_spawn(now, txn, site),
             TimerEvent::CompRetry { txn, site } => self.resume_compensation(now, txn, site),
             TimerEvent::VoteTimeout { txn } => self.on_vote_timeout(now, txn),
             TimerEvent::Retransmit { txn, attempt } => self.on_retransmit(now, txn, attempt),

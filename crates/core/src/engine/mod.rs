@@ -34,7 +34,7 @@ use crate::config::{SystemConfig, TxnRequest};
 use crate::msg::Msg;
 use crate::report::RunReport;
 use o2pc_common::{
-    DetRng, ExecId, FastHashMap, GlobalTxnId, GlobalTxnIdGen, Key, SimTime, SiteId, Value,
+    DetRng, ExecId, FastHashMap, GlobalTxnId, GlobalTxnIdGen, Key, Program, SimTime, SiteId, Value,
 };
 use o2pc_compensation::CompensationPlan;
 use o2pc_marking::{MarkingProtocol, TransMarks, UdumTracker};
@@ -46,6 +46,7 @@ use o2pc_storage::Wal;
 use recorder::Recorder;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Engine timers: everything the engine schedules against its own clock.
 /// Message deliveries are *not* timers — they arrive through the runtime's
@@ -134,10 +135,9 @@ pub enum TimerEvent {
 pub(crate) struct GTxn {
     pub(crate) coord_site: SiteId,
     pub(crate) coord: TwoPhaseCoordinator,
-    /// The participants in submission order, each with its program while
-    /// that waits here for admission: between the SPAWN message's delivery
-    /// and the subtransaction's begin (across R1 retries).
-    pub(crate) subs: Vec<(SiteId, Vec<o2pc_common::Op>)>,
+    /// The participants in submission order, each with its program: the
+    /// request's shared slice, which an R1 retry begins from.
+    pub(crate) subs: Arc<[(SiteId, Program)]>,
     pub(crate) tm: TransMarks,
     pub(crate) start: SimTime,
     pub(crate) spawn_retries: FastHashMap<SiteId, u32>,
@@ -159,7 +159,7 @@ pub(crate) struct GTxn {
 /// queueing stays visible) plus the per-site programs.
 pub(crate) struct PendingAdmission {
     pub(crate) scheduled: SimTime,
-    pub(crate) subs: Vec<(SiteId, Vec<o2pc_common::Op>)>,
+    pub(crate) subs: Arc<[(SiteId, Program)]>,
 }
 
 /// A promise held back until a flush completion covers `ticket`.
@@ -843,6 +843,23 @@ mod tests {
         assert_eq!(e.down_sites(), vec![s0]);
     }
 
+    /// A crash whose log cannot be reopened — its directory was deleted
+    /// under it — leaves the site down, with nothing to recover from,
+    /// instead of panicking in the crash transform.
+    #[test]
+    fn crash_that_cannot_reopen_its_log_keeps_the_site_down() {
+        let dir = ScratchDir::new("lost-wal-dir");
+        let mut e = durable_sim(&dir, 2);
+        let s0 = SiteId(0);
+        std::fs::remove_dir_all(&*dir).unwrap();
+        let now = e.rt.now();
+        e.rt.schedule(now + Duration::millis(1), TimerEvent::Crash { site: s0 });
+        e.rt.schedule(now + Duration::millis(2), TimerEvent::Recover { site: s0 });
+        let r = e.run(Duration::millis(10));
+        assert_eq!(r.counters.get("wal.reopen_failures"), 1);
+        assert_eq!(e.down_sites(), vec![s0]);
+    }
+
     /// A completion that outlives its log releases nothing: the crash that
     /// ended the log dropped its promise, and the reopened log's promise
     /// waits for a completion of its own. The batch itself was written at
@@ -911,7 +928,12 @@ mod tests {
                 now += Duration::micros(1);
                 now
             };
-            site.begin(ExecId::Sub(t), vec![Op::Add(k, 5)], at(), &mut e.hist);
+            site.begin(
+                ExecId::Sub(t),
+                Program::from([Op::Add(k, 5)]),
+                at(),
+                &mut e.hist,
+            );
             site.execute_next_op(ExecId::Sub(t), at(), &mut e.hist);
             site.vote(t, LockPolicy::ReleaseAll, false, at(), &mut e.hist);
             let plan = site

@@ -20,7 +20,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             return; // message to a crashed site is lost
         }
         match msg {
-            Msg::SpawnSubtxn { txn, ops } => self.try_spawn(now, txn, to, Some(ops)),
+            Msg::SpawnSubtxn { txn, .. } => self.try_spawn(now, txn, to),
             Msg::SubtxnAck { txn, from, ok } => {
                 let Some(g) = self.txns.get_mut(&txn) else {
                     return;
@@ -225,16 +225,10 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         self.arm_term_timer(now, txn, site_id);
     }
 
-    /// Rule R1: admission check before (re)starting a subtransaction.
-    /// `arrived` is the program a SPAWN message just delivered; a retry finds
-    /// it where the rejected attempt left it.
-    pub(crate) fn try_spawn(
-        &mut self,
-        now: SimTime,
-        txn: GlobalTxnId,
-        site_id: SiteId,
-        arrived: Option<Vec<o2pc_common::Op>>,
-    ) {
+    /// Rule R1: admission check before (re)starting a subtransaction, on
+    /// its SPAWN's delivery or an R1 retry. Either way the program is the
+    /// one the SPAWN carries, shared with `GTxn::subs`.
+    pub(crate) fn try_spawn(&mut self, now: SimTime, txn: GlobalTxnId, site_id: SiteId) {
         if !self.site_up(site_id) {
             return;
         }
@@ -254,14 +248,11 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             // execution state.
             return;
         }
-        if let Some(ops) = arrived {
-            g.subs[slot].1 = ops;
-        }
         self.report.counters.inc("r1.checks");
         let site = self.sites[site_id.index()].as_ref().unwrap();
         match g.tm.check_and_absorb(marking, site.marks()) {
             Ok(()) => {
-                let ops = std::mem::take(&mut g.subs[slot].1);
+                let ops = g.subs[slot].1.clone();
                 g.began |= 1 << slot;
                 let exec = ExecId::Sub(txn);
                 let empty = ops.is_empty();

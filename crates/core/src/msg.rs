@@ -10,7 +10,7 @@
 //! transaction record, and the absence of any new message variant *is* the
 //! verification.
 
-use o2pc_common::{GlobalTxnId, Op, SiteId};
+use o2pc_common::{GlobalTxnId, Program, SiteId};
 use o2pc_site::{PeerState, Vote};
 
 /// One message on the simulated network.
@@ -20,8 +20,9 @@ pub enum Msg {
     SpawnSubtxn {
         /// Global transaction.
         txn: GlobalTxnId,
-        /// Operation program for this site.
-        ops: Vec<Op>,
+        /// Operation program for this site, shared with the transaction's
+        /// request: a duplicated SPAWN bumps a count, it copies nothing.
+        ops: Program,
     },
     /// Participant → coordinator: the subtransaction finished executing
     /// (`ok = false`: it failed and was rolled back; abort the transaction).
@@ -165,7 +166,7 @@ mod tests {
         let msgs = [
             Msg::SpawnSubtxn {
                 txn: g,
-                ops: vec![],
+                ops: Program::from([]),
             },
             Msg::SubtxnAck {
                 txn: g,

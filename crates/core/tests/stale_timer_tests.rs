@@ -11,13 +11,10 @@ use o2pc_core::{Engine, SystemConfig, TxnRequest};
 use o2pc_protocol::ProtocolKind;
 
 fn transfer(from: SiteId, to: SiteId, key: Key, amount: i64) -> TxnRequest {
-    TxnRequest::Global {
-        subs: vec![
-            (from, vec![Op::Add(key, -amount)]),
-            (to, vec![Op::Add(key, amount)]),
-        ],
-        coordinator: from,
-    }
+    TxnRequest::global([
+        (from, [Op::Add(key, -amount)]),
+        (to, [Op::Add(key, amount)]),
+    ])
 }
 
 /// The vote timeout fires seconds after the transaction committed, acked,

@@ -1,6 +1,6 @@
 //! Per-execution state at a site.
 
-use o2pc_common::{CommonError, ExecId, Op, Value};
+use o2pc_common::{CommonError, ExecId, Op, Program, Value};
 
 /// Lifecycle phase of one execution at a site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,8 +43,8 @@ pub enum OpResult {
 pub struct ExecState {
     /// The execution's identity.
     pub exec: ExecId,
-    /// Operation program.
-    pub ops: Vec<Op>,
+    /// Operation program (shared with whoever handed it over).
+    pub ops: Program,
     /// Next operation index.
     pub pc: usize,
     /// Phase.
@@ -60,7 +60,7 @@ pub struct ExecState {
 
 impl ExecState {
     /// Fresh execution over a program.
-    pub fn new(exec: ExecId, ops: Vec<Op>) -> Self {
+    pub fn new(exec: ExecId, ops: Program) -> Self {
         let phase = if ops.is_empty() {
             ExecPhase::Completed
         } else {
@@ -96,7 +96,7 @@ mod tests {
     fn lifecycle_fields() {
         let e = ExecState::new(
             ExecId::Sub(GlobalTxnId(1)),
-            vec![Op::Read(Key(1)), Op::Add(Key(1), 2)],
+            Program::from([Op::Read(Key(1)), Op::Add(Key(1), 2)]),
         );
         assert_eq!(e.phase, ExecPhase::Running);
         assert_eq!(e.current_op(), Some(Op::Read(Key(1))));
@@ -105,7 +105,7 @@ mod tests {
 
     #[test]
     fn empty_program_is_immediately_completed() {
-        let e = ExecState::new(ExecId::Sub(GlobalTxnId(1)), vec![]);
+        let e = ExecState::new(ExecId::Sub(GlobalTxnId(1)), Program::from([]));
         assert_eq!(e.phase, ExecPhase::Completed);
         assert_eq!(e.current_op(), None);
         assert_eq!(e.remaining(), 0);

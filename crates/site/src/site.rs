@@ -3,7 +3,7 @@
 use crate::exec::{ExecPhase, ExecState, OpResult};
 use o2pc_common::FastHashMap;
 use o2pc_common::{
-    ExecId, GlobalTxnId, HistEvent, HistEventKind, HistorySink, Key, LocalTxnId, Op, OpKind,
+    ExecId, GlobalTxnId, HistEvent, HistEventKind, HistorySink, Key, LocalTxnId, OpKind, Program,
     SimTime, SiteId, TxnId, Value,
 };
 use o2pc_compensation::{plan_compensation, CompensationModel, CompensationPlan};
@@ -391,7 +391,7 @@ impl Site {
     }
 
     /// Begin an execution with the given operation program.
-    pub fn begin(&mut self, exec: ExecId, ops: Vec<Op>, now: SimTime, hist: &mut dyn HistorySink) {
+    pub fn begin(&mut self, exec: ExecId, ops: Program, now: SimTime, hist: &mut dyn HistorySink) {
         debug_assert!(!self.execs.contains_key(&exec), "{exec} already active");
         self.wal.append(LogRecord::Begin(exec));
         hist.record(HistEvent {
@@ -931,9 +931,11 @@ impl Site {
 
     /// Simulated crash: the volatile state is lost; the WAL survives —
     /// entirely when it is in memory, and up to its durable watermark when
-    /// it is on disk (the unsynced tail is gone, as on a real disk).
-    pub fn crash(self) -> Wal {
-        self.wal.crash().expect("wal crash transform")
+    /// it is on disk (the unsynced tail is gone, as on a real disk). Fails
+    /// when an on-disk log cannot be cut or reopened: nothing survives to
+    /// recover from.
+    pub fn crash(self) -> std::io::Result<Wal> {
+        self.wal.crash()
     }
 
     /// The site's log, read-only: its records (diagnostics, e.g. tracing a
@@ -983,7 +985,7 @@ impl Site {
                     .request(exec, rec.key, o2pc_common::AccessMode::Write, SimTime::ZERO);
             }
             site.store.restore_pending(exec, undo);
-            let mut st = ExecState::new(exec, Vec::new());
+            let mut st = ExecState::new(exec, Program::from([]));
             st.phase = ExecPhase::Prepared;
             st.entered = Some(site.next_entry());
             site.execs.insert(exec, st);
@@ -1018,7 +1020,7 @@ impl Site {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use o2pc_common::History;
+    use o2pc_common::{History, Op};
 
     fn setup() -> (Site, History) {
         let mut s = Site::new(SiteId(0), SiteConfig::default());
@@ -1048,7 +1050,7 @@ mod tests {
         let l = ExecId::Local(s.next_local_id());
         s.begin(
             l,
-            vec![Op::Read(Key(1)), Op::Add(Key(1), 10)],
+            Program::from([Op::Read(Key(1)), Op::Add(Key(1), 10)]),
             SimTime(1),
             &mut h,
         );
@@ -1065,7 +1067,7 @@ mod tests {
         let sub = ExecId::Sub(g(1));
         s.begin(
             sub,
-            vec![Op::Add(Key(1), -30), Op::Read(Key(2))],
+            Program::from([Op::Add(Key(1), -30), Op::Read(Key(2))]),
             SimTime(1),
             &mut h,
         );
@@ -1075,7 +1077,7 @@ mod tests {
         assert_eq!(s.mark_of(g(1)), MarkState::LocallyCommitted);
         // Another execution can immediately lock the same keys.
         let l = ExecId::Local(s.next_local_id());
-        s.begin(l, vec![Op::Add(Key(1), 1)], SimTime(4), &mut h);
+        s.begin(l, Program::from([Op::Add(Key(1), 1)]), SimTime(4), &mut h);
         assert!(matches!(
             s.execute_next_op(l, SimTime(4), &mut h),
             OpResult::Done { .. }
@@ -1088,7 +1090,7 @@ mod tests {
         let sub = ExecId::Sub(g(1));
         s.begin(
             sub,
-            vec![Op::Add(Key(1), -30), Op::Read(Key(2))],
+            Program::from([Op::Add(Key(1), -30), Op::Read(Key(2))]),
             SimTime(1),
             &mut h,
         );
@@ -1097,11 +1099,11 @@ mod tests {
         assert_eq!(out.vote, Vote::Yes);
         // Write lock on k1 retained: a new writer blocks.
         let l = ExecId::Local(s.next_local_id());
-        s.begin(l, vec![Op::Add(Key(1), 1)], SimTime(4), &mut h);
+        s.begin(l, Program::from([Op::Add(Key(1), 1)]), SimTime(4), &mut h);
         assert_eq!(s.execute_next_op(l, SimTime(4), &mut h), OpResult::Blocked);
         // Read lock on k2 released: a writer of k2 proceeds.
         let l2 = ExecId::Local(s.next_local_id());
-        s.begin(l2, vec![Op::Add(Key(2), 1)], SimTime(5), &mut h);
+        s.begin(l2, Program::from([Op::Add(Key(2), 1)]), SimTime(5), &mut h);
         assert!(matches!(
             s.execute_next_op(l2, SimTime(5), &mut h),
             OpResult::Done { .. }
@@ -1116,7 +1118,12 @@ mod tests {
     fn vote_no_rolls_back_and_records_ct_writes() {
         let (mut s, mut h) = setup();
         let sub = ExecId::Sub(g(1));
-        s.begin(sub, vec![Op::Add(Key(1), -30)], SimTime(1), &mut h);
+        s.begin(
+            sub,
+            Program::from([Op::Add(Key(1), -30)]),
+            SimTime(1),
+            &mut h,
+        );
         run_all(&mut s, sub, SimTime(2), &mut h);
         let out = s.vote(g(1), LockPolicy::ReleaseAll, true, SimTime(3), &mut h);
         assert_eq!(out.vote, Vote::No);
@@ -1137,7 +1144,12 @@ mod tests {
     fn semantic_failure_leads_to_no_vote() {
         let (mut s, mut h) = setup();
         let sub = ExecId::Sub(g(1));
-        s.begin(sub, vec![Op::Reserve(Key(2), 500)], SimTime(1), &mut h);
+        s.begin(
+            sub,
+            Program::from([Op::Reserve(Key(2), 500)]),
+            SimTime(1),
+            &mut h,
+        );
         let r = s.execute_next_op(sub, SimTime(1), &mut h);
         assert!(matches!(r, OpResult::Failed(_)));
         let out = s.vote(g(1), LockPolicy::ReleaseAll, false, SimTime(2), &mut h);
@@ -1149,7 +1161,7 @@ mod tests {
     fn o2pc_decision_commit_finalizes() {
         let (mut s, mut h) = setup();
         let sub = ExecId::Sub(g(1));
-        s.begin(sub, vec![Op::Add(Key(1), 5)], SimTime(1), &mut h);
+        s.begin(sub, Program::from([Op::Add(Key(1), 5)]), SimTime(1), &mut h);
         run_all(&mut s, sub, SimTime(2), &mut h);
         s.vote(g(1), LockPolicy::ReleaseAll, false, SimTime(3), &mut h);
         let out = s.decide(g(1), true, SimTime(4), &mut h);
@@ -1162,19 +1174,19 @@ mod tests {
     fn o2pc_decision_abort_compensates() {
         let (mut s, mut h) = setup();
         let sub = ExecId::Sub(g(1));
-        s.begin(sub, vec![Op::Add(Key(1), 5)], SimTime(1), &mut h);
+        s.begin(sub, Program::from([Op::Add(Key(1), 5)]), SimTime(1), &mut h);
         run_all(&mut s, sub, SimTime(2), &mut h);
         s.vote(g(1), LockPolicy::ReleaseAll, false, SimTime(3), &mut h);
         // Interleaved local transaction sees the locally-committed value —
         // no cascading abort follows.
         let l = ExecId::Local(s.next_local_id());
-        s.begin(l, vec![Op::Add(Key(1), 7)], SimTime(4), &mut h);
+        s.begin(l, Program::from([Op::Add(Key(1), 7)]), SimTime(4), &mut h);
         run_all(&mut s, l, SimTime(4), &mut h);
         s.commit_local(l, SimTime(5), &mut h);
 
         let out = s.decide(g(1), false, SimTime(6), &mut h);
         let plan = out.compensation.expect("compensation plan");
-        assert_eq!(plan.ops, vec![Op::Add(Key(1), -5)]);
+        assert_eq!(*plan.ops, [Op::Add(Key(1), -5)]);
         s.begin_compensation(g(1), &plan, SimTime(7), &mut h);
         run_all(&mut s, ExecId::CompSub(g(1)), SimTime(8), &mut h);
         s.finish_compensation(g(1), SimTime(9), &mut h);
@@ -1190,7 +1202,7 @@ mod tests {
     fn decision_abort_under_hold_writes_rolls_back() {
         let (mut s, mut h) = setup();
         let sub = ExecId::Sub(g(1));
-        s.begin(sub, vec![Op::Add(Key(1), 5)], SimTime(1), &mut h);
+        s.begin(sub, Program::from([Op::Add(Key(1), 5)]), SimTime(1), &mut h);
         run_all(&mut s, sub, SimTime(2), &mut h);
         s.vote(g(1), LockPolicy::HoldWrites, false, SimTime(3), &mut h);
         let out = s.decide(g(1), false, SimTime(4), &mut h);
@@ -1203,12 +1215,17 @@ mod tests {
     fn compensation_skips_inapplicable_ops() {
         let (mut s, mut h) = setup();
         let sub = ExecId::Sub(g(1));
-        s.begin(sub, vec![Op::Insert(Key(9), Value(1))], SimTime(1), &mut h);
+        s.begin(
+            sub,
+            Program::from([Op::Insert(Key(9), Value(1))]),
+            SimTime(1),
+            &mut h,
+        );
         run_all(&mut s, sub, SimTime(2), &mut h);
         s.vote(g(1), LockPolicy::ReleaseAll, false, SimTime(3), &mut h);
         // A local transaction deletes the key before compensation runs.
         let l = ExecId::Local(s.next_local_id());
-        s.begin(l, vec![Op::Delete(Key(9))], SimTime(4), &mut h);
+        s.begin(l, Program::from([Op::Delete(Key(9))]), SimTime(4), &mut h);
         run_all(&mut s, l, SimTime(4), &mut h);
         s.commit_local(l, SimTime(5), &mut h);
 
@@ -1216,7 +1233,7 @@ mod tests {
             .decide(g(1), false, SimTime(6), &mut h)
             .compensation
             .unwrap();
-        assert_eq!(plan.ops, vec![Op::Delete(Key(9))]);
+        assert_eq!(*plan.ops, [Op::Delete(Key(9))]);
         s.begin_compensation(g(1), &plan, SimTime(7), &mut h);
         run_all(&mut s, ExecId::CompSub(g(1)), SimTime(8), &mut h);
         s.finish_compensation(g(1), SimTime(9), &mut h);
@@ -1229,14 +1246,24 @@ mod tests {
         let (mut s, mut h) = setup();
         // Locally commit one subtransaction, leave another in flight.
         let sub1 = ExecId::Sub(g(1));
-        s.begin(sub1, vec![Op::Add(Key(1), 11)], SimTime(1), &mut h);
+        s.begin(
+            sub1,
+            Program::from([Op::Add(Key(1), 11)]),
+            SimTime(1),
+            &mut h,
+        );
         run_all(&mut s, sub1, SimTime(2), &mut h);
         s.vote(g(1), LockPolicy::ReleaseAll, false, SimTime(3), &mut h);
         let sub2 = ExecId::Sub(g(2));
-        s.begin(sub2, vec![Op::Add(Key(2), 13)], SimTime(4), &mut h);
+        s.begin(
+            sub2,
+            Program::from([Op::Add(Key(2), 13)]),
+            SimTime(4),
+            &mut h,
+        );
         run_all(&mut s, sub2, SimTime(5), &mut h);
         // Crash.
-        let wal = s.crash();
+        let wal = s.crash().unwrap();
         let s2 = Site::recover(SiteId(0), SiteConfig::default(), wal);
         assert_eq!(
             s2.get(Key(1)),
@@ -1260,17 +1287,27 @@ mod tests {
     fn recovery_preserves_learned_decisions() {
         let (mut s, mut h) = setup();
         let sub1 = ExecId::Sub(g(1));
-        s.begin(sub1, vec![Op::Add(Key(1), 11)], SimTime(1), &mut h);
+        s.begin(
+            sub1,
+            Program::from([Op::Add(Key(1), 11)]),
+            SimTime(1),
+            &mut h,
+        );
         run_all(&mut s, sub1, SimTime(2), &mut h);
         s.vote(g(1), LockPolicy::ReleaseAll, false, SimTime(3), &mut h);
         s.decide(g(1), true, SimTime(4), &mut h);
         let sub2 = ExecId::Sub(g(2));
-        s.begin(sub2, vec![Op::Add(Key(2), 7)], SimTime(5), &mut h);
+        s.begin(
+            sub2,
+            Program::from([Op::Add(Key(2), 7)]),
+            SimTime(5),
+            &mut h,
+        );
         run_all(&mut s, sub2, SimTime(6), &mut h);
         s.vote(g(2), LockPolicy::ReleaseAll, false, SimTime(7), &mut h);
         s.decide(g(2), false, SimTime(8), &mut h);
 
-        let wal = s.crash();
+        let wal = s.crash().unwrap();
         let mut s2 = Site::recover(SiteId(0), SiteConfig::default(), wal);
         let (state, _) = s2.answer_termination_query(g(1), SimTime(9), &mut h);
         assert_eq!(state, PeerState::KnowsCommit);
@@ -1282,11 +1319,11 @@ mod tests {
     fn reads_from_tracking() {
         let (mut s, mut h) = setup();
         let sub = ExecId::Sub(g(1));
-        s.begin(sub, vec![Op::Add(Key(1), 5)], SimTime(1), &mut h);
+        s.begin(sub, Program::from([Op::Add(Key(1), 5)]), SimTime(1), &mut h);
         run_all(&mut s, sub, SimTime(2), &mut h);
         s.vote(g(1), LockPolicy::ReleaseAll, false, SimTime(3), &mut h);
         let l = ExecId::Local(s.next_local_id());
-        s.begin(l, vec![Op::Read(Key(1))], SimTime(4), &mut h);
+        s.begin(l, Program::from([Op::Read(Key(1))]), SimTime(4), &mut h);
         run_all(&mut s, l, SimTime(4), &mut h);
         let read = h
             .events()
@@ -1313,7 +1350,7 @@ mod tests {
         let l = ExecId::Local(s.next_local_id());
         s.begin(
             l,
-            vec![Op::Add(Key(1), 1), Op::Read(Key(1))],
+            Program::from([Op::Add(Key(1), 1), Op::Read(Key(1))]),
             SimTime(1),
             &mut h,
         );

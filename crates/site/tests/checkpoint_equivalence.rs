@@ -10,7 +10,7 @@
 //! rebuilds; every crash compares that, and the trace then continues on
 //! the recovered sites.
 
-use o2pc_common::{ExecId, GlobalTxnId, History, Key, Op, SimTime, SiteId, Value};
+use o2pc_common::{ExecId, GlobalTxnId, History, Key, Op, Program, SimTime, SiteId, Value};
 use o2pc_compensation::CompensationPlan;
 use o2pc_site::{ExecPhase, LockPolicy, OpResult, Site, SiteConfig, Vote};
 use o2pc_storage::{CheckpointImage, RecoveredState};
@@ -107,13 +107,13 @@ impl Twins {
         (!v.is_empty()).then(|| v[arg as usize % v.len()])
     }
 
-    fn program(arg: u8) -> Vec<Op> {
+    fn program(arg: u8) -> Program {
         let k = Key(arg as u64 % KEYS);
         let other = Key((arg as u64 / 4) % KEYS);
         match arg % 3 {
-            0 => vec![Op::Add(k, 1 + (arg % 5) as i64)],
-            1 => vec![Op::Read(other), Op::Add(k, -1)],
-            _ => vec![Op::Add(k, 2), Op::Add(other, -2)],
+            0 => Program::from([Op::Add(k, 1 + (arg % 5) as i64)]),
+            1 => Program::from([Op::Read(other), Op::Add(k, -1)]),
+            _ => Program::from([Op::Add(k, 2), Op::Add(other, -2)]),
         }
     }
 
@@ -266,7 +266,9 @@ impl Twins {
         let b = comparable(self.whole.wal().recover(), &self.retired);
         assert_eq!(a, b, "recovery diverged at crash {}", self.crashes);
         let restart = |s: &mut Site| {
-            let wal = std::mem::replace(s, Site::new(SiteId(0), SiteConfig::default())).crash();
+            let wal = std::mem::replace(s, Site::new(SiteId(0), SiteConfig::default()))
+                .crash()
+                .expect("in-memory crash");
             *s = Site::recover(SiteId(0), SiteConfig::default(), wal);
         };
         restart(&mut self.cut);
@@ -308,7 +310,7 @@ fn run(s: &mut Site, exec: ExecId, now: SimTime, h: &mut History) {
 }
 
 fn restart(s: Site) -> Site {
-    Site::recover(SiteId(0), SiteConfig::default(), s.crash())
+    Site::recover(SiteId(0), SiteConfig::default(), s.crash().unwrap())
 }
 
 /// An execution that began before a checkpoint and was still in flight at
@@ -320,7 +322,7 @@ fn in_flight_execution_spanning_a_checkpoint_is_rolled_back() {
     let t = ExecId::Sub(g(1));
     s.begin(
         t,
-        vec![Op::Add(Key(1), 5), Op::Add(Key(2), 7)],
+        Program::from([Op::Add(Key(1), 5), Op::Add(Key(2), 7)]),
         SimTime(1),
         &mut h,
     );
@@ -352,7 +354,12 @@ fn local_commit_spanning_a_checkpoint_still_compensates_after_a_crash() {
     let mut h = History::new();
     let mut s = fresh();
     let t = g(1);
-    s.begin(ExecId::Sub(t), vec![Op::Add(Key(1), 5)], SimTime(1), &mut h);
+    s.begin(
+        ExecId::Sub(t),
+        Program::from([Op::Add(Key(1), 5)]),
+        SimTime(1),
+        &mut h,
+    );
     run(&mut s, ExecId::Sub(t), SimTime(1), &mut h);
     assert_eq!(
         s.vote(t, LockPolicy::ReleaseAll, false, SimTime(2), &mut h)

@@ -2,7 +2,7 @@
 //! executions, the marking lifecycle across a full O2PC round, and WAL
 //! interplay across crash points.
 
-use o2pc_common::{ExecId, GlobalTxnId, History, Key, Op, SimTime, SiteId, Value};
+use o2pc_common::{ExecId, GlobalTxnId, History, Key, Op, Program, SimTime, SiteId, Value};
 use o2pc_marking::MarkState;
 use o2pc_site::{LockPolicy, OpResult, Site, SiteConfig, Vote};
 
@@ -33,14 +33,19 @@ fn drive(site: &mut Site, exec: ExecId, now: SimTime, hist: &mut History) -> OpR
 fn blocked_local_resumes_after_sub_vote() {
     let (mut s, mut h) = setup();
     let sub = ExecId::Sub(g(1));
-    s.begin(sub, vec![Op::Add(Key(1), -10)], SimTime(1), &mut h);
+    s.begin(
+        sub,
+        Program::from([Op::Add(Key(1), -10)]),
+        SimTime(1),
+        &mut h,
+    );
     assert!(matches!(
         drive(&mut s, sub, SimTime(1), &mut h),
         OpResult::Done { finished: true, .. }
     ));
 
     let l = ExecId::Local(s.next_local_id());
-    s.begin(l, vec![Op::Add(Key(1), 5)], SimTime(2), &mut h);
+    s.begin(l, Program::from([Op::Add(Key(1), 5)]), SimTime(2), &mut h);
     assert_eq!(s.execute_next_op(l, SimTime(2), &mut h), OpResult::Blocked);
     assert!(s.is_blocked(l));
 
@@ -62,14 +67,19 @@ fn compensation_contends_like_a_local_transaction() {
     // Sub locally commits a write on k1, then a local holds k1 while the
     // abort decision arrives: the CT must queue behind the local.
     let sub = ExecId::Sub(g(1));
-    s.begin(sub, vec![Op::Add(Key(1), 50)], SimTime(1), &mut h);
+    s.begin(
+        sub,
+        Program::from([Op::Add(Key(1), 50)]),
+        SimTime(1),
+        &mut h,
+    );
     drive(&mut s, sub, SimTime(1), &mut h);
     s.vote(g(1), LockPolicy::ReleaseAll, false, SimTime(2), &mut h);
 
     let l = ExecId::Local(s.next_local_id());
     s.begin(
         l,
-        vec![Op::Add(Key(1), 7), Op::Read(Key(2))],
+        Program::from([Op::Add(Key(1), 7), Op::Read(Key(2))]),
         SimTime(3),
         &mut h,
     );
@@ -117,7 +127,7 @@ fn compensation_contends_like_a_local_transaction() {
 fn full_marking_lifecycle_with_udum_unmark() {
     let (mut s, mut h) = setup();
     let sub = ExecId::Sub(g(1));
-    s.begin(sub, vec![Op::Add(Key(1), 1)], SimTime(1), &mut h);
+    s.begin(sub, Program::from([Op::Add(Key(1), 1)]), SimTime(1), &mut h);
     drive(&mut s, sub, SimTime(1), &mut h);
     assert_eq!(s.mark_of(g(1)), MarkState::Unmarked);
     s.vote(g(1), LockPolicy::ReleaseAll, false, SimTime(2), &mut h);
@@ -144,7 +154,7 @@ fn deadlock_between_sub_and_compensation_resolved_by_ct_retry() {
     let sub1 = ExecId::Sub(g(1));
     s.begin(
         sub1,
-        vec![Op::Add(Key(1), 5), Op::Add(Key(2), 5)],
+        Program::from([Op::Add(Key(1), 5), Op::Add(Key(2), 5)]),
         SimTime(1),
         &mut h,
     );
@@ -159,7 +169,7 @@ fn deadlock_between_sub_and_compensation_resolved_by_ct_retry() {
     let sub2 = ExecId::Sub(g(2));
     s.begin(
         sub2,
-        vec![Op::Add(Key(1), 1), Op::Add(Key(2), 1)],
+        Program::from([Op::Add(Key(1), 1), Op::Add(Key(2), 1)]),
         SimTime(4),
         &mut h,
     );
@@ -215,7 +225,7 @@ fn crash_during_compensation_rolls_back_partial_ct() {
     let sub = ExecId::Sub(g(1));
     s.begin(
         sub,
-        vec![Op::Add(Key(1), 5), Op::Add(Key(2), 5)],
+        Program::from([Op::Add(Key(1), 5), Op::Add(Key(2), 5)]),
         SimTime(1),
         &mut h,
     );
@@ -234,7 +244,7 @@ fn crash_during_compensation_rolls_back_partial_ct() {
             ..
         }
     ));
-    let wal = s.crash();
+    let wal = s.crash().unwrap();
     let s2 = Site::recover(SiteId(0), SiteConfig::default(), wal);
     // The locally-committed forward updates are durable; the half-finished
     // CT was rolled back by recovery (it re-runs from its retained plan in
@@ -249,7 +259,7 @@ fn vote_on_still_running_sub_aborts_it() {
     let sub = ExecId::Sub(g(1));
     s.begin(
         sub,
-        vec![Op::Add(Key(1), 5), Op::Add(Key(2), 5)],
+        Program::from([Op::Add(Key(1), 5), Op::Add(Key(2), 5)]),
         SimTime(1),
         &mut h,
     );
@@ -275,7 +285,7 @@ fn vote_on_still_running_sub_aborts_it() {
 fn unilateral_abort_then_vote_no() {
     let (mut s, mut h) = setup();
     let sub = ExecId::Sub(g(1));
-    s.begin(sub, vec![Op::Add(Key(1), 5)], SimTime(1), &mut h);
+    s.begin(sub, Program::from([Op::Add(Key(1), 5)]), SimTime(1), &mut h);
     drive(&mut s, sub, SimTime(1), &mut h);
     s.unilateral_abort(g(1), SimTime(2), &mut h);
     assert_eq!(s.get(Key(1)), Some(Value(100)));

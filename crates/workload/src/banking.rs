@@ -1,7 +1,7 @@
 //! Multi-site bank transfers.
 
 use crate::Schedule;
-use o2pc_common::{DetRng, Duration, Key, Op, SimTime, SiteId, Value};
+use o2pc_common::{DetRng, Duration, Key, Op, Program, SimTime, SiteId, Value};
 use o2pc_core::TxnRequest;
 
 /// Money transfers between accounts held at different branches (sites).
@@ -66,23 +66,19 @@ impl BankingWorkload {
                 // Audit-and-adjust: read then a net-zero pair of updates.
                 arrivals.push((
                     t,
-                    TxnRequest::local(
-                        site,
-                        vec![Op::Read(acct), Op::Add(acct, 1), Op::Add(acct, -1)],
-                    ),
+                    TxnRequest::local(site, [Op::Read(acct), Op::Add(acct, 1), Op::Add(acct, -1)]),
                 ));
                 continue;
             }
             let chosen = rng.sample_indices(self.sites as usize, self.sites_per_transfer);
             let amount = 1 + rng.gen_range(50) as i64;
-            let mut subs = Vec::with_capacity(chosen.len());
             // First site is the source; the amount is split over the rest.
             let share = amount / (chosen.len() as i64 - 1).max(1);
             let mut distributed = 0;
-            for (i, &s) in chosen.iter().enumerate() {
+            let subs = chosen.iter().enumerate().map(|(i, &s)| {
                 let acct = Key(rng.gen_range(self.accounts_per_site));
                 let ops = if i == 0 {
-                    vec![Op::Read(acct), Op::Add(acct, -amount)]
+                    Program::from([Op::Read(acct), Op::Add(acct, -amount)])
                 } else {
                     let d = if i == chosen.len() - 1 {
                         amount - distributed
@@ -90,10 +86,10 @@ impl BankingWorkload {
                         share
                     };
                     distributed += d;
-                    vec![Op::Add(acct, d)]
+                    Program::from([Op::Add(acct, d)])
                 };
-                subs.push((SiteId(s as u32), ops));
-            }
+                (SiteId(s as u32), ops)
+            });
             arrivals.push((t, TxnRequest::global(subs)));
         }
         Schedule { loads, arrivals }

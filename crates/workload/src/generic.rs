@@ -2,7 +2,7 @@
 
 use crate::Schedule;
 use o2pc_common::rng::Zipf;
-use o2pc_common::{DetRng, Duration, Key, Op, SimTime, SiteId, Value};
+use o2pc_common::{DetRng, Duration, Key, Op, Program, SimTime, SiteId, Value};
 use o2pc_core::TxnRequest;
 
 /// A tunable read/write mix: the contention sweeps (experiment E2) drive
@@ -53,7 +53,7 @@ impl Default for GenericWorkload {
 }
 
 impl GenericWorkload {
-    fn ops(&self, rng: &mut DetRng, zipf: &Zipf) -> Vec<Op> {
+    fn ops(&self, rng: &mut DetRng, zipf: &Zipf) -> Program {
         (0..self.ops_per_sub)
             .map(|_| {
                 let key = Key(zipf.sample(rng) as u64);
@@ -91,8 +91,7 @@ impl GenericWorkload {
                 let chosen = rng.sample_indices(self.sites as usize, self.sites_per_txn);
                 let subs = chosen
                     .into_iter()
-                    .map(|s| (SiteId(s as u32), self.ops(&mut rng, &zipf)))
-                    .collect();
+                    .map(|s| (SiteId(s as u32), self.ops(&mut rng, &zipf)));
                 arrivals.push((t, TxnRequest::global(subs)));
             }
         }
@@ -103,6 +102,7 @@ impl GenericWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn shape() {
@@ -127,10 +127,10 @@ mod tests {
         for (_, req) in w.generate().arrivals {
             let subs = match req {
                 TxnRequest::Global { subs, .. } => subs,
-                TxnRequest::Local { site, ops } => vec![(site, ops)],
+                TxnRequest::Local { site, ops } => Arc::from([(site, ops)]),
             };
-            for (_, ops) in subs {
-                for op in ops {
+            for (_, ops) in subs.iter() {
+                for op in ops.iter() {
                     total += 1;
                     if matches!(op, Op::Add(..)) {
                         writes += 1;
@@ -153,8 +153,8 @@ mod tests {
         let mut total = 0usize;
         for (_, req) in hot.generate().arrivals {
             if let TxnRequest::Global { subs, .. } = req {
-                for (_, ops) in subs {
-                    for op in ops {
+                for (_, ops) in subs.iter() {
+                    for op in ops.iter() {
                         total += 1;
                         if op.key() == Key(0) {
                             count_key0 += 1;

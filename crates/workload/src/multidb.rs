@@ -12,7 +12,7 @@
 
 use crate::Schedule;
 use o2pc_common::rng::Zipf;
-use o2pc_common::{DetRng, Duration, Key, Op, SimTime, SiteId, Value};
+use o2pc_common::{DetRng, Duration, Key, Op, Program, SimTime, SiteId, Value};
 use o2pc_core::TxnRequest;
 
 /// Autonomy-focused mix: per-site local streams + cross-site globals.
@@ -62,7 +62,7 @@ impl Default for MultidbWorkload {
 }
 
 impl MultidbWorkload {
-    fn ops(&self, n: usize, rng: &mut DetRng, zipf: &Zipf) -> Vec<Op> {
+    fn ops(&self, n: usize, rng: &mut DetRng, zipf: &Zipf) -> Program {
         (0..n)
             .map(|_| {
                 let key = Key(zipf.sample(rng) as u64);
@@ -104,15 +104,10 @@ impl MultidbWorkload {
         for _ in 0..self.globals {
             t += Duration::micros(rng.gen_exp(self.global_interarrival.as_micros() as f64) as u64);
             let chosen = rng.sample_indices(self.sites as usize, 2);
-            let subs = chosen
-                .into_iter()
-                .map(|s| {
-                    (
-                        SiteId(s as u32),
-                        self.ops(self.ops_per_sub, &mut rng, &zipf),
-                    )
-                })
-                .collect();
+            let subs = chosen.into_iter().map(|s| {
+                let ops = self.ops(self.ops_per_sub, &mut rng, &zipf);
+                (SiteId(s as u32), ops)
+            });
             arrivals.push((t, TxnRequest::global(subs)));
         }
         arrivals.sort_by_key(|&(t, _)| t);

@@ -1,7 +1,7 @@
 //! Federated travel booking (restricted model).
 
 use crate::Schedule;
-use o2pc_common::{DetRng, Duration, Key, Op, SimTime, SiteId, Value};
+use o2pc_common::{DetRng, Duration, Key, Op, Program, SimTime, SiteId, Value};
 use o2pc_core::TxnRequest;
 
 /// Trip bookings across autonomous reservation systems: a flight site, a
@@ -59,13 +59,11 @@ impl TravelWorkload {
         for _ in 0..self.bookings {
             t += Duration::micros(rng.gen_exp(self.mean_interarrival.as_micros() as f64) as u64);
             let chosen = rng.sample_indices(self.sites as usize, self.legs);
-            let subs = chosen
-                .into_iter()
-                .map(|s| {
-                    let item = Key(rng.gen_range(self.items_per_site));
-                    (SiteId(s as u32), vec![Op::Read(item), Op::Reserve(item, 1)])
-                })
-                .collect();
+            let subs = chosen.into_iter().map(|s| {
+                let item = Key(rng.gen_range(self.items_per_site));
+                let ops = Program::from([Op::Read(item), Op::Reserve(item, 1)]);
+                (SiteId(s as u32), ops)
+            });
             arrivals.push((t, TxnRequest::global(subs)));
         }
         Schedule { loads, arrivals }
@@ -110,7 +108,7 @@ mod tests {
             sites.sort();
             sites.dedup();
             assert_eq!(sites.len(), 3);
-            for (_, ops) in subs {
+            for (_, ops) in subs.iter() {
                 assert!(ops.iter().any(|o| matches!(o, Op::Reserve(_, 1))));
             }
         }

@@ -5,6 +5,8 @@
 //! on the benchmark's `sim-optimistic` and `sim-abort` shapes, as the
 //! *marginal* figure per transaction between a short and a long run —
 //! set-up, the first growth of every table and the end-of-run report cancel.
+//! It reads `Schedule::install` the same way: installing an arrival shares
+//! its request's programs, so it should allocate nothing.
 //! The budget is only meaningful optimised: CI runs
 //! `cargo test --release --test alloc_budget`.
 //!
@@ -45,9 +47,8 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations inside one `Engine::run` over `arrivals` transactions.
-fn allocs_in_run(arrivals: usize, accounts_per_site: u64, vote_abort_probability: f64) -> u64 {
-    let wl = BankingWorkload {
+fn workload(arrivals: usize, accounts_per_site: u64) -> BankingWorkload {
+    BankingWorkload {
         sites: 4,
         accounts_per_site,
         transfers: arrivals,
@@ -55,7 +56,21 @@ fn allocs_in_run(arrivals: usize, accounts_per_site: u64, vote_abort_probability
         mean_interarrival: Duration::micros(200),
         seed: 0xA110C,
         ..Default::default()
-    };
+    }
+}
+
+/// Allocations inside one `Schedule::install` of `arrivals` transactions.
+fn allocs_in_install(arrivals: usize) -> u64 {
+    let schedule = workload(arrivals, 4_096).generate();
+    let mut engine = Engine::new(SystemConfig::new(4, ProtocolKind::O2pc));
+    let before = ALLOCS.load(Ordering::Relaxed);
+    schedule.install(&mut engine);
+    ALLOCS.load(Ordering::Relaxed) - before
+}
+
+/// Allocations inside one `Engine::run` over `arrivals` transactions.
+fn allocs_in_run(arrivals: usize, accounts_per_site: u64, vote_abort_probability: f64) -> u64 {
+    let wl = workload(arrivals, accounts_per_site);
     let mut cfg = SystemConfig::new(wl.sites, ProtocolKind::O2pc);
     cfg.seed = 1;
     cfg.record_history = false;
@@ -89,11 +104,19 @@ fn marginal(accounts_per_site: u64, vote_abort_probability: f64) -> f64 {
 // threads would read each other's allocations.
 #[test]
 fn engine_loop_allocation_budget() {
+    let install = (allocs_in_install(20_000) - allocs_in_install(5_000)) as f64 / 15_000.0;
     let optimistic = marginal(4_096, 0.0);
     let abort = marginal(16, 0.2);
+    println!("allocations per arrival inside Schedule::install (marginal, 5k -> 20k arrivals):");
+    println!("  {install:.2}   (budget 0.05)");
     println!("allocations per transaction inside Engine::run (marginal, 5k -> 20k arrivals):");
     println!("  sim-optimistic shape: {optimistic:.1}   (budget 10)");
     println!("  sim-abort shape:      {abort:.1}   (budget 16, optimised builds)");
+    assert!(
+        install <= 0.05,
+        "installing a schedule allocates {install:.2} times per arrival; the budget is \
+         0.05 (a request's clone shares its programs)"
+    );
     let mut gates = vec![("sim-optimistic", optimistic, 10.0)];
     // Debug builds cross-check every deadlock walk that finds nothing against
     // the whole-graph detectors, which allocate per call.

@@ -81,10 +81,7 @@ fn conflict_free_workload() -> Workload {
         loads.push((s, k, Value(7)));
         arrivals.push((
             SimTime(1_000 + i * 2_000),
-            TxnRequest::Local {
-                site: s,
-                ops: vec![Op::Add(k, 1)],
-            },
+            TxnRequest::local(s, [Op::Add(k, 1)]),
         ));
     }
     (loads, arrivals)

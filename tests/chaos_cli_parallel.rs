@@ -83,3 +83,30 @@ fn zero_segment_bytes_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage: kill_recover"));
 }
+
+/// `--wal-dir` moves a durable sweep's logs and nothing else: stdout is the
+/// default location's, and the sweep leaves the directory as it found it.
+#[test]
+fn wal_dir_moves_the_logs_not_the_output() {
+    let root = o2pc_common::ScratchDir::new("cli-wal-dir");
+    let base = [
+        "--schedules",
+        "10",
+        "--seed",
+        "0",
+        "--cores",
+        "2",
+        "--durable",
+    ];
+    let default = chaos(&base);
+    let moved = chaos(&[&base[..], &["--wal-dir", root.to_str().unwrap()]].concat());
+    assert!(default.status.success() && moved.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&default.stdout),
+        String::from_utf8_lossy(&moved.stdout)
+    );
+    let left: Vec<_> = std::fs::read_dir(&*root)
+        .expect("the directory is still there")
+        .collect();
+    assert!(left.is_empty(), "left behind: {left:?}");
+}
