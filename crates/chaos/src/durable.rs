@@ -34,7 +34,7 @@ use crate::oracle::Violation;
 use o2pc_common::{ExecId, GlobalTxnId, SiteId};
 use o2pc_compensation::{plan_compensation, CompensationModel};
 use o2pc_storage::codec::encode_frame;
-use o2pc_storage::{CheckpointImage, LogRecord, RecoveredState, Wal};
+use o2pc_storage::{CheckpointImage, LogRecord, Store, Wal};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -74,14 +74,14 @@ pub fn recover_killed_run(
     expected_total: i64,
 ) -> KillRecoveryReport {
     let mut violations = Vec::new();
-    let mut states: Vec<(SiteId, RecoveredState)> = Vec::new();
+    let mut images: Vec<(SiteId, CheckpointImage)> = Vec::new();
     let mut records = 0usize;
     for i in 0..num_sites {
         let path = dir.join(format!("site-{i}.wal"));
         match Wal::open(&path) {
             Ok(wal) => {
                 records += wal.len();
-                states.push((SiteId(i), wal.recover()));
+                images.push((SiteId(i), wal.recover().0));
             }
             Err(e) => violations.push(Violation::WalUnreadable {
                 site: SiteId(i),
@@ -94,8 +94,8 @@ pub fn recover_killed_run(
     // Two sites disagreeing on one transaction's fate is the cardinal 2PC
     // violation — no amount of local resolution can repair it.
     let mut fate: HashMap<GlobalTxnId, bool> = HashMap::new();
-    for (site, st) in &states {
-        for &(txn, commit) in &st.outcomes {
+    for (site, image) in &images {
+        for &(txn, commit) in &image.decided {
             match fate.insert(txn, commit) {
                 Some(prev) if prev != commit => {
                     violations.push(Violation::ConflictingOutcomes { txn, site: *site });
@@ -111,20 +111,19 @@ pub fn recover_killed_run(
     let mut compensated = 0usize;
     let mut prepared_rolled_back = 0usize;
     let mut recovered_total = 0i64;
-    for (_, st) in states.drain(..) {
-        let prepared = st.prepared.clone();
-        let unresolved = st.unresolved_local_commits.clone();
-        let mut store = st.into_store();
-        for (exec, undo) in prepared {
-            let committed = matches!(exec, ExecId::Sub(g) if fate.get(&g) == Some(&true));
+    for (_, image) in images {
+        let mut store = Store::from_iter(image.items);
+        // The image's in-flight executions are the prepared ones.
+        for a in image.active {
+            let committed = matches!(a.exec, ExecId::Sub(g) if fate.get(&g) == Some(&true));
             if !committed {
                 // Presume abort: reinstate the undo chain and reverse it.
-                store.restore_pending(exec, undo);
-                store.rollback(exec);
+                store.restore_pending(a.exec, a.undo);
+                store.rollback(a.exec);
                 prepared_rolled_back += 1;
             }
         }
-        for (g, rec) in unresolved {
+        for (g, rec) in image.local_commits {
             if fate.get(&g) == Some(&true) {
                 continue; // durably committed somewhere: effects stand
             }

@@ -4,11 +4,10 @@
 use super::{Engine, GTxn, TimerEvent};
 use crate::config::TxnRequest;
 use crate::msg::Msg;
-use o2pc_common::{ExecId, GlobalTxnId, HistorySink, Program, SimTime, SiteId};
+use o2pc_common::{ExecId, GlobalTxnId, Program, SimTime, SiteId};
 use o2pc_marking::TransMarks;
 use o2pc_protocol::{CoordAction, TwoPhaseCoordinator};
 use o2pc_runtime::Runtime;
-use o2pc_site::{Site, SiteConfig};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -287,91 +286,35 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     }
 
     pub(crate) fn on_crash(&mut self, now: SimTime, site: SiteId) {
-        if let Some(s) = self.sites[site.index()].take() {
-            // Promises still parked die with the site. Their records are
-            // lost with the unflushed tail, or were written but their
-            // completion never reported: the disk keeps them, unannounced.
-            self.wal_parked[site.index()].clear();
-            self.flush_armed.remove(&site);
-            let seq_floor = s.local_seq_watermark();
-            // Remember which records each compensation owns: the crash
-            // transform truncates a durable WAL to its watermark, and any
-            // compensation whose records ride the lost tail was undone by
-            // that loss (its commit record is the exec's last, so a lost
-            // record implies no durable commit) and will re-execute under
-            // the same id. The history must void its pre-crash accesses,
-            // or the audit would merge two physical executions into one
-            // node and see cycles that never existed on any disk. The
-            // roll-back of a subtransaction is recorded as compensation
-            // activity too (`Site::abort_exec`), so a lost `Abort` of one
-            // voids it the same way: the roll-back will run again.
-            let comp_of = |rec: &o2pc_storage::LogRecord| -> Option<GlobalTxnId> {
-                use o2pc_common::ExecId;
-                use o2pc_storage::LogRecord as LR;
-                let exec = match rec {
-                    LR::Abort(ExecId::Sub(g)) => return Some(*g),
-                    LR::Begin(e) | LR::Commit(e) | LR::Abort(e) | LR::Prepared(e) => e,
-                    LR::Update { exec, .. } => exec,
-                    LR::LocalCommit { exec, .. } => exec,
-                    LR::Outcome { .. } | LR::Checkpoint(_) => return None,
-                };
-                match exec {
-                    ExecId::CompSub(g) => Some(*g),
-                    _ => None,
-                }
-            };
-            // Only a durable WAL can lose a tail in the crash transform; the
-            // in-memory log keeps every record, so the voided set is
-            // empty by construction and the scan would be pure overhead on
-            // the (hot) simulated-crash path. A record is lost when its LSN
-            // is at or past the surviving log's end: positions cannot say
-            // this, because the live log and the surviving one start at
-            // different checkpoints. The live log still holds every record
-            // past its newest durable checkpoint, so it holds the lost ones.
-            let pre_comps: Vec<(u64, GlobalTxnId)> = if s.wal().is_durable() {
-                s.wal()
-                    .retained()
-                    .filter_map(|(lsn, rec)| comp_of(rec).map(|g| (lsn, g)))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let Ok(wal) = s.crash() else {
-                // The log could not be cut or reopened (its directory is
-                // gone, say): nothing survives to recover from, so the
-                // site stays down.
-                self.report.counters.inc("wal.reopen_failures");
-                return;
-            };
-            let lost_from = wal.end_lsn();
-            let voided: std::collections::BTreeSet<GlobalTxnId> = pre_comps
-                .into_iter()
-                .filter(|&(lsn, _)| lsn >= lost_from)
-                .map(|(_, g)| g)
-                .collect();
-            for g in voided {
-                self.hist.record(o2pc_common::HistEvent {
-                    site,
-                    txn: o2pc_common::TxnId::Compensation(g),
-                    kind: o2pc_common::HistEventKind::RolledBack,
-                    time: now,
-                });
+        let Some(s) = self.sites[site.index()].take() else {
+            return;
+        };
+        // Promises still parked die with the site. Their records are lost
+        // with the unflushed tail, or were written but their completion
+        // never reported: the disk keeps them, unannounced.
+        self.wal_parked[site.index()].clear();
+        self.flush_armed.remove(&site);
+        // What the site counted so far outlives it.
+        self.report.locks.merge(s.lock_stats());
+        self.report
+            .counters
+            .add("comp.skipped_ops", s.skipped_comp_ops);
+        match s.crash(now, &mut self.hist) {
+            Ok(crashed) => {
+                self.crashed.insert(site, crashed);
             }
-            self.crashed_wals.insert(site, (wal, seq_floor));
+            // The log could not be cut or reopened (its directory is gone,
+            // say): nothing survives to recover from, so the site stays
+            // down.
+            Err(_) => self.report.counters.inc("wal.reopen_failures"),
         }
     }
 
     pub(crate) fn on_recover(&mut self, now: SimTime, site: SiteId) {
-        let Some((wal, seq_floor)) = self.crashed_wals.remove(&site) else {
+        let Some(crashed) = self.crashed.remove(&site) else {
             return;
         };
-        let site_cfg = SiteConfig {
-            compensation_model: self.cfg.compensation_model,
-        };
-        let mut recovered_site = Site::recover(site, site_cfg, wal);
-        // Durable crashes can truncate the log below ids already issued;
-        // the engine's id-range reservation keeps the counter monotone.
-        recovered_site.reserve_local_seq(seq_floor);
+        let mut recovered_site = crashed.recover(now, &mut self.hist);
         // Everything the reopened log holds is on disk, and no completion
         // will ever report it: bytes the crash kept were sealed by the
         // previous incarnation, whose completions die with it.
@@ -381,27 +324,15 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         // can never be queried again — drop them so recovery does not
         // grow the decided map without bound across crash cycles.
         recovered_site.retain_decisions(|g| self.txns.contains_key(&g));
-        // Executions that died in-flight with the crash were rolled back
-        // from the log; close them out in the history, else the SG audit
-        // would treat their undone writes as observable accesses.
-        for exec in recovered_site.take_recovery_rollbacks() {
-            self.hist.record(o2pc_common::HistEvent {
-                site,
-                txn: exec.txn_id(),
-                kind: o2pc_common::HistEventKind::RolledBack,
-                time: now,
-            });
-        }
         self.sites[site.index()] = Some(recovered_site);
         // Coordinators hosted here resume: resend logged decisions, presume
         // abort for undecided transactions.
-        let to_recover: Vec<GlobalTxnId> = self
+        let mut to_recover: Vec<GlobalTxnId> = self
             .txns
             .iter()
             .filter(|(_, g)| g.coord_site == site && !g.done)
             .map(|(&id, _)| id)
             .collect();
-        let mut to_recover = to_recover;
         to_recover.sort_unstable(); // canonical resend order, independent of map iteration
         for txn in to_recover {
             if let Some(action) = self.txns.get_mut(&txn).unwrap().coord.recover() {

@@ -41,7 +41,7 @@ use o2pc_marking::{MarkingProtocol, TransMarks, UdumTracker};
 use o2pc_protocol::{TerminationRound, TwoPhaseCoordinator};
 use o2pc_runtime::{Runtime, SimRuntime};
 use o2pc_sim::Network;
-use o2pc_site::{LockPolicy, Site, SiteConfig};
+use o2pc_site::{CrashedSite, LockPolicy, Site, SiteConfig};
 use o2pc_storage::Wal;
 use recorder::Recorder;
 use std::collections::btree_map::Entry;
@@ -182,9 +182,8 @@ pub type DefaultSimRuntime = SimRuntime<TimerEvent, Msg>;
 pub struct Engine<R: Runtime<TimerEvent, Msg> = DefaultSimRuntime> {
     pub(crate) cfg: SystemConfig,
     pub(crate) sites: Vec<Option<Site>>,
-    /// WALs of down sites, with the pre-crash local-id watermark (the
-    /// engine's durable id-range reservation — see `Site::reserve_local_seq`).
-    pub(crate) crashed_wals: FastHashMap<SiteId, (Wal, u64)>,
+    /// Down sites, each with what survived its crash.
+    pub(crate) crashed: FastHashMap<SiteId, CrashedSite>,
     pub(crate) rt: R,
     pub(crate) rng: DetRng,
     pub(crate) idgen: GlobalTxnIdGen,
@@ -277,7 +276,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         Engine {
             cfg,
             sites,
-            crashed_wals: FastHashMap::default(),
+            crashed: FastHashMap::default(),
             rt,
             rng,
             idgen: GlobalTxnIdGen::new(),
@@ -952,7 +951,7 @@ mod tests {
         assert_eq!(e.site_mut(s0).wal().len(), 1, "the live log starts at it");
 
         e.on_crash(SimTime(1_000), s0);
-        let survived = &e.crashed_wals[&s0].0;
+        let survived = e.crashed[&s0].wal();
         assert!(
             matches!(&survived.records()[0], o2pc_storage::LogRecord::Checkpoint(cp) if cp.lsn == 0),
             "the crash fell back to the first checkpoint"
@@ -1015,5 +1014,36 @@ mod tests {
         // replaced by recovery since — finds a healthy WAL and crashes nothing.
         e.on_wal_durable(r.end_time, s1, ticket, false);
         assert!(e.down_sites().is_empty());
+    }
+
+    /// What a site counted before it crashed stays in the report: its lock
+    /// holds and the compensation operations it skipped, although the site
+    /// is still down when the report is made.
+    #[test]
+    fn crashed_site_keeps_its_counters_in_the_report() {
+        let mut e = Engine::new(SystemConfig::new(1, ProtocolKind::O2pc));
+        let (s0, t, k, now) = (SiteId(0), GlobalTxnId(1), Key(9), SimTime(1));
+        let site = e.sites[0].as_mut().unwrap();
+        let sub = Program::from([Op::Insert(k, Value(1))]);
+        site.begin(ExecId::Sub(t), sub, now, &mut e.hist);
+        site.execute_next_op(ExecId::Sub(t), now, &mut e.hist);
+        site.vote(t, LockPolicy::ReleaseAll, false, now, &mut e.hist);
+        // A local transaction deletes the item, so the compensation's
+        // delete has nothing left to undo and is skipped.
+        let l = ExecId::Local(site.next_local_id());
+        site.begin(l, Program::from([Op::Delete(k)]), now, &mut e.hist);
+        site.execute_next_op(l, now, &mut e.hist);
+        site.commit_local(l, now, &mut e.hist);
+        let plan = site.decide(t, false, now, &mut e.hist).compensation;
+        site.begin_compensation(t, &plan.unwrap(), now, &mut e.hist);
+        site.execute_next_op(ExecId::CompSub(t), now, &mut e.hist);
+        site.finish_compensation(t, now, &mut e.hist);
+        let holds = site.lock_stats().exclusive_hold.count();
+        assert_eq!((holds, site.skipped_comp_ops), (3, 1));
+
+        e.on_crash(now, s0);
+        let r = e.finalize();
+        assert_eq!(r.locks.exclusive_hold.count(), holds);
+        assert_eq!(r.counters.get("comp.skipped_ops"), 1);
     }
 }

@@ -26,10 +26,15 @@
 //!   locally-committed site returns a compensation plan for the engine to
 //!   run as a `CT_ij` execution; the *undone* marking is set only when the
 //!   compensation completes (rule R2 — the marking is the CT's last action).
-//! * **Crash/recovery** ([`Site::crash`] / [`Site::recover`]): the WAL
-//!   survives; in-flight executions are rolled back on restart, while
+//! * **Crash/recovery** ([`Site::crash`] / [`CrashedSite::recover`]): each
+//!   is one call. The crash keeps the WAL (on disk, up to its durable
+//!   watermark) and the local-id watermark, and records in the history the
+//!   compensations the lost tail undid. The restart rebuilds the site from
+//!   the image [`o2pc_storage::Wal::recover`] returns: in-flight executions
+//!   are rolled back and their roll-backs logged and recorded, while
 //!   prepared and locally-committed (in-doubt) subtransactions are fully
-//!   reconstructed — updates, write locks, and compensation obligations.
+//!   reconstructed — updates, write locks (taken at the restart instant),
+//!   and compensation obligations.
 //! * **Checkpoints** ([`Site::checkpoint`]): the site writes its live state
 //!   (store image, in-flight executions, unsettled local commits, retained
 //!   decisions) into the log and drops the records behind it, once
@@ -42,4 +47,6 @@ pub mod exec;
 pub mod site;
 
 pub use exec::{ExecPhase, ExecState, OpResult};
-pub use site::{LockPolicy, PeerState, Site, SiteConfig, Vote, CHECKPOINT_FLOOR, CHECKPOINT_RATIO};
+pub use site::{
+    CrashedSite, LockPolicy, PeerState, Site, SiteConfig, Vote, CHECKPOINT_FLOOR, CHECKPOINT_RATIO,
+};

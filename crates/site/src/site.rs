@@ -130,11 +130,6 @@ pub struct Site {
     /// Compensation operations skipped because the state they would restore
     /// no longer admits them (e.g. re-deleting an already-deleted item).
     pub skipped_comp_ops: u64,
-    /// Executions rolled back by the last [`Site::recover`] (in-flight at
-    /// the crash). The engine drains this to record the rollbacks in the
-    /// history — the crash undid their writes, so leaving them unterminated
-    /// would make the SG audit count accesses nobody could ever observe.
-    recovery_rollbacks: Vec<ExecId>,
 }
 
 impl Site {
@@ -164,14 +159,7 @@ impl Site {
             entries: 0,
             checkpoint_after: CHECKPOINT_FLOOR,
             skipped_comp_ops: 0,
-            recovery_rollbacks: Vec::new(),
         }
-    }
-
-    /// Drain the executions rolled back by the last [`Site::recover`] (for
-    /// history bookkeeping by the engine).
-    pub fn take_recovery_rollbacks(&mut self) -> Vec<ExecId> {
-        std::mem::take(&mut self.recovery_rollbacks)
     }
 
     /// Site id.
@@ -266,23 +254,6 @@ impl Site {
         };
         self.local_seq += 1;
         id
-    }
-
-    /// High-water mark of the local-transaction id counter: every seq below
-    /// it may already have been issued.
-    pub fn local_seq_watermark(&self) -> u64 {
-        self.local_seq
-    }
-
-    /// Raise the local id counter to at least `floor`. A durable WAL can
-    /// lose its unflushed tail in a crash, including the `Begin` of a local
-    /// transaction the rest of the system already observed — recovery from
-    /// the truncated log alone would then reissue that id and merge two
-    /// distinct transactions into one history node. Real systems reserve id
-    /// ranges durably ahead of use; the engine models that reservation by
-    /// restoring the pre-crash watermark here.
-    pub fn reserve_local_seq(&mut self, floor: u64) {
-        self.local_seq = self.local_seq.max(floor);
     }
 
     /// The site's marking state (R1 checks read it).
@@ -804,7 +775,7 @@ impl Site {
     /// no protocol code path calls it (and none may start to).
     pub fn wal_store_diff(&self) -> Vec<(Key, Option<Value>, Option<Value>)> {
         use std::collections::BTreeMap;
-        let recovered: BTreeMap<Key, Value> = self.wal.recover().items.into_iter().collect();
+        let recovered: BTreeMap<Key, Value> = self.wal.recover().0.items.into_iter().collect();
         let live: BTreeMap<Key, Value> = self.store.iter().collect();
         let keys: std::collections::BTreeSet<Key> =
             recovered.keys().chain(live.keys()).copied().collect();
@@ -934,8 +905,56 @@ impl Site {
     /// it is on disk (the unsynced tail is gone, as on a real disk). Fails
     /// when an on-disk log cannot be cut or reopened: nothing survives to
     /// recover from.
-    pub fn crash(self) -> std::io::Result<Wal> {
-        self.wal.crash()
+    ///
+    /// A compensation whose records rode the lost tail was undone by that
+    /// loss (its commit record is the execution's last, so a lost record
+    /// implies no durable commit) and will re-execute under the same id.
+    /// The crash records its `RolledBack` in `hist`, or the audit would
+    /// merge two physical executions into one node and see cycles that
+    /// never existed on any disk. The roll-back of a subtransaction is
+    /// recorded as compensation activity too ([`Site::abort_exec`]), so a
+    /// lost `Abort` of one voids it the same way: the roll-back will run
+    /// again.
+    pub fn crash(self, now: SimTime, hist: &mut dyn HistorySink) -> std::io::Result<CrashedSite> {
+        let voids = |rec: &LogRecord| match (rec, rec.exec()?) {
+            (LogRecord::Abort(_), ExecId::Sub(g)) | (_, ExecId::CompSub(g)) => Some(g),
+            _ => None,
+        };
+        // Only a durable WAL loses a tail; the in-memory one keeps every
+        // record. A record is lost when its LSN is at or past the surviving
+        // log's end: positions cannot say this, because the live log and
+        // the surviving one start at different checkpoints. The live log
+        // still holds every record past its newest durable checkpoint, so
+        // it holds the lost ones.
+        let owned: Vec<(u64, GlobalTxnId)> = if self.wal.is_durable() {
+            self.wal
+                .retained()
+                .filter_map(|(lsn, rec)| voids(rec).map(|g| (lsn, g)))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let wal = self.wal.crash()?;
+        let lost_from = wal.end_lsn();
+        let voided: BTreeSet<GlobalTxnId> = owned
+            .into_iter()
+            .filter(|&(lsn, _)| lsn >= lost_from)
+            .map(|(_, g)| g)
+            .collect();
+        for g in voided {
+            hist.record(HistEvent {
+                site: self.id,
+                txn: TxnId::Compensation(g),
+                kind: HistEventKind::RolledBack,
+                time: now,
+            });
+        }
+        Ok(CrashedSite {
+            id: self.id,
+            config: self.config,
+            wal,
+            local_seq: self.local_seq,
+        })
     }
 
     /// The site's log, read-only: its records (diagnostics, e.g. tracing a
@@ -957,32 +976,60 @@ impl Site {
     pub fn wal_seal_batch(&mut self) -> Option<FlushBatch> {
         self.wal.seal_batch()
     }
+}
 
-    /// Restart from a surviving WAL: committed and locally-committed state
-    /// is restored; in-flight executions are rolled back; *prepared*
-    /// subtransactions keep their updates and re-acquire their write locks;
-    /// locally-committed subtransactions with an unknown decision keep
-    /// their commit records so they can still compensate.
-    pub fn recover(id: SiteId, config: SiteConfig, wal: Wal) -> Site {
-        let recovered = wal.recover();
-        let mut wal = wal;
-        // Log the restart rollback (ARIES-style compensation records):
-        // without these a later replay of the longer log would re-apply the
-        // rolled-back executions' stale before-images over newer commits.
-        for rec in recovered.rollback_records.clone() {
-            wal.append(rec);
+/// A site that crashed: what survives until it restarts.
+#[derive(Debug)]
+pub struct CrashedSite {
+    id: SiteId,
+    config: SiteConfig,
+    wal: Wal,
+    /// The local-id counter at the crash. A durable WAL can lose its
+    /// unflushed tail, including the `Begin` of a local transaction the
+    /// rest of the system already observed; recovery from the truncated
+    /// log alone would then reissue that id and merge two transactions into
+    /// one history node. Real systems reserve id ranges durably ahead of
+    /// use; keeping the counter here models that reservation.
+    local_seq: u64,
+}
+
+impl CrashedSite {
+    /// The log that survived the crash.
+    pub fn wal(&self) -> &Wal {
+        &self.wal
+    }
+
+    /// Restart from the surviving log: committed and locally-committed
+    /// state is restored; in-flight executions are rolled back, their
+    /// `RolledBack` recorded in `hist` (the crash undid their writes, so
+    /// leaving them unterminated would make the SG audit count accesses
+    /// nobody could ever observe); *prepared* subtransactions keep their
+    /// updates and re-acquire their write locks at `now`; locally-committed
+    /// subtransactions with an unknown decision keep their commit records
+    /// so they can still compensate.
+    pub fn recover(self, now: SimTime, hist: &mut dyn HistorySink) -> Site {
+        let (image, clrs) = self.wal.recover();
+        let mut site = Site::with_wal(self.id, self.config, self.wal);
+        // Log the restart rollback (see `Wal::recover`).
+        for rec in clrs {
+            if let LogRecord::Abort(exec) = rec {
+                hist.record(HistEvent {
+                    site: site.id,
+                    txn: exec.txn_id(),
+                    kind: HistEventKind::RolledBack,
+                    time: now,
+                });
+            }
+            site.wal.append(rec);
         }
-        let mut site = Site::new(id, config);
-        for (k, v) in recovered.items {
-            site.store.load(k, v);
-        }
+        site.store = image.items.into_iter().collect();
         // Prepared subtransactions survive: re-register their undo
         // obligations, re-acquire their write locks, and restore the
         // in-doubt execution (its program is exhausted — it was prepared).
-        for (exec, undo) in recovered.prepared {
+        for ActiveExec { exec, undo, .. } in image.active {
             for rec in &undo {
                 site.locks
-                    .request(exec, rec.key, o2pc_common::AccessMode::Write, SimTime::ZERO);
+                    .request(exec, rec.key, o2pc_common::AccessMode::Write, now);
             }
             site.store.restore_pending(exec, undo);
             let mut st = ExecState::new(exec, Program::from([]));
@@ -996,7 +1043,7 @@ impl Site {
         }
         // Locally-committed subtransactions with unknown global fate keep
         // their commit records so a late abort decision can still compensate.
-        for (g, rec) in recovered.unresolved_local_commits {
+        for (g, rec) in image.local_commits {
             site.commit_records.insert(g, rec);
             let _ = site.marks.apply(g, MarkEvent::VoteCommit);
         }
@@ -1006,13 +1053,9 @@ impl Site {
         // of — and a peer's cooperative-termination round would presume
         // abort against a committed transaction (then compensate it,
         // silently destroying committed effects).
-        for (g, commit) in recovered.outcomes {
-            site.decided.insert(g, commit);
-        }
-        site.comps_rolled_back = recovered.rolled_back_comps.into_iter().collect();
-        site.recovery_rollbacks = recovered.rolled_back;
-        site.local_seq = recovered.next_local_seq;
-        site.wal = wal;
+        site.decided = image.decided.into_iter().collect();
+        site.comps_rolled_back = image.rolled_back_comps.into_iter().collect();
+        site.local_seq = image.next_local_seq.max(self.local_seq);
         site
     }
 }
@@ -1263,8 +1306,10 @@ mod tests {
         );
         run_all(&mut s, sub2, SimTime(5), &mut h);
         // Crash.
-        let wal = s.crash().unwrap();
-        let s2 = Site::recover(SiteId(0), SiteConfig::default(), wal);
+        let s2 = s
+            .crash(SimTime(6), &mut h)
+            .unwrap()
+            .recover(SimTime(7), &mut h);
         assert_eq!(
             s2.get(Key(1)),
             Some(Value(111)),
@@ -1307,12 +1352,37 @@ mod tests {
         s.vote(g(2), LockPolicy::ReleaseAll, false, SimTime(7), &mut h);
         s.decide(g(2), false, SimTime(8), &mut h);
 
-        let wal = s.crash().unwrap();
-        let mut s2 = Site::recover(SiteId(0), SiteConfig::default(), wal);
+        let mut s2 = s
+            .crash(SimTime(9), &mut h)
+            .unwrap()
+            .recover(SimTime(9), &mut h);
         let (state, _) = s2.answer_termination_query(g(1), SimTime(9), &mut h);
         assert_eq!(state, PeerState::KnowsCommit);
         let (state, _) = s2.answer_termination_query(g(2), SimTime(9), &mut h);
         assert_eq!(state, PeerState::KnowsAbort);
+    }
+
+    /// A prepared subtransaction's write locks, re-acquired by a restart,
+    /// hold from the restart: a release 1 ms after a restart at 10 s
+    /// records a 1 ms hold, not one counted from time zero.
+    #[test]
+    fn recovered_write_locks_hold_from_the_restart() {
+        let (mut s, mut h) = setup();
+        let sub = ExecId::Sub(g(1));
+        s.begin(sub, Program::from([Op::Add(Key(1), 5)]), SimTime(1), &mut h);
+        run_all(&mut s, sub, SimTime(1), &mut h);
+        s.vote(g(1), LockPolicy::HoldWrites, false, SimTime(2), &mut h);
+        let restart = SimTime(10_000_000);
+        let mut s = s.crash(restart, &mut h).unwrap().recover(restart, &mut h);
+        assert_eq!(s.prepared_subs(), vec![g(1)]);
+        s.decide(
+            g(1),
+            true,
+            restart + o2pc_common::Duration::millis(1),
+            &mut h,
+        );
+        let held = &s.lock_stats().exclusive_hold;
+        assert_eq!((held.count(), held.max()), (1, 1_000));
     }
 
     #[test]

@@ -8,12 +8,15 @@
 //! recovery — and only one of them takes the extra checkpoints. Live state
 //! never depends on the log, so the twins can differ only in what recovery
 //! rebuilds; every crash compares that, and the trace then continues on
-//! the recovered sites.
+//! the recovered sites. Every restart also checks the round trip: the
+//! restarted site checkpoints exactly the image recovery read from its log.
 
-use o2pc_common::{ExecId, GlobalTxnId, History, Key, Op, Program, SimTime, SiteId, Value};
+use o2pc_common::{
+    ExecId, GlobalTxnId, HistEventKind, History, Key, Op, Program, SimTime, SiteId, Value,
+};
 use o2pc_compensation::CompensationPlan;
 use o2pc_site::{ExecPhase, LockPolicy, OpResult, Site, SiteConfig, Vote};
-use o2pc_storage::{CheckpointImage, RecoveredState};
+use o2pc_storage::{CheckpointImage, LogRecord};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -32,14 +35,31 @@ fn g(i: u64) -> GlobalTxnId {
     GlobalTxnId(i)
 }
 
-/// One site's recovery, with the parts that legitimately differ between a
-/// truncated and a whole log taken out: `committed` only lists commits
-/// after the checkpoint, and decisions the site forgot come back only from
-/// the whole log (the engine prunes them after recovery).
-fn comparable(mut st: RecoveredState, retired: &BTreeSet<GlobalTxnId>) -> RecoveredState {
-    st.committed.clear();
-    st.outcomes.retain(|(g, _)| !retired.contains(g));
-    st
+/// One site's recovery (image and CLRs), with the parts that legitimately
+/// differ between a truncated and a whole log taken out: the image's LSN
+/// (only one twin's log numbers the extra checkpoints), and decisions the
+/// site forgot, which come back only from the whole log (the engine prunes
+/// them after recovery).
+fn comparable(
+    (mut image, clrs): (CheckpointImage, Vec<LogRecord>),
+    retired: &BTreeSet<GlobalTxnId>,
+) -> (CheckpointImage, Vec<LogRecord>) {
+    image.lsn = 0;
+    image.decided.retain(|(g, _)| !retired.contains(g));
+    (image, clrs)
+}
+
+/// Crash `s` and restart it from its log at `now`, checking the round
+/// trip: the restarted site checkpoints exactly the image recovery read.
+fn restart(s: Site, now: SimTime, h: &mut History) -> Site {
+    let crashed = s
+        .crash(now, h)
+        .expect("an in-memory log survives its crash");
+    let (mut image, _) = crashed.wal().recover();
+    let s = crashed.recover(now, h);
+    image.lsn = 0;
+    assert_eq!(s.checkpoint_image(), image, "recovery round trip");
+    s
 }
 
 /// The live state recovery rebuilt, decisions pruned as the engine prunes.
@@ -265,20 +285,19 @@ impl Twins {
         let a = comparable(self.cut.wal().recover(), &self.retired);
         let b = comparable(self.whole.wal().recover(), &self.retired);
         assert_eq!(a, b, "recovery diverged at crash {}", self.crashes);
-        let restart = |s: &mut Site| {
-            let wal = std::mem::replace(s, Site::new(SiteId(0), SiteConfig::default()))
-                .crash()
-                .expect("in-memory crash");
-            *s = Site::recover(SiteId(0), SiteConfig::default(), wal);
-        };
-        restart(&mut self.cut);
-        restart(&mut self.whole);
-        let rolled_back = self.cut.take_recovery_rollbacks();
-        assert_eq!(
-            rolled_back,
-            self.whole.take_recovery_rollbacks(),
-            "recovery rolled back differently"
-        );
+        self.now += 1;
+        let now = SimTime(self.now);
+        for s in [&mut self.cut, &mut self.whole] {
+            let crashed = std::mem::replace(s, Site::new(SiteId(0), SiteConfig::default()));
+            *s = restart(crashed, now, &mut self.hist);
+        }
+        let rolled_back =
+            a.1.iter()
+                .filter_map(|r| match r {
+                    LogRecord::Abort(e) => Some(*e),
+                    _ => None,
+                })
+                .collect();
         let a = live_image(&mut self.cut, &self.retired);
         let b = live_image(&mut self.whole, &self.retired);
         assert_eq!(a, b, "recovered sites differ after crash {}", self.crashes);
@@ -309,10 +328,6 @@ fn run(s: &mut Site, exec: ExecId, now: SimTime, h: &mut History) {
     {}
 }
 
-fn restart(s: Site) -> Site {
-    Site::recover(SiteId(0), SiteConfig::default(), s.crash().unwrap())
-}
-
 /// An execution that began before a checkpoint and was still in flight at
 /// the crash is rolled back: the checkpoint carried its undo list.
 #[test]
@@ -339,8 +354,15 @@ fn in_flight_execution_spanning_a_checkpoint_is_rolled_back() {
         "the Begin and the first write are behind the checkpoint"
     );
     run(&mut s, t, SimTime(2), &mut h);
-    let mut s = restart(s);
-    assert_eq!(s.take_recovery_rollbacks(), vec![t]);
+    let s = restart(s, SimTime(3), &mut h);
+    let last = h
+        .events()
+        .last()
+        .expect("the restart records its roll-back");
+    assert_eq!(
+        (last.txn, last.kind),
+        (t.txn_id(), HistEventKind::RolledBack)
+    );
     assert_eq!(
         (s.get(Key(1)), s.get(Key(2))),
         (Some(Value(100)), Some(Value(100)))
@@ -368,7 +390,7 @@ fn local_commit_spanning_a_checkpoint_still_compensates_after_a_crash() {
     );
     s.checkpoint();
     assert_eq!(s.wal().len(), 1, "only the checkpoint is left");
-    let mut s = restart(s);
+    let mut s = restart(s, SimTime(3), &mut h);
     assert_eq!(s.pending_local_commits(), vec![t]);
     let plan = s
         .decide(t, false, SimTime(3), &mut h)
@@ -407,7 +429,7 @@ fn compensation_rolled_back_before_a_checkpoint_and_rebegun_after_it() {
         let rolled_back = twins.crash();
         assert_eq!(rolled_back, vec![ct; writes]);
         assert_eq!(twins.cut.get(Key(0)), Some(Value(101)));
-        assert!(twins.cut.wal().recover().rolled_back_comps.contains(&t));
+        assert!(twins.cut.wal().recover().0.rolled_back_comps.contains(&t));
         assert_eq!(twins.cut.pending_local_commits(), vec![t]);
     }
 }

@@ -244,8 +244,10 @@ fn crash_during_compensation_rolls_back_partial_ct() {
             ..
         }
     ));
-    let wal = s.crash().unwrap();
-    let s2 = Site::recover(SiteId(0), SiteConfig::default(), wal);
+    let s2 = s
+        .crash(SimTime(6), &mut h)
+        .unwrap()
+        .recover(SimTime(7), &mut h);
     // The locally-committed forward updates are durable; the half-finished
     // CT was rolled back by recovery (it re-runs from its retained plan in
     // a full deployment).

@@ -26,7 +26,7 @@ pub mod wal;
 
 pub use segments::{segment_path, FlushBatch, FlushProgress, WalStats, DEFAULT_SEGMENT_BYTES};
 pub use store::{CommitRecord, Store, UndoRecord};
-pub use wal::{ActiveExec, CheckpointImage, LogRecord, RecoveredState, Wal};
+pub use wal::{ActiveExec, CheckpointImage, LogRecord, Wal};
 
 /// Exists only because the frozen `benchmark/` crate names the old on-disk
 /// log type by path; nothing else may use it, and it goes in the next

@@ -863,7 +863,7 @@ mod tests {
         let w2 = Wal::open(&path).unwrap();
         assert_eq!(w2.records(), &recs[..]);
         assert_eq!(
-            w2.recover().items,
+            w2.recover().0.items,
             vec![(Key(1), Value(15)), (Key(2), Value(20))]
         );
     }
@@ -1037,7 +1037,7 @@ mod tests {
         for i in 10..30 {
             w.append(LogRecord::Begin(sub(i)));
         }
-        let mut store = w.recover().into_store();
+        let mut store = Store::from_iter(w.recover().0.items);
         store.load(Key(1), Value(15));
         w.checkpoint(CheckpointImage::of_store(&store));
         w.append(LogRecord::Begin(sub(5)));
@@ -1151,7 +1151,7 @@ mod tests {
         // out of compact, not vanish.
         let tmp = manifest_path(&path).with_extension("manifest.tmp");
         std::fs::create_dir(&tmp).unwrap();
-        let store = w.recover().into_store();
+        let store = Store::from_iter(w.recover().0.items);
         w.checkpoint(CheckpointImage::of_store(&store));
         let err = w.compact();
         assert!(err.is_err(), "compaction durability failure must surface");

@@ -67,6 +67,16 @@ pub struct Store {
     ops: FastHashMap<ExecId, Vec<Op>>,
 }
 
+/// A store holding `items` with nothing in flight (a recovered image).
+impl FromIterator<(Key, Value)> for Store {
+    fn from_iter<I: IntoIterator<Item = (Key, Value)>>(items: I) -> Self {
+        Store {
+            items: items.into_iter().collect(),
+            ..Self::default()
+        }
+    }
+}
+
 impl Store {
     /// New empty store.
     pub fn new() -> Self {

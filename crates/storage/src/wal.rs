@@ -22,8 +22,7 @@
 
 use crate::segments::{FlushBatch, FlushProgress, Segments, WalStats, DEFAULT_SEGMENT_BYTES};
 use crate::store::{CommitRecord, Store, UndoRecord};
-use o2pc_common::{ExecId, GlobalTxnId, Key, Value};
-use std::collections::{HashMap, HashSet};
+use o2pc_common::{ExecId, FastHashMap, FastHashSet, GlobalTxnId, Key, Value};
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -78,10 +77,26 @@ pub enum LogRecord {
     Checkpoint(Box<CheckpointImage>),
 }
 
+impl LogRecord {
+    /// The execution the record belongs to (`None` for an `Outcome` or a
+    /// `Checkpoint`).
+    pub fn exec(&self) -> Option<ExecId> {
+        match self {
+            LogRecord::Begin(e)
+            | LogRecord::Commit(e)
+            | LogRecord::Abort(e)
+            | LogRecord::Prepared(e)
+            | LogRecord::Update { exec: e, .. }
+            | LogRecord::LocalCommit { exec: e, .. } => Some(*e),
+            LogRecord::Outcome { .. } | LogRecord::Checkpoint(_) => None,
+        }
+    }
+}
+
 /// What a checkpoint holds: the state [`Wal::recover`]'s redo pass would
 /// have built from every record before it. Recovery seeds its fold from
 /// here, so a log truncated at the checkpoint recovers exactly like the
-/// whole log.
+/// whole log, and it returns one too: the site's whole recoverable state.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CheckpointImage {
     /// The checkpoint record's own LSN ([`Wal::append`] stamps it).
@@ -137,60 +152,6 @@ impl CheckpointImage {
             + self.local_commits.len()
             + self.rolled_back_comps.len()
             + self.decided.len()
-    }
-}
-
-/// The state reconstructed by [`Wal::recover`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RecoveredState {
-    /// Recovered store contents.
-    pub items: Vec<(Key, Value)>,
-    /// Executions that were rolled back during recovery (in-flight at crash).
-    pub rolled_back: Vec<ExecId>,
-    /// Executions whose commit records were found after the checkpoint.
-    pub committed: Vec<ExecId>,
-    /// Prepared subtransactions (updates kept, write locks to re-acquire),
-    /// with their undo records for a later abort decision.
-    pub prepared: Vec<(ExecId, Vec<UndoRecord>)>,
-    /// Locally-committed subtransactions whose global fate was still
-    /// unknown at the crash: their commit records, so compensation remains
-    /// possible.
-    pub unresolved_local_commits: Vec<(GlobalTxnId, Arc<CommitRecord>)>,
-    /// Compensation records for the recovery rollback (an `Update` per undo
-    /// write plus an `Abort` terminator per rolled-back execution). The
-    /// recovering site must append these to its log: without them a later
-    /// replay of the longer log would re-apply the stale before-images on
-    /// top of post-recovery commits (the reason ARIES logs CLRs during
-    /// restart).
-    pub rollback_records: Vec<LogRecord>,
-    /// One past the highest local-transaction sequence number seen in the
-    /// log. The recovering site must resume its local id counter here —
-    /// restarting at zero would reuse `TxnId`s of pre-crash local
-    /// transactions and corrupt the recorded history (two distinct
-    /// transactions merged into one serialization-graph node).
-    pub next_local_seq: u64,
-    /// Every logged global decision (`Outcome` record) since the
-    /// checkpoint, plus the decisions the checkpoint retained; latest wins.
-    /// The recovering site must reinstall these as retained decisions: a
-    /// peer running cooperative termination treats "no record of the
-    /// transaction" as license to presume abort, so a site that forgets a
-    /// COMMIT across a crash can make an in-doubt peer compensate a
-    /// committed transaction.
-    pub outcomes: Vec<(GlobalTxnId, bool)>,
-    /// Compensating subtransactions rolled back (before the crash or by
-    /// this recovery) and not yet committed, sorted: a re-run's `Begin`
-    /// starts no new incarnation (see [`CheckpointImage::rolled_back_comps`]).
-    pub rolled_back_comps: Vec<GlobalTxnId>,
-}
-
-impl RecoveredState {
-    /// Build a [`Store`] from the recovered items.
-    pub fn into_store(self) -> Store {
-        let mut s = Store::new();
-        for (k, v) in self.items {
-            s.load(k, v);
-        }
-        s
     }
 }
 
@@ -482,21 +443,26 @@ impl Wal {
         self.disk.as_mut()?.seal_batch()
     }
 
-    /// Crash recovery: rebuild store state from the last checkpoint. The
-    /// checkpoint seeds the fold with the state the records before it left
-    /// (store image, in-flight executions and their undo, unsettled local
-    /// commits, retained decisions, the local-id watermark); the records
-    /// after it are folded on top.
-    pub fn recover(&self) -> RecoveredState {
+    /// Crash recovery: the image a checkpoint at the log's end would hold
+    /// after the restart rollback, and that rollback's compensation log
+    /// records (CLRs) for the recovering site to append. The rolled-back
+    /// executions are the CLRs' `Abort`s, newest first; the image's
+    /// `active` list holds only the prepared executions, whose updates
+    /// survive. The last checkpoint seeds the fold with the state the
+    /// records before it left; the records after it are folded on top.
+    ///
+    /// Without the CLRs a later replay of the longer log would re-apply the
+    /// rolled-back executions' stale before-images on top of post-recovery
+    /// commits (the reason ARIES logs CLRs during restart).
+    pub fn recover(&self) -> (CheckpointImage, Vec<LogRecord>) {
         let records = self.records();
-        let mut items: HashMap<Key, Option<Value>> = HashMap::new();
-        let mut terminated: HashSet<ExecId> = HashSet::new();
-        let mut committed: Vec<ExecId> = Vec::new();
-        let mut prepared_set: HashSet<ExecId> = HashSet::new();
-        let mut local_commits: HashMap<GlobalTxnId, Arc<CommitRecord>> = HashMap::new();
-        let mut outcomes: HashMap<GlobalTxnId, bool> = HashMap::new();
-        let mut comp_done: HashSet<GlobalTxnId> = HashSet::new();
-        let mut pending: HashMap<ExecId, Vec<(Key, Option<Value>)>> = HashMap::new();
+        let mut items: FastHashMap<Key, Option<Value>> = FastHashMap::default();
+        let mut terminated: FastHashSet<ExecId> = FastHashSet::default();
+        let mut prepared: FastHashSet<ExecId> = FastHashSet::default();
+        let mut local_commits: FastHashMap<GlobalTxnId, Arc<CommitRecord>> = FastHashMap::default();
+        let mut outcomes: FastHashMap<GlobalTxnId, bool> = FastHashMap::default();
+        let mut comp_done: FastHashSet<GlobalTxnId> = FastHashSet::default();
+        let mut pending: FastHashMap<ExecId, Vec<(Key, Option<Value>)>> = FastHashMap::default();
         let mut order: Vec<ExecId> = Vec::new();
         let mut next_local_seq = 0u64;
         if let Some(LogRecord::Checkpoint(cp)) = records.first() {
@@ -505,7 +471,7 @@ impl Wal {
                 pending.insert(a.exec, a.undo.iter().map(|u| (u.key, u.before)).collect());
                 order.push(a.exec);
                 if a.prepared {
-                    prepared_set.insert(a.exec);
+                    prepared.insert(a.exec);
                 }
             }
             local_commits.extend(cp.local_commits.iter().cloned());
@@ -516,16 +482,8 @@ impl Wal {
 
         // Redo pass.
         for rec in records {
-            let exec = match rec {
-                LogRecord::Begin(e)
-                | LogRecord::Commit(e)
-                | LogRecord::Abort(e)
-                | LogRecord::Prepared(e) => Some(e),
-                LogRecord::Update { exec, .. } | LogRecord::LocalCommit { exec, .. } => Some(exec),
-                LogRecord::Outcome { .. } | LogRecord::Checkpoint(_) => None,
-            };
             // Local-id watermark, so a recovered site never reuses a `TxnId`.
-            if let Some(ExecId::Local(l)) = exec {
+            if let Some(ExecId::Local(l)) = rec.exec() {
                 next_local_seq = next_local_seq.max(l.seq + 1);
             }
             match rec {
@@ -542,42 +500,32 @@ impl Wal {
                     after,
                 } => {
                     items.insert(*key, *after);
-                    pending.entry(*exec).or_insert_with(|| {
-                        order.push(*exec);
-                        Vec::new()
-                    });
-                    if let Some(undo) = pending.get_mut(exec) {
-                        undo.push((*key, *before));
-                    }
+                    pending
+                        .entry(*exec)
+                        .or_insert_with(|| {
+                            order.push(*exec);
+                            Vec::new()
+                        })
+                        .push((*key, *before));
                 }
-                LogRecord::Commit(e) => {
+                LogRecord::Commit(e)
+                | LogRecord::LocalCommit { exec: e, .. }
+                | LogRecord::Abort(e) => {
                     terminated.insert(*e);
-                    committed.push(*e);
-                    prepared_set.remove(e);
+                    prepared.remove(e);
                     pending.remove(e);
-                    if let ExecId::CompSub(g) = e {
+                    if let (LogRecord::Commit(_), ExecId::CompSub(g)) = (rec, e) {
                         comp_done.insert(*g);
+                    }
+                    if let (LogRecord::LocalCommit { record, .. }, ExecId::Sub(g)) = (rec, e) {
+                        local_commits.insert(*g, Arc::clone(record));
                     }
                 }
                 LogRecord::Prepared(e) => {
-                    prepared_set.insert(*e);
-                }
-                LogRecord::LocalCommit { exec, record } => {
-                    terminated.insert(*exec);
-                    committed.push(*exec);
-                    prepared_set.remove(exec);
-                    pending.remove(exec);
-                    if let ExecId::Sub(g) = exec {
-                        local_commits.insert(*g, record.clone());
-                    }
+                    prepared.insert(*e);
                 }
                 LogRecord::Outcome { txn, commit } => {
                     outcomes.insert(*txn, *commit);
-                }
-                LogRecord::Abort(e) => {
-                    terminated.insert(*e);
-                    prepared_set.remove(e);
-                    pending.remove(e);
                 }
                 LogRecord::Checkpoint(_) => {}
             }
@@ -585,86 +533,78 @@ impl Wal {
 
         // Undo pass: reverse the updates of every in-flight execution,
         // newest execution first, each execution's updates newest first —
-        // except *prepared* executions, whose updates must survive.
-        let mut rolled_back = Vec::new();
-        let mut rollback_records = Vec::new();
-        let mut prepared = Vec::new();
-        let mut undone_seen: HashSet<ExecId> = HashSet::new();
+        // except *prepared* executions, whose updates must survive. The
+        // rollback's `Abort`s terminate too.
+        let mut clrs = Vec::new();
+        let mut undone: FastHashSet<ExecId> = FastHashSet::default();
         for e in order.iter().rev() {
-            if prepared_set.contains(e) || !undone_seen.insert(*e) {
+            if prepared.contains(e) || !undone.insert(*e) {
                 continue;
             }
             if let Some(undo) = pending.get(e) {
                 for &(key, before) in undo.iter().rev() {
-                    let prev = items.get(&key).copied().flatten();
-                    items.insert(key, before);
-                    rollback_records.push(LogRecord::Update {
+                    let prev = items.insert(key, before).flatten();
+                    clrs.push(LogRecord::Update {
                         exec: *e,
                         key,
                         before: prev,
                         after: before,
                     });
                 }
-                rollback_records.push(LogRecord::Abort(*e));
-                rolled_back.push(*e);
+                clrs.push(LogRecord::Abort(*e));
+                terminated.insert(*e);
             }
         }
-        for e in &order {
-            if prepared_set.contains(e) {
-                let undo = pending
-                    .get(e)
-                    .map(|u| {
-                        u.iter()
-                            .map(|&(key, before)| UndoRecord {
-                                key,
-                                before,
-                                after: items.get(&key).copied().flatten(),
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                prepared.push((*e, undo));
-            }
-        }
-
-        // A locally-committed subtransaction is unresolved unless a commit
-        // outcome arrived, or its compensation already completed.
-        let mut unresolved: Vec<(GlobalTxnId, Arc<CommitRecord>)> = local_commits
-            .into_iter()
-            .filter(|(g, _)| outcomes.get(g) != Some(&true) && !comp_done.contains(g))
+        let active = order
+            .iter()
+            .filter(|e| prepared.contains(e))
+            .map(|&exec| ActiveExec {
+                exec,
+                undo: pending.get(&exec).map_or_else(Vec::new, |u| {
+                    u.iter()
+                        .map(|&(key, before)| UndoRecord {
+                            key,
+                            before,
+                            after: items.get(&key).copied().flatten(),
+                        })
+                        .collect()
+                }),
+                prepared: true,
+            })
             .collect();
-        unresolved.sort_unstable_by_key(|&(g, _)| g);
 
-        let mut out: Vec<(Key, Value)> = items
+        let mut items: Vec<(Key, Value)> = items
             .into_iter()
             .filter_map(|(k, v)| v.map(|v| (k, v)))
             .collect();
-        out.sort_unstable_by_key(|&(k, _)| k);
-        let mut decided: Vec<(GlobalTxnId, bool)> = outcomes.into_iter().collect();
-        decided.sort_unstable_by_key(|&(g, _)| g);
-        // The recovery rollback's `Abort`s terminate too.
+        items.sort_unstable_by_key(|&(k, _)| k);
+        // A locally-committed subtransaction stays unsettled unless a commit
+        // outcome arrived, or its compensation already completed.
+        let mut local_commits: Vec<(GlobalTxnId, Arc<CommitRecord>)> = local_commits
+            .into_iter()
+            .filter(|(g, _)| outcomes.get(g) != Some(&true) && !comp_done.contains(g))
+            .collect();
+        local_commits.sort_unstable_by_key(|&(g, _)| g);
         let mut rolled_back_comps: Vec<GlobalTxnId> = terminated
-            .iter()
-            .chain(&rolled_back)
+            .into_iter()
             .filter_map(|e| match e {
-                ExecId::CompSub(g) if !comp_done.contains(g) => Some(*g),
+                ExecId::CompSub(g) if !comp_done.contains(&g) => Some(g),
                 _ => None,
             })
             .collect();
         rolled_back_comps.sort_unstable();
-        rolled_back_comps.dedup();
-
-        RecoveredState {
-            items: out,
-            rolled_back,
-            committed,
-            prepared,
-            unresolved_local_commits: unresolved,
-            rollback_records,
-            next_local_seq,
-            outcomes: decided,
+        let mut decided: Vec<(GlobalTxnId, bool)> = outcomes.into_iter().collect();
+        decided.sort_unstable_by_key(|&(g, _)| g);
+        let image = CheckpointImage {
+            lsn: self.end_lsn() + clrs.len() as u64,
+            items,
+            active,
+            local_commits,
             rolled_back_comps,
-        }
+            decided,
+            next_local_seq,
+        };
+        (image, clrs)
     }
 }
 
@@ -675,6 +615,16 @@ mod tests {
 
     fn sub(i: u64) -> ExecId {
         ExecId::Sub(GlobalTxnId(i))
+    }
+
+    /// The executions a recovery rolled back: its CLRs' `Abort`s, in order.
+    fn rolled_back(clrs: &[LogRecord]) -> Vec<ExecId> {
+        clrs.iter()
+            .filter_map(|r| match r {
+                LogRecord::Abort(e) => Some(*e),
+                _ => None,
+            })
+            .collect()
     }
 
     fn local(seq: u64) -> ExecId {
@@ -758,9 +708,9 @@ mod tests {
     #[test]
     fn recover_empty_log() {
         let wal = Wal::new();
-        let st = wal.recover();
-        assert!(st.items.is_empty());
-        assert!(st.rolled_back.is_empty());
+        let (st, clrs) = wal.recover();
+        assert_eq!(st, CheckpointImage::default());
+        assert!(clrs.is_empty());
     }
 
     #[test]
@@ -771,10 +721,9 @@ mod tests {
             h.begin(sub(0));
             h.apply(sub(0), Op::Write(Key(1), Value(20)));
             h.commit(sub(0));
-            let st = h.wal.recover();
+            let (st, clrs) = h.wal.recover();
             assert_eq!(st.items, vec![(Key(1), Value(20))]);
-            assert_eq!(st.committed, vec![sub(0)]);
-            assert!(st.rolled_back.is_empty());
+            assert!(st.active.is_empty() && clrs.is_empty());
         });
     }
 
@@ -788,9 +737,25 @@ mod tests {
             h.apply(sub(0), Op::Write(Key(1), Value(99)));
             h.apply(sub(0), Op::Write(Key(2), Value(98)));
             // crash before commit
-            let st = h.wal.recover();
+            let (st, clrs) = h.wal.recover();
             assert_eq!(st.items, vec![(Key(1), Value(10)), (Key(2), Value(5))]);
-            assert_eq!(st.rolled_back, vec![sub(0)]);
+            let clr = |key, before, after| LogRecord::Update {
+                exec: sub(0),
+                key,
+                before: Some(Value(before)),
+                after: Some(Value(after)),
+            };
+            assert_eq!(
+                clrs,
+                vec![
+                    clr(Key(2), 98, 5),
+                    clr(Key(1), 99, 10),
+                    LogRecord::Abort(sub(0))
+                ],
+                "newest update reversed first, then the terminator"
+            );
+            assert!(st.active.is_empty(), "nothing is left in flight");
+            assert_eq!(st.lsn, h.wal.end_lsn() + 3, "the image sits after the CLRs");
         });
     }
 
@@ -802,12 +767,10 @@ mod tests {
             h.begin(local(0));
             h.apply(local(0), Op::Write(Key(1), Value(50)));
             h.abort(local(0));
-            let st = h.wal.recover();
+            let (st, clrs) = h.wal.recover();
             assert_eq!(st.items, vec![(Key(1), Value(10))]);
-            assert!(
-                st.rolled_back.is_empty(),
-                "aborted exec is terminated, not in-flight"
-            );
+            assert!(clrs.is_empty(), "aborted exec is terminated, not in-flight");
+            assert_eq!(st.next_local_seq, 1);
         });
     }
 
@@ -823,10 +786,10 @@ mod tests {
             h.begin(sub(1));
             h.apply(sub(1), Op::Add(Key(2), 10));
             // crash: sub(1) in flight
-            let st = h.wal.recover();
+            let (st, clrs) = h.wal.recover();
             assert_eq!(st.items, vec![(Key(1), Value(11)), (Key(2), Value(2))]);
-            assert_eq!(st.rolled_back, vec![sub(1)]);
-            assert_eq!(st.committed, vec![sub(0)]);
+            assert_eq!(rolled_back(&clrs), vec![sub(1)]);
+            assert!(st.active.is_empty());
         });
     }
 
@@ -836,7 +799,7 @@ mod tests {
             h.checkpoint();
             h.begin(sub(0));
             h.apply(sub(0), Op::Insert(Key(7), Value(3)));
-            let st = h.wal.recover();
+            let (st, _) = h.wal.recover();
             assert!(st.items.is_empty(), "insert by in-flight exec must vanish");
         });
     }
@@ -852,13 +815,12 @@ mod tests {
             h.checkpoint(); // second checkpoint captures Value(2)
             h.begin(sub(1));
             h.apply(sub(1), Op::Write(Key(1), Value(3)));
-            let st = h.wal.recover();
+            let (st, clrs) = h.wal.recover();
             assert_eq!(st.items, vec![(Key(1), Value(2))]);
-            assert_eq!(st.rolled_back, vec![sub(1)]);
+            assert_eq!(rolled_back(&clrs), vec![sub(1)]);
             // Truncation preserves recoverability.
             h.wal.truncate_to_checkpoint();
-            let st2 = h.wal.recover();
-            assert_eq!(st2.items, vec![(Key(1), Value(2))]);
+            assert_eq!(h.wal.recover(), (st, clrs));
         });
     }
 
@@ -869,21 +831,7 @@ mod tests {
             h.checkpoint();
             h.begin(sub(0));
             h.apply(sub(0), Op::Add(Key(1), 5));
-            let a = h.wal.recover();
-            let b = h.wal.recover();
-            assert_eq!(a.items, b.items);
-            assert_eq!(a.rolled_back, b.rolled_back);
-        });
-    }
-
-    #[test]
-    fn into_store_roundtrip() {
-        on_both_sinks("into-store-roundtrip", |h| {
-            h.load(Key(4), Value(44));
-            h.checkpoint();
-            let store = h.wal.recover().into_store();
-            assert_eq!(store.get(Key(4)), Some(Value(44)));
-            assert_eq!(store.len(), 1);
+            assert_eq!(h.wal.recover(), h.wal.recover());
         });
     }
 
@@ -935,10 +883,10 @@ mod tests {
             before: Some(Value(1)),
             after: Some(Value(2)),
         });
-        let st = w.recover();
+        let (st, clrs) = w.recover();
         assert_eq!(st.items, vec![(Key(1), Value(0))]);
         assert_eq!(
-            st.rolled_back,
+            rolled_back(&clrs),
             vec![sub(1), sub(0)],
             "newest rolled back first"
         );
@@ -953,16 +901,20 @@ mod tests {
             h.apply(sub(0), Op::Write(Key(1), Value(77)));
             h.wal.append(LogRecord::Prepared(sub(0)));
             // Crash while prepared.
-            let st = h.wal.recover();
+            let (st, clrs) = h.wal.recover();
             assert_eq!(st.items, vec![(Key(1), Value(77))], "prepared update kept");
-            assert!(st.rolled_back.is_empty());
-            assert_eq!(st.prepared.len(), 1);
-            let (e, undo) = &st.prepared[0];
-            assert_eq!(*e, sub(0));
-            assert_eq!(undo.len(), 1);
+            assert!(clrs.is_empty());
             assert_eq!(
-                undo[0].before,
-                Some(Value(10)),
+                st.active,
+                vec![ActiveExec {
+                    exec: sub(0),
+                    undo: vec![UndoRecord {
+                        key: Key(1),
+                        before: Some(Value(10)),
+                        after: Some(Value(77)),
+                    }],
+                    prepared: true,
+                }],
                 "undo records survive for a late abort"
             );
         });
@@ -977,8 +929,8 @@ mod tests {
             h.apply(sub(0), Op::Write(Key(1), Value(77)));
             h.wal.append(LogRecord::Prepared(sub(0)));
             h.wal.append(LogRecord::Commit(sub(0)));
-            let st = h.wal.recover();
-            assert!(st.prepared.is_empty());
+            let (st, _) = h.wal.recover();
+            assert!(st.active.is_empty());
             assert_eq!(st.items, vec![(Key(1), Value(77))]);
         });
     }
@@ -997,18 +949,15 @@ mod tests {
                 record: record.clone(),
             });
             // Crash before the decision: the commit record must be recoverable.
-            let st = h.wal.recover();
+            let (st, _) = h.wal.recover();
             assert_eq!(st.items, vec![(Key(1), Value(15))]);
-            assert_eq!(
-                st.unresolved_local_commits,
-                vec![(GlobalTxnId(3), record.clone())]
-            );
+            assert_eq!(st.local_commits, vec![(GlobalTxnId(3), record.clone())]);
             // A commit outcome resolves it.
             h.wal.append(LogRecord::Outcome {
                 txn: GlobalTxnId(3),
                 commit: true,
             });
-            assert!(h.wal.recover().unresolved_local_commits.is_empty());
+            assert!(h.wal.recover().0.local_commits.is_empty());
         });
     }
 
@@ -1029,15 +978,15 @@ mod tests {
                 commit: false,
             });
             // Abort outcome alone keeps the record (the CT may still need to run)…
-            assert_eq!(h.wal.recover().unresolved_local_commits.len(), 1);
+            assert_eq!(h.wal.recover().0.local_commits.len(), 1);
             // …until the compensating subtransaction commits.
             let ct = ExecId::CompSub(GlobalTxnId(3));
             h.begin(ct);
             h.apply(ct, Op::Add(Key(1), -5));
             h.store.commit(ct);
             h.wal.append(LogRecord::Commit(ct));
-            let st = h.wal.recover();
-            assert!(st.unresolved_local_commits.is_empty());
+            let (st, _) = h.wal.recover();
+            assert!(st.local_commits.is_empty());
             assert_eq!(st.items, vec![(Key(1), Value(10))]);
         });
     }
@@ -1049,13 +998,15 @@ mod tests {
             h.load(Key(1), Value(10));
             h.load(Key(2), Value(-3));
             h.checkpoint();
-            let st = h.wal.recover();
-            assert_eq!(st.items, vec![(Key(1), Value(10)), (Key(2), Value(-3))]);
-            assert!(st.rolled_back.is_empty());
-            assert!(st.committed.is_empty());
-            assert!(st.prepared.is_empty());
-            assert!(st.unresolved_local_commits.is_empty());
-            assert_eq!(st.next_local_seq, 0);
+            let (st, clrs) = h.wal.recover();
+            assert!(clrs.is_empty());
+            assert_eq!(
+                st,
+                CheckpointImage {
+                    lsn: 1,
+                    ..CheckpointImage::of_store(&h.store)
+                }
+            );
         });
     }
 
@@ -1142,17 +1093,14 @@ mod tests {
             h.apply(local(0), Op::Write(Key(1), Value(50)));
             h.abort(local(0));
             h.wal.append(LogRecord::Abort(local(0)));
-            let st = h.wal.recover();
+            let (st, clrs) = h.wal.recover();
             assert_eq!(st.items, vec![(Key(1), Value(10))]);
-            assert!(st.rolled_back.is_empty());
+            assert!(clrs.is_empty());
             // And a Begin replayed after termination must not resurrect it.
             h.wal.append(LogRecord::Begin(local(0)));
-            let st = h.wal.recover();
+            let (st, clrs) = h.wal.recover();
             assert_eq!(st.items, vec![(Key(1), Value(10))]);
-            assert!(
-                st.rolled_back.is_empty(),
-                "terminated exec stays terminated"
-            );
+            assert!(clrs.is_empty(), "terminated exec stays terminated");
         });
     }
 
@@ -1176,9 +1124,9 @@ mod tests {
                     commit: true,
                 });
             }
-            let st = h.wal.recover();
-            assert_eq!(st.outcomes, vec![(GlobalTxnId(3), true)]);
-            assert!(st.unresolved_local_commits.is_empty());
+            let (st, _) = h.wal.recover();
+            assert_eq!(st.decided, vec![(GlobalTxnId(3), true)]);
+            assert!(st.local_commits.is_empty());
             assert_eq!(st.items, vec![(Key(1), Value(15))]);
         });
     }

@@ -227,7 +227,7 @@ proptest! {
         for e in active.iter().rev() {
             store.rollback(exec(*e));
         }
-        let recovered = wal.recover().into_store();
+        let recovered = Store::from_iter(wal.recover().0.items);
         for k in 0..8u64 {
             prop_assert_eq!(recovered.get(Key(k)), store.get(Key(k)), "key {}", k);
         }
