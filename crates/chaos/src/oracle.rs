@@ -235,11 +235,12 @@ pub fn check_accounting<R: Runtime<TimerEvent, Msg>>(
 }
 
 /// The full oracle for a simulator run: state invariants, message
-/// accounting, and full event-queue quiescence.
+/// accounting, and full event-queue quiescence — arrivals the engine still
+/// holds back count as queued.
 pub fn check(engine: &Engine, report: &RunReport, expected_total: i64) -> Vec<Violation> {
     let mut out = check_state(engine, report, expected_total);
     out.extend(check_accounting(engine, report));
-    let pending = engine.runtime().pending();
+    let pending = engine.runtime().pending() + engine.pending_arrivals();
     if pending != 0 {
         out.push(Violation::PendingEvents(pending));
     }

@@ -2,7 +2,11 @@
 //! schedules, the deliberately-fragile engine is caught by the oracle
 //! (negative control), and garbage collection keeps memory bounded.
 
-use o2pc_chaos::{run_plan, ChaosConfig, ChaosPlan, Hardening, Violation};
+use o2pc_chaos::{oracle, run_plan, ChaosConfig, ChaosPlan, Hardening, Violation};
+use o2pc_common::Duration;
+use o2pc_core::{Engine, SystemConfig};
+use o2pc_protocol::ProtocolKind;
+use o2pc_workload::BankingWorkload;
 
 /// A block of seeded schedules, fully hardened: zero oracle violations.
 #[test]
@@ -141,4 +145,36 @@ fn message_accounting_reconciles_under_chaos() {
             .sum();
         assert!(dropped > 0, "seed {seed}: chaos never dropped a message");
     }
+}
+
+/// Quiescence counts every arrival a run has not reached: an installed
+/// schedule keeps one arrival in the runtime's queue and holds the rest in
+/// the engine, and a run stopped before its last arrival reports them all.
+#[test]
+fn a_run_stopped_early_reports_every_arrival_still_to_come() {
+    let wl = BankingWorkload {
+        sites: 3,
+        transfers: 60,
+        mean_interarrival: Duration::millis(1),
+        seed: 0x9A,
+        ..Default::default()
+    };
+    let schedule = wl.generate();
+    let mut cfg = SystemConfig::new(wl.sites, ProtocolKind::O2pc);
+    cfg.live_audit_graph = true;
+    let mut engine = Engine::new(cfg);
+    schedule.install(&mut engine);
+    // Stop just before arrival `half`; the arrivals are at distinct times.
+    let half = schedule.arrivals.len() / 2;
+    let stop = schedule.arrivals[half].0.since(o2pc_common::SimTime::ZERO);
+    let report = engine.run(stop - Duration::micros(1));
+    let to_come = schedule.arrivals.len() - half;
+    assert_eq!(engine.pending_arrivals(), to_come - 1, "one is queued");
+    let pending = engine.runtime().pending() + engine.pending_arrivals();
+    assert!(pending >= to_come, "{pending} pending, {to_come} to come");
+    let violations = oracle::check(&engine, &report, schedule.total_loaded());
+    assert!(
+        violations.contains(&Violation::PendingEvents(pending)),
+        "{violations:?}"
+    );
 }

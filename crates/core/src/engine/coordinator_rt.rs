@@ -12,7 +12,19 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
-    pub(crate) fn on_arrive(&mut self, now: SimTime, scheduled: SimTime, req: TxnRequest) {
+    /// Run `run`'s armed arrival arrives: arm the run's next, then start it.
+    pub(crate) fn on_arrive(&mut self, now: SimTime, run: usize) {
+        let Some((scheduled, req)) = self.runs.get_mut(run).and_then(|r| r.rest.pop()) else {
+            return;
+        };
+        let r = &mut self.runs[run];
+        if let Some(&(at, _)) = r.rest.last() {
+            r.seq += 1;
+            self.rt
+                .schedule_reserved(at, r.seq, TimerEvent::Arrive { run });
+        } else {
+            r.rest = Vec::new();
+        }
         match req {
             TxnRequest::Local { site, ops } => {
                 if !self.site_up(site) {

@@ -72,7 +72,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
 
     fn handle_timer(&mut self, now: SimTime, ev: TimerEvent) {
         match ev {
-            TimerEvent::Arrive { req, scheduled } => self.on_arrive(now, scheduled, req),
+            TimerEvent::Arrive { run } => self.on_arrive(now, run),
             TimerEvent::OpDone { site, exec } => self.on_op_done(now, site, exec),
             TimerEvent::R1Retry { txn, site } => self.try_spawn(now, txn, site),
             TimerEvent::CompRetry { txn, site } => self.resume_compensation(now, txn, site),

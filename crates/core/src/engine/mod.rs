@@ -53,15 +53,10 @@ use std::sync::Arc;
 /// transport as [`o2pc_runtime::Step::Deliver`] steps.
 #[derive(Clone, Debug)]
 pub enum TimerEvent {
-    /// A workload transaction arrives.
+    /// The next arrival of a run [`Engine::submit`] made arrives.
     Arrive {
-        /// The request.
-        req: TxnRequest,
-        /// When the client issued it. On the simulator the timer fires at
-        /// exactly this instant; on a wall-clock runtime under load it may
-        /// fire later, and measuring latency from `scheduled` keeps that
-        /// queueing delay visible (open-loop honesty).
-        scheduled: SimTime,
+        /// The run's index.
+        run: usize,
     },
     /// An executing (sub)transaction finishes its current operation.
     OpDone {
@@ -162,6 +157,16 @@ pub(crate) struct PendingAdmission {
     pub(crate) subs: Arc<[(SiteId, Program)]>,
 }
 
+/// A time-sorted run of submitted arrivals, of which only the next is a
+/// timer, armed under the sequence number reserved for it at submission.
+pub(crate) struct ArrivalRun {
+    /// Arrivals still to come, latest first. Latency counts from each one's
+    /// submit time, so a wall-clock timer firing late under load shows up.
+    rest: Vec<(SimTime, TxnRequest)>,
+    /// The armed arrival's sequence number.
+    seq: u64,
+}
+
 /// A promise held back until a flush completion covers `ticket`.
 pub(crate) struct Parked {
     ticket: u64,
@@ -205,6 +210,8 @@ pub struct Engine<R: Runtime<TimerEvent, Msg> = DefaultSimRuntime> {
     /// Currently admitted (not yet completed) global transactions per
     /// coordinator site, against which the window is enforced.
     pub(crate) admitted: FastHashMap<SiteId, usize>,
+    /// Submitted arrivals, by run; a run's slot is free once it is empty.
+    pub(crate) runs: Vec<ArrivalRun>,
     pub(crate) udum: UdumTracker,
     pub(crate) hist: Recorder,
     pub(crate) report: RunReport,
@@ -287,6 +294,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             local_starts: FastHashMap::default(),
             admit_q: FastHashMap::default(),
             admitted: FastHashMap::default(),
+            runs: Vec::new(),
             udum: UdumTracker::new(),
             hist,
             report: RunReport::default(),
@@ -325,10 +333,29 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         self.site_mut(site).load(key, value);
     }
 
-    /// Submit a transaction for arrival at `at`.
+    /// Submit a transaction for arrival at `at`. Each call is a run of its
+    /// own, queued in the runtime beside the timers in flight; a backlog
+    /// submitted this way costs a queue entry and a run slot per arrival,
+    /// so pass a batch to [`submit`](Self::submit) instead.
     pub fn submit_at(&mut self, at: SimTime, req: TxnRequest) {
-        self.rt
-            .schedule(at, TimerEvent::Arrive { req, scheduled: at });
+        self.submit(&[(at, req)]);
+    }
+
+    /// Submit `arrivals` to fire as one `submit_at` each, in slice order,
+    /// would. Each time-sorted stretch is copied once into a run (requests
+    /// share their programs) whose next arrival alone is queued.
+    pub fn submit(&mut self, arrivals: &[(SimTime, TxnRequest)]) {
+        for stretch in arrivals.chunk_by(|a, b| a.0 <= b.0) {
+            let seq = self.rt.reserve(stretch.len() as u64);
+            while self.runs.last().is_some_and(|r| r.rest.is_empty()) {
+                self.runs.pop();
+            }
+            let run = self.runs.len();
+            self.rt
+                .schedule_reserved(stretch[0].0, seq, TimerEvent::Arrive { run });
+            let rest = stretch.iter().rev().cloned().collect();
+            self.runs.push(ArrivalRun { rest, seq });
+        }
     }
 
     /// Read an item's current value (tests / invariants).
@@ -351,6 +378,11 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// collected once decided, acked, and unmarked everywhere).
     pub fn live_txn_count(&self) -> usize {
         self.txns.len()
+    }
+
+    /// Submitted arrivals held back behind their run's queued one.
+    pub fn pending_arrivals(&self) -> usize {
+        self.runs.iter().map(|r| r.rest.len().max(1) - 1).sum()
     }
 
     /// Arrivals still parked at an admission gate (a clean quiescent run
@@ -1014,6 +1046,36 @@ mod tests {
         // replaced by recovery since — finds a healthy WAL and crashes nothing.
         e.on_wal_durable(r.end_time, s1, ticket, false);
         assert!(e.down_sites().is_empty());
+    }
+
+    /// UDUM bookkeeping ends with its transactions: once every site of an
+    /// aborted transaction has seen a later access, R3 unmarks it and the
+    /// tracker forgets it, so a run with aborts ends tracking nothing.
+    #[test]
+    fn udum_tracks_nothing_once_every_abort_is_fenced() {
+        let mut cfg = SystemConfig::new(3, ProtocolKind::O2pcP1);
+        cfg.vote_abort_probability = 0.3;
+        let mut e = Engine::new(cfg);
+        let sites = [SiteId(0), SiteId(1), SiteId(2)];
+        for (s, k) in sites
+            .into_iter()
+            .flat_map(|s| (0..8).map(move |k| (s, Key(k))))
+        {
+            e.load(s, k, Value(100));
+        }
+        for (i, k) in (0..30u64).map(|i| (i, Key(i % 8))) {
+            let (a, b) = (sites[i as usize % 3], sites[(i as usize + 1) % 3]);
+            let subs = [(a, [Op::Add(k, -1)]), (b, [Op::Add(k, 1)])];
+            e.submit_at(SimTime(i * 500), TxnRequest::global(subs));
+        }
+        // A late local at every site fences whatever is still undone there.
+        let late = SimTime::ZERO + Duration::secs(10);
+        for s in sites {
+            e.submit_at(late, TxnRequest::local(s, [Op::Read(Key(0))]));
+        }
+        let r = e.run(Duration::secs(60));
+        assert!(r.global_aborted > 0 && r.counters.get("udum.fired") > 0);
+        assert_eq!(e.udum.tracked(), 0);
     }
 
     /// What a site counted before it crashed stays in the report: its lock

@@ -32,8 +32,11 @@ impl Runtime<TimerEvent, Msg> for DuplicatingRuntime {
     fn register_endpoint(&mut self, id: SiteId) {
         self.inner.register_endpoint(id);
     }
-    fn schedule(&mut self, at: SimTime, timer: TimerEvent) {
-        self.inner.schedule(at, timer);
+    fn reserve(&mut self, n: u64) -> u64 {
+        self.inner.reserve(n)
+    }
+    fn schedule_reserved(&mut self, at: SimTime, seq: u64, timer: TimerEvent) {
+        self.inner.schedule_reserved(at, seq, timer);
     }
     fn send(&mut self, now: SimTime, from: SiteId, to: SiteId, msg: Msg) -> SendOutcome {
         let first = self.inner.send(now, from, to, msg.clone());

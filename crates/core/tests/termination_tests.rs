@@ -186,8 +186,11 @@ impl o2pc_runtime::Runtime<o2pc_core::TimerEvent, o2pc_core::Msg> for DropFirstT
     fn register_endpoint(&mut self, id: SiteId) {
         self.inner.register_endpoint(id);
     }
-    fn schedule(&mut self, at: SimTime, timer: o2pc_core::TimerEvent) {
-        self.inner.schedule(at, timer);
+    fn reserve(&mut self, n: u64) -> u64 {
+        self.inner.reserve(n)
+    }
+    fn schedule_reserved(&mut self, at: SimTime, seq: u64, timer: o2pc_core::TimerEvent) {
+        self.inner.schedule_reserved(at, seq, timer);
     }
     fn send(
         &mut self,

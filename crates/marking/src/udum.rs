@@ -31,8 +31,6 @@ pub struct UdumTracker {
     /// For each aborted transaction: sites where some transaction executed
     /// while the site was undone with respect to it.
     fenced: BTreeMap<GlobalTxnId, BTreeSet<SiteId>>,
-    /// Transactions whose UDUM1 already fired.
-    fired: BTreeSet<GlobalTxnId>,
 }
 
 impl UdumTracker {
@@ -50,10 +48,8 @@ impl UdumTracker {
     /// Record that some transaction executed at `site` while `site` was
     /// undone with respect to `txn`. Returns `true` if this observation
     /// completes UDUM1 (rule R3 should now unmark `txn` everywhere).
+    /// Once `txn` is [forgotten](Self::forget), it is unknown again.
     pub fn observe_access(&mut self, txn: GlobalTxnId, site: SiteId) -> bool {
-        if self.fired.contains(&txn) {
-            return false;
-        }
         let Some(exec) = self.exec_sites.get(&txn) else {
             return false;
         };
@@ -61,18 +57,7 @@ impl UdumTracker {
             return false;
         }
         let fenced = self.fenced.entry(txn).or_default();
-        fenced.insert(site);
-        if fenced.len() == exec.len() {
-            self.fired.insert(txn);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Has UDUM1 fired for `txn`?
-    pub fn has_fired(&self, txn: GlobalTxnId) -> bool {
-        self.fired.contains(&txn)
+        fenced.insert(site) && fenced.len() == exec.len()
     }
 
     /// Sites of `txn` still missing a post-undo access.
@@ -91,7 +76,6 @@ impl UdumTracker {
     pub fn forget(&mut self, txn: GlobalTxnId) {
         self.exec_sites.remove(&txn);
         self.fenced.remove(&txn);
-        // `fired` retained so late observations stay no-ops.
     }
 
     /// Number of transactions still being tracked.
@@ -120,7 +104,7 @@ mod tests {
         assert!(!u.observe_access(g(1), s(1)));
         assert_eq!(u.missing_sites(g(1)), vec![s(2)]);
         assert!(u.observe_access(g(1), s(2)), "third site completes UDUM1");
-        assert!(u.has_fired(g(1)));
+        assert!(u.missing_sites(g(1)).is_empty());
     }
 
     #[test]
@@ -129,7 +113,7 @@ mod tests {
         u.register_aborted(g(1), [s(0), s(1)]);
         assert!(!u.observe_access(g(1), s(0)));
         assert!(!u.observe_access(g(1), s(0)));
-        assert!(!u.has_fired(g(1)));
+        assert_eq!(u.missing_sites(g(1)), vec![s(1)]);
     }
 
     #[test]
@@ -147,7 +131,6 @@ mod tests {
     fn unknown_txn_ignored() {
         let mut u = UdumTracker::new();
         assert!(!u.observe_access(g(7), s(0)));
-        assert!(!u.has_fired(g(7)));
         assert!(u.missing_sites(g(7)).is_empty());
     }
 
@@ -160,7 +143,8 @@ mod tests {
         assert_eq!(u.tracked(), 1);
         u.forget(g(1));
         assert_eq!(u.tracked(), 0);
-        assert!(u.has_fired(g(1)), "fired flag survives forget");
+        assert!(!u.observe_access(g(1), s(0)), "forgotten: a no-op");
+        assert_eq!(u.tracked(), 0);
     }
 
     #[test]

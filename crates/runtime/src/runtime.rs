@@ -52,7 +52,19 @@ pub trait Runtime<T, M>: Clock {
     fn register_endpoint(&mut self, id: SiteId);
 
     /// Arrange for `timer` to fire at absolute time `at`.
-    fn schedule(&mut self, at: SimTime, timer: T);
+    fn schedule(&mut self, at: SimTime, timer: T) {
+        let seq = self.reserve(1);
+        self.schedule_reserved(at, seq, timer);
+    }
+
+    /// Take the next `n` sequence numbers of the runtime's queue; returns
+    /// the first.
+    fn reserve(&mut self, n: u64) -> u64;
+
+    /// [`schedule`](Runtime::schedule) under a number `reserve` handed out,
+    /// used once: among simultaneous steps `timer` fires where a timer
+    /// scheduled when the number was reserved would have.
+    fn schedule_reserved(&mut self, at: SimTime, seq: u64, timer: T);
 
     /// Send `msg` from `from` to `to`; `now` is the sender's current time.
     /// The [`SendOutcome`] is the network's judgement at send time:
@@ -138,8 +150,12 @@ impl<T, M: Clone> Runtime<T, M> for SimRuntime<T, M> {
         self.network.open_route(id);
     }
 
-    fn schedule(&mut self, at: SimTime, timer: T) {
-        self.queue.schedule(at, Step::Timer(timer));
+    fn reserve(&mut self, n: u64) -> u64 {
+        self.queue.reserve(n)
+    }
+
+    fn schedule_reserved(&mut self, at: SimTime, seq: u64, timer: T) {
+        self.queue.schedule_reserved(at, seq, Step::Timer(timer));
     }
 
     fn send(&mut self, now: SimTime, from: SiteId, to: SiteId, msg: M) -> SendOutcome {
@@ -312,19 +328,14 @@ impl<T, M: Clone> ThreadedRuntime<T, M> {
         self.flusher.as_ref().map_or(0, FlushScheduler::owed)
     }
 
-    fn push_event(&mut self, at: SimTime, step: Step<T, M>) {
-        // On a wall clock a caller may name an instant the queue has already
-        // moved past; such an entry is simply due now.
-        self.events.schedule(at.max(self.events.now()), step);
-    }
-
     /// Put an accepted copy on its way: ready now, or due after `delay`.
     fn carry(&mut self, delay: Duration, to: SiteId, msg: M) {
         if delay == Duration::ZERO {
             self.staged.push_back((to, msg));
         } else {
+            // The wall clock never runs behind the queue's last popped time.
             let due = self.clock.now() + delay;
-            self.push_event(due, Step::Deliver { to, msg });
+            self.events.schedule(due, Step::Deliver { to, msg });
         }
     }
 }
@@ -341,8 +352,15 @@ impl<T, M: Clone> Runtime<T, M> for ThreadedRuntime<T, M> {
         self.endpoints += 1;
     }
 
-    fn schedule(&mut self, at: SimTime, timer: T) {
-        self.push_event(at, Step::Timer(timer));
+    fn reserve(&mut self, n: u64) -> u64 {
+        self.events.reserve(n)
+    }
+
+    fn schedule_reserved(&mut self, at: SimTime, seq: u64, timer: T) {
+        // On a wall clock a caller may name an instant the queue has already
+        // moved past; such a timer is simply due now.
+        let at = at.max(self.events.now());
+        self.events.schedule_reserved(at, seq, Step::Timer(timer));
     }
 
     fn flush(&mut self, site: SiteId, batch: FlushBatch) {

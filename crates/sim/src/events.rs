@@ -2,23 +2,16 @@
 
 use o2pc_common::SimTime;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
-/// A time-ordered event queue. Events scheduled for the same instant pop in
-/// FIFO order (a strictly increasing sequence number breaks ties), which
-/// keeps runs deterministic regardless of heap internals.
-///
-/// Entries live in one of two places. An entry whose time is not before the
-/// *lane*'s back is appended to the lane, a FIFO; any other entry goes on
-/// the heap. The lane is sorted by `(time, seq)` by construction — appends
-/// are monotone in time and `seq` only grows — so the next event is the
-/// smaller of the lane's front and the heap's top. Where an entry is stored
-/// never decides the pop order; `(time, seq)` alone does. A workload's
-/// arrival schedule, installed up front in time order, therefore costs O(1)
-/// per arrival, and the heap holds only the timers and messages in flight.
+/// A time-ordered event queue: a binary heap on `(time, seq)`. Events
+/// scheduled for the same instant pop in FIFO order (a strictly increasing
+/// sequence number breaks ties), which keeps runs deterministic regardless
+/// of heap internals. A number taken early with [`reserve`](Self::reserve)
+/// orders its event as if it had been scheduled then: an arrival run keeps
+/// only its next arrival queued so.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    lane: VecDeque<Entry<E>>,
     heap: BinaryHeap<Reverse<Entry<E>>>,
     seq: u64,
     now: SimTime,
@@ -68,7 +61,6 @@ impl<E> EventQueue<E> {
     /// New empty queue with an explicit initial heap capacity.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            lane: VecDeque::new(),
             heap: BinaryHeap::with_capacity(cap),
             seq: 0,
             now: SimTime::ZERO,
@@ -83,61 +75,52 @@ impl<E> EventQueue<E> {
     /// Schedule `event` at absolute time `at`. Scheduling in the past is a
     /// logic error (events would appear to travel back in time).
     pub fn schedule(&mut self, at: SimTime, event: E) {
+        let seq = self.reserve(1);
+        self.schedule_reserved(at, seq, event);
+    }
+
+    /// Take the next `n` sequence numbers; returns the first.
+    pub fn reserve(&mut self, n: u64) -> u64 {
+        let first = self.seq;
+        self.seq += n;
+        first
+    }
+
+    /// [`schedule`](Self::schedule) under a number `reserve` handed out, once.
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) {
         debug_assert!(
             at >= self.now,
             "scheduled event in the past: {at:?} < {:?}",
             self.now
         );
-        let seq = self.seq;
-        self.seq += 1;
-        let entry = Entry {
+        debug_assert!(seq < self.seq, "sequence number {seq} was never reserved");
+        self.heap.push(Reverse(Entry {
             time: at.max(self.now),
             seq,
             event,
-        };
-        if self.lane.back().is_none_or(|back| back.time <= entry.time) {
-            self.lane.push_back(entry);
-        } else {
-            self.heap.push(Reverse(entry));
-        }
-    }
-
-    /// Is the next event the lane's front (rather than the heap's top)?
-    fn lane_is_next(&self) -> bool {
-        match (self.lane.front(), self.heap.peek()) {
-            (Some(lane), Some(Reverse(heap))) => lane < heap,
-            (lane, _) => lane.is_some(),
-        }
+        }));
     }
 
     /// Pop the next event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let e = if self.lane_is_next() {
-            self.lane.pop_front()
-        } else {
-            self.heap.pop().map(|Reverse(e)| e)
-        }?;
+        let Reverse(e) = self.heap.pop()?;
         self.now = e.time;
         Some((e.time, e.event))
     }
 
     /// Time of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.lane_is_next() {
-            self.lane.front().map(|e| e.time)
-        } else {
-            self.heap.peek().map(|Reverse(e)| e.time)
-        }
+        self.heap.peek().map(|Reverse(e)| e.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.lane.len() + self.heap.len()
+        self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.lane.is_empty() && self.heap.is_empty()
+        self.heap.is_empty()
     }
 }
 
@@ -168,6 +151,25 @@ mod tests {
         for i in 0..100 {
             assert_eq!(q.pop(), Some((SimTime(5), i)));
         }
+    }
+
+    /// A reserved number orders its event as if it had been scheduled when
+    /// the number was reserved.
+    #[test]
+    fn reserved_numbers_order_as_if_scheduled_at_reservation() {
+        let mut q = EventQueue::new();
+        let first = q.reserve(2);
+        q.schedule(SimTime(5), "after");
+        q.schedule_reserved(SimTime(5), first + 1, "second");
+        q.schedule_reserved(SimTime(5), first, "first");
+        let earlier = q.reserve(1);
+        q.schedule(SimTime::ZERO, "now");
+        q.schedule_reserved(SimTime::ZERO, earlier, "reserved before it");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(
+            order,
+            ["reserved before it", "now", "first", "second", "after"]
+        );
     }
 
     #[test]

@@ -38,13 +38,15 @@ use o2pc_core::TxnRequest;
 pub struct Schedule {
     /// `(site, key, value)` initial loads.
     pub loads: Vec<(o2pc_common::SiteId, o2pc_common::Key, o2pc_common::Value)>,
-    /// Arrivals in non-decreasing time order.
+    /// Arrivals, generated in non-decreasing time order (an out-of-order
+    /// list installs as several time-sorted runs, firing as one `submit_at`
+    /// per arrival would).
     pub arrivals: Vec<(SimTime, TxnRequest)>,
 }
 
 impl Schedule {
     /// Install the loads and submit every arrival into an engine (on any
-    /// runtime substrate).
+    /// runtime substrate): a time-sorted schedule is one arrival run.
     pub fn install<R>(&self, engine: &mut o2pc_core::Engine<R>)
     where
         R: o2pc_runtime::Runtime<o2pc_core::TimerEvent, o2pc_core::Msg>,
@@ -52,9 +54,7 @@ impl Schedule {
         for &(s, k, v) in &self.loads {
             engine.load(s, k, v);
         }
-        for (t, req) in &self.arrivals {
-            engine.submit_at(*t, req.clone());
-        }
+        engine.submit(&self.arrivals);
     }
 
     /// Sum of all loaded values (conservation checks).

@@ -34,16 +34,20 @@ fn main() {
         engine.load(site, Key(1), Value(100));
     }
 
-    // Three money transfers between sites, submitted 5 ms apart.
-    for (i, (a, b)) in [(0u32, 1u32), (1, 2), (2, 0)].iter().enumerate() {
-        engine.submit_at(
-            SimTime(5_000 * i as u64),
-            TxnRequest::global(vec![
+    // Three money transfers between sites, arriving 5 ms apart: one
+    // time-sorted batch, of which only the next arrival is queued.
+    let transfers: Vec<_> = [(0u32, 1u32), (1, 2), (2, 0)]
+        .iter()
+        .enumerate()
+        .map(|(i, (a, b))| {
+            let req = TxnRequest::global(vec![
                 (SiteId(*a), vec![Op::Add(Key(1), -25)]),
                 (SiteId(*b), vec![Op::Add(Key(1), 25)]),
-            ]),
-        );
-    }
+            ]);
+            (SimTime(5_000 * i as u64), req)
+        })
+        .collect();
+    engine.submit(&transfers);
 
     let report = engine.run(Duration::secs(10));
 

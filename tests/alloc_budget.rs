@@ -5,8 +5,9 @@
 //! on the benchmark's `sim-optimistic` and `sim-abort` shapes, as the
 //! *marginal* figure per transaction between a short and a long run —
 //! set-up, the first growth of every table and the end-of-run report cancel.
-//! It reads `Schedule::install` the same way: installing an arrival shares
-//! its request's programs, so it should allocate nothing.
+//! It reads `Schedule::install` the same way, in calls and in bytes:
+//! installing an arrival shares its request's programs and copies the
+//! arrival once into its run, so it costs one 32-byte slot and no call.
 //! The budget is only meaningful optimised: CI runs
 //! `cargo test --release --test alloc_budget`.
 //!
@@ -23,13 +24,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested: a block's size for an allocation, its new size for a
+/// reallocation.
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a statistic and touches
+// upholds the `GlobalAlloc` contract; the counters are statistics and touch
 // no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: the caller's `layout` obligations are passed through.
         unsafe { System.alloc(layout) }
     }
@@ -39,6 +44,7 @@ unsafe impl GlobalAlloc for Counting {
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         // SAFETY: as for `dealloc`, plus the caller's `new_size` obligation.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -59,13 +65,21 @@ fn workload(arrivals: usize, accounts_per_site: u64) -> BankingWorkload {
     }
 }
 
-/// Allocations inside one `Schedule::install` of `arrivals` transactions.
-fn allocs_in_install(arrivals: usize) -> u64 {
+/// Allocations and bytes inside one `Schedule::install` of `arrivals`
+/// transactions, and the runtime's pending steps after it.
+fn install(arrivals: usize) -> (u64, u64, usize) {
     let schedule = workload(arrivals, 4_096).generate();
     let mut engine = Engine::new(SystemConfig::new(4, ProtocolKind::O2pc));
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let (allocs, bytes) = (
+        ALLOCS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
     schedule.install(&mut engine);
-    ALLOCS.load(Ordering::Relaxed) - before
+    (
+        ALLOCS.load(Ordering::Relaxed) - allocs,
+        BYTES.load(Ordering::Relaxed) - bytes,
+        engine.runtime().pending(),
+    )
 }
 
 /// Allocations inside one `Engine::run` over `arrivals` transactions.
@@ -104,18 +118,30 @@ fn marginal(accounts_per_site: u64, vote_abort_probability: f64) -> f64 {
 // threads would read each other's allocations.
 #[test]
 fn engine_loop_allocation_budget() {
-    let install = (allocs_in_install(20_000) - allocs_in_install(5_000)) as f64 / 15_000.0;
+    let (short, long) = (install(5_000), install(20_000));
+    let install_allocs = (long.0 - short.0) as f64 / 15_000.0;
+    let install_bytes = (long.1 - short.1) as f64 / 15_000.0;
     let optimistic = marginal(4_096, 0.0);
     let abort = marginal(16, 0.2);
-    println!("allocations per arrival inside Schedule::install (marginal, 5k -> 20k arrivals):");
-    println!("  {install:.2}   (budget 0.05)");
+    println!("per arrival inside Schedule::install (marginal, 5k -> 20k arrivals):");
+    println!("  allocations {install_allocs:.2}   (budget 0.05)");
+    println!("  bytes       {install_bytes:.1}   (budget 40)");
     println!("allocations per transaction inside Engine::run (marginal, 5k -> 20k arrivals):");
     println!("  sim-optimistic shape: {optimistic:.1}   (budget 10)");
     println!("  sim-abort shape:      {abort:.1}   (budget 16, optimised builds)");
     assert!(
-        install <= 0.05,
-        "installing a schedule allocates {install:.2} times per arrival; the budget is \
-         0.05 (a request's clone shares its programs)"
+        install_allocs <= 0.05,
+        "installing a schedule allocates {install_allocs:.2} times per arrival; the budget \
+         is 0.05 (a request's clone shares its programs)"
+    );
+    assert!(
+        install_bytes <= 40.0,
+        "installing a schedule allocates {install_bytes:.1} bytes per arrival; the budget \
+         is 40 (one 32-byte slot in an exact-capacity run)"
+    );
+    assert_eq!(
+        long.2, 1,
+        "a sorted schedule queues one arrival in the runtime, not all of them"
     );
     let mut gates = vec![("sim-optimistic", optimistic, 10.0)];
     // Debug builds cross-check every deadlock walk that finds nothing against

@@ -39,9 +39,7 @@ fn install<R: Runtime<TimerEvent, Msg>>(
     for &(s, k, v) in loads {
         engine.load(s, k, v);
     }
-    for (t, req) in arrivals {
-        engine.submit_at(*t, req.clone());
-    }
+    engine.submit(arrivals);
 }
 
 fn counts(r: &RunReport) -> (u64, u64, u64, u64, u64, usize, i64) {

@@ -92,15 +92,16 @@ fn crash_drop_duplicate_smoke(mut cfg: SystemConfig) -> RunReport {
         }
     }
     let n_global = 10u64;
-    for i in 0..n_global {
-        let a = SiteId((i % 3) as u32);
-        let b = SiteId(((i + 1) % 3) as u32);
-        let k = keys[(i % 3) as usize];
-        engine.submit_at(
-            SimTime(i * 2_000),
-            TxnRequest::global(vec![(a, vec![Op::Add(k, -3)]), (b, vec![Op::Add(k, 3)])]),
-        );
-    }
+    let arrivals: Vec<_> = (0..n_global)
+        .map(|i| {
+            let a = SiteId((i % 3) as u32);
+            let b = SiteId(((i + 1) % 3) as u32);
+            let k = keys[(i % 3) as usize];
+            let subs = vec![(a, vec![Op::Add(k, -3)]), (b, vec![Op::Add(k, 3)])];
+            (SimTime(i * 2_000), TxnRequest::global(subs))
+        })
+        .collect();
+    engine.submit(&arrivals);
     let report = engine.run(Duration::secs(60));
 
     // Every submitted transaction was decided despite loss + crash.

@@ -23,8 +23,8 @@ fn fingerprint(r: &RunReport) -> Fingerprint {
     )
 }
 
-fn run_once(protocol: ProtocolKind, seed: u64, with_failures: bool) -> RunReport {
-    let wl = GenericWorkload {
+fn workload(seed: u64) -> GenericWorkload {
+    GenericWorkload {
         sites: 4,
         keys_per_site: 8,
         txns: 120,
@@ -34,8 +34,13 @@ fn run_once(protocol: ProtocolKind, seed: u64, with_failures: bool) -> RunReport
         mean_interarrival: Duration::micros(700),
         seed: seed ^ 0xF00D,
         ..Default::default()
-    };
-    let mut cfg = SystemConfig::new(wl.sites, protocol);
+    }
+}
+
+/// An engine with a crash plan's timers already scheduled when asked for,
+/// before any arrival is installed.
+fn engine(protocol: ProtocolKind, seed: u64, with_failures: bool) -> Engine {
+    let mut cfg = SystemConfig::new(4, protocol);
     cfg.vote_abort_probability = 0.25;
     cfg.seed = seed;
     if with_failures {
@@ -44,8 +49,12 @@ fn run_once(protocol: ProtocolKind, seed: u64, with_failures: bool) -> RunReport
         cfg.failures = f;
         cfg.vote_timeout = Some(Duration::millis(50));
     }
-    let mut e = Engine::new(cfg);
-    wl.generate().install(&mut e);
+    Engine::new(cfg)
+}
+
+fn run_once(protocol: ProtocolKind, seed: u64, with_failures: bool) -> RunReport {
+    let mut e = engine(protocol, seed, with_failures);
+    workload(seed).generate().install(&mut e);
     e.run(Duration::secs(600))
 }
 
@@ -94,6 +103,64 @@ fn golden_history_digests_are_stable() {
             (digest, events),
             "golden history fingerprint drifted: {protocol} seed {seed} failures {with_failures}"
         );
+    }
+}
+
+/// Every way of submitting arrivals is one arrival path: a schedule
+/// installed in one call (split into time-sorted runs when it is out of
+/// order, after a crash plan's timers or not) and the same arrivals handed
+/// over one `submit_at` at a time fire in the same order, pinned to the
+/// digests the engine produced when each arrival was its own queued timer.
+#[test]
+fn arrival_paths_keep_golden_digests() {
+    // (protocol, seed, pairs swapped (`usize::MAX`: a full shuffle),
+    // failures, digest, events)
+    let cases = [
+        (
+            ProtocolKind::O2pcP1,
+            13,
+            usize::MAX,
+            false,
+            1036833534877042121,
+            800,
+        ),
+        (ProtocolKind::O2pcP2, 7, 6, true, 2045110704512345655, 801),
+        (ProtocolKind::O2pc, 9, 0, true, 7234547993620224493, 1050),
+    ];
+    for (protocol, seed, swaps, with_failures, digest, events) in cases {
+        let mut schedule = workload(seed).generate();
+        // Whole milliseconds: simultaneous arrivals, some at a crash or a
+        // recovery, which only their submission order can sort.
+        for (at, _) in &mut schedule.arrivals {
+            *at = SimTime(at.0 / 1_000 * 1_000);
+        }
+        let mut rng = o2pc_common::DetRng::new(seed);
+        if swaps == usize::MAX {
+            rng.shuffle(&mut schedule.arrivals);
+        } else {
+            for _ in 0..swaps {
+                let n = schedule.arrivals.len() as u64;
+                let (a, b) = (rng.gen_range(n), rng.gen_range(n));
+                schedule.arrivals.swap(a as usize, b as usize);
+            }
+        }
+        let mut installed = engine(protocol, seed, with_failures);
+        schedule.install(&mut installed);
+        let mut one_by_one = engine(protocol, seed, with_failures);
+        for &(s, k, v) in &schedule.loads {
+            one_by_one.load(s, k, v);
+        }
+        for (at, req) in &schedule.arrivals {
+            one_by_one.submit_at(*at, req.clone());
+        }
+        for (path, mut e) in [("install", installed), ("submit_at", one_by_one)] {
+            let r = e.run(Duration::secs(600));
+            assert_eq!(
+                (r.history.digest(), r.history.len()),
+                (digest, events),
+                "{path}: {protocol} seed {seed} swaps {swaps} failures {with_failures}"
+            );
+        }
     }
 }
 
