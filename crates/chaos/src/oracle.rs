@@ -8,24 +8,12 @@
 //! event-queue emptiness check is simulator-only.
 
 use o2pc_common::{GlobalTxnId, SiteId};
+use o2pc_core::msg::{MsgKind, MSG_KINDS};
 use o2pc_core::{Engine, Msg, RunReport, TimerEvent};
 use o2pc_runtime::Runtime;
 use o2pc_sgraph::SearchOutcome;
 use o2pc_sim::Ledger;
 use std::fmt;
-
-/// The engine's message kinds, as used in `msg.<kind>` /
-/// `msg.dropped.<kind>` counter labels.
-pub const MSG_KINDS: [&str; 8] = [
-    "spawn",
-    "subtxn_ack",
-    "vote_req",
-    "vote",
-    "decision",
-    "decision_ack",
-    "term_req",
-    "term_answer",
-];
 
 /// One violated invariant.
 #[derive(Clone, Debug, PartialEq)]
@@ -214,15 +202,17 @@ pub fn check_accounting<R: Runtime<TimerEvent, Msg>>(
     }
     // The engine counts one `msg.<kind>` per send; duplicates are the
     // network's own and appear in no engine counter.
-    for (counters, owed) in [
-        ("msg", ledger.sent),
-        ("msg.dropped", ledger.dropped),
-        ("msg.unroutable", ledger.unroutable),
-    ] {
-        let counted: u64 = MSG_KINDS
+    let sum = |label: fn(&MsgKind) -> &'static str| -> u64 {
+        MSG_KINDS
             .iter()
-            .map(|k| report.counters.get(&format!("{counters}.{k}")))
-            .sum();
+            .map(|k| report.counters.get(label(k)))
+            .sum()
+    };
+    for (counters, owed, counted) in [
+        ("msg", ledger.sent, sum(|k| k.sent)),
+        ("msg.dropped", ledger.dropped, sum(|k| k.dropped)),
+        ("msg.unroutable", ledger.unroutable, sum(|k| k.unroutable)),
+    ] {
         if counted != owed {
             out.push(Violation::CounterMismatch {
                 counters,

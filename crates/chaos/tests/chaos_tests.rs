@@ -139,9 +139,9 @@ fn message_accounting_reconciles_under_chaos() {
         );
         // Chaos actually dropped and duplicated something, so the equation
         // was exercised with non-trivial terms.
-        let dropped: u64 = o2pc_chaos::oracle::MSG_KINDS
+        let dropped: u64 = o2pc_core::msg::MSG_KINDS
             .iter()
-            .map(|k| outcome.report.counters.get(&format!("msg.dropped.{k}")))
+            .map(|k| outcome.report.counters.get(k.dropped))
             .sum();
         assert!(dropped > 0, "seed {seed}: chaos never dropped a message");
     }

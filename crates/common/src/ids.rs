@@ -105,12 +105,6 @@ impl TxnId {
         matches!(self, TxnId::Compensation(_))
     }
 
-    /// Is this an independent local transaction?
-    #[inline]
-    pub fn is_local(self) -> bool {
-        matches!(self, TxnId::Local(_))
-    }
-
     /// The global transaction this node concerns, if any (`T_i` for both
     /// `Global(i)` and `Compensation(i)`).
     #[inline]
@@ -178,12 +172,6 @@ impl ExecId {
         }
     }
 
-    /// Is this execution part of a regular global transaction?
-    #[inline]
-    pub fn is_sub(self) -> bool {
-        matches!(self, ExecId::Sub(_))
-    }
-
     /// Is this a compensating subtransaction?
     #[inline]
     pub fn is_comp(self) -> bool {
@@ -236,7 +224,6 @@ mod tests {
             site: SiteId(1),
             seq: 3,
         };
-        assert!(TxnId::Local(l).is_local());
         assert_eq!(TxnId::Local(l).global_id(), None);
         assert_eq!(TxnId::Global(g).global_id(), Some(g));
         assert_eq!(TxnId::Compensation(g).global_id(), Some(g));
@@ -252,9 +239,7 @@ mod tests {
             seq: 1,
         };
         assert_eq!(ExecId::Local(l).txn_id(), TxnId::Local(l));
-        assert!(ExecId::Sub(g).is_sub());
         assert!(ExecId::CompSub(g).is_comp());
-        assert!(!ExecId::Local(l).is_sub());
     }
 
     #[test]

@@ -110,15 +110,6 @@ impl Op {
             Op::Add(..) | Op::Insert(..) | Op::Delete(..) | Op::Reserve(..) | Op::Release(..)
         )
     }
-
-    /// Can the operation fail for semantic reasons (not just lock conflicts)?
-    #[inline]
-    pub fn is_conditional(&self) -> bool {
-        matches!(
-            self,
-            Op::Reserve(..) | Op::Insert(..) | Op::Delete(..) | Op::Add(..)
-        )
-    }
 }
 
 impl fmt::Display for Op {
@@ -171,8 +162,6 @@ mod tests {
         assert!(!Op::Write(Key(0), Value(1)).is_semantic());
         assert!(Op::Add(Key(0), 1).is_semantic());
         assert!(Op::Reserve(Key(0), 1).is_semantic());
-        assert!(Op::Reserve(Key(0), 1).is_conditional());
-        assert!(!Op::Write(Key(0), Value(1)).is_conditional());
     }
 
     #[test]

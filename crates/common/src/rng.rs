@@ -96,15 +96,6 @@ impl DetRng {
         -mean * u.ln()
     }
 
-    /// Pick a uniformly random element of a slice.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.gen_range(items.len() as u64) as usize])
-        }
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -293,15 +284,6 @@ mod tests {
         assert!(r.sample_indices(3, 0).is_empty());
         let all = r.sample_indices(3, 3);
         assert_eq!(all.len(), 3);
-    }
-
-    #[test]
-    fn choose_behaviour() {
-        let mut r = DetRng::new(41);
-        let empty: [u8; 0] = [];
-        assert_eq!(r.choose(&empty), None);
-        let one = [7u8];
-        assert_eq!(r.choose(&one), Some(&7));
     }
 
     #[test]

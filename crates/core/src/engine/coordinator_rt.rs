@@ -1,6 +1,7 @@
 //! Coordinator-side protocol logic: arrival, vote collection, decisions,
 //! and coordinator crash/recovery.
 
+use super::slot::SiteState;
 use super::{Engine, GTxn, TimerEvent};
 use crate::config::TxnRequest;
 use crate::msg::Msg;
@@ -27,37 +28,31 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         }
         match req {
             TxnRequest::Local { site, ops } => {
-                if !self.site_up(site) {
+                let Some(live) = self.slots[site.index()].state.live_mut() else {
                     self.report.local_aborted += 1;
                     return;
-                }
-                let hist = &mut self.hist;
-                let s = self.sites[site.index()].as_mut().unwrap();
-                let exec = ExecId::Local(s.next_local_id());
-                s.begin(exec, ops, now, hist);
+                };
+                let exec = ExecId::Local(live.site.next_local_id());
+                live.site.begin(exec, ops, now, &mut self.hist);
                 // Latency clocks from the client's submit time, so on a
                 // wall-clock runtime a late-firing arrival timer shows up
                 // as latency instead of silently vanishing.
-                self.local_starts.insert(exec, scheduled);
-                let service = self.cfg.op_service_time;
-                self.rt
-                    .schedule(now + service, TimerEvent::OpDone { site, exec });
+                live.local_starts.insert(exec, scheduled);
+                self.next_op(now, site, exec);
             }
             TxnRequest::Global { subs, coordinator } => {
                 if let Some(window) = self.cfg.admission_window {
-                    let inflight = self.admitted.entry(coordinator).or_default();
-                    if *inflight >= window {
+                    let gate = &mut self.slots[coordinator.index()];
+                    if gate.admitted >= window {
                         // Coordinator at capacity: park the arrival. It is
                         // admitted (FIFO) when a completion frees a slot,
                         // still carrying its original submit time.
-                        self.admit_q
-                            .entry(coordinator)
-                            .or_default()
-                            .push_back(super::PendingAdmission { scheduled, subs });
+                        let parked = super::PendingAdmission { scheduled, subs };
+                        gate.admit_q.push_back(parked);
                         self.report.counters.inc("txn.admit_queued");
                         return;
                     }
-                    *inflight += 1;
+                    gate.admitted += 1;
                 }
                 self.admit_global(now, scheduled, subs, coordinator);
             }
@@ -88,7 +83,6 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             start: scheduled,
             spawn_retries: Default::default(),
             began: 0,
-            done: false,
             retx_armed: false,
         };
         self.txns.insert(id, gtxn);
@@ -106,13 +100,12 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         if self.cfg.admission_window.is_none() {
             return;
         }
-        if let Some(c) = self.admitted.get_mut(&site) {
-            *c = c.saturating_sub(1);
-        }
-        let Some(next) = self.admit_q.get_mut(&site).and_then(|q| q.pop_front()) else {
+        let gate = &mut self.slots[site.index()];
+        gate.admitted = gate.admitted.saturating_sub(1);
+        let Some(next) = gate.admit_q.pop_front() else {
             return;
         };
-        *self.admitted.entry(site).or_default() += 1;
+        gate.admitted += 1;
         self.admit_global(now, next.scheduled, next.subs, site);
     }
 
@@ -161,12 +154,8 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                 }
                 self.arm_retransmit(now, txn);
             }
+            // The coordinator emits this once, on entering `Done`.
             CoordAction::Complete(commit) => {
-                let g = self.txns.get_mut(&txn).expect("txn exists");
-                if g.done {
-                    return;
-                }
-                g.done = true;
                 if commit {
                     self.report.global_committed += 1;
                 } else {
@@ -181,16 +170,27 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         }
     }
 
+    /// Hand `txn`'s coordinator one input, if the transaction is still
+    /// tracked, and carry out what it asks.
+    pub(crate) fn drive(
+        &mut self,
+        now: SimTime,
+        txn: GlobalTxnId,
+        input: impl FnOnce(&mut TwoPhaseCoordinator) -> Option<CoordAction>,
+    ) {
+        if let Some(action) = self.txns.get_mut(&txn).and_then(|g| input(&mut g.coord)) {
+            self.coord_action(now, txn, action, false);
+        }
+    }
+
     pub(crate) fn on_vote_timeout(&mut self, now: SimTime, txn: GlobalTxnId) {
         let Some(g) = self.txns.get(&txn) else {
             return; // stale timer: the transaction has been retired
         };
-        if g.done || !self.site_up(g.coord_site) {
-            return; // finished, or a crashed coordinator times out nothing
-        }
-        let action = self.txns.get_mut(&txn).unwrap().coord.on_timeout();
-        if let Some(action) = action {
-            self.coord_action(now, txn, action, false);
+        // A crashed coordinator times out nothing; a decided one presumes
+        // nothing.
+        if self.site_up(g.coord_site) {
+            self.drive(now, txn, |c| c.on_timeout());
         }
     }
 
@@ -202,14 +202,14 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             return;
         };
         let cap = self.cfg.retransmit_cap;
-        let (done, coord_site) = match self.txns.get(&txn) {
-            Some(g) => (g.done, g.coord_site),
-            None => return, // stale timer: the transaction has been retired
+        let Some(g) = self.txns.get_mut(&txn) else {
+            return; // stale timer: the transaction has been retired
         };
-        if done {
-            self.txns.get_mut(&txn).unwrap().retx_armed = false;
+        if g.done() {
+            g.retx_armed = false;
             return;
         }
+        let coord_site = g.coord_site;
         if !self.site_up(coord_site) {
             // The coordinator is down; keep the chain alive at the capped
             // interval so retransmission resumes after recovery (recovery
@@ -222,15 +222,10 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             Some(action) => {
                 self.report.counters.inc("msg.retransmit");
                 self.coord_action(now, txn, action, true);
-                let exp = base.saturating_mul(1u64 << (attempt + 1).min(16));
-                let delay = if exp > cap { cap } else { exp };
-                self.rt.schedule(
-                    now + delay,
-                    TimerEvent::Retransmit {
-                        txn,
-                        attempt: attempt + 1,
-                    },
-                );
+                let delay = base.saturating_mul(1u64 << (attempt + 1).min(16)).min(cap);
+                let attempt = attempt + 1;
+                self.rt
+                    .schedule(now + delay, TimerEvent::Retransmit { txn, attempt });
             }
             None => {
                 // Nothing outstanding: the chain ends. `arm_retransmit`
@@ -253,21 +248,20 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         let Some(g) = self.txns.get(&txn) else {
             return;
         };
-        if !g.done {
+        if !g.done() {
             return;
         }
         let participants = g.coord.participants();
         for &p in participants {
-            if self.pending_comp.contains_key(&(txn, p))
-                || self.term_rounds.contains_key(&(txn, p))
-                || self.term_armed.contains(&(txn, p))
-            {
-                return;
-            }
-            let Some(site) = self.sites[p.index()].as_ref() else {
+            let slot = &self.slots[p.index()];
+            let Some(site) = slot.state.site() else {
                 return;
             };
-            if site.mark_of(txn) != o2pc_marking::MarkState::Unmarked {
+            if slot.pending_comp.contains_key(&txn)
+                || slot.term_rounds.contains_key(&txn)
+                || slot.term_armed.contains(&txn)
+                || site.mark_of(txn) != o2pc_marking::MarkState::Unmarked
+            {
                 return;
             }
         }
@@ -275,7 +269,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             return;
         }
         for &p in participants {
-            if let Some(site) = self.sites[p.index()].as_mut() {
+            if let Some(site) = self.slots[p.index()].state.site_mut() {
                 site.forget(txn);
             }
         }
@@ -289,7 +283,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         let done: Vec<GlobalTxnId> = self
             .txns
             .iter()
-            .filter(|(_, g)| g.done)
+            .filter(|(_, g)| g.done())
             .map(|(&id, _)| id)
             .collect();
         for txn in done {
@@ -297,67 +291,69 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         }
     }
 
+    /// A site crashes: one transition of its slot. Everything its live
+    /// state held dies with it: the promises still parked (their records
+    /// are lost with the unflushed tail, or were written but no completion
+    /// announced them), its armed flush timer and its running locals. What
+    /// it counted so far outlives it, in the report.
     pub(crate) fn on_crash(&mut self, now: SimTime, site: SiteId) {
-        let Some(s) = self.sites[site.index()].take() else {
-            return;
-        };
-        // Promises still parked die with the site. Their records are lost
-        // with the unflushed tail, or were written but their completion
-        // never reported: the disk keeps them, unannounced.
-        self.wal_parked[site.index()].clear();
-        self.flush_armed.remove(&site);
-        // What the site counted so far outlives it.
-        self.report.locks.merge(s.lock_stats());
-        self.report
-            .counters
-            .add("comp.skipped_ops", s.skipped_comp_ops);
-        match s.crash(now, &mut self.hist) {
-            Ok(crashed) => {
-                self.crashed.insert(site, crashed);
+        let slot = &mut self.slots[site.index()];
+        slot.state = match std::mem::take(&mut slot.state) {
+            SiteState::Up(live) => {
+                self.report.locks.merge(live.site.lock_stats());
+                let skipped = live.site.skipped_comp_ops;
+                self.report.counters.add("comp.skipped_ops", skipped);
+                match live.site.crash(now, &mut self.hist) {
+                    Ok(crashed) => SiteState::Down(crashed),
+                    // The log could not be cut or reopened (its directory
+                    // is gone, say): nothing survives to recover from.
+                    Err(_) => {
+                        self.report.counters.inc("wal.reopen_failures");
+                        SiteState::Lost
+                    }
+                }
             }
-            // The log could not be cut or reopened (its directory is gone,
-            // say): nothing survives to recover from, so the site stays
-            // down.
-            Err(_) => self.report.counters.inc("wal.reopen_failures"),
-        }
+            down_or_lost => down_or_lost,
+        };
     }
 
+    /// A down site restarts: one transition of its slot, to a site rebuilt
+    /// from what survived and nothing parked or armed.
     pub(crate) fn on_recover(&mut self, now: SimTime, site: SiteId) {
-        let Some(crashed) = self.crashed.remove(&site) else {
-            return;
+        let slot = &mut self.slots[site.index()];
+        let crashed = match std::mem::take(&mut slot.state) {
+            SiteState::Down(crashed) => crashed,
+            up_or_lost => {
+                slot.state = up_or_lost;
+                return;
+            }
         };
-        let mut recovered_site = crashed.recover(now, &mut self.hist);
-        // Everything the reopened log holds is on disk, and no completion
-        // will ever report it: bytes the crash kept were sealed by the
-        // previous incarnation, whose completions die with it.
-        self.wal_covered[site.index()] = recovered_site.wal().durable_ticket();
+        let mut recovered = crashed.recover(now, &mut self.hist);
         // The WAL resurrects every logged decision (peers in doubt may
         // still ask), but decisions for transactions GC already retired
         // can never be queried again — drop them so recovery does not
         // grow the decided map without bound across crash cycles.
-        recovered_site.retain_decisions(|g| self.txns.contains_key(&g));
-        self.sites[site.index()] = Some(recovered_site);
+        recovered.retain_decisions(|g| self.txns.contains_key(&g));
+        slot.state = SiteState::up(recovered);
         // Coordinators hosted here resume: resend logged decisions, presume
         // abort for undecided transactions.
         let mut to_recover: Vec<GlobalTxnId> = self
             .txns
             .iter()
-            .filter(|(_, g)| g.coord_site == site && !g.done)
+            .filter(|(_, g)| g.coord_site == site && !g.done())
             .map(|(&id, _)| id)
             .collect();
         to_recover.sort_unstable(); // canonical resend order, independent of map iteration
         for txn in to_recover {
-            if let Some(action) = self.txns.get_mut(&txn).unwrap().coord.recover() {
-                self.coord_action(now, txn, action, false);
-            }
+            self.drive(now, txn, |c| c.recover());
         }
         // Recovered in-doubt participants (prepared, or locally committed
         // with the decision lost in the crash) resolve their fate through
         // the termination protocol when it is enabled.
-        if self.cfg.termination_timeout.is_some() {
-            let site_ref = self.sites[site.index()].as_ref().unwrap();
-            let mut in_doubt = site_ref.prepared_subs();
-            in_doubt.extend(site_ref.pending_local_commits());
+        let up = self.slots[site.index()].state.site();
+        if let Some(s) = up.filter(|_| self.cfg.termination_timeout.is_some()) {
+            let mut in_doubt = s.prepared_subs();
+            in_doubt.extend(s.pending_local_commits());
             for txn in in_doubt {
                 if self.txns.contains_key(&txn) {
                     self.arm_term_timer(now, txn, site);

@@ -43,15 +43,18 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// they agree with the walks.
     #[inline(never)]
     pub(crate) fn on_blocked(&mut self, now: SimTime, site_id: SiteId, exec: ExecId) {
-        let (walk, site) = (&mut self.walks.local, &self.sites[site_id.index()]);
-        let local = walk.returns_to(exec, |e, out| site.as_ref().unwrap().blockers_of(e, out));
+        let Some(site) = self.slots[site_id.index()].state.site() else {
+            return;
+        };
+        let walk = &mut self.walks.local;
+        let local = walk.returns_to(exec, |e, out| site.blockers_of(e, out));
         if local || cfg!(debug_assertions) {
             let resolved = self.resolve_deadlocks(now, site_id);
             debug_assert_eq!(local, resolved, "walk from {exec} at {site_id}");
         }
         let (walk, blockers) = (&mut self.walks.lifted, &mut self.walks.blockers);
-        let live = self.sites.iter().enumerate();
-        let live = live.filter_map(|(i, s)| Some((SiteId(i as u32), s.as_ref()?)));
+        let live = self.slots.iter().enumerate();
+        let live = live.filter_map(|(i, s)| Some((SiteId(i as u32), s.state.site()?)));
         let lifted = walk.returns_to(Node::lift(site_id, exec), |node, out| {
             let (only, e) = match node {
                 Node::G(g) => (None, ExecId::Sub(g)),
@@ -75,11 +78,8 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     fn resolve_deadlocks(&mut self, now: SimTime, site_id: SiteId) -> bool {
         let mut resolved = false;
         loop {
-            let Some(cycle) = self.sites[site_id.index()]
-                .as_mut()
-                .unwrap()
-                .find_deadlock()
-            else {
+            let site = self.slots[site_id.index()].state.site_mut();
+            let Some(cycle) = site.and_then(|s| s.find_deadlock()) else {
                 return resolved;
             };
             resolved = true;
@@ -125,9 +125,8 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             let mut edges: FastHashMap<Node, Vec<Node>> = FastHashMap::default();
             // Where each node has a blocked execution (for victim handling).
             let mut blocked_at: FastHashMap<Node, (SiteId, ExecId)> = FastHashMap::default();
-            for (idx, site) in self.sites.iter().enumerate() {
-                let Some(site) = site else { continue };
-                let sid = SiteId(idx as u32);
+            for site in self.live_sites() {
+                let sid = site.id();
                 for (w, h) in site.waits_for_edges() {
                     let wn = Node::lift(sid, w);
                     let hn = Node::lift(sid, h);

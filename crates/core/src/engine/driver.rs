@@ -12,7 +12,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// Returns the collected report. May be called again to continue.
     pub fn run(&mut self, horizon: Duration) -> RunReport {
         if !self.checkpointed {
-            for s in self.sites.iter_mut().flatten() {
+            for s in self.slots.iter_mut().filter_map(|s| s.state.site_mut()) {
                 s.checkpoint();
             }
             // Durable mode: make the base image durable before any traffic,
@@ -55,7 +55,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// function of their seed, and keeps each site's log as large as the
     /// work since its last checkpoint, not the run.
     fn checkpoint_due_sites(&mut self) {
-        for s in self.sites.iter_mut().flatten() {
+        for s in self.slots.iter_mut().filter_map(|s| s.state.site_mut()) {
             if s.checkpoint_due() {
                 s.checkpoint();
             }
@@ -75,7 +75,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             TimerEvent::Arrive { run } => self.on_arrive(now, run),
             TimerEvent::OpDone { site, exec } => self.on_op_done(now, site, exec),
             TimerEvent::R1Retry { txn, site } => self.try_spawn(now, txn, site),
-            TimerEvent::CompRetry { txn, site } => self.resume_compensation(now, txn, site),
+            TimerEvent::CompRetry { txn, site } => self.start_compensation(now, txn, site),
             TimerEvent::VoteTimeout { txn } => self.on_vote_timeout(now, txn),
             TimerEvent::Retransmit { txn, attempt } => self.on_retransmit(now, txn, attempt),
             TimerEvent::TermTimeout { txn, site } => self.on_term_timeout(now, txn, site),

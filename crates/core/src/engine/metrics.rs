@@ -16,14 +16,14 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         // Transactions that never reached Complete: count by logged decision
         // (presumed abort when undecided — the coordinator discipline).
         for g in self.txns.values() {
-            if !g.done {
+            if !g.done() {
                 match g.coord.decision() {
                     Some(true) => report.global_committed += 1,
                     _ => report.global_aborted += 1,
                 }
             }
         }
-        for s in self.sites.iter().flatten() {
+        for s in self.live_sites() {
             report.locks.merge(s.lock_stats());
             report.total_value += s.total();
             report.counters.add("comp.skipped_ops", s.skipped_comp_ops);
@@ -35,7 +35,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         report
             .counters
             .add("txn.live_at_end", self.txns.len() as u64);
-        report.compensations_pending = self.pending_comp.len();
+        report.compensations_pending = self.slots.iter().map(|s| s.pending_comp.len()).sum();
         // Named even when nothing was retried: reports list every counter.
         report.counters.add("comp.retries", 0);
         match &self.hist.history {

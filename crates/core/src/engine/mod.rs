@@ -14,7 +14,9 @@
 //! Module layout:
 //!
 //! * [`mod@self`] — the `Engine` type, its constructors, and shared helpers
-//!   (messaging, site access);
+//!   (messaging, group commit);
+//! * `slot` — one record per site: its up/down state, what dies with it,
+//!   and what outlives its crashes;
 //! * `driver` — the run loop pulling [`Step`](o2pc_runtime::Step)s from the runtime;
 //! * `coordinator_rt` — transaction arrival and the coordinator side of
 //!   2PC/O2PC (vote collection, decisions, crash recovery);
@@ -29,6 +31,7 @@ mod driver;
 mod metrics;
 mod recorder;
 mod site_rt;
+mod slot;
 
 use crate::config::{SystemConfig, TxnRequest};
 use crate::msg::Msg;
@@ -36,16 +39,14 @@ use crate::report::RunReport;
 use o2pc_common::{
     DetRng, ExecId, FastHashMap, GlobalTxnId, GlobalTxnIdGen, Key, Program, SimTime, SiteId, Value,
 };
-use o2pc_compensation::CompensationPlan;
 use o2pc_marking::{MarkingProtocol, TransMarks, UdumTracker};
-use o2pc_protocol::{TerminationRound, TwoPhaseCoordinator};
+use o2pc_protocol::{CoordState, TwoPhaseCoordinator};
 use o2pc_runtime::{Runtime, SimRuntime};
 use o2pc_sim::Network;
-use o2pc_site::{CrashedSite, LockPolicy, Site, SiteConfig};
+use o2pc_site::{LockPolicy, Site, SiteConfig};
 use o2pc_storage::Wal;
 use recorder::Recorder;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use slot::{Parked, SiteSlot, SiteState};
 use std::sync::Arc;
 
 /// Engine timers: everything the engine schedules against its own clock.
@@ -143,10 +144,16 @@ pub(crate) struct GTxn {
     /// that can never be cleared (an R1-rejected site never executes, never
     /// marks, never fences).
     pub(crate) began: u64,
-    pub(crate) done: bool,
     /// A retransmission timer chain is live for this transaction (at most
     /// one chain per transaction; re-armed from the chain itself).
     pub(crate) retx_armed: bool,
+}
+
+impl GTxn {
+    /// Every decision ack is in: the coordinator's protocol is complete.
+    pub(crate) fn done(&self) -> bool {
+        matches!(self.coord.state(), CoordState::Done(_))
+    }
 }
 
 /// A global arrival parked at its coordinator's admission gate: the client's
@@ -167,16 +174,6 @@ pub(crate) struct ArrivalRun {
     seq: u64,
 }
 
-/// A promise held back until a flush completion covers `ticket`.
-pub(crate) struct Parked {
-    ticket: u64,
-    /// When it parked; from the flush point that sealed its bytes on, when
-    /// that was. The two waits of a durable promise are told apart here.
-    since: SimTime,
-    to: SiteId,
-    msg: Msg,
-}
-
 /// The runtime `Engine::new` builds: the deterministic simulator.
 pub type DefaultSimRuntime = SimRuntime<TimerEvent, Msg>;
 
@@ -186,47 +183,18 @@ pub type DefaultSimRuntime = SimRuntime<TimerEvent, Msg>;
 /// `Engine::new(cfg)` needs no type annotations and replays from its seed.
 pub struct Engine<R: Runtime<TimerEvent, Msg> = DefaultSimRuntime> {
     pub(crate) cfg: SystemConfig,
-    pub(crate) sites: Vec<Option<Site>>,
-    /// Down sites, each with what survived its crash.
-    pub(crate) crashed: FastHashMap<SiteId, CrashedSite>,
+    /// Every site's state, indexed by `SiteId`.
+    pub(crate) slots: Vec<SiteSlot>,
     pub(crate) rt: R,
     pub(crate) rng: DetRng,
     pub(crate) idgen: GlobalTxnIdGen,
     pub(crate) txns: FastHashMap<GlobalTxnId, GTxn>,
-    /// Compensations owed: each `CT_ij` from the abort decision that
-    /// started it until it commits, across deadlock roll-backs (persistence
-    /// of compensation, §3.2).
-    pub(crate) pending_comp: FastHashMap<(GlobalTxnId, SiteId), CompensationPlan>,
-    pub(crate) term_rounds: FastHashMap<(GlobalTxnId, SiteId), TerminationRound>,
-    /// In-doubt participants with a live termination-timer chain. Exactly
-    /// one chain per `(txn, site)` exists while the site is in doubt, so a
-    /// lost `TermReq`/`TermAnswer` re-fires instead of blocking forever.
-    pub(crate) term_armed: BTreeSet<(GlobalTxnId, SiteId)>,
-    pub(crate) local_starts: FastHashMap<ExecId, SimTime>,
-    /// Global arrivals awaiting an admission slot at their coordinator site
-    /// (`scheduled`, per-site programs), FIFO. Only populated when
-    /// `SystemConfig::admission_window` is set.
-    pub(crate) admit_q: FastHashMap<SiteId, std::collections::VecDeque<PendingAdmission>>,
-    /// Currently admitted (not yet completed) global transactions per
-    /// coordinator site, against which the window is enforced.
-    pub(crate) admitted: FastHashMap<SiteId, usize>,
     /// Submitted arrivals, by run; a run's slot is free once it is empty.
     pub(crate) runs: Vec<ArrivalRun>,
     pub(crate) udum: UdumTracker,
     pub(crate) hist: Recorder,
     pub(crate) report: RunReport,
     pub(crate) checkpointed: bool,
-    /// Durable mode only: messages held back until a flush completion
-    /// covers the recorded byte ticket, per sender (indexed like `sites`) in
-    /// append order.
-    pub(crate) wal_parked: Vec<Vec<Parked>>,
-    /// Per site, the highest ticket a flush completion (or the run's
-    /// closing sync) has reported durable: promises at or below it go out.
-    pub(crate) wal_covered: Vec<u64>,
-    /// Each site's live `WalFlush` timer, by the ticket it carries (at most
-    /// one per site; any other timer of the site's is stale — see
-    /// [`TimerEvent::WalFlush`]).
-    pub(crate) flush_armed: BTreeMap<SiteId, u64>,
     /// Configuration footguns detected at assembly (see
     /// [`SystemConfig::liveness_warnings`]).
     pub(crate) warnings: Vec<String>,
@@ -265,16 +233,18 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         let site_cfg = SiteConfig {
             compensation_model: cfg.compensation_model,
         };
-        let sites = cfg
+        let slots = cfg
             .sites()
-            .map(|id| Some(Site::with_wal(id, site_cfg, Self::make_wal(&cfg, id))))
+            .map(|id| Site::with_wal(id, site_cfg, Self::make_wal(&cfg, id)))
+            .map(|site| SiteSlot {
+                state: SiteState::up(site),
+                ..SiteSlot::default()
+            })
             .collect();
         for (site, from, to) in cfg.failures.crashes() {
             rt.schedule(from, TimerEvent::Crash { site });
             rt.schedule(to, TimerEvent::Recover { site });
         }
-        let wal_parked = cfg.sites().map(|_| Vec::new()).collect();
-        let wal_covered = vec![0; cfg.num_sites as usize];
         let warnings = cfg.liveness_warnings();
         #[cfg(debug_assertions)]
         for w in &warnings {
@@ -282,26 +252,16 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         }
         Engine {
             cfg,
-            sites,
-            crashed: FastHashMap::default(),
+            slots,
             rt,
             rng,
             idgen: GlobalTxnIdGen::new(),
             txns: FastHashMap::default(),
-            pending_comp: FastHashMap::default(),
-            term_rounds: FastHashMap::default(),
-            term_armed: BTreeSet::new(),
-            local_starts: FastHashMap::default(),
-            admit_q: FastHashMap::default(),
-            admitted: FastHashMap::default(),
             runs: Vec::new(),
             udum: UdumTracker::new(),
             hist,
             report: RunReport::default(),
             checkpointed: false,
-            wal_parked,
-            wal_covered,
-            flush_armed: BTreeMap::new(),
             warnings,
             walks: Box::default(),
         }
@@ -360,7 +320,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
 
     /// Read an item's current value (tests / invariants).
     pub fn value(&self, site: SiteId, key: Key) -> Option<Value> {
-        self.sites[site.index()].as_ref().and_then(|s| s.get(key))
+        self.slots[site.index()].state.site()?.get(key)
     }
 
     /// The runtime the engine runs on.
@@ -388,7 +348,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// Arrivals still parked at an admission gate (a clean quiescent run
     /// admits and decides everything it was offered).
     pub fn queued_admissions(&self) -> usize {
-        self.admit_q.values().map(|q| q.len()).sum()
+        self.slots.iter().map(|s| s.admit_q.len()).sum()
     }
 
     /// Transactions whose coordinator never reached `Complete`.
@@ -396,7 +356,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         let mut v: Vec<GlobalTxnId> = self
             .txns
             .iter()
-            .filter(|(_, g)| !g.done)
+            .filter(|(_, g)| !g.done())
             .map(|(&id, _)| id)
             .collect();
         v.sort_unstable();
@@ -407,7 +367,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// committed under O2PC without a known decision.
     pub fn in_doubt_participants(&self) -> Vec<(GlobalTxnId, SiteId)> {
         let mut v = Vec::new();
-        for s in self.sites.iter().flatten() {
+        for s in self.live_sites() {
             for txn in s.prepared_subs() {
                 v.push((txn, s.id()));
             }
@@ -431,9 +391,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// WAL to answer. Nothing on the timer/message path calls it, and
     /// nothing should — run it once per run after the engine drains.
     pub fn wal_divergent_sites(&self) -> Vec<SiteId> {
-        self.sites
-            .iter()
-            .flatten()
+        self.live_sites()
             .filter(|s| !s.wal_matches_store())
             .map(|s| s.id())
             .collect()
@@ -442,21 +400,19 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// One site's raw WAL records (diagnostics: tracing chaos
     /// counterexamples back to the log).
     pub fn wal_records(&self, site: SiteId) -> Option<&[o2pc_storage::LogRecord]> {
-        self.sites[site.index()].as_ref().map(|s| s.wal().records())
+        Some(self.slots[site.index()].state.site()?.wal().records())
     }
 
     /// The site's durable-WAL I/O counters (`None` if the site is down or
     /// logging in memory). The counters are shared with the flush pipeline,
     /// so they reflect background fsyncs too.
     pub fn wal_stats(&self, site: SiteId) -> Option<std::sync::Arc<o2pc_storage::WalStats>> {
-        self.sites[site.index()]
-            .as_ref()
-            .and_then(|s| s.wal().stats())
+        self.slots[site.index()].state.site()?.wal().stats()
     }
 
     /// Sum of every live site's item values (conservation checks).
     pub fn total_value(&self) -> i64 {
-        self.sites.iter().flatten().map(|s| s.total()).sum()
+        self.live_sites().map(|s| s.total()).sum()
     }
 
     /// Snapshot of the incrementally-maintained exposed serialization
@@ -467,13 +423,17 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     }
 
     pub(crate) fn site_mut(&mut self, site: SiteId) -> &mut Site {
-        self.sites[site.index()]
-            .as_mut()
-            .unwrap_or_else(|| panic!("{site} is crashed"))
+        let up = self.slots[site.index()].state.site_mut();
+        up.unwrap_or_else(|| panic!("{site} is crashed"))
     }
 
     pub(crate) fn site_up(&self, site: SiteId) -> bool {
-        self.sites[site.index()].is_some()
+        self.slots[site.index()].state.live().is_some()
+    }
+
+    /// The sites that are up.
+    pub(crate) fn live_sites(&self) -> impl Iterator<Item = &Site> {
+        self.slots.iter().filter_map(|s| s.state.site())
     }
 
     pub(crate) fn marking(&self) -> MarkingProtocol {
@@ -491,9 +451,8 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     // ----- messaging -------------------------------------------------------
 
     pub(crate) fn send(&mut self, now: SimTime, from: SiteId, to: SiteId, msg: Msg) {
-        let (label, dropped, unroutable) =
-            (msg.label(), msg.dropped_label(), msg.unroutable_label());
-        self.report.counters.inc(label);
+        let kind = msg.kind();
+        self.report.counters.inc(kind.sent);
         // Account send-time losses per message type *and* per cause, so E6
         // and the chaos oracle can reconcile message conservation: policy
         // drops (injected link loss) must sum to the network's own dropped
@@ -501,8 +460,8 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         // threaded transport only) are a different ledger entirely.
         match self.rt.send(now, from, to, msg) {
             o2pc_runtime::SendOutcome::Sent => {}
-            o2pc_runtime::SendOutcome::DroppedByPolicy => self.report.counters.inc(dropped),
-            o2pc_runtime::SendOutcome::NoRoute => self.report.counters.inc(unroutable),
+            o2pc_runtime::SendOutcome::DroppedByPolicy => self.report.counters.inc(kind.dropped),
+            o2pc_runtime::SendOutcome::NoRoute => self.report.counters.inc(kind.unroutable),
         }
     }
 
@@ -522,18 +481,15 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// strict 2PL guarantees no later writer's record precedes the commit
     /// record it depends on.
     pub(crate) fn send_gated(&mut self, now: SimTime, from: SiteId, to: SiteId, msg: Msg) {
-        let ticket = match self.sites[from.index()].as_ref() {
-            Some(s) if s.wal().append_ticket() > self.wal_covered[from.index()] => {
-                s.wal().append_ticket()
-            }
+        let live = self.slots[from.index()].state.live_mut();
+        let Some(live) = live.filter(|l| l.site.wal().append_ticket() > l.covered) else {
             // WAL already covered by a completion (always true in memory)
             // or site down: nothing to hold the message for.
-            _ => {
-                self.send(now, from, to, msg);
-                return;
-            }
+            self.send(now, from, to, msg);
+            return;
         };
-        self.wal_parked[from.index()].push(Parked {
+        let ticket = live.site.wal().append_ticket();
+        live.parked.push(Parked {
             ticket,
             since: now,
             to,
@@ -550,10 +506,10 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// their batch is on the runtime's disk, and its completion releases
     /// what waits on them.
     pub(crate) fn arm_wal_flush(&mut self, now: SimTime, site: SiteId) {
-        let Some(s) = self.sites[site.index()].as_ref() else {
+        let Some(live) = self.slots[site.index()].state.live_mut() else {
             return;
         };
-        let pending = s.wal().pending_bytes();
+        let pending = live.site.wal().pending_bytes();
         if pending == 0 {
             return;
         }
@@ -561,8 +517,9 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             self.on_wal_flush(now, site);
             return;
         }
-        if let Entry::Vacant(slot) = self.flush_armed.entry(site) {
-            let ticket = *slot.insert(s.wal().append_ticket());
+        if live.flush_armed.is_none() {
+            let ticket = live.site.wal().append_ticket();
+            live.flush_armed = Some(ticket);
             self.rt.schedule(
                 now + self.cfg.wal_flush_interval,
                 TimerEvent::WalFlush { site, ticket },
@@ -571,12 +528,13 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     }
 
     /// A `WalFlush` timer fired: a flush point if it is the site's live
-    /// timer. Staleness is read off `flush_armed`, not off the sealed
+    /// timer. Staleness is read off `LiveSite::flush_armed`, not off the sealed
     /// watermark: a seal that leaves the site armed (the sync that ends a
     /// `run`, or follows a failed burst) leaves this timer to serve whatever
     /// is appended next, and dropping it would strand those bytes.
     pub(crate) fn on_flush_timer(&mut self, now: SimTime, site: SiteId, ticket: u64) {
-        if self.flush_armed.get(&site) == Some(&ticket) {
+        let live = self.slots[site.index()].state.live();
+        if live.is_some_and(|l| l.flush_armed == Some(ticket)) {
             self.on_wal_flush(now, site);
         }
     }
@@ -589,25 +547,25 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// site with promises parked over unsealed bytes seals now; release
     /// still waits for the completion. A backlog behind a crashed
     /// coordinator cannot drain and does not count. The simulator never
-    /// parks, so this fires on wall-clock runtimes only.
+    /// parks, so this fires on wall-clock runtimes only, and an in-memory
+    /// log never parks a promise.
     pub(crate) fn seal_behind_backlog(&mut self) {
-        if self.flush_armed.is_empty() {
-            return; // no unsealed bytes anywhere
+        if self.cfg.durable_wal_dir.is_none() {
+            return;
         }
-        let backlog = self
-            .admit_q
-            .iter()
-            .any(|(&coord, q)| !q.is_empty() && self.site_up(coord));
-        if !backlog || !self.rt.is_idle() {
+        let live = || self.slots.iter().filter_map(|s| Some((s, s.state.live()?)));
+        let backlog = live().any(|(s, _)| !s.admit_q.is_empty());
+        let armed = backlog && live().any(|(_, l)| l.flush_armed.is_some());
+        if !armed || !self.rt.is_idle() {
             return;
         }
         let now = self.rt.now();
-        for i in 0..self.sites.len() {
-            let Some(s) = self.sites[i].as_ref() else {
+        for i in 0..self.slots.len() {
+            let Some(live) = self.slots[i].state.live() else {
                 continue;
             };
-            let sealed = s.wal().sealed_ticket();
-            if self.wal_parked[i].last().is_some_and(|p| p.ticket > sealed) {
+            let sealed = live.site.wal().sealed_ticket();
+            if live.parked.last().is_some_and(|p| p.ticket > sealed) {
                 self.report.counters.inc("wal.early_seals");
                 self.on_wal_flush(now, SiteId(i as u32));
             }
@@ -620,17 +578,18 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// that logged in the window: that batching *is* group commit. A dead
     /// log seals too, and its batch's failed completion reports it.
     pub(crate) fn on_wal_flush(&mut self, now: SimTime, site: SiteId) {
-        self.flush_armed.remove(&site);
-        let Some(s) = self.sites[site.index()].as_mut() else {
+        let Some(live) = self.slots[site.index()].state.live_mut() else {
             return;
         };
-        let unsealed_from = s.wal().sealed_ticket();
-        let Some(batch) = s.wal_seal_batch() else {
+        live.flush_armed = None;
+        let unsealed_from = live.site.wal().sealed_ticket();
+        let Some(batch) = live.site.wal_seal_batch() else {
             return;
         };
         self.rt.flush(site, batch);
         self.report.counters.inc("wal.flushes");
-        let newly_sealed = self.wal_parked[site.index()]
+        let newly_sealed = live
+            .parked
             .iter_mut()
             .rev()
             .take_while(|p| p.ticket > unsealed_from);
@@ -651,44 +610,43 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// lies at or past every ticket the old log sealed. Nor does it crash
     /// anything: the reopened log's watermark is not the poisoned one.
     pub(crate) fn on_wal_durable(&mut self, now: SimTime, site: SiteId, ticket: u64, ok: bool) {
-        let Some(s) = self.sites[site.index()].as_ref() else {
+        let Some(live) = self.slots[site.index()].state.live_mut() else {
             return;
         };
         if ok {
-            let covered = &mut self.wal_covered[site.index()];
-            *covered = (*covered).max(ticket);
+            live.covered = live.covered.max(ticket);
             self.release_parked(now, site);
-        } else if s.wal().is_dead() {
-            self.on_wal_failure(now, site);
+        } else if live.site.wal().is_dead() {
+            // The log device failed (a write, fsync, rotation or handle
+            // failure): it can no longer make durable promises. Treat it
+            // exactly like a crash — volatile state gone, disk state cut at
+            // the durable watermark.
+            self.report.counters.inc("wal.fault_crashes");
+            self.on_crash(now, site);
         }
-    }
-
-    /// The site's log device failed (a write, fsync, rotation or handle
-    /// failure, reported by a flush completion): it can no longer make
-    /// durable promises. Treat it exactly like a crash — volatile state
-    /// gone, disk state cut at the durable watermark.
-    fn on_wal_failure(&mut self, now: SimTime, site: SiteId) {
-        self.report.counters.inc("wal.fault_crashes");
-        self.on_crash(now, site);
     }
 
     /// Send the parked messages a completion now covers.
     fn release_parked(&mut self, now: SimTime, site: SiteId) {
-        let covered = self.wal_covered[site.index()];
-        let ready = self.wal_parked[site.index()].partition_point(|p| p.ticket <= covered);
+        let Some(live) = self.slots[site.index()].state.live_mut() else {
+            return;
+        };
+        let ready = live.parked.partition_point(|p| p.ticket <= live.covered);
         if ready == 0 {
             return;
         }
         // `send` needs the whole engine: take the queue out while its ready
         // prefix goes, then put the rest (and its capacity) back.
-        let mut queue = std::mem::take(&mut self.wal_parked[site.index()]);
+        let mut queue = std::mem::take(&mut live.parked);
         for p in queue.drain(..ready) {
             self.report
                 .wal_fsync_wait
                 .record(now.since(p.since).as_micros());
             self.send(now, site, p.to, p.msg);
         }
-        self.wal_parked[site.index()] = queue;
+        if let Some(live) = self.slots[site.index()].state.live_mut() {
+            live.parked = queue;
+        }
     }
 
     /// Make every live site's WAL fully durable (start and end of a run)
@@ -699,12 +657,13 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         if self.cfg.durable_wal_dir.is_none() {
             return;
         }
-        for i in 0..self.sites.len() {
-            if let Some(s) = self.sites[i].as_mut() {
-                if s.wal_sync().is_ok() {
-                    self.wal_covered[i] = s.wal().append_ticket();
-                    self.release_parked(now, SiteId(i as u32));
-                }
+        for i in 0..self.slots.len() {
+            let Some(live) = self.slots[i].state.live_mut() else {
+                continue;
+            };
+            if live.site.wal_sync().is_ok() {
+                live.covered = live.site.wal().append_ticket();
+                self.release_parked(now, SiteId(i as u32));
             }
         }
     }
@@ -717,7 +676,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         let Some(t) = self.cfg.termination_timeout else {
             return;
         };
-        if self.term_armed.insert((txn, site)) {
+        if self.slots[site.index()].term_armed.insert(txn) {
             self.rt
                 .schedule(now + t, TimerEvent::TermTimeout { txn, site });
         }
@@ -732,12 +691,18 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         let Some(g) = self.txns.get_mut(&txn) else {
             return;
         };
-        if g.done || g.retx_armed {
+        if g.done() || g.retx_armed {
             return;
         }
         g.retx_armed = true;
         self.rt
             .schedule(now + base, TimerEvent::Retransmit { txn, attempt: 0 });
+    }
+
+    /// `exec` runs its next operation at `site` one service time from now.
+    pub(crate) fn next_op(&mut self, now: SimTime, site: SiteId, exec: ExecId) {
+        let at = now + self.cfg.op_service_time;
+        self.rt.schedule(at, TimerEvent::OpDone { site, exec });
     }
 
     pub(crate) fn wake(&mut self, now: SimTime, site: SiteId, woken: Vec<ExecId>) {
@@ -778,7 +743,8 @@ mod tests {
             e.site_mut(s0).checkpoint();
             e.site_mut(s0).wal().append_ticket()
         };
-        let pending = |e: &Engine| e.sites[0].as_ref().unwrap().wal().pending_bytes();
+        let pending = |e: &Engine| e.slots[0].state.site().unwrap().wal().pending_bytes();
+        let armed = |e: &Engine| e.slots[0].state.live().unwrap().flush_armed;
         let flushes = |e: &Engine| e.report.counters.get("wal.flushes");
 
         let older = append(&mut e);
@@ -793,14 +759,11 @@ mod tests {
 
         e.on_flush_timer(at(1_000), s0, older);
         assert!(pending(&e) > 0, "the stale timer sealed younger bytes");
-        assert!(
-            e.flush_armed.contains_key(&s0),
-            "the younger timer is still live"
-        );
+        assert_eq!(armed(&e), Some(younger), "the younger timer is still live");
         assert_eq!(flushes(&e), 1);
         e.on_flush_timer(at(1_500), s0, younger);
         assert_eq!((pending(&e), flushes(&e)), (0, 2));
-        assert!(e.flush_armed.is_empty());
+        assert_eq!(armed(&e), None);
 
         // The sync that ends a `run` seals under a timer and leaves the site
         // armed: that timer is still the live one for what comes next.
@@ -812,7 +775,7 @@ mod tests {
         e.arm_wal_flush(at(2_200), s0);
         e.on_flush_timer(at(3_000), s0, resumed);
         assert_eq!((pending(&e), flushes(&e)), (0, 3));
-        assert!(e.flush_armed.is_empty());
+        assert_eq!(armed(&e), None);
     }
 
     /// On the simulator a batch severed mid-frame fails when it is sealed,
@@ -926,7 +889,8 @@ mod tests {
         assert_eq!((site, ticket, ok), (s0, written, true));
         e.on_wal_durable(at, site, ticket, ok);
         assert_eq!(acks(&e), 1);
-        assert_eq!(e.wal_parked[0].len(), 1, "the new promise still waits");
+        let parked = e.slots[0].state.live().unwrap().parked.len();
+        assert_eq!(parked, 1, "the new promise still waits");
 
         e.on_wal_flush(at, s0);
         let (at, step) = e.rt.next(SimTime(u64::MAX)).unwrap();
@@ -954,7 +918,7 @@ mod tests {
         e.run(Duration::ZERO);
         let mut now = SimTime::ZERO;
         let mut compensate = |e: &mut Engine, t: GlobalTxnId| {
-            let site = e.sites[0].as_mut().unwrap();
+            let site = e.slots[0].state.site_mut().unwrap();
             let mut at = || {
                 now += Duration::micros(1);
                 now
@@ -983,7 +947,10 @@ mod tests {
         assert_eq!(e.site_mut(s0).wal().len(), 1, "the live log starts at it");
 
         e.on_crash(SimTime(1_000), s0);
-        let survived = e.crashed[&s0].wal();
+        let slot::SiteState::Down(crashed) = &e.slots[0].state else {
+            panic!("{s0} is not down");
+        };
+        let survived = crashed.wal();
         assert!(
             matches!(&survived.records()[0], o2pc_storage::LogRecord::Checkpoint(cp) if cp.lsn == 0),
             "the crash fell back to the first checkpoint"
@@ -1085,7 +1052,7 @@ mod tests {
     fn crashed_site_keeps_its_counters_in_the_report() {
         let mut e = Engine::new(SystemConfig::new(1, ProtocolKind::O2pc));
         let (s0, t, k, now) = (SiteId(0), GlobalTxnId(1), Key(9), SimTime(1));
-        let site = e.sites[0].as_mut().unwrap();
+        let site = e.slots[0].state.site_mut().unwrap();
         let sub = Program::from([Op::Insert(k, Value(1))]);
         site.begin(ExecId::Sub(t), sub, now, &mut e.hist);
         site.execute_next_op(ExecId::Sub(t), now, &mut e.hist);
@@ -1107,5 +1074,34 @@ mod tests {
         let r = e.finalize();
         assert_eq!(r.locks.exclusive_hold.count(), holds);
         assert_eq!(r.counters.get("comp.skipped_ops"), 1);
+    }
+
+    /// A local's start time leaves with the local: a deadlock victim's at its
+    /// abort, and an in-flight local's with its site when the site crashes.
+    #[test]
+    fn aborted_locals_leave_no_start_times() {
+        let mut e = Engine::new(SystemConfig::new(1, ProtocolKind::O2pc));
+        let (s0, a, b) = (SiteId(0), Key(1), Key(2));
+        e.load(s0, a, Value(100));
+        e.load(s0, b, Value(100));
+        // Two locals lock `a` and `b` in opposite orders: one is the victim.
+        let (ab, ba) = (
+            [Op::Add(a, 1), Op::Add(b, 1)],
+            [Op::Add(b, 1), Op::Add(a, 1)],
+        );
+        e.submit_at(SimTime::ZERO, TxnRequest::local(s0, ab));
+        e.submit_at(SimTime::ZERO, TxnRequest::local(s0, ba));
+        let r = e.run(Duration::secs(1));
+        assert_eq!((r.local_committed, r.local_aborted), (1, 1));
+        let starts = |e: &Engine| e.slots[0].state.live().unwrap().local_starts.len();
+        assert_eq!(starts(&e), 0, "the victim's start time stayed");
+
+        let now = e.rt.now();
+        e.submit_at(now, TxnRequest::local(s0, ab));
+        e.run(Duration(now.0));
+        assert_eq!(starts(&e), 1);
+        e.on_crash(now, s0);
+        e.on_recover(now, s0);
+        assert_eq!(starts(&e), 0, "a start time outlived its site");
     }
 }

@@ -1,13 +1,14 @@
 //! Participant-side protocol logic: message handling, admission (rule R1),
 //! operation execution, compensation, and cooperative termination.
 
+use super::slot::SiteState;
 use super::{Engine, TimerEvent};
 use crate::msg::Msg;
 use o2pc_common::{Duration, ExecId, GlobalTxnId, SimTime, SiteId};
 use o2pc_marking::MarkingProtocol;
 use o2pc_protocol::TerminationOutcome;
 use o2pc_runtime::Runtime;
-use o2pc_site::{LockPolicy, OpResult};
+use o2pc_site::{LockPolicy, OpResult, PeerState};
 
 /// How long a compensating subtransaction that lost a deadlock waits before
 /// it runs again: persistence of compensation (§3.2) may delay a `CT`, never
@@ -21,17 +22,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         }
         match msg {
             Msg::SpawnSubtxn { txn, .. } => self.try_spawn(now, txn, to),
-            Msg::SubtxnAck { txn, from, ok } => {
-                let Some(g) = self.txns.get_mut(&txn) else {
-                    return;
-                };
-                if g.done {
-                    return;
-                }
-                if let Some(action) = g.coord.on_subtxn_ack(from, ok) {
-                    self.coord_action(now, txn, action, false);
-                }
-            }
+            Msg::SubtxnAck { txn, from, ok } => self.drive(now, txn, |c| c.on_subtxn_ack(from, ok)),
             Msg::VoteReq { txn } => {
                 if !self.txns.contains_key(&txn) {
                     return; // stale duplicate for a retired transaction
@@ -39,10 +30,11 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                 let force = self.cfg.vote_abort_probability > 0.0
                     && self.rng.gen_bool(self.cfg.vote_abort_probability);
                 let policy = self.lock_policy_at(to);
-                let hist = &mut self.hist;
-                let site = self.sites[to.index()].as_mut().unwrap();
+                let Some(site) = self.slots[to.index()].state.site_mut() else {
+                    return;
+                };
                 let had_exec = site.exec_state(ExecId::Sub(txn)).is_some();
-                let out = site.vote(txn, policy, force, now, hist);
+                let out = site.vote(txn, policy, force, now, &mut self.hist);
                 if force && had_exec {
                     self.report.counters.inc("vote.autonomy_aborts");
                 }
@@ -68,17 +60,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                     self.send(now, to, coord_site, reply);
                 }
             }
-            Msg::VoteMsg { txn, from, vote } => {
-                let Some(g) = self.txns.get_mut(&txn) else {
-                    return;
-                };
-                if g.done {
-                    return;
-                }
-                if let Some(action) = g.coord.on_vote(from, vote) {
-                    self.coord_action(now, txn, action, false);
-                }
-            }
+            Msg::VoteMsg { txn, from, vote } => self.drive(now, txn, |c| c.on_vote(from, vote)),
             Msg::Decision { txn, commit } => {
                 if !self.txns.contains_key(&txn) {
                     return; // stale duplicate for a retired transaction
@@ -94,32 +76,20 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                 // across a crash.
                 self.send_gated(now, to, coord_site, Msg::DecisionAck { txn, from: to });
             }
-            Msg::DecisionAck { txn, from } => {
-                let Some(g) = self.txns.get_mut(&txn) else {
+            Msg::DecisionAck { txn, from } => self.drive(now, txn, |c| c.on_decision_ack(from)),
+            Msg::TermReq { txn, from } => {
+                let Some(site) = self.slots[to.index()].state.site_mut() else {
                     return;
                 };
-                if g.done {
-                    return;
-                }
-                if let Some(action) = g.coord.on_decision_ack(from) {
-                    self.coord_action(now, txn, action, false);
-                }
-            }
-            Msg::TermReq { txn, from } => {
-                let hist = &mut self.hist;
-                let site = self.sites[to.index()].as_mut().unwrap();
                 // An unvoted subtransaction aborted here marks undone with no mark re-check.
-                let (state, woken) = site.answer_termination_query(txn, now, hist);
+                let (state, woken) = site.answer_termination_query(txn, now, &mut self.hist);
                 self.wake(now, to, woken);
                 let reply = Msg::TermAnswer {
                     txn,
                     from: to,
                     state,
                 };
-                if matches!(
-                    state,
-                    o2pc_site::PeerState::KnowsCommit | o2pc_site::PeerState::KnowsAbort
-                ) {
+                if matches!(state, PeerState::KnowsCommit | PeerState::KnowsAbort) {
                     // A fate answer lets the asker finalize; the Outcome
                     // record behind it must be durable first, or a crash
                     // here could leave this site presuming the other way.
@@ -129,12 +99,12 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                 }
             }
             Msg::TermAnswer { txn, from, state } => {
-                let Some(round) = self.term_rounds.get_mut(&(txn, to)) else {
+                let rounds = &mut self.slots[to.index()].term_rounds;
+                let Some(round) = rounds.get_mut(&txn) else {
                     return;
                 };
                 match round.on_answer(from, state) {
                     Some(outcome @ (TerminationOutcome::Commit | TerminationOutcome::Abort)) => {
-                        self.term_rounds.remove(&(txn, to));
                         let commit = outcome == TerminationOutcome::Commit;
                         self.report.counters.inc(if commit {
                             "term.resolved_commit"
@@ -146,7 +116,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                         self.try_gc(txn);
                     }
                     Some(TerminationOutcome::StillBlocked) => {
-                        self.term_rounds.remove(&(txn, to));
+                        rounds.remove(&txn);
                         self.report.counters.inc("term.still_blocked");
                         // Retry after another timeout period.
                         self.arm_term_timer(now, txn, to);
@@ -160,15 +130,20 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// Apply a decision at a participant, whether the coordinator sent it or
     /// a termination round learned it from a peer (the coordinator's own
     /// DECISION may still follow; `Site::decide` is idempotent for repeats).
-    /// An abort of a locally committed subtransaction starts its
-    /// compensation, owed in `pending_comp` until it commits.
+    /// The site leaves doubt, so a termination round it runs is over,
+    /// answered or not. An abort of a locally committed subtransaction
+    /// starts its compensation, owed in `pending_comp` until it commits.
     fn apply_decision(&mut self, now: SimTime, txn: GlobalTxnId, site_id: SiteId, commit: bool) {
-        let site = self.sites[site_id.index()].as_mut().unwrap();
+        let slot = &mut self.slots[site_id.index()];
+        slot.term_rounds.remove(&txn);
+        let Some(site) = slot.state.site_mut() else {
+            return;
+        };
         let out = site.decide(txn, commit, now, &mut self.hist);
         self.wake(now, site_id, out.woken);
         if let Some(plan) = out.compensation {
             self.report.counters.inc("comp.plans");
-            self.pending_comp.insert((txn, site_id), plan);
+            self.slots[site_id.index()].pending_comp.insert(txn, plan);
             self.start_compensation(now, txn, site_id);
         }
     }
@@ -180,45 +155,34 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// chain dies only when the site leaves doubt (or stays crashed, in
     /// which case recovery re-arms it).
     pub(crate) fn on_term_timeout(&mut self, now: SimTime, txn: GlobalTxnId, site_id: SiteId) {
-        self.term_armed.remove(&(txn, site_id));
-        if !self.site_up(site_id) {
+        let slot = &mut self.slots[site_id.index()];
+        slot.term_armed.remove(&txn);
+        let Some(site) = slot.state.site() else {
             return;
-        }
+        };
         // Still uncertain? (Prepared under 2PC, or locally committed under
         // O2PC with the decision unknown — e.g. after a participant crash
         // swallowed the DECISION message.)
-        {
-            let site = self.sites[site_id.index()].as_ref().unwrap();
-            let prepared = site
-                .exec_state(ExecId::Sub(txn))
-                .map(|s| s.phase == o2pc_site::ExecPhase::Prepared)
-                .unwrap_or(false);
-            let pending_lc = site.has_pending_local_commit(txn);
-            if !prepared && !pending_lc {
-                self.try_gc(txn); // this chain may have been the last blocker
-                return;
-            }
+        let prepared = site
+            .exec_state(ExecId::Sub(txn))
+            .is_some_and(|s| s.phase == o2pc_site::ExecPhase::Prepared);
+        if !prepared && !site.has_pending_local_commit(txn) {
+            self.try_gc(txn); // this chain may have been the last blocker
+            return;
         }
         let Some(g) = self.txns.get(&txn) else {
             return; // retired while the timer was in flight
         };
-        let peers: Vec<SiteId> = g
-            .coord
-            .participants()
-            .iter()
-            .copied()
-            .filter(|&p| p != site_id)
-            .collect();
+        let others = g.coord.participants().iter().filter(|&&p| p != site_id);
+        let peers: Vec<SiteId> = others.copied().collect();
         if peers.is_empty() {
             return;
         }
         self.report.counters.inc("term.rounds");
         // Overwrite any stalled previous round: answers carry the sender id,
         // so replies to the old round simply refill the new one.
-        self.term_rounds.insert(
-            (txn, site_id),
-            o2pc_protocol::TerminationRound::new(txn, peers.clone()),
-        );
+        let round = o2pc_protocol::TerminationRound::new(txn, peers.clone());
+        self.slots[site_id.index()].term_rounds.insert(txn, round);
         for p in peers {
             self.send(now, site_id, p, Msg::TermReq { txn, from: site_id });
         }
@@ -229,19 +193,19 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// its SPAWN's delivery or an R1 retry. Either way the program is the
     /// one the SPAWN carries, shared with `GTxn::subs`.
     pub(crate) fn try_spawn(&mut self, now: SimTime, txn: GlobalTxnId, site_id: SiteId) {
-        if !self.site_up(site_id) {
-            return;
-        }
         let marking = self.marking();
+        let Some(site) = self.slots[site_id.index()].state.site_mut() else {
+            return;
+        };
         let Some(g) = self.txns.get_mut(&txn) else {
             return;
         };
-        if g.done || g.coord.decision().is_some() {
+        if g.coord.decision().is_some() {
             return;
         }
-        let slot = g.subs.iter().position(|&(s, _)| s == site_id);
-        let slot = slot.expect("spawn at a participant");
-        if g.began >> slot & 1 == 1 {
+        let pos = g.subs.iter().position(|&(s, _)| s == site_id);
+        let pos = pos.expect("spawn at a participant");
+        if g.began >> pos & 1 == 1 {
             // Duplicate SpawnSubtxn: the subtransaction already began here.
             // Its original ack (or the vote-timeout's presumed abort)
             // resolves the coordinator; re-beginning would clobber live
@@ -249,37 +213,17 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             return;
         }
         self.report.counters.inc("r1.checks");
-        let site = self.sites[site_id.index()].as_ref().unwrap();
         match g.tm.check_and_absorb(marking, site.marks()) {
             Ok(()) => {
-                let ops = g.subs[slot].1.clone();
-                g.began |= 1 << slot;
+                let ops = g.subs[pos].1.clone();
+                g.began |= 1 << pos;
                 let exec = ExecId::Sub(txn);
                 let empty = ops.is_empty();
-                let hist = &mut self.hist;
-                let site = self.sites[site_id.index()].as_mut().unwrap();
-                site.begin(exec, ops, now, hist);
+                site.begin(exec, ops, now, &mut self.hist);
                 if empty {
-                    let coord_site = g.coord_site;
-                    self.send(
-                        now,
-                        site_id,
-                        coord_site,
-                        Msg::SubtxnAck {
-                            txn,
-                            from: site_id,
-                            ok: true,
-                        },
-                    );
+                    self.ack_subtxn(now, txn, site_id, true);
                 } else {
-                    let service = self.cfg.op_service_time;
-                    self.rt.schedule(
-                        now + service,
-                        TimerEvent::OpDone {
-                            site: site_id,
-                            exec,
-                        },
-                    );
+                    self.next_op(now, site_id, exec);
                 }
             }
             Err(inc) => {
@@ -293,44 +237,23 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                         .schedule(now + delay, TimerEvent::R1Retry { txn, site: site_id });
                 } else {
                     self.report.counters.inc("r1.forced_aborts");
-                    let coord_site = g.coord_site;
-                    self.send(
-                        now,
-                        site_id,
-                        coord_site,
-                        Msg::SubtxnAck {
-                            txn,
-                            from: site_id,
-                            ok: false,
-                        },
-                    );
+                    self.ack_subtxn(now, txn, site_id, false);
                 }
             }
         }
     }
 
     pub(crate) fn on_op_done(&mut self, now: SimTime, site_id: SiteId, exec: ExecId) {
-        if !self.site_up(site_id) {
+        let Some(site) = self.slots[site_id.index()].state.site_mut() else {
             return;
-        }
-        if self.sites[site_id.index()]
-            .as_ref()
-            .unwrap()
-            .exec_state(exec)
-            .is_none()
-        {
+        };
+        if site.exec_state(exec).is_none() {
             return; // aborted while this event was in flight
         }
-        if self.sites[site_id.index()]
-            .as_ref()
-            .unwrap()
-            .is_blocked(exec)
-        {
+        if site.is_blocked(exec) {
             return; // spurious wake-up; a grant event will reschedule us
         }
-        let hist = &mut self.hist;
-        let site = self.sites[site_id.index()].as_mut().unwrap();
-        let result = site.execute_next_op(exec, now, hist);
+        let result = site.execute_next_op(exec, now, &mut self.hist);
         match result {
             OpResult::Done { finished, .. } => {
                 // UDUM observation: this execution's first operation at the
@@ -354,23 +277,17 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                     }
                 }
                 if !finished {
-                    let service = self.cfg.op_service_time;
-                    self.rt.schedule(
-                        now + service,
-                        TimerEvent::OpDone {
-                            site: site_id,
-                            exec,
-                        },
-                    );
+                    self.next_op(now, site_id, exec);
                     return;
                 }
                 match exec {
                     ExecId::Local(_) => {
-                        let hist = &mut self.hist;
-                        let site = self.sites[site_id.index()].as_mut().unwrap();
-                        let woken = site.commit_local(exec, now, hist);
+                        let Some(live) = self.slots[site_id.index()].state.live_mut() else {
+                            return;
+                        };
+                        let woken = live.site.commit_local(exec, now, &mut self.hist);
                         self.report.local_committed += 1;
-                        if let Some(start) = self.local_starts.remove(&exec) {
+                        if let Some(start) = live.local_starts.remove(&exec) {
                             self.report.local_latency.record((now - start).as_micros());
                         }
                         self.wake(now, site_id, woken);
@@ -380,32 +297,18 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                         // marking-set deadlock avoidance): re-check as the
                         // subtransaction's last action.
                         let marking = self.marking();
-                        let ok = if marking == MarkingProtocol::None {
-                            true
-                        } else {
-                            let gt = &self.txns[&g];
-                            let site = self.sites[site_id.index()].as_ref().unwrap();
-                            gt.tm.check(marking, site.marks()).is_ok()
+                        let Some(site) = self.slots[site_id.index()].state.site_mut() else {
+                            return;
                         };
+                        let ok = marking == MarkingProtocol::None
+                            || self.txns[&g].tm.check(marking, site.marks()).is_ok();
                         if !ok {
                             self.report.counters.inc("r1.revalidation_failures");
-                            let hist = &mut self.hist;
-                            let site = self.sites[site_id.index()].as_mut().unwrap();
-                            let woken = site.unilateral_abort(g, now, hist);
+                            let woken = site.unilateral_abort(g, now, &mut self.hist);
                             self.wake(now, site_id, woken);
                             self.invalidate_incompatible_subs(now, site_id);
                         }
-                        let coord_site = self.txns[&g].coord_site;
-                        self.send(
-                            now,
-                            site_id,
-                            coord_site,
-                            Msg::SubtxnAck {
-                                txn: g,
-                                from: site_id,
-                                ok,
-                            },
-                        );
+                        self.ack_subtxn(now, g, site_id, ok);
                     }
                     ExecId::CompSub(g) => self.complete_compensation(now, g, site_id),
                 }
@@ -430,24 +333,21 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// complete. A caller whose abort can change the marks follows up with
     /// `invalidate_incompatible_subs` itself.
     pub(crate) fn abort_execution(&mut self, now: SimTime, site_id: SiteId, exec: ExecId) {
-        let hist = &mut self.hist;
-        let site = self.sites[site_id.index()].as_mut().unwrap();
+        let Some(live) = self.slots[site_id.index()].state.live_mut() else {
+            return;
+        };
+        let (site, hist) = (&mut live.site, &mut self.hist);
         match exec {
             ExecId::Local(_) => {
                 let woken = site.abort_exec(exec, now, hist);
+                live.local_starts.remove(&exec);
                 self.report.local_aborted += 1;
                 self.wake(now, site_id, woken);
             }
             ExecId::Sub(g) => {
                 let woken = site.unilateral_abort(g, now, hist);
                 self.wake(now, site_id, woken);
-                let coord_site = self.txns[&g].coord_site;
-                let nack = Msg::SubtxnAck {
-                    txn: g,
-                    from: site_id,
-                    ok: false,
-                };
-                self.send(now, site_id, coord_site, nack);
+                self.ack_subtxn(now, g, site_id, false);
             }
             ExecId::CompSub(g) => {
                 let woken = site.rollback_compensation(g, now);
@@ -462,9 +362,16 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         }
     }
 
+    /// The subtransaction of `txn` at `from` finished executing (`ok`) or
+    /// was rolled back: tell its coordinator.
+    fn ack_subtxn(&mut self, now: SimTime, txn: GlobalTxnId, from: SiteId, ok: bool) {
+        let coord_site = self.txns[&txn].coord_site;
+        self.send(now, from, coord_site, Msg::SubtxnAck { txn, from, ok });
+    }
+
     pub(crate) fn fire_udum(&mut self, ti: GlobalTxnId) {
         self.report.counters.inc("udum.fired");
-        for s in self.sites.iter_mut().flatten() {
+        for s in self.slots.iter_mut().filter_map(|s| s.state.site_mut()) {
             s.unmark(ti);
         }
         self.udum.forget(ti);
@@ -487,62 +394,56 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         if marking == MarkingProtocol::None {
             return;
         }
-        let running = self.sites[site_id.index()].as_ref().unwrap().running_subs();
+        let state = &self.slots[site_id.index()].state;
+        let Some(running) = state.site().map(|s| s.running_subs()) else {
+            return;
+        };
         for g in running {
             let Some(gt) = self.txns.get(&g) else {
                 continue;
             };
-            if gt.done || gt.coord.decision().is_some() {
+            if gt.coord.decision().is_some() {
                 continue;
             }
-            let ok = {
-                let site = self.sites[site_id.index()].as_ref().unwrap();
-                gt.tm.check(marking, site.marks()).is_ok()
-            };
-            if !ok {
+            let site = self.slots[site_id.index()].state.site();
+            if site.is_some_and(|s| gt.tm.check(marking, s.marks()).is_err()) {
                 self.report.counters.inc("r1.mark_invalidations");
                 self.abort_execution(now, site_id, ExecId::Sub(g));
             }
         }
     }
 
-    fn start_compensation(&mut self, now: SimTime, txn: GlobalTxnId, site_id: SiteId) {
-        let plan = &self.pending_comp[&(txn, site_id)];
-        let site = self.sites[site_id.index()].as_mut().unwrap();
-        site.begin_compensation(txn, plan, now, &mut self.hist);
+    /// Run `CT_ij` from its plan, or run it again after a roll-back: if it
+    /// is still owed, and the site is up to run it.
+    pub(crate) fn start_compensation(&mut self, now: SimTime, txn: GlobalTxnId, site_id: SiteId) {
+        let slot = &mut self.slots[site_id.index()];
+        let (Some(plan), SiteState::Up(live)) = (slot.pending_comp.get(&txn), &mut slot.state)
+        else {
+            return;
+        };
+        live.site.begin_compensation(txn, plan, now, &mut self.hist);
         if plan.is_empty() {
             self.complete_compensation(now, txn, site_id);
         } else {
-            let service = self.cfg.op_service_time;
-            self.rt.schedule(
-                now + service,
-                TimerEvent::OpDone {
-                    site: site_id,
-                    exec: ExecId::CompSub(txn),
-                },
-            );
+            self.next_op(now, site_id, ExecId::CompSub(txn));
         }
     }
 
     /// `CT_ij` has run its last operation: commit it, which sets the undone
     /// mark (rule R2), and strike it from `pending_comp`.
     fn complete_compensation(&mut self, now: SimTime, txn: GlobalTxnId, site_id: SiteId) {
-        let site = self.sites[site_id.index()].as_mut().unwrap();
+        let slot = &mut self.slots[site_id.index()];
+        let Some(site) = slot.state.site_mut() else {
+            return;
+        };
         let woken = site.finish_compensation(txn, now, &mut self.hist);
+        slot.pending_comp.remove(&txn);
         self.wake(now, site_id, woken);
-        self.pending_comp.remove(&(txn, site_id));
         self.report.compensations_completed += 1;
         // R2 set the undone marking: future accesses count toward UDUM1, and
         // running subtransactions admitted under the old marks must be
         // re-checked.
         self.invalidate_incompatible_subs(now, site_id);
         self.try_gc(txn);
-    }
-
-    pub(crate) fn resume_compensation(&mut self, now: SimTime, txn: GlobalTxnId, site_id: SiteId) {
-        if !self.site_up(site_id) || !self.pending_comp.contains_key(&(txn, site_id)) {
-            return;
-        }
-        self.start_compensation(now, txn, site_id);
     }
 }

@@ -81,64 +81,54 @@ pub enum Msg {
     },
 }
 
+/// The counter labels of one message kind.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MsgKind {
+    /// Charged once per send: `msg.<kind>`.
+    pub sent: &'static str,
+    /// Charged when the network loses the message at send time.
+    pub dropped: &'static str,
+    /// Charged when the destination has no route (threaded transport only),
+    /// so injected loss and unreachability reconcile apart.
+    pub unroutable: &'static str,
+}
+
+macro_rules! msg_kinds {
+    ($($kind:literal),*) => {
+        [$(MsgKind {
+            sent: concat!("msg.", $kind),
+            dropped: concat!("msg.dropped.", $kind),
+            unroutable: concat!("msg.unroutable.", $kind),
+        }),*]
+    };
+}
+
+/// Every message kind, in `Msg` variant order.
+pub static MSG_KINDS: [MsgKind; 8] = msg_kinds!(
+    "spawn",
+    "subtxn_ack",
+    "vote_req",
+    "vote",
+    "decision",
+    "decision_ack",
+    "term_req",
+    "term_answer"
+);
+
 impl Msg {
-    /// Metric label for message counting.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Msg::SpawnSubtxn { .. } => "msg.spawn",
-            Msg::SubtxnAck { .. } => "msg.subtxn_ack",
-            Msg::VoteReq { .. } => "msg.vote_req",
-            Msg::VoteMsg { .. } => "msg.vote",
-            Msg::Decision { .. } => "msg.decision",
-            Msg::DecisionAck { .. } => "msg.decision_ack",
-            Msg::TermReq { .. } => "msg.term_req",
-            Msg::TermAnswer { .. } => "msg.term_answer",
-        }
-    }
-
-    /// Counter label charged when the substrate loses this message at send
-    /// time — the static twin of `format!("msg.dropped.{kind}")`, kept out
-    /// of the per-send hot path.
-    pub fn dropped_label(&self) -> &'static str {
-        match self {
-            Msg::SpawnSubtxn { .. } => "msg.dropped.spawn",
-            Msg::SubtxnAck { .. } => "msg.dropped.subtxn_ack",
-            Msg::VoteReq { .. } => "msg.dropped.vote_req",
-            Msg::VoteMsg { .. } => "msg.dropped.vote",
-            Msg::Decision { .. } => "msg.dropped.decision",
-            Msg::DecisionAck { .. } => "msg.dropped.decision_ack",
-            Msg::TermReq { .. } => "msg.dropped.term_req",
-            Msg::TermAnswer { .. } => "msg.dropped.term_answer",
-        }
-    }
-
-    /// Counter label charged when the substrate refuses this message because
-    /// the destination has no route (crashed endpoint, shutdown) — kept
-    /// separate from [`Msg::dropped_label`] so injected link loss and
-    /// infrastructure unreachability reconcile independently. The simulator
-    /// never produces these; they are a threaded-transport phenomenon.
-    pub fn unroutable_label(&self) -> &'static str {
-        match self {
-            Msg::SpawnSubtxn { .. } => "msg.unroutable.spawn",
-            Msg::SubtxnAck { .. } => "msg.unroutable.subtxn_ack",
-            Msg::VoteReq { .. } => "msg.unroutable.vote_req",
-            Msg::VoteMsg { .. } => "msg.unroutable.vote",
-            Msg::Decision { .. } => "msg.unroutable.decision",
-            Msg::DecisionAck { .. } => "msg.unroutable.decision_ack",
-            Msg::TermReq { .. } => "msg.unroutable.term_req",
-            Msg::TermAnswer { .. } => "msg.unroutable.term_answer",
-        }
-    }
-
-    /// Is this one of the four standard 2PC message types?
-    pub fn is_2pc(&self) -> bool {
-        matches!(
-            self,
-            Msg::VoteReq { .. }
-                | Msg::VoteMsg { .. }
-                | Msg::Decision { .. }
-                | Msg::DecisionAck { .. }
-        )
+    /// This message's kind: the labels it is counted under, static so no
+    /// send formats one.
+    pub fn kind(&self) -> &'static MsgKind {
+        &MSG_KINDS[match self {
+            Msg::SpawnSubtxn { .. } => 0,
+            Msg::SubtxnAck { .. } => 1,
+            Msg::VoteReq { .. } => 2,
+            Msg::VoteMsg { .. } => 3,
+            Msg::Decision { .. } => 4,
+            Msg::DecisionAck { .. } => 5,
+            Msg::TermReq { .. } => 6,
+            Msg::TermAnswer { .. } => 7,
+        }]
     }
 
     /// The transaction the message concerns.
@@ -161,7 +151,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn labels_and_classification() {
+    fn kinds_name_their_counters() {
         let g = GlobalTxnId(1);
         let msgs = [
             Msg::SpawnSubtxn {
@@ -187,20 +177,26 @@ mod tests {
                 txn: g,
                 from: SiteId(0),
             },
+            Msg::TermReq {
+                txn: g,
+                from: SiteId(0),
+            },
+            Msg::TermAnswer {
+                txn: g,
+                from: SiteId(0),
+                state: PeerState::KnowsCommit,
+            },
         ];
-        let labels: Vec<_> = msgs.iter().map(Msg::label).collect();
+        let kinds: Vec<_> = msgs.iter().map(|m| *m.kind()).collect();
+        assert_eq!(kinds, MSG_KINDS);
         assert_eq!(
-            labels,
-            vec![
-                "msg.spawn",
-                "msg.subtxn_ack",
-                "msg.vote_req",
-                "msg.vote",
-                "msg.decision",
-                "msg.decision_ack"
-            ]
+            MSG_KINDS[5],
+            MsgKind {
+                sent: "msg.decision_ack",
+                dropped: "msg.dropped.decision_ack",
+                unroutable: "msg.unroutable.decision_ack",
+            }
         );
-        assert_eq!(msgs.iter().filter(|m| m.is_2pc()).count(), 4);
         assert!(msgs.iter().all(|m| m.txn() == g));
     }
 }

@@ -119,19 +119,21 @@ fn unprepared_peer_lets_blocked_participant_abort() {
 
 #[test]
 fn peer_that_knows_the_decision_shares_it() {
-    // Dedicated coordinator at site 0 with a slow (300 ms) link to site 1.
-    // Site 2 learns COMMIT ~300 ms before site 1 would; site 1's
-    // termination round queries site 2, which answers KnowsCommit. (The
-    // timeout must exceed the slow leg, else an early round would observe
+    // Dedicated coordinator at site 0 with slow links to site 1 (300 ms)
+    // and site 2 (150 ms). Site 1 votes at ~600 ms and learns COMMIT from
+    // the coordinator at ~900 ms; site 2 votes at ~450 ms and learns it at
+    // ~750 ms. Site 1's round at ~800 ms queries site 2, which answers
+    // KnowsCommit while site 1 is still in doubt. (The timeout must exceed
+    // the gap between the two votes, else site 2's round would observe
     // site 1 before it even voted and — correctly, per the protocol's
     // safety rule — abort the whole transaction.)
     let mut cfg = SystemConfig::new(3, ProtocolKind::D2pl2pc);
     cfg.seed = 0x7E03;
-    cfg.termination_timeout = Some(Duration::millis(300));
-    cfg.network.link_latency.insert(
-        (SiteId(0), SiteId(1)),
-        o2pc_sim::LatencyModel::Fixed(Duration::millis(300)),
-    );
+    cfg.termination_timeout = Some(Duration::millis(200));
+    for (to, ms) in [(SiteId(1), 300), (SiteId(2), 150)] {
+        let slow = o2pc_sim::LatencyModel::Fixed(Duration::millis(ms));
+        cfg.network.link_latency.insert((SiteId(0), to), slow);
+    }
     let mut e = Engine::new(cfg);
     e.load(SiteId(1), Key(0), Value(100));
     e.load(SiteId(2), Key(0), Value(100));
@@ -155,7 +157,7 @@ fn peer_that_knows_the_decision_shares_it() {
     );
     assert!(
         r.counters.get("term.resolved_commit") > 0,
-        "the round must learn COMMIT from the peer: {:?}",
+        "the round must learn COMMIT from the peer before the coordinator's DECISION: {:?}",
         r.counters.iter().collect::<Vec<_>>()
     );
 }
@@ -296,4 +298,49 @@ fn o2pc_needs_no_termination_protocol() {
         "no prepared-blocked participants under O2PC"
     );
     assert!(r.locks.exclusive_hold.mean() < 50_000.0);
+}
+
+/// A termination round whose answer is lost ends when its site leaves
+/// doubt, not only when an answer resolves it: once the coordinator's
+/// decision arrives, nothing holds the retired transaction.
+#[test]
+fn decision_after_a_lost_term_answer_retires_the_transaction() {
+    // Site 1 holds its writes to the decision (a real-action site) behind
+    // a slow link from the coordinator: it votes yes at ~600 ms and learns
+    // COMMIT at ~900 ms. Its termination timer fires in between; the round
+    // asks site 2, which released at its vote and runs no round of its
+    // own, and the runtime wrapper eats the answer.
+    let mut cfg = SystemConfig::new(3, ProtocolKind::O2pc);
+    cfg.seed = 0x7E05;
+    cfg.real_action_sites.insert(SiteId(1));
+    cfg.termination_timeout = Some(Duration::millis(200));
+    cfg.network.link_latency.insert(
+        (SiteId(0), SiteId(1)),
+        o2pc_sim::LatencyModel::Fixed(Duration::millis(300)),
+    );
+    let mut root = o2pc_common::DetRng::new(cfg.seed);
+    let network = o2pc_sim::Network::new(cfg.network.clone(), root.fork(0x6e65));
+    let rt = DropFirstTermAnswer {
+        inner: o2pc_core::DefaultSimRuntime::new(network),
+        dropped: false,
+    };
+    let mut e = Engine::with_runtime(cfg, rt);
+    e.load(SiteId(1), Key(0), Value(100));
+    e.load(SiteId(2), Key(0), Value(100));
+    e.submit_at(
+        SimTime::ZERO,
+        TxnRequest::global_with_coordinator(
+            SiteId(0),
+            vec![
+                (SiteId(1), vec![Op::Add(Key(0), -5)]),
+                (SiteId(2), vec![Op::Add(Key(0), 5)]),
+            ],
+        ),
+    );
+    let r = e.run(Duration::secs(10));
+    assert!(e.runtime().dropped, "the round's answer must be eaten");
+    assert_eq!(r.counters.get("term.rounds"), 1);
+    assert_eq!(r.global_committed, 1);
+    assert_eq!(e.value(SiteId(1), Key(0)), Some(Value(95)));
+    assert_eq!(e.live_txn_count(), 0, "a stale round pins the transaction");
 }

@@ -71,11 +71,6 @@ impl MarkState {
             }),
         }
     }
-
-    /// Is the site marked (in either marked state)?
-    pub fn is_marked(self) -> bool {
-        self != MarkState::Unmarked
-    }
 }
 
 fn illegal_name(state: MarkState, ev: MarkEvent) -> &'static str {
@@ -129,7 +124,6 @@ mod tests {
     fn commit_path() {
         let s = Unmarked.on_event(VoteCommit).unwrap();
         assert_eq!(s, LocallyCommitted);
-        assert!(s.is_marked());
         assert_eq!(s.on_event(DecisionCommit).unwrap(), Unmarked);
     }
 

@@ -161,15 +161,6 @@ impl TwoPhaseCoordinator {
         None
     }
 
-    /// Vote-collection timeout: presumed abort.
-    pub fn on_vote_timeout(&mut self) -> Option<CoordAction> {
-        if matches!(self.state, CoordState::Voting) {
-            Some(self.decide(false))
-        } else {
-            None
-        }
-    }
-
     /// General progress timeout: if no decision has been reached (stuck in
     /// ack collection — e.g. a participant site is down — or in voting),
     /// presume abort and notify everyone.
@@ -315,9 +306,9 @@ mod tests {
             c.on_subtxn_ack(s, true);
         }
         c.on_vote(SiteId(0), Vote::Yes);
-        let a = c.on_vote_timeout().unwrap();
+        let a = c.on_timeout().unwrap();
         assert_eq!(a, CoordAction::SendDecision(false, sites(2)));
-        assert_eq!(c.on_vote_timeout(), None, "idempotent");
+        assert_eq!(c.on_timeout(), None, "idempotent");
     }
 
     #[test]
