@@ -9,7 +9,6 @@ use o2pc_common::{ExecId, GlobalTxnId, Program, SimTime, SiteId};
 use o2pc_marking::TransMarks;
 use o2pc_protocol::{CoordAction, TwoPhaseCoordinator};
 use o2pc_runtime::Runtime;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
@@ -124,9 +123,11 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             return; // retired (garbage collected): nothing left to drive
         };
         let coord_site = g.coord_site;
+        // The coordinator's participants are `subs`' sites, in order.
+        let subs = Arc::clone(&g.subs);
         match action {
-            CoordAction::SendVoteReq(sites) => {
-                for s in sites {
+            CoordAction::SendVoteReq(to) => {
+                for s in masked(&subs, to) {
                     self.send(now, coord_site, s, Msg::VoteReq { txn });
                 }
                 if let Some(t) = self.cfg.vote_timeout.filter(|_| !resend) {
@@ -134,22 +135,14 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                 }
                 self.arm_retransmit(now, txn);
             }
-            CoordAction::SendDecision(commit, sites) => {
-                if !commit && !resend {
+            CoordAction::SendDecision(commit, to) => {
+                if !commit && !resend && g.began != 0 {
                     // Piggy-backed on the DECISION messages: the aborted
                     // transaction's *actual* execution-site set, enabling
                     // UDUM1 detection at the sites (no extra messages).
-                    let mut began = BTreeSet::new();
-                    for (slot, &(site, _)) in g.subs.iter().enumerate() {
-                        if g.began >> slot & 1 == 1 {
-                            began.insert(site);
-                        }
-                    }
-                    if !began.is_empty() {
-                        self.udum.register_aborted(txn, began);
-                    }
+                    self.udum.register_aborted(txn, masked(&subs, g.began));
                 }
-                for s in sites {
+                for s in masked(&subs, to) {
                     self.send(now, coord_site, s, Msg::Decision { txn, commit });
                 }
                 self.arm_retransmit(now, txn);
@@ -364,4 +357,12 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         // finished transactions (GC defers while a participant is down).
         self.gc_sweep();
     }
+}
+
+/// The sites of `subs` whose position bit is set in `mask`.
+fn masked(subs: &[(SiteId, Program)], mask: u64) -> impl Iterator<Item = SiteId> + '_ {
+    let sites = subs.iter().enumerate();
+    sites
+        .filter(move |(i, _)| mask >> i & 1 == 1)
+        .map(|(_, &(s, _))| s)
 }

@@ -8,8 +8,9 @@ use o2pc_runtime::{Runtime, Step};
 
 impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// Run until the runtime yields no step at or before `horizon` (queue
-    /// drained / quiescent / past the deadline) or the event cap trips.
-    /// Returns the collected report. May be called again to continue.
+    /// drained / quiescent / past the deadline) or the event cap trips,
+    /// which counts `run.event_cap`. Returns the collected report. May be
+    /// called again to continue.
     pub fn run(&mut self, horizon: Duration) -> RunReport {
         if !self.checkpointed {
             for s in self.slots.iter_mut().filter_map(|s| s.state.site_mut()) {
@@ -24,9 +25,11 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         let durable = self.cfg.durable_wal_dir.is_some();
         let mut events = 0u64;
         let mut last_now = SimTime::ZERO;
+        let mut capped = true;
         while events < self.cfg.max_events {
             self.seal_behind_backlog();
             let Some((now, step)) = self.rt.next(deadline) else {
+                capped = false;
                 break;
             };
             events += 1;
@@ -45,6 +48,9 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         // End of run: whatever is still buffered becomes durable now, so the
         // on-disk logs are complete for post-run inspection and kill tests.
         self.sync_all_wals(last_now);
+        if capped {
+            self.report.counters.inc("run.event_cap");
+        }
         self.report.events_processed += events;
         self.finalize()
     }

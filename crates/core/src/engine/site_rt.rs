@@ -269,11 +269,13 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                     && !matches!(exec, ExecId::CompSub(_))
                     && site.exec_state(exec).map(|s| s.pc) == Some(1)
                 {
-                    let undone = site.marks().undone_set();
-                    for ti in undone {
-                        if self.udum.observe_access(ti, site_id) {
-                            self.fire_udum(ti);
-                        }
+                    let udum = &mut self.udum;
+                    let undone = site.marks().undone();
+                    let fired: Vec<_> = undone
+                        .filter(|&ti| udum.observe_access(ti, site_id))
+                        .collect();
+                    for ti in fired {
+                        self.fire_udum(ti);
                     }
                 }
                 if !finished {

@@ -41,7 +41,9 @@ pub struct RunReport {
     /// `r1.checks`, `r1.rejections`, `r1.retries`, `r1.forced_aborts`,
     /// `r1.revalidation_failures`, `comp.plans`, `comp.retries`,
     /// `comp.skipped_ops`, `udum.fired`, `deadlock.victims.*`,
-    /// `vote.autonomy_aborts`, `net.dropped`.
+    /// `vote.autonomy_aborts`, `net.dropped`, and `run.event_cap`: `run`
+    /// calls that stopped at `SystemConfig::max_events` steps rather than
+    /// at quiescence or the horizon, so steps may still be pending.
     pub counters: CounterSet,
     /// Compensating subtransactions completed.
     pub compensations_completed: u64,

@@ -453,3 +453,24 @@ fn vote_timeout_aborts_when_participant_site_is_down() {
         "site 1 compensated"
     );
 }
+
+/// A run stopped by the event cap says so, and leaves its steps queued for
+/// the next call; a run that reaches quiescence counts no cap.
+#[test]
+fn event_cap_stop_is_counted() {
+    let mut cfg = SystemConfig::new(2, ProtocolKind::O2pc);
+    cfg.max_events = 5;
+    let mut e = loaded_engine(cfg, 2, 100);
+    e.submit_at(SimTime::ZERO, transfer(SiteId(0), SiteId(1), Key(0), 30));
+    let r = e.run(Duration::secs(5));
+    assert_eq!(r.events_processed, 5);
+    assert_eq!(r.counters.get("run.event_cap"), 1);
+    assert!(e.runtime().pending() > 0, "capped with steps still queued");
+
+    let mut e = loaded_engine(SystemConfig::new(2, ProtocolKind::O2pc), 2, 100);
+    e.submit_at(SimTime::ZERO, transfer(SiteId(0), SiteId(1), Key(0), 30));
+    let r = e.run(Duration::secs(5));
+    assert_eq!(r.global_committed, 1);
+    assert_eq!(r.counters.get("run.event_cap"), 0);
+    assert_eq!(e.runtime().pending(), 0);
+}

@@ -3,7 +3,7 @@
 //! For the P1 implementation the locally-committed marking is redundant (the
 //! protocol treats locally-committed and unmarked sites alike), but P2 and
 //! the full Figure 2 semantics need both kinds, so [`SiteMarks`] stores the
-//! complete [`MarkState`] per transaction; the P1 view (`undone_set`) is a
+//! complete [`MarkState`] per transaction; the P1 view (`undone`) is a
 //! projection.
 //!
 //! The marking set is itself a shared data structure at the site; the paper
@@ -60,14 +60,11 @@ impl SiteMarks {
         self.marks.remove(&txn);
     }
 
-    /// The set of transactions this site is *undone* with respect to
-    /// (`sitemarks.k` of the paper's P1 implementation).
-    pub fn undone_set(&self) -> Vec<GlobalTxnId> {
-        self.marks
-            .iter()
-            .filter(|(_, &m)| m == MarkState::Undone)
-            .map(|(&t, _)| t)
-            .collect()
+    /// The transactions this site is *undone* with respect to
+    /// (`sitemarks.k` of the paper's P1 implementation), in order.
+    pub fn undone(&self) -> impl Iterator<Item = GlobalTxnId> + '_ {
+        let undone = self.marks.iter().filter(|(_, &m)| m == MarkState::Undone);
+        undone.map(|(&t, _)| t)
     }
 
     /// The set of transactions this site is *locally committed* with respect
@@ -122,10 +119,10 @@ mod tests {
         sm.apply(g(1), MarkEvent::VoteCommit).unwrap();
         sm.apply(g(1), MarkEvent::DecisionAbort).unwrap();
         sm.apply(g(2), MarkEvent::VoteAbort).unwrap();
-        assert_eq!(sm.undone_set(), vec![g(1), g(2)]);
+        assert!(sm.undone().eq([g(1), g(2)]));
         assert!(sm.locally_committed_set().is_empty());
         sm.unmark(g(1));
-        assert_eq!(sm.undone_set(), vec![g(2)]);
+        assert!(sm.undone().eq([g(2)]));
     }
 
     #[test]

@@ -144,7 +144,7 @@ impl TransMarks {
         }
         // (b) If the new site is undone wrt some T_i, every previous site
         // must have been undone wrt T_i at visit time.
-        for txn in site.undone_set() {
+        for txn in site.undone() {
             let seen = self.undone.get(&txn).copied().unwrap_or(0);
             if seen < self.visits {
                 return Err(Incompatibility {

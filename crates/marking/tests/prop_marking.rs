@@ -142,7 +142,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(sm.mark_of(g), model);
-            let undone = sm.undone_set().contains(&g);
+            let undone = sm.undone().any(|t| t == g);
             let lc = sm.locally_committed_set().contains(&g);
             prop_assert_eq!(undone, model == MarkState::Undone);
             prop_assert_eq!(lc, model == MarkState::LocallyCommitted);

@@ -24,14 +24,16 @@ pub enum CoordState {
     Done(bool),
 }
 
-/// An instruction for the host (engine or transport driver).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// An instruction for the host (engine or transport driver). Recipients
+/// are a bitmask over participant positions: bit `i` stands for
+/// [`participants()[i]`](TwoPhaseCoordinator::participants).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CoordAction {
-    /// Send VOTE-REQ to each listed participant.
-    SendVoteReq(Vec<SiteId>),
+    /// Send VOTE-REQ to each participant in the mask.
+    SendVoteReq(u64),
     /// Decision reached (`true` = commit): it is now logged; send DECISION
-    /// to each listed participant.
-    SendDecision(bool, Vec<SiteId>),
+    /// to each participant in the mask.
+    SendDecision(bool, u64),
     /// Protocol complete (`true` = committed).
     Complete(bool),
 }
@@ -94,10 +96,8 @@ impl TwoPhaseCoordinator {
     }
 
     /// The participants whose bit is clear in `mask`.
-    fn missing(&self, mask: u64) -> Vec<SiteId> {
-        let sites = self.participants.iter().enumerate();
-        let absent = sites.filter(|(i, _)| mask >> i & 1 == 0);
-        absent.map(|(_, &s)| s).collect()
+    fn missing(&self, mask: u64) -> u64 {
+        self.everyone() & !mask
     }
 
     /// The transaction being coordinated.
@@ -140,7 +140,7 @@ impl TwoPhaseCoordinator {
             // is terminating — exactly the standard message pattern; the
             // first vote, whatever it says, then decides abort.
             self.state = CoordState::Voting;
-            return Some(CoordAction::SendVoteReq(self.participants.clone()));
+            return Some(CoordAction::SendVoteReq(self.everyone()));
         }
         None
     }
@@ -173,7 +173,7 @@ impl TwoPhaseCoordinator {
 
     fn decide(&mut self, commit: bool) -> CoordAction {
         self.state = CoordState::Decided(commit);
-        CoordAction::SendDecision(commit, self.participants.clone())
+        CoordAction::SendDecision(commit, self.everyone())
     }
 
     /// A participant acknowledged the decision.
@@ -199,7 +199,7 @@ impl TwoPhaseCoordinator {
         match self.state {
             CoordState::Voting => {
                 let missing = self.missing(self.votes);
-                if missing.is_empty() {
+                if missing == 0 {
                     None
                 } else {
                     Some(CoordAction::SendVoteReq(missing))
@@ -207,7 +207,7 @@ impl TwoPhaseCoordinator {
             }
             CoordState::Decided(commit) => {
                 let missing = self.missing(self.decision_acks);
-                if missing.is_empty() {
+                if missing == 0 {
                     None
                 } else {
                     Some(CoordAction::SendDecision(commit, missing))
@@ -224,7 +224,7 @@ impl TwoPhaseCoordinator {
         match self.state {
             CoordState::Decided(commit) => {
                 let missing = self.missing(self.decision_acks);
-                if missing.is_empty() {
+                if missing == 0 {
                     self.state = CoordState::Done(commit);
                     Some(CoordAction::Complete(commit))
                 } else {
@@ -259,11 +259,11 @@ mod tests {
         assert_eq!(c.on_subtxn_ack(SiteId(0), true), None);
         assert_eq!(c.on_subtxn_ack(SiteId(1), true), None);
         let a = c.on_subtxn_ack(SiteId(2), true).unwrap();
-        assert_eq!(a, CoordAction::SendVoteReq(sites(3)));
+        assert_eq!(a, CoordAction::SendVoteReq(0b111));
         assert_eq!(c.on_vote(SiteId(0), Vote::Yes), None);
         assert_eq!(c.on_vote(SiteId(1), Vote::Yes), None);
         let a = c.on_vote(SiteId(2), Vote::Yes).unwrap();
-        assert_eq!(a, CoordAction::SendDecision(true, sites(3)));
+        assert_eq!(a, CoordAction::SendDecision(true, 0b111));
         assert_eq!(c.decision(), Some(true));
         assert_eq!(c.on_decision_ack(SiteId(0)), None);
         assert_eq!(c.on_decision_ack(SiteId(1)), None);
@@ -282,7 +282,7 @@ mod tests {
         }
         assert_eq!(c.on_vote(SiteId(0), Vote::Yes), None);
         let a = c.on_vote(SiteId(1), Vote::No).unwrap();
-        assert_eq!(a, CoordAction::SendDecision(false, sites(3)));
+        assert_eq!(a, CoordAction::SendDecision(false, 0b111));
         // A late yes from site 2 is ignored.
         assert_eq!(c.on_vote(SiteId(2), Vote::Yes), None);
         assert_eq!(c.decision(), Some(false));
@@ -293,10 +293,10 @@ mod tests {
         let mut c = TwoPhaseCoordinator::new(g(), sites(2));
         c.on_subtxn_ack(SiteId(0), true);
         let a = c.on_subtxn_ack(SiteId(1), false).unwrap();
-        assert_eq!(a, CoordAction::SendVoteReq(sites(2)), "pattern preserved");
+        assert_eq!(a, CoordAction::SendVoteReq(0b11), "pattern preserved");
         // First vote (whatever it is) triggers the abort decision.
         let a = c.on_vote(SiteId(0), Vote::Yes).unwrap();
-        assert_eq!(a, CoordAction::SendDecision(false, sites(2)));
+        assert_eq!(a, CoordAction::SendDecision(false, 0b11));
     }
 
     #[test]
@@ -307,7 +307,7 @@ mod tests {
         }
         c.on_vote(SiteId(0), Vote::Yes);
         let a = c.on_timeout().unwrap();
-        assert_eq!(a, CoordAction::SendDecision(false, sites(2)));
+        assert_eq!(a, CoordAction::SendDecision(false, 0b11));
         assert_eq!(c.on_timeout(), None, "idempotent");
     }
 
@@ -323,10 +323,7 @@ mod tests {
         c.on_decision_ack(SiteId(0));
         // Crash here; recovery resends to 1 and 2 only.
         let a = c.recover().unwrap();
-        assert_eq!(
-            a,
-            CoordAction::SendDecision(true, vec![SiteId(1), SiteId(2)])
-        );
+        assert_eq!(a, CoordAction::SendDecision(true, 0b110));
         c.on_decision_ack(SiteId(1));
         assert_eq!(
             c.on_decision_ack(SiteId(2)),
@@ -339,7 +336,7 @@ mod tests {
         let mut c = TwoPhaseCoordinator::new(g(), sites(2));
         c.on_subtxn_ack(SiteId(0), true);
         let a = c.recover().unwrap();
-        assert_eq!(a, CoordAction::SendDecision(false, sites(2)));
+        assert_eq!(a, CoordAction::SendDecision(false, 0b11));
         assert_eq!(c.decision(), Some(false));
     }
 
@@ -378,23 +375,14 @@ mod tests {
         for s in sites(3) {
             c.on_subtxn_ack(s, true);
         }
-        assert_eq!(c.retransmit(), Some(CoordAction::SendVoteReq(sites(3))));
+        assert_eq!(c.retransmit(), Some(CoordAction::SendVoteReq(0b111)));
         c.on_vote(SiteId(1), Vote::Yes);
-        assert_eq!(
-            c.retransmit(),
-            Some(CoordAction::SendVoteReq(vec![SiteId(0), SiteId(2)]))
-        );
+        assert_eq!(c.retransmit(), Some(CoordAction::SendVoteReq(0b101)));
         c.on_vote(SiteId(0), Vote::Yes);
         c.on_vote(SiteId(2), Vote::Yes);
-        assert_eq!(
-            c.retransmit(),
-            Some(CoordAction::SendDecision(true, sites(3)))
-        );
+        assert_eq!(c.retransmit(), Some(CoordAction::SendDecision(true, 0b111)));
         c.on_decision_ack(SiteId(2));
-        assert_eq!(
-            c.retransmit(),
-            Some(CoordAction::SendDecision(true, vec![SiteId(0), SiteId(1)]))
-        );
+        assert_eq!(c.retransmit(), Some(CoordAction::SendDecision(true, 0b011)));
         c.on_decision_ack(SiteId(0));
         c.on_decision_ack(SiteId(1));
         assert_eq!(c.retransmit(), None, "done: timer chain stops");

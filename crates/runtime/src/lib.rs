@@ -18,13 +18,14 @@
 //!
 //! * [`SimRuntime`] — the deterministic event-queue simulator. Timers and
 //!   deliveries share **one** totally-ordered queue (FIFO among simultaneous
-//!   entries), so a seed reproduces a run bit-for-bit. This is the substrate
+//!   entries; a timing wheel over the near future), so a seed reproduces a
+//!   run bit-for-bit. This is the substrate
 //!   every experiment in `o2pc-bench` is measured on. Its disk is modelled:
 //!   a flush lands at once and completes a constant fsync latency later.
 //! * [`ThreadedRuntime`] — wall-clock execution on the thread that calls
 //!   `next`. It delivers its own messages: a same-site or zero-latency send
 //!   is a push onto a ready FIFO, a delayed one an entry in its wall-clock
-//!   event queue beside its timers. Flushes run on a pool of flusher
+//!   event heap beside its timers. Flushes run on a pool of flusher
 //!   threads. Outcomes are schedule-dependent (and therefore only
 //!   invariant-checkable, not replayable), which is exactly the point: the
 //!   same engine code must uphold the protocol's guarantees without a
@@ -41,6 +42,7 @@
 
 pub mod clock;
 mod flush;
+mod heap;
 pub mod runtime;
 pub mod transport;
 

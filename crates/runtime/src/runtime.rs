@@ -2,6 +2,7 @@
 
 use crate::clock::{Clock, WallClock};
 use crate::flush::FlushScheduler;
+use crate::heap::EventHeap;
 use crate::transport::ThreadedTransport;
 use o2pc_common::{Duration, SimTime, SiteId};
 use o2pc_sim::{EventQueue, Network, SendOutcome};
@@ -107,7 +108,9 @@ pub trait Runtime<T, M>: Clock {
 /// replays bit-for-bit. Splitting them into separate queues (one per trait)
 /// would look cleaner and silently break that guarantee, which is why the
 /// sim implements [`Runtime`] as a fused whole rather than composing a
-/// sim clock with a sim network.
+/// sim clock with a sim network. The queue is a timing wheel over the next
+/// few milliseconds, so [`next`](Runtime::next)'s peek and pop are each
+/// O(1) in the hundreds of entries a run keeps pending.
 ///
 /// Its disk is modelled: [`flush`](Runtime::flush) writes and fsyncs the
 /// batch at once, so every barrier that consults the physical log (the crash
@@ -235,7 +238,10 @@ impl Default for ThreadedRuntimeConfig {
 /// delay — a same-site send, or one on a zero-latency link — goes onto the
 /// ready FIFO, and a delayed one into the wall-clock event queue as a
 /// [`Step::Deliver`] due at send time + delay, beside the timers. A
-/// message delay inside one process therefore costs a queue push. Timers
+/// message delay inside one process therefore costs a queue push. That
+/// queue is a plain `(time, seq)` binary heap, not the simulator's timing
+/// wheel: it holds a handful of entries, where the wheel's slot arrays cost
+/// more than they save. Timers
 /// fire on real elapsed time (via [`WallClock`]); outcomes are
 /// schedule-dependent, so the wall-clock twin of a simulated run checks
 /// invariants, not byte equality.
@@ -253,10 +259,10 @@ pub struct ThreadedRuntime<T, M> {
     network: Network,
     /// Accepted copies with no delay, in send order.
     staged: VecDeque<(SiteId, M)>,
-    /// Timers and delayed deliveries, in the simulator's queue discipline:
-    /// `(due, seq)` order, FIFO among equal due times — so equal-latency
-    /// sends on one link arrive in send order.
-    events: EventQueue<Step<T, M>>,
+    /// Timers and delayed deliveries, in the simulator's queue discipline
+    /// on a heap: `(due, seq)` order, FIFO among equal due times — so
+    /// equal-latency sends on one link arrive in send order.
+    events: EventHeap<Step<T, M>>,
     endpoints: usize,
     flusher: Option<FlushScheduler>,
     /// The channel the flusher reports completions on.
@@ -286,7 +292,7 @@ impl<T, M: Clone> ThreadedRuntime<T, M> {
             clock: WallClock::new(),
             network: transport.network,
             staged: VecDeque::new(),
-            events: EventQueue::new(),
+            events: EventHeap::new(),
             endpoints: 0,
             flusher: None,
             done_tx,

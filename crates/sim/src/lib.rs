@@ -10,7 +10,8 @@
 //! than waited out.
 //!
 //! * [`events`] — the time-ordered event queue (stable FIFO among
-//!   simultaneous events).
+//!   simultaneous events): a timing wheel over the next [`events::WINDOW`]
+//!   with an overflow heap behind it.
 //! * [`network`] — the one network both runtimes send through: per-link
 //!   latency models (fixed / uniform / exponential), loss, duplication,
 //!   extra delay, routes, the send-time judgement ([`Network::judge`]) and
@@ -18,8 +19,8 @@
 //! * [`failure`] — scripted site-crash and link-outage plans.
 //!
 //! The wall-clock (threaded) substrate lives in `o2pc-runtime`, which wraps
-//! this crate's event queue and network behind the same `Runtime` trait the
-//! engine is generic over. Both runtimes judge every send with this crate's
+//! this crate's network behind the same `Runtime` trait the engine is
+//! generic over, with a heap of its own for its handful of timers. Both runtimes judge every send with this crate's
 //! [`Network`]; only the clock they deliver on differs.
 
 #![forbid(unsafe_code)]

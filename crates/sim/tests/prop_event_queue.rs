@@ -4,8 +4,13 @@
 //! must behave exactly like one plain binary heap ordered by `(time, seq)`
 //! whose numbers are handed out in call order. The pop order of every
 //! seeded run — and so every golden digest — rests on this.
+//!
+//! Times reach past the timing wheel's window: exactly at its edge, several
+//! windows out (the overflow heap), and after long empty stretches, so
+//! entries migrate back into the wheel among plain and reserved numbers.
 
 use o2pc_common::SimTime;
+use o2pc_sim::events::WINDOW;
 use o2pc_sim::EventQueue;
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -22,6 +27,14 @@ enum When {
     Ascend(u8),
     /// `back` *before* the clock: clamped to the clock.
     Past(u8),
+    /// One instant either side of the wheel's window edge, or on it:
+    /// `now + WINDOW - 1 + k % 3`.
+    Edge(u8),
+    /// Several windows after the clock, a few distinct instants each.
+    Far(u8),
+    /// A long empty stretch after the latest time scheduled so far; the
+    /// `Ascend` entries after it are a burst there.
+    Gap(u8),
 }
 
 #[derive(Clone, Debug)]
@@ -45,6 +58,9 @@ fn when_strategy() -> impl Strategy<Value = When> {
         2 => Just(When::Near(0)),
         3 => (0u8..4).prop_map(When::Ascend),
         1 => (1u8..50).prop_map(When::Past),
+        2 => any::<u8>().prop_map(When::Edge),
+        1 => any::<u8>().prop_map(When::Far),
+        1 => (0u8..4).prop_map(When::Gap),
     ]
 }
 
@@ -97,6 +113,12 @@ proptest! {
                 When::Near(offset) => SimTime(q.now().0 + offset as u64),
                 When::Ascend(offset) => SimTime(latest.0 + offset as u64),
                 When::Past(back) => SimTime(q.now().0.saturating_sub(back as u64)),
+                When::Edge(k) => SimTime(q.now().0 + WINDOW.0 - 1 + (k % 3) as u64),
+                When::Far(k) => {
+                    let windows = 2 + (k % 4) as u64;
+                    SimTime(q.now().0 + windows * WINDOW.0 + (k / 4 % 3) as u64)
+                }
+                When::Gap(offset) => SimTime(latest.0 + 3 * WINDOW.0 + offset as u64),
             };
             // Scheduling in the past trips a debug assertion; the clamp
             // behind it is what optimised builds rely on.
