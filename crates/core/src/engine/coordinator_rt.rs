@@ -6,7 +6,6 @@ use super::{Engine, GTxn, TimerEvent};
 use crate::config::TxnRequest;
 use crate::msg::Msg;
 use o2pc_common::{ExecId, GlobalTxnId, Program, SimTime, SiteId};
-use o2pc_marking::TransMarks;
 use o2pc_protocol::{CoordAction, TwoPhaseCoordinator};
 use o2pc_runtime::Runtime;
 use std::sync::Arc;
@@ -68,8 +67,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         coordinator: SiteId,
     ) {
         let id = self.idgen.next_id();
-        let participants = subs.iter().map(|&(s, _)| s).collect();
-        let coord = TwoPhaseCoordinator::new(id, participants);
+        let coord = TwoPhaseCoordinator::new(subs.len());
         for (site, ops) in subs.iter() {
             let ops = ops.clone();
             self.send(now, coordinator, *site, Msg::SpawnSubtxn { txn: id, ops });
@@ -78,9 +76,8 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             coord_site: coordinator,
             coord,
             subs,
-            tm: TransMarks::new(),
+            r1: self.marking.as_ref().map(|_| Default::default()),
             start: scheduled,
-            spawn_retries: Default::default(),
             began: 0,
             retx_armed: false,
         };
@@ -136,11 +133,12 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                 self.arm_retransmit(now, txn);
             }
             CoordAction::SendDecision(commit, to) => {
-                if !commit && !resend && g.began != 0 {
+                let marking = self.marking.as_mut();
+                if let Some(m) = marking.filter(|_| !commit && !resend && g.began != 0) {
                     // Piggy-backed on the DECISION messages: the aborted
                     // transaction's *actual* execution-site set, enabling
                     // UDUM1 detection at the sites (no extra messages).
-                    self.udum.register_aborted(txn, masked(&subs, g.began));
+                    m.udum.register_aborted(txn, masked(&subs, g.began));
                 }
                 for s in masked(&subs, to) {
                     self.send(now, coord_site, s, Msg::Decision { txn, commit });
@@ -164,14 +162,15 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     }
 
     /// Hand `txn`'s coordinator one input, if the transaction is still
-    /// tracked, and carry out what it asks.
+    /// tracked, and carry out what it asks. The coordinator knows each
+    /// participant by its position in `GTxn::subs` (`GTxn::pos`).
     pub(crate) fn drive(
         &mut self,
         now: SimTime,
         txn: GlobalTxnId,
-        input: impl FnOnce(&mut TwoPhaseCoordinator) -> Option<CoordAction>,
+        input: impl FnOnce(&mut GTxn) -> Option<CoordAction>,
     ) {
-        if let Some(action) = self.txns.get_mut(&txn).and_then(|g| input(&mut g.coord)) {
+        if let Some(action) = self.txns.get_mut(&txn).and_then(input) {
             self.coord_action(now, txn, action, false);
         }
     }
@@ -183,7 +182,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         // A crashed coordinator times out nothing; a decided one presumes
         // nothing.
         if self.site_up(g.coord_site) {
-            self.drive(now, txn, |c| c.on_timeout());
+            self.drive(now, txn, |g| g.coord.on_timeout());
         }
     }
 
@@ -233,10 +232,10 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// Retire a finished transaction once nothing in the system can still
     /// reference it: the decision is acked everywhere (`done`), no
     /// compensation or termination round is pending at any participant, and
-    /// every participant is up and unmarked (an aborted transaction stays
-    /// until UDUM1 clears its markings — rule R3 is the *correctness* gate
-    /// for forgetting, so it is also the memory gate). Crashed participants
-    /// defer GC to their recovery sweep.
+    /// every participant is up and unmarked (under a marking protocol an
+    /// aborted transaction stays until UDUM1 clears its markings — rule R3
+    /// is the *correctness* gate for forgetting, so it is also the memory
+    /// gate). Crashed participants defer GC to their recovery sweep.
     pub(crate) fn try_gc(&mut self, txn: GlobalTxnId) {
         let Some(g) = self.txns.get(&txn) else {
             return;
@@ -244,8 +243,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         if !g.done() {
             return;
         }
-        let participants = g.coord.participants();
-        for &p in participants {
+        for &(p, _) in g.subs.iter() {
             let slot = &self.slots[p.index()];
             let Some(site) = slot.state.site() else {
                 return;
@@ -253,15 +251,16 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             if slot.pending_comp.contains_key(&txn)
                 || slot.term_rounds.contains_key(&txn)
                 || slot.term_armed.contains(&txn)
-                || site.mark_of(txn) != o2pc_marking::MarkState::Unmarked
+                || site.marks().mark_of(txn) != o2pc_marking::MarkState::Unmarked
             {
                 return;
             }
         }
-        if !self.udum.missing_sites(txn).is_empty() {
+        let marking = self.marking.as_ref();
+        if marking.is_some_and(|m| !m.udum.missing_sites(txn).is_empty()) {
             return;
         }
-        for &p in participants {
+        for &(p, _) in g.subs.iter() {
             if let Some(site) = self.slots[p.index()].state.site_mut() {
                 site.forget(txn);
             }
@@ -338,7 +337,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             .collect();
         to_recover.sort_unstable(); // canonical resend order, independent of map iteration
         for txn in to_recover {
-            self.drive(now, txn, |c| c.recover());
+            self.drive(now, txn, |g| g.coord.recover());
         }
         // Recovered in-doubt participants (prepared, or locally committed
         // with the decision lost in the crash) resolve their fate through

@@ -134,9 +134,9 @@ pub(crate) struct GTxn {
     /// The participants in submission order, each with its program: the
     /// request's shared slice, which an R1 retry begins from.
     pub(crate) subs: Arc<[(SiteId, Program)]>,
-    pub(crate) tm: TransMarks,
+    /// Rule R1's state, under a marking protocol only.
+    pub(crate) r1: Option<R1>,
     pub(crate) start: SimTime,
-    pub(crate) spawn_retries: FastHashMap<SiteId, u32>,
     /// Sites where the subtransaction actually began executing, as a
     /// bitmask over the positions of `subs`. Only these can ever carry an
     /// *undone* marking for this transaction, so only these count as UDUM1
@@ -154,6 +154,27 @@ impl GTxn {
     pub(crate) fn done(&self) -> bool {
         matches!(self.coord.state(), CoordState::Done(_))
     }
+
+    /// The position of `site` among the participants.
+    pub(crate) fn pos(&self, site: SiteId) -> Option<usize> {
+        self.subs.iter().position(|&(s, _)| s == site)
+    }
+}
+
+/// What a marking protocol keeps beside the sites' marks: the rule R1
+/// checks, and UDUM1's bookkeeping. Only a marking protocol builds one.
+pub(crate) struct Marking {
+    pub(crate) protocol: MarkingProtocol,
+    pub(crate) udum: UdumTracker,
+}
+
+/// One global transaction's rule R1 state under a marking protocol.
+#[derive(Default)]
+pub(crate) struct R1 {
+    /// The marks seen at the sites it was admitted at (`transmarks.j`).
+    pub(crate) tm: TransMarks,
+    /// Refused admissions so far, per site.
+    pub(crate) retries: FastHashMap<SiteId, u32>,
 }
 
 /// A global arrival parked at its coordinator's admission gate: the client's
@@ -191,7 +212,8 @@ pub struct Engine<R: Runtime<TimerEvent, Msg> = DefaultSimRuntime> {
     pub(crate) txns: FastHashMap<GlobalTxnId, GTxn>,
     /// Submitted arrivals, by run; a run's slot is free once it is empty.
     pub(crate) runs: Vec<ArrivalRun>,
-    pub(crate) udum: UdumTracker,
+    /// Present under a marking protocol only.
+    pub(crate) marking: Option<Marking>,
     pub(crate) hist: Recorder,
     pub(crate) report: RunReport,
     pub(crate) checkpointed: bool,
@@ -230,8 +252,13 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         for id in cfg.sites() {
             rt.register_endpoint(id);
         }
+        let marking = cfg.protocol.marking().map(|protocol| Marking {
+            protocol,
+            udum: UdumTracker::new(),
+        });
         let site_cfg = SiteConfig {
             compensation_model: cfg.compensation_model,
+            marks: marking.is_some(),
         };
         let slots = cfg
             .sites()
@@ -258,7 +285,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             idgen: GlobalTxnIdGen::new(),
             txns: FastHashMap::default(),
             runs: Vec::new(),
-            udum: UdumTracker::new(),
+            marking,
             hist,
             report: RunReport::default(),
             checkpointed: false,
@@ -434,10 +461,6 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// The sites that are up.
     pub(crate) fn live_sites(&self) -> impl Iterator<Item = &Site> {
         self.slots.iter().filter_map(|s| s.state.site())
-    }
-
-    pub(crate) fn marking(&self) -> MarkingProtocol {
-        self.cfg.protocol.marking()
     }
 
     pub(crate) fn lock_policy_at(&self, site: SiteId) -> LockPolicy {
@@ -1017,32 +1040,47 @@ mod tests {
 
     /// UDUM bookkeeping ends with its transactions: once every site of an
     /// aborted transaction has seen a later access, R3 unmarks it and the
-    /// tracker forgets it, so a run with aborts ends tracking nothing.
+    /// tracker forgets it, so a run with aborts ends tracking nothing. A
+    /// protocol that marks nothing keeps no bookkeeping at all: with no
+    /// fencing locals it checks no R1, fires no UDUM, and still retires
+    /// every aborted transaction.
     #[test]
     fn udum_tracks_nothing_once_every_abort_is_fenced() {
-        let mut cfg = SystemConfig::new(3, ProtocolKind::O2pcP1);
-        cfg.vote_abort_probability = 0.3;
-        let mut e = Engine::new(cfg);
-        let sites = [SiteId(0), SiteId(1), SiteId(2)];
-        for (s, k) in sites
-            .into_iter()
-            .flat_map(|s| (0..8).map(move |k| (s, Key(k))))
-        {
-            e.load(s, k, Value(100));
+        let run = |protocol, fenced: bool| {
+            let mut cfg = SystemConfig::new(3, protocol);
+            cfg.vote_abort_probability = 0.3;
+            let mut e = Engine::new(cfg);
+            let sites = [SiteId(0), SiteId(1), SiteId(2)];
+            for (s, k) in sites
+                .into_iter()
+                .flat_map(|s| (0..8).map(move |k| (s, Key(k))))
+            {
+                e.load(s, k, Value(100));
+            }
+            for (i, k) in (0..30u64).map(|i| (i, Key(i % 8))) {
+                let (a, b) = (sites[i as usize % 3], sites[(i as usize + 1) % 3]);
+                let subs = [(a, [Op::Add(k, -1)]), (b, [Op::Add(k, 1)])];
+                e.submit_at(SimTime(i * 500), TxnRequest::global(subs));
+            }
+            // A late local at every site fences whatever is still undone there.
+            let late = SimTime::ZERO + Duration::secs(10);
+            for s in sites.into_iter().filter(|_| fenced) {
+                e.submit_at(late, TxnRequest::local(s, [Op::Read(Key(0))]));
+            }
+            let r = e.run(Duration::secs(60));
+            assert!(r.global_aborted > 0, "{protocol}: nothing aborted");
+            (e, r)
+        };
+        let (e, r) = run(ProtocolKind::O2pcP1, true);
+        assert!(r.counters.get("udum.fired") > 0);
+        assert_eq!(e.marking.as_ref().map(|m| m.udum.tracked()), Some(0));
+        for protocol in [ProtocolKind::O2pc, ProtocolKind::D2pl2pc] {
+            let (e, r) = run(protocol, false);
+            assert!(e.marking.is_none(), "{protocol} built marking state");
+            assert_eq!(e.live_txn_count(), 0, "{protocol} kept an aborted global");
+            assert_eq!(r.counters.get("udum.fired"), 0, "{protocol}");
+            assert_eq!(r.counters.get("r1.checks"), 0, "{protocol}");
         }
-        for (i, k) in (0..30u64).map(|i| (i, Key(i % 8))) {
-            let (a, b) = (sites[i as usize % 3], sites[(i as usize + 1) % 3]);
-            let subs = [(a, [Op::Add(k, -1)]), (b, [Op::Add(k, 1)])];
-            e.submit_at(SimTime(i * 500), TxnRequest::global(subs));
-        }
-        // A late local at every site fences whatever is still undone there.
-        let late = SimTime::ZERO + Duration::secs(10);
-        for s in sites {
-            e.submit_at(late, TxnRequest::local(s, [Op::Read(Key(0))]));
-        }
-        let r = e.run(Duration::secs(60));
-        assert!(r.global_aborted > 0 && r.counters.get("udum.fired") > 0);
-        assert_eq!(e.udum.tracked(), 0);
     }
 
     /// What a site counted before it crashed stays in the report: its lock

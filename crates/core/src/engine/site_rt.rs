@@ -5,10 +5,9 @@ use super::slot::SiteState;
 use super::{Engine, TimerEvent};
 use crate::msg::Msg;
 use o2pc_common::{Duration, ExecId, GlobalTxnId, SimTime, SiteId};
-use o2pc_marking::MarkingProtocol;
 use o2pc_protocol::TerminationOutcome;
 use o2pc_runtime::Runtime;
-use o2pc_site::{LockPolicy, OpResult, PeerState};
+use o2pc_site::{LockPolicy, OpResult, PeerState, Site};
 
 /// How long a compensating subtransaction that lost a deadlock waits before
 /// it runs again: persistence of compensation (§3.2) may delay a `CT`, never
@@ -22,7 +21,9 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         }
         match msg {
             Msg::SpawnSubtxn { txn, .. } => self.try_spawn(now, txn, to),
-            Msg::SubtxnAck { txn, from, ok } => self.drive(now, txn, |c| c.on_subtxn_ack(from, ok)),
+            Msg::SubtxnAck { txn, from, ok } => {
+                self.drive(now, txn, |g| g.coord.on_subtxn_ack(g.pos(from)?, ok))
+            }
             Msg::VoteReq { txn } => {
                 if !self.txns.contains_key(&txn) {
                     return; // stale duplicate for a retired transaction
@@ -60,7 +61,9 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                     self.send(now, to, coord_site, reply);
                 }
             }
-            Msg::VoteMsg { txn, from, vote } => self.drive(now, txn, |c| c.on_vote(from, vote)),
+            Msg::VoteMsg { txn, from, vote } => {
+                self.drive(now, txn, |g| g.coord.on_vote(g.pos(from)?, vote))
+            }
             Msg::Decision { txn, commit } => {
                 if !self.txns.contains_key(&txn) {
                     return; // stale duplicate for a retired transaction
@@ -76,7 +79,9 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                 // across a crash.
                 self.send_gated(now, to, coord_site, Msg::DecisionAck { txn, from: to });
             }
-            Msg::DecisionAck { txn, from } => self.drive(now, txn, |c| c.on_decision_ack(from)),
+            Msg::DecisionAck { txn, from } => {
+                self.drive(now, txn, |g| g.coord.on_decision_ack(g.pos(from)?))
+            }
             Msg::TermReq { txn, from } => {
                 let Some(site) = self.slots[to.index()].state.site_mut() else {
                     return;
@@ -173,15 +178,15 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         let Some(g) = self.txns.get(&txn) else {
             return; // retired while the timer was in flight
         };
-        let others = g.coord.participants().iter().filter(|&&p| p != site_id);
-        let peers: Vec<SiteId> = others.copied().collect();
+        let others = g.subs.iter().filter(|&&(p, _)| p != site_id);
+        let peers: Vec<SiteId> = others.map(|&(p, _)| p).collect();
         if peers.is_empty() {
             return;
         }
         self.report.counters.inc("term.rounds");
         // Overwrite any stalled previous round: answers carry the sender id,
         // so replies to the old round simply refill the new one.
-        let round = o2pc_protocol::TerminationRound::new(txn, peers.clone());
+        let round = o2pc_protocol::TerminationRound::new(peers.clone());
         self.slots[site_id.index()].term_rounds.insert(txn, round);
         for p in peers {
             self.send(now, site_id, p, Msg::TermReq { txn, from: site_id });
@@ -189,11 +194,10 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         self.arm_term_timer(now, txn, site_id);
     }
 
-    /// Rule R1: admission check before (re)starting a subtransaction, on
-    /// its SPAWN's delivery or an R1 retry. Either way the program is the
-    /// one the SPAWN carries, shared with `GTxn::subs`.
+    /// Start a subtransaction on its SPAWN's delivery or an R1 retry, after
+    /// rule R1's admission check under a marking protocol. Either way the
+    /// program is the one the SPAWN carries, shared with `GTxn::subs`.
     pub(crate) fn try_spawn(&mut self, now: SimTime, txn: GlobalTxnId, site_id: SiteId) {
-        let marking = self.marking();
         let Some(site) = self.slots[site_id.index()].state.site_mut() else {
             return;
         };
@@ -203,8 +207,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         if g.coord.decision().is_some() {
             return;
         }
-        let pos = g.subs.iter().position(|&(s, _)| s == site_id);
-        let pos = pos.expect("spawn at a participant");
+        let pos = g.pos(site_id).expect("spawn at a participant");
         if g.began >> pos & 1 == 1 {
             // Duplicate SpawnSubtxn: the subtransaction already began here.
             // Its original ack (or the vote-timeout's presumed abort)
@@ -212,23 +215,11 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             // execution state.
             return;
         }
-        self.report.counters.inc("r1.checks");
-        match g.tm.check_and_absorb(marking, site.marks()) {
-            Ok(()) => {
-                let ops = g.subs[pos].1.clone();
-                g.began |= 1 << pos;
-                let exec = ExecId::Sub(txn);
-                let empty = ops.is_empty();
-                site.begin(exec, ops, now, &mut self.hist);
-                if empty {
-                    self.ack_subtxn(now, txn, site_id, true);
-                } else {
-                    self.next_op(now, site_id, exec);
-                }
-            }
-            Err(inc) => {
+        if let (Some(m), Some(r1)) = (&self.marking, &mut g.r1) {
+            self.report.counters.inc("r1.checks");
+            if let Err(inc) = r1.tm.check_and_absorb(m.protocol, site.marks()) {
                 self.report.counters.inc("r1.rejections");
-                let retries = g.spawn_retries.entry(site_id).or_insert(0);
+                let retries = r1.retries.entry(site_id).or_insert(0);
                 *retries += 1;
                 if inc.retryable && *retries <= self.cfg.r1_max_retries {
                     self.report.counters.inc("r1.retries");
@@ -239,8 +230,29 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                     self.report.counters.inc("r1.forced_aborts");
                     self.ack_subtxn(now, txn, site_id, false);
                 }
+                return;
             }
         }
+        let ops = g.subs[pos].1.clone();
+        g.began |= 1 << pos;
+        let exec = ExecId::Sub(txn);
+        let empty = ops.is_empty();
+        site.begin(exec, ops, now, &mut self.hist);
+        if empty {
+            self.ack_subtxn(now, txn, site_id, true);
+        } else {
+            self.next_op(now, site_id, exec);
+        }
+    }
+
+    /// Rule R1's re-check: do the marks `txn` accumulated still admit
+    /// `site`'s current ones? Always, where nothing marks.
+    fn r1_admits(&self, txn: GlobalTxnId, site: &Site) -> bool {
+        let Some(m) = &self.marking else {
+            return true;
+        };
+        let r1 = self.txns[&txn].r1.as_ref();
+        r1.is_none_or(|r1| r1.tm.check(m.protocol, site.marks()).is_ok())
     }
 
     pub(crate) fn on_op_done(&mut self, now: SimTime, site_id: SiteId, exec: ExecId) {
@@ -265,14 +277,14 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                 // *mechanism* of undoing, not evidence that the marking is
                 // stale). The mark-change invalidation rule above is what
                 // keeps fencing safe for in-flight admissions.
-                if self.cfg.enable_udum
-                    && !matches!(exec, ExecId::CompSub(_))
-                    && site.exec_state(exec).map(|s| s.pc) == Some(1)
-                {
-                    let udum = &mut self.udum;
+                let marking = self.marking.as_mut().filter(|_| self.cfg.enable_udum);
+                if let Some(m) = marking.filter(|_| {
+                    !matches!(exec, ExecId::CompSub(_))
+                        && site.exec_state(exec).map(|s| s.pc) == Some(1)
+                }) {
                     let undone = site.marks().undone();
                     let fired: Vec<_> = undone
-                        .filter(|&ti| udum.observe_access(ti, site_id))
+                        .filter(|&ti| m.udum.observe_access(ti, site_id))
                         .collect();
                     for ti in fired {
                         self.fire_udum(ti);
@@ -298,13 +310,10 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                         // Late revalidation of R1 (the paper's compromise for
                         // marking-set deadlock avoidance): re-check as the
                         // subtransaction's last action.
-                        let marking = self.marking();
-                        let Some(site) = self.slots[site_id.index()].state.site_mut() else {
-                            return;
-                        };
-                        let ok = marking == MarkingProtocol::None
-                            || self.txns[&g].tm.check(marking, site.marks()).is_ok();
-                        if !ok {
+                        let slot = &self.slots[site_id.index()];
+                        let ok = slot.state.site().is_none_or(|s| self.r1_admits(g, s));
+                        let slot = &mut self.slots[site_id.index()];
+                        if let Some(site) = slot.state.site_mut().filter(|_| !ok) {
                             self.report.counters.inc("r1.revalidation_failures");
                             let woken = site.unilateral_abort(g, now, &mut self.hist);
                             self.wake(now, site_id, woken);
@@ -376,7 +385,9 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         for s in self.slots.iter_mut().filter_map(|s| s.state.site_mut()) {
             s.unmark(ti);
         }
-        self.udum.forget(ti);
+        if let Some(m) = &mut self.marking {
+            m.udum.forget(ti);
+        }
         // Unmarking was usually the last condition holding the aborted
         // transaction's record alive.
         self.try_gc(ti);
@@ -392,8 +403,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// checked against, recreating exactly the regular cycles P1 exists to
     /// prevent.
     pub(crate) fn invalidate_incompatible_subs(&mut self, now: SimTime, site_id: SiteId) {
-        let marking = self.marking();
-        if marking == MarkingProtocol::None {
+        if self.marking.is_none() {
             return;
         }
         let state = &self.slots[site_id.index()].state;
@@ -408,7 +418,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                 continue;
             }
             let site = self.slots[site_id.index()].state.site();
-            if site.is_some_and(|s| gt.tm.check(marking, s.marks()).is_err()) {
+            if site.is_some_and(|s| !self.r1_admits(g, s)) {
                 self.report.counters.inc("r1.mark_invalidations");
                 self.abort_execution(now, site_id, ExecId::Sub(g));
             }

@@ -26,8 +26,10 @@ pub struct SiteMarks {
 
 impl SiteMarks {
     /// New, fully unmarked.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        SiteMarks {
+            marks: BTreeMap::new(),
+        }
     }
 
     /// Current marking with respect to `txn`.
@@ -63,18 +65,18 @@ impl SiteMarks {
     /// The transactions this site is *undone* with respect to
     /// (`sitemarks.k` of the paper's P1 implementation), in order.
     pub fn undone(&self) -> impl Iterator<Item = GlobalTxnId> + '_ {
-        let undone = self.marks.iter().filter(|(_, &m)| m == MarkState::Undone);
-        undone.map(|(&t, _)| t)
+        self.marked(MarkState::Undone)
     }
 
-    /// The set of transactions this site is *locally committed* with respect
-    /// to (needed by P2).
-    pub fn locally_committed_set(&self) -> Vec<GlobalTxnId> {
-        self.marks
-            .iter()
-            .filter(|(_, &m)| m == MarkState::LocallyCommitted)
-            .map(|(&t, _)| t)
-            .collect()
+    /// The transactions this site is *locally committed* with respect to
+    /// (needed by P2), in order.
+    pub fn locally_committed(&self) -> impl Iterator<Item = GlobalTxnId> + '_ {
+        self.marked(MarkState::LocallyCommitted)
+    }
+
+    fn marked(&self, mark: MarkState) -> impl Iterator<Item = GlobalTxnId> + '_ {
+        let hits = self.marks.iter().filter(move |(_, &m)| m == mark);
+        hits.map(|(&t, _)| t)
     }
 
     /// All current markings.
@@ -107,7 +109,7 @@ mod tests {
         assert_eq!(sm.mark_of(g(1)), MarkState::Unmarked);
         sm.apply(g(1), MarkEvent::VoteCommit).unwrap();
         assert_eq!(sm.mark_of(g(1)), MarkState::LocallyCommitted);
-        assert_eq!(sm.locally_committed_set(), vec![g(1)]);
+        assert!(sm.locally_committed().eq([g(1)]));
         sm.apply(g(1), MarkEvent::DecisionCommit).unwrap();
         assert_eq!(sm.mark_of(g(1)), MarkState::Unmarked);
         assert!(sm.is_empty(), "unmarked entries are reclaimed");
@@ -120,7 +122,7 @@ mod tests {
         sm.apply(g(1), MarkEvent::DecisionAbort).unwrap();
         sm.apply(g(2), MarkEvent::VoteAbort).unwrap();
         assert!(sm.undone().eq([g(1), g(2)]));
-        assert!(sm.locally_committed_set().is_empty());
+        assert_eq!(sm.locally_committed().next(), None);
         sm.unmark(g(1));
         assert!(sm.undone().eq([g(2)]));
     }

@@ -14,12 +14,10 @@ use crate::state::MarkState;
 use o2pc_common::GlobalTxnId;
 use std::collections::BTreeMap;
 
-/// Which complementary protocol governs subtransaction admission.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+/// Which complementary protocol governs subtransaction admission. Bare
+/// O2PC and 2PL-2PC run none, and keep no marking state at all.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MarkingProtocol {
-    /// No restriction (bare O2PC — regular cycles possible).
-    #[default]
-    None,
     /// P1: enforces stratification property S1.
     P1,
     /// P2: enforces stratification property S2 (dual of P1).
@@ -79,15 +77,7 @@ impl TransMarks {
         protocol: MarkingProtocol,
         site: &SiteMarks,
     ) -> Result<(), Incompatibility> {
-        self.check(protocol, site)?;
-        if protocol == MarkingProtocol::None {
-            // No check will ever read the observations: count the visit and
-            // leave the per-transaction maps (and their heap nodes) alone.
-            self.visits += 1;
-        } else {
-            self.absorb(site);
-        }
-        Ok(())
+        self.check(protocol, site).map(|()| self.absorb(site))
     }
 
     /// The compatibility check alone (used for the paper's early-check /
@@ -99,7 +89,6 @@ impl TransMarks {
         site: &SiteMarks,
     ) -> Result<(), Incompatibility> {
         match protocol {
-            MarkingProtocol::None => Ok(()),
             MarkingProtocol::P1 => self.check_p1(site),
             MarkingProtocol::P2 => self.check_p2(site),
             MarkingProtocol::Simple => self.check_simple(site),
@@ -121,25 +110,21 @@ impl TransMarks {
     /// P1: for each `T_i`, "undone with respect to `T_i`" must hold at all
     /// of `T_j`'s sites or at none.
     fn check_p1(&self, site: &SiteMarks) -> Result<(), Incompatibility> {
-        // (a) Previously seen undone marks must hold at the new site too.
+        // (a) If all previous sites were undone wrt txn, the new site must
+        // be too. A mix already recorded is tolerated: the marks were partly
+        // forgotten (UDUM) between visits, which Lemma 4 makes safe.
         for (&txn, &cnt) in &self.undone {
             debug_assert!(cnt <= self.visits);
-            if cnt == self.visits && self.visits > 0 {
-                // All previous sites were undone wrt txn: the new site must be as well.
-                if site.mark_of(txn) != MarkState::Undone {
-                    return Err(Incompatibility {
-                        with: txn,
-                        site_mark: site.mark_of(txn),
-                        // The new site may yet become undone (its CT_ik may
-                        // still be running) — retryable in principle; the
-                        // engine decides based on whether T_i executed here.
-                        retryable: true,
-                    });
-                }
-            } else {
-                // Mixed already recorded: tolerated only because the marks
-                // were partially forgotten (UDUM) between visits; by Lemma 4
-                // that is safe. Nothing to enforce against the new site.
+            let all = cnt == self.visits && self.visits > 0;
+            if all && site.mark_of(txn) != MarkState::Undone {
+                return Err(Incompatibility {
+                    with: txn,
+                    site_mark: site.mark_of(txn),
+                    // The new site may yet become undone (its CT_ik may
+                    // still be running) — retryable in principle; the
+                    // engine decides based on whether T_i executed here.
+                    retryable: true,
+                });
             }
         }
         // (b) If the new site is undone wrt some T_i, every previous site
@@ -176,7 +161,7 @@ impl TransMarks {
                 });
             }
         }
-        for txn in site.locally_committed_set() {
+        for txn in site.locally_committed() {
             let seen = self.lc.get(&txn).copied().unwrap_or(0);
             if seen < self.visits {
                 return Err(Incompatibility {
@@ -192,7 +177,7 @@ impl TransMarks {
     /// Simple protocol: all sites undone with respect to the same
     /// transactions, locally-committed with respect to none.
     fn check_simple(&self, site: &SiteMarks) -> Result<(), Incompatibility> {
-        if let Some(&txn) = site.locally_committed_set().first() {
+        if let Some(txn) = site.locally_committed().next() {
             return Err(Incompatibility {
                 with: txn,
                 site_mark: MarkState::LocallyCommitted,
@@ -338,17 +323,6 @@ mod tests {
         assert!(tm
             .check(MarkingProtocol::Simple, &SiteMarks::new())
             .is_err());
-    }
-
-    #[test]
-    fn no_protocol_accepts_everything() {
-        let mut tm = TransMarks::new();
-        tm.check_and_absorb(MarkingProtocol::None, &undone_site(&[1]))
-            .unwrap();
-        tm.check_and_absorb(MarkingProtocol::None, &lc_site(&[1]))
-            .unwrap();
-        tm.check_and_absorb(MarkingProtocol::None, &SiteMarks::new())
-            .unwrap();
     }
 
     #[test]

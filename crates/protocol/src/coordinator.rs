@@ -8,7 +8,6 @@
 //! coordinator resends a logged decision and presumes abort for anything
 //! undecided); participants acknowledge the decision.
 
-use o2pc_common::{GlobalTxnId, SiteId};
 use o2pc_site::Vote;
 
 /// Coordinator phase.
@@ -25,8 +24,8 @@ pub enum CoordState {
 }
 
 /// An instruction for the host (engine or transport driver). Recipients
-/// are a bitmask over participant positions: bit `i` stands for
-/// [`participants()[i]`](TwoPhaseCoordinator::participants).
+/// are a bitmask over participant positions: bit `i` stands for the host's
+/// `i`-th participant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CoordAction {
     /// Send VOTE-REQ to each participant in the mask.
@@ -40,12 +39,13 @@ pub enum CoordAction {
 
 /// The coordinator of one global transaction.
 ///
-/// Who has answered in each phase is a bitmask over the positions of the
-/// fixed `participants` list: bit `i` stands for `participants[i]`.
+/// It knows its participants only by position: the host keeps the list,
+/// hands each input the position of the participant it came from, and
+/// reads recipients off the same positions. Who has answered in each phase
+/// is a bitmask over them: bit `i` stands for the `i`-th participant.
 #[derive(Clone, Debug)]
 pub struct TwoPhaseCoordinator {
-    txn: GlobalTxnId,
-    participants: Vec<SiteId>,
+    participants: usize,
     state: CoordState,
     op_acks: u64,
     /// A subtransaction that failed during execution forces an abort
@@ -58,22 +58,14 @@ pub struct TwoPhaseCoordinator {
 }
 
 impl TwoPhaseCoordinator {
-    /// New coordinator for `txn` over the given participant sites.
-    pub fn new(txn: GlobalTxnId, participants: Vec<SiteId>) -> Self {
+    /// New coordinator over `participants` distinct participants.
+    pub fn new(participants: usize) -> Self {
+        assert!(participants > 0, "a global transaction needs participants");
         assert!(
-            !participants.is_empty(),
-            "a global transaction needs participants"
-        );
-        assert!(
-            participants.len() <= u64::BITS as usize,
+            participants <= u64::BITS as usize,
             "at most 64 participants per global transaction"
         );
-        debug_assert!(
-            (1..participants.len()).all(|i| !participants[..i].contains(&participants[i])),
-            "duplicate participant sites"
-        );
         TwoPhaseCoordinator {
-            txn,
             participants,
             state: CoordState::CollectingAcks,
             op_acks: 0,
@@ -83,31 +75,20 @@ impl TwoPhaseCoordinator {
         }
     }
 
-    /// The mask bit of a participant (0 for a site that is not one).
-    fn bit(&self, site: SiteId) -> u64 {
-        let pos = self.participants.iter().position(|&p| p == site);
-        debug_assert!(pos.is_some(), "{site} does not participate in {}", self.txn);
-        pos.map_or(0, |i| 1 << i)
+    /// The mask bit of the participant at `pos`.
+    fn bit(&self, pos: usize) -> u64 {
+        debug_assert!(pos < self.participants, "no participant at {pos}");
+        1 << pos
     }
 
     /// The mask with every participant's bit set.
     fn everyone(&self) -> u64 {
-        u64::MAX >> (u64::BITS as usize - self.participants.len())
+        u64::MAX >> (u64::BITS as usize - self.participants)
     }
 
     /// The participants whose bit is clear in `mask`.
     fn missing(&self, mask: u64) -> u64 {
         self.everyone() & !mask
-    }
-
-    /// The transaction being coordinated.
-    pub fn txn(&self) -> GlobalTxnId {
-        self.txn
-    }
-
-    /// Participant sites.
-    pub fn participants(&self) -> &[SiteId] {
-        &self.participants
     }
 
     /// Current phase.
@@ -123,14 +104,15 @@ impl TwoPhaseCoordinator {
         }
     }
 
-    /// A subtransaction acked (`ok = false` reports an execution failure).
-    /// Returns the next action, if the ack completes a phase. Acks arriving
-    /// after a timeout already moved the protocol on are ignored.
-    pub fn on_subtxn_ack(&mut self, site: SiteId, ok: bool) -> Option<CoordAction> {
+    /// The subtransaction of the participant at `pos` acked (`ok = false`
+    /// reports an execution failure). Returns the next action, if the ack
+    /// completes a phase. Acks arriving after a timeout already moved the
+    /// protocol on are ignored.
+    pub fn on_subtxn_ack(&mut self, pos: usize, ok: bool) -> Option<CoordAction> {
         if self.state != CoordState::CollectingAcks {
             return None; // late ack (e.g. a timeout already presumed abort)
         }
-        self.op_acks |= self.bit(site);
+        self.op_acks |= self.bit(pos);
         if !ok {
             self.failed_ack = true;
         }
@@ -145,13 +127,14 @@ impl TwoPhaseCoordinator {
         None
     }
 
-    /// A participant voted. Unanimous yes ⇒ commit; the first no ⇒ abort.
-    pub fn on_vote(&mut self, site: SiteId, vote: Vote) -> Option<CoordAction> {
+    /// The participant at `pos` voted. Unanimous yes ⇒ commit; the first
+    /// no ⇒ abort.
+    pub fn on_vote(&mut self, pos: usize, vote: Vote) -> Option<CoordAction> {
         if !matches!(self.state, CoordState::Voting) {
             // Late vote after an early abort decision: ignore.
             return None;
         }
-        self.votes |= self.bit(site);
+        self.votes |= self.bit(pos);
         if vote == Vote::No || self.failed_ack {
             return Some(self.decide(false));
         }
@@ -176,12 +159,12 @@ impl TwoPhaseCoordinator {
         CoordAction::SendDecision(commit, self.everyone())
     }
 
-    /// A participant acknowledged the decision.
-    pub fn on_decision_ack(&mut self, site: SiteId) -> Option<CoordAction> {
+    /// The participant at `pos` acknowledged the decision.
+    pub fn on_decision_ack(&mut self, pos: usize) -> Option<CoordAction> {
         let CoordState::Decided(commit) = self.state else {
             return None;
         };
-        self.decision_acks |= self.bit(site);
+        self.decision_acks |= self.bit(pos);
         if self.decision_acks == self.everyone() {
             self.state = CoordState::Done(commit);
             return Some(CoordAction::Complete(commit));
@@ -199,19 +182,11 @@ impl TwoPhaseCoordinator {
         match self.state {
             CoordState::Voting => {
                 let missing = self.missing(self.votes);
-                if missing == 0 {
-                    None
-                } else {
-                    Some(CoordAction::SendVoteReq(missing))
-                }
+                (missing != 0).then_some(CoordAction::SendVoteReq(missing))
             }
             CoordState::Decided(commit) => {
                 let missing = self.missing(self.decision_acks);
-                if missing == 0 {
-                    None
-                } else {
-                    Some(CoordAction::SendDecision(commit, missing))
-                }
+                (missing != 0).then_some(CoordAction::SendDecision(commit, missing))
             }
             CoordState::CollectingAcks | CoordState::Done(_) => None,
         }
@@ -244,68 +219,57 @@ impl TwoPhaseCoordinator {
 mod tests {
     use super::*;
 
-    fn g() -> GlobalTxnId {
-        GlobalTxnId(1)
-    }
-
-    fn sites(n: u32) -> Vec<SiteId> {
-        (0..n).map(SiteId).collect()
-    }
-
     #[test]
     fn happy_path_commit() {
-        let mut c = TwoPhaseCoordinator::new(g(), sites(3));
+        let mut c = TwoPhaseCoordinator::new(3);
         assert_eq!(c.state(), CoordState::CollectingAcks);
-        assert_eq!(c.on_subtxn_ack(SiteId(0), true), None);
-        assert_eq!(c.on_subtxn_ack(SiteId(1), true), None);
-        let a = c.on_subtxn_ack(SiteId(2), true).unwrap();
+        assert_eq!(c.on_subtxn_ack(0, true), None);
+        assert_eq!(c.on_subtxn_ack(1, true), None);
+        let a = c.on_subtxn_ack(2, true).unwrap();
         assert_eq!(a, CoordAction::SendVoteReq(0b111));
-        assert_eq!(c.on_vote(SiteId(0), Vote::Yes), None);
-        assert_eq!(c.on_vote(SiteId(1), Vote::Yes), None);
-        let a = c.on_vote(SiteId(2), Vote::Yes).unwrap();
+        assert_eq!(c.on_vote(0, Vote::Yes), None);
+        assert_eq!(c.on_vote(1, Vote::Yes), None);
+        let a = c.on_vote(2, Vote::Yes).unwrap();
         assert_eq!(a, CoordAction::SendDecision(true, 0b111));
         assert_eq!(c.decision(), Some(true));
-        assert_eq!(c.on_decision_ack(SiteId(0)), None);
-        assert_eq!(c.on_decision_ack(SiteId(1)), None);
-        assert_eq!(
-            c.on_decision_ack(SiteId(2)),
-            Some(CoordAction::Complete(true))
-        );
+        assert_eq!(c.on_decision_ack(0), None);
+        assert_eq!(c.on_decision_ack(1), None);
+        assert_eq!(c.on_decision_ack(2), Some(CoordAction::Complete(true)));
         assert_eq!(c.state(), CoordState::Done(true));
     }
 
     #[test]
     fn single_no_vote_aborts_immediately() {
-        let mut c = TwoPhaseCoordinator::new(g(), sites(3));
-        for s in sites(3) {
+        let mut c = TwoPhaseCoordinator::new(3);
+        for s in 0..3 {
             c.on_subtxn_ack(s, true);
         }
-        assert_eq!(c.on_vote(SiteId(0), Vote::Yes), None);
-        let a = c.on_vote(SiteId(1), Vote::No).unwrap();
+        assert_eq!(c.on_vote(0, Vote::Yes), None);
+        let a = c.on_vote(1, Vote::No).unwrap();
         assert_eq!(a, CoordAction::SendDecision(false, 0b111));
         // A late yes from site 2 is ignored.
-        assert_eq!(c.on_vote(SiteId(2), Vote::Yes), None);
+        assert_eq!(c.on_vote(2, Vote::Yes), None);
         assert_eq!(c.decision(), Some(false));
     }
 
     #[test]
     fn failed_subtxn_ack_forces_abort() {
-        let mut c = TwoPhaseCoordinator::new(g(), sites(2));
-        c.on_subtxn_ack(SiteId(0), true);
-        let a = c.on_subtxn_ack(SiteId(1), false).unwrap();
+        let mut c = TwoPhaseCoordinator::new(2);
+        c.on_subtxn_ack(0, true);
+        let a = c.on_subtxn_ack(1, false).unwrap();
         assert_eq!(a, CoordAction::SendVoteReq(0b11), "pattern preserved");
         // First vote (whatever it is) triggers the abort decision.
-        let a = c.on_vote(SiteId(0), Vote::Yes).unwrap();
+        let a = c.on_vote(0, Vote::Yes).unwrap();
         assert_eq!(a, CoordAction::SendDecision(false, 0b11));
     }
 
     #[test]
     fn vote_timeout_presumes_abort() {
-        let mut c = TwoPhaseCoordinator::new(g(), sites(2));
-        for s in sites(2) {
+        let mut c = TwoPhaseCoordinator::new(2);
+        for s in 0..2 {
             c.on_subtxn_ack(s, true);
         }
-        c.on_vote(SiteId(0), Vote::Yes);
+        c.on_vote(0, Vote::Yes);
         let a = c.on_timeout().unwrap();
         assert_eq!(a, CoordAction::SendDecision(false, 0b11));
         assert_eq!(c.on_timeout(), None, "idempotent");
@@ -313,28 +277,25 @@ mod tests {
 
     #[test]
     fn recovery_resends_logged_decision_to_missing_only() {
-        let mut c = TwoPhaseCoordinator::new(g(), sites(3));
-        for s in sites(3) {
+        let mut c = TwoPhaseCoordinator::new(3);
+        for s in 0..3 {
             c.on_subtxn_ack(s, true);
         }
-        for s in sites(3) {
+        for s in 0..3 {
             c.on_vote(s, Vote::Yes);
         }
-        c.on_decision_ack(SiteId(0));
+        c.on_decision_ack(0);
         // Crash here; recovery resends to 1 and 2 only.
         let a = c.recover().unwrap();
         assert_eq!(a, CoordAction::SendDecision(true, 0b110));
-        c.on_decision_ack(SiteId(1));
-        assert_eq!(
-            c.on_decision_ack(SiteId(2)),
-            Some(CoordAction::Complete(true))
-        );
+        c.on_decision_ack(1);
+        assert_eq!(c.on_decision_ack(2), Some(CoordAction::Complete(true)));
     }
 
     #[test]
     fn recovery_before_decision_presumes_abort() {
-        let mut c = TwoPhaseCoordinator::new(g(), sites(2));
-        c.on_subtxn_ack(SiteId(0), true);
+        let mut c = TwoPhaseCoordinator::new(2);
+        c.on_subtxn_ack(0, true);
         let a = c.recover().unwrap();
         assert_eq!(a, CoordAction::SendDecision(false, 0b11));
         assert_eq!(c.decision(), Some(false));
@@ -342,21 +303,21 @@ mod tests {
 
     #[test]
     fn recovery_when_done_is_noop() {
-        let mut c = TwoPhaseCoordinator::new(g(), sites(1));
-        c.on_subtxn_ack(SiteId(0), true);
-        c.on_vote(SiteId(0), Vote::Yes);
-        c.on_decision_ack(SiteId(0));
+        let mut c = TwoPhaseCoordinator::new(1);
+        c.on_subtxn_ack(0, true);
+        c.on_vote(0, Vote::Yes);
+        c.on_decision_ack(0);
         assert_eq!(c.recover(), None);
     }
 
     #[test]
     fn recovery_with_all_acks_completes() {
-        let mut c = TwoPhaseCoordinator::new(g(), sites(1));
-        c.on_subtxn_ack(SiteId(0), true);
-        c.on_vote(SiteId(0), Vote::Yes);
+        let mut c = TwoPhaseCoordinator::new(1);
+        c.on_subtxn_ack(0, true);
+        c.on_vote(0, Vote::Yes);
         // Ack arrives, then crash before Complete was processed: recovery
         // must complete, not resend.
-        c.on_decision_ack(SiteId(0));
+        c.on_decision_ack(0);
         let mut c2 = c.clone();
         c2.state = CoordState::Decided(true);
         assert_eq!(c2.recover(), Some(CoordAction::Complete(true)));
@@ -365,26 +326,26 @@ mod tests {
     #[test]
     #[should_panic(expected = "needs participants")]
     fn empty_participants_rejected() {
-        let _ = TwoPhaseCoordinator::new(g(), vec![]);
+        let _ = TwoPhaseCoordinator::new(0);
     }
 
     #[test]
     fn retransmit_targets_only_missing_voters_and_ackers() {
-        let mut c = TwoPhaseCoordinator::new(g(), sites(3));
+        let mut c = TwoPhaseCoordinator::new(3);
         assert_eq!(c.retransmit(), None, "nothing outstanding before voting");
-        for s in sites(3) {
+        for s in 0..3 {
             c.on_subtxn_ack(s, true);
         }
         assert_eq!(c.retransmit(), Some(CoordAction::SendVoteReq(0b111)));
-        c.on_vote(SiteId(1), Vote::Yes);
+        c.on_vote(1, Vote::Yes);
         assert_eq!(c.retransmit(), Some(CoordAction::SendVoteReq(0b101)));
-        c.on_vote(SiteId(0), Vote::Yes);
-        c.on_vote(SiteId(2), Vote::Yes);
+        c.on_vote(0, Vote::Yes);
+        c.on_vote(2, Vote::Yes);
         assert_eq!(c.retransmit(), Some(CoordAction::SendDecision(true, 0b111)));
-        c.on_decision_ack(SiteId(2));
+        c.on_decision_ack(2);
         assert_eq!(c.retransmit(), Some(CoordAction::SendDecision(true, 0b011)));
-        c.on_decision_ack(SiteId(0));
-        c.on_decision_ack(SiteId(1));
+        c.on_decision_ack(0);
+        c.on_decision_ack(1);
         assert_eq!(c.retransmit(), None, "done: timer chain stops");
     }
 }

@@ -32,20 +32,15 @@ impl ProtocolKind {
         }
     }
 
-    /// The marking (admission) protocol complementing the commit protocol.
-    pub fn marking(self) -> MarkingProtocol {
+    /// The marking (admission) protocol complementing the commit protocol,
+    /// if any: 2PL-2PC and bare O2PC mark nothing.
+    pub fn marking(self) -> Option<MarkingProtocol> {
         match self {
-            ProtocolKind::D2pl2pc | ProtocolKind::O2pc => MarkingProtocol::None,
-            ProtocolKind::O2pcP1 => MarkingProtocol::P1,
-            ProtocolKind::O2pcP2 => MarkingProtocol::P2,
-            ProtocolKind::O2pcSimple => MarkingProtocol::Simple,
+            ProtocolKind::D2pl2pc | ProtocolKind::O2pc => None,
+            ProtocolKind::O2pcP1 => Some(MarkingProtocol::P1),
+            ProtocolKind::O2pcP2 => Some(MarkingProtocol::P2),
+            ProtocolKind::O2pcSimple => Some(MarkingProtocol::Simple),
         }
-    }
-
-    /// Does an abort decision trigger compensation (as opposed to a plain
-    /// state-based rollback)?
-    pub fn compensating(self) -> bool {
-        self != ProtocolKind::D2pl2pc
     }
 
     /// All variants (sweep helpers).
@@ -81,12 +76,12 @@ mod tests {
         assert_eq!(ProtocolKind::D2pl2pc.lock_policy(), LockPolicy::HoldWrites);
         assert_eq!(ProtocolKind::O2pc.lock_policy(), LockPolicy::ReleaseAll);
         assert_eq!(ProtocolKind::O2pcP1.lock_policy(), LockPolicy::ReleaseAll);
-        assert_eq!(ProtocolKind::O2pc.marking(), MarkingProtocol::None);
-        assert_eq!(ProtocolKind::O2pcP1.marking(), MarkingProtocol::P1);
-        assert_eq!(ProtocolKind::O2pcP2.marking(), MarkingProtocol::P2);
-        assert_eq!(ProtocolKind::O2pcSimple.marking(), MarkingProtocol::Simple);
-        assert!(!ProtocolKind::D2pl2pc.compensating());
-        assert!(ProtocolKind::O2pc.compensating());
+        assert_eq!(ProtocolKind::D2pl2pc.marking(), None);
+        assert_eq!(ProtocolKind::O2pc.marking(), None);
+        assert_eq!(ProtocolKind::O2pcP1.marking(), Some(MarkingProtocol::P1));
+        assert_eq!(ProtocolKind::O2pcP2.marking(), Some(MarkingProtocol::P2));
+        let simple = ProtocolKind::O2pcSimple.marking();
+        assert_eq!(simple, Some(MarkingProtocol::Simple));
         assert_eq!(ProtocolKind::all().len(), 5);
     }
 

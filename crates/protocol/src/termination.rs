@@ -16,7 +16,7 @@
 //! abandons blocking avoidance in favour of semantic atomicity. The unit
 //! tests pin down exactly which peer-state combinations unblock.
 
-use o2pc_common::{GlobalTxnId, SiteId};
+use o2pc_common::SiteId;
 use std::collections::BTreeMap;
 
 pub use o2pc_site::PeerState;
@@ -35,7 +35,6 @@ pub enum TerminationOutcome {
 /// A participant-side termination round for one transaction.
 #[derive(Clone, Debug)]
 pub struct TerminationRound {
-    txn: GlobalTxnId,
     peers: Vec<SiteId>,
     answers: BTreeMap<SiteId, PeerState>,
 }
@@ -43,17 +42,11 @@ pub struct TerminationRound {
 impl TerminationRound {
     /// Start a round: `peers` are the other participants (from the VOTE-REQ
     /// payload — participant lists piggy-back on standard 2PC messages).
-    pub fn new(txn: GlobalTxnId, peers: Vec<SiteId>) -> Self {
+    pub fn new(peers: Vec<SiteId>) -> Self {
         TerminationRound {
-            txn,
             peers,
             answers: BTreeMap::new(),
         }
-    }
-
-    /// The transaction being terminated.
-    pub fn txn(&self) -> GlobalTxnId {
-        self.txn
     }
 
     /// Record a peer's answer. Returns the resolution as soon as one is
@@ -89,7 +82,7 @@ mod tests {
     use super::*;
 
     fn round(n: u32) -> TerminationRound {
-        TerminationRound::new(GlobalTxnId(1), (0..n).map(SiteId).collect())
+        TerminationRound::new((0..n).map(SiteId).collect())
     }
 
     #[test]

@@ -8,7 +8,7 @@ use o2pc_common::{
 };
 use o2pc_compensation::{plan_compensation, CompensationModel, CompensationPlan};
 use o2pc_locking::{LockManager, RequestOutcome};
-use o2pc_marking::{MarkEvent, MarkState, SiteMarks};
+use o2pc_marking::{MarkEvent, SiteMarks};
 use o2pc_storage::{ActiveExec, CheckpointImage, CommitRecord, FlushBatch, LogRecord, Store, Wal};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -68,6 +68,10 @@ pub enum PeerState {
 pub struct SiteConfig {
     /// Which compensation model the site's interface supports.
     pub compensation_model: CompensationModel,
+    /// Does the site keep Figure 2's marks? Only a marking protocol reads
+    /// them; a site without them reads as unmarked with respect to every
+    /// transaction.
+    pub marks: bool,
 }
 
 /// Result of [`Site::vote`].
@@ -99,7 +103,8 @@ pub struct Site {
     store: Store,
     wal: Wal,
     locks: LockManager,
-    marks: SiteMarks,
+    /// Figure 2's marks, kept only when [`SiteConfig::marks`] asks for them.
+    marks: Option<SiteMarks>,
     last_writer: FastHashMap<Key, TxnId>,
     execs: FastHashMap<ExecId, ExecState>,
     /// Locally-committed subtransactions awaiting the coordinator decision.
@@ -146,7 +151,7 @@ impl Site {
             store: Store::new(),
             wal,
             locks: LockManager::new(),
-            marks: SiteMarks::new(),
+            marks: config.marks.then(SiteMarks::new),
             last_writer: FastHashMap::default(),
             execs: FastHashMap::default(),
             commit_records: FastHashMap::default(),
@@ -256,19 +261,25 @@ impl Site {
         id
     }
 
-    /// The site's marking state (R1 checks read it).
+    /// The site's marking state (R1 checks read it): empty when the site
+    /// keeps no marks.
     pub fn marks(&self) -> &SiteMarks {
-        &self.marks
-    }
-
-    /// Marking of this site with respect to `txn`.
-    pub fn mark_of(&self, txn: GlobalTxnId) -> MarkState {
-        self.marks.mark_of(txn)
+        static UNMARKED: SiteMarks = SiteMarks::new();
+        self.marks.as_ref().unwrap_or(&UNMARKED)
     }
 
     /// Rule R3: forget the undone marking for `txn` (UDUM1 fired).
     pub fn unmark(&mut self, txn: GlobalTxnId) {
-        self.marks.unmark(txn);
+        self.mark(|m| m.unmark(txn));
+    }
+
+    /// Every change to the site's marks goes through here: `change` runs on
+    /// them, unless the site keeps none. A Figure 2 event the figure has no
+    /// arrow for leaves a marking as it was (`SiteMarks::apply`).
+    fn mark<T>(&mut self, change: impl FnOnce(&mut SiteMarks) -> T) {
+        if let Some(marks) = &mut self.marks {
+            change(marks);
+        }
     }
 
     /// The lock manager's statistics.
@@ -502,16 +513,7 @@ impl Site {
         now: SimTime,
         hist: &mut dyn HistorySink,
     ) -> Vec<ExecId> {
-        let undo = self.store.rollback(exec);
-        for rec in undo.iter().rev() {
-            self.wal.append(LogRecord::Update {
-                exec,
-                key: rec.key,
-                before: rec.after,
-                after: rec.before,
-            });
-        }
-        self.wal.append(LogRecord::Abort(exec));
+        let undo = self.roll_back(exec);
         if let ExecId::Sub(g) = exec {
             let ct = TxnId::Compensation(g);
             for rec in undo.iter().rev() {
@@ -537,6 +539,21 @@ impl Site {
         self.locks.release_all(exec, now)
     }
 
+    /// Undo `exec`'s writes and log the undo, then its `Abort`.
+    fn roll_back(&mut self, exec: ExecId) -> Vec<o2pc_storage::UndoRecord> {
+        let undo = self.store.rollback(exec);
+        for rec in undo.iter().rev() {
+            self.wal.append(LogRecord::Update {
+                exec,
+                key: rec.key,
+                before: rec.after,
+                after: rec.before,
+            });
+        }
+        self.wal.append(LogRecord::Abort(exec));
+        undo
+    }
+
     /// Unilaterally abort the subtransaction of `g` before the vote (local
     /// autonomy: deadlock victimhood, R1 revalidation failure, operator
     /// action). The roll-back is recorded as `CT_i` activity and the site
@@ -554,7 +571,7 @@ impl Site {
             "no subtransaction of {g} to abort"
         );
         let woken = self.abort_exec(exec, now, hist);
-        let _ = self.marks.apply(g, MarkEvent::VoteAbort);
+        self.mark(|m| m.apply(g, MarkEvent::VoteAbort));
         woken
     }
 
@@ -601,7 +618,7 @@ impl Site {
         if force_abort || state.phase == ExecPhase::Failed || state.phase == ExecPhase::Running {
             let woken = self.abort_exec(exec, now, hist);
             // Roll-back is this site's compensation: undone immediately.
-            let _ = self.marks.apply(g, MarkEvent::VoteAbort);
+            self.mark(|m| m.apply(g, MarkEvent::VoteAbort));
             return VoteOutcome {
                 vote: Vote::No,
                 woken,
@@ -622,7 +639,7 @@ impl Site {
                     kind: HistEventKind::LocallyCommitted,
                     time: now,
                 });
-                let _ = self.marks.apply(g, MarkEvent::VoteCommit);
+                self.mark(|m| m.apply(g, MarkEvent::VoteCommit));
                 self.execs.remove(&exec);
                 let woken = self.locks.release_all(exec, now);
                 VoteOutcome {
@@ -632,7 +649,7 @@ impl Site {
             }
             LockPolicy::HoldWrites => {
                 self.wal.append(LogRecord::Prepared(exec));
-                let _ = self.marks.apply(g, MarkEvent::VoteCommit);
+                self.mark(|m| m.apply(g, MarkEvent::VoteCommit));
                 self.execs.get_mut(&exec).unwrap().phase = ExecPhase::Prepared;
                 self.prepared.insert(g);
                 let woken = self.locks.release_read_locks(exec, now);
@@ -676,7 +693,7 @@ impl Site {
                     kind: HistEventKind::Committed,
                     time: now,
                 });
-                let _ = self.marks.apply(g, MarkEvent::DecisionCommit);
+                self.mark(|m| m.apply(g, MarkEvent::DecisionCommit));
                 self.execs.remove(&exec);
                 self.unindex(exec);
                 return DecideOutcome {
@@ -687,9 +704,7 @@ impl Site {
             let woken = self.abort_exec(exec, now, hist);
             // LocallyCommitted → Undone; a site that never voted jumps
             // straight to undone (the roll-back completed synchronously).
-            if self.marks.apply(g, MarkEvent::DecisionAbort).is_err() {
-                self.marks.mark_undone(g);
-            }
+            self.mark(|m| m.mark_undone(g));
             return DecideOutcome {
                 woken,
                 compensation: None,
@@ -704,7 +719,7 @@ impl Site {
                     kind: HistEventKind::Committed,
                     time: now,
                 });
-                let _ = self.marks.apply(g, MarkEvent::DecisionCommit);
+                self.mark(|m| m.apply(g, MarkEvent::DecisionCommit));
                 return DecideOutcome::default();
             }
             let plan = plan_compensation(self.config.compensation_model, &rec);
@@ -730,7 +745,7 @@ impl Site {
             // effects are in place, so treat it as the repeat it is.
             return DecideOutcome::default();
         }
-        let _ = self.marks.apply(g, MarkEvent::DecisionAbort);
+        self.mark(|m| m.apply(g, MarkEvent::DecisionAbort));
         DecideOutcome::default()
     }
 
@@ -747,8 +762,7 @@ impl Site {
     /// transactions the system has already retired are dead weight — GC
     /// only retires a transaction once no participant can still be in
     /// doubt, so no termination round will ever ask about them again).
-    pub fn retain_decisions(&mut self, keep: impl FnMut(GlobalTxnId) -> bool) {
-        let mut keep = keep;
+    pub fn retain_decisions(&mut self, mut keep: impl FnMut(GlobalTxnId) -> bool) {
         self.decided.retain(|&g, _| keep(g));
     }
 
@@ -824,11 +838,7 @@ impl Site {
             // Voted yes under O2PC, awaiting the decision: uncertain.
             return (PeerState::PreparedUncertain, Vec::new());
         }
-        if self.marks.mark_of(g) == MarkState::Undone {
-            // Rolled back here: the transaction cannot commit.
-            return (PeerState::NotPrepared, Vec::new());
-        }
-        // Never participated / already forgotten: safely "not prepared".
+        // Rolled back here, never participated, or already forgotten.
         (PeerState::NotPrepared, Vec::new())
     }
 
@@ -871,11 +881,7 @@ impl Site {
         });
         // Figure 2: locally-committed --decision:abort--> undone, realized at
         // compensation completion.
-        if self.marks.mark_of(g) == MarkState::LocallyCommitted {
-            let _ = self.marks.apply(g, MarkEvent::DecisionAbort);
-        } else {
-            self.marks.mark_undone(g);
-        }
+        self.mark(|m| m.mark_undone(g));
         self.locks.release_all(exec, now)
     }
 
@@ -885,16 +891,7 @@ impl Site {
     /// the CT still held its locks).
     pub fn rollback_compensation(&mut self, g: GlobalTxnId, now: SimTime) -> Vec<ExecId> {
         let exec = ExecId::CompSub(g);
-        let undo = self.store.rollback(exec);
-        for rec in undo.iter().rev() {
-            self.wal.append(LogRecord::Update {
-                exec,
-                key: rec.key,
-                before: rec.after,
-                after: rec.before,
-            });
-        }
-        self.wal.append(LogRecord::Abort(exec));
+        self.roll_back(exec);
         self.execs.remove(&exec);
         self.comps_rolled_back.insert(g);
         self.locks.release_all(exec, now)
@@ -1038,14 +1035,14 @@ impl CrashedSite {
             site.execs.insert(exec, st);
             if let ExecId::Sub(g) = exec {
                 site.prepared.insert(g);
-                let _ = site.marks.apply(g, MarkEvent::VoteCommit);
+                site.mark(|m| m.apply(g, MarkEvent::VoteCommit));
             }
         }
         // Locally-committed subtransactions with unknown global fate keep
         // their commit records so a late abort decision can still compensate.
         for (g, rec) in image.local_commits {
             site.commit_records.insert(g, rec);
-            let _ = site.marks.apply(g, MarkEvent::VoteCommit);
+            site.mark(|m| m.apply(g, MarkEvent::VoteCommit));
         }
         // Logged decisions survive the crash. Forgetting them would make
         // `answer_termination_query` fall through to "never participated ⇒
@@ -1064,9 +1061,14 @@ impl CrashedSite {
 mod tests {
     use super::*;
     use o2pc_common::{History, Op};
+    use o2pc_marking::MarkState;
 
     fn setup() -> (Site, History) {
-        let mut s = Site::new(SiteId(0), SiteConfig::default());
+        let config = SiteConfig {
+            marks: true,
+            ..SiteConfig::default()
+        };
+        let mut s = Site::new(SiteId(0), config);
         s.load(Key(1), Value(100));
         s.load(Key(2), Value(50));
         s.checkpoint();
@@ -1117,7 +1119,7 @@ mod tests {
         run_all(&mut s, sub, SimTime(2), &mut h);
         let out = s.vote(g(1), LockPolicy::ReleaseAll, false, SimTime(3), &mut h);
         assert_eq!(out.vote, Vote::Yes);
-        assert_eq!(s.mark_of(g(1)), MarkState::LocallyCommitted);
+        assert_eq!(s.marks().mark_of(g(1)), MarkState::LocallyCommitted);
         // Another execution can immediately lock the same keys.
         let l = ExecId::Local(s.next_local_id());
         s.begin(l, Program::from([Op::Add(Key(1), 1)]), SimTime(4), &mut h);
@@ -1154,7 +1156,7 @@ mod tests {
         // Decision commit unblocks the writer.
         let out = s.decide(g(1), true, SimTime(6), &mut h);
         assert_eq!(out.woken, vec![l]);
-        assert_eq!(s.mark_of(g(1)), MarkState::Unmarked);
+        assert_eq!(s.marks().mark_of(g(1)), MarkState::Unmarked);
     }
 
     #[test]
@@ -1171,7 +1173,7 @@ mod tests {
         let out = s.vote(g(1), LockPolicy::ReleaseAll, true, SimTime(3), &mut h);
         assert_eq!(out.vote, Vote::No);
         assert_eq!(s.get(Key(1)), Some(Value(100)), "rolled back");
-        assert_eq!(s.mark_of(g(1)), MarkState::Undone);
+        assert_eq!(s.marks().mark_of(g(1)), MarkState::Undone);
         // The undo write appears as a CT_1 access.
         let ct_writes: Vec<_> = h
             .events()
@@ -1209,7 +1211,7 @@ mod tests {
         s.vote(g(1), LockPolicy::ReleaseAll, false, SimTime(3), &mut h);
         let out = s.decide(g(1), true, SimTime(4), &mut h);
         assert!(out.compensation.is_none());
-        assert_eq!(s.mark_of(g(1)), MarkState::Unmarked);
+        assert_eq!(s.marks().mark_of(g(1)), MarkState::Unmarked);
         assert_eq!(s.get(Key(1)), Some(Value(105)));
     }
 
@@ -1238,7 +1240,7 @@ mod tests {
             Some(Value(107)),
             "local +7 preserved, +5 undone"
         );
-        assert_eq!(s.mark_of(g(1)), MarkState::Undone);
+        assert_eq!(s.marks().mark_of(g(1)), MarkState::Undone);
     }
 
     #[test]
@@ -1251,7 +1253,7 @@ mod tests {
         let out = s.decide(g(1), false, SimTime(4), &mut h);
         assert!(out.compensation.is_none());
         assert_eq!(s.get(Key(1)), Some(Value(100)));
-        assert_eq!(s.mark_of(g(1)), MarkState::Undone);
+        assert_eq!(s.marks().mark_of(g(1)), MarkState::Undone);
     }
 
     #[test]
@@ -1441,6 +1443,36 @@ mod tests {
             read, None,
             "reading your own write is not a reads-from edge"
         );
+    }
+
+    /// A site told to keep no marks keeps none, through a vote, a decision
+    /// and a restart; one told to keep them still has them after a restart.
+    #[test]
+    fn marks_are_kept_only_when_configured_and_survive_a_restart() {
+        let run = |marks: bool| {
+            let mut s = Site::new(
+                SiteId(0),
+                SiteConfig {
+                    marks,
+                    ..SiteConfig::default()
+                },
+            );
+            let mut h = History::new();
+            s.load(Key(1), Value(100));
+            s.checkpoint();
+            for t in [g(1), g(2)] {
+                let sub = ExecId::Sub(t);
+                s.begin(sub, Program::from([Op::Read(Key(1))]), SimTime(2), &mut h);
+                run_all(&mut s, sub, SimTime(2), &mut h);
+            }
+            s.vote(g(1), LockPolicy::ReleaseAll, false, SimTime(3), &mut h);
+            s.vote(g(2), LockPolicy::ReleaseAll, true, SimTime(3), &mut h);
+            let s = s.crash(SimTime(4), &mut h).unwrap();
+            let s = s.recover(SimTime(5), &mut h);
+            (s.marks().mark_of(g(1)), s.marks().len())
+        };
+        assert_eq!(run(false), (MarkState::Unmarked, 0));
+        assert_eq!(run(true), (MarkState::LocallyCommitted, 1));
     }
 
     #[test]

@@ -7,7 +7,11 @@ use o2pc_marking::MarkState;
 use o2pc_site::{LockPolicy, OpResult, Site, SiteConfig, Vote};
 
 fn setup() -> (Site, History) {
-    let mut s = Site::new(SiteId(0), SiteConfig::default());
+    let config = SiteConfig {
+        marks: true,
+        ..SiteConfig::default()
+    };
+    let mut s = Site::new(SiteId(0), config);
     s.load(Key(1), Value(100));
     s.load(Key(2), Value(200));
     s.checkpoint();
@@ -120,7 +124,7 @@ fn compensation_contends_like_a_local_transaction() {
         Some(Value(107)),
         "100 + 7 preserved, +50 compensated"
     );
-    assert_eq!(s.mark_of(g(1)), MarkState::Undone);
+    assert_eq!(s.marks().mark_of(g(1)), MarkState::Undone);
 }
 
 #[test]
@@ -129,9 +133,9 @@ fn full_marking_lifecycle_with_udum_unmark() {
     let sub = ExecId::Sub(g(1));
     s.begin(sub, Program::from([Op::Add(Key(1), 1)]), SimTime(1), &mut h);
     drive(&mut s, sub, SimTime(1), &mut h);
-    assert_eq!(s.mark_of(g(1)), MarkState::Unmarked);
+    assert_eq!(s.marks().mark_of(g(1)), MarkState::Unmarked);
     s.vote(g(1), LockPolicy::ReleaseAll, false, SimTime(2), &mut h);
-    assert_eq!(s.mark_of(g(1)), MarkState::LocallyCommitted);
+    assert_eq!(s.marks().mark_of(g(1)), MarkState::LocallyCommitted);
     let plan = s
         .decide(g(1), false, SimTime(3), &mut h)
         .compensation
@@ -139,11 +143,11 @@ fn full_marking_lifecycle_with_udum_unmark() {
     s.begin_compensation(g(1), &plan, SimTime(3), &mut h);
     drive(&mut s, ExecId::CompSub(g(1)), SimTime(4), &mut h);
     s.finish_compensation(g(1), SimTime(5), &mut h);
-    assert_eq!(s.mark_of(g(1)), MarkState::Undone);
+    assert_eq!(s.marks().mark_of(g(1)), MarkState::Undone);
     assert!(s.marks().undone().eq([g(1)]));
     // R3 (engine fires it once UDUM1 is detected).
     s.unmark(g(1));
-    assert_eq!(s.mark_of(g(1)), MarkState::Unmarked);
+    assert_eq!(s.marks().mark_of(g(1)), MarkState::Unmarked);
     assert!(s.marks().is_empty());
 }
 
@@ -280,7 +284,7 @@ fn vote_on_still_running_sub_aborts_it() {
         "incomplete subtransaction cannot vote yes"
     );
     assert_eq!(s.get(Key(1)), Some(Value(100)));
-    assert_eq!(s.mark_of(g(1)), MarkState::Undone);
+    assert_eq!(s.marks().mark_of(g(1)), MarkState::Undone);
 }
 
 #[test]
@@ -291,7 +295,7 @@ fn unilateral_abort_then_vote_no() {
     drive(&mut s, sub, SimTime(1), &mut h);
     s.unilateral_abort(g(1), SimTime(2), &mut h);
     assert_eq!(s.get(Key(1)), Some(Value(100)));
-    assert_eq!(s.mark_of(g(1)), MarkState::Undone);
+    assert_eq!(s.marks().mark_of(g(1)), MarkState::Undone);
     // The later VOTE-REQ finds no execution: vote no, no state change.
     let out = s.vote(g(1), LockPolicy::ReleaseAll, false, SimTime(3), &mut h);
     assert_eq!(out.vote, Vote::No);

@@ -127,8 +127,8 @@ fn engine_loop_allocation_budget() {
     println!("  allocations {install_allocs:.2}   (budget 0.05)");
     println!("  bytes       {install_bytes:.1}   (budget 40)");
     println!("allocations per transaction inside Engine::run (marginal, 5k -> 20k arrivals):");
-    println!("  sim-optimistic shape: {optimistic:.1}   (budget 8)");
-    println!("  sim-abort shape:      {abort:.1}   (budget 12, optimised builds)");
+    println!("  sim-optimistic shape: {optimistic:.1}   (budget 7)");
+    println!("  sim-abort shape:      {abort:.1}   (budget 9.7, optimised builds)");
     assert!(
         install_allocs <= 0.05,
         "installing a schedule allocates {install_allocs:.2} times per arrival; the budget \
@@ -143,11 +143,11 @@ fn engine_loop_allocation_budget() {
         long.2, 1,
         "a sorted schedule queues one arrival in the runtime, not all of them"
     );
-    let mut gates = vec![("sim-optimistic", optimistic, 8.0)];
+    let mut gates = vec![("sim-optimistic", optimistic, 7.0)];
     // Debug builds cross-check every deadlock walk that finds nothing against
     // the whole-graph detectors, which allocate per call.
     if !cfg!(debug_assertions) {
-        gates.push(("sim-abort", abort, 12.0));
+        gates.push(("sim-abort", abort, 9.7));
     }
     for (shape, allocs, budget) in gates {
         assert!(
