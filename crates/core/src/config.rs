@@ -56,13 +56,18 @@ impl TxnRequest {
     }
 }
 
-/// Collect a non-empty site list. An exact-size iterator (a `Vec`'s or an
-/// array's, mapped) fills the shared slice in one allocation.
+/// Collect a non-empty list of distinct sites (the coordinator knows each
+/// by its position). An exact-size iterator (a `Vec`'s or an array's,
+/// mapped) fills the shared slice in one allocation.
 fn site_list<P: Into<Program>>(
     subs: impl IntoIterator<Item = (SiteId, P)>,
 ) -> Arc<[(SiteId, Program)]> {
     let subs: Arc<[_]> = subs.into_iter().map(|(s, p)| (s, p.into())).collect();
     assert!(!subs.is_empty());
+    debug_assert!(
+        (1..subs.len()).all(|i| subs[..i].iter().all(|&(s, _)| s != subs[i].0)),
+        "duplicate participant sites"
+    );
     subs
 }
 

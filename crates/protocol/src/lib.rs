@@ -9,7 +9,7 @@
 //! * [`kind::ProtocolKind`] — the four protocol variants under test:
 //!   distributed 2PL + standard 2PC (the baseline), bare O2PC, O2PC+P1,
 //!   O2PC+P2 (and the "simple" §6.2 variant). Each maps to a lock-release
-//!   policy for participants and a marking protocol for admission control.
+//!   policy for participants and, for P1/P2/Simple, a marking protocol.
 //! * [`coordinator::TwoPhaseCoordinator`] — the coordinator of one global
 //!   transaction: collect subtransaction acks, solicit votes (VOTE-REQ),
 //!   decide (unanimous yes ⇒ commit), log the decision (presumed abort:
