@@ -44,7 +44,7 @@ use o2pc_protocol::{CoordState, TwoPhaseCoordinator};
 use o2pc_runtime::{Runtime, SimRuntime};
 use o2pc_sim::Network;
 use o2pc_site::{LockPolicy, Site, SiteConfig};
-use o2pc_storage::Wal;
+use o2pc_storage::{FlushBatch, Wal};
 use recorder::Recorder;
 use slot::{Parked, SiteSlot, SiteState};
 use std::sync::Arc;
@@ -567,11 +567,12 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// queue at an admission gate and the loop is about to park, none can
     /// come — everything that could join the batch waits behind the very
     /// promises the batch holds — so the interval is dead time and every
-    /// site with promises parked over unsealed bytes seals now; release
-    /// still waits for the completion. A backlog behind a crashed
-    /// coordinator cannot drain and does not count. The simulator never
-    /// parks, so this fires on wall-clock runtimes only, and an in-memory
-    /// log never parks a promise.
+    /// site with promises parked over unsealed bytes seals now, all of them
+    /// in one hand-over to the runtime's disk; release still waits for the
+    /// completions. A backlog behind a crashed coordinator cannot drain and
+    /// does not count. The simulator never parks, so this fires on
+    /// wall-clock runtimes only, and an in-memory log never parks a
+    /// promise.
     pub(crate) fn seal_behind_backlog(&mut self) {
         if self.cfg.durable_wal_dir.is_none() {
             return;
@@ -583,6 +584,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             return;
         }
         let now = self.rt.now();
+        let mut batches = Vec::new();
         for i in 0..self.slots.len() {
             let Some(live) = self.slots[i].state.live() else {
                 continue;
@@ -590,8 +592,11 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             let sealed = live.site.wal().sealed_ticket();
             if live.parked.last().is_some_and(|p| p.ticket > sealed) {
                 self.report.counters.inc("wal.early_seals");
-                self.on_wal_flush(now, SiteId(i as u32));
+                batches.extend(self.seal_for_flush(now, SiteId(i as u32)));
             }
+        }
+        if !batches.is_empty() {
+            self.rt.flush(batches);
         }
     }
 
@@ -601,15 +606,19 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// that logged in the window: that batching *is* group commit. A dead
     /// log seals too, and its batch's failed completion reports it.
     pub(crate) fn on_wal_flush(&mut self, now: SimTime, site: SiteId) {
-        let Some(live) = self.slots[site.index()].state.live_mut() else {
-            return;
-        };
+        if let Some(batch) = self.seal_for_flush(now, site) {
+            self.rt.flush(vec![batch]);
+        }
+    }
+
+    /// A flush point's seal of one site: its batch for the runtime's disk,
+    /// if it had anything to seal. Disarms the site's live timer and
+    /// records the seal wait of the promises the batch covers.
+    fn seal_for_flush(&mut self, now: SimTime, site: SiteId) -> Option<(SiteId, FlushBatch)> {
+        let live = self.slots[site.index()].state.live_mut()?;
         live.flush_armed = None;
         let unsealed_from = live.site.wal().sealed_ticket();
-        let Some(batch) = live.site.wal_seal_batch() else {
-            return;
-        };
-        self.rt.flush(site, batch);
+        let batch = live.site.wal_seal_batch()?;
         self.report.counters.inc("wal.flushes");
         let newly_sealed = live
             .parked
@@ -622,6 +631,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
                 .record(now.since(p.since).as_micros());
             p.since = now;
         }
+        Some((site, batch))
     }
 
     /// A flush completion: `site`'s log is fsynced through `ticket`, so the
@@ -815,7 +825,7 @@ mod tests {
         let torn_at = e.site_mut(s1).wal().sealed_ticket() + 7;
         let mut batch = e.site_mut(s1).wal_seal_batch().expect("pending bytes");
         batch.sever(torn_at).unwrap();
-        e.rt.flush(s1, batch);
+        e.rt.flush(vec![(s1, batch)]);
         let done = DefaultSimRuntime::FSYNC_LATENCY;
         e.run(Duration(done.0 - 1));
         assert!(e.down_sites().is_empty(), "crashed before the completion");
@@ -994,7 +1004,7 @@ mod tests {
         assert_eq!(voided, vec![lost]);
     }
 
-    /// An I/O error in the threaded runtime's flusher crashes the site whose
+    /// An I/O error on the threaded runtime's disk crashes the site whose
     /// log it hit instead of leaving its parked promises to wait out the
     /// run; recovery then brings the site back.
     #[test]
@@ -1020,7 +1030,7 @@ mod tests {
         let mut batch = e.site_mut(s1).wal_seal_batch().expect("pending bytes");
         let ticket = batch.ticket();
         batch.sever(0).unwrap();
-        e.rt.flush(s1, batch);
+        e.rt.flush(vec![(s1, batch)]);
         e.submit_at(SimTime::ZERO, transfer.clone());
         e.rt.schedule(
             SimTime::ZERO + Duration::millis(100),

@@ -49,8 +49,8 @@ impl Runtime<TimerEvent, Msg> for DuplicatingRuntime {
     fn network(&self) -> &Network {
         self.inner.network()
     }
-    fn flush(&mut self, site: SiteId, batch: o2pc_storage::FlushBatch) {
-        self.inner.flush(site, batch);
+    fn flush(&mut self, batches: Vec<(SiteId, o2pc_storage::FlushBatch)>) {
+        self.inner.flush(batches);
     }
 }
 

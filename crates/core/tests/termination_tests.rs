@@ -219,8 +219,8 @@ impl o2pc_runtime::Runtime<o2pc_core::TimerEvent, o2pc_core::Msg> for DropFirstT
     fn network(&self) -> &o2pc_sim::Network {
         self.inner.network()
     }
-    fn flush(&mut self, site: SiteId, batch: o2pc_storage::FlushBatch) {
-        self.inner.flush(site, batch);
+    fn flush(&mut self, batches: Vec<(SiteId, o2pc_storage::FlushBatch)>) {
+        self.inner.flush(batches);
     }
 }
 

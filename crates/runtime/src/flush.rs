@@ -1,8 +1,11 @@
-//! The threaded runtime's disk: a small sharded pool of flusher threads
-//! with fsync coalescing.
+//! The threaded runtime's flusher pool: a small sharded pool of threads
+//! with fsync coalescing, for the logs of a flush point that the calling
+//! thread does not write itself.
 //!
-//! [`ThreadedRuntime::flush`](crate::Runtime::flush) hands a site's sealed
-//! [`FlushBatch`] to the shard its site id maps to. Each shard thread
+//! [`ThreadedRuntime::flush`](crate::Runtime::flush) writes one log of each
+//! flush point inline and hands each other log's sealed [`FlushBatch`] to
+//! the shard its site id maps to; the runtime spawns the pool when a flush
+//! point first holds two or more logs. Each shard thread
 //! *drains its whole queue* before touching the disk and executes the burst
 //! through [`FlushBatch::execute_all`]: every write lands first, then each
 //! distinct segment file is fsynced exactly once — a burst of N batches
@@ -11,9 +14,9 @@
 //! durability rests on; different sites' logs flush in parallel.
 //!
 //! After a burst the shard reports one completion per site in it — the
-//! site, the last ticket the burst carried for it, and whether its log's
-//! watermark advanced or was poisoned — and then settles the batches it
-//! owed. The report goes onto the one channel the runtime's loop blocks on,
+//! site, the last ticket the burst carried for it, whether its log's
+//! watermark advanced or was poisoned, and how many batches it covers —
+//! and then settles the batches it owed. The report goes onto the one channel the runtime's loop blocks on,
 //! which wakes it; the runtime hands each completion to the engine as a
 //! [`Step::Durable`](crate::Step::Durable) ahead of any ready delivery, and
 //! does not quiesce while one is owed. The simulator's disk is the same
@@ -42,11 +45,12 @@ pub(crate) struct FlushScheduler {
     owed: Arc<AtomicUsize>,
 }
 
-/// Execute bursts until the queue closes, calling `report(site, ticket, ok)`
-/// once per site per burst — after the burst's watermarks have moved.
+/// Execute bursts until the queue closes, calling `report(site, ticket, ok,
+/// batches)` once per site per burst — after the burst's watermarks have
+/// moved.
 fn drain_loop(
     rx: Receiver<(SiteId, FlushBatch)>,
-    report: impl Fn(SiteId, u64, bool),
+    report: impl Fn(SiteId, u64, bool, usize),
     owed: &AtomicUsize,
 ) {
     while let Ok(first) = rx.recv() {
@@ -69,7 +73,7 @@ fn drain_loop(
         // site.
         let _ = FlushBatch::execute_all(burst.into_iter().map(|(_, b)| b).collect());
         for (site, progress, ticket, batches) in sites {
-            report(site, ticket, !progress.is_poisoned());
+            report(site, ticket, !progress.is_poisoned(), batches);
             owed.fetch_sub(batches, Ordering::SeqCst);
         }
     }
@@ -82,7 +86,7 @@ impl FlushScheduler {
     /// spawned.
     pub(crate) fn spawn(
         shards: usize,
-        report: impl Fn(SiteId, u64, bool) + Clone + Send + 'static,
+        report: impl Fn(SiteId, u64, bool, usize) + Clone + Send + 'static,
     ) -> io::Result<Self> {
         let mut pool = FlushScheduler {
             shards: Vec::new(),
@@ -148,7 +152,7 @@ mod tests {
     fn background_flush_advances_watermark_in_order() {
         let dir = tmpdir("order");
         let mut wal = Wal::open(dir.join("s.wal")).unwrap();
-        let sched = FlushScheduler::spawn(2, |_, _, _| {}).unwrap();
+        let sched = FlushScheduler::spawn(2, |_, _, _, _| {}).unwrap();
         let mut last = 0;
         for i in 0..10 {
             wal.append(LogRecord::Begin(ExecId::Sub(GlobalTxnId(i))));
@@ -163,8 +167,8 @@ mod tests {
     }
 
     /// N batches of one site drained as one burst: exactly one completion,
-    /// carrying the last ticket, reported after the watermark covers it and
-    /// before the batches are settled.
+    /// carrying the last ticket and the count N, reported after the
+    /// watermark covers it and before the batches are settled.
     #[test]
     fn one_burst_of_one_site_reports_one_completion_after_the_watermark_moves() {
         let dir = tmpdir("one-completion");
@@ -179,11 +183,12 @@ mod tests {
         }
         drop(tx);
         // Everything is queued before the loop starts, so it is one burst.
-        let report = |site, ticket, ok| {
+        let report = |site, ticket, ok, batches| {
             let seen = (
                 site,
                 ticket,
                 ok,
+                batches,
                 watched.durable(),
                 owed.load(Ordering::SeqCst),
             );
@@ -191,7 +196,7 @@ mod tests {
         };
         drain_loop(rx, report, &owed);
         let t = wal.append_ticket();
-        assert_eq!(*posts.lock().unwrap(), vec![(SiteId(3), t, true, t, 6)]);
+        assert_eq!(*posts.lock().unwrap(), vec![(SiteId(3), t, true, 6, t, 6)]);
         assert_eq!(owed.load(Ordering::SeqCst), 0);
         assert_eq!(wal.stats().unwrap().fsyncs(), 1);
     }
@@ -204,7 +209,7 @@ mod tests {
         let mut wal = Wal::open(dir.join("s.wal")).unwrap();
         let progress = wal.progress().unwrap();
         let (done, got) = channel();
-        let sched = FlushScheduler::spawn(2, move |site, _, ok| {
+        let sched = FlushScheduler::spawn(2, move |site, _, ok, _| {
             let _ = done.send((site, ok, progress.is_poisoned()));
         })
         .unwrap();
@@ -230,7 +235,7 @@ mod tests {
     #[test]
     fn shards_flush_independent_wals_and_coalesce_fsyncs() {
         let dir = tmpdir("shards");
-        let sched = FlushScheduler::spawn(4, |_, _, _| {}).unwrap();
+        let sched = FlushScheduler::spawn(4, |_, _, _, _| {}).unwrap();
         let mut wals: Vec<Wal> = (0..4)
             .map(|i| Wal::open(dir.join(format!("s{i}.wal"))).unwrap())
             .collect();

@@ -38,8 +38,12 @@ pub enum Step<T, M> {
     },
 }
 
-/// A reported flush completion: site, ticket, ok.
+/// A flush completion: site, ticket, ok.
 type Completion = (SiteId, u64, bool);
+
+/// A completion the flusher pool reported: site, ticket, ok, and how many
+/// of the site's pooled batches it settles.
+type Pooled = (SiteId, u64, bool, usize);
 
 /// What the engine needs from a substrate: a clock, timers, a message
 /// transport, a disk, and a single stream of [`Step`]s in time order.
@@ -81,17 +85,22 @@ pub trait Runtime<T, M>: Clock {
     /// The network this runtime sends through: its links and its ledger.
     fn network(&self) -> &Network;
 
-    /// Write and fsync `site`'s sealed batch, then report it as a
-    /// [`Step::Durable`]. Batches of one site complete in the order they
-    /// were handed over; the runtime does not quiesce while one is owed.
-    fn flush(&mut self, site: SiteId, batch: FlushBatch);
+    /// Write and fsync every batch one flush point sealed, each tagged with
+    /// its site, then report each site's batches as a [`Step::Durable`].
+    /// This is the one hand-over: a flush point calls it once, whatever
+    /// number of logs it sealed. Batches of one site complete in the order
+    /// they were handed over; the runtime does not quiesce while a
+    /// completion is owed, and holds no batch between calls, so a wait on
+    /// a log's watermark never waits on the caller's own thread.
+    fn flush(&mut self, batches: Vec<(SiteId, FlushBatch)>);
 
     /// Would [`next`](Runtime::next) park right now — nothing sent and not
     /// yet delivered, nothing delivered or completed and not yet handed
-    /// over, no timer due? Only an owed flush completion or the passing of
-    /// time can then produce the next step. Never true on a substrate that
-    /// does not wait (the simulator jumps to its next event), so asking
-    /// cannot move a seeded run.
+    /// over (a flush that landed during [`flush`](Runtime::flush) counts as
+    /// completed), no timer due? Only a completion owed by another thread
+    /// or the passing of time can then produce the next step. Never true on
+    /// a substrate that does not wait (the simulator jumps to its next
+    /// event), so asking cannot move a seeded run.
     fn is_idle(&mut self) -> bool {
         false
     }
@@ -112,11 +121,11 @@ pub trait Runtime<T, M>: Clock {
 /// few milliseconds, so [`next`](Runtime::next)'s peek and pop are each
 /// O(1) in the hundreds of entries a run keeps pending.
 ///
-/// Its disk is modelled: [`flush`](Runtime::flush) writes and fsyncs the
-/// batch at once, so every barrier that consults the physical log (the crash
-/// transform, compaction, end of run) finds it landed, and reports the
-/// completion [`FSYNC_LATENCY`](SimRuntime::FSYNC_LATENCY) later in virtual
-/// time.
+/// Its disk is modelled: [`flush`](Runtime::flush) writes and fsyncs each
+/// batch at once, in the order handed over, so every barrier that consults
+/// the physical log (the crash transform, compaction, end of run) finds it
+/// landed, and reports each completion
+/// [`FSYNC_LATENCY`](SimRuntime::FSYNC_LATENCY) later in virtual time.
 #[derive(Debug)]
 pub struct SimRuntime<T, M> {
     queue: EventQueue<Step<T, M>>,
@@ -191,18 +200,20 @@ impl<T, M: Clone> Runtime<T, M> for SimRuntime<T, M> {
         &self.network
     }
 
-    fn flush(&mut self, site: SiteId, batch: FlushBatch) {
-        let (ticket, progress) = (batch.ticket(), batch.progress());
-        // A failed write or fsync has poisoned the log's watermark; the
-        // completion carries that to the engine.
-        let _ = batch.execute();
-        let done = Step::Durable {
-            site,
-            ticket,
-            ok: !progress.is_poisoned(),
-        };
-        self.queue
-            .schedule(self.queue.now() + Self::FSYNC_LATENCY, done);
+    fn flush(&mut self, batches: Vec<(SiteId, FlushBatch)>) {
+        for (site, batch) in batches {
+            let (ticket, progress) = (batch.ticket(), batch.progress());
+            // A failed write or fsync has poisoned the log's watermark; the
+            // completion carries that to the engine.
+            let _ = batch.execute();
+            let done = Step::Durable {
+                site,
+                ticket,
+                ok: !progress.is_poisoned(),
+            };
+            self.queue
+                .schedule(self.queue.now() + Self::FSYNC_LATENCY, done);
+        }
     }
 }
 
@@ -246,14 +257,24 @@ impl Default for ThreadedRuntimeConfig {
 /// schedule-dependent, so the wall-clock twin of a simulated run checks
 /// invariants, not byte equality.
 ///
-/// The disk is a sharded pool of flusher threads with fsync coalescing,
-/// spawned by the first [`flush`](Runtime::flush) with one shard per
-/// registered endpoint, 1–4. A shard reports each burst it completes on the
-/// one channel `next` blocks on.
+/// The disk is the calling thread plus a pool of flusher threads.
+/// [`flush`](Runtime::flush) writes and fsyncs one log of each flush point
+/// itself — the first log with no batch in the pool — and hands every
+/// other log to the pool first, so the pool's fsyncs overlap its own. A
+/// log with a batch still in the pool always goes there too, behind it:
+/// one log's batches land in seal order. An inline completion waits in
+/// the runtime for `next`, like a pooled one. The pool is sharded, with
+/// fsync coalescing and one shard per registered endpoint (1–4), and is
+/// spawned by the first flush point that holds two or more logs; a run
+/// whose flush points each seal one log never starts a thread. A shard
+/// reports each burst it completes on the one channel `next` blocks on.
+/// Writing one log here costs its fsync's latency on this thread, but
+/// saves the two thread wake-ups a pooled flush costs, which on a small
+/// machine cost more CPU than the fsync (DESIGN §9).
 ///
 /// Quiescence: `next` returns `None` once the deadline passes, or after
 /// `idle_grace` with no timer or delayed message queued, nothing ready, and
-/// no flush completion owed.
+/// no flush completion owed or waiting.
 pub struct ThreadedRuntime<T, M> {
     clock: WallClock,
     network: Network,
@@ -265,9 +286,14 @@ pub struct ThreadedRuntime<T, M> {
     events: EventHeap<Step<T, M>>,
     endpoints: usize,
     flusher: Option<FlushScheduler>,
+    /// Per site index: batches handed to the pool whose completion `next`
+    /// has not received yet. A site with any is not written inline.
+    pooled: Vec<usize>,
+    /// Completions of batches written on this thread, for `next`.
+    landed: VecDeque<Completion>,
     /// The channel the flusher reports completions on.
-    done_tx: Sender<Completion>,
-    done: Receiver<Completion>,
+    done_tx: Sender<Pooled>,
+    done: Receiver<Pooled>,
     /// Completions reported and not yet received: `next` reads the channel
     /// only when this is non-zero, so looking costs one atomic load.
     unread: Arc<AtomicUsize>,
@@ -295,6 +321,8 @@ impl<T, M: Clone> ThreadedRuntime<T, M> {
             events: EventHeap::new(),
             endpoints: 0,
             flusher: None,
+            pooled: Vec::new(),
+            landed: VecDeque::new(),
             done_tx,
             done,
             unread: Arc::new(AtomicUsize::new(0)),
@@ -305,12 +333,12 @@ impl<T, M: Clone> ThreadedRuntime<T, M> {
     /// How the flusher reports a completion: counted as unread, then sent —
     /// both before the flusher settles what it owed, so a loop that reads
     /// "nothing owed" finds every report on the channel.
-    fn reporter(&self) -> impl Fn(SiteId, u64, bool) + Clone + Send + 'static {
+    fn reporter(&self) -> impl Fn(SiteId, u64, bool, usize) + Clone + Send + 'static {
         let (done, unread) = (self.done_tx.clone(), Arc::clone(&self.unread));
-        move |site, ticket, ok| {
+        move |site, ticket, ok, batches| {
             unread.fetch_add(1, Ordering::SeqCst);
             // A send fails only when the runtime is gone: nobody is left to tell.
-            let _ = done.send((site, ticket, ok));
+            let _ = done.send((site, ticket, ok, batches));
         }
     }
 
@@ -325,13 +353,54 @@ impl<T, M: Clone> ThreadedRuntime<T, M> {
         Some(self.completion(done))
     }
 
-    fn completion(&mut self, (site, ticket, ok): Completion) -> Step<T, M> {
+    /// A pooled completion, received: the batches it settles leave the pool.
+    /// Counted, not compared by ticket: a log reopened after a failure
+    /// restarts its tickets below the dead log's.
+    fn completion(&mut self, (site, ticket, ok, batches): Pooled) -> Step<T, M> {
         self.unread.fetch_sub(1, Ordering::SeqCst);
+        self.pooled[site.index()] -= batches;
         Step::Durable { site, ticket, ok }
     }
 
     fn flush_owed(&self) -> usize {
         self.flusher.as_ref().map_or(0, FlushScheduler::owed)
+    }
+
+    /// Does `site` have a batch in the pool that `next` has not yet
+    /// reported complete?
+    fn in_pool(&self, site: SiteId) -> bool {
+        self.pooled.get(site.index()).is_some_and(|&n| n > 0)
+    }
+
+    /// Hand `batch` to the flusher pool, spawning it first if need be.
+    /// Gives the batch back when no flusher thread could be spawned.
+    fn submit(&mut self, site: SiteId, batch: FlushBatch) -> Result<(), FlushBatch> {
+        if self.flusher.is_none() {
+            let shards = self.endpoints.clamp(1, 4);
+            self.flusher = FlushScheduler::spawn(shards, self.reporter()).ok();
+        }
+        let Some(pool) = &self.flusher else {
+            return Err(batch);
+        };
+        pool.submit(site, batch);
+        if self.pooled.len() <= site.index() {
+            self.pooled.resize(site.index() + 1, 0);
+        }
+        self.pooled[site.index()] += 1;
+        Ok(())
+    }
+
+    /// Write and fsync `site`'s batches on this thread; the completion
+    /// waits in `landed` for `next`. A failed write has poisoned the log's
+    /// watermark, and the completion says so.
+    fn land(&mut self, site: SiteId, batches: Vec<FlushBatch>) {
+        let Some(last) = batches.last() else {
+            return;
+        };
+        let (ticket, progress) = (last.ticket(), last.progress());
+        let _ = FlushBatch::execute_all(batches);
+        self.landed
+            .push_back((site, ticket, !progress.is_poisoned()));
     }
 
     /// Put an accepted copy on its way: ready now, or due after `delay`.
@@ -369,21 +438,26 @@ impl<T, M: Clone> Runtime<T, M> for ThreadedRuntime<T, M> {
         self.events.schedule_reserved(at, seq, Step::Timer(timer));
     }
 
-    fn flush(&mut self, site: SiteId, batch: FlushBatch) {
-        if self.flusher.is_none() {
-            let shards = self.endpoints.clamp(1, 4);
-            self.flusher = FlushScheduler::spawn(shards, self.reporter()).ok();
-        }
-        match &self.flusher {
-            Some(f) => f.submit(site, batch),
-            // No flusher thread could be spawned: write and fsync here, as
-            // the simulator's disk does, and report at once. A failed write
-            // has poisoned the log's watermark; the completion says so.
-            None => {
-                let (ticket, progress) = (batch.ticket(), batch.progress());
-                let _ = batch.execute();
-                (self.reporter())(site, ticket, !progress.is_poisoned());
+    fn flush(&mut self, batches: Vec<(SiteId, FlushBatch)>) {
+        // The log written here: the first with nothing in the pool, which
+        // it would otherwise overtake.
+        let own = batches
+            .iter()
+            .map(|&(site, _)| site)
+            .find(|&site| !self.in_pool(site));
+        let mut inline = Vec::new();
+        for (site, batch) in batches {
+            if Some(site) == own {
+                inline.push(batch);
+            } else if let Err(batch) = self.submit(site, batch) {
+                // No flusher thread could be spawned: this log is written
+                // here too.
+                self.land(site, vec![batch]);
             }
+        }
+        // Last, so the pool's fsyncs run while this thread does its own.
+        if let Some(site) = own {
+            self.land(site, inline);
         }
     }
 
@@ -391,6 +465,7 @@ impl<T, M: Clone> Runtime<T, M> for ThreadedRuntime<T, M> {
         // Every accepted message, ready or delayed, is in flight until
         // `next` hands it over.
         self.network.ledger().in_flight() == 0
+            && self.landed.is_empty()
             && self.unread.load(Ordering::SeqCst) == 0
             && self
                 .events
@@ -417,10 +492,11 @@ impl<T, M: Clone> Runtime<T, M> for ThreadedRuntime<T, M> {
             if now > deadline {
                 return None;
             }
-            // A due timer or delayed delivery first, then a reported
-            // completion — before any ready delivery, since each releases
-            // promises those messages may be waiting on — then the ready
-            // FIFO. Under load the loop spins here without a syscall.
+            // A due timer or delayed delivery first, then a completion —
+            // landed here or reported by the pool, before any ready
+            // delivery, since each releases promises those messages may be
+            // waiting on — then the ready FIFO. Under load the loop spins
+            // here without a syscall.
             if self.events.peek_time().is_some_and(|due| due <= now) {
                 if let Some((_, step)) = self.events.pop() {
                     if matches!(step, Step::Deliver { .. }) {
@@ -428,6 +504,9 @@ impl<T, M: Clone> Runtime<T, M> for ThreadedRuntime<T, M> {
                     }
                     return Some((now, step));
                 }
+            }
+            if let Some((site, ticket, ok)) = self.landed.pop_front() {
+                return Some((now, Step::Durable { site, ticket, ok }));
             }
             if let Some(done) = self.take_completion() {
                 return Some((now, done));
@@ -567,7 +646,7 @@ mod tests {
             Some((_, Step::Timer(_)))
         ));
         let (_dir, wal, batch) = sealed_batch("sim-disk");
-        rt.flush(SiteId(1), batch);
+        rt.flush(vec![(SiteId(1), batch)]);
         assert_eq!(wal.durable_ticket(), wal.append_ticket(), "written at seal");
         let (t, step) = rt.next(SimTime(10_000)).unwrap();
         assert_eq!(t, SimTime(300) + SimRuntime::<(), u32>::FSYNC_LATENCY);
@@ -681,28 +760,55 @@ mod tests {
         assert_eq!(to2, (100..132).collect::<Vec<_>>());
     }
 
-    /// A flusher whose reports take `delay` to leave it: long enough for
-    /// the loop to park (or to time out) while the completion is owed.
+    /// A flusher pool whose reports take `delay` to leave it: long enough
+    /// for the loop to park (or to time out) while the completion is owed.
     fn slow_flusher(rt: &mut ThreadedRuntime<&'static str, u32>, delay: u64) {
         let report = rt.reporter();
-        let flusher = FlushScheduler::spawn(1, move |site, ticket, ok| {
+        let flusher = FlushScheduler::spawn(1, move |site, ticket, ok, batches| {
             std::thread::sleep(StdDuration::from_millis(delay));
-            report(site, ticket, ok);
+            report(site, ticket, ok, batches);
         });
         rt.flusher = Some(flusher.unwrap());
     }
 
+    /// A flush point of two logs, on sites 0 and `pooled`: site 0's batch
+    /// is written inline, the other goes to the pool. Returns site 0's
+    /// completion, which `next` hands over first, and the pooled log.
+    fn flush_two_logs(
+        rt: &mut ThreadedRuntime<&'static str, u32>,
+        name: &str,
+        pooled: SiteId,
+    ) -> ((ScratchDir, Wal), (ScratchDir, Wal)) {
+        let (dir0, wal0, inline) = sealed_batch(&format!("{name}-inline"));
+        let (dir1, wal1, batch) = sealed_batch(&format!("{name}-pooled"));
+        rt.flush(vec![(SiteId(0), inline), (pooled, batch)]);
+        assert_eq!(wal0.durable_ticket(), wal0.append_ticket(), "inline");
+        ((dir0, wal0), (dir1, wal1))
+    }
+
     /// A flush completion wakes a `next` that is blocked on the channel
     /// (the grace period here is far longer than the test), and reports the
-    /// ticket the batch made durable.
+    /// ticket the pooled batch made durable; the inline log's completion
+    /// comes first, without a wait.
     #[test]
     fn flush_completion_wakes_blocked_next() {
         let mut rt = threaded(10_000);
         slow_flusher(&mut rt, 20); // let `next` park first
-        let (_dir, wal, batch) = sealed_batch("wake");
-        rt.flush(SiteId(2), batch);
+        let (_inline, (_dir, wal)) = flush_two_logs(&mut rt, "wake", SiteId(2));
+        let far = SimTime(60_000_000);
+        assert!(matches!(
+            rt.next(far),
+            Some((
+                _,
+                Step::Durable {
+                    site: SiteId(0),
+                    ok: true,
+                    ..
+                }
+            ))
+        ));
         let start = std::time::Instant::now();
-        let got = rt.next(SimTime(60_000_000));
+        let got = rt.next(far);
         let ticket = wal.append_ticket();
         assert!(
             matches!(got, Some((_, Step::Durable { site: SiteId(2), ticket: t, ok: true })) if t == ticket),
@@ -722,34 +828,64 @@ mod tests {
     fn threaded_does_not_quiesce_while_a_flush_is_owed() {
         let mut rt = threaded(2);
         slow_flusher(&mut rt, 150);
-        let (_dir, _wal, batch) = sealed_batch("owed");
-        rt.flush(SiteId(0), batch);
+        let _logs = flush_two_logs(&mut rt, "owed", SiteId(1));
         let deadline = rt.now() + Duration::millis(60);
+        assert!(matches!(
+            rt.next(deadline),
+            Some((
+                _,
+                Step::Durable {
+                    site: SiteId(0),
+                    ..
+                }
+            ))
+        ));
         assert!(rt.next(deadline).is_none());
         assert!(
             rt.now() > deadline,
             "gave up at the deadline, not after 2 ms"
         );
         let far = SimTime(60_000_000);
-        assert!(matches!(rt.next(far), Some((_, Step::Durable { .. }))));
+        assert!(matches!(
+            rt.next(far),
+            Some((
+                _,
+                Step::Durable {
+                    site: SiteId(1),
+                    ..
+                }
+            ))
+        ));
         assert!(rt.next(far).is_none(), "nothing owed any more: quiescent");
     }
 
     /// A ready FIFO that never empties cannot starve a completion: while
     /// every `next` delivers one message and its handler sends the next, a
-    /// slow flush completes, and `Step::Durable` comes out within a step of
-    /// being reported.
+    /// slow pooled flush completes, and `Step::Durable` comes out within a
+    /// step of being reported. The inline log's completion is the first
+    /// step of all.
     #[test]
     fn ready_fifo_cannot_starve_a_completion() {
         let mut rt = threaded(10_000);
         slow_flusher(&mut rt, 20);
-        let (_dir, _wal, batch) = sealed_batch("starve");
-        rt.flush(SiteId(0), batch);
         assert!(rt.send(SimTime::ZERO, SiteId(0), SiteId(1), 0).is_sent());
+        let _logs = flush_two_logs(&mut rt, "starve", SiteId(2));
+        let far = SimTime(60_000_000);
+        assert!(matches!(
+            rt.next(far),
+            Some((
+                _,
+                Step::Durable {
+                    site: SiteId(0),
+                    ok: true,
+                    ..
+                }
+            ))
+        ));
         let start = std::time::Instant::now();
         let mut since_reported = 0;
         loop {
-            match rt.next(SimTime(60_000_000)) {
+            match rt.next(far) {
                 Some((_, Step::Deliver { msg, .. })) => {
                     assert!(rt
                         .send(SimTime::ZERO, SiteId(0), SiteId(1), msg + 1)
@@ -758,7 +894,7 @@ mod tests {
                 Some((
                     _,
                     Step::Durable {
-                        site: SiteId(0),
+                        site: SiteId(2),
                         ok: true,
                         ..
                     },
@@ -783,8 +919,9 @@ mod tests {
 
     /// Idle means "`next` would park": any work the loop can still reach
     /// without waiting — a ready message, a delayed one, a due timer, a
-    /// reported completion — denies it; an owed completion, which only
-    /// another thread can turn into a step, does not.
+    /// completion landed inline or reported by the pool — denies it; an
+    /// owed completion, which only another thread can turn into a step,
+    /// does not.
     #[test]
     fn idle_only_when_next_would_park() {
         let mut rt: ThreadedRuntime<&'static str, u32> = ThreadedRuntime::new(
@@ -833,15 +970,124 @@ mod tests {
         rt.schedule(far, "later");
         assert!(rt.is_idle(), "the only timer is a minute away");
 
-        // An owed completion leaves the loop idle; a reported one is a step.
+        // A landed completion is a step; an owed one leaves the loop idle;
+        // a reported one is a step.
         slow_flusher(&mut rt, 30);
-        let (_dir, _wal, batch) = sealed_batch("idle");
-        rt.flush(SiteId(0), batch);
+        let _logs = flush_two_logs(&mut rt, "idle", SiteId(1));
+        assert!(!rt.is_idle(), "the inline completion is a step");
+        assert!(matches!(
+            rt.next(far),
+            Some((
+                _,
+                Step::Durable {
+                    site: SiteId(0),
+                    ..
+                }
+            ))
+        ));
         assert!(rt.is_idle(), "only a completion is owed");
         while rt.flush_owed() > 0 {
             std::thread::sleep(StdDuration::from_millis(1));
         }
         assert!(!rt.is_idle(), "the completion is a step now");
+    }
+
+    /// A one-log flush point lands before `flush` returns, on the calling
+    /// thread, and `next` hands its completion over before a ready
+    /// delivery that was sent earlier.
+    #[test]
+    fn one_log_flush_lands_inline_and_reports_before_ready_deliveries() {
+        let mut rt = threaded(20);
+        assert!(rt.send(SimTime::ZERO, SiteId(0), SiteId(1), 7).is_sent());
+        let (_dir, wal, batch) = sealed_batch("inline");
+        let ticket = wal.append_ticket();
+        rt.flush(vec![(SiteId(2), batch)]);
+        assert_eq!(wal.durable_ticket(), ticket, "landed when flush returned");
+        let far = SimTime(60_000_000);
+        let got = rt.next(far);
+        assert!(
+            matches!(got, Some((_, Step::Durable { site: SiteId(2), ticket: t, ok: true })) if t == ticket),
+            "{got:?}"
+        );
+        assert!(matches!(
+            rt.next(far),
+            Some((_, Step::Deliver { msg: 7, .. }))
+        ));
+        assert!(rt.next(far).is_none());
+    }
+
+    /// Per-log order: a log with a batch in the pool is not written inline,
+    /// even alone in its flush point. Its later batch goes behind the
+    /// pooled one, and completes after it.
+    #[test]
+    fn a_log_with_a_pooled_batch_is_not_written_inline() {
+        let mut rt = threaded(20);
+        slow_flusher(&mut rt, 50);
+        let (_inline, (_dir, mut wal)) = flush_two_logs(&mut rt, "order", SiteId(1));
+        let first = wal.append_ticket();
+        wal.append(LogRecord::Begin(ExecId::Sub(GlobalTxnId(2))));
+        let second = wal.append_ticket();
+        rt.flush(vec![(SiteId(1), wal.seal_batch().unwrap())]);
+        assert!(wal.durable_ticket() < second, "written inline");
+        let far = SimTime(60_000_000);
+        let mut completions = Vec::new();
+        while let Some((_, step)) = rt.next(far) {
+            let Step::Durable { site, ticket, ok } = step else {
+                panic!("unexpected step {step:?}");
+            };
+            assert!(ok);
+            completions.push((site, ticket));
+        }
+        let t0 = completions[0].1;
+        let pooled = &completions[1..];
+        assert_eq!(completions[0], (SiteId(0), t0), "the inline log first");
+        assert!(
+            pooled == [(SiteId(1), first), (SiteId(1), second)] || pooled == [(SiteId(1), second)],
+            "{completions:?}"
+        );
+        assert_eq!(wal.durable_ticket(), second);
+    }
+
+    /// A severed batch written inline reports `ok = false` and poisons its
+    /// own log only: the other log of the same flush point lands.
+    #[test]
+    fn severed_inline_batch_poisons_only_its_log() {
+        let mut rt = threaded(20);
+        let (_dir0, wal0, mut severed) = sealed_batch("severed");
+        severed.sever(0).unwrap();
+        let (_dir1, wal1, batch) = sealed_batch("healthy");
+        rt.flush(vec![(SiteId(0), severed), (SiteId(1), batch)]);
+        assert!(wal0.is_dead(), "the inline write failed");
+        let far = SimTime(60_000_000);
+        let mut completions = Vec::new();
+        while let Some((_, Step::Durable { site, ok, .. })) = rt.next(far) {
+            completions.push((site, ok));
+        }
+        assert_eq!(completions, [(SiteId(0), false), (SiteId(1), true)]);
+        assert!(!wal1.is_dead());
+        assert_eq!(wal1.durable_ticket(), wal1.append_ticket());
+    }
+
+    /// Flush points that each seal one log never spawn the flusher pool.
+    #[test]
+    fn one_log_flush_points_never_spawn_the_pool() {
+        let mut rt = threaded(20);
+        let logs: Vec<_> = (0..3).map(|i| sealed_batch(&format!("solo-{i}"))).collect();
+        let mut wals = Vec::new();
+        for (i, (dir, mut wal, batch)) in logs.into_iter().enumerate() {
+            let site = SiteId(i as u32);
+            rt.flush(vec![(site, batch)]);
+            wal.append(LogRecord::Begin(ExecId::Sub(GlobalTxnId(2))));
+            rt.flush(vec![(site, wal.seal_batch().unwrap())]);
+            assert_eq!(wal.durable_ticket(), wal.append_ticket());
+            wals.push((dir, wal));
+        }
+        assert!(rt.flusher.is_none(), "a flusher thread was spawned");
+        let mut completions = 0;
+        while let Some((_, Step::Durable { ok: true, .. })) = rt.next(SimTime(60_000_000)) {
+            completions += 1;
+        }
+        assert_eq!(completions, 6);
     }
 
     #[test]

@@ -120,12 +120,6 @@ pub struct Site {
     /// Decisions this site has learned (answers termination-protocol
     /// queries from blocked peers).
     decided: FastHashMap<GlobalTxnId, bool>,
-    /// Live index of subtransactions in the *Running* phase — maintained
-    /// at every phase transition so polls need no scan-and-sort over the
-    /// exec table.
-    running: BTreeSet<GlobalTxnId>,
-    /// Live index of *Prepared* (in-doubt under 2PC) subtransactions.
-    prepared: BTreeSet<GlobalTxnId>,
     local_seq: u64,
     /// Running count behind [`ExecState::entered`].
     entries: u64,
@@ -158,8 +152,6 @@ impl Site {
             compensating: FastHashMap::default(),
             comps_rolled_back: BTreeSet::new(),
             decided: FastHashMap::default(),
-            running: BTreeSet::new(),
-            prepared: BTreeSet::new(),
             local_seq: 0,
             entries: 0,
             checkpoint_after: CHECKPOINT_FLOOR,
@@ -306,38 +298,29 @@ impl Site {
     /// discussion — aborting here is the deadlock-victim path of the
     /// sitemarks lock cycle).
     pub fn running_subs(&self) -> Vec<GlobalTxnId> {
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(self.running, self.scan_phase(ExecPhase::Running));
-        self.running.iter().copied().collect()
+        self.subs_in(ExecPhase::Running)
     }
 
     /// Global transactions prepared at this site (in-doubt under 2PC).
     pub fn prepared_subs(&self) -> Vec<GlobalTxnId> {
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(self.prepared, self.scan_phase(ExecPhase::Prepared));
-        self.prepared.iter().copied().collect()
+        self.subs_in(ExecPhase::Prepared)
     }
 
-    /// Recompute an index set from the exec table (debug cross-check that
-    /// the live `running`/`prepared` indexes track every phase transition).
-    #[cfg(debug_assertions)]
-    fn scan_phase(&self, phase: ExecPhase) -> BTreeSet<GlobalTxnId> {
-        self.execs
+    /// The subtransactions in `phase`, ascending: a scan of the exec table.
+    /// Its callers run off the hot path (a mark change under a marking
+    /// protocol, recovery, a coordinator's in-doubt query), so no index
+    /// is kept for them at every phase transition.
+    fn subs_in(&self, phase: ExecPhase) -> Vec<GlobalTxnId> {
+        let mut subs: Vec<GlobalTxnId> = self
+            .execs
             .iter()
             .filter_map(|(e, st)| match e {
                 ExecId::Sub(g) if st.phase == phase => Some(*g),
                 _ => None,
             })
-            .collect()
-    }
-
-    /// Drop `exec` from the live phase indexes (it left the exec table or
-    /// moved to a terminal phase).
-    fn unindex(&mut self, exec: ExecId) {
-        if let ExecId::Sub(g) = exec {
-            self.running.remove(&g);
-            self.prepared.remove(&g);
-        }
+            .collect();
+        subs.sort_unstable();
+        subs
     }
 
     /// Global transactions locally committed here whose decision is still
@@ -387,9 +370,6 @@ impl Site {
             state.entered = Some(self.next_entry());
         }
         self.execs.insert(exec, state);
-        if let ExecId::Sub(g) = exec {
-            self.running.insert(g);
-        }
     }
 
     /// Execute the execution's next operation. On `Blocked` the caller must
@@ -445,7 +425,6 @@ impl Site {
                 let finished = state.pc == state.ops.len();
                 if finished {
                     state.phase = ExecPhase::Completed;
-                    self.unindex(exec);
                 }
                 OpResult::Done { value, finished }
             }
@@ -470,7 +449,6 @@ impl Site {
                     let state = self.execs.get_mut(&exec).unwrap();
                     state.phase = ExecPhase::Failed;
                     state.error = Some(e.clone());
-                    self.unindex(exec);
                     OpResult::Failed(e)
                 }
             }
@@ -535,7 +513,6 @@ impl Site {
             });
         }
         self.execs.remove(&exec);
-        self.unindex(exec);
         self.locks.release_all(exec, now)
     }
 
@@ -651,7 +628,6 @@ impl Site {
                 self.wal.append(LogRecord::Prepared(exec));
                 self.mark(|m| m.apply(g, MarkEvent::VoteCommit));
                 self.execs.get_mut(&exec).unwrap().phase = ExecPhase::Prepared;
-                self.prepared.insert(g);
                 let woken = self.locks.release_read_locks(exec, now);
                 VoteOutcome {
                     vote: Vote::Yes,
@@ -695,7 +671,6 @@ impl Site {
                 });
                 self.mark(|m| m.apply(g, MarkEvent::DecisionCommit));
                 self.execs.remove(&exec);
-                self.unindex(exec);
                 return DecideOutcome {
                     woken: self.locks.release_all(exec, now),
                     compensation: None,
@@ -1034,7 +1009,6 @@ impl CrashedSite {
             st.entered = Some(site.next_entry());
             site.execs.insert(exec, st);
             if let ExecId::Sub(g) = exec {
-                site.prepared.insert(g);
                 site.mark(|m| m.apply(g, MarkEvent::VoteCommit));
             }
         }

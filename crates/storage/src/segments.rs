@@ -191,7 +191,8 @@ impl FlushProgress {
 /// segment file at a fixed offset (pwrite — no shared cursor to race on).
 #[derive(Debug)]
 struct SegWrite {
-    file: File,
+    /// The segment's own handle, shared: sealing a batch opens nothing.
+    file: Arc<File>,
     /// (wal uid, segment base): identifies the file for fsync coalescing.
     sync_key: (u64, u64),
     /// File offset of the write.
@@ -238,7 +239,7 @@ impl FlushBatch {
             let keep = at.saturating_sub(w.sync_key.1 + w.off).min(w.len as u64) as usize;
             if keep < w.len {
                 let cut = SegWrite {
-                    file: File::open("/dev/null")?,
+                    file: Arc::new(File::open("/dev/null")?),
                     sync_key: w.sync_key,
                     off: w.off + keep as u64,
                     start: w.start + keep,
@@ -325,7 +326,7 @@ struct Segment {
     /// configured segment size).
     capacity: u64,
     path: PathBuf,
-    file: File,
+    file: Arc<File>,
 }
 
 /// A pending (unsealed) byte range: where in the buffer, and where it lands.
@@ -490,7 +491,7 @@ impl Segments {
                 base: *base,
                 capacity,
                 path: path.clone(),
-                file,
+                file: Arc::new(file),
             });
         }
         if segments.is_empty() {
@@ -569,7 +570,7 @@ impl Segments {
             base,
             capacity,
             path,
-            file,
+            file: Arc::new(file),
         })
     }
 
@@ -700,26 +701,25 @@ impl Segments {
     /// Seal everything appended since the last seal into a [`FlushBatch`]
     /// and advance the sealed watermark. Returns `None` only when nothing is
     /// pending. A dead log still seals: its batch carries its ticket and
-    /// fails when executed. A handle that cannot be duplicated for the
-    /// batch kills the log.
+    /// fails when executed. Each write shares its segment's handle.
     pub(crate) fn seal_batch(&mut self) -> Option<FlushBatch> {
         if self.appended == self.sealed {
             return None;
         }
-        let mut writes = Vec::with_capacity(self.spans.len());
-        for sp in self.spans.drain(..) {
-            let seg = &self.segments[sp.seg];
-            match seg.file.try_clone() {
-                Ok(file) => writes.push(SegWrite {
-                    file,
+        let writes = self
+            .spans
+            .drain(..)
+            .map(|sp| {
+                let seg = &self.segments[sp.seg];
+                SegWrite {
+                    file: Arc::clone(&seg.file),
                     sync_key: (self.uid, seg.base),
                     off: sp.off,
                     start: sp.start,
                     len: sp.len,
-                }),
-                Err(_) => self.progress.poison(),
-            }
-        }
+                }
+            })
+            .collect();
         self.sealed = self.appended;
         Some(FlushBatch {
             bytes: std::mem::take(&mut self.buf),

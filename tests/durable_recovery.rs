@@ -193,8 +193,8 @@ fn sigkill_mid_run_recovers_cleanly() {
 /// wait for the flush timer from everything else.
 const FLUSH_INTERVAL: Duration = Duration(50_000);
 
-/// Logs under `dir` (for a `ThreadedRuntime`, whose flusher threads report
-/// each fsync), operation service on the engine's own time.
+/// Logs under `dir` (for a `ThreadedRuntime`, whose disk reports each
+/// fsync), operation service on the engine's own time.
 fn physical_gate(dir: &Path, sites: u32, protocol: ProtocolKind) -> SystemConfig {
     let mut cfg = SystemConfig::new(sites, protocol);
     cfg.durable_wal_dir = Some(dir.to_path_buf());
@@ -204,7 +204,7 @@ fn physical_gate(dir: &Path, sites: u32, protocol: ProtocolKind) -> SystemConfig
 }
 
 /// The physical gate on real threads: promises wait for the fsync itself and
-/// the flusher pool tells the engine when it lands. Every transaction is
+/// the runtime's disk tells the engine when it lands. Every transaction is
 /// decided, money is conserved, the logs replay to the live stores — and
 /// with a flush interval that dwarfs fsync, a commit costs its two forced
 /// writes (vote record, outcome record) at one interval each, which polling
