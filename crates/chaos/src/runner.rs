@@ -165,7 +165,6 @@ pub fn run_plan_with(
     cfg.vote_timeout = Some(Duration::millis(40));
     cfg.termination_timeout = harden.termination.then(|| Duration::millis(50));
     cfg.retransmit_base = harden.retransmit.then(|| Duration::millis(10));
-    cfg.retransmit_cap = Duration::millis(160);
     if plan.seed.is_multiple_of(5) {
         // A real-action site holds write locks until the decision even
         // under O2PC — the blocking shape chaos must not be able to wedge.

@@ -107,13 +107,11 @@ pub struct SystemConfig {
     pub termination_timeout: Option<Duration>,
     /// Coordinator retransmission of unacked VOTE-REQ / DECISION messages:
     /// first resend after this much silence, doubling each attempt up to
-    /// [`SystemConfig::retransmit_cap`]. `None` (the default) sends each
-    /// message exactly once — the classic model where only crash recovery
-    /// resends — so message-count experiments are unaffected unless a run
-    /// opts in (the chaos harness does).
+    /// 16 times this. `None` (the default) sends each message exactly once
+    /// — the classic model where only crash recovery resends — so
+    /// message-count experiments are unaffected unless a run opts in (the
+    /// chaos harness does).
     pub retransmit_base: Option<Duration>,
-    /// Upper bound on the retransmission backoff interval.
-    pub retransmit_cap: Duration,
     /// Enable the UDUM1-gated *undone → unmarked* transition (rule R3).
     /// Disabling it is an ablation: markings accumulate forever, so P1
     /// rejects ever more subtransactions — quantifying how much concurrency
@@ -189,7 +187,6 @@ impl SystemConfig {
             vote_timeout: None,
             termination_timeout: None,
             retransmit_base: None,
-            retransmit_cap: Duration::millis(200),
             enable_udum: true,
             record_history: true,
             live_audit_graph: false,

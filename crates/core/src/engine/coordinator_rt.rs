@@ -193,7 +193,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
         let Some(base) = self.cfg.retransmit_base else {
             return;
         };
-        let cap = self.cfg.retransmit_cap;
+        let cap = base.saturating_mul(16);
         let Some(g) = self.txns.get_mut(&txn) else {
             return; // stale timer: the transaction has been retired
         };

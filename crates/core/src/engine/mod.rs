@@ -260,11 +260,20 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             compensation_model: cfg.compensation_model,
             marks: marking.is_some(),
         };
+        let mut report = RunReport::default();
         let slots = cfg
             .sites()
-            .map(|id| Site::with_wal(id, site_cfg, Self::make_wal(&cfg, id)))
-            .map(|site| SiteSlot {
-                state: SiteState::up(site),
+            .map(|id| match Self::make_wal(&cfg, id) {
+                Ok(wal) => SiteState::up(Site::with_wal(id, site_cfg, wal)),
+                // A log that cannot open ends the site the way a crash that
+                // cannot reopen its log does: nothing to run or recover.
+                Err(_) => {
+                    report.counters.inc("wal.reopen_failures");
+                    SiteState::Lost
+                }
+            })
+            .map(|state| SiteSlot {
+                state,
                 ..SiteSlot::default()
             })
             .collect();
@@ -287,7 +296,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
             runs: Vec::new(),
             marking,
             hist,
-            report: RunReport::default(),
+            report,
             checkpointed: false,
             warnings,
             walks: Box::default(),
@@ -297,14 +306,14 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// Build one site's WAL per the configuration: on disk when a WAL
     /// directory is set (reopening an existing file — recovery across
     /// *process* restarts — is exactly the open path), in-memory otherwise.
-    fn make_wal(cfg: &SystemConfig, id: SiteId) -> Wal {
+    /// Fails when the directory cannot be created or the log not opened.
+    fn make_wal(cfg: &SystemConfig, id: SiteId) -> std::io::Result<Wal> {
         match &cfg.durable_wal_dir {
-            None => Wal::new(),
+            None => Ok(Wal::new()),
             Some(dir) => {
-                std::fs::create_dir_all(dir).expect("create durable WAL dir");
+                std::fs::create_dir_all(dir)?;
                 let path = dir.join(format!("site-{}.wal", id.0));
                 Wal::open_with_segment_bytes(&path, cfg.wal_segment_bytes)
-                    .expect("open durable WAL")
             }
         }
     }
@@ -685,7 +694,7 @@ impl<R: Runtime<TimerEvent, Msg>> Engine<R> {
     /// Make every live site's WAL fully durable (start and end of a run)
     /// and release whatever that unparks. Inline, and reported by the
     /// sync's own result: the run is over, latency no longer matters,
-    /// completeness does. Completions still owed cover nothing new.
+    /// completeness does. Completions not yet reported cover nothing new.
     pub(crate) fn sync_all_wals(&mut self, now: SimTime) {
         if self.cfg.durable_wal_dir.is_none() {
             return;
@@ -887,6 +896,27 @@ mod tests {
         assert_eq!(e.down_sites(), vec![s0]);
     }
 
+    /// A log that cannot open at assembly — the WAL directory is a regular
+    /// file — starts its site lost instead of panicking, and a run with
+    /// work submitted to the lost sites ends.
+    #[test]
+    fn a_log_that_cannot_open_starts_its_site_lost() {
+        let dir = ScratchDir::new("wal-dir-is-a-file");
+        let file = dir.join("not-a-dir");
+        std::fs::write(&file, b"").unwrap();
+        let mut cfg = SystemConfig::new(2, ProtocolKind::O2pc);
+        cfg.durable_wal_dir = Some(file);
+        let mut e = Engine::new(cfg);
+        assert_eq!(e.down_sites(), vec![SiteId(0), SiteId(1)]);
+        let (s0, s1, k) = (SiteId(0), SiteId(1), Key(0));
+        let subs = vec![(s0, vec![Op::Add(k, -5)]), (s1, vec![Op::Add(k, 5)])];
+        e.submit_at(SimTime::ZERO, TxnRequest::global(subs));
+        e.submit_at(SimTime::ZERO, TxnRequest::local(s1, [Op::Read(k)]));
+        let r = e.run(Duration::secs(1));
+        assert_eq!(r.counters.get("wal.reopen_failures"), 2);
+        assert_eq!(r.global_committed, 0);
+    }
+
     /// A completion that outlives its log releases nothing: the crash that
     /// ended the log dropped its promise, and the reopened log's promise
     /// waits for a completion of its own. The batch itself was written at
@@ -1010,7 +1040,7 @@ mod tests {
     #[test]
     fn failed_background_flush_crashes_that_site_only() {
         // Declared before the engine, so it is removed after the engine (and
-        // its flusher threads) are gone — also when an assertion below fails,
+        // its flush helpers) are gone — also when an assertion below fails,
         // which a trailing `remove_dir_all` never survived.
         let dir = ScratchDir::new("bgfail");
         let mut cfg = SystemConfig::new(2, ProtocolKind::O2pc);

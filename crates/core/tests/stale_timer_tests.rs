@@ -47,10 +47,9 @@ fn vote_timeout_after_completion_and_gc_is_inert() {
 fn retransmit_timer_after_gc_is_inert() {
     let mut cfg = SystemConfig::new(2, ProtocolKind::O2pc);
     cfg.seed = 0x57A2;
-    // A capped chain with a long cap: once the transaction completes at
-    // ~millisecond scale, the pending chain link fires against a retired id.
+    // A long first link: once the transaction completes at millisecond
+    // scale, the pending chain link fires against a retired id.
     cfg.retransmit_base = Some(Duration::millis(900));
-    cfg.retransmit_cap = Duration::secs(4);
     cfg.vote_timeout = Some(Duration::secs(3));
     let mut e = Engine::new(cfg);
     e.load(SiteId(0), Key(0), Value(100));

@@ -1,138 +1,77 @@
-//! The threaded runtime's flusher pool: a small sharded pool of threads
-//! with fsync coalescing, for the logs of a flush point that the calling
-//! thread does not write itself.
+//! The threaded runtime's flush helpers: persistent threads that each write
+//! one log of a multi-log flush point while the calling thread writes
+//! another.
 //!
-//! [`ThreadedRuntime::flush`](crate::Runtime::flush) writes one log of each
-//! flush point inline and hands each other log's sealed [`FlushBatch`] to
-//! the shard its site id maps to; the runtime spawns the pool when a flush
-//! point first holds two or more logs. Each shard thread
-//! *drains its whole queue* before touching the disk and executes the burst
-//! through [`FlushBatch::execute_all`]: every write lands first, then each
-//! distinct segment file is fsynced exactly once — a burst of N batches
-//! costs 1 fsync, not N. One site's batches always map to the same shard,
-//! so they execute strictly in seal order, which is the property prefix
-//! durability rests on; different sites' logs flush in parallel.
-//!
-//! After a burst the shard reports one completion per site in it — the
-//! site, the last ticket the burst carried for it, whether its log's
-//! watermark advanced or was poisoned, and how many batches it covers —
-//! and then settles the batches it owed. The report goes onto the one channel the runtime's loop blocks on,
-//! which wakes it; the runtime hands each completion to the engine as a
-//! [`Step::Durable`](crate::Step::Durable) ahead of any ready delivery, and
-//! does not quiesce while one is owed. The simulator's disk is the same
-//! `execute_all`, run at seal time and reported after a modelled fsync
-//! latency ([`SimRuntime::FSYNC_LATENCY`](crate::SimRuntime::FSYNC_LATENCY)).
+//! [`ThreadedRuntime::flush`](crate::Runtime::flush) is fork-join: it writes
+//! the first log of a flush point itself, hands each other log to a helper
+//! of its own, and waits for every helper's reply before it returns, so no
+//! write is ever in flight between calls. A helper runs its log's batches
+//! through [`FlushBatch::execute_all`] — every write first, then one fsync
+//! per segment file — and replies once the log's watermark has advanced or
+//! been poisoned. Helpers are spawned on first need, one per extra log, and
+//! live as long as the runtime; a run whose flush points each seal one log
+//! never starts one. Dropping a helper closes its queue and joins the
+//! thread, idle since its last reply.
 
-use o2pc_common::SiteId;
-use o2pc_storage::{FlushBatch, FlushProgress};
+use o2pc_storage::FlushBatch;
 use std::io;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
-struct Shard {
-    tx: Option<Sender<(SiteId, FlushBatch)>>,
-    worker: Option<JoinHandle<()>>,
+/// One persistent flush thread.
+pub(crate) struct Helper {
+    /// `None` only while the helper drops.
+    jobs: Option<Sender<Vec<FlushBatch>>>,
+    replies: Receiver<()>,
+    thread: Option<JoinHandle<()>>,
 }
 
-/// Handle to the flusher pool. Dropping it drains every queue and joins the
-/// threads, so every sealed batch is durable (or its watermark poisoned)
-/// before shutdown completes.
-pub(crate) struct FlushScheduler {
-    shards: Vec<Shard>,
-    /// Batches submitted whose completion has not been reported yet.
-    owed: Arc<AtomicUsize>,
-}
-
-/// Execute bursts until the queue closes, calling `report(site, ticket, ok,
-/// batches)` once per site per burst — after the burst's watermarks have
-/// moved.
-fn drain_loop(
-    rx: Receiver<(SiteId, FlushBatch)>,
-    report: impl Fn(SiteId, u64, bool, usize),
-    owed: &AtomicUsize,
-) {
-    while let Ok(first) = rx.recv() {
-        let mut burst = vec![first];
-        while let Ok(b) = rx.try_recv() {
-            burst.push(b);
-        }
-        // One completion per site in the burst: its watermark cell, its last
-        // ticket, and how many of its batches the completion settles.
-        let mut sites: Vec<(SiteId, Arc<FlushProgress>, u64, usize)> = Vec::new();
-        for (site, batch) in &burst {
-            match sites.iter_mut().find(|s| s.0 == *site) {
-                Some(s) => (s.2, s.3) = (batch.ticket(), s.3 + 1),
-                None => sites.push((*site, batch.progress(), batch.ticket(), 1)),
-            }
-        }
-        // An I/O error here means a log device failed; execute_all has
-        // already poisoned that log's watermark (and only that one), and
-        // the completion below carries it to the engine, which crashes the
-        // site.
-        let _ = FlushBatch::execute_all(burst.into_iter().map(|(_, b)| b).collect());
-        for (site, progress, ticket, batches) in sites {
-            report(site, ticket, !progress.is_poisoned(), batches);
-            owed.fetch_sub(batches, Ordering::SeqCst);
-        }
-    }
-}
-
-impl FlushScheduler {
-    /// Spawn `shards` flusher threads (at least one), each reporting its
-    /// completions through a clone of `report`. Fails if the OS refuses a
-    /// thread; dropping the partial pool then joins the shards already
-    /// spawned.
-    pub(crate) fn spawn(
-        shards: usize,
-        report: impl Fn(SiteId, u64, bool, usize) + Clone + Send + 'static,
-    ) -> io::Result<Self> {
-        let mut pool = FlushScheduler {
-            shards: Vec::new(),
-            owed: Arc::new(AtomicUsize::new(0)),
-        };
-        for i in 0..shards.max(1) {
-            let (tx, rx) = channel();
-            let (report, owed) = (report.clone(), Arc::clone(&pool.owed));
-            let worker = std::thread::Builder::new()
-                .name(format!("wal-flush-{i}"))
-                .spawn(move || drain_loop(rx, report, &owed))?;
-            pool.shards.push(Shard {
-                tx: Some(tx),
-                worker: Some(worker),
-            });
-        }
-        Ok(pool)
+impl Helper {
+    /// Spawn helper number `i`. Fails if the OS refuses a thread.
+    pub(crate) fn spawn(i: usize) -> io::Result<Self> {
+        let (jobs, queue) = channel::<Vec<FlushBatch>>();
+        let (reply, replies) = channel();
+        let thread = std::thread::Builder::new()
+            .name(format!("wal-flush-{i}"))
+            .spawn(move || {
+                for batches in queue {
+                    // A failed write or fsync has poisoned the log's
+                    // watermark, which the caller reads after the reply.
+                    let _ = FlushBatch::execute_all(batches);
+                    if reply.send(()).is_err() {
+                        break;
+                    }
+                }
+            })?;
+        Ok(Helper {
+            jobs: Some(jobs),
+            replies,
+            thread: Some(thread),
+        })
     }
 
-    /// Queue a sealed batch for write + fsync on `site`'s shard; a
-    /// completion covering it is owed from now on.
-    pub(crate) fn submit(&self, site: SiteId, batch: FlushBatch) {
-        // `spawn` made at least one shard.
-        let shard = &self.shards[site.index() % self.shards.len()];
-        if let Some(tx) = &shard.tx {
-            self.owed.fetch_add(1, Ordering::SeqCst);
-            let _ = tx.send((site, batch));
+    /// Hand one log's batches over, in seal order; gives them back if the
+    /// thread is gone.
+    pub(crate) fn fork(&self, batches: Vec<FlushBatch>) -> Result<(), Vec<FlushBatch>> {
+        match &self.jobs {
+            Some(jobs) => jobs.send(batches).map_err(|e| e.0),
+            None => Err(batches),
         }
     }
 
-    /// Batches whose completion has not been reported yet. A reader that
-    /// sees 0 finds every reported completion already on its channel.
-    pub(crate) fn owed(&self) -> usize {
-        self.owed.load(Ordering::SeqCst)
+    /// Wait for the log handed over last. False if the thread died with it,
+    /// unwritten.
+    pub(crate) fn join(&self) -> bool {
+        self.replies.recv().is_ok()
     }
 }
 
-impl Drop for FlushScheduler {
+impl Drop for Helper {
     fn drop(&mut self) {
-        for s in &mut self.shards {
-            drop(s.tx.take());
-        }
-        for s in &mut self.shards {
-            if let Some(w) = s.worker.take() {
-                let _ = w.join();
-            }
+        drop(self.jobs.take());
+        if let Some(thread) = self.thread.take() {
+            // A helper that panicked has already failed its log's join.
+            let _ = thread.join();
         }
     }
 }
@@ -142,129 +81,27 @@ mod tests {
     use super::*;
     use o2pc_common::{ExecId, GlobalTxnId, ScratchDir};
     use o2pc_storage::{LogRecord, Wal};
-    use std::sync::Mutex;
 
-    fn tmpdir(name: &str) -> ScratchDir {
-        ScratchDir::new(&format!("flush-{name}"))
-    }
-
+    /// A helper writes each log it is handed, in seal order, before it
+    /// replies, and serves call after call.
     #[test]
-    fn background_flush_advances_watermark_in_order() {
-        let dir = tmpdir("order");
+    fn a_helper_lands_each_log_before_it_replies() {
+        let dir = ScratchDir::new("flush-helper");
+        let helper = Helper::spawn(0).unwrap();
         let mut wal = Wal::open(dir.join("s.wal")).unwrap();
-        let sched = FlushScheduler::spawn(2, |_, _, _, _| {}).unwrap();
-        let mut last = 0;
-        for i in 0..10 {
-            wal.append(LogRecord::Begin(ExecId::Sub(GlobalTxnId(i))));
-            last = wal.append_ticket();
-            sched.submit(SiteId(0), wal.seal_batch().unwrap());
-        }
-        wal.progress().unwrap().wait_for(last).unwrap();
-        assert_eq!(wal.durable_ticket(), wal.append_ticket());
-        drop(sched);
-        let reopened = Wal::open(dir.join("s.wal")).unwrap();
-        assert_eq!(reopened.len(), 10, "all batches landed, in order");
-    }
-
-    /// N batches of one site drained as one burst: exactly one completion,
-    /// carrying the last ticket and the count N, reported after the
-    /// watermark covers it and before the batches are settled.
-    #[test]
-    fn one_burst_of_one_site_reports_one_completion_after_the_watermark_moves() {
-        let dir = tmpdir("one-completion");
-        let mut wal = Wal::open(dir.join("s.wal")).unwrap();
-        let watched = wal.progress().unwrap();
-        let owed = AtomicUsize::new(6);
-        let posts = Mutex::new(Vec::new());
-        let (tx, rx) = channel();
-        for i in 0..6 {
-            wal.append(LogRecord::Begin(ExecId::Sub(GlobalTxnId(i))));
-            tx.send((SiteId(3), wal.seal_batch().unwrap())).unwrap();
-        }
-        drop(tx);
-        // Everything is queued before the loop starts, so it is one burst.
-        let report = |site, ticket, ok, batches| {
-            let seen = (
-                site,
-                ticket,
-                ok,
-                batches,
-                watched.durable(),
-                owed.load(Ordering::SeqCst),
-            );
-            posts.lock().unwrap().push(seen);
-        };
-        drain_loop(rx, report, &owed);
-        let t = wal.append_ticket();
-        assert_eq!(*posts.lock().unwrap(), vec![(SiteId(3), t, true, 6, t, 6)]);
-        assert_eq!(owed.load(Ordering::SeqCst), 0);
-        assert_eq!(wal.stats().unwrap().fsyncs(), 1);
-    }
-
-    /// A batch whose write fails is reported as failed, after the watermark
-    /// is poisoned — and so is everything sealed behind it, unwritten.
-    #[test]
-    fn failed_write_reports_a_failed_completion_after_poisoning() {
-        let dir = tmpdir("failed");
-        let mut wal = Wal::open(dir.join("s.wal")).unwrap();
-        let progress = wal.progress().unwrap();
-        let (done, got) = channel();
-        let sched = FlushScheduler::spawn(2, move |site, _, ok, _| {
-            let _ = done.send((site, ok, progress.is_poisoned()));
-        })
-        .unwrap();
-        for i in 0..2 {
-            wal.append(LogRecord::Begin(ExecId::Sub(GlobalTxnId(i))));
-            let mut batch = wal.seal_batch().unwrap();
-            if i == 0 {
-                batch.sever(0).unwrap();
+        for round in 0..3u64 {
+            let mut batches = Vec::new();
+            for i in 0..4 {
+                wal.append(LogRecord::Begin(ExecId::Sub(GlobalTxnId(round * 4 + i))));
+                batches.push(wal.seal_batch().unwrap());
             }
-            sched.submit(SiteId(1), batch);
-            assert_eq!(got.recv().unwrap(), (SiteId(1), false, true));
-            assert_eq!(wal.durable_ticket(), 0, "nothing was promised");
-        }
-        assert_eq!(
-            wal.stats().unwrap().fsyncs(),
-            0,
-            "the second batch never touched the disk"
-        );
-        drop(sched);
-        assert!(got.try_recv().is_err(), "one completion per burst");
-    }
-
-    #[test]
-    fn shards_flush_independent_wals_and_coalesce_fsyncs() {
-        let dir = tmpdir("shards");
-        let sched = FlushScheduler::spawn(4, |_, _, _, _| {}).unwrap();
-        let mut wals: Vec<Wal> = (0..4)
-            .map(|i| Wal::open(dir.join(format!("s{i}.wal"))).unwrap())
-            .collect();
-        let mut tickets = Vec::new();
-        for round in 0..16u64 {
-            for (i, wal) in wals.iter_mut().enumerate() {
-                wal.append(LogRecord::Begin(ExecId::Sub(GlobalTxnId(round))));
-                sched.submit(SiteId(i as u32), wal.seal_batch().unwrap());
-            }
-        }
-        for wal in &wals {
-            tickets.push((wal.progress().unwrap(), wal.append_ticket()));
-        }
-        for (p, t) in &tickets {
-            p.wait_for(*t).unwrap();
-        }
-        for wal in &wals {
+            helper.fork(batches).unwrap();
+            assert!(helper.join());
             assert_eq!(wal.durable_ticket(), wal.append_ticket());
-            // Coalescing: 16 sealed batches per WAL must cost well under 16
-            // fsyncs whenever any burst of them drained together. The exact
-            // count is timing-dependent; the hard upper bound is 16 and the
-            // deterministic single-drain case is covered by the storage
-            // crate's `burst_of_batches_costs_one_fsync`.
-            assert!(wal.stats().unwrap().fsyncs() <= 16);
         }
-        drop(sched);
-        for i in 0..4 {
-            let reopened = Wal::open(dir.join(format!("s{i}.wal"))).unwrap();
-            assert_eq!(reopened.len(), 16);
-        }
+        assert_eq!(wal.stats().unwrap().fsyncs(), 3, "one fsync per hand-over");
+        drop(helper);
+        let reopened = Wal::open(dir.join("s.wal")).unwrap();
+        assert_eq!(reopened.len(), 12, "all batches landed, in order");
     }
 }

@@ -25,11 +25,12 @@
 //! * [`ThreadedRuntime`] — wall-clock execution on the thread that calls
 //!   `next`. It delivers its own messages: a same-site or zero-latency send
 //!   is a push onto a ready FIFO, a delayed one an entry in its wall-clock
-//!   event heap beside its timers. Flushes run on a pool of flusher
-//!   threads. Outcomes are schedule-dependent (and therefore only
-//!   invariant-checkable, not replayable), which is exactly the point: the
-//!   same engine code must uphold the protocol's guarantees without a
-//!   global event order.
+//!   event heap beside its timers. A flush lands before `flush` returns:
+//!   the calling thread writes one log, persistent helper threads the
+//!   others of the same flush point. Outcomes are schedule-dependent (and
+//!   therefore only invariant-checkable, not replayable), which is exactly
+//!   the point: the same engine code must uphold the protocol's guarantees
+//!   without a global event order.
 //!
 //! Both send through one [`o2pc_sim::Network`]: one link model, one
 //! send-time judgement ([`o2pc_sim::Network::judge`]) and one

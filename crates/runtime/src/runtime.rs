@@ -1,16 +1,13 @@
 //! The engine-facing runtime: timers + messages in one time-ordered stream.
 
 use crate::clock::{Clock, WallClock};
-use crate::flush::FlushScheduler;
+use crate::flush::Helper;
 use crate::heap::EventHeap;
 use crate::transport::ThreadedTransport;
 use o2pc_common::{Duration, SimTime, SiteId};
 use o2pc_sim::{EventQueue, Network, SendOutcome};
 use o2pc_storage::FlushBatch;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
 /// One unit of work handed to the engine: a timer it scheduled earlier, a
@@ -40,10 +37,6 @@ pub enum Step<T, M> {
 
 /// A flush completion: site, ticket, ok.
 type Completion = (SiteId, u64, bool);
-
-/// A completion the flusher pool reported: site, ticket, ok, and how many
-/// of the site's pooled batches it settles.
-type Pooled = (SiteId, u64, bool, usize);
 
 /// What the engine needs from a substrate: a clock, timers, a message
 /// transport, a disk, and a single stream of [`Step`]s in time order.
@@ -88,19 +81,21 @@ pub trait Runtime<T, M>: Clock {
     /// Write and fsync every batch one flush point sealed, each tagged with
     /// its site, then report each site's batches as a [`Step::Durable`].
     /// This is the one hand-over: a flush point calls it once, whatever
-    /// number of logs it sealed. Batches of one site complete in the order
-    /// they were handed over; the runtime does not quiesce while a
-    /// completion is owed, and holds no batch between calls, so a wait on
-    /// a log's watermark never waits on the caller's own thread.
+    /// number of logs it sealed. One contract holds on every runtime: when
+    /// `flush` returns, every batch is written and fsynced, or its log is
+    /// poisoned, and one site's batches landed in the order they were
+    /// handed over. The runtimes differ only in when
+    /// [`next`](Runtime::next) reports the completions: the simulator after
+    /// its modelled fsync latency, the threaded runtime at once, ahead of
+    /// any ready delivery. No write is in flight between calls, so a wait
+    /// on a log's watermark never waits on the caller's own thread.
     fn flush(&mut self, batches: Vec<(SiteId, FlushBatch)>);
 
     /// Would [`next`](Runtime::next) park right now — nothing sent and not
-    /// yet delivered, nothing delivered or completed and not yet handed
-    /// over (a flush that landed during [`flush`](Runtime::flush) counts as
-    /// completed), no timer due? Only a completion owed by another thread
-    /// or the passing of time can then produce the next step. Never true on
-    /// a substrate that does not wait (the simulator jumps to its next
-    /// event), so asking cannot move a seeded run.
+    /// yet delivered, no flush completion not yet handed over, no timer
+    /// due? Only the passing of time can then produce the next step. Never
+    /// true on a substrate that does not wait (the simulator jumps to its
+    /// next event), so asking cannot move a seeded run.
     fn is_idle(&mut self) -> bool {
         false
     }
@@ -224,7 +219,7 @@ impl<T, M: Clone> Runtime<T, M> for SimRuntime<T, M> {
 /// Tuning knobs for [`ThreadedRuntime`].
 #[derive(Clone, Copy, Debug)]
 pub struct ThreadedRuntimeConfig {
-    /// How long `next` waits with nothing queued, ready or owed before
+    /// How long `next` waits with nothing queued or ready before
     /// declaring the run quiescent; every run ends this long after its last
     /// step. Every in-flight message lives in the runtime, so this does not
     /// need to cover transport latency.
@@ -257,24 +252,22 @@ impl Default for ThreadedRuntimeConfig {
 /// schedule-dependent, so the wall-clock twin of a simulated run checks
 /// invariants, not byte equality.
 ///
-/// The disk is the calling thread plus a pool of flusher threads.
-/// [`flush`](Runtime::flush) writes and fsyncs one log of each flush point
-/// itself — the first log with no batch in the pool — and hands every
-/// other log to the pool first, so the pool's fsyncs overlap its own. A
-/// log with a batch still in the pool always goes there too, behind it:
-/// one log's batches land in seal order. An inline completion waits in
-/// the runtime for `next`, like a pooled one. The pool is sharded, with
-/// fsync coalescing and one shard per registered endpoint (1–4), and is
-/// spawned by the first flush point that holds two or more logs; a run
-/// whose flush points each seal one log never starts a thread. A shard
-/// reports each burst it completes on the one channel `next` blocks on.
-/// Writing one log here costs its fsync's latency on this thread, but
-/// saves the two thread wake-ups a pooled flush costs, which on a small
-/// machine cost more CPU than the fsync (DESIGN §9).
+/// The disk is the calling thread plus, for a flush point that seals more
+/// than one log, persistent helper threads. [`flush`](Runtime::flush) is
+/// fork-join: it hands every log but the first to a helper of its own,
+/// writes and fsyncs the first itself, and returns once every helper has
+/// replied, so the helpers' fsyncs overlap its own and no write outlives
+/// the call. Helpers are spawned on first need, one per extra log, so a
+/// run holds fewer than its endpoints and one whose flush points each seal
+/// one log starts none; a log no helper can take is written here too. The
+/// completions wait in the runtime, in hand-over order, for `next`.
+/// Writing a log here costs its fsync's latency on this thread, but saves
+/// the two thread wake-ups a hand-off costs, which on a small machine cost
+/// more CPU than the fsync (DESIGN §9).
 ///
 /// Quiescence: `next` returns `None` once the deadline passes, or after
 /// `idle_grace` with no timer or delayed message queued, nothing ready, and
-/// no flush completion owed or waiting.
+/// no flush completion waiting.
 pub struct ThreadedRuntime<T, M> {
     clock: WallClock,
     network: Network,
@@ -284,19 +277,11 @@ pub struct ThreadedRuntime<T, M> {
     /// on a heap: `(due, seq)` order, FIFO among equal due times — so
     /// equal-latency sends on one link arrive in send order.
     events: EventHeap<Step<T, M>>,
-    endpoints: usize,
-    flusher: Option<FlushScheduler>,
-    /// Per site index: batches handed to the pool whose completion `next`
-    /// has not received yet. A site with any is not written inline.
-    pooled: Vec<usize>,
-    /// Completions of batches written on this thread, for `next`.
+    /// Flush helpers, spawned on first need: one per extra log of the
+    /// largest flush point so far.
+    helpers: Vec<Helper>,
+    /// Completions of landed flushes, in hand-over order, for `next`.
     landed: VecDeque<Completion>,
-    /// The channel the flusher reports completions on.
-    done_tx: Sender<Pooled>,
-    done: Receiver<Pooled>,
-    /// Completions reported and not yet received: `next` reads the channel
-    /// only when this is non-zero, so looking costs one atomic load.
-    unread: Arc<AtomicUsize>,
     cfg: ThreadedRuntimeConfig,
 }
 
@@ -313,94 +298,28 @@ impl<T, M: Clone> ThreadedRuntime<T, M> {
     /// Build on a transport's network; the clock's epoch (time zero) is
     /// *now*.
     pub fn new(transport: ThreadedTransport<M>, cfg: ThreadedRuntimeConfig) -> Self {
-        let (done_tx, done) = channel();
         ThreadedRuntime {
             clock: WallClock::new(),
             network: transport.network,
             staged: VecDeque::new(),
             events: EventHeap::new(),
-            endpoints: 0,
-            flusher: None,
-            pooled: Vec::new(),
+            helpers: Vec::new(),
             landed: VecDeque::new(),
-            done_tx,
-            done,
-            unread: Arc::new(AtomicUsize::new(0)),
             cfg,
         }
     }
 
-    /// How the flusher reports a completion: counted as unread, then sent —
-    /// both before the flusher settles what it owed, so a loop that reads
-    /// "nothing owed" finds every report on the channel.
-    fn reporter(&self) -> impl Fn(SiteId, u64, bool, usize) + Clone + Send + 'static {
-        let (done, unread) = (self.done_tx.clone(), Arc::clone(&self.unread));
-        move |site, ticket, ok, batches| {
-            unread.fetch_add(1, Ordering::SeqCst);
-            // A send fails only when the runtime is gone: nobody is left to tell.
-            let _ = done.send((site, ticket, ok, batches));
+    /// Hand one log's batches to helper `i`, spawning it first if need be.
+    /// Gives them back when no helper thread could be spawned, or it is
+    /// gone.
+    fn fork(&mut self, i: usize, batches: Vec<FlushBatch>) -> Result<(), Vec<FlushBatch>> {
+        if i == self.helpers.len() {
+            match Helper::spawn(i) {
+                Ok(helper) => self.helpers.push(helper),
+                Err(_) => return Err(batches),
+            }
         }
-    }
-
-    /// A reported completion, if one is waiting.
-    fn take_completion(&mut self) -> Option<Step<T, M>> {
-        if self.unread.load(Ordering::SeqCst) == 0 {
-            return None;
-        }
-        // Empty while the reporter is between its count and its send; the
-        // next call finds it.
-        let done = self.done.try_recv().ok()?;
-        Some(self.completion(done))
-    }
-
-    /// A pooled completion, received: the batches it settles leave the pool.
-    /// Counted, not compared by ticket: a log reopened after a failure
-    /// restarts its tickets below the dead log's.
-    fn completion(&mut self, (site, ticket, ok, batches): Pooled) -> Step<T, M> {
-        self.unread.fetch_sub(1, Ordering::SeqCst);
-        self.pooled[site.index()] -= batches;
-        Step::Durable { site, ticket, ok }
-    }
-
-    fn flush_owed(&self) -> usize {
-        self.flusher.as_ref().map_or(0, FlushScheduler::owed)
-    }
-
-    /// Does `site` have a batch in the pool that `next` has not yet
-    /// reported complete?
-    fn in_pool(&self, site: SiteId) -> bool {
-        self.pooled.get(site.index()).is_some_and(|&n| n > 0)
-    }
-
-    /// Hand `batch` to the flusher pool, spawning it first if need be.
-    /// Gives the batch back when no flusher thread could be spawned.
-    fn submit(&mut self, site: SiteId, batch: FlushBatch) -> Result<(), FlushBatch> {
-        if self.flusher.is_none() {
-            let shards = self.endpoints.clamp(1, 4);
-            self.flusher = FlushScheduler::spawn(shards, self.reporter()).ok();
-        }
-        let Some(pool) = &self.flusher else {
-            return Err(batch);
-        };
-        pool.submit(site, batch);
-        if self.pooled.len() <= site.index() {
-            self.pooled.resize(site.index() + 1, 0);
-        }
-        self.pooled[site.index()] += 1;
-        Ok(())
-    }
-
-    /// Write and fsync `site`'s batches on this thread; the completion
-    /// waits in `landed` for `next`. A failed write has poisoned the log's
-    /// watermark, and the completion says so.
-    fn land(&mut self, site: SiteId, batches: Vec<FlushBatch>) {
-        let Some(last) = batches.last() else {
-            return;
-        };
-        let (ticket, progress) = (last.ticket(), last.progress());
-        let _ = FlushBatch::execute_all(batches);
-        self.landed
-            .push_back((site, ticket, !progress.is_poisoned()));
+        self.helpers[i].fork(batches)
     }
 
     /// Put an accepted copy on its way: ready now, or due after `delay`.
@@ -424,7 +343,6 @@ impl<T, M: Clone> Clock for ThreadedRuntime<T, M> {
 impl<T, M: Clone> Runtime<T, M> for ThreadedRuntime<T, M> {
     fn register_endpoint(&mut self, id: SiteId) {
         self.network.open_route(id);
-        self.endpoints += 1;
     }
 
     fn reserve(&mut self, n: u64) -> u64 {
@@ -439,25 +357,50 @@ impl<T, M: Clone> Runtime<T, M> for ThreadedRuntime<T, M> {
     }
 
     fn flush(&mut self, batches: Vec<(SiteId, FlushBatch)>) {
-        // The log written here: the first with nothing in the pool, which
-        // it would otherwise overtake.
-        let own = batches
-            .iter()
-            .map(|&(site, _)| site)
-            .find(|&site| !self.in_pool(site));
-        let mut inline = Vec::new();
+        // One entry per log, in hand-over order, with its batches in order.
+        let mut logs: Vec<(SiteId, Vec<FlushBatch>)> = Vec::new();
         for (site, batch) in batches {
-            if Some(site) == own {
-                inline.push(batch);
-            } else if let Err(batch) = self.submit(site, batch) {
-                // No flusher thread could be spawned: this log is written
-                // here too.
-                self.land(site, vec![batch]);
+            match logs.iter_mut().find(|(s, _)| *s == site) {
+                Some((_, own)) => own.push(batch),
+                None => logs.push((site, vec![batch])),
             }
         }
-        // Last, so the pool's fsyncs run while this thread does its own.
-        if let Some(site) = own {
-            self.land(site, inline);
+        // Fork: every log but the first to a helper of its own. A log no
+        // helper takes is written here, with the first.
+        let mut here = Vec::new();
+        let mut joins = Vec::with_capacity(logs.len());
+        let mut forked = 0;
+        for (i, (site, own)) in logs.into_iter().enumerate() {
+            let Some(last) = own.last() else {
+                continue;
+            };
+            let (ticket, progress) = (last.ticket(), last.progress());
+            let taken = match i {
+                0 => Err(own),
+                _ => self.fork(forked, own).map(|()| forked),
+            };
+            let helper = match taken {
+                Ok(h) => {
+                    forked += 1;
+                    Some(h)
+                }
+                Err(own) => {
+                    here.extend(own);
+                    None
+                }
+            };
+            joins.push((site, ticket, progress, helper));
+        }
+        // A failed write or fsync has poisoned its log's watermark.
+        let _ = FlushBatch::execute_all(here);
+        // Join, and report every log in hand-over order.
+        for (site, ticket, progress, helper) in joins {
+            if helper.is_some_and(|h| !self.helpers[h].join()) {
+                // The helper died holding the batches: they never landed.
+                progress.poison();
+            }
+            self.landed
+                .push_back((site, ticket, !progress.is_poisoned()));
         }
     }
 
@@ -466,7 +409,6 @@ impl<T, M: Clone> Runtime<T, M> for ThreadedRuntime<T, M> {
         // `next` hands it over.
         self.network.ledger().in_flight() == 0
             && self.landed.is_empty()
-            && self.unread.load(Ordering::SeqCst) == 0
             && self
                 .events
                 .peek_time()
@@ -492,11 +434,10 @@ impl<T, M: Clone> Runtime<T, M> for ThreadedRuntime<T, M> {
             if now > deadline {
                 return None;
             }
-            // A due timer or delayed delivery first, then a completion —
-            // landed here or reported by the pool, before any ready
-            // delivery, since each releases promises those messages may be
-            // waiting on — then the ready FIFO. Under load the loop spins
-            // here without a syscall.
+            // A due timer or delayed delivery first, then a flush
+            // completion, before any ready delivery, since it releases
+            // promises those messages may be waiting on; then the ready
+            // FIFO. Under load the loop spins here without a syscall.
             if self.events.peek_time().is_some_and(|due| due <= now) {
                 if let Some((_, step)) = self.events.pop() {
                     if matches!(step, Step::Deliver { .. }) {
@@ -508,9 +449,6 @@ impl<T, M: Clone> Runtime<T, M> for ThreadedRuntime<T, M> {
             if let Some((site, ticket, ok)) = self.landed.pop_front() {
                 return Some((now, Step::Durable { site, ticket, ok }));
             }
-            if let Some(done) = self.take_completion() {
-                return Some((now, done));
-            }
             if let Some((to, msg)) = self.staged.pop_front() {
                 self.network.note_delivered();
                 return Some((now, Step::Deliver { to, msg }));
@@ -520,19 +458,11 @@ impl<T, M: Clone> Runtime<T, M> for ThreadedRuntime<T, M> {
                 Some(due) => self.clock.until(due).min(until_deadline),
                 None => self.cfg.idle_grace.min(until_deadline),
             };
-            // The runtime holds a sender, so the channel never disconnects:
-            // an error is a timeout.
-            if let Ok(done) = self.done.recv_timeout(wait) {
-                let step = self.completion(done);
-                return Some((self.clock.now(), step));
-            }
-            // Quiescence: the engine, the only sender, is blocked right here,
-            // so with nothing queued and no completion owed no step can ever
-            // arrive again. Every completion settled before the owed count
-            // read zero is already on the channel.
-            if self.events.is_empty() && self.flush_owed() == 0 {
-                let done = self.take_completion();
-                return done.map(|step| (self.clock.now(), step));
+            std::thread::sleep(wait);
+            // Quiescence: the engine, the only source of steps, is parked
+            // right here, so with nothing queued none can ever come.
+            if self.events.is_empty() {
+                return None;
             }
         }
     }
@@ -633,6 +563,54 @@ mod tests {
         };
         self_send_arrives_once_at_once(sim_on(hostile.clone()));
         self_send_arrives_once_at_once(on_links(hostile));
+    }
+
+    /// Hand `rt` a three-log flush point whose middle batch is severed,
+    /// after a send to another site: when `flush` returns, both healthy
+    /// logs are durable and the severed one is dead, and `next` reports the
+    /// three logs in hand-over order before it delivers the message.
+    fn flush_lands_before_it_returns<R: Runtime<&'static str, u32>>(mut rt: R, name: &str) {
+        assert!(rt.send(rt.now(), SiteId(0), SiteId(1), 7).is_sent());
+        let mut wals = Vec::new();
+        let mut batches = Vec::new();
+        for i in 0..3 {
+            let (dir, wal, mut batch) = sealed_batch(&format!("{name}-{i}"));
+            if i == 1 {
+                batch.sever(0).unwrap();
+            }
+            batches.push((SiteId(i), batch));
+            wals.push((dir, wal));
+        }
+        rt.flush(batches);
+        let landed: Vec<_> = wals
+            .iter()
+            .map(|(_, wal)| (wal.is_dead(), wal.durable_ticket() == wal.append_ticket()))
+            .collect();
+        assert_eq!(landed, [(false, true), (true, false), (false, true)]);
+        let far = SimTime(60_000_000);
+        let steps: Vec<_> = std::iter::from_fn(|| rt.next(far))
+            .map(|(_, step)| match step {
+                Step::Durable { site, ticket, ok } => (site, Some((ticket, ok))),
+                Step::Deliver { to, msg: 7 } => (to, None),
+                other => panic!("unexpected step {other:?}"),
+            })
+            .collect();
+        let ticket = |i: usize| wals[i].1.append_ticket();
+        let expected = [
+            (SiteId(0), Some((ticket(0), true))),
+            (SiteId(1), Some((ticket(1), false))),
+            (SiteId(2), Some((ticket(2), true))),
+            (SiteId(1), None),
+        ];
+        assert_eq!(steps, expected);
+    }
+
+    /// One flush contract on both runtimes: a flush point lands before
+    /// `flush` returns.
+    #[test]
+    fn flush_lands_before_it_returns_on_both_runtimes() {
+        flush_lands_before_it_returns(sim(), "sim");
+        flush_lands_before_it_returns(threaded(20), "threaded");
     }
 
     /// The simulator's disk writes at seal time and reports after the
@@ -760,168 +738,9 @@ mod tests {
         assert_eq!(to2, (100..132).collect::<Vec<_>>());
     }
 
-    /// A flusher pool whose reports take `delay` to leave it: long enough
-    /// for the loop to park (or to time out) while the completion is owed.
-    fn slow_flusher(rt: &mut ThreadedRuntime<&'static str, u32>, delay: u64) {
-        let report = rt.reporter();
-        let flusher = FlushScheduler::spawn(1, move |site, ticket, ok, batches| {
-            std::thread::sleep(StdDuration::from_millis(delay));
-            report(site, ticket, ok, batches);
-        });
-        rt.flusher = Some(flusher.unwrap());
-    }
-
-    /// A flush point of two logs, on sites 0 and `pooled`: site 0's batch
-    /// is written inline, the other goes to the pool. Returns site 0's
-    /// completion, which `next` hands over first, and the pooled log.
-    fn flush_two_logs(
-        rt: &mut ThreadedRuntime<&'static str, u32>,
-        name: &str,
-        pooled: SiteId,
-    ) -> ((ScratchDir, Wal), (ScratchDir, Wal)) {
-        let (dir0, wal0, inline) = sealed_batch(&format!("{name}-inline"));
-        let (dir1, wal1, batch) = sealed_batch(&format!("{name}-pooled"));
-        rt.flush(vec![(SiteId(0), inline), (pooled, batch)]);
-        assert_eq!(wal0.durable_ticket(), wal0.append_ticket(), "inline");
-        ((dir0, wal0), (dir1, wal1))
-    }
-
-    /// A flush completion wakes a `next` that is blocked on the channel
-    /// (the grace period here is far longer than the test), and reports the
-    /// ticket the pooled batch made durable; the inline log's completion
-    /// comes first, without a wait.
-    #[test]
-    fn flush_completion_wakes_blocked_next() {
-        let mut rt = threaded(10_000);
-        slow_flusher(&mut rt, 20); // let `next` park first
-        let (_inline, (_dir, wal)) = flush_two_logs(&mut rt, "wake", SiteId(2));
-        let far = SimTime(60_000_000);
-        assert!(matches!(
-            rt.next(far),
-            Some((
-                _,
-                Step::Durable {
-                    site: SiteId(0),
-                    ok: true,
-                    ..
-                }
-            ))
-        ));
-        let start = std::time::Instant::now();
-        let got = rt.next(far);
-        let ticket = wal.append_ticket();
-        assert!(
-            matches!(got, Some((_, Step::Durable { site: SiteId(2), ticket: t, ok: true })) if t == ticket),
-            "{got:?}"
-        );
-        assert_eq!(wal.durable_ticket(), ticket, "reported after the fsync");
-        assert!(
-            start.elapsed() < StdDuration::from_secs(5),
-            "woken, not timed out"
-        );
-    }
-
-    /// An owed completion holds off quiescence: `next` waits out the
-    /// deadline, not `idle_grace`, and once the completion is reported it is
-    /// returned before the runtime may report `None`.
-    #[test]
-    fn threaded_does_not_quiesce_while_a_flush_is_owed() {
-        let mut rt = threaded(2);
-        slow_flusher(&mut rt, 150);
-        let _logs = flush_two_logs(&mut rt, "owed", SiteId(1));
-        let deadline = rt.now() + Duration::millis(60);
-        assert!(matches!(
-            rt.next(deadline),
-            Some((
-                _,
-                Step::Durable {
-                    site: SiteId(0),
-                    ..
-                }
-            ))
-        ));
-        assert!(rt.next(deadline).is_none());
-        assert!(
-            rt.now() > deadline,
-            "gave up at the deadline, not after 2 ms"
-        );
-        let far = SimTime(60_000_000);
-        assert!(matches!(
-            rt.next(far),
-            Some((
-                _,
-                Step::Durable {
-                    site: SiteId(1),
-                    ..
-                }
-            ))
-        ));
-        assert!(rt.next(far).is_none(), "nothing owed any more: quiescent");
-    }
-
-    /// A ready FIFO that never empties cannot starve a completion: while
-    /// every `next` delivers one message and its handler sends the next, a
-    /// slow pooled flush completes, and `Step::Durable` comes out within a
-    /// step of being reported. The inline log's completion is the first
-    /// step of all.
-    #[test]
-    fn ready_fifo_cannot_starve_a_completion() {
-        let mut rt = threaded(10_000);
-        slow_flusher(&mut rt, 20);
-        assert!(rt.send(SimTime::ZERO, SiteId(0), SiteId(1), 0).is_sent());
-        let _logs = flush_two_logs(&mut rt, "starve", SiteId(2));
-        let far = SimTime(60_000_000);
-        assert!(matches!(
-            rt.next(far),
-            Some((
-                _,
-                Step::Durable {
-                    site: SiteId(0),
-                    ok: true,
-                    ..
-                }
-            ))
-        ));
-        let start = std::time::Instant::now();
-        let mut since_reported = 0;
-        loop {
-            match rt.next(far) {
-                Some((_, Step::Deliver { msg, .. })) => {
-                    assert!(rt
-                        .send(SimTime::ZERO, SiteId(0), SiteId(1), msg + 1)
-                        .is_sent());
-                }
-                Some((
-                    _,
-                    Step::Durable {
-                        site: SiteId(2),
-                        ok: true,
-                        ..
-                    },
-                )) => break,
-                other => panic!("unexpected step {other:?}"),
-            }
-            // The reporter has sent its completion once nothing is owed.
-            if rt.flush_owed() == 0 {
-                since_reported += 1;
-            }
-            assert!(
-                since_reported <= 2 && start.elapsed() < StdDuration::from_secs(5),
-                "completion starved behind the ready FIFO"
-            );
-        }
-        assert_eq!(
-            rt.network().ledger().in_flight(),
-            1,
-            "the chain's next message"
-        );
-    }
-
     /// Idle means "`next` would park": any work the loop can still reach
     /// without waiting — a ready message, a delayed one, a due timer, a
-    /// completion landed inline or reported by the pool — denies it; an
-    /// owed completion, which only another thread can turn into a step,
-    /// does not.
+    /// landed flush completion — denies it.
     #[test]
     fn idle_only_when_next_would_park() {
         let mut rt: ThreadedRuntime<&'static str, u32> = ThreadedRuntime::new(
@@ -970,82 +789,21 @@ mod tests {
         rt.schedule(far, "later");
         assert!(rt.is_idle(), "the only timer is a minute away");
 
-        // A landed completion is a step; an owed one leaves the loop idle;
-        // a reported one is a step.
-        slow_flusher(&mut rt, 30);
-        let _logs = flush_two_logs(&mut rt, "idle", SiteId(1));
-        assert!(!rt.is_idle(), "the inline completion is a step");
+        // A landed completion is a step until `next` hands it over.
+        let (_dir, _wal, batch) = sealed_batch("idle");
+        rt.flush(vec![(SiteId(1), batch)]);
+        assert!(!rt.is_idle(), "a completion waits");
         assert!(matches!(
             rt.next(far),
             Some((
                 _,
                 Step::Durable {
-                    site: SiteId(0),
+                    site: SiteId(1),
                     ..
                 }
             ))
         ));
-        assert!(rt.is_idle(), "only a completion is owed");
-        while rt.flush_owed() > 0 {
-            std::thread::sleep(StdDuration::from_millis(1));
-        }
-        assert!(!rt.is_idle(), "the completion is a step now");
-    }
-
-    /// A one-log flush point lands before `flush` returns, on the calling
-    /// thread, and `next` hands its completion over before a ready
-    /// delivery that was sent earlier.
-    #[test]
-    fn one_log_flush_lands_inline_and_reports_before_ready_deliveries() {
-        let mut rt = threaded(20);
-        assert!(rt.send(SimTime::ZERO, SiteId(0), SiteId(1), 7).is_sent());
-        let (_dir, wal, batch) = sealed_batch("inline");
-        let ticket = wal.append_ticket();
-        rt.flush(vec![(SiteId(2), batch)]);
-        assert_eq!(wal.durable_ticket(), ticket, "landed when flush returned");
-        let far = SimTime(60_000_000);
-        let got = rt.next(far);
-        assert!(
-            matches!(got, Some((_, Step::Durable { site: SiteId(2), ticket: t, ok: true })) if t == ticket),
-            "{got:?}"
-        );
-        assert!(matches!(
-            rt.next(far),
-            Some((_, Step::Deliver { msg: 7, .. }))
-        ));
-        assert!(rt.next(far).is_none());
-    }
-
-    /// Per-log order: a log with a batch in the pool is not written inline,
-    /// even alone in its flush point. Its later batch goes behind the
-    /// pooled one, and completes after it.
-    #[test]
-    fn a_log_with_a_pooled_batch_is_not_written_inline() {
-        let mut rt = threaded(20);
-        slow_flusher(&mut rt, 50);
-        let (_inline, (_dir, mut wal)) = flush_two_logs(&mut rt, "order", SiteId(1));
-        let first = wal.append_ticket();
-        wal.append(LogRecord::Begin(ExecId::Sub(GlobalTxnId(2))));
-        let second = wal.append_ticket();
-        rt.flush(vec![(SiteId(1), wal.seal_batch().unwrap())]);
-        assert!(wal.durable_ticket() < second, "written inline");
-        let far = SimTime(60_000_000);
-        let mut completions = Vec::new();
-        while let Some((_, step)) = rt.next(far) {
-            let Step::Durable { site, ticket, ok } = step else {
-                panic!("unexpected step {step:?}");
-            };
-            assert!(ok);
-            completions.push((site, ticket));
-        }
-        let t0 = completions[0].1;
-        let pooled = &completions[1..];
-        assert_eq!(completions[0], (SiteId(0), t0), "the inline log first");
-        assert!(
-            pooled == [(SiteId(1), first), (SiteId(1), second)] || pooled == [(SiteId(1), second)],
-            "{completions:?}"
-        );
-        assert_eq!(wal.durable_ticket(), second);
+        assert!(rt.is_idle());
     }
 
     /// A severed batch written inline reports `ok = false` and poisons its
@@ -1068,9 +826,10 @@ mod tests {
         assert_eq!(wal1.durable_ticket(), wal1.append_ticket());
     }
 
-    /// Flush points that each seal one log never spawn the flusher pool.
+    /// Flush points that each seal one log spawn no helper; a three-log
+    /// flush point spawns two, and the next one reuses them.
     #[test]
-    fn one_log_flush_points_never_spawn_the_pool() {
+    fn helpers_are_spawned_once_per_extra_log() {
         let mut rt = threaded(20);
         let logs: Vec<_> = (0..3).map(|i| sealed_batch(&format!("solo-{i}"))).collect();
         let mut wals = Vec::new();
@@ -1082,12 +841,23 @@ mod tests {
             assert_eq!(wal.durable_ticket(), wal.append_ticket());
             wals.push((dir, wal));
         }
-        assert!(rt.flusher.is_none(), "a flusher thread was spawned");
+        assert_eq!(rt.helpers.len(), 0, "a helper was spawned");
+        for _ in 0..2 {
+            let batches = wals.iter_mut().enumerate().map(|(i, (_, wal))| {
+                wal.append(LogRecord::Begin(ExecId::Sub(GlobalTxnId(3))));
+                (SiteId(i as u32), wal.seal_batch().unwrap())
+            });
+            rt.flush(batches.collect());
+            assert_eq!(rt.helpers.len(), 2);
+            for (_, wal) in &wals {
+                assert_eq!(wal.durable_ticket(), wal.append_ticket());
+            }
+        }
         let mut completions = 0;
         while let Some((_, Step::Durable { ok: true, .. })) = rt.next(SimTime(60_000_000)) {
             completions += 1;
         }
-        assert_eq!(completions, 6);
+        assert_eq!(completions, 12);
     }
 
     #[test]

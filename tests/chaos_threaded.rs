@@ -27,7 +27,6 @@ fn lossy_engine(mut cfg: SystemConfig) -> Engine<ThreadedRuntime<TimerEvent, Msg
     // across the crash stays blocked.
     cfg.vote_timeout = Some(Duration::millis(40));
     cfg.retransmit_base = Some(Duration::millis(10));
-    cfg.retransmit_cap = Duration::millis(160);
     cfg.termination_timeout = Some(Duration::millis(50));
     let transport: ThreadedTransport<Msg> = ThreadedTransport::new(NetworkConfig {
         drop_probability: 0.05,
